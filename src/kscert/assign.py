@@ -1,13 +1,14 @@
-"""Value-assignment search engines.
-
-Three complete searches over noncontextual value assignments:
+"""Value-assignment searches.
 
 * ks_colorability -- {0,1} colorings of a ray set under the orthogonality
-  and basis rules, with unit propagation;
+  and basis rules, with unit propagation; verify's path for ray inputs;
 * parity_certify -- the product/occurrence-parity conditions for contexts
-  whose operator products are +-I;
-* general_unsat -- the eigenvalue-assignment CSP for an arbitrary complete
-  polynomial set, with forward checking.
+  whose operator products are +-I; a direct check, not a search;
+* branch_and_bound -- the one engine for everything else: it maximises a
+  sum of context-local factors with forward checking (weighted-CSP branch
+  and bound, Freuder & Wallace, Artif. Intell. 58, 1992).  general_unsat
+  (Condition 2), max_F (the exact bound on F) and classical_max (the exact
+  maximum of a score) differ only in their factors and seed.
 
 All searches are deterministic: fixed variable and value orders, so
 identical inputs yield identical certificates.
@@ -15,16 +16,15 @@ identical inputs yield identical certificates.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from itertools import product
+from math import prod
+from typing import Optional, Sequence
 
 from .compat import Context, OrthogonalityGraph, context_product
-from .errors import (
-    NotDichotomic,
-    NotScalarMultiple,
-    SearchBudgetExceeded,
-)
+from .errors import NotDichotomic, NotScalarMultiple, SearchBudgetExceeded
 from .model import ObservableSet
 from .poly import ContextPolynomial, Poly, eval_assignment
 
@@ -96,10 +96,7 @@ def ks_colorability(
     basis_ids = [b.ids for b in bases]
     stats = SearchStats()
     # static branching order: rays in the most bases first, then degree
-    in_bases = [0] * mu
-    for b in basis_ids:
-        for i in b:
-            in_bases[i] += 1
+    in_bases = Counter(i for b in basis_ids for i in b)
     order_key = {
         i: (-in_bases[i], -len(graph.adjacency[i]), i) for i in range(mu)
     }
@@ -135,15 +132,9 @@ def ks_colorability(
             return None
         free = [i for i in range(mu) if len(dom[i]) == 2]
         if not free:
-            # verify: exactly one 1 per basis, no adjacent pair of 1s
-            vals = {i: next(iter(dom[i])) for i in range(mu)}
-            for b in basis_ids:
-                if sum(vals[i] for i in b) != 1:
-                    return None
-            for i in range(mu):
-                if vals[i] == 1 and any(vals[j] == 1 for j in graph.adjacency[i]):
-                    return None
-            return vals
+            # propagate leaves no adjacent pair of 1s and a 1 in every basis;
+            # a basis is a clique, so that 1 is its only one
+            return {i: next(iter(dom[i])) for i in range(mu)}
         var = min(free, key=lambda i: order_key[i])
         for val in (0, 1):
             nxt = {i: set(s) for i, s in dom.items()}
@@ -202,7 +193,136 @@ def parity_certify(oset: ObservableSet, contexts: Sequence[Context]) -> ProofCer
     return ProofCertificate(NOT_KS_PROOF, "Parity", detail=detail)
 
 
-# -- general eigenvalue-assignment CSP --------------------------------------
+# -- branch and bound over context-local factors -------------------------------
+
+
+def branch_and_bound(
+    oset: ObservableSet,
+    factors: Sequence[tuple],
+    seed: Optional[Fraction] = None,
+    node_cap: int = DEFAULT_NODE_CAP,
+):
+    """Maximise a sum of non-positive factors over the value assignments of
+    their variables: weighted-CSP branch and bound with forward checking.
+
+    Each factor is (ids, value), where value maps an assignment {id: value}
+    of its ids to a Fraction <= 0, memoised per local assignment.  At every
+    node a fully assigned factor adds its value, a factor with one free
+    variable adds its value at each candidate of that variable, and any
+    other factor adds its upper bound 0.  A value is pruned when that
+    optimistic total cannot beat the incumbent, which starts at seed.  An
+    explicit stack and undo trail keep the depth free of the recursion limit.
+
+    Returns (best, witness, stats); witness is None when nothing beat seed.
+    """
+    ids = sorted({i for f_ids, _ in factors for i in f_ids})
+    local = {i: v for v, i in enumerate(ids)}
+    spec = [value_order(oset[i].spectrum) for i in ids]
+    fvars = [tuple(local[i] for i in f_ids) for f_ids, _ in factors]
+    watch = [[] for _ in ids]
+    for k, vs in enumerate(fvars):
+        for v in vs:
+            watch[v].append(k)
+    memo = {}
+    val = [None] * len(ids)  # assigned value index, None while free
+    free = set(range(len(ids)))
+    nfree = [len(vs) for vs in fvars]
+    dom = [tuple(range(len(s))) for s in spec]  # candidate value indices
+    gain = [{} for _ in ids]  # value index -> sum of the one-free factors
+    top = [0] * len(ids)  # max of gain over dom
+    trail = []  # (var,) per assignment, (var, dom, gain, top) per update
+    stats = SearchStats()
+    A = T = 0  # sum of the assigned factors; sum of top over free variables
+    best = float("-inf") if seed is None else seed
+    witness = None
+    stack = []
+
+    def value(k):
+        key = (k, tuple(val[w] for w in fvars[k]))
+        if key not in memo:
+            memo[key] = factors[k][1]({ids[w]: spec[w][val[w]] for w in fvars[k]})
+        return memo[key]
+
+    def settle(touched) -> bool:
+        """Recompute the gains of the touched variables and prune their
+        values that cannot beat the incumbent; False on a dead end."""
+        nonlocal T
+        touched = list(dict.fromkeys(touched))
+        for u in touched:
+            unary = [k for k in watch[u] if nfree[k] == 1]
+            g = {}
+            for x in dom[u]:
+                val[u] = x
+                g[x] = sum(value(k) for k in unary)
+            val[u] = None
+            t = max(g.values())
+            trail.append((u, dom[u], gain[u], top[u]))
+            T += t - top[u]
+            gain[u], top[u] = g, t
+            stats.propagations += 1
+        if A + T <= best:
+            return False
+        # the value at top always survives, so no domain empties here
+        for u in touched:
+            dom[u] = tuple(x for x in dom[u] if A + T - top[u] + gain[u][x] > best)
+        return True
+
+    def assign(var, x) -> bool:
+        nonlocal A, T
+        val[var] = x
+        free.discard(var)
+        trail.append((var,))
+        T -= top[var]
+        touched = []
+        for k in watch[var]:
+            nfree[k] -= 1
+            if nfree[k] == 0:
+                A += value(k)
+            elif nfree[k] == 1:
+                touched.extend(w for w in fvars[k] if val[w] is None)
+        return settle(touched)
+
+    def undo(mark, saved):
+        nonlocal A, T
+        while len(trail) > mark:
+            entry = trail.pop()
+            if len(entry) == 1:
+                var = entry[0]
+                val[var] = None
+                free.add(var)
+                for k in watch[var]:
+                    nfree[k] += 1
+            else:
+                u, dom[u], gain[u], top[u] = entry
+        A, T = saved
+
+    def expand():
+        """At a leaf, record the new incumbent (settle let it through, so it
+        beats the old one).  Otherwise push the values of the free variable
+        with the fewest candidates, the highest optimistic total on top."""
+        nonlocal best, witness
+        if not free:
+            best, witness = A, {i: spec[v][val[v]] for v, i in enumerate(ids)}
+            return
+        var = min(free, key=lambda v: (len(dom[v]), -len(watch[v]), ids[v]))
+        bounds = [(A + T - top[var] + gain[var].get(x, 0), x) for x in dom[var]]
+        for bound, x in reversed(sorted(bounds, key=lambda b: -b[0])):
+            stack.append((len(trail), (A, T), var, x, bound))
+
+    A = sum(value(k) for k, vs in enumerate(fvars) if not vs)
+    if settle(v for vs in fvars if len(vs) == 1 for v in vs):
+        expand()
+    while stack:
+        mark, saved, var, x, bound = stack.pop()
+        undo(mark, saved)
+        if bound <= best:
+            continue
+        stats.nodes += 1
+        if stats.nodes > node_cap:
+            raise SearchBudgetExceeded(f"node cap {node_cap} exceeded")
+        if assign(var, x):
+            expand()
+    return best, witness, stats
 
 
 def general_unsat(
@@ -210,169 +330,57 @@ def general_unsat(
     complete_set: Sequence[ContextPolynomial],
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> ProofCertificate:
-    """Complete search for an assignment zeroing every polynomial.
+    """Condition 2: complete search for an assignment zeroing every polynomial.
 
-    Backtracking with forward checking: once a constraint has a single
-    unassigned variable its domain is filtered to values keeping the
-    constraint satisfiable.  KSProof iff no satisfying assignment exists.
+    Each violated polynomial counts -1 and the incumbent starts at -1, so
+    only an assignment violating nothing beats it, and the pruning is plain
+    forward checking.  KSProof iff there is none; no c_i is needed.
     """
-    stats = SearchStats()
-    if not complete_set:
-        return ProofCertificate(NOT_KS_PROOF, "GeneralCSP", witness={}, stats=stats)
-    constraints = [(cp.poly, tuple(sorted(cp.poly.variables()))) for cp in complete_set]
-    variables = sorted({v for _, vs in constraints for v in vs})
-    participation = {v: 0 for v in variables}
-    for _, vs in constraints:
-        for v in vs:
-            participation[v] += 1
-    watch = {v: [] for v in variables}
-    for idx, (_, vs) in enumerate(constraints):
-        for v in vs:
-            watch[v].append(idx)
+    def violation(p):
+        return lambda a: 0 if eval_assignment(p, a).is_zero else -1
 
-    def check_and_filter(assigned, domains, touched):
-        """Returns False on conflict; filters domains of near-ground constraints."""
-        seen = set()
-        for v in touched:
-            for idx in watch[v]:
-                if idx in seen:
-                    continue
-                seen.add(idx)
-                p, vs = constraints[idx]
-                free = [u for u in vs if u not in assigned]
-                if not free:
-                    if not eval_assignment(p, assigned).is_zero:
-                        return False
-                elif len(free) == 1:
-                    u = free[0]
-                    keep = []
-                    for val in domains[u]:
-                        trial = dict(assigned)
-                        trial[u] = val
-                        if eval_assignment(p, trial).is_zero:
-                            keep.append(val)
-                    stats.propagations += 1
-                    if not keep:
-                        return False
-                    domains[u] = keep
-        return True
-
-    def search(assigned, domains):
-        stats.nodes += 1
-        if stats.nodes > node_cap:
-            raise SearchBudgetExceeded(f"node cap {node_cap} exceeded")
-        free = [v for v in variables if v not in assigned]
-        if not free:
-            return dict(assigned)
-        var = min(free, key=lambda v: (len(domains[v]), -participation[v], v))
-        for val in list(domains[var]):
-            assigned[var] = val
-            nxt = {v: list(d) for v, d in domains.items()}
-            nxt[var] = [val]
-            if check_and_filter(assigned, nxt, [var]):
-                found = search(assigned, nxt)
-                if found is not None:
-                    return found
-            del assigned[var]
-        return None
-
-    domains = {v: value_order(oset[v].spectrum) for v in variables}
-    witness = search({}, domains)
+    factors = [(cp.poly.variables(), violation(cp.poly)) for cp in complete_set]
+    _, witness, stats = branch_and_bound(oset, factors, seed=Fraction(-1), node_cap=node_cap)
     if witness is None:
         return ProofCertificate(KS_PROOF, "GeneralCSP", stats=stats)
     return ProofCertificate(NOT_KS_PROOF, "GeneralCSP", witness=witness, stats=stats)
 
 
-# -- exact classical maximum -------------------------------------------------
+def max_F(
+    oset: ObservableSet,
+    complete_set: Sequence[ContextPolynomial],
+    constants: Sequence[Fraction],
+    node_cap: int = DEFAULT_NODE_CAP,
+) -> BoundResult:
+    """Exact maximum of F = -sum |r_i|^2 / c_i over value assignments, one
+    factor per r_i, so F itself is never evaluated.  It is 0 exactly when
+    some assignment zeroes every r_i, that is when there is no KS proof."""
+    def weight(p, c):
+        return lambda a: -eval_assignment(p, a).norm_squared().rational() / c
 
-
-def _monomial_interval(mono, coef: Fraction, assigned, spectra):
-    lo, hi = coef, coef
-    for i, e in mono:
-        if i in assigned:
-            x = assigned[i] ** e
-            cands = [x]
-        else:
-            cands = [a**e for a in spectra[i]]
-        xs = [lo * min(cands), lo * max(cands), hi * min(cands), hi * max(cands)]
-        lo, hi = min(xs), max(xs)
-    return lo, hi
+    factors = [(cp.poly.variables(), weight(cp.poly, c)) for cp, c in zip(complete_set, constants)]
+    best, witness, stats = branch_and_bound(oset, factors, node_cap=node_cap)
+    return BoundResult(kind="exact", value=Fraction(best), witness=witness, stats=stats)
 
 
 def classical_max(
-    oset: ObservableSet,
-    score: Poly,
-    mode: str = "exact",
-    complete_set: Optional[Sequence[ContextPolynomial]] = None,
-    node_cap: int = DEFAULT_NODE_CAP,
+    oset: ObservableSet, score: Poly, node_cap: int = DEFAULT_NODE_CAP
 ) -> BoundResult:
-    """Exact maximum of score over all value assignments, or a certified
-    upper bound obtained from the UNSAT search on the underlying complete
-    set (certify_only mode never enumerates the score's values).
-    """
-    if mode == "certify_only":
-        if complete_set is None:
-            raise ValueError("certify_only mode requires the complete set")
-        cert = general_unsat(oset, complete_set, node_cap=node_cap)
-        if cert.is_proof:
-            return BoundResult(kind="certified", value=Fraction(-1), stats=cert.stats)
-        # a satisfying assignment zeroes every normalized square, so F attains 0
-        return BoundResult(
-            kind="exact", value=Fraction(0), witness=cert.witness, stats=cert.stats
-        )
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
-
-    coeffs = {}
+    """Exact maximum of a rational-coefficient score over all value
+    assignments: each monomial, less its maximum over the spectra, is one
+    factor, and the maxima are added back."""
+    spectra = oset.spectra()
+    factors, offset = [], 0
     for mono, coef in score.terms.items():
         if not coef.is_rational:
             raise ValueError("classical_max requires a rational-coefficient score")
-        coeffs[mono] = coef.rational()
-    variables = sorted(score.variables())
-    spectra = oset.spectra()
-    participation = {v: 0 for v in variables}
-    for mono in coeffs:
-        for i, _ in mono:
-            participation[i] += 1
-    order = sorted(variables, key=lambda v: (-participation[v], v))
-    stats = SearchStats()
-    best = {"value": None, "witness": None}
+        ids = [i for i, _ in mono]
 
-    def upper_bound(assigned):
-        return sum(
-            _monomial_interval(m, c, assigned, spectra)[1] for m, c in coeffs.items()
-        )
+        def term(a, mono=mono, c=coef.rational()):
+            return c * prod(a[i] ** e for i, e in mono)
 
-    def search(pos, assigned):
-        stats.nodes += 1
-        if stats.nodes > node_cap:
-            raise SearchBudgetExceeded(f"node cap {node_cap} exceeded")
-        if pos == len(order):
-            val = sum(
-                c * _prod_at(m, assigned) for m, c in coeffs.items()
-            ) if coeffs else Fraction(0)
-            if best["value"] is None or val > best["value"]:
-                best["value"] = val
-                best["witness"] = dict(assigned)
-            return
-        if best["value"] is not None and upper_bound(assigned) <= best["value"]:
-            return
-        var = order[pos]
-        for val in value_order(spectra[var]):
-            assigned[var] = val
-            search(pos + 1, assigned)
-            del assigned[var]
-
-    def _prod_at(mono, assigned):
-        out = Fraction(1)
-        for i, e in mono:
-            out *= assigned[i] ** e
-        return out
-
-    if not variables:
-        const = coeffs.get((), Fraction(0))
-        return BoundResult(kind="exact", value=const, witness={}, stats=stats)
-    search(0, {})
-    return BoundResult(
-        kind="exact", value=best["value"], witness=best["witness"], stats=stats
-    )
+        top = max(term(dict(zip(ids, xs))) for xs in product(*(spectra[i] for i in ids)))
+        factors.append((ids, lambda a, term=term, top=top: term(a) - top))
+        offset += top
+    best, witness, stats = branch_and_bound(oset, factors, node_cap=node_cap)
+    return BoundResult(kind="exact", value=Fraction(best + offset), witness=witness, stats=stats)

@@ -8,23 +8,20 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
+from collections import namedtuple
 
 from . import catalog as catalog_mod
-from .assign import (
-    DEFAULT_NODE_CAP,
-    classical_max,
-    general_unsat,
-    ks_colorability,
-    parity_certify,
-)
+from .assign import DEFAULT_NODE_CAP, general_unsat, ks_colorability, parity_certify
 from .compat import Context, build_orthogonality_graph, enumerate_bases
 from .derive import (
+    USER_SUPPLIED,
+    CompleteSet,
     assemble_F,
     build_complete_set_bases_only,
     build_complete_set_parity,
     build_complete_set_rays,
     present,
+    witness_str,
 )
 from .errors import (
     KSCertError,
@@ -33,7 +30,7 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from .poly import render
-from .prooffile import parse_file, proof_file_from_set, render_record
+from .prooffile import parse_file, proof_file_from_set, render_input_section, render_record
 
 EXIT_OK = 0
 EXIT_NOT_PROOF = 2
@@ -41,13 +38,7 @@ EXIT_INPUT = 3
 EXIT_BUDGET = 4
 
 
-class _Loaded:
-    def __init__(self, oset, mode, user_polys, proof_file, source):
-        self.oset = oset
-        self.mode = mode
-        self.user_polys = user_polys
-        self.proof_file = proof_file
-        self.source = source
+_Loaded = namedtuple("_Loaded", "oset mode user_polys proof_file source")
 
 
 def _load(args) -> _Loaded:
@@ -88,32 +79,21 @@ def _declared_contexts(oset):
     return [Context(ids) for ids in oset.declared_contexts]
 
 
-def _build_complete_set(loaded, node_cap):
+def _build_complete_set(loaded):
     oset, mode = loaded.oset, loaded.mode
-    if mode == "ray":
+    if mode in ("ray", "bases-only"):
         graph = build_orthogonality_graph(oset)
-        bases = enumerate_bases(graph)
-        return build_complete_set_rays(oset, graph, bases)
-    if mode == "bases-only":
-        graph = build_orthogonality_graph(oset)
-        bases = enumerate_bases(graph)
-        return build_complete_set_bases_only(oset, graph, bases)
+        build = build_complete_set_rays if mode == "ray" else build_complete_set_bases_only
+        return build(oset, graph, enumerate_bases(graph))
     if mode == "parity":
         return build_complete_set_parity(oset, _declared_contexts(oset))
     if mode == "general":
         if not loaded.user_polys:
             raise ParseError("general mode requires user-supplied polynomials")
-        from .derive import CompleteSet, USER_SUPPLIED
-
         return CompleteSet(
             oset=oset, polynomials=list(loaded.user_polys), provenance=USER_SUPPLIED
         )
     raise ParseError(f"unknown mode {mode!r}")
-
-
-def _witness_lines(oset, witness):
-    labels = oset.labels
-    return ", ".join(f"{labels[i]}={witness[i]}" for i in sorted(witness))
 
 
 def cmd_verify(args) -> int:
@@ -128,29 +108,28 @@ def cmd_verify(args) -> int:
         cert = parity_certify(oset, _declared_contexts(oset))
         print(f"method: Parity (deltas {cert.detail['deltas']})")
     else:
-        cs = _build_complete_set(loaded, args.node_cap)
+        cs = _build_complete_set(loaded)
         cert = general_unsat(oset, cs.polynomials, node_cap=args.node_cap)
         print(f"method: GeneralCSP ({len(cs)} polynomials)")
     print(f"verdict: {cert.verdict}")
     if cert.stats:
         print(f"search: {cert.stats.nodes} nodes, {cert.stats.propagations} propagations")
     if cert.witness is not None:
-        print(f"witness: {_witness_lines(oset, cert.witness)}")
+        print(f"witness: {witness_str(cert.witness, oset)}")
     if cert.detail.get("violated"):
         print("violated: " + "; ".join(cert.detail["violated"]))
     return EXIT_OK if cert.is_proof else EXIT_NOT_PROOF
 
 
-def _derive(loaded, args):
-    cs = _build_complete_set(loaded, args.node_cap)
-    ineq = assemble_F(cs, exact_bound=args.exact_bound, node_cap=args.node_cap)
+def _derive(loaded, args, exact_bound):
+    cs = _build_complete_set(loaded)
+    ineq = assemble_F(cs, exact_bound=exact_bound, node_cap=args.node_cap)
     form = args.form or ("projector" if loaded.oset.all_rays else "dichotomic")
-    presented = present(ineq, form)
-    return cs, ineq, presented
+    return ineq, present(ineq, form)
 
 
-def _print_inequality(loaded, cs, ineq, presented):
-    oset = loaded.oset
+def _print_inequality(loaded, ineq, presented):
+    oset, cs = loaded.oset, ineq.complete_set
     labels = dict(enumerate(oset.labels))
     plabels = dict(enumerate(presented.presented_set.labels))
     print(f"input: {loaded.source}")
@@ -160,9 +139,7 @@ def _print_inequality(loaded, cs, ineq, presented):
     print(f"quantum certificate: operator F is zero: {ineq.operator_zero}")
     print(f"classical certificate on F: {ineq.classical.statement} ({ineq.classical.kind})")
     print(f"form: {presented.form}")
-    print(
-        f"inequality: {render(presented.score, plabels)} <= {presented.classical_bound}"
-    )
+    print(f"inequality: {render(presented.score, plabels)} <= {presented.classical_bound}")
     print(
         f"bound: {presented.classical_bound} ({presented.bound_kind}); "
         f"quantum value: {presented.quantum_value}"
@@ -171,8 +148,8 @@ def _print_inequality(loaded, cs, ineq, presented):
 
 def cmd_derive(args) -> int:
     loaded = _load(args)
-    cs, ineq, presented = _derive(loaded, args)
-    _print_inequality(loaded, cs, ineq, presented)
+    ineq, presented = _derive(loaded, args, args.exact_bound)
+    _print_inequality(loaded, ineq, presented)
     if args.output:
         record = render_record(loaded.proof_file, ineq, presented)
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -183,21 +160,21 @@ def cmd_derive(args) -> int:
 
 def cmd_bound(args) -> int:
     loaded = _load(args)
-    cs, ineq, presented = _derive(loaded, args)
-    result = classical_max(
-        presented.presented_set, presented.score, mode="exact", node_cap=args.node_cap
-    )
+    ineq, presented = _derive(loaded, args, exact_bound=True)
+    # G = (F - offset)/scale, scale > 0: F's maximiser is G's, at A = 1 - 2P
+    witness = ineq.classical.witness
+    if presented.substituted:
+        witness = {i: 1 - 2 * p for i, p in witness.items()}
     print(f"form: {presented.form}")
-    print(f"exact classical maximum: {result.value}")
+    print(f"exact classical maximum: {presented.classical_bound}")
     print(f"quantum value: {presented.quantum_value}")
-    if result.witness is not None:
-        print(f"attained at: {_witness_lines(presented.presented_set, result.witness)}")
+    print(f"attained at: {witness_str(witness, presented.presented_set)}")
     return EXIT_OK
 
 
 def cmd_export(args) -> int:
     loaded = _load(args)
-    cs, ineq, presented = _derive(loaded, args)
+    ineq, presented = _derive(loaded, args, args.exact_bound)
     record = render_record(loaded.proof_file, ineq, presented)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -211,8 +188,6 @@ def cmd_catalog(args) -> int:
     if args.name:
         entry = catalog_mod.get(args.name)
         oset = entry.load()
-        from .prooffile import render_input_section
-
         sys.stdout.write(render_input_section(proof_file_from_set(oset, entry.mode)))
         return EXIT_OK
     for name in catalog_mod.names():

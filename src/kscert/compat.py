@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import KSCertError, NonRayMember, NotCommuting, NotScalarMultiple
+from .errors import KSCertError, NonRayMember, NotCommuting
 from .exact import (
     ExactMatrix,
-    Scalar,
     commutes,
     inner,
     mat_mul,
@@ -77,9 +76,6 @@ class OrthogonalityGraph:
                 if i < j:
                     out.append((i, j))
         return out
-
-    def neighbors(self, i: int) -> frozenset:
-        return self.adjacency[i]
 
 
 def build_orthogonality_graph(oset: ObservableSet) -> OrthogonalityGraph:
@@ -146,10 +142,3 @@ def context_product(oset: ObservableSet, ctx: Context):
     for i in ctx.ids:
         prod = mat_mul(prod, oset[i].matrix)
     return prod, scalar_multiple_of_identity(prod)
-
-
-def require_scalar_product(oset: ObservableSet, ctx: Context) -> Scalar:
-    _, delta = context_product(oset, ctx)
-    if delta is None:
-        raise NotScalarMultiple(f"context {ctx.ids} product is not a scalar multiple of I")
-    return delta

@@ -10,28 +10,31 @@ score with explicit classical bound and quantum value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .assign import (
     BoundResult,
     DEFAULT_NODE_CAP,
+    KS_PROOF,
     ProofCertificate,
-    classical_max,
     general_unsat,
+    max_F,
     parity_certify,
 )
-from .compat import Context, OrthogonalityGraph, context_product
+from .compat import Context, OrthogonalityGraph
 from .errors import (
     Condition1Violated,
     EdgeOutsideBases,
+    IdenticallyZeroOnAssignments,
     NotKSProofError,
     NotParityProof,
     ZeroState,
 )
-from .exact import ExactMatrix, Scalar, inner
+from .exact import Scalar, inner
 from .model import ObservableSet, dichotomize
 from .poly import (
     ContextPolynomial,
@@ -111,15 +114,18 @@ def build_complete_set_parity(
     return CompleteSet(oset=oset, polynomials=polys, provenance=PARITY)
 
 
-def verify_complete_set(
-    cs: CompleteSet, node_cap: int = DEFAULT_NODE_CAP
-) -> ProofCertificate:
-    """Condition 1: every member vanishes as an operator (raises on failure).
-    Condition 2: no assignment zeroes all members, checked by complete search."""
+def _check_condition_1(cs: CompleteSet) -> None:
+    """Condition 1: every member vanishes as an operator (raises on failure)."""
     for idx, cp in enumerate(cs.polynomials):
         m = eval_operator(cp.poly, cs.oset)
         if not m.is_zero:
             raise Condition1Violated(idx, m)
+
+
+def verify_complete_set(cs: CompleteSet, node_cap: int = DEFAULT_NODE_CAP) -> ProofCertificate:
+    """Condition 1 (raises on failure), then Condition 2: no assignment
+    zeroes all members, checked by complete search."""
+    _check_condition_1(cs)
     return general_unsat(cs.oset, cs.polynomials, node_cap=node_cap)
 
 
@@ -151,40 +157,50 @@ def assemble_F(
     exact_bound: bool = False,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> Inequality:
-    """F = -sum of normalized squares, with quantum and classical certificates."""
-    unsat = verify_complete_set(cs, node_cap=node_cap)
-    if not unsat.is_proof:
-        raise NotKSProofError(
-            f"not a KS proof; satisfying assignment {_witness_str(unsat.witness, cs.oset)}"
-        )
-    F = Poly()
-    for cp in cs.polynomials:
-        c = normalization_constant(cp, cs.oset)
-        normalized = normalized_square(
-            ContextPolynomial(cp.poly, cp.context, c), cs.oset
-        )
-        F = F - normalized.poly
-    F = reduce(F, cs.oset.spectra())
-    operator_zero = eval_operator(F, cs.oset).is_zero
+    """F = -sum of normalized squares, with quantum and classical certificates.
+
+    One search decides Condition 2 and the classical bound together: the
+    certified bound -1 comes with the UNSAT certificate (each violated r_i
+    costs at least 1 once divided by c_i), and the exact bound maximises
+    F = -sum |r_i|^2 / c_i, where a maximum of 0 means not a proof.
+    """
+    oset = cs.oset
+    _check_condition_1(cs)
+    constants = None
     if exact_bound:
-        classical = classical_max(cs.oset, F, mode="exact", node_cap=node_cap)
+        # a member without a rational c falls back to the certified route,
+        # so not-a-proof is still reported before the normalization error
+        with suppress(IdenticallyZeroOnAssignments):
+            constants = [normalization_constant(cp, oset) for cp in cs.polynomials]
+    if constants is None:
+        unsat = general_unsat(oset, cs.polynomials, node_cap=node_cap)
+        witness = unsat.witness
+        classical = BoundResult(kind="certified", value=Fraction(-1), stats=unsat.stats)
     else:
-        classical = classical_max(
-            cs.oset, F, mode="certify_only", complete_set=cs.polynomials, node_cap=node_cap
+        classical = max_F(oset, cs.polynomials, constants, node_cap=node_cap)
+        witness = classical.witness if classical.value == 0 else None
+        unsat = ProofCertificate(KS_PROOF, "GeneralCSP", stats=classical.stats)
+    if witness is not None:
+        raise NotKSProofError(
+            f"not a KS proof; satisfying assignment {witness_str(witness, oset)}"
         )
+    if constants is None:
+        constants = [normalization_constant(cp, oset) for cp in cs.polynomials]
+    F = Poly()
+    for cp, c in zip(cs.polynomials, constants):
+        F = F - normalized_square(ContextPolynomial(cp.poly, cp.context, c), oset).poly
+    F = reduce(F, oset.spectra())
     return Inequality(
-        oset=cs.oset,
+        oset=oset,
         complete_set=cs,
         F=F,
-        operator_zero=operator_zero,
+        operator_zero=eval_operator(F, oset).is_zero,
         classical=classical,
         unsat_certificate=unsat,
     )
 
 
-def _witness_str(witness, oset) -> str:
-    if witness is None:
-        return "(none)"
+def witness_str(witness: dict, oset: ObservableSet) -> str:
     labels = oset.labels
     return ", ".join(f"{labels[i]}={witness[i]}" for i in sorted(witness))
 

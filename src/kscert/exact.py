@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import DimensionMismatch, NonHermitian, ZeroVector
+from .errors import DimensionMismatch, ZeroVector
 
 RationalLike = Union[int, Fraction]
 
@@ -176,10 +176,6 @@ ZERO = Scalar(0)
 ONE = Scalar(1)
 I_UNIT = Scalar(0, 0, 1, 0)
 SQRT2 = Scalar(0, 1, 0, 0)
-
-
-def conj_vector(v: Sequence[Scalar]) -> tuple:
-    return tuple(x.conjugate() for x in v)
 
 
 def inner(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
@@ -352,12 +348,6 @@ def scalar_multiple_of_identity(m: ExactMatrix):
             if m.entries[i][j] != want:
                 return None
     return s
-
-
-def require_hermitian(m: ExactMatrix) -> ExactMatrix:
-    if not m.is_hermitian:
-        raise NonHermitian("matrix is not Hermitian")
-    return m
 
 
 # 2x2 Pauli matrices, the building blocks for tensor-product observables.

@@ -66,9 +66,6 @@ class Poly:
     def variables(self) -> set:
         return {i for mono in self.terms for i, _ in mono}
 
-    def constant_term(self) -> Scalar:
-        return self.terms.get((), Scalar(0))
-
     def max_degree(self) -> int:
         return max((sum(e for _, e in m) for m in self.terms), default=0)
 

@@ -28,17 +28,24 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .compat import validate_context
 from .errors import ParseError
 from .exact import ExactMatrix, Scalar, pauli_matrix
 from .model import ObservableSet, make_observable, make_ray, ray_observable
-from .poly import ContextPolynomial, Poly, make_context_polynomial, render
+from .poly import Poly, make_context_polynomial, render
 
 DERIVED_MARKER = "=== derived ==="
 
 _SCALAR_TERM = re.compile(r"^(\d+(?:/\d+)?)?(r2)?(i)?$")
+
+
+def _rational(text: str, line: Optional[int]) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad rational {text!r}", line) from None
 
 
 def parse_scalar(token: str, line: Optional[int] = None) -> Scalar:
@@ -59,7 +66,7 @@ def parse_scalar(token: str, line: Optional[int] = None) -> Scalar:
         m = _SCALAR_TERM.match(t)
         if not m or (not m.group(1) and not m.group(2) and not m.group(3)):
             raise ParseError(f"bad scalar term {t!r} in {token!r}", line)
-        q = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+        q = _rational(m.group(1), line) if m.group(1) else Fraction(1)
         q *= sign
         has_r2, has_i = bool(m.group(2)), bool(m.group(3))
         if has_r2 and has_i:
@@ -192,6 +199,8 @@ def parse_poly_expr(s: str, line: Optional[int] = None) -> list:
             tok = peek()
             if tok == "(":
                 # parenthesized exact scalar
+                if ")" not in toks[idx:]:
+                    raise ParseError("unclosed parenthesis in polynomial", line)
                 depth_end = toks.index(")", idx)
                 coef = coef * parse_scalar("".join(toks[idx + 1 : depth_end]), line)
                 idx = depth_end + 1
@@ -285,7 +294,7 @@ def parse(text: str) -> ProofFile:
                 raise ParseError("matrix takes a label", lineno)
             spectrum = None
             if len(parts) >= 4 and parts[2] == "spectrum":
-                spectrum = tuple(Fraction(x) for x in parts[3].split(","))
+                spectrum = tuple(_rational(x, lineno) for x in parts[3].split(","))
             elif len(parts) != 2:
                 raise ParseError("matrix syntax: matrix LABEL [spectrum a,b,...]", lineno)
             pending_matrix = ObsDecl(
@@ -308,7 +317,7 @@ def parse(text: str) -> ProofFile:
             c = Fraction(1)
             m = re.match(r"^c=(\d+(?:/\d+)?)\s+(.*)$", rest)
             if m:
-                c = Fraction(m.group(1))
+                c = _rational(m.group(1), lineno)
                 rest = m.group(2)
             terms = parse_poly_expr(rest, lineno)
             polynomials.append(PolyDecl(c=c, terms=terms, source=rest))

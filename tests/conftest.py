@@ -1,4 +1,3 @@
-import sys
 from fractions import Fraction
 
 import pytest
@@ -10,8 +9,6 @@ from kscert import (
     enumerate_bases,
 )
 from kscert import catalog
-
-sys.setrecursionlimit(100_000)
 
 
 @pytest.fixture(scope="session")

@@ -81,7 +81,7 @@ def test_criterion_1_mermin_peres_square(mermin_peres):
     assert eval_operator(ineq.F, oset).is_zero
     assert pres.classical_bound == 4 and pres.bound_kind == "exact"
     assert pres.quantum_value == 6
-    exact = classical_max(oset, pres.score, mode="exact")
+    exact = classical_max(oset, pres.score)
     assert exact.value == 4
     assert brute_force_max(oset, pres.score) == 4  # all 512 assignments
     assert time.monotonic() - start < 1.0
@@ -258,7 +258,7 @@ def test_criterion_6_property_suite(mermin_peres, pentagram, cabello, peres33, t
                 ContextPolynomial(cp.poly, cp.context, c), rset
             ).poly
         F = reduce(F, rset.spectra())
-        fmax = classical_max(rset, F, mode="exact") if F.variables() else None
+        fmax = classical_max(rset, F) if F.variables() else None
         if csp.is_proof:
             assert fmax is None or fmax.value <= -1
         else:

@@ -1,6 +1,7 @@
 """Search engines: ray coloring, parity certification, general CSP, bounds."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 from kscert.assign import (
     KS_PROOF,
     NOT_KS_PROOF,
+    branch_and_bound,
     classical_max,
     general_unsat,
     ks_colorability,
+    max_F,
     parity_certify,
     value_order,
 )
@@ -26,9 +29,14 @@ from kscert.errors import (
     NotScalarMultiple,
     SearchBudgetExceeded,
 )
-from kscert.exact import PAULI, kron
+from kscert.exact import PAULI, ExactMatrix, kron
 from kscert.model import ObservableSet, make_observable
-from kscert.poly import Poly, eval_assignment
+from kscert.poly import (
+    Poly,
+    eval_assignment,
+    normalization_constant,
+    spectral_assignments,
+)
 
 from conftest import single_basis_set, two_bases_set
 
@@ -204,6 +212,116 @@ class TestGeneralUnsat:
         assert csp.is_proof == coloring.is_proof
 
 
+def mixed_spectra_set():
+    """Six diagonal observables in d = 3 with spectra of two and three values."""
+    oset = ObservableSet(dim=3)
+    for diag in [(0, 1, 2), (1, -1, 1), (1, 0, 0), (0, 1, 0), (0, 0, 2), (-1, 1, 1)]:
+        rows = [[d if r == c else 0 for c in range(3)] for r, d in enumerate(diag)]
+        oset.add(make_observable(ExactMatrix(rows), spectrum=set(diag)))
+    return oset
+
+
+class TestBranchAndBound:
+    def test_matches_brute_force_on_random_tables(self):
+        # arbitrary non-positive tables, so that several factors with one
+        # free variable often leave every value of it below 0
+        oset = mixed_spectra_set()
+        spectra = oset.spectra()
+        rng = random.Random(5)
+        for _ in range(60):
+            factors = []
+            for _ in range(rng.randint(1, 8)):
+                ids = rng.sample(range(len(oset)), rng.randint(0, 3))
+                table = {
+                    xs: Fraction(-rng.randint(0, 4))
+                    for xs in itertools.product(*(spectra[i] for i in ids))
+                }
+                factors.append((ids, lambda a, ids=ids, t=table: t[tuple(a[i] for i in ids)]))
+            variables = sorted({i for ids, _ in factors for i in ids})
+
+            def total(a):
+                return sum(f(a) for _, f in factors)
+
+            expect = max(
+                total(dict(zip(variables, xs)))
+                for xs in itertools.product(*(spectra[i] for i in variables))
+            )
+            best, witness, _ = branch_and_bound(oset, factors)
+            assert best == expect == total(witness)
+            seed = Fraction(-rng.randint(0, 6))
+            best, witness, _ = branch_and_bound(oset, factors, seed=seed)
+            if expect > seed:
+                assert best == expect == total(witness)
+            else:
+                assert witness is None
+
+    def test_budget(self, basis3):
+        factors = [([i], lambda a, i=i: -a[i]) for i in range(3)]
+        with pytest.raises(SearchBudgetExceeded):
+            branch_and_bound(basis3, factors, node_cap=2)
+
+
+def brute_force_F(oset, polys):
+    """Independent oracle: the maximum of -sum |r_i|^2 / c_i over every
+    assignment, from a table of each r_i's values on its own variables."""
+    tables = []
+    for cp in polys:
+        ids = sorted(cp.poly.variables())
+        c = normalization_constant(cp, oset)
+        table = {
+            tuple(a[i] for i in ids): -eval_assignment(cp.poly, a).norm_squared().rational() / c
+            for a in spectral_assignments(oset, ids)
+        }
+        tables.append((ids, table))
+    return max(
+        sum(table[tuple(a[i] for i in ids)] for ids, table in tables)
+        for a in spectral_assignments(oset, range(len(oset)))
+    )
+
+
+def check_max_F(oset, polys):
+    res = max_F(oset, polys, [normalization_constant(cp, oset) for cp in polys])
+    assert res.kind == "exact"
+    assert brute_force_F(oset, polys) == res.value
+    attained = sum(
+        -eval_assignment(cp.poly, res.witness).norm_squared().rational()
+        / normalization_constant(cp, oset)
+        for cp in polys
+    )
+    assert attained == res.value
+    return res
+
+
+class TestMaxF:
+    @given(
+        st.lists(
+            st.tuples(st.integers(-1, 1), st.integers(-1, 1), st.integers(-1, 1)),
+            min_size=3,
+            max_size=7,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_brute_force_on_random_ray_sets(self, vectors):
+        oset = ObservableSet(dim=3)
+        for v in vectors:
+            if not any(v):
+                continue
+            try:
+                oset.add_ray(v)
+            except Exception:
+                pass
+        assume(len(oset) >= 3)
+        g = build_orthogonality_graph(oset)
+        bases = enumerate_bases(g)
+        res = check_max_F(oset, build_complete_set_rays(oset, g, bases).polynomials)
+        assert (res.value == 0) == (not ks_colorability(oset, g, bases).is_proof)
+
+    def test_matches_brute_force_on_parity_proofs(self, mermin_peres, pentagram):
+        for oset, ctxs in (mermin_peres, pentagram):
+            polys = build_complete_set_parity(oset, ctxs).polynomials
+            assert check_max_F(oset, polys).value == -1
+
+
 def brute_force_max(oset, score):
     variables = sorted(score.variables())
     spectra = oset.spectra()
@@ -250,27 +368,6 @@ class TestClassicalMax:
         assert res.value == expect == 4
         assert eval_assignment(score, res.witness).rational() == 4
 
-    def test_certify_only_proof(self, cabello):
-        oset, graph, bases = cabello
-        cs = build_complete_set_rays(oset, graph, bases)
-        res = classical_max(oset, Poly(), mode="certify_only", complete_set=cs.polynomials)
-        assert res.kind == "certified" and res.value == -1
-
-    def test_certify_only_sat(self, basis3):
-        g = build_orthogonality_graph(basis3)
-        cs = build_complete_set_rays(basis3, g, enumerate_bases(g))
-        res = classical_max(basis3, Poly(), mode="certify_only", complete_set=cs.polynomials)
-        assert res.kind == "exact" and res.value == 0
-        assert res.witness is not None
-
-    def test_certify_only_needs_complete_set(self, basis3):
-        with pytest.raises(ValueError):
-            classical_max(basis3, Poly(), mode="certify_only")
-
-    def test_unknown_mode(self, basis3):
-        with pytest.raises(ValueError):
-            classical_max(basis3, Poly(), mode="anneal")
-
     def test_budget(self, peres33):
         oset, graph, bases = peres33
         score = Poly()
@@ -305,6 +402,24 @@ class TestClassicalMax:
         expect, _ = brute_force_max(oset, score)
         assert res.value == expect
         assert eval_assignment(score, res.witness).rational() == expect
+
+
+    def test_oracle_random_scores_many_variables(self, mermin_peres):
+        # several monomials share each variable, so the forward-checked
+        # gain of a variable is a sum whose maximum is often below 0
+        oset, _ = mermin_peres
+        rng = random.Random(11)
+        for _ in range(30):
+            score = Poly()
+            for _ in range(rng.randint(4, 12)):
+                term = Poly.const(rng.randint(-3, 3))
+                for i in rng.sample(range(7), rng.randint(1, 3)):
+                    term = term * Poly.var(i)
+                score = score + term
+            res = classical_max(oset, score)
+            expect, _ = brute_force_max(oset, score)
+            assert res.value == expect
+            assert eval_assignment(score, res.witness).rational() == expect
 
 
 class TestValueOrder:

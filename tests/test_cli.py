@@ -1,12 +1,18 @@
 """Proof-file parsing and the command-line workflow."""
 
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 
+from kscert import assign, catalog
 from kscert.cli import main
+from kscert.compat import build_orthogonality_graph, enumerate_bases
+from kscert.derive import assemble_F, build_complete_set_rays, present
 from kscert.errors import ParseError
 from kscert.exact import Scalar
+from kscert.poly import eval_assignment
 from kscert.prooffile import (
     parse,
     parse_poly_expr,
@@ -218,6 +224,16 @@ class TestVerifyCommand:
         assert code == 3
         assert "error: input" in err
 
+    @pytest.mark.parametrize(
+        "line", ["ray a 1/0 1 0", "matrix m spectrum x,1", "poly (1+i*a - 1"]
+    )
+    def test_malformed_token(self, capsys, tmp_path, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"dim 3\n{line}\n")
+        code, _, err = run(capsys, "verify", "--input", str(path))
+        assert code == 3
+        assert "error: input: line 2: " in err
+
 
 class TestDeriveCommand:
     def test_mermin_peres(self, capsys):
@@ -246,6 +262,58 @@ class TestDeriveCommand:
         assert "not-a-ks-proof" in err
         assert "e1=" in err
 
+    def test_not_a_proof_before_missing_normalization(self, capsys, tmp_path):
+        # a^2 - a vanishes at every assignment, so it has no c; the input is
+        # still reported as satisfiable, with or without --exact-bound
+        path = tmp_path / "zero.txt"
+        path.write_text("dim 2\nmode general\nray a 1 0\nray b 0 1\npoly a + b - 1\npoly a^2 - a\n")
+        for flags in ([], ["--exact-bound"]):
+            code, _, err = run(capsys, "derive", "--input", str(path), *flags)
+            assert code == 2
+            assert "not-a-ks-proof" in err
+
+    @pytest.mark.parametrize("name,bound", [("cabello-18", 8), ("peres-33", 15)])
+    def test_exact_bound_ray_catalog(self, capsys, name, bound):
+        start = time.monotonic()
+        code, out, _ = run(capsys, "derive", "--catalog", name, "--exact-bound")
+        assert time.monotonic() - start < 5.0
+        assert code == 0
+        assert f"bound: {bound} (exact)" in out
+
+    def test_search_deeper_than_recursion_limit(self, capsys, tmp_path):
+        # d = 2: rays (1, k) and (-k, 1) form the only orthogonal pairs, so
+        # the set is colourable, and its 1,200 variables are a search path
+        # longer than the default recursion limit
+        n = 600
+        assert sys.getrecursionlimit() < 2 * n
+        path = tmp_path / "pairs.txt"
+        rays = [f"ray a{k} 1 {k}\nray b{k} -{k} 1\n" for k in range(1, n + 1)]
+        path.write_text("dim 2\n" + "".join(rays))
+        code, _, err = run(capsys, "derive", "--input", str(path))
+        assert code == 2
+        listed = err.strip().split("satisfying assignment ")[1]
+        witness = dict(item.split("=") for item in listed.split(", "))
+        assert len(witness) == 2 * n
+        for k in range(1, n + 1):
+            assert sorted((witness[f"a{k}"], witness[f"b{k}"])) == ["0", "1"]
+
+    def test_one_search_per_command(self, capsys, monkeypatch):
+        runs = []
+        engine = assign.branch_and_bound
+
+        def counted(*args, **kwargs):
+            runs.append(1)
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(assign, "branch_and_bound", counted)
+        for argv in (
+            ["derive"], ["derive", "--exact-bound"], ["export"], ["bound"]
+        ):
+            runs.clear()
+            code, _, _ = run(capsys, *argv, "--catalog", "cabello-18")
+            assert code == 0
+            assert len(runs) == 1, argv
+
 
 class TestBoundCommand:
     def test_mermin_peres(self, capsys):
@@ -253,6 +321,24 @@ class TestBoundCommand:
         assert code == 0
         assert "exact classical maximum: 4" in out
         assert "quantum value: 6" in out
+
+    def test_cabello_dichotomic_witness_attains(self, capsys):
+        code, out, _ = run(capsys, "bound", "--catalog", "cabello-18", "--form", "dichotomic")
+        assert code == 0
+        lines = dict(line.split(": ", 1) for line in out.splitlines())
+        maximum = Fraction(lines["exact classical maximum"])
+        assert maximum == 131
+        oset = catalog.get("cabello-18").load()
+        graph = build_orthogonality_graph(oset)
+        ineq = assemble_F(build_complete_set_rays(oset, graph, enumerate_bases(graph)))
+        pres = present(ineq, "dichotomic")
+        ids = {label: i for i, label in enumerate(pres.presented_set.labels)}
+        witness = {}
+        for item in lines["attained at"].split(", "):
+            label, value = item.split("=")
+            witness[ids[label]] = Fraction(value)
+        assert set(witness.values()) <= {-1, 1}
+        assert eval_assignment(pres.score, witness) == Scalar(maximum)
 
 
 class TestExportCommand:

@@ -186,7 +186,7 @@ def colorable_inequality(oset, certified=True):
     if certified:
         classical = BoundResult(kind="certified", value=Fraction(-1))
     else:
-        classical = classical_max(oset, F, mode="exact")
+        classical = classical_max(oset, F)
     return Inequality(
         oset=oset,
         complete_set=cs,
