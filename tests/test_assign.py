@@ -280,13 +280,13 @@ def brute_force_F(oset, polys):
 
 
 def check_max_F(oset, polys):
-    res = max_F(oset, polys, [normalization_constant(cp, oset) for cp in polys])
+    cs = [normalization_constant(cp, oset) for cp in polys]
+    res = max_F(oset, polys, cs)
     assert res.kind == "exact"
     assert brute_force_F(oset, polys) == res.value
     attained = sum(
-        -eval_assignment(cp.poly, res.witness).norm_squared().rational()
-        / normalization_constant(cp, oset)
-        for cp in polys
+        -eval_assignment(cp.poly, res.witness).norm_squared().rational() / c
+        for cp, c in zip(polys, cs)
     )
     assert attained == res.value
     return res
