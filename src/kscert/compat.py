@@ -38,9 +38,6 @@ class Context:
     def __contains__(self, i):
         return i in self.ids
 
-    def contains_all(self, ids) -> bool:
-        return set(ids) <= set(self.ids)
-
 
 def validate_context(oset: ObservableSet, ids: Sequence[int]) -> Context:
     """Certify pairwise commutation; raises NotCommuting on the first bad pair."""

@@ -3,15 +3,15 @@ canonical inequality presentations.
 
 The pipeline mirrors three steps: build a complete set of normalized
 polynomials from the proof structure, assemble F as minus the sum of their
-normalized squares (certifying that F vanishes as an operator and that no
-assignment keeps it above -1), and rearrange F into an integer-coefficient
-score with explicit classical bound and quantum value.
+normalized squares (certifying that each member, and hence F, vanishes as
+an operator and that no assignment keeps F above -1), and rearrange F into
+an integer-coefficient score with explicit classical bound and quantum value.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -19,7 +19,6 @@ from typing import Sequence
 from .assign import (
     BoundResult,
     DEFAULT_NODE_CAP,
-    KS_PROOF,
     ProofCertificate,
     general_unsat,
     max_F,
@@ -30,8 +29,10 @@ from .errors import (
     Condition1Violated,
     EdgeOutsideBases,
     IdenticallyZeroOnAssignments,
+    NormalizationMismatch,
     NotKSProofError,
     NotParityProof,
+    PresentationUnavailable,
     ZeroState,
 )
 from .exact import Scalar, inner
@@ -134,9 +135,7 @@ class Inequality:
     oset: ObservableSet
     complete_set: CompleteSet
     F: Poly  # fully reduced, across all contexts
-    operator_zero: bool
     classical: BoundResult  # bound on max F|_v
-    unsat_certificate: ProofCertificate
 
 
 @dataclass
@@ -159,10 +158,20 @@ def assemble_F(
 ) -> Inequality:
     """F = -sum of normalized squares, with quantum and classical certificates.
 
+    Condition 1 is the quantum certificate, and F is not evaluated again.
+    Within a context the variables are commuting Hermitian operators, each
+    annihilated by its declared spectrum (make_observable/ray_observable,
+    validate_context and orthogonality verify this), so evaluating the
+    reduced -sum r_i^dagger r_i / c_i gives -sum r_i(A)^dagger r_i(A) / c_i,
+    which is 0 once every r_i(A) = 0.
+
     One search decides Condition 2 and the classical bound together: the
     certified bound -1 comes with the UNSAT certificate (each violated r_i
     costs at least 1 once divided by c_i), and the exact bound maximises
     F = -sum |r_i|^2 / c_i, where a maximum of 0 means not a proof.
+
+    A declared c_i that differs from the computed one raises
+    NormalizationMismatch; the returned complete set carries the c_i used.
     """
     oset = cs.oset
     _check_condition_1(cs)
@@ -179,24 +188,24 @@ def assemble_F(
     else:
         classical = max_F(oset, cs.polynomials, constants, node_cap=node_cap)
         witness = classical.witness if classical.value == 0 else None
-        unsat = ProofCertificate(KS_PROOF, "GeneralCSP", stats=classical.stats)
     if witness is not None:
         raise NotKSProofError(
             f"not a KS proof; satisfying assignment {witness_str(witness, oset)}"
         )
     if constants is None:
         constants = [normalization_constant(cp, oset) for cp in cs.polynomials]
+    for idx, (cp, c) in enumerate(zip(cs.polynomials, constants)):
+        if cp.c is not None and cp.c != c:
+            raise NormalizationMismatch(idx, cp.c, c)
+    used = [replace(cp, c=c) for cp, c in zip(cs.polynomials, constants)]
     F = Poly()
-    for cp, c in zip(cs.polynomials, constants):
-        F = F - normalized_square(ContextPolynomial(cp.poly, cp.context, c), oset).poly
-    F = reduce(F, oset.spectra())
+    for cp in used:
+        F = F - normalized_square(cp, oset).poly
     return Inequality(
         oset=oset,
-        complete_set=cs,
-        F=F,
-        operator_zero=eval_operator(F, oset).is_zero,
+        complete_set=replace(cs, polynomials=used),
+        F=reduce(F, oset.spectra()),
         classical=classical,
-        unsat_certificate=unsat,
     )
 
 
@@ -209,7 +218,7 @@ def _rational_coeffs(p: Poly) -> dict:
     out = {}
     for mono, coef in p.terms.items():
         if not coef.is_rational:
-            raise ValueError("presentation requires rational coefficients")
+            raise PresentationUnavailable("presentation requires rational coefficients")
         out[mono] = coef.rational()
     return out
 
@@ -253,38 +262,36 @@ def present(ineq: Inequality, form: str) -> PresentedInequality:
     oset = ineq.oset
     if form == "projector":
         if not oset.all_rays:
-            raise ValueError("projector form requires a ray observable set")
+            raise PresentationUnavailable("projector form requires a ray observable set")
         F_form, presented_set, substituted = ineq.F, oset, False
-        scale_rule = "primitive"
     elif form == "dichotomic":
         if oset.all_dichotomic:
             F_form, presented_set, substituted = ineq.F, oset, False
-            scale_rule = "primitive"
         else:
             if not oset.all_rays:
-                raise ValueError("dichotomic substitution requires projector variables")
+                raise PresentationUnavailable(
+                    "dichotomic substitution requires projector variables"
+                )
             presented_set = ObservableSet(dim=oset.dim)
             for i, obs in enumerate(oset.observables):
                 presented_set.add(dichotomize(obs.ray, label=f"d{obs.label or i}"))
             F_sub = _substitute_dichotomic(ineq.F)
             F_form = reduce(F_sub, presented_set.spectra())
             substituted = True
-            scale_rule = "power_of_two"
     else:
-        raise ValueError(f"unknown form {form!r}")
+        raise PresentationUnavailable(f"unknown form {form!r}")
 
     coeffs = _rational_coeffs(F_form)
     offset = coeffs.get((), Fraction(0))
     noncon = {m: c for m, c in coeffs.items() if m != ()}
-    if scale_rule == "primitive":
-        scale = _primitive_scale(noncon)
-    else:
-        # substitution introduces denominators up to 2^maxdeg; keeping that
-        # exact power keeps pair-correlation coefficients even integers,
-        # matching the customary dichotomic presentation
-        scale = Fraction(1, 2 ** ineq.F.max_degree())
-    if scale == 0:
-        scale = Fraction(1)
+    scale = _primitive_scale(noncon)
+    if substituted:
+        # substitution introduces denominators up to 2^maxdeg; where that
+        # exact power still gives integers it keeps pair-correlation
+        # coefficients even, matching the customary dichotomic presentation
+        power = Fraction(1, 2 ** ineq.F.max_degree())
+        if all((c / power).denominator == 1 for c in noncon.values()):
+            scale = power
     score = Poly({m: Scalar.of(c / scale) for m, c in noncon.items()})
     quantum_value = -offset / scale
     if ineq.classical.kind == "exact":

@@ -53,10 +53,6 @@ class VariableOutsideContext(KSCertError):
     pass
 
 
-class IncompatibleContexts(KSCertError):
-    pass
-
-
 class UnknownVariable(KSCertError):
     pass
 
@@ -84,6 +80,19 @@ class Condition1Violated(KSCertError):
         super().__init__(f"polynomial {index} does not vanish as an operator")
         self.index = index
         self.matrix = matrix
+
+
+class NormalizationMismatch(KSCertError):
+    def __init__(self, index, declared, computed):
+        super().__init__(
+            f"polynomial {index} declares c={declared}, but its normalization "
+            f"constant is {computed}"
+        )
+        self.index = index
+
+
+class PresentationUnavailable(KSCertError, ValueError):
+    """The requested form cannot present this inequality."""
 
 
 class SearchBudgetExceeded(KSCertError):

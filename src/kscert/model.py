@@ -135,12 +135,6 @@ def dichotomize(ray: Ray, label: str = "") -> Observable:
     return Observable(matrix=matrix, spectrum=spec, label=label)
 
 
-def projector_of(obs: Observable) -> ExactMatrix:
-    """Recover P = (I - A)/2 from a dichotomized observable."""
-    n = obs.dim
-    return (ExactMatrix.identity(n) - obs.matrix).scale(Fraction(1, 2))
-
-
 @dataclass
 class ObservableSet:
     """The proof-set container: a fixed-dimension list of observables.

@@ -19,7 +19,6 @@ from typing import Mapping, Optional, Sequence
 from .compat import Context
 from .errors import (
     IdenticallyZeroOnAssignments,
-    IncompatibleContexts,
     UnassignedVariable,
     UnknownVariable,
     VariableOutsideContext,
@@ -215,15 +214,15 @@ class ContextPolynomial:
 
     poly: Poly
     context: Context
-    c: Fraction = Fraction(1)  # normalization constant
+    c: Optional[Fraction] = Fraction(1)  # None until assemble_F computes it
 
     def __post_init__(self):
-        if self.c <= 0:
+        if self.c is not None and self.c <= 0:
             raise ValueError("normalization constant must be positive")
 
 
 def make_context_polynomial(
-    p: Poly, context: Context, oset: ObservableSet, c: Fraction = Fraction(1)
+    p: Poly, context: Context, oset: ObservableSet, c: Optional[Fraction] = Fraction(1)
 ) -> ContextPolynomial:
     extra = p.variables() - set(context.ids)
     if extra:
@@ -231,28 +230,6 @@ def make_context_polynomial(
             f"variables {sorted(extra)} outside context {context.ids}"
         )
     return ContextPolynomial(poly=reduce(p, oset.spectra()), context=context, c=c)
-
-
-def _merge_contexts(a: ContextPolynomial, b: ContextPolynomial) -> Context:
-    if a.context.contains_all(b.poly.variables()):
-        return a.context
-    if b.context.contains_all(a.poly.variables()):
-        return b.context
-    raise IncompatibleContexts(
-        f"contexts {a.context.ids} and {b.context.ids} are incompatible"
-    )
-
-
-def cp_add(a: ContextPolynomial, b: ContextPolynomial, oset: ObservableSet):
-    return make_context_polynomial(a.poly + b.poly, _merge_contexts(a, b), oset)
-
-
-def cp_mul(a: ContextPolynomial, b: ContextPolynomial, oset: ObservableSet):
-    return make_context_polynomial(a.poly * b.poly, _merge_contexts(a, b), oset)
-
-
-def cp_conjugate(a: ContextPolynomial, oset: ObservableSet):
-    return make_context_polynomial(a.poly.conjugate(), a.context, oset, a.c)
 
 
 def spectral_assignments(oset: ObservableSet, ids: Sequence[int]):

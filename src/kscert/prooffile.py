@@ -92,7 +92,7 @@ class ObsDecl:
 
 @dataclass
 class PolyDecl:
-    c: Fraction
+    c: Optional[Fraction]  # None when the file declares no c=
     terms: list  # [(Scalar coef, [(label, exp), ...]), ...]
     source: str
 
@@ -120,11 +120,10 @@ class ProofFile:
                 if word[0] in "+-":
                     sign = -1 if word[0] == "-" else 1
                     word = word[1:]
+                size = 2 ** len(word)
+                if size != self.dim:
+                    raise ParseError(f"pauli {d.label} has dimension {size}, dim is {self.dim}")
                 m = pauli_matrix(word, sign)
-                if m.dim != self.dim:
-                    raise ParseError(
-                        f"pauli {d.label} has dimension {m.dim}, dim is {self.dim}"
-                    )
                 oset.add(make_observable(m, spectrum=(-1, 1), label=d.label))
             else:
                 m = ExactMatrix(d.rows)
@@ -259,7 +258,7 @@ def parse(text: str) -> ProofFile:
                 )
             pending_matrix = None
         if head == "dim":
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) == 0:
                 raise ParseError("dim takes one positive integer", lineno)
             dim = int(parts[1])
         elif head == "mode":
@@ -284,8 +283,10 @@ def parse(text: str) -> ProofFile:
         elif head == "pauli":
             if dim is None:
                 raise ParseError("dim must come before observables", lineno)
-            if len(parts) != 3:
-                raise ParseError("pauli takes a label and a signed word", lineno)
+            if len(parts) != 3 or not re.match(r"^[+-]?[IXYZ]+$", parts[2]):
+                raise ParseError(
+                    "pauli takes a label and a signed word over I, X, Y, Z", lineno
+                )
             observables.append(ObsDecl(kind="pauli", label=parts[1], pauli=parts[2]))
         elif head == "matrix":
             if dim is None:
@@ -314,10 +315,12 @@ def parse(text: str) -> ProofFile:
             contexts.append(parts[1:])
         elif head == "poly":
             rest = line[len("poly") :].strip()
-            c = Fraction(1)
+            c = None
             m = re.match(r"^c=(\d+(?:/\d+)?)\s+(.*)$", rest)
             if m:
                 c = _rational(m.group(1), lineno)
+                if c == 0:
+                    raise ParseError("c must be positive", lineno)
                 rest = m.group(2)
             terms = parse_poly_expr(rest, lineno)
             polynomials.append(PolyDecl(c=c, terms=terms, source=rest))
@@ -364,7 +367,7 @@ def render_input_section(pf: ProofFile) -> str:
     for ctx in pf.contexts:
         lines.append("context " + " ".join(ctx))
     for p in pf.polynomials:
-        prefix = f"c={p.c} " if p.c != 1 else ""
+        prefix = f"c={p.c} " if p.c not in (None, 1) else ""
         lines.append(f"poly {prefix}{p.source}")
     return "\n".join(lines) + "\n"
 

@@ -111,7 +111,7 @@ def test_criterion_3_cabello_18(cabello):
     with pytest.raises(EdgeOutsideBases):
         build_complete_set_bases_only(oset, graph, bases)
     ineq = assemble_F(build_complete_set_rays(oset, graph, bases))
-    assert ineq.operator_zero
+    assert eval_operator(ineq.F, oset).is_zero
     assert ineq.classical.kind == "certified" and ineq.classical.value == -1
     pres = present(ineq, "projector")
     assert pres.classical_bound == 8 and pres.quantum_value == 9
@@ -144,9 +144,7 @@ def _two_bases_inequality(two_bases):
         oset=two_bases,
         complete_set=cs,
         F=F,
-        operator_zero=eval_operator(F, two_bases).is_zero,
         classical=BoundResult(kind="certified", value=Fraction(-1)),
-        unsat_certificate=general_unsat(two_bases, cs.polynomials),
     )
 
 
@@ -170,7 +168,7 @@ def test_criterion_5_symbolic_fidelity(cabello, mermin_peres, pentagram, two_bas
 
     # bases-only witness polynomial and both of its presentations
     ineq_bases = _two_bases_inequality(two_bases)
-    assert ineq_bases.operator_zero
+    assert eval_operator(ineq_bases.F, two_bases).is_zero
     assert render_labeled(ineq_bases.F, two_bases) + "\n" == fixture("bases_only_twobases_F.txt")
     assert _presented_block(present(ineq_bases, "projector"), two_bases) == fixture(
         "projector_twobases.txt"

@@ -1,10 +1,14 @@
 """Proof-file parsing and the command-line workflow."""
 
+import contextlib
+import io
 import sys
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kscert import assign, catalog
 from kscert.cli import main
@@ -224,6 +228,29 @@ class TestVerifyCommand:
         assert code == 3
         assert "error: input" in err
 
+    def test_projector_form_of_parity_proof(self, capsys):
+        code, _, err = run(
+            capsys, "derive", "--catalog", "mermin-peres", "--form", "projector"
+        )
+        assert code == 3
+        assert "error: input: projector form requires a ray observable set" in err
+
+    def test_bad_pauli_word(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("dim 4\npauli a +QQ\n")
+        code, _, err = run(capsys, "verify", "--input", str(path))
+        assert code == 3
+        assert "error: input: line 2: " in err
+
+    def test_general_mode_checks_condition_1(self, capsys, tmp_path):
+        # 2a - 1 is never zero as an operator (a is a projector)
+        path = tmp_path / "c1.txt"
+        path.write_text("dim 2\nmode general\nray a 1 0\nray b 0 1\npoly 2*a - 1\n")
+        for command in ("verify", "derive"):
+            code, _, err = run(capsys, command, "--input", str(path))
+            assert code == 3, command
+            assert "polynomial 0 does not vanish as an operator" in err
+
     @pytest.mark.parametrize(
         "line", ["ray a 1/0 1 0", "matrix m spectrum x,1", "poly (1+i*a - 1"]
     )
@@ -233,6 +260,94 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--input", str(path))
         assert code == 3
         assert "error: input: line 2: " in err
+
+
+_FUZZ_RAYS = {
+    1: ["1"],
+    2: ["1 0", "0 1", "1 1", "1 -1", "1 i", "1 -i"],
+    4: ["1 0 0 0", "0 1 0 0", "0 0 1 0", "0 0 0 1", "1 1 0 0", "1 -1 0 0",
+        "0 0 1 1", "0 0 1 -1", "1 1 1 1", "1 -1 1 -1", "1 r2 0 0", "1 0 i 0"],
+}
+_FUZZ_BAD = ["q", "1/0", "", "(", "c=0", "^", "+QQ", "2", "-1", "spectrum", "a9"]
+
+
+@st.composite
+def proof_files(draw):
+    """Proof-file text: a well-formed skeleton, then a few mutated tokens."""
+    if draw(st.booleans()):
+        lines = draw(st.sampled_from([SINGLE_BASIS, MP_PARITY, GENERAL_MP])).splitlines()
+        return _mutated(draw, lines)
+    dim = draw(st.sampled_from([1, 2, 4]))
+    lines = [f"dim {dim}"]
+    mode = draw(st.sampled_from(["", "auto", "ray", "bases-only", "parity", "general"]))
+    if mode:
+        lines.append(f"mode {mode}")
+    rays = draw(st.lists(st.sampled_from(_FUZZ_RAYS[dim]), max_size=6, unique=True))
+    labels = [f"a{k}" for k in range(len(rays))]
+    lines += [f"ray {label} {vec}" for label, vec in zip(labels, rays)]
+    qubits = dim.bit_length() - 1
+    for k in range(draw(st.integers(0, 3)) if qubits else 0):
+        word = "".join(draw(st.lists(st.sampled_from("IXYZ"), min_size=qubits, max_size=qubits)))
+        lines.append(f"pauli b{k} {draw(st.sampled_from(['+', '-', '']))}{word}")
+        labels.append(f"b{k}")
+    if draw(st.booleans()):
+        spec = draw(st.sampled_from(["", "0,1", "-1,1", "-1,0,1,2"]))
+        values = spec.split(",") if spec else ["0", "1"]
+        diag = draw(st.lists(st.sampled_from(values), min_size=dim, max_size=dim))
+        lines.append("matrix m" + (f" spectrum {spec}" if spec else ""))
+        for k in range(dim):
+            lines.append("row " + " ".join(diag[k] if j == k else "0" for j in range(dim)))
+        labels.append("m")
+    if not labels:
+        return _mutated(draw, lines)
+    for _ in range(draw(st.integers(0, 4))):
+        ctx = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3, unique=True))
+        lines.append("context " + " ".join(ctx))
+    for _ in range(draw(st.integers(0, 3))):
+        terms = []
+        for _ in range(draw(st.integers(1, 4))):
+            coef = draw(st.sampled_from(["", "", "2*", "i*", "(1+i)*", "r2*"]))
+            mono = draw(st.lists(st.sampled_from(labels), max_size=2))
+            exp = draw(st.sampled_from(["", "", "^2"]))
+            terms.append(coef + ("*".join(mono) + exp if mono else "1"))
+        c = draw(st.sampled_from(["", "", "c=1 ", "c=2 ", "c=4 "]))
+        ops = [draw(st.sampled_from([" + ", " - "])) for _ in terms[1:]]
+        lines.append(f"poly {c}" + "".join(t + o for t, o in zip(terms, ops + [""])))
+    return _mutated(draw, lines)
+
+
+def _mutated(draw, lines):
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+        k = draw(st.integers(0, len(lines) - 1))
+        parts = lines[k].split(" ")
+        parts[draw(st.integers(0, len(parts) - 1))] = draw(st.sampled_from(_FUZZ_BAD))
+        lines[k] = " ".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+class TestFuzzProofFiles:
+    """Any text in the proof-file grammar ends with an exit code, never a traceback."""
+
+    @settings(
+        max_examples=200,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        text=proof_files(),
+        argv=st.sampled_from([
+            ["verify"], ["derive"], ["derive", "--exact-bound"], ["bound"], ["export"],
+            ["derive", "--form", "projector"], ["derive", "--form", "dichotomic"],
+        ]),
+    )
+    def test_exit_codes(self, tmp_path_factory, text, argv):
+        path = tmp_path_factory.getbasetemp() / "fuzz.txt"
+        path.write_text(text)
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = main([*argv, "--input", str(path), "--node-cap", "500"])
+        assert code in (0, 2, 3, 4)
 
 
 class TestDeriveCommand:
@@ -271,6 +386,40 @@ class TestDeriveCommand:
             code, _, err = run(capsys, "derive", "--input", str(path), *flags)
             assert code == 2
             assert "not-a-ks-proof" in err
+
+    def test_general_mode_records_computed_c(self, capsys, tmp_path):
+        # no c= declared: the record carries the c that F was built with
+        path = tmp_path / "mp.txt"
+        path.write_text(GENERAL_MP.replace("c=4 ", ""))
+        first = tmp_path / "mp.rec"
+        code, _, _ = run(capsys, "export", "--input", str(path), "--output", str(first))
+        assert code == 0
+        record = first.read_text().splitlines()
+        assert [l.split(" :: ")[0] for l in record if l.startswith("cpoly")] == ["cpoly c=4"] * 6
+        assert "poly a*b*c - 1" in record
+        declared = tmp_path / "mp4.txt"
+        declared.write_text(GENERAL_MP)
+        code, out, _ = run(capsys, "export", "--input", str(declared))
+        assert code == 0
+        F_line = next(l for l in out.splitlines() if l.startswith("F :: "))
+        assert F_line.startswith("F :: -3 + 1/2*a*b*c")
+        assert F_line in record
+        second = tmp_path / "mp2.rec"
+        code, _, _ = run(capsys, "export", "--input", str(first), "--output", str(second))
+        assert code == 0
+        assert first.read_text() == second.read_text()
+
+    @pytest.mark.parametrize("index,declared", [(2, "c=3"), (0, "c=1")])
+    def test_general_mode_rejects_wrong_c(self, capsys, tmp_path, index, declared):
+        lines = GENERAL_MP.splitlines()
+        polys = [k for k, line in enumerate(lines) if line.startswith("poly")]
+        lines[polys[index]] = lines[polys[index]].replace("c=4", declared)
+        path = tmp_path / "mp.txt"
+        path.write_text("\n".join(lines) + "\n")
+        for flags in ([], ["--exact-bound"]):
+            code, _, err = run(capsys, "derive", "--input", str(path), *flags)
+            assert code == 3
+            assert f"polynomial {index} declares {declared}, but its normalization constant is 4" in err
 
     @pytest.mark.parametrize("name,bound", [("cabello-18", 8), ("peres-33", 15)])
     def test_exact_bound_ray_catalog(self, capsys, name, bound):

@@ -1,13 +1,18 @@
 """Derivation pipeline: complete sets, F assembly, presentation, expectations."""
 
+import functools
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from kscert.assign import BoundResult, classical_max, general_unsat, parity_certify
+from kscert import catalog, derive
+from kscert.assign import BoundResult, classical_max, parity_certify
 from kscert.compat import Context, build_orthogonality_graph, enumerate_bases
 from kscert.derive import (
+    CompleteSet,
     Inequality,
     PARITY,
     RAY_BASES_ONLY,
@@ -30,11 +35,17 @@ from kscert.errors import (
 from kscert.exact import Scalar
 from kscert.model import ObservableSet
 from kscert.poly import (
+    ContextPolynomial,
     Poly,
     eval_assignment,
+    eval_operator,
     make_context_polynomial,
     spectral_assignments,
 )
+from kscert.prooffile import parse
+
+from conftest import two_bases_set
+from test_cli import GENERAL_MP
 
 
 def ray_witness_polynomial(edges, bases):
@@ -114,12 +125,11 @@ class TestVerifyCompleteSet:
         oset.add_ray((0, 1, 0))
         p = Poly.var(0) + Poly.var(1) - Poly.const(1)
         cp = make_context_polynomial(p, Context((0, 1)), oset)
-        from kscert.derive import CompleteSet
-
         cs = CompleteSet(oset=oset, polynomials=[cp], provenance="UserSupplied")
-        with pytest.raises(Condition1Violated) as exc:
-            verify_complete_set(cs)
-        assert exc.value.index == 0
+        for check in (verify_complete_set, assemble_F):
+            with pytest.raises(Condition1Violated) as exc:
+                check(cs)
+            assert exc.value.index == 0
 
     def test_cabello_passes(self, cabello):
         oset, graph, bases = cabello
@@ -141,8 +151,8 @@ class TestAssembleF:
         cs = build_complete_set_parity(oset, ctxs)
         ineq = assemble_F(cs)
         assert ineq.F == parity_witness_polynomial(ctxs, [1, 1, 1, 1, 1, -1])
-        assert ineq.operator_zero
-        assert ineq.unsat_certificate.is_proof
+        assert eval_operator(ineq.F, oset).is_zero
+        assert ineq.classical.kind == "certified" and ineq.classical.value == -1
 
     def test_pentagram_matches_parity_formula(self, pentagram):
         oset, ctxs = pentagram
@@ -150,14 +160,14 @@ class TestAssembleF:
         ineq = assemble_F(cs)
         deltas = parity_certify(oset, ctxs).detail["deltas"]
         assert ineq.F == parity_witness_polynomial(ctxs, deltas)
-        assert ineq.operator_zero
+        assert eval_operator(ineq.F, oset).is_zero
 
     def test_cabello_matches_ray_formula(self, cabello):
         oset, graph, bases = cabello
         cs = build_complete_set_rays(oset, graph, bases)
         ineq = assemble_F(cs)
         assert ineq.F == ray_witness_polynomial(graph.edges, [b.ids for b in bases])
-        assert ineq.operator_zero
+        assert eval_operator(ineq.F, oset).is_zero
         assert ineq.classical.kind == "certified"
         assert ineq.classical.value == -1
 
@@ -175,6 +185,68 @@ class TestAssembleF:
             assemble_F(cs)
         assert "e1=" in str(exc.value)
 
+    @pytest.mark.parametrize("exact_bound", [False, True])
+    def test_one_operator_evaluation_per_member(self, mermin_peres, monkeypatch, exact_bound):
+        # Condition 1 is the only operator check; F itself is not evaluated
+        oset, ctxs = mermin_peres
+        cs = build_complete_set_parity(oset, ctxs)
+        calls = []
+
+        def counted(p, oset):
+            calls.append(p)
+            return eval_operator(p, oset)
+
+        monkeypatch.setattr(derive, "eval_operator", counted)
+        assemble_F(cs, exact_bound=exact_bound)
+        assert calls == [cp.poly for cp in cs.polynomials]
+
+    @pytest.mark.parametrize("exact_bound", [False, True])
+    def test_complete_set_carries_computed_c(self, mermin_peres, exact_bound):
+        # members declared without c get the computed one (4 for parity)
+        oset, ctxs = mermin_peres
+        cs = build_complete_set_parity(oset, ctxs)
+        undeclared = CompleteSet(
+            oset=oset,
+            polynomials=[ContextPolynomial(cp.poly, cp.context, None) for cp in cs.polynomials],
+            provenance=cs.provenance,
+        )
+        ineq = assemble_F(undeclared, exact_bound=exact_bound)
+        assert [cp.c for cp in ineq.complete_set.polynomials] == [4] * 6
+        assert ineq.F == assemble_F(cs).F
+
+
+def _catalog_inequality(name):
+    oset = catalog.get(name).load()
+    if oset.all_rays:
+        graph = build_orthogonality_graph(oset)
+        return assemble_F(build_complete_set_rays(oset, graph, enumerate_bases(graph)))
+    ctxs = [Context(ids) for ids in oset.declared_contexts]
+    return assemble_F(build_complete_set_parity(oset, ctxs))
+
+
+def _general_mp_inequality():
+    pf = parse(GENERAL_MP)
+    oset = pf.to_observable_set()
+    return assemble_F(CompleteSet(oset, pf.to_polynomials(oset), "UserSupplied"))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda name=name: _catalog_inequality(name), id=name)
+        for name in ("mermin-peres", "mermin-pentagram", "cabello-18", "peres-33")
+    ]
+    + [
+        # colourable, so assemble_F refuses it; the bases-only F stands in
+        pytest.param(lambda: colorable_inequality(two_bases_set()), id="two-bases"),
+        pytest.param(_general_mp_inequality, id="general-mermin-peres"),
+    ],
+)
+def test_F_operator_zero_oracle(build):
+    """The direct check that Condition 1 stands in for: F evaluates to 0."""
+    ineq = build()
+    assert eval_operator(ineq.F, ineq.oset).is_zero
+
 
 def colorable_inequality(oset, certified=True):
     """An Inequality built around the bases-only formula for a colorable ray
@@ -187,14 +259,7 @@ def colorable_inequality(oset, certified=True):
         classical = BoundResult(kind="certified", value=Fraction(-1))
     else:
         classical = classical_max(oset, F)
-    return Inequality(
-        oset=oset,
-        complete_set=cs,
-        F=F,
-        operator_zero=True,
-        classical=classical,
-        unsat_certificate=general_unsat(oset, cs.polynomials),
-    )
+    return Inequality(oset=oset, complete_set=cs, F=F, classical=classical)
 
 
 class TestPresent:
@@ -233,6 +298,32 @@ class TestPresent:
             assert c.denominator == 1
             if len(mono) == 2:
                 assert c.numerator % 2 == 0
+
+    def test_dichotomic_primitive_scale_when_power_of_two_fractional(self, cabello):
+        # 2(sum P - 1) + P0*P1 on basis 0 gives F = scale*G + offset with
+        # 69/2 and -21/2 in G at scale 1/8; the primitive scale keeps G integral
+        oset, graph, bases = cabello
+        cs = build_complete_set_rays(oset, graph, bases)
+        P = [Poly.var(i) for i in bases[0].ids]
+        p = 2 * (P[0] + P[1] + P[2] + P[3] - 1) + P[0] * P[1]
+        polys = list(cs.polynomials)
+        polys[len(graph.edges)] = make_context_polynomial(p, bases[0], oset, c=None)
+        ineq = assemble_F(CompleteSet(oset, polys, cs.provenance))
+        assert ineq.F.max_degree() == 3
+        pres = present(ineq, "dichotomic")
+        coeffs = [c.rational() for c in pres.score.terms.values()]
+        assert all(c.denominator == 1 for c in coeffs)
+        assert functools.reduce(math.gcd, (c.numerator for c in coeffs)) == 1
+        assert {69, -21} <= set(coeffs)
+        assert pres.scale == Fraction(1, 16)
+        assert pres.quantum_value == -pres.offset / pres.scale
+        rng = random.Random(5)
+        for _ in range(40):
+            proj_vals = {i: rng.randint(0, 1) for i in range(len(oset))}
+            dich_vals = {i: 1 - 2 * v for i, v in proj_vals.items()}
+            f = eval_assignment(ineq.F, proj_vals).rational()
+            g = eval_assignment(pres.score, dich_vals).rational()
+            assert f == pres.scale * g + pres.offset
 
     def test_substitution_agrees_pointwise(self, two_bases):
         ineq = colorable_inequality(two_bases)
