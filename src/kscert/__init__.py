@@ -44,11 +44,11 @@ from .derive import (
     PresentedInequality,
     assemble_F,
     build_complete_set_bases_only,
+    build_complete_set_general,
     build_complete_set_parity,
     build_complete_set_rays,
     expectation,
     present,
-    verify_complete_set,
 )
 from . import catalog, errors
 

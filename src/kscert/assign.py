@@ -90,70 +90,65 @@ def ks_colorability(
 
     Rules: orthogonal rays cannot both be 1; every basis carries exactly
     one 1.  Assigning 1 propagates 0 to all neighbors; a basis whose
-    members are all 0 is an immediate conflict.
+    members are all 0 is an immediate conflict.  A ray's domain is a bit
+    mask (ZERO, ONE, or both), and an explicit stack of domain copies
+    visits the nodes depth first, 0 before 1, so no input reaches the
+    recursion limit.
     """
+    ZERO, ONE, BOTH = 1, 2, 3
     mu = len(oset)
     basis_ids = [b.ids for b in bases]
     stats = SearchStats()
     # static branching order: rays in the most bases first, then degree
     in_bases = Counter(i for b in basis_ids for i in b)
-    order_key = {
-        i: (-in_bases[i], -len(graph.adjacency[i]), i) for i in range(mu)
-    }
+    order_key = [(-in_bases[i], -len(graph.adjacency[i]), i) for i in range(mu)]
 
     def propagate(dom):
         changed = True
         while changed:
             changed = False
-            for i in range(mu):
-                if dom[i] == {1}:
+            for i, d in enumerate(dom):
+                if d == ONE:
                     for j in graph.adjacency[i]:
-                        if 1 in dom[j]:
-                            if dom[j] == {1}:
+                        if dom[j] & ONE:
+                            if dom[j] == ONE:
                                 return False
-                            dom[j] = dom[j] - {1}
+                            dom[j] = ZERO
                             stats.propagations += 1
                             changed = True
             for b in basis_ids:
-                can_be_one = [i for i in b if 1 in dom[i]]
+                can_be_one = [i for i in b if dom[i] & ONE]
                 if not can_be_one:
                     return False
-                if len(can_be_one) == 1 and dom[can_be_one[0]] == {0, 1}:
-                    dom[can_be_one[0]] = {1}
+                if len(can_be_one) == 1 and dom[can_be_one[0]] == BOTH:
+                    dom[can_be_one[0]] = ONE
                     stats.propagations += 1
                     changed = True
         return True
 
-    def search(dom):
+    witness = None
+    stack = [bytearray([BOTH]) * mu]
+    while stack:
+        dom = stack.pop()
         stats.nodes += 1
         if stats.nodes > node_cap:
             raise SearchBudgetExceeded(f"node cap {node_cap} exceeded")
         if not propagate(dom):
-            return None
-        free = [i for i in range(mu) if len(dom[i]) == 2]
+            continue
+        free = [i for i, d in enumerate(dom) if d == BOTH]
         if not free:
             # propagate leaves no adjacent pair of 1s and a 1 in every basis;
             # a basis is a clique, so that 1 is its only one
-            return {i: next(iter(dom[i])) for i in range(mu)}
-        var = min(free, key=lambda i: order_key[i])
-        for val in (0, 1):
-            nxt = {i: set(s) for i, s in dom.items()}
-            nxt[var] = {val}
-            found = search(nxt)
-            if found is not None:
-                return found
-        return None
-
-    domains = {i: {0, 1} for i in range(mu)}
-    witness = search(domains)
+            witness = {i: Fraction(int(dom[i] == ONE)) for i in range(mu)}
+            break
+        var = min(free, key=order_key.__getitem__)
+        for x in (ONE, ZERO):  # pushed so that 0 is tried first
+            nxt = bytearray(dom)
+            nxt[var] = x
+            stack.append(nxt)
     if witness is None:
         return ProofCertificate(KS_PROOF, "RayColoring", stats=stats)
-    return ProofCertificate(
-        NOT_KS_PROOF,
-        "RayColoring",
-        witness={i: Fraction(v) for i, v in witness.items()},
-        stats=stats,
-    )
+    return ProofCertificate(NOT_KS_PROOF, "RayColoring", witness=witness, stats=stats)
 
 
 # -- parity certification ----------------------------------------------------

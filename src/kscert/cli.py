@@ -11,17 +11,17 @@ import sys
 from collections import namedtuple
 
 from . import catalog as catalog_mod
-from .assign import DEFAULT_NODE_CAP, ks_colorability, parity_certify
+from .assign import DEFAULT_NODE_CAP, general_unsat, ks_colorability, parity_certify
 from .compat import Context, build_orthogonality_graph, enumerate_bases
 from .derive import (
-    USER_SUPPLIED,
-    CompleteSet,
     assemble_F,
     build_complete_set_bases_only,
+    build_complete_set_general,
     build_complete_set_parity,
     build_complete_set_rays,
+    check_declared_constants,
+    check_form,
     present,
-    verify_complete_set,
     witness_str,
 )
 from .errors import (
@@ -91,9 +91,7 @@ def _build_complete_set(loaded):
     if mode == "general":
         if not loaded.user_polys:
             raise ParseError("general mode requires user-supplied polynomials")
-        return CompleteSet(
-            oset=oset, polynomials=list(loaded.user_polys), provenance=USER_SUPPLIED
-        )
+        return build_complete_set_general(oset, loaded.user_polys)
     raise ParseError(f"unknown mode {mode!r}")
 
 
@@ -110,7 +108,9 @@ def cmd_verify(args) -> int:
         print(f"method: Parity (deltas {cert.detail['deltas']})")
     else:
         cs = _build_complete_set(loaded)
-        cert = verify_complete_set(cs, node_cap=args.node_cap)
+        cert = general_unsat(oset, cs.polynomials, node_cap=args.node_cap)
+        if cert.is_proof:
+            check_declared_constants(cs)
         print(f"method: GeneralCSP ({len(cs)} polynomials)")
     print(f"verdict: {cert.verdict}")
     if cert.stats:
@@ -124,8 +124,9 @@ def cmd_verify(args) -> int:
 
 def _derive(loaded, args, exact_bound):
     cs = _build_complete_set(loaded)
-    ineq = assemble_F(cs, exact_bound=exact_bound, node_cap=args.node_cap)
     form = args.form or ("projector" if loaded.oset.all_rays else "dichotomic")
+    check_form(cs, form)
+    ineq = assemble_F(cs, exact_bound=exact_bound, node_cap=args.node_cap)
     return ineq, present(ineq, form)
 
 
@@ -137,7 +138,7 @@ def _print_inequality(loaded, ineq, presented):
     print(f"mode: {loaded.mode}")
     print(f"complete set: {len(cs)} polynomials ({cs.provenance})")
     print(f"F = {render(ineq.F, labels)}")
-    # assemble_F returns only once Condition 1 holds, and that makes F zero
+    # every complete-set builder certifies Condition 1, and that makes F zero
     print("quantum certificate: operator F is zero: True")
     print(f"classical certificate on F: {ineq.classical.statement} ({ineq.classical.kind})")
     print(f"form: {presented.form}")

@@ -122,10 +122,9 @@ def enumerate_bases(graph: OrthogonalityGraph, n: Optional[int] = None) -> list:
         total = ExactMatrix.zero(graph.oset.dim)
         for i in clique:
             total = total + graph.oset[i].matrix
+        # the basis half of Condition 1 for ray sets: sum P_i - 1 = 0
         if total != ident:
-            raise KSCertError(
-                f"clique {clique} does not resolve the identity"
-            )  # unreachable for true rays; guards corrupted input
+            raise KSCertError(f"clique {clique} does not resolve the identity")
     return [Context(c) for c in bases]
 
 

@@ -14,12 +14,11 @@ from contextlib import suppress
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .assign import (
     BoundResult,
     DEFAULT_NODE_CAP,
-    ProofCertificate,
     general_unsat,
     max_F,
     parity_certify,
@@ -79,7 +78,9 @@ def build_complete_set_rays(
     oset: ObservableSet, graph: OrthogonalityGraph, bases: Sequence[Context]
 ) -> CompleteSet:
     """One P_i*P_j polynomial per orthogonality edge plus one sum-minus-one
-    polynomial per basis; every member already has c = 1."""
+    polynomial per basis; every member already has c = 1.  Condition 1 holds
+    by construction: edges join exactly orthogonal rays (P_i P_j = 0), and
+    enumerate_bases checked that each basis sums to I."""
     polys = [_edge_poly(oset, i, j) for i, j in graph.edges]
     polys += [_basis_poly(oset, b) for b in bases]
     return CompleteSet(oset=oset, polynomials=polys, provenance=RAY_EDGES_BASES)
@@ -89,7 +90,8 @@ def build_complete_set_bases_only(
     oset: ObservableSet, graph: OrthogonalityGraph, bases: Sequence[Context]
 ) -> CompleteSet:
     """Basis polynomials only; valid when every orthogonality edge lies in
-    some supplied basis (raises EdgeOutsideBases otherwise)."""
+    some supplied basis (raises EdgeOutsideBases otherwise).  Condition 1
+    holds by construction: enumerate_bases checked that each sums to I."""
     basis_sets = [set(b.ids) for b in bases]
     for i, j in graph.edges:
         if not any({i, j} <= b for b in basis_sets):
@@ -101,7 +103,8 @@ def build_complete_set_bases_only(
 def build_complete_set_parity(
     oset: ObservableSet, contexts: Sequence[Context]
 ) -> CompleteSet:
-    """Product-minus-delta polynomials, each with c = 4 (values are 0 or +-2)."""
+    """Product-minus-delta polynomials, each with c = 4 (values are 0 or +-2).
+    Condition 1 holds as parity_certify found each context product delta*I."""
     cert = parity_certify(oset, contexts)
     if not cert.is_proof:
         raise NotParityProof("; ".join(cert.detail.get("violated", [])) or "not a parity proof")
@@ -115,19 +118,26 @@ def build_complete_set_parity(
     return CompleteSet(oset=oset, polynomials=polys, provenance=PARITY)
 
 
-def _check_condition_1(cs: CompleteSet) -> None:
-    """Condition 1: every member vanishes as an operator (raises on failure)."""
-    for idx, cp in enumerate(cs.polynomials):
-        m = eval_operator(cp.poly, cs.oset)
+def build_complete_set_general(oset: ObservableSet, polynomials: Sequence) -> CompleteSet:
+    """User-supplied polynomials: Condition 1 is checked member by member, and
+    Condition1Violated names the first that is not zero as an operator."""
+    for idx, cp in enumerate(polynomials):
+        m = eval_operator(cp.poly, oset)
         if not m.is_zero:
             raise Condition1Violated(idx, m)
+    return CompleteSet(oset=oset, polynomials=list(polynomials), provenance=USER_SUPPLIED)
 
 
-def verify_complete_set(cs: CompleteSet, node_cap: int = DEFAULT_NODE_CAP) -> ProofCertificate:
-    """Condition 1 (raises on failure), then Condition 2: no assignment
-    zeroes all members, checked by complete search."""
-    _check_condition_1(cs)
-    return general_unsat(cs.oset, cs.polynomials, node_cap=node_cap)
+def check_declared_constants(cs: CompleteSet, constants: Optional[Sequence] = None) -> None:
+    """Raise NormalizationMismatch on the first member whose declared c
+    differs from its normalization constant, taken from `constants` when
+    given and otherwise computed for the declared members only."""
+    for idx, cp in enumerate(cs.polynomials):
+        if cp.c is None:
+            continue
+        c = normalization_constant(cp, cs.oset) if constants is None else constants[idx]
+        if cp.c != c:
+            raise NormalizationMismatch(idx, cp.c, c)
 
 
 @dataclass
@@ -158,7 +168,10 @@ def assemble_F(
 ) -> Inequality:
     """F = -sum of normalized squares, with quantum and classical certificates.
 
-    Condition 1 is the quantum certificate, and F is not evaluated again.
+    Condition 1 is the quantum certificate, certified where cs was built:
+    RayEdgesBases and RayBasesOnly from exact orthogonality and bases that
+    sum to I, Parity from context products delta*I, UserSupplied by
+    evaluating each member.  Nothing is evaluated as an operator here.
     Within a context the variables are commuting Hermitian operators, each
     annihilated by its declared spectrum (make_observable/ray_observable,
     validate_context and orthogonality verify this), so evaluating the
@@ -174,7 +187,6 @@ def assemble_F(
     NormalizationMismatch; the returned complete set carries the c_i used.
     """
     oset = cs.oset
-    _check_condition_1(cs)
     constants = None
     if exact_bound:
         # a member without a rational c falls back to the certified route,
@@ -194,9 +206,7 @@ def assemble_F(
         )
     if constants is None:
         constants = [normalization_constant(cp, oset) for cp in cs.polynomials]
-    for idx, (cp, c) in enumerate(zip(cs.polynomials, constants)):
-        if cp.c is not None and cp.c != c:
-            raise NormalizationMismatch(idx, cp.c, c)
+    check_declared_constants(cs, constants)
     used = [replace(cp, c=c) for cp, c in zip(cs.polynomials, constants)]
     F = Poly()
     for cp in used:
@@ -251,35 +261,47 @@ def _substitute_dichotomic(F: Poly) -> Poly:
     return out
 
 
+def check_form(cs: CompleteSet, form: str) -> bool:
+    """Whether presenting the F of cs in `form` substitutes P = (1 - A)/2;
+    raises PresentationUnavailable when the form cannot present it.
+
+    F's variables are among the members' variables, so this runs before the
+    search.  The projector form keeps projector variables and needs a ray
+    set.  The dichotomic form keeps the variables when those the members
+    use are all dichotomic, and otherwise substitutes, which needs a ray set.
+    """
+    oset = cs.oset
+    if form == "projector":
+        if not oset.all_rays:
+            raise PresentationUnavailable("projector form requires a ray observable set")
+        return False
+    if form == "dichotomic":
+        used = {i for cp in cs.polynomials for i in cp.poly.variables()}
+        if all(oset[i].is_dichotomic for i in used):
+            return False
+        if not oset.all_rays:
+            raise PresentationUnavailable("dichotomic substitution requires projector variables")
+        return True
+    raise PresentationUnavailable(f"unknown form {form!r}")
+
+
 def present(ineq: Inequality, form: str) -> PresentedInequality:
     """Rearrange F into an integer-coefficient score with explicit bounds.
 
     projector form requires projector variables and keeps them; dichotomic
-    form substitutes P = (1 - A)/2 when needed and re-reduces with A^2 = 1.
-    The affine bookkeeping F = scale*G + offset transforms both the
-    classical bound and the quantum value exactly.
+    form substitutes P = (1 - A)/2 when needed (check_form) and re-reduces
+    with A^2 = 1.  The affine bookkeeping F = scale*G + offset transforms
+    both the classical bound and the quantum value exactly.
     """
     oset = ineq.oset
-    if form == "projector":
-        if not oset.all_rays:
-            raise PresentationUnavailable("projector form requires a ray observable set")
-        F_form, presented_set, substituted = ineq.F, oset, False
-    elif form == "dichotomic":
-        if oset.all_dichotomic:
-            F_form, presented_set, substituted = ineq.F, oset, False
-        else:
-            if not oset.all_rays:
-                raise PresentationUnavailable(
-                    "dichotomic substitution requires projector variables"
-                )
-            presented_set = ObservableSet(dim=oset.dim)
-            for i, obs in enumerate(oset.observables):
-                presented_set.add(dichotomize(obs.ray, label=f"d{obs.label or i}"))
-            F_sub = _substitute_dichotomic(ineq.F)
-            F_form = reduce(F_sub, presented_set.spectra())
-            substituted = True
+    substituted = check_form(ineq.complete_set, form)
+    if substituted:
+        presented_set = ObservableSet(dim=oset.dim)
+        for i, obs in enumerate(oset.observables):
+            presented_set.add(dichotomize(obs.ray, label=f"d{obs.label or i}"))
+        F_form = reduce(_substitute_dichotomic(ineq.F), presented_set.spectra())
     else:
-        raise PresentationUnavailable(f"unknown form {form!r}")
+        F_form, presented_set = ineq.F, oset
 
     coeffs = _rational_coeffs(F_form)
     offset = coeffs.get((), Fraction(0))

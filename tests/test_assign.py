@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from kscert.assign import (
     parity_certify,
     value_order,
 )
-from kscert.compat import Context, build_orthogonality_graph, enumerate_bases
+from kscert.compat import Context, OrthogonalityGraph, build_orthogonality_graph, enumerate_bases
 from kscert.derive import (
     build_complete_set_parity,
     build_complete_set_rays,
@@ -30,7 +31,7 @@ from kscert.errors import (
     SearchBudgetExceeded,
 )
 from kscert.exact import PAULI, ExactMatrix, kron
-from kscert.model import ObservableSet, make_observable
+from kscert.model import ObservableSet, make_observable, make_ray, ray_observable
 from kscert.poly import (
     Poly,
     eval_assignment,
@@ -90,6 +91,27 @@ class TestKSColorability:
         oset, graph, bases = cabello
         with pytest.raises(SearchBudgetExceeded):
             ks_colorability(oset, graph, bases, node_cap=2)
+
+    def test_search_deeper_than_recursion_limit(self):
+        # d = 2: rays (1, k) and (-k, 1) are the only orthogonal pairs, a
+        # perfect matching of 2,000 rays as 1,000 two-ray bases.  Each node
+        # sets one ray to 0 and forces its partner, so the search path has
+        # 1,001 nodes, more than the default recursion limit.  The set and
+        # its graph are built directly, skipping the O(n^2) duplicate checks
+        # of ObservableSet.add and inner products of build_orthogonality_graph
+        n = 1000
+        assert sys.getrecursionlimit() <= n
+        oset = ObservableSet(dim=2)
+        for k in range(1, n + 1):
+            oset.observables += [ray_observable(make_ray(v)) for v in ((1, k), (-k, 1))]
+        adjacency = {i: frozenset({i ^ 1}) for i in range(2 * n)}
+        graph = OrthogonalityGraph(oset=oset, adjacency=adjacency)
+        bases = [Context((2 * k, 2 * k + 1)) for k in range(n)]
+        cert = ks_colorability(oset, graph, bases)
+        assert not cert.is_proof
+        assert cert.stats.nodes == n + 1
+        for k in range(n):
+            assert cert.witness[2 * k] + cert.witness[2 * k + 1] == 1
 
     @given(
         st.lists(

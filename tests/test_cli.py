@@ -416,10 +416,34 @@ class TestDeriveCommand:
         lines[polys[index]] = lines[polys[index]].replace("c=4", declared)
         path = tmp_path / "mp.txt"
         path.write_text("\n".join(lines) + "\n")
-        for flags in ([], ["--exact-bound"]):
-            code, _, err = run(capsys, "derive", "--input", str(path), *flags)
-            assert code == 3
+        for argv in (["derive"], ["derive", "--exact-bound"], ["verify"]):
+            code, _, err = run(capsys, *argv, "--input", str(path))
+            assert code == 3, argv
             assert f"polynomial {index} declares {declared}, but its normalization constant is 4" in err
+
+    def test_unused_observable_does_not_block_form(self, capsys, tmp_path, monkeypatch):
+        # m is neither a ray nor dichotomic, but no polynomial uses it, so
+        # the dichotomic form needs no substitution; the projector form is
+        # refused before the search runs
+        path = tmp_path / "mp.txt"
+        path.write_text(GENERAL_MP + "matrix m spectrum 0,1,2\nrow 0 0 0 0\nrow 0 1 0 0\n"
+                        "row 0 0 2 0\nrow 0 0 0 2\n")
+        code, out, _ = run(capsys, "derive", "--input", str(path))
+        assert code == 0
+        assert "form: dichotomic" in out
+        assert "bound: 4 (certified); quantum value: 6" in out
+        runs = []
+        engine = assign.branch_and_bound
+
+        def counted(*args, **kwargs):
+            runs.append(1)
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(assign, "branch_and_bound", counted)
+        code, _, err = run(capsys, "derive", "--input", str(path), "--form", "projector")
+        assert code == 3
+        assert "error: input: projector form requires a ray observable set" in err
+        assert runs == []
 
     @pytest.mark.parametrize("name,bound", [("cabello-18", 8), ("peres-33", 15)])
     def test_exact_bound_ray_catalog(self, capsys, name, bound):

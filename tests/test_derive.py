@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from kscert import catalog, derive
-from kscert.assign import BoundResult, classical_max, parity_certify
+from kscert.assign import BoundResult, classical_max, general_unsat, parity_certify
 from kscert.compat import Context, build_orthogonality_graph, enumerate_bases
 from kscert.derive import (
     CompleteSet,
@@ -19,11 +19,11 @@ from kscert.derive import (
     RAY_EDGES_BASES,
     assemble_F,
     build_complete_set_bases_only,
+    build_complete_set_general,
     build_complete_set_parity,
     build_complete_set_rays,
     expectation,
     present,
-    verify_complete_set,
 )
 from kscert.errors import (
     Condition1Violated,
@@ -125,21 +125,19 @@ class TestVerifyCompleteSet:
         oset.add_ray((0, 1, 0))
         p = Poly.var(0) + Poly.var(1) - Poly.const(1)
         cp = make_context_polynomial(p, Context((0, 1)), oset)
-        cs = CompleteSet(oset=oset, polynomials=[cp], provenance="UserSupplied")
-        for check in (verify_complete_set, assemble_F):
-            with pytest.raises(Condition1Violated) as exc:
-                check(cs)
-            assert exc.value.index == 0
+        with pytest.raises(Condition1Violated) as exc:
+            build_complete_set_general(oset, [cp])
+        assert exc.value.index == 0
 
     def test_cabello_passes(self, cabello):
         oset, graph, bases = cabello
         cs = build_complete_set_rays(oset, graph, bases)
-        assert verify_complete_set(cs).is_proof
+        assert general_unsat(cs.oset, cs.polynomials).is_proof
 
     def test_colorable_set_sat(self, two_bases):
         g = build_orthogonality_graph(two_bases)
         cs = build_complete_set_bases_only(two_bases, g, enumerate_bases(g))
-        cert = verify_complete_set(cs)
+        cert = general_unsat(cs.oset, cs.polynomials)
         assert not cert.is_proof
         for cp in cs.polynomials:
             assert eval_assignment(cp.poly, cert.witness).is_zero
@@ -186,10 +184,13 @@ class TestAssembleF:
         assert "e1=" in str(exc.value)
 
     @pytest.mark.parametrize("exact_bound", [False, True])
-    def test_one_operator_evaluation_per_member(self, mermin_peres, monkeypatch, exact_bound):
-        # Condition 1 is the only operator check; F itself is not evaluated
-        oset, ctxs = mermin_peres
-        cs = build_complete_set_parity(oset, ctxs)
+    def test_one_operator_evaluation_per_member(
+        self, mermin_peres, cabello, two_bases, monkeypatch, exact_bound
+    ):
+        # Condition 1 is evaluated once per user-supplied member, in
+        # build_complete_set_general; the builders of ray, bases-only and
+        # parity sets certify it without operators, and assemble_F
+        # evaluates nothing
         calls = []
 
         def counted(p, oset):
@@ -197,8 +198,25 @@ class TestAssembleF:
             return eval_operator(p, oset)
 
         monkeypatch.setattr(derive, "eval_operator", counted)
-        assemble_F(cs, exact_bound=exact_bound)
-        assert calls == [cp.poly for cp in cs.polynomials]
+        oset, ctxs = mermin_peres
+        parity = build_complete_set_parity(oset, ctxs)
+        ray = build_complete_set_rays(*cabello)
+        g = build_orthogonality_graph(two_bases)
+        bases_only = build_complete_set_bases_only(two_bases, g, enumerate_bases(g))
+        assert calls == []
+        assemble_F(parity, exact_bound=exact_bound)
+        assemble_F(ray, exact_bound=exact_bound)
+        with pytest.raises(NotKSProofError):  # two bases are colourable
+            assemble_F(bases_only, exact_bound=exact_bound)
+        assert calls == []
+
+        pf = parse(GENERAL_MP)
+        goset = pf.to_observable_set()
+        polys = pf.to_polynomials(goset)
+        general = build_complete_set_general(goset, polys)
+        assert calls == [cp.poly for cp in polys]
+        assemble_F(general, exact_bound=exact_bound)
+        assert len(calls) == len(polys)
 
     @pytest.mark.parametrize("exact_bound", [False, True])
     def test_complete_set_carries_computed_c(self, mermin_peres, exact_bound):
@@ -216,18 +234,44 @@ class TestAssembleF:
 
 
 def _catalog_inequality(name):
-    oset = catalog.get(name).load()
-    if oset.all_rays:
-        graph = build_orthogonality_graph(oset)
-        return assemble_F(build_complete_set_rays(oset, graph, enumerate_bases(graph)))
-    ctxs = [Context(ids) for ids in oset.declared_contexts]
-    return assemble_F(build_complete_set_parity(oset, ctxs))
+    return assemble_F(_catalog_complete_set(name))
 
 
 def _general_mp_inequality():
     pf = parse(GENERAL_MP)
     oset = pf.to_observable_set()
-    return assemble_F(CompleteSet(oset, pf.to_polynomials(oset), "UserSupplied"))
+    return assemble_F(build_complete_set_general(oset, pf.to_polynomials(oset)))
+
+
+def _catalog_complete_set(name):
+    oset = catalog.get(name).load()
+    if oset.all_rays:
+        graph = build_orthogonality_graph(oset)
+        return build_complete_set_rays(oset, graph, enumerate_bases(graph))
+    return build_complete_set_parity(oset, [Context(ids) for ids in oset.declared_contexts])
+
+
+def _two_bases_complete_set():
+    oset = two_bases_set()
+    g = build_orthogonality_graph(oset)
+    return build_complete_set_bases_only(oset, g, enumerate_bases(g))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda name=name: _catalog_complete_set(name), id=name)
+        for name in ("mermin-peres", "mermin-pentagram", "cabello-18", "peres-33")
+    ]
+    + [pytest.param(_two_bases_complete_set, id="two-bases")],
+)
+def test_builders_certify_condition_1_oracle(build):
+    """The direct check that the builders' own certificates stand in for:
+    every member evaluates to the zero matrix."""
+    cs = build()
+    assert cs.polynomials
+    for cp in cs.polynomials:
+        assert eval_operator(cp.poly, cs.oset).is_zero
 
 
 @pytest.mark.parametrize(
