@@ -1,8 +1,9 @@
 """Built-in proof catalog.
 
 Four classic observable sets, stored as construction code rather than
-trusted data: every entry is re-verified on load (Hermiticity, spectra,
-commutation of declared contexts) and its expected headline numbers are
+trusted data: every entry is re-verified on load (Hermiticity and spectra
+of Pauli observables, commutation of declared contexts; ray projectors are
+built from their vectors) and its expected headline numbers are
 regression-checked against a fresh derivation by the test suite.
 """
 

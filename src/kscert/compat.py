@@ -9,7 +9,7 @@ underlying vectors vanishes; bases are its n-vertex cliques.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import KSCertError, NonRayMember, NotCommuting
 from .exact import (
@@ -34,9 +34,6 @@ class Context:
 
     def __len__(self):
         return len(self.ids)
-
-    def __contains__(self, i):
-        return i in self.ids
 
 
 def validate_context(oset: ObservableSet, ids: Sequence[int]) -> Context:
@@ -103,29 +100,18 @@ def _bron_kerbosch(adj, r, p, x, out):
         x = x | {v}
 
 
-def enumerate_bases(graph: OrthogonalityGraph, n: Optional[int] = None) -> list:
+def enumerate_bases(graph: OrthogonalityGraph) -> list:
     """All n-cliques of the orthogonality graph, as canonical Contexts.
 
     In dimension n at most n rays are mutually orthogonal, so every n-clique
-    is maximal and the pivoted maximal-clique search finds them all.  Each
-    returned clique is re-verified to resolve the identity: sum of the n
-    projectors equals I exactly.
+    is maximal and the pivoted maximal-clique search finds them all.  Each is
+    an orthogonal basis of C^n, so its projectors sum to I: the basis half of
+    Condition 1 for ray sets (sum P_i - 1 = 0).
     """
-    if n is None:
-        n = graph.oset.dim
     cliques = []
     vertices = set(range(graph.n_vertices))
     _bron_kerbosch(graph.adjacency, set(), vertices, set(), cliques)
-    bases = sorted(c for c in cliques if len(c) == n)
-    ident = ExactMatrix.identity(graph.oset.dim)
-    for clique in bases:
-        total = ExactMatrix.zero(graph.oset.dim)
-        for i in clique:
-            total = total + graph.oset[i].matrix
-        # the basis half of Condition 1 for ray sets: sum P_i - 1 = 0
-        if total != ident:
-            raise KSCertError(f"clique {clique} does not resolve the identity")
-    return [Context(c) for c in bases]
+    return [Context(c) for c in sorted(c for c in cliques if len(c) == graph.oset.dim)]
 
 
 def context_product(oset: ObservableSet, ctx: Context):

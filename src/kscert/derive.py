@@ -78,9 +78,10 @@ def build_complete_set_rays(
     oset: ObservableSet, graph: OrthogonalityGraph, bases: Sequence[Context]
 ) -> CompleteSet:
     """One P_i*P_j polynomial per orthogonality edge plus one sum-minus-one
-    polynomial per basis; every member already has c = 1.  Condition 1 holds
-    by construction: edges join exactly orthogonal rays (P_i P_j = 0), and
-    enumerate_bases checked that each basis sums to I."""
+    polynomial per basis, each with c = 1 (edge products take the values 0
+    and 1, basis sums the integers -1 to n - 1).  Condition 1 holds by
+    construction: edges join exactly orthogonal rays (P_i P_j = 0), and
+    bases sum to I (see enumerate_bases)."""
     polys = [_edge_poly(oset, i, j) for i, j in graph.edges]
     polys += [_basis_poly(oset, b) for b in bases]
     return CompleteSet(oset=oset, polynomials=polys, provenance=RAY_EDGES_BASES)
@@ -90,8 +91,8 @@ def build_complete_set_bases_only(
     oset: ObservableSet, graph: OrthogonalityGraph, bases: Sequence[Context]
 ) -> CompleteSet:
     """Basis polynomials only; valid when every orthogonality edge lies in
-    some supplied basis (raises EdgeOutsideBases otherwise).  Condition 1
-    holds by construction: enumerate_bases checked that each sums to I."""
+    some supplied basis (raises EdgeOutsideBases otherwise).  c = 1 and
+    Condition 1 hold as for build_complete_set_rays."""
     basis_sets = [set(b.ids) for b in bases]
     for i, j in graph.edges:
         if not any({i, j} <= b for b in basis_sets):
@@ -183,16 +184,22 @@ def assemble_F(
     costs at least 1 once divided by c_i), and the exact bound maximises
     F = -sum |r_i|^2 / c_i, where a maximum of 0 means not a proof.
 
-    A declared c_i that differs from the computed one raises
-    NormalizationMismatch; the returned complete set carries the c_i used.
+    Builders set their members' c_i (see their docstrings); the others are
+    computed, and a declared c_i that differs raises NormalizationMismatch.
+    The returned complete set carries the c_i used.
     """
     oset = cs.oset
+    user = cs.provenance == USER_SUPPLIED
+
+    def c_of(cp):
+        return normalization_constant(cp, oset) if user or cp.c is None else cp.c
+
     constants = None
     if exact_bound:
         # a member without a rational c falls back to the certified route,
         # so not-a-proof is still reported before the normalization error
         with suppress(IdenticallyZeroOnAssignments):
-            constants = [normalization_constant(cp, oset) for cp in cs.polynomials]
+            constants = [c_of(cp) for cp in cs.polynomials]
     if constants is None:
         unsat = general_unsat(oset, cs.polynomials, node_cap=node_cap)
         witness = unsat.witness
@@ -205,8 +212,9 @@ def assemble_F(
             f"not a KS proof; satisfying assignment {witness_str(witness, oset)}"
         )
     if constants is None:
-        constants = [normalization_constant(cp, oset) for cp in cs.polynomials]
-    check_declared_constants(cs, constants)
+        constants = [c_of(cp) for cp in cs.polynomials]
+    if user:
+        check_declared_constants(cs, constants)
     used = [replace(cp, c=c) for cp, c in zip(cs.polynomials, constants)]
     F = Poly()
     for cp in used:

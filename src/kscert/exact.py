@@ -245,12 +245,6 @@ class ExactMatrix:
             [[self.entries[j][i].conjugate() for j in range(n)] for i in range(n)]
         )
 
-    def trace(self) -> Scalar:
-        acc = ZERO
-        for i in range(self.dim):
-            acc = acc + self.entries[i][i]
-        return acc
-
     @property
     def is_zero(self) -> bool:
         return all(x.is_zero for row in self.entries for x in row)

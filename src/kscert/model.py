@@ -1,9 +1,9 @@
 """Observable-set data model: observables, rays, spectra, proof-set container.
 
-Every observable carries its finite spectrum and is re-verified on
-construction: the product of (A - a_j I) over the declared eigenvalues must
-be exactly zero.  Nothing is ever trusted from input files or the built-in
-catalog without this check.
+Every observable carries its finite spectrum.  Pauli and matrix input is
+re-verified on construction: the product of (A - a_j I) over the declared
+eigenvalues must be exactly zero.  Rays are the exception: each projector
+is built here from a nonzero vector, so its spectrum is known.
 """
 
 from __future__ import annotations
@@ -123,7 +123,9 @@ def make_ray(vector: Sequence, label: str = "") -> Ray:
 
 
 def ray_observable(ray: Ray, label: str = "") -> Observable:
-    spec = _minimal_spectrum(ray.projector, (Fraction(0), Fraction(1)))
+    """P = vv*/(v*v) is idempotent, and for d >= 2 neither 0 nor I, so its
+    minimal spectrum is (0, 1); for d = 1, P = I and the spectrum is (1,)."""
+    spec = (Fraction(1),) if ray.dim == 1 else (Fraction(0), Fraction(1))
     return Observable(matrix=ray.projector, spectrum=spec, label=label, ray=ray)
 
 
@@ -131,7 +133,7 @@ def dichotomize(ray: Ray, label: str = "") -> Observable:
     """The {-1,1}-valued observable I - 2P associated with a ray."""
     n = ray.projector.dim
     matrix = ExactMatrix.identity(n) - ray.projector.scale(2)
-    spec = _minimal_spectrum(matrix, (Fraction(-1), Fraction(1)))
+    spec = (Fraction(-1),) if n == 1 else (Fraction(-1), Fraction(1))
     return Observable(matrix=matrix, spectrum=spec, label=label)
 
 
@@ -141,23 +143,26 @@ class ObservableSet:
 
     Observable ids are positions in `observables`.  Duplicate matrices are
     rejected; for rays this makes scalar multiples of an existing vector
-    duplicates, since both yield the same projector.
+    duplicates, since both yield the same projector.  Observables enter
+    through add, which keeps the matrix -> id index that finds duplicates.
     """
 
     dim: int
     observables: list = field(default_factory=list)
     declared_contexts: list = field(default_factory=list)  # list[tuple[int,...]]
+    _ids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def add(self, obs: Observable) -> int:
         if obs.dim != self.dim:
             raise DimensionMismatch(
                 f"observable {obs.label or '?'} has dimension {obs.dim}, set has {self.dim}"
             )
-        for existing in self.observables:
-            if existing.matrix == obs.matrix:
-                raise DuplicateObservable(
-                    f"observable {obs.label or '?'} duplicates {existing.label or '?'}"
-                )
+        if obs.matrix in self._ids:
+            existing = self.observables[self._ids[obs.matrix]]
+            raise DuplicateObservable(
+                f"observable {obs.label or '?'} duplicates {existing.label or '?'}"
+            )
+        self._ids[obs.matrix] = len(self.observables)
         self.observables.append(obs)
         return len(self.observables) - 1
 

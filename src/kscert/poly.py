@@ -68,9 +68,6 @@ class Poly:
     def max_degree(self) -> int:
         return max((sum(e for _, e in m) for m in self.terms), default=0)
 
-    def coefficient(self, mono: Monomial) -> Scalar:
-        return self.terms.get(tuple(mono), Scalar(0))
-
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
@@ -129,46 +126,41 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-def _reduction_rule(spectrum) -> list:
-    """Coefficients q_0..q_{d-1} with x^d = sum_k q_k x^k for the spectrum."""
-    # expand prod (x - a_j) = x^d + c_{d-1} x^{d-1} + ... + c_0
-    coeffs = [Fraction(1)]
+def _power_rule(spectrum, e: int) -> list:
+    """Coefficients q_0..q_{d-1} of the remainder of x^e modulo prod (x - a)
+    over the d-point spectrum: the interpolant of a -> a^e (Lagrange form)."""
+    q = [Fraction(0)] * len(spectrum)
     for a in spectrum:
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            nxt[k + 1] += c
-            nxt[k] -= c * Fraction(a)
-        coeffs = nxt
-    d = len(spectrum)
-    return [-coeffs[k] for k in range(d)]
+        basis, weight = [Fraction(1)], Fraction(a) ** e
+        for b in spectrum:
+            if b != a:  # basis *= (x - b) / (a - b)
+                basis = [x - b * y for x, y in zip([0] + basis, basis + [0])]
+                weight /= a - b
+        for k, c in enumerate(basis):
+            q[k] += weight * c
+    return q
 
 
 def reduce(p: Poly, spectra: Mapping[int, Sequence]) -> Poly:
-    """Bring every exponent of variable i below the size of its spectrum."""
+    """Bring every exponent of variable i below the size of its spectrum, in
+    one step per factor: x^e becomes its remainder modulo the spectrum's
+    minimal polynomial (_power_rule)."""
     rules = {}
-    work = list(p.terms.items())
     out = {}
-    while work:
-        mono, coef = work.pop()
-        over = None
+    for mono, coef in p.terms.items():
+        terms = [((), coef)]
         for i, e in mono:
-            d = len(spectra[i])
-            if e >= d:
-                over = (i, e, d)
-                break
-        if over is None:
-            out[mono] = out.get(mono, Scalar(0)) + coef
-            continue
-        i, e, d = over
-        if i not in rules:
-            rules[i] = _reduction_rule(spectra[i])
-        rest = tuple((j, f) for j, f in mono if j != i)
-        for k, q in enumerate(rules[i]):
-            if q == 0:
+            if e < len(spectra[i]):
+                terms = [(m + ((i, e),), c) for m, c in terms]
                 continue
-            new_exp = e - d + k
-            new_mono = rest if new_exp == 0 else _mono_mul(rest, ((i, new_exp),))
-            work.append((new_mono, coef * Scalar.of(q)))
+            if (i, e) not in rules:
+                rule = _power_rule(spectra[i], e)
+                rules[i, e] = [(k, Scalar.of(q)) for k, q in enumerate(rule) if q]
+            terms = [
+                (m + ((i, k),) if k else m, c * q) for m, c in terms for k, q in rules[i, e]
+            ]
+        for m, c in terms:
+            out[m] = out.get(m, Scalar(0)) + c
     return Poly(out)
 
 

@@ -48,6 +48,18 @@ def _rational(text: str, line: Optional[int]) -> Fraction:
         raise ParseError(f"bad rational {text!r}", line) from None
 
 
+def _positive_int(text: str, line: Optional[int], message: str) -> int:
+    """A positive decimal integer; ParseError(message) otherwise, also when
+    int() refuses the digits (more than sys.get_int_max_str_digits())."""
+    try:
+        value = int(text) if text.isdigit() else 0
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ParseError(message, line)
+    return value
+
+
 def parse_scalar(token: str, line: Optional[int] = None) -> Scalar:
     """Parse an exact scalar token like `-3/2`, `i`, `r2`, `1+i`, `2r2i`."""
     s = token.strip()
@@ -212,9 +224,7 @@ def parse_poly_expr(s: str, line: Optional[int] = None) -> list:
                 exp = 1
                 if peek() == "^":
                     idx += 1
-                    if peek() is None or not peek().isdigit():
-                        raise ParseError("exponent must be a positive integer", line)
-                    exp = int(toks[idx])
+                    exp = _positive_int(peek() or "", line, "exponent must be a positive integer")
                     idx += 1
                 factors.append((label, exp))
             else:
@@ -258,9 +268,9 @@ def parse(text: str) -> ProofFile:
                 )
             pending_matrix = None
         if head == "dim":
-            if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) == 0:
-                raise ParseError("dim takes one positive integer", lineno)
-            dim = int(parts[1])
+            dim = _positive_int(
+                parts[1] if len(parts) == 2 else "", lineno, "dim takes one positive integer"
+            )
         elif head == "mode":
             if len(parts) != 2 or parts[1] not in (
                 "ray",

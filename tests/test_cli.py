@@ -75,6 +75,8 @@ class TestParsePolyExpr:
     def test_bad_exponent(self):
         with pytest.raises(ParseError):
             parse_poly_expr("a^b")
+        with pytest.raises(ParseError):
+            parse_poly_expr("a^0")
 
 
 SINGLE_BASIS = """\
@@ -227,6 +229,39 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--input", str(path))
         assert code == 3
         assert "error: input" in err
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("dim " + "9" * 5000 + "\n", 1),
+            ("dim 2\nray a 1 0\nray b 0 1\npoly a^" + "9" * 5000 + " - a\n", 4),
+        ],
+        ids=["dim", "exponent"],
+    )
+    def test_overlong_integer(self, capsys, tmp_path, text, line):
+        # more digits than int() converts: an input error, not a traceback
+        path = tmp_path / "long.txt"
+        path.write_text(text)
+        code, _, err = run(capsys, "verify", "--input", str(path))
+        assert code == 3
+        assert f"error: input: line {line}: " in err
+
+    def test_zero_exponent(self, capsys, tmp_path):
+        path = tmp_path / "zero.txt"
+        path.write_text(GENERAL_MP.replace("a*b*c - 1", "a*b*c - a^0"))
+        code, out, err = run(capsys, "derive", "--input", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == "error: input: line 17: exponent must be a positive integer\n"
+
+    def test_large_exponent_reduced_in_one_step(self, capsys, tmp_path):
+        path = tmp_path / "power.txt"
+        path.write_text("dim 2\nray a 1 0\nray b 0 1\npoly a^1000000 - a\n")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "verify", "--input", str(path))
+        assert time.perf_counter() - start < 2
+        assert code == 2  # a^1000000 - a reduces to 0
+        assert "verdict: NotKSProof" in out
 
     def test_projector_form_of_parity_proof(self, capsys):
         code, _, err = run(

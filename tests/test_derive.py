@@ -40,6 +40,7 @@ from kscert.poly import (
     eval_assignment,
     eval_operator,
     make_context_polynomial,
+    normalization_constant,
     spectral_assignments,
 )
 from kscert.prooffile import parse
@@ -219,6 +220,35 @@ class TestAssembleF:
         assert len(calls) == len(polys)
 
     @pytest.mark.parametrize("exact_bound", [False, True])
+    def test_builder_constants_are_not_recomputed(
+        self, mermin_peres, cabello, two_bases, monkeypatch, exact_bound
+    ):
+        # the ray, bases-only and parity builders set each c_i, so
+        # assemble_F computes none; user-supplied members are computed
+        # once each, on either route
+        calls = []
+
+        def counted(cp, oset):
+            calls.append(cp)
+            return normalization_constant(cp, oset)
+
+        monkeypatch.setattr(derive, "normalization_constant", counted)
+        oset, ctxs = mermin_peres
+        assemble_F(build_complete_set_parity(oset, ctxs), exact_bound=exact_bound)
+        assemble_F(build_complete_set_rays(*cabello), exact_bound=exact_bound)
+        g = build_orthogonality_graph(two_bases)
+        bases_only = build_complete_set_bases_only(two_bases, g, enumerate_bases(g))
+        with pytest.raises(NotKSProofError):  # two bases are colourable
+            assemble_F(bases_only, exact_bound=exact_bound)
+        assert calls == []
+
+        pf = parse(GENERAL_MP)
+        goset = pf.to_observable_set()
+        general = build_complete_set_general(goset, pf.to_polynomials(goset))
+        assemble_F(general, exact_bound=exact_bound)
+        assert calls == general.polynomials
+
+    @pytest.mark.parametrize("exact_bound", [False, True])
     def test_complete_set_carries_computed_c(self, mermin_peres, exact_bound):
         # members declared without c get the computed one (4 for parity)
         oset, ctxs = mermin_peres
@@ -272,6 +302,23 @@ def test_builders_certify_condition_1_oracle(build):
     assert cs.polynomials
     for cp in cs.polynomials:
         assert eval_operator(cp.poly, cs.oset).is_zero
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda name=name: _catalog_complete_set(name), id=name)
+        for name in ("mermin-peres", "mermin-pentagram", "cabello-18", "peres-33")
+    ]
+    + [pytest.param(_two_bases_complete_set, id="two-bases")],
+)
+def test_builder_constants_oracle(build):
+    """The direct computation that the builders' c_i stand in for: each is
+    the least nonzero |r_i|^2 over value assignments."""
+    cs = build()
+    assert cs.polynomials
+    for cp in cs.polynomials:
+        assert normalization_constant(cp, cs.oset) == cp.c
 
 
 @pytest.mark.parametrize(

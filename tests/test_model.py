@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,9 +15,12 @@ from kscert.errors import (
     NonHermitian,
     ZeroVector,
 )
+from kscert import model
 from kscert.exact import ExactMatrix, Scalar, kron, mat_mul, PAULI
 from kscert.model import (
     ObservableSet,
+    _annihilates,
+    _minimal_spectrum,
     dichotomize,
     make_observable,
     make_ray,
@@ -127,6 +132,25 @@ class TestObservableSet:
         with pytest.raises(DuplicateObservable):
             oset.add(make_observable(PAULI["X"], label="x2"))
 
+    def test_duplicate_names_both_labels(self):
+        oset = ObservableSet(dim=3)
+        oset.add_ray((1, 0, 0), label="e1")
+        oset.add_ray((0, 1, 0), label="e2")
+        with pytest.raises(DuplicateObservable) as exc:
+            oset.add_ray((0, 2, 0), label="f2")
+        assert str(exc.value) == "observable f2 duplicates e2"
+
+    def test_many_rays_add_fast(self):
+        # duplicates are found by a matrix -> id index, not a scan
+        oset = ObservableSet(dim=2)
+        start = time.perf_counter()
+        for k in range(2000):
+            oset.add_ray((1, k), label=f"r{k}")
+        assert time.perf_counter() - start < 2
+        assert len(oset) == 2000
+        with pytest.raises(DuplicateObservable):
+            oset.add_ray((-2, -2 * 1999))
+
     def test_scalar_multiple_ray_is_duplicate(self):
         oset = ObservableSet(dim=3)
         oset.add_ray((1, 0, 0))
@@ -148,7 +172,45 @@ class TestObservableSet:
         assert dich.all_dichotomic and not dich.all_rays
 
     def test_stored_observables_reverified(self):
-        # ray_observable re-runs the annihilation check on the projector
+        # ray_observable states the projector's spectrum without a product;
+        # TestRaySpectra checks it against the annihilation check
         obs = ray_observable(make_ray((1, 2, 2)), label="r")
         assert obs.spectrum == (Fraction(0), Fraction(1))
         assert obs.is_projector
+
+
+RAY_ENTRIES = [Scalar(0), Scalar(1), Scalar(-1), Scalar(2), Scalar(-2), Scalar(0, 0, 1), Scalar(0, 1)]
+
+
+ray_vectors_any_dim = st.integers(1, 4).flatmap(
+    lambda d: st.lists(st.sampled_from(RAY_ENTRIES), min_size=d, max_size=d)
+).filter(lambda v: any(not x.is_zero for x in v))
+
+
+class TestRaySpectra:
+    """ray_observable and dichotomize state their spectra; the direct
+    annihilation check is the oracle."""
+
+    def test_no_matrix_product(self, monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return mat_mul(a, b)
+
+        monkeypatch.setattr(model, "mat_mul", counted)
+        for v in ((1,), (1, 1), (1, 0, 2), (0, 1, -1, 2)):
+            ray = make_ray(v)
+            ray_observable(ray)
+            dichotomize(ray)
+        assert calls == []
+
+    @given(ray_vectors_any_dim)
+    def test_spectra_oracle(self, v):
+        ray = make_ray(v)
+        for obs, candidates in (
+            (ray_observable(ray), (Fraction(0), Fraction(1))),
+            (dichotomize(ray), (Fraction(-1), Fraction(1))),
+        ):
+            assert obs.spectrum == _minimal_spectrum(obs.matrix, candidates)
+            assert _annihilates(obs.matrix, obs.spectrum)

@@ -98,6 +98,34 @@ class TestReduce:
         assert got == Poly({((0, 2),): Scalar(3), ((0, 1),): Scalar(-2)})
 
 
+    def test_large_exponent(self):
+        # x^e is replaced by the interpolant of a -> a^e over the spectrum
+        spec = (Fraction(-1), Fraction(0), Fraction(2))
+        got = reduce(Poly({((0, 10**6),): Scalar(1)}), {0: spec})
+        assert got.max_degree() < 3
+        for a in spec:
+            assert eval_assignment(got, {0: a}) == Scalar(a ** 10**6)
+
+    @pytest.mark.parametrize("spec", [(0, 1), (-1, 1), (0, 1, 2), (-1, 0, Fraction(1, 2))])
+    def test_matches_stepwise_reduction(self, spec):
+        # the oracle lowers x^e one step at a time with x^d = sum q_k x^k
+        spec = tuple(Fraction(a) for a in spec)
+        d = len(spec)
+        minimal = Poly.const(1)
+        for a in spec:
+            minimal = minimal * (Poly.var(0) - Poly.const(a))
+        rule = {k: -minimal.terms.get(((0, k),) if k else (), Scalar(0)) for k in range(d)}
+        for e in range(1, 13):
+            expect = {e: Scalar(1)}
+            while max(expect) >= d:
+                top = max(expect)
+                coef = expect.pop(top)
+                for k, q in rule.items():
+                    expect[top - d + k] = expect.get(top - d + k, Scalar(0)) + coef * q
+            want = Poly({(((0, k),) if k else ()): c for k, c in expect.items()})
+            assert reduce(Poly({((0, e),): Scalar(1)}), {0: spec}) == want
+
+
 small_coef = st.integers(-4, 4)
 
 
