@@ -1,9 +1,9 @@
 """Value-assignment searches.
 
 * ks_colorability -- {0,1} colorings of a ray set under the orthogonality
-  and basis rules, with unit propagation; verify's path for ray inputs;
-* parity_certify -- the product/occurrence-parity conditions for contexts
-  whose operator products are +-I; a direct check, not a search;
+  and basis rules, with unit propagation; derive.decide's engine for rays;
+* parity_certify -- the Condition 1 certificate of a parity set: each
+  context product is +-I; a direct check, not a search;
 * branch_and_bound -- the one engine for everything else: it maximises a
   sum of context-local factors with forward checking (weighted-CSP branch
   and bound, Freuder & Wallace, Artif. Intell. 58, 1992).  general_unsat
@@ -17,7 +17,7 @@ identical inputs yield identical certificates.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -43,10 +43,9 @@ class SearchStats:
 @dataclass
 class ProofCertificate:
     verdict: str  # KS_PROOF or NOT_KS_PROOF
-    method: str  # RayColoring | Parity | GeneralCSP
+    method: str  # RayColoring | GeneralCSP
     witness: Optional[dict] = None  # id -> Fraction, when NOT_KS_PROOF
     stats: Optional[SearchStats] = None
-    detail: dict = field(default_factory=dict)
 
     @property
     def is_proof(self) -> bool:
@@ -154,9 +153,9 @@ def ks_colorability(
 # -- parity certification ----------------------------------------------------
 
 
-def parity_certify(oset: ObservableSet, contexts: Sequence[Context]) -> ProofCertificate:
-    """Parity conditions: all context products delta*I multiply to -1 and
-    every observable occurs in an even number of contexts."""
+def parity_certify(oset: ObservableSet, contexts: Sequence[Context]) -> list:
+    """The deltas of a parity set: every observable is dichotomic and each
+    context product is delta*I with delta = +-1 (raises otherwise)."""
     for i, obs in enumerate(oset.observables):
         if not obs.is_dichotomic:
             raise NotDichotomic(i)
@@ -168,24 +167,7 @@ def parity_certify(oset: ObservableSet, contexts: Sequence[Context]) -> ProofCer
                 f"context {ctx.ids} product is not +-identity"
             )
         deltas.append(int(delta.rational()))
-    counts = {i: 0 for i in range(len(oset))}
-    for ctx in contexts:
-        for i in ctx.ids:
-            counts[i] += 1
-    odd = sorted(i for i, c in counts.items() if c % 2 == 1)
-    product = 1
-    for d in deltas:
-        product *= d
-    detail = {"deltas": deltas, "delta_product": product, "odd_observables": odd}
-    if product == -1 and not odd:
-        return ProofCertificate(KS_PROOF, "Parity", detail=detail)
-    violated = []
-    if product != -1:
-        violated.append("delta product is +1")
-    if odd:
-        violated.append(f"observables {odd} occur an odd number of times")
-    detail["violated"] = violated
-    return ProofCertificate(NOT_KS_PROOF, "Parity", detail=detail)
+    return deltas
 
 
 # -- branch and bound over context-local factors -------------------------------

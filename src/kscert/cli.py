@@ -11,7 +11,7 @@ import sys
 from collections import namedtuple
 
 from . import catalog as catalog_mod
-from .assign import DEFAULT_NODE_CAP, general_unsat, ks_colorability, parity_certify
+from .assign import DEFAULT_NODE_CAP
 from .compat import Context, build_orthogonality_graph, enumerate_bases
 from .derive import (
     assemble_F,
@@ -19,8 +19,8 @@ from .derive import (
     build_complete_set_general,
     build_complete_set_parity,
     build_complete_set_rays,
-    check_declared_constants,
     check_form,
+    decide,
     present,
     witness_str,
 )
@@ -74,12 +74,6 @@ def _auto_mode(oset, user_polys) -> str:
     )
 
 
-def _declared_contexts(oset):
-    if not oset.declared_contexts:
-        raise ParseError("this mode requires declared contexts")
-    return [Context(ids) for ids in oset.declared_contexts]
-
-
 def _build_complete_set(loaded):
     oset, mode = loaded.oset, loaded.mode
     if mode in ("ray", "bases-only"):
@@ -87,7 +81,9 @@ def _build_complete_set(loaded):
         build = build_complete_set_rays if mode == "ray" else build_complete_set_bases_only
         return build(oset, graph, enumerate_bases(graph))
     if mode == "parity":
-        return build_complete_set_parity(oset, _declared_contexts(oset))
+        if not oset.declared_contexts:
+            raise ParseError("this mode requires declared contexts")
+        return build_complete_set_parity(oset, [Context(ids) for ids in oset.declared_contexts])
     if mode == "general":
         if not loaded.user_polys:
             raise ParseError("general mode requires user-supplied polynomials")
@@ -97,28 +93,16 @@ def _build_complete_set(loaded):
 
 def cmd_verify(args) -> int:
     loaded = _load(args)
-    oset = loaded.oset
-    if loaded.mode == "ray":
-        graph = build_orthogonality_graph(oset)
-        bases = enumerate_bases(graph)
-        cert = ks_colorability(oset, graph, bases, node_cap=args.node_cap)
-        print(f"method: RayColoring ({len(bases)} bases, {len(graph.edges)} edges)")
-    elif loaded.mode == "parity":
-        cert = parity_certify(oset, _declared_contexts(oset))
-        print(f"method: Parity (deltas {cert.detail['deltas']})")
+    cs = _build_complete_set(loaded)
+    cert = decide(cs, node_cap=args.node_cap)
+    if cs.graph is None:
+        print(f"method: {cert.method} ({len(cs)} polynomials)")
     else:
-        cs = _build_complete_set(loaded)
-        cert = general_unsat(oset, cs.polynomials, node_cap=args.node_cap)
-        if cert.is_proof:
-            check_declared_constants(cs)
-        print(f"method: GeneralCSP ({len(cs)} polynomials)")
+        print(f"method: {cert.method} ({len(cs.bases)} bases, {len(cs.graph.edges)} edges)")
     print(f"verdict: {cert.verdict}")
-    if cert.stats:
-        print(f"search: {cert.stats.nodes} nodes, {cert.stats.propagations} propagations")
+    print(f"search: {cert.stats.nodes} nodes, {cert.stats.propagations} propagations")
     if cert.witness is not None:
-        print(f"witness: {witness_str(cert.witness, oset)}")
-    if cert.detail.get("violated"):
-        print("violated: " + "; ".join(cert.detail["violated"]))
+        print(f"witness: {witness_str(cert.witness, loaded.oset)}")
     return EXIT_OK if cert.is_proof else EXIT_NOT_PROOF
 
 
@@ -199,8 +183,21 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Option errors exit 3, as argparse's own 2 means "not a KS proof"."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
+def _node_cap(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="kscert",
         description="Verify Kochen-Specker proofs and derive the "
         "state-independent noncontextuality inequalities they induce.",
@@ -215,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
             choices=["ray", "bases-only", "parity", "general", "auto"],
             default="auto",
         )
-        p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
+        p.add_argument("--node-cap", type=_node_cap, default=DEFAULT_NODE_CAP)
         if with_form:
             p.add_argument("--form", choices=["projector", "dichotomic"])
             p.add_argument("--exact-bound", action="store_true")
@@ -245,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except NotKSProofError as ex:
         print(f"error: not-a-ks-proof: {ex}", file=sys.stderr)

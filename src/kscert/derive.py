@@ -19,7 +19,9 @@ from typing import Optional, Sequence
 from .assign import (
     BoundResult,
     DEFAULT_NODE_CAP,
+    ProofCertificate,
     general_unsat,
+    ks_colorability,
     max_F,
     parity_certify,
 )
@@ -30,7 +32,6 @@ from .errors import (
     IdenticallyZeroOnAssignments,
     NormalizationMismatch,
     NotKSProofError,
-    NotParityProof,
     PresentationUnavailable,
     ZeroState,
 )
@@ -57,21 +58,22 @@ class CompleteSet:
     oset: ObservableSet
     polynomials: list  # list[ContextPolynomial]
     provenance: str
+    graph: Optional[OrthogonalityGraph] = None  # with bases, set by build_complete_set_rays
+    bases: Optional[list] = None
 
     def __len__(self):
         return len(self.polynomials)
 
 
-def _edge_poly(oset, i, j) -> ContextPolynomial:
-    ctx = Context((i, j))
-    return make_context_polynomial(Poly.var(i) * Poly.var(j), ctx, oset)
+def _ray_member(terms: dict, ctx: Context, oset: ObservableSet) -> ContextPolynomial:
+    # a ray's spectrum is (0, 1) for d >= 2, so exponents of 1 are reduced
+    if oset.dim == 1:
+        return make_context_polynomial(Poly(terms), ctx, oset)
+    return ContextPolynomial(Poly(terms), ctx)
 
 
 def _basis_poly(oset, ctx: Context) -> ContextPolynomial:
-    p = Poly.const(-1)
-    for i in ctx.ids:
-        p = p + Poly.var(i)
-    return make_context_polynomial(p, ctx, oset)
+    return _ray_member({((i, 1),): 1 for i in ctx.ids} | {(): -1}, ctx, oset)
 
 
 def build_complete_set_rays(
@@ -81,10 +83,11 @@ def build_complete_set_rays(
     polynomial per basis, each with c = 1 (edge products take the values 0
     and 1, basis sums the integers -1 to n - 1).  Condition 1 holds by
     construction: edges join exactly orthogonal rays (P_i P_j = 0), and
-    bases sum to I (see enumerate_bases)."""
-    polys = [_edge_poly(oset, i, j) for i, j in graph.edges]
+    bases sum to I (see enumerate_bases).  The set records graph and bases,
+    whose coloring rules are exactly its members (see decide)."""
+    polys = [_ray_member({((i, 1), (j, 1)): 1}, Context((i, j)), oset) for i, j in graph.edges]
     polys += [_basis_poly(oset, b) for b in bases]
-    return CompleteSet(oset=oset, polynomials=polys, provenance=RAY_EDGES_BASES)
+    return CompleteSet(oset, polys, RAY_EDGES_BASES, graph=graph, bases=list(bases))
 
 
 def build_complete_set_bases_only(
@@ -105,17 +108,11 @@ def build_complete_set_parity(
     oset: ObservableSet, contexts: Sequence[Context]
 ) -> CompleteSet:
     """Product-minus-delta polynomials, each with c = 4 (values are 0 or +-2).
-    Condition 1 holds as parity_certify found each context product delta*I."""
-    cert = parity_certify(oset, contexts)
-    if not cert.is_proof:
-        raise NotParityProof("; ".join(cert.detail.get("violated", [])) or "not a parity proof")
-    polys = []
-    for ctx, delta in zip(contexts, cert.detail["deltas"]):
-        p = Poly.const(1)
-        for i in ctx.ids:
-            p = p * Poly.var(i)
-        p = p - Poly.const(delta)
-        polys.append(make_context_polynomial(p, ctx, oset, c=Fraction(4)))
+    Condition 1 holds as parity_certify found each context product delta*I;
+    whether the set is a proof is decide's question.  Dichotomic spectra
+    have two values, so the products are reduced as written."""
+    polys = [ContextPolynomial(Poly({tuple((i, 1) for i in ctx.ids): 1}) - d, ctx, Fraction(4))
+             for ctx, d in zip(contexts, parity_certify(oset, contexts))]
     return CompleteSet(oset=oset, polynomials=polys, provenance=PARITY)
 
 
@@ -139,6 +136,21 @@ def check_declared_constants(cs: CompleteSet, constants: Optional[Sequence] = No
         c = normalization_constant(cp, cs.oset) if constants is None else constants[idx]
         if cp.c != c:
             raise NormalizationMismatch(idx, cp.c, c)
+
+
+def decide(cs: CompleteSet, node_cap: int = DEFAULT_NODE_CAP) -> ProofCertificate:
+    """Condition 2, the verdict of verify and of derive's certified route:
+    KSProof iff no value assignment zeroes every member, else a witness that
+    does.  A set with a recorded graph is decided by ks_colorability, whose
+    rules are exactly its members and which is far faster there; any other
+    by general_unsat.  A user-supplied proof then has its declared c checked."""
+    if cs.graph is not None:
+        cert = ks_colorability(cs.oset, cs.graph, cs.bases, node_cap=node_cap)
+    else:
+        cert = general_unsat(cs.oset, cs.polynomials, node_cap=node_cap)
+    if cert.is_proof and cs.provenance == USER_SUPPLIED:
+        check_declared_constants(cs)
+    return cert
 
 
 @dataclass
@@ -180,8 +192,8 @@ def assemble_F(
     which is 0 once every r_i(A) = 0.
 
     One search decides Condition 2 and the classical bound together: the
-    certified bound -1 comes with the UNSAT certificate (each violated r_i
-    costs at least 1 once divided by c_i), and the exact bound maximises
+    certified bound -1 comes with decide's UNSAT certificate (each violated
+    r_i costs at least 1 once divided by c_i), and the exact bound maximises
     F = -sum |r_i|^2 / c_i, where a maximum of 0 means not a proof.
 
     Builders set their members' c_i (see their docstrings); the others are
@@ -191,8 +203,8 @@ def assemble_F(
     oset = cs.oset
     user = cs.provenance == USER_SUPPLIED
 
-    def c_of(cp):
-        return normalization_constant(cp, oset) if user or cp.c is None else cp.c
+    def c_of(cp):  # decide has checked a declared c, max_F has not
+        return normalization_constant(cp, oset) if cp.c is None or user and exact_bound else cp.c
 
     constants = None
     if exact_bound:
@@ -201,9 +213,9 @@ def assemble_F(
         with suppress(IdenticallyZeroOnAssignments):
             constants = [c_of(cp) for cp in cs.polynomials]
     if constants is None:
-        unsat = general_unsat(oset, cs.polynomials, node_cap=node_cap)
-        witness = unsat.witness
-        classical = BoundResult(kind="certified", value=Fraction(-1), stats=unsat.stats)
+        cert = decide(cs, node_cap=node_cap)
+        witness = cert.witness
+        classical = BoundResult(kind="certified", value=Fraction(-1), stats=cert.stats)
     else:
         classical = max_F(oset, cs.polynomials, constants, node_cap=node_cap)
         witness = classical.witness if classical.value == 0 else None
@@ -213,7 +225,7 @@ def assemble_F(
         )
     if constants is None:
         constants = [c_of(cp) for cp in cs.polynomials]
-    if user:
+    elif user:
         check_declared_constants(cs, constants)
     used = [replace(cp, c=c) for cp, c in zip(cs.polynomials, constants)]
     F = Poly()

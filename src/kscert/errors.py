@@ -71,10 +71,6 @@ class EdgeOutsideBases(KSCertError):
         self.pair = (i, j)
 
 
-class NotParityProof(KSCertError):
-    pass
-
-
 class Condition1Violated(KSCertError):
     def __init__(self, index, matrix):
         super().__init__(f"polynomial {index} does not vanish as an operator")

@@ -19,6 +19,7 @@ from typing import Mapping, Optional, Sequence
 from .compat import Context
 from .errors import (
     IdenticallyZeroOnAssignments,
+    KSCertError,
     UnassignedVariable,
     UnknownVariable,
     VariableOutsideContext,
@@ -126,9 +127,19 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
+# reduce refuses to compute a^e exactly for a not 0 or +-1 beyond this many
+# bits: e times the larger bit length of a's numerator and denominator
+MAX_POWER_BITS = 1 << 22
+
+
 def _power_rule(spectrum, e: int) -> list:
     """Coefficients q_0..q_{d-1} of the remainder of x^e modulo prod (x - a)
-    over the d-point spectrum: the interpolant of a -> a^e (Lagrange form)."""
+    over the d-point spectrum: the interpolant of a -> a^e (Lagrange form).
+    Raises KSCertError before computing a power beyond MAX_POWER_BITS."""
+    for a in map(Fraction, spectrum):
+        bits = e * max(a.numerator.bit_length(), a.denominator.bit_length())
+        if abs(a) not in (0, 1) and bits > MAX_POWER_BITS:
+            raise KSCertError(f"x^{e} at {a} needs {bits} bits, over the limit {MAX_POWER_BITS}")
     q = [Fraction(0)] * len(spectrum)
     for a in spectrum:
         basis, weight = [Fraction(1)], Fraction(a) ** e

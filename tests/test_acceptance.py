@@ -8,6 +8,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -27,9 +28,10 @@ from kscert.derive import (
     build_complete_set_bases_only,
     build_complete_set_parity,
     build_complete_set_rays,
+    decide,
     present,
 )
-from kscert.errors import EdgeOutsideBases, NotParityProof
+from kscert.errors import EdgeOutsideBases
 from kscert.model import ObservableSet
 from kscert.poly import (
     ContextPolynomial,
@@ -41,6 +43,8 @@ from kscert.poly import (
     reduce,
     spectral_assignments,
 )
+
+from test_cli import MP_PARITY
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -74,9 +78,8 @@ def brute_force_max(oset, score):
 def test_criterion_1_mermin_peres_square(mermin_peres):
     start = time.monotonic()
     oset, ctxs = mermin_peres
-    cert = parity_certify(oset, ctxs)
-    assert cert.is_proof
-    assert cert.detail["deltas"].count(-1) == 1
+    assert parity_certify(oset, ctxs).count(-1) == 1
+    assert decide(build_complete_set_parity(oset, ctxs)).is_proof
     ineq, pres = parity_pipeline(oset, ctxs)
     assert eval_operator(ineq.F, oset).is_zero
     assert pres.classical_bound == 4 and pres.bound_kind == "exact"
@@ -90,7 +93,7 @@ def test_criterion_1_mermin_peres_square(mermin_peres):
 def test_criterion_2_mermin_pentagram(pentagram):
     start = time.monotonic()
     oset, ctxs = pentagram
-    assert parity_certify(oset, ctxs).is_proof
+    assert decide(build_complete_set_parity(oset, ctxs)).is_proof
     ineq, pres = parity_pipeline(oset, ctxs)
     assert eval_operator(ineq.F, oset).is_zero
     assert pres.classical_bound == 3 and pres.bound_kind == "exact"
@@ -269,10 +272,13 @@ def test_criterion_6_property_suite(mermin_peres, pentagram, cabello, peres33, t
             assert all(not (w[i] == 1 and w[j] == 1) for i, j in g.edges)
             assert all(sum(w[i] for i in b.ids) == 1 for b in bases)
 
-    # cross-method verdict agreement on every catalog entry
+    # cross-method verdict agreement on every catalog entry; the parity
+    # count (deltas multiplying to -1, every observable in an even number
+    # of contexts) is sufficient for a proof, so the search must agree
     for po, pctxs in (mermin_peres, pentagram):
-        cs = build_complete_set_parity(po, pctxs)
-        assert parity_certify(po, pctxs).is_proof == general_unsat(po, cs.polynomials).is_proof
+        assert prod(parity_certify(po, pctxs)) == -1
+        assert all(sum(i in c.ids for c in pctxs) % 2 == 0 for i in range(len(po)))
+        assert decide(build_complete_set_parity(po, pctxs)).is_proof
     for entry in (cabello, peres33):
         eo, eg, eb = entry
         cs = build_complete_set_rays(eo, eg, eb)
@@ -290,10 +296,16 @@ def test_criterion_7_negative_controls(tmp_path, capsys, mermin_peres):
     assert "verdict: NotKSProof" in out
     assert "witness: e1=" in out
 
+    # a parity set that is not a KS proof is decided by the search, and
+    # its witness zeroes every member
     oset, ctxs = mermin_peres
-    with pytest.raises(NotParityProof) as exc:
-        build_complete_set_parity(oset, ctxs[:-1])
-    msg = str(exc.value)
-    assert "odd" in msg
-    dropped = ", ".join(str(i) for i in ctxs[-1].ids)
-    assert dropped in msg.replace("[", "").replace("]", "")
+    cs = build_complete_set_parity(oset, ctxs[:-1])
+    cert = decide(cs)
+    assert not cert.is_proof
+    assert all(eval_assignment(cp.poly, cert.witness).is_zero for cp in cs.polynomials)
+    path.write_text(MP_PARITY.replace("context c f k\n", ""))
+    code = main(["verify", "--input", str(path)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "method: GeneralCSP (5 polynomials)" in out
+    assert "witness: a=" in out

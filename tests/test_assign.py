@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kscert import catalog
 from kscert.assign import (
     KS_PROOF,
     NOT_KS_PROOF,
@@ -24,6 +25,7 @@ from kscert.compat import Context, OrthogonalityGraph, build_orthogonality_graph
 from kscert.derive import (
     build_complete_set_parity,
     build_complete_set_rays,
+    decide,
 )
 from kscert.errors import (
     NotDichotomic,
@@ -143,25 +145,22 @@ class TestKSColorability:
 class TestParityCertify:
     def test_mermin_peres(self, mermin_peres):
         oset, ctxs = mermin_peres
-        cert = parity_certify(oset, ctxs)
-        assert cert.is_proof
-        assert cert.detail["deltas"] == [1, 1, 1, 1, 1, -1]
-        assert cert.detail["delta_product"] == -1
-        assert cert.detail["odd_observables"] == []
+        assert parity_certify(oset, ctxs) == [1, 1, 1, 1, 1, -1]
 
     def test_pentagram(self, pentagram):
         oset, ctxs = pentagram
-        cert = parity_certify(oset, ctxs)
-        assert cert.is_proof
-        assert sorted(cert.detail["deltas"]) == [-1, 1, 1, 1, 1]
+        assert sorted(parity_certify(oset, ctxs)) == [-1, 1, 1, 1, 1]
 
     def test_dropped_context_fails(self, mermin_peres):
+        # without the minus column the search finds an assignment that
+        # zeroes every remaining member
         oset, ctxs = mermin_peres
-        cert = parity_certify(oset, ctxs[:-1])
+        cs = build_complete_set_parity(oset, ctxs[:-1])
+        cert = decide(cs)
         assert not cert.is_proof
-        # the minus column's observables now occur an odd number of times
-        assert cert.detail["delta_product"] == 1
-        assert cert.detail["odd_observables"] == list(ctxs[-1].ids)
+        assert cert.method == "GeneralCSP"
+        for cp in cs.polynomials:
+            assert eval_assignment(cp.poly, cert.witness).is_zero
 
     def test_requires_dichotomic(self, basis3):
         with pytest.raises(NotDichotomic):
@@ -227,11 +226,34 @@ class TestGeneralUnsat:
                 pass
         assume(len(oset) >= 3)
         g = build_orthogonality_graph(oset)
-        bases = enumerate_bases(g)
-        cs = build_complete_set_rays(oset, g, bases)
-        csp = general_unsat(oset, cs.polynomials)
-        coloring = ks_colorability(oset, g, bases)
-        assert csp.is_proof == coloring.is_proof
+        cs = build_complete_set_rays(oset, g, enumerate_bases(g))
+        assert_ray_shortcut_matches_oracle(cs)
+
+    @pytest.mark.parametrize("name", ["cabello-18", "peres-33"])
+    @pytest.mark.parametrize("drop", [None, 0, 7])
+    def test_matches_coloring_on_catalog_ray_sets(self, name, drop):
+        oset = catalog.get(name).load()
+        if drop is not None:
+            less = ObservableSet(dim=oset.dim)
+            for i, obs in enumerate(oset.observables):
+                if i != drop:
+                    less.add(obs)
+            oset = less
+        g = build_orthogonality_graph(oset)
+        cs = build_complete_set_rays(oset, g, enumerate_bases(g))
+        assert_ray_shortcut_matches_oracle(cs)
+
+
+def assert_ray_shortcut_matches_oracle(cs):
+    """decide's ray shortcut (ks_colorability on the recorded graph and
+    bases) against general_unsat over the members: the same verdict, and a
+    coloring witness that zeroes every member."""
+    cert = decide(cs)
+    assert cert.method == "RayColoring"
+    assert cert.is_proof == general_unsat(cs.oset, cs.polynomials).is_proof
+    if not cert.is_proof:
+        for cp in cs.polynomials:
+            assert eval_assignment(cp.poly, cert.witness).is_zero
 
 
 def mixed_spectra_set():

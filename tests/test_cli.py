@@ -10,13 +10,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kscert import assign, catalog
+from kscert import assign, catalog, derive
 from kscert.cli import main
 from kscert.compat import build_orthogonality_graph, enumerate_bases
 from kscert.derive import assemble_F, build_complete_set_rays, present
 from kscert.errors import ParseError
 from kscert.exact import Scalar
-from kscert.poly import eval_assignment
+from kscert.poly import MAX_POWER_BITS, eval_assignment
 from kscert.prooffile import (
     parse,
     parse_poly_expr,
@@ -105,6 +105,14 @@ context b e h
 context c f k
 """
 
+# k, p and q multiply to I, so k now occurs three times and p and q once:
+# the parity count fails, yet the square's six contexts remain a proof
+MP_EXTRA = """\
+pauli p +YI
+pauli q +IY
+context k p q
+"""
+
 GENERAL_MP = MP_PARITY + """\
 poly c=4 a*b*c - 1
 poly c=4 d*e*f - 1
@@ -182,7 +190,8 @@ class TestVerifyCommand:
     def test_parity_catalog(self, capsys):
         code, out, _ = run(capsys, "verify", "--catalog", "mermin-peres")
         assert code == 0
-        assert "method: Parity" in out
+        assert "method: GeneralCSP (6 polynomials)" in out
+        assert "verdict: KSProof" in out
 
     def test_colorable_file(self, capsys, tmp_path):
         path = tmp_path / "basis.txt"
@@ -231,6 +240,31 @@ class TestVerifyCommand:
         assert "error: input" in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--catalog", "cabello-18", "--node-cap", "abc"],
+            ["verify", "--catalog", "cabello-18", "--node-cap", "-5"],
+            ["verify", "--catalog", "cabello-18", "--node-cap", "0"],
+            ["derive", "--catalog", "cabello-18", "--form", "bogus"],
+            ["verify", "--catalog", "cabello-18", "--bogus"],
+            [],
+        ],
+        ids=["cap-abc", "cap-negative", "cap-zero", "form", "unknown-option", "no-command"],
+    )
+    def test_option_error(self, capsys, argv):
+        # argparse's own exit code, 2, would read as "not a KS proof"
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: input: ")
+
+    def test_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert "--node-cap" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
         "text,line",
         [
             ("dim " + "9" * 5000 + "\n", 1),
@@ -262,6 +296,16 @@ class TestVerifyCommand:
         assert time.perf_counter() - start < 2
         assert code == 2  # a^1000000 - a reduces to 0
         assert "verdict: NotKSProof" in out
+
+    def test_exponent_beyond_power_limit(self, capsys, tmp_path):
+        # 2^9999999999 is never computed: an input error, not exhausted memory
+        path = tmp_path / "power.txt"
+        path.write_text("dim 3\nmatrix m spectrum 0,1,2\nrow 0 0 0\nrow 0 1 0\nrow 0 0 2\n"
+                        "poly m^9999999999 - m\n")
+        code, out, err = run(capsys, "verify", "--input", str(path))
+        assert code == 3
+        assert out == ""
+        assert f"over the limit {MAX_POWER_BITS}" in err
 
     def test_projector_form_of_parity_proof(self, capsys):
         code, _, err = run(
@@ -507,20 +551,78 @@ class TestDeriveCommand:
 
     def test_one_search_per_command(self, capsys, monkeypatch):
         runs = []
-        engine = assign.branch_and_bound
+        for module, name in ((assign, "branch_and_bound"), (derive, "ks_colorability")):
+            def counted(*args, engine=getattr(module, name), **kwargs):
+                runs.append(1)
+                return engine(*args, **kwargs)
 
-        def counted(*args, **kwargs):
-            runs.append(1)
-            return engine(*args, **kwargs)
-
-        monkeypatch.setattr(assign, "branch_and_bound", counted)
+            monkeypatch.setattr(module, name, counted)
         for argv in (
-            ["derive"], ["derive", "--exact-bound"], ["export"], ["bound"]
+            ["verify"], ["derive"], ["derive", "--exact-bound"], ["export"], ["bound"]
         ):
             runs.clear()
             code, _, _ = run(capsys, *argv, "--catalog", "cabello-18")
             assert code == 0
             assert len(runs) == 1, argv
+
+
+def _catalog_text(name):
+    entry = catalog.get(name)
+    return render_input_section(proof_file_from_set(entry.load(), entry.mode))
+
+
+def _without_last(text, directive):
+    lines = text.splitlines(keepends=True)
+    del lines[max(k for k, line in enumerate(lines) if line.startswith(directive + " "))]
+    return "".join(lines)
+
+
+# XXX * YZI * ZYX = I: a context of the pentagram's XXX and two new observables
+PENTAGRAM_EXTRA = "pauli p +YZI\npauli q +ZYX\ncontext XXX p q\n"
+
+AGREEMENT_INPUTS = {
+    "mp-less-context": lambda: _without_last(MP_PARITY, "context"),
+    "mp-extra-context": lambda: MP_PARITY + MP_EXTRA,
+    "pentagram-less-context": lambda: _without_last(_catalog_text("mermin-pentagram"), "context"),
+    "pentagram-extra-context": lambda: _catalog_text("mermin-pentagram") + PENTAGRAM_EXTRA,
+    "cabello-less-ray": lambda: _without_last(_catalog_text("cabello-18"), "ray"),
+}
+
+
+class TestVerifyDeriveAgree:
+    """verify is derive's first half: one complete set, one decision."""
+
+    @pytest.mark.parametrize("name", sorted(AGREEMENT_INPUTS))
+    def test_same_verdict_and_witness(self, capsys, tmp_path, name):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(AGREEMENT_INPUTS[name]())
+        vcode, vout, _ = run(capsys, "verify", "--input", str(path))
+        dcode, _, derr = run(capsys, "derive", "--input", str(path))
+        assert vcode == dcode
+        assert vcode in (0, 2)
+        if vcode == 2:
+            witness = next(l for l in vout.splitlines() if l.startswith("witness: "))
+            assert derr.strip().endswith("satisfying assignment " + witness[len("witness: "):])
+
+    def test_parity_count_is_not_necessary(self, capsys, tmp_path):
+        parity = tmp_path / "mp7.txt"
+        parity.write_text(MP_PARITY + MP_EXTRA)
+        code, out, _ = run(capsys, "verify", "--input", str(parity))
+        assert code == 0
+        assert "verdict: KSProof" in out
+        code, out, _ = run(capsys, "derive", "--input", str(parity))
+        assert code == 0
+        assert "mode: parity" in out
+        assert "bound: 5 (certified); quantum value: 7" in out
+        general = tmp_path / "mp7g.txt"
+        polys = GENERAL_MP[len(MP_PARITY):] + "poly c=4 k*p*q - 1\n"
+        general.write_text(MP_PARITY + MP_EXTRA + polys)
+        code, general_out, _ = run(capsys, "derive", "--input", str(general))
+        assert code == 0
+        assert "complete set: 7 polynomials (UserSupplied)" in general_out
+        for prefix in ("F = ", "inequality: "):
+            line = next(l for l in out.splitlines() if l.startswith(prefix))
+            assert line in general_out.splitlines()
 
 
 class TestBoundCommand:

@@ -29,7 +29,6 @@ from kscert.errors import (
     Condition1Violated,
     EdgeOutsideBases,
     NotKSProofError,
-    NotParityProof,
     ZeroState,
 )
 from kscert.exact import Scalar
@@ -113,9 +112,11 @@ class TestCompleteSets:
         assert all(cp.c == 4 for cp in cs.polynomials)
 
     def test_parity_rejects_broken_set(self, mermin_peres):
+        # the set builds; the search then finds an assignment zeroing it
         oset, ctxs = mermin_peres
-        with pytest.raises(NotParityProof):
-            build_complete_set_parity(oset, ctxs[:-1])
+        cs = build_complete_set_parity(oset, ctxs[:-1])
+        with pytest.raises(NotKSProofError, match="satisfying assignment"):
+            assemble_F(cs)
 
 
 class TestVerifyCompleteSet:
@@ -157,7 +158,7 @@ class TestAssembleF:
         oset, ctxs = pentagram
         cs = build_complete_set_parity(oset, ctxs)
         ineq = assemble_F(cs)
-        deltas = parity_certify(oset, ctxs).detail["deltas"]
+        deltas = parity_certify(oset, ctxs)
         assert ineq.F == parity_witness_polynomial(ctxs, deltas)
         assert eval_operator(ineq.F, oset).is_zero
 

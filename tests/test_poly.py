@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from kscert.compat import Context
 from kscert.errors import (
     IdenticallyZeroOnAssignments,
+    KSCertError,
     UnassignedVariable,
     VariableOutsideContext,
 )
 from kscert.exact import ExactMatrix, Scalar
 from kscert.poly import (
+    MAX_POWER_BITS,
     ContextPolynomial,
     Poly,
     eval_assignment,
@@ -105,6 +107,15 @@ class TestReduce:
         assert got.max_degree() < 3
         for a in spec:
             assert eval_assignment(got, {0: a}) == Scalar(a ** 10**6)
+
+    def test_power_limit(self):
+        # powers of 0 and +-1 are free; any other a^e beyond the limit is
+        # refused before it is computed
+        x = Poly({((0, 10**12),): Scalar(1)})
+        got = reduce(x, {0: (Fraction(-1), Fraction(0), Fraction(1))})
+        assert got == Poly({((0, 2),): Scalar(1)})
+        with pytest.raises(KSCertError, match=f"over the limit {MAX_POWER_BITS}"):
+            reduce(x, {0: (Fraction(0), Fraction(1), Fraction(1, 2))})
 
     @pytest.mark.parametrize("spec", [(0, 1), (-1, 1), (0, 1, 2), (-1, 0, Fraction(1, 2))])
     def test_matches_stepwise_reduction(self, spec):
