@@ -331,13 +331,24 @@ def max_F(
 ) -> BoundResult:
     """Exact maximum of F = -sum |r_i|^2 / c_i over value assignments, one
     factor per r_i, so F itself is never evaluated.  It is 0 exactly when
-    some assignment zeroes every r_i, that is when there is no KS proof."""
+    some assignment zeroes every r_i, that is when there is no KS proof.
+    The witness assigns every observable (full_witness)."""
     def weight(p, c):
         return lambda a: -eval_assignment(p, a).norm_squared().rational() / c
 
     factors = [(cp.poly.variables(), weight(cp.poly, c)) for cp, c in zip(complete_set, constants)]
     best, witness, stats = branch_and_bound(oset, factors, node_cap=node_cap)
-    return BoundResult(kind="exact", value=Fraction(best), witness=witness, stats=stats)
+    return BoundResult(
+        kind="exact", value=Fraction(best), witness=full_witness(oset, witness), stats=stats
+    )
+
+
+def full_witness(oset: ObservableSet, witness: dict) -> dict:
+    """witness extended to every observable of oset: one that no factor
+    reads takes the first value of its value_order, as ks_colorability
+    gives a ray that no rule constrains."""
+    return {i: witness[i] if i in witness else value_order(obs.spectrum)[0]
+            for i, obs in enumerate(oset.observables)}
 
 
 def classical_max(

@@ -2,8 +2,8 @@
 
 Four classic observable sets, stored as construction code rather than
 trusted data: every entry is re-verified on load (Hermiticity and spectra
-of Pauli observables, commutation of declared contexts; ray projectors are
-built from their vectors) and its expected headline numbers are
+of Pauli observables, commutation of declared contexts; rays are rebuilt
+from their vectors) and its expected headline numbers are
 regression-checked against a fresh derivation by the test suite.
 """
 

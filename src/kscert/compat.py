@@ -2,8 +2,9 @@
 
 A context is a strictly increasing tuple of observable ids whose operators
 pairwise commute (verified exactly).  For ray sets the orthogonality graph
-has one vertex per ray and an edge whenever the exact inner product of the
-underlying vectors vanishes; bases are its n-vertex cliques.
+has one vertex per ray and an edge whenever the inner product of the
+underlying vectors vanishes, computed in integers on their primitive
+integral vectors; bases are its n-vertex cliques.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from .errors import KSCertError, NonRayMember, NotCommuting
 from .exact import (
     ExactMatrix,
     commutes,
-    inner,
     mat_mul,
+    orthogonal_integral,
     scalar_multiple_of_identity,
 )
 from .model import ObservableSet
@@ -53,7 +54,7 @@ def validate_context(oset: ObservableSet, ids: Sequence[int]) -> Context:
 
 @dataclass
 class OrthogonalityGraph:
-    """Vertices are ray ids; edges join rays with exactly vanishing inner product."""
+    """Vertices are ray ids; edges join rays with vanishing inner product."""
 
     oset: ObservableSet
     adjacency: dict = field(default_factory=dict)  # id -> frozenset of ids
@@ -76,11 +77,12 @@ def build_orthogonality_graph(oset: ObservableSet) -> OrthogonalityGraph:
     if not oset.all_rays:
         raise NonRayMember("orthogonality graph requires a pure ray set")
     n = len(oset)
+    keys = [obs.ray.key for obs in oset.observables]
     adj = {i: set() for i in range(n)}
     for i in range(n):
-        vi = oset[i].ray.vector
+        ki = keys[i]
         for j in range(i + 1, n):
-            if inner(vi, oset[j].ray.vector).is_zero:
+            if orthogonal_integral(ki, keys[j]):
                 adj[i].add(j)
                 adj[j].add(i)
     return OrthogonalityGraph(

@@ -20,6 +20,7 @@ from .assign import (
     BoundResult,
     DEFAULT_NODE_CAP,
     ProofCertificate,
+    full_witness,
     general_unsat,
     ks_colorability,
     max_F,
@@ -35,15 +36,15 @@ from .errors import (
     PresentationUnavailable,
     ZeroState,
 )
-from .exact import Scalar, inner
+from .exact import ZERO, Scalar, inner
 from .model import ObservableSet, dichotomize
 from .poly import (
     ContextPolynomial,
     Poly,
     eval_operator,
     make_context_polynomial,
+    mono_mul,
     normalization_constant,
-    normalized_square,
     reduce,
 )
 
@@ -143,11 +144,15 @@ def decide(cs: CompleteSet, node_cap: int = DEFAULT_NODE_CAP) -> ProofCertificat
     KSProof iff no value assignment zeroes every member, else a witness that
     does.  A set with a recorded graph is decided by ks_colorability, whose
     rules are exactly its members and which is far faster there; any other
-    by general_unsat.  A user-supplied proof then has its declared c checked."""
+    by general_unsat, whose witness full_witness extends to the observables
+    in no member, as max_F's.  A user-supplied proof then has its declared
+    c checked."""
     if cs.graph is not None:
         cert = ks_colorability(cs.oset, cs.graph, cs.bases, node_cap=node_cap)
     else:
         cert = general_unsat(cs.oset, cs.polynomials, node_cap=node_cap)
+        if cert.witness is not None:
+            cert.witness = full_witness(cs.oset, cert.witness)
     if cert.is_proof and cs.provenance == USER_SUPPLIED:
         check_declared_constants(cs)
     return cert
@@ -228,13 +233,20 @@ def assemble_F(
     elif user:
         check_declared_constants(cs, constants)
     used = [replace(cp, c=c) for cp, c in zip(cs.polynomials, constants)]
-    F = Poly()
+    # reduce is linear, so reducing the summed squares once gives the sum
+    # of the members' normalized_square
+    terms = {}
     for cp in used:
-        F = F - normalized_square(cp, oset).poly
+        weight = Scalar.of(-1 / cp.c)
+        for m1, c1 in cp.poly.terms.items():
+            c1w = c1.conjugate() * weight
+            for m2, c2 in cp.poly.terms.items():
+                mono = mono_mul(m1, m2)
+                terms[mono] = terms.get(mono, ZERO) + c1w * c2
     return Inequality(
         oset=oset,
         complete_set=replace(cs, polynomials=used),
-        F=reduce(F, oset.spectra()),
+        F=reduce(Poly(terms), oset.spectra()),
         classical=classical,
     )
 

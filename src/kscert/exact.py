@@ -13,6 +13,7 @@ rational inputs simply carry b = d = 0.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import DimensionMismatch, ZeroVector
@@ -85,6 +86,8 @@ class Scalar:
 
     def __add__(self, other):
         o = Scalar.of(other)
+        if not (self.b or self.c or self.d or o.b or o.c or o.d):  # both purely rational
+            return Scalar._make(self.a + o.a, _FR0, _FR0, _FR0)
         return Scalar._make(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
 
     __radd__ = __add__
@@ -186,6 +189,34 @@ def inner(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     for x, y in zip(u, v):
         acc = acc + x.conjugate() * y
     return acc
+
+
+def primitive_integral(v: Sequence[Scalar]) -> tuple:
+    """The canonical vector of the line through a nonzero v, over
+    Z[i, sqrt2]: v divided by its first nonzero component, times the least
+    common denominator of the resulting rationals, as one (a, b, c, d) tuple
+    of ints per component.  Those ints have no common factor: the lead
+    gives the int L, the least common denominator, and a prime dividing L
+    divides some denominator as often as L does, so not that component's int.
+    Two nonzero vectors span the same line, and so have the same projector,
+    exactly when their primitive integral vectors are equal."""
+    inv = next(x for x in v if not x.is_zero).inverse()
+    parts = [p for y in (x * inv for x in v) for p in (y.a, y.b, y.c, y.d)]
+    den = lcm(*(p.denominator for p in parts))
+    ints = [p.numerator * (den // p.denominator) for p in parts]
+    return tuple(tuple(ints[k : k + 4]) for k in range(0, len(ints), 4))
+
+
+def orthogonal_integral(u: Sequence[tuple], v: Sequence[tuple]) -> bool:
+    """Whether <u, v> = sum conj(u_k) v_k is 0, for vectors of (a, b, c, d)
+    int tuples (see primitive_integral), in integer arithmetic."""
+    ra = rb = ia = ib = 0
+    for (a, b, c, d), (e, f, g, h) in zip(u, v):
+        ra += a * e + 2 * b * f + c * g + 2 * d * h
+        rb += a * f + b * e + c * h + d * g
+        ia += a * g + 2 * b * h - c * e - 2 * d * f
+        ib += a * h + b * g - c * f - d * e
+    return not (ra or rb or ia or ib)
 
 
 class ExactMatrix:

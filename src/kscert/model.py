@@ -2,14 +2,17 @@
 
 Every observable carries its finite spectrum.  Pauli and matrix input is
 re-verified on construction: the product of (A - a_j I) over the declared
-eigenvalues must be exactly zero.  Rays are the exception: each projector
-is built here from a nonzero vector, so its spectrum is known.
+eigenvalues must be exactly zero.  Rays are the exception: a ray keeps its
+nonzero vector and that vector's primitive integral form over Z[i, sqrt2],
+which decides duplicates and orthogonality; its projector, whose spectrum
+is known, is built from the vector only when a matrix is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import (
@@ -19,33 +22,49 @@ from .errors import (
     NonHermitian,
     ZeroVector,
 )
-from .exact import ExactMatrix, Scalar, mat_mul, projector_from_vector
+from .exact import (
+    ExactMatrix,
+    Scalar,
+    mat_mul,
+    primitive_integral,
+    projector_from_vector,
+)
 
 
 @dataclass(frozen=True)
 class Ray:
-    """An unnormalized vector together with its exact rank-1 projector."""
+    """An unnormalized nonzero vector, the primitive integral vector of its
+    line, and its exact rank-1 projector, built when first read."""
 
     vector: tuple
-    projector: ExactMatrix
+    key: tuple  # primitive_integral(vector)
 
     @property
     def dim(self) -> int:
         return len(self.vector)
 
+    @cached_property
+    def projector(self) -> ExactMatrix:
+        return projector_from_vector(self.vector)
+
 
 @dataclass(frozen=True)
 class Observable:
-    """Hermitian matrix with a verified annihilating spectrum."""
+    """Hermitian matrix with a verified annihilating spectrum.  A ray
+    observable holds its ray instead, and its matrix is the ray's projector."""
 
-    matrix: ExactMatrix
     spectrum: tuple  # distinct Fractions, ascending
     label: str = ""
     ray: Optional[Ray] = None  # set when the observable is a rank-1 projector
+    own_matrix: Optional[ExactMatrix] = field(default=None, repr=False)  # unless ray
+
+    @property
+    def matrix(self) -> ExactMatrix:
+        return self.ray.projector if self.ray is not None else self.own_matrix
 
     @property
     def dim(self) -> int:
-        return self.matrix.dim
+        return self.ray.dim if self.ray is not None else self.own_matrix.dim
 
     @property
     def is_projector(self) -> bool:
@@ -91,10 +110,7 @@ def _detect_spectrum(matrix: ExactMatrix) -> tuple:
 
 
 def make_observable(
-    matrix: ExactMatrix,
-    spectrum: Optional[Sequence] = None,
-    label: str = "",
-    ray: Optional[Ray] = None,
+    matrix: ExactMatrix, spectrum: Optional[Sequence] = None, label: str = ""
 ) -> Observable:
     """Build an Observable, verifying Hermiticity and annihilation exactly."""
     if not matrix.is_hermitian:
@@ -111,30 +127,44 @@ def make_observable(
                 f"observable {label or '?'}"
             )
         spec = _minimal_spectrum(matrix, spec)
-    return Observable(matrix=matrix, spectrum=spec, label=label, ray=ray)
+    return Observable(spectrum=spec, label=label, own_matrix=matrix)
 
 
 def make_ray(vector: Sequence, label: str = "") -> Ray:
-    """Exact rank-1 projector from an unnormalized nonzero vector."""
+    """A ray from an unnormalized nonzero vector."""
     v = tuple(Scalar.of(x) for x in vector)
     if all(x.is_zero for x in v):
         raise ZeroVector(f"ray {label or '?'} is the zero vector")
-    return Ray(vector=v, projector=projector_from_vector(v))
+    return Ray(vector=v, key=primitive_integral(v))
 
 
 def ray_observable(ray: Ray, label: str = "") -> Observable:
     """P = vv*/(v*v) is idempotent, and for d >= 2 neither 0 nor I, so its
     minimal spectrum is (0, 1); for d = 1, P = I and the spectrum is (1,)."""
     spec = (Fraction(1),) if ray.dim == 1 else (Fraction(0), Fraction(1))
-    return Observable(matrix=ray.projector, spectrum=spec, label=label, ray=ray)
+    return Observable(spectrum=spec, label=label, ray=ray)
 
 
 def dichotomize(ray: Ray, label: str = "") -> Observable:
     """The {-1,1}-valued observable I - 2P associated with a ray."""
-    n = ray.projector.dim
+    n = ray.dim
     matrix = ExactMatrix.identity(n) - ray.projector.scale(2)
     spec = (Fraction(-1),) if n == 1 else (Fraction(-1), Fraction(1))
-    return Observable(matrix=matrix, spectrum=spec, label=label)
+    return Observable(spectrum=spec, label=label, own_matrix=matrix)
+
+
+def _index_key(obs: Observable):
+    """Equal exactly for observables with equal matrices.  A ray is keyed by
+    the primitive integral vector of its line, so it needs no projector, and
+    so is a matrix that is a rank-1 projector: one annihilated by x(x - 1)
+    (make_observable verified that, and Hermiticity) with trace 1.  Any
+    other matrix is its own key."""
+    if obs.ray is not None:
+        return obs.ray.key
+    m = obs.own_matrix
+    if set(obs.spectrum) <= {0, 1} and sum(m.entries[k][k] for k in range(m.dim)) == 1:
+        return primitive_integral(next(c for c in zip(*m.entries) if any(not x.is_zero for x in c)))
+    return m
 
 
 @dataclass
@@ -143,8 +173,9 @@ class ObservableSet:
 
     Observable ids are positions in `observables`.  Duplicate matrices are
     rejected; for rays this makes scalar multiples of an existing vector
-    duplicates, since both yield the same projector.  Observables enter
-    through add, which keeps the matrix -> id index that finds duplicates.
+    duplicates, since both yield the same projector, and so are a ray and a
+    matrix equal to its projector, in either order.  Observables enter
+    through add, which keeps the index that finds duplicates (_index_key).
     """
 
     dim: int
@@ -157,12 +188,13 @@ class ObservableSet:
             raise DimensionMismatch(
                 f"observable {obs.label or '?'} has dimension {obs.dim}, set has {self.dim}"
             )
-        if obs.matrix in self._ids:
-            existing = self.observables[self._ids[obs.matrix]]
+        key = _index_key(obs)
+        if key in self._ids:
+            existing = self.observables[self._ids[key]]
             raise DuplicateObservable(
                 f"observable {obs.label or '?'} duplicates {existing.label or '?'}"
             )
-        self._ids[obs.matrix] = len(self.observables)
+        self._ids[key] = len(self.observables)
         self.observables.append(obs)
         return len(self.observables) - 1
 

@@ -24,7 +24,7 @@ from .errors import (
     UnknownVariable,
     VariableOutsideContext,
 )
-from .exact import ExactMatrix, Scalar, mat_mul
+from .exact import ZERO, ExactMatrix, Scalar, mat_mul
 from .model import ObservableSet
 
 Monomial = tuple  # tuple[(var_id, exponent), ...], ids strictly increasing
@@ -76,7 +76,7 @@ class Poly:
             other = Poly.const(other)
         out = dict(self.terms)
         for mono, coef in other.terms.items():
-            out[mono] = out.get(mono, Scalar(0)) + coef
+            out[mono] = out.get(mono, ZERO) + coef
         return Poly(out)
 
     __radd__ = __add__
@@ -98,8 +98,8 @@ class Poly:
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                out[mono] = out.get(mono, Scalar(0)) + c1 * c2
+                mono = mono_mul(m1, m2)
+                out[mono] = out.get(mono, ZERO) + c1 * c2
         return Poly(out)
 
     __rmul__ = __mul__
@@ -120,7 +120,8 @@ class Poly:
         return f"Poly({render(self)})"
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    """The product of two monomials."""
     exps = dict(m1)
     for i, e in m2:
         exps[i] = exps.get(i, 0) + e
@@ -171,7 +172,7 @@ def reduce(p: Poly, spectra: Mapping[int, Sequence]) -> Poly:
                 (m + ((i, k),) if k else m, c * q) for m, c in terms for k, q in rules[i, e]
             ]
         for m, c in terms:
-            out[m] = out.get(m, Scalar(0)) + c
+            out[m] = out.get(m, ZERO) + c
     return Poly(out)
 
 

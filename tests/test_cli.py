@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kscert import assign, catalog, derive
+from kscert import assign, catalog, derive, exact, model
 from kscert.cli import main
 from kscert.compat import build_orthogonality_graph, enumerate_bases
 from kscert.derive import assemble_F, build_complete_set_rays, present
@@ -306,6 +306,20 @@ class TestVerifyCommand:
         assert code == 3
         assert out == ""
         assert f"over the limit {MAX_POWER_BITS}" in err
+
+    @pytest.mark.parametrize("order,message", [
+        (("ray", "matrix"), "observable m duplicates a"),
+        (("matrix", "ray"), "observable a duplicates m"),
+    ])
+    def test_ray_and_matrix_duplicates(self, capsys, tmp_path, order, message):
+        # m is the projector onto a, so either is a duplicate of the other
+        decls = {"ray": "ray a 1 0\nray b 0 1\n",
+                 "matrix": "matrix m spectrum 0,1\nrow 1 0\nrow 0 0\n"}
+        path = tmp_path / "mixed.txt"
+        path.write_text("dim 2\n" + "".join(decls[k] for k in order))
+        code, _, err = run(capsys, "verify", "--input", str(path))
+        assert code == 3
+        assert err.strip() == f"error: input: {message}"
 
     def test_projector_form_of_parity_proof(self, capsys):
         code, _, err = run(
@@ -623,6 +637,67 @@ class TestVerifyDeriveAgree:
         for prefix in ("F = ", "inequality: "):
             line = next(l for l in out.splitlines() if l.startswith(prefix))
             assert line in general_out.splitlines()
+
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("dim 2\nray a 1 0\nray b 0 1\nray c 1 1\n", id="ray-in-no-member"),
+        pytest.param("dim 1\nray a 1\n", id="member-reduced-to-0"),
+        pytest.param("dim 4\npauli a +ZI\npauli b +IZ\npauli c +ZZ\npauli d +XI\n"
+                     "poly c=4 a*b*c - 1\n", id="general-observable-in-no-member"),
+    ])
+    def test_every_command_assigns_every_observable(self, capsys, tmp_path, text):
+        # c is in no member of the first set, the one member of the second,
+        # a - 1, reduces to 0 as a's spectrum is (1,), and d is in no member
+        # of the third
+        path = tmp_path / "colourable.txt"
+        path.write_text(text)
+        pf = parse(text)
+        oset = pf.to_observable_set()
+        members = pf.to_polynomials(oset)
+        if not members:
+            graph = build_orthogonality_graph(oset)
+            members = build_complete_set_rays(oset, graph, enumerate_bases(graph)).polynomials
+        for argv in (["verify"], ["derive"], ["derive", "--exact-bound"], ["bound"]):
+            code, out, err = run(capsys, *argv, "--input", str(path))
+            assert code == 2, argv
+            listed = (out.split("witness: ") if argv == ["verify"]
+                      else err.split("satisfying assignment "))[1].strip()
+            witness = dict(item.split("=") for item in listed.split(", "))
+            assert list(witness) == oset.labels, argv
+            values = {oset.by_label(label): Fraction(x) for label, x in witness.items()}
+            assert all(eval_assignment(cp.poly, values).is_zero for cp in members), argv
+
+
+class TestLazyProjectors:
+    """Ray mode decides, derives and presents from the rays' integer keys;
+    only a matrix read builds a projector."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built, original = [], exact.projector_from_vector
+
+        def counted(v):
+            built.append(v)
+            return original(v)
+
+        for module in (exact, model):
+            monkeypatch.setattr(module, "projector_from_vector", counted)
+        return built
+
+    @pytest.mark.parametrize("name", ["cabello-18", "peres-33"])
+    @pytest.mark.parametrize(
+        "argv", [["verify"], ["derive"], ["export"], ["bound", "--form", "projector"]]
+    )
+    def test_ray_mode_builds_no_projector(self, capsys, built, name, argv):
+        code, _, _ = run(capsys, *argv, "--catalog", name)
+        assert code == 0
+        assert built == []
+
+    @pytest.mark.parametrize("name,rays", [("cabello-18", 18), ("peres-33", 33)])
+    def test_dichotomic_form_builds_one_projector_per_ray(self, capsys, built, name, rays):
+        code, _, _ = run(capsys, "derive", "--form", "dichotomic", "--catalog", name)
+        assert code == 0
+        assert len(built) == rays
 
 
 class TestBoundCommand:

@@ -1,7 +1,13 @@
 """Orthogonality graph, basis enumeration, context validation."""
 
+import itertools
+import random
+from contextlib import suppress
+from fractions import Fraction
+
 import networkx as nx
 import pytest
+from hypothesis import given, settings
 
 from kscert.compat import (
     Context,
@@ -10,12 +16,15 @@ from kscert.compat import (
     enumerate_bases,
     validate_context,
 )
-from kscert.errors import KSCertError, NonRayMember, NotCommuting
-from kscert.exact import Scalar
+from kscert import catalog
+from kscert.errors import DuplicateObservable, KSCertError, NonRayMember, NotCommuting
+from kscert.exact import ExactMatrix, Scalar, inner, mat_mul
 from kscert.model import ObservableSet, make_observable
 from kscert.exact import PAULI
 
 from conftest import single_basis_set
+from test_acceptance import _random_ray_set
+from test_model import ray_vector_lists
 
 
 class TestGraph:
@@ -56,6 +65,65 @@ class TestGraph:
         for labels in known:
             ids = tuple(sorted(oset.by_label(l) for l in labels))
             assert ids in found
+
+
+def _inner_edges(oset):
+    """The oracle for the integer test: edges where exact.inner of the
+    vectors as given, over Q(i, sqrt2), is 0."""
+    vs = [obs.ray.vector for obs in oset.observables]
+    return [(i, j) for i, j in itertools.combinations(range(len(vs)), 2)
+            if inner(vs[i], vs[j]).is_zero]
+
+
+def _eigenray_set(name):
+    """The rays of the joint eigenbases of a parity entry's contexts: per
+    context and sign pattern s, the first nonzero column of
+    prod_k (I + s_k A_k)/2 over all members but the last.  Peres' 24 rays
+    from mermin-peres, Kernaghan and Peres' 40 from mermin-pentagram."""
+    source = catalog.get(name).load()
+    n = source.dim
+    one = ExactMatrix.identity(n)
+    oset = ObservableSet(dim=n)
+    for ids in source.declared_contexts:
+        gens = [source[i].matrix for i in ids[:-1]]
+        for signs in itertools.product((1, -1), repeat=len(gens)):
+            proj = one
+            for g, sign in zip(gens, signs):
+                proj = mat_mul(proj, (one + g.scale(sign)).scale(Fraction(1, 2)))
+            oset.add_ray(next(c for c in zip(*proj.entries) if any(not x.is_zero for x in c)))
+    return oset
+
+
+class TestIntegerGraphOracle:
+    """build_orthogonality_graph tests orthogonality in integers on the
+    rays' primitive integral vectors; exact.inner is the oracle."""
+
+    @pytest.mark.parametrize("name,counts", [
+        ("cabello-18", (18, 63)), ("peres-33", (33, 72)),
+        ("mermin-peres", (24, 108)), ("mermin-pentagram", (40, 460)),
+    ])
+    def test_catalog_entries(self, name, counts):
+        oset = catalog.get(name).load()
+        if not oset.all_rays:
+            oset = _eigenray_set(name)
+        edges = build_orthogonality_graph(oset).edges
+        assert (len(oset), len(edges)) == counts
+        assert edges == _inner_edges(oset)
+
+    def test_random_ray_sets(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            oset = _random_ray_set(rng, max_rays=10)
+            assert build_orthogonality_graph(oset).edges == _inner_edges(oset)
+
+    @given(ray_vector_lists(1, 7))
+    @settings(max_examples=150, deadline=None)
+    def test_random_vectors(self, vectors):
+        oset = ObservableSet(dim=len(vectors[0]))
+        for v in vectors:
+            with suppress(DuplicateObservable):
+                oset.add_ray(v)
+        assert build_orthogonality_graph(oset).edges == _inner_edges(oset)
 
 
 class TestEnumerateBases:

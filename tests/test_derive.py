@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+from contextlib import suppress
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from kscert.derive import (
 )
 from kscert.errors import (
     Condition1Violated,
+    DuplicateObservable,
     EdgeOutsideBases,
     NotKSProofError,
     ZeroState,
@@ -40,6 +42,8 @@ from kscert.poly import (
     eval_operator,
     make_context_polynomial,
     normalization_constant,
+    normalized_square,
+    reduce,
     spectral_assignments,
 )
 from kscert.prooffile import parse
@@ -268,8 +272,8 @@ def _catalog_inequality(name):
     return assemble_F(_catalog_complete_set(name))
 
 
-def _general_mp_inequality():
-    pf = parse(GENERAL_MP)
+def _general_mp_inequality(text=GENERAL_MP):
+    pf = parse(text)
     oset = pf.to_observable_set()
     return assemble_F(build_complete_set_general(oset, pf.to_polynomials(oset)))
 
@@ -338,6 +342,48 @@ def test_F_operator_zero_oracle(build):
     """The direct check that Condition 1 stands in for: F evaluates to 0."""
     ineq = build()
     assert eval_operator(ineq.F, ineq.oset).is_zero
+
+
+def _random_proof_ray_set(seed):
+    """A catalog ray proof with its rays shuffled and scaled, plus 1-3
+    random rays: still a proof, as adding rays keeps a set uncolourable."""
+    rng = random.Random(seed)
+    base = catalog.get(rng.choice(["cabello-18", "peres-33"])).load()
+    entries = [Scalar(0), Scalar(1), Scalar(-1), Scalar(2), Scalar(0, 0, 1), Scalar(0, 1)]
+    vectors = [obs.ray.vector for obs in base.observables]
+    vectors += [[rng.choice(entries) for _ in range(base.dim)] for _ in range(rng.randint(1, 3))]
+    rng.shuffle(vectors)
+    scalars = [Scalar(1), Scalar(-2), Scalar(0, 0, 1), Scalar(1, 1), Scalar(Fraction(1, 3), 0, -1)]
+    oset = ObservableSet(dim=base.dim)
+    for v in vectors:
+        if any(not x.is_zero for x in v):
+            s = rng.choice(scalars)
+            with suppress(DuplicateObservable):
+                oset.add_ray([x * s for x in v])
+    graph = build_orthogonality_graph(oset)
+    return assemble_F(build_complete_set_rays(oset, graph, enumerate_bases(graph)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda name=name: _catalog_inequality(name), id=name)
+        for name in ("mermin-peres", "mermin-pentagram", "cabello-18", "peres-33")
+    ]
+    + [pytest.param(_general_mp_inequality, id="general-mermin-peres")]
+    + [pytest.param(lambda: _general_mp_inequality(GENERAL_MP.replace(
+        "poly c=4 a*b*c - 1", "poly c=8 (1+i)*a*b*c - 1 - i")), id="complex-coefficients")]
+    + [pytest.param(lambda seed=seed: _random_proof_ray_set(seed), id=f"random-rays-{seed}")
+       for seed in range(10)],
+)
+def test_F_one_pass_oracle(build):
+    """The member-by-member sum that assemble_F's one pass stands in for:
+    the reduced -sum of each member's normalized_square."""
+    ineq = build()
+    F = Poly()
+    for cp in ineq.complete_set.polynomials:
+        F = F - normalized_square(cp, ineq.oset).poly
+    assert ineq.F == reduce(F, ineq.oset.spectra())
 
 
 def colorable_inequality(oset, certified=True):

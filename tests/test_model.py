@@ -1,11 +1,11 @@
 """Observables, rays, spectra, duplicate detection."""
 
+import math
+import time
 from fractions import Fraction
 
-import time
-
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kscert.errors import (
@@ -16,7 +16,7 @@ from kscert.errors import (
     ZeroVector,
 )
 from kscert import model
-from kscert.exact import ExactMatrix, Scalar, kron, mat_mul, PAULI
+from kscert.exact import ExactMatrix, Scalar, kron, mat_mul, PAULI, projector_from_vector
 from kscert.model import (
     ObservableSet,
     _annihilates,
@@ -141,7 +141,8 @@ class TestObservableSet:
         assert str(exc.value) == "observable f2 duplicates e2"
 
     def test_many_rays_add_fast(self):
-        # duplicates are found by a matrix -> id index, not a scan
+        # duplicates are found by an index keyed by each ray's primitive
+        # integral vector, not by a scan, and no projector is built
         oset = ObservableSet(dim=2)
         start = time.perf_counter()
         for k in range(2000):
@@ -170,6 +171,16 @@ class TestObservableSet:
         dich = ObservableSet(dim=2)
         dich.add(make_observable(PAULI["Z"]))
         assert dich.all_dichotomic and not dich.all_rays
+
+    def test_trace_one_matrix_on_a_ray_line_is_no_duplicate(self):
+        # diag(1, 1, -1) has trace 1 and first column e1, but it is no
+        # projector, so it is keyed by itself; diag(1, 0, 0) is e1's
+        oset = ObservableSet(dim=3)
+        oset.add_ray((1, 0, 0), label="e1")
+        oset.add(make_observable(ExactMatrix([[1, 0, 0], [0, 1, 0], [0, 0, -1]]), label="m"))
+        with pytest.raises(DuplicateObservable) as exc:
+            oset.add(make_observable(ExactMatrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]]), label="p"))
+        assert str(exc.value) == "observable p duplicates e1"
 
     def test_stored_observables_reverified(self):
         # ray_observable states the projector's spectrum without a product;
@@ -214,3 +225,67 @@ class TestRaySpectra:
         ):
             assert obs.spectrum == _minimal_spectrum(obs.matrix, candidates)
             assert _annihilates(obs.matrix, obs.spectrum)
+
+
+# entries of the integer-geometry oracle tests, sqrt2 and 1/2 included
+INTEGRAL_ENTRIES = [Scalar(0), Scalar(1), Scalar(-1), Scalar(2), Scalar(-2), Scalar(0, 0, 1),
+                    Scalar(0, 0, -1), Scalar(0, 1), Scalar(Fraction(1, 2))]
+
+
+def ray_vector_lists(min_size, max_size):
+    """Lists of nonzero vectors of one dimension d = 1-4."""
+    return st.integers(1, 4).flatmap(lambda d: st.lists(
+        st.lists(st.sampled_from(INTEGRAL_ENTRIES), min_size=d, max_size=d).filter(
+            lambda v: any(not x.is_zero for x in v)),
+        min_size=min_size, max_size=max_size))
+
+
+UNIT_PHASES = [Scalar(1), Scalar(-1), Scalar(0, 0, 1), Scalar(0, 0, -1)]
+nonzero_scalars = st.tuples(*[st.fractions(-3, 3, max_denominator=4)] * 4).map(
+    lambda t: Scalar(*t)).filter(lambda s: not s.is_zero)
+
+
+class TestPrimitiveIntegral:
+    """A ray's key, its primitive integral vector over Z[i, sqrt2], against
+    the projector it stands in for."""
+
+    @pytest.mark.parametrize("vector,key", [
+        ((0, 2, 0), ((0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0))),
+        ((Scalar(0, 1), 2), ((1, 0, 0, 0), (0, 1, 0, 0))),  # (r2, 2) ~ (1, r2)
+        ((Fraction(1, 2), Scalar(0, 0, Fraction(1, 3))), ((3, 0, 0, 0), (0, 0, 2, 0))),
+        ((Scalar(0, 0, 1), 1), ((1, 0, 0, 0), (0, 0, -1, 0))),  # (i, 1) ~ (1, -i)
+    ])
+    def test_examples(self, vector, key):
+        assert make_ray(vector).key == key
+
+    @given(ray_vector_lists(2, 2), st.booleans(), nonzero_scalars)
+    @settings(max_examples=150, deadline=None)
+    def test_equal_keys_iff_equal_projectors(self, pair, scaled, s):
+        u, v = pair
+        if scaled:
+            v = [x * s for x in u]
+        same_key = make_ray(u).key == make_ray(v).key
+        assert same_key == (projector_from_vector(u) == projector_from_vector(v))
+
+    @given(ray_vector_lists(1, 1), st.sampled_from(UNIT_PHASES), nonzero_scalars)
+    @settings(max_examples=150, deadline=None)
+    def test_key_invariant_under_scaling(self, vectors, phase, s):
+        v = vectors[0]
+        key = make_ray(v).key
+        assert math.gcd(*(n for c in key for n in c)) == 1
+        assert make_ray([x * phase for x in v]).key == key
+        assert make_ray([x * s for x in v]).key == key
+
+    def test_projector_built_once_on_first_read(self, monkeypatch):
+        built = []
+
+        def counted(v):
+            built.append(v)
+            return projector_from_vector(v)
+
+        monkeypatch.setattr(model, "projector_from_vector", counted)
+        obs = ray_observable(make_ray((1, 2, 2)))
+        assert built == [] and obs.dim == 3
+        assert obs.matrix == projector_from_vector((1, 2, 2))
+        assert obs.matrix is obs.ray.projector
+        assert len(built) == 1
