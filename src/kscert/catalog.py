@@ -1,10 +1,10 @@
 """Built-in proof catalog.
 
 Four classic observable sets, stored as construction code rather than
-trusted data: every entry is re-verified on load (Hermiticity and spectra
-of Pauli observables, commutation of declared contexts; rays are rebuilt
-from their vectors) and its expected headline numbers are
-regression-checked against a fresh derivation by the test suite.
+trusted data: every entry is rebuilt on load (Pauli observables from their
+words, rays from their vectors), the commutation of its declared contexts
+is re-verified, and its expected headline numbers are regression-checked
+against a fresh derivation by the test suite.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .compat import Context, validate_context
-from .exact import SQRT2, Scalar, pauli_matrix
-from .model import ObservableSet, make_observable
+from .exact import SQRT2, Scalar
+from .model import ObservableSet, pauli_observable
 
 
 @dataclass
@@ -38,14 +38,7 @@ class CatalogEntry:
 def _pauli_set(dim: int, words, contexts) -> ObservableSet:
     oset = ObservableSet(dim=dim)
     for word in words:
-        sign = 1
-        body = word
-        if word[0] in "+-":
-            sign = -1 if word[0] == "-" else 1
-            body = word[1:]
-        oset.add(
-            make_observable(pauli_matrix(body, sign), spectrum=(-1, 1), label=word)
-        )
+        oset.add(pauli_observable(word, label=word))
     oset.declared_contexts = [tuple(ids) for ids in contexts]
     return oset
 

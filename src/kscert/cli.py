@@ -102,7 +102,7 @@ def cmd_verify(args) -> int:
     print(f"verdict: {cert.verdict}")
     print(f"search: {cert.stats.nodes} nodes, {cert.stats.propagations} propagations")
     if cert.witness is not None:
-        print(f"witness: {witness_str(cert.witness, loaded.oset)}")
+        print(f"witness: {witness_str(cert.witness, loaded.oset.labels)}")
     return EXIT_OK if cert.is_proof else EXIT_NOT_PROOF
 
 
@@ -117,7 +117,7 @@ def _derive(loaded, args, exact_bound):
 def _print_inequality(loaded, ineq, presented):
     oset, cs = loaded.oset, ineq.complete_set
     labels = dict(enumerate(oset.labels))
-    plabels = dict(enumerate(presented.presented_set.labels))
+    plabels = dict(enumerate(presented.labels))
     print(f"input: {loaded.source}")
     print(f"mode: {loaded.mode}")
     print(f"complete set: {len(cs)} polynomials ({cs.provenance})")
@@ -155,7 +155,7 @@ def cmd_bound(args) -> int:
     print(f"form: {presented.form}")
     print(f"exact classical maximum: {presented.classical_bound}")
     print(f"quantum value: {presented.quantum_value}")
-    print(f"attained at: {witness_str(witness, presented.presented_set)}")
+    print(f"attained at: {witness_str(witness, presented.labels)}")
     return EXIT_OK
 
 

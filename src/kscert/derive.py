@@ -13,7 +13,7 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from typing import Optional, Sequence
 
 from .assign import (
@@ -37,7 +37,7 @@ from .errors import (
     ZeroState,
 )
 from .exact import ZERO, Scalar, inner
-from .model import ObservableSet, dichotomize
+from .model import ObservableSet
 from .poly import (
     ContextPolynomial,
     Poly,
@@ -175,7 +175,7 @@ class PresentedInequality:
     classical_bound: Fraction
     bound_kind: str  # "exact" | "certified"
     quantum_value: Fraction
-    presented_set: ObservableSet  # observables matching the score's variables
+    labels: list  # the score's variable labels, by id
     substituted: bool = False  # True when P -> (1-A)/2 was applied
 
 
@@ -191,10 +191,10 @@ def assemble_F(
     sum to I, Parity from context products delta*I, UserSupplied by
     evaluating each member.  Nothing is evaluated as an operator here.
     Within a context the variables are commuting Hermitian operators, each
-    annihilated by its declared spectrum (make_observable/ray_observable,
-    validate_context and orthogonality verify this), so evaluating the
-    reduced -sum r_i^dagger r_i / c_i gives -sum r_i(A)^dagger r_i(A) / c_i,
-    which is 0 once every r_i(A) = 0.
+    annihilated by its spectrum (validate_context, orthogonality and
+    make_observable verify this; ray and Pauli spectra are stated), so
+    evaluating the reduced -sum r_i^dagger r_i / c_i gives
+    -sum r_i(A)^dagger r_i(A) / c_i, which is 0 once every r_i(A) = 0.
 
     One search decides Condition 2 and the classical bound together: the
     certified bound -1 comes with decide's UNSAT certificate (each violated
@@ -226,7 +226,7 @@ def assemble_F(
         witness = classical.witness if classical.value == 0 else None
     if witness is not None:
         raise NotKSProofError(
-            f"not a KS proof; satisfying assignment {witness_str(witness, oset)}"
+            f"not a KS proof; satisfying assignment {witness_str(witness, oset.labels)}"
         )
     if constants is None:
         constants = [c_of(cp) for cp in cs.polynomials]
@@ -251,8 +251,7 @@ def assemble_F(
     )
 
 
-def witness_str(witness: dict, oset: ObservableSet) -> str:
-    labels = oset.labels
+def witness_str(witness: dict, labels: Sequence[str]) -> str:
     return ", ".join(f"{labels[i]}={witness[i]}" for i in sorted(witness))
 
 
@@ -280,17 +279,18 @@ def _primitive_scale(coeffs: dict) -> Fraction:
 
 
 def _substitute_dichotomic(F: Poly) -> Poly:
-    """Replace every projector variable P_i by (1 - A_i)/2, keeping ids."""
-    out = Poly.const(0)
-    half = Scalar.of(Fraction(1, 2))
+    """Replace every projector variable P_i by (1 - A_i)/2, keeping ids:
+    P_i^e becomes sum_k C(e, k) (-A_i)^k / 2^e, all summed in one dict."""
+    out = {}
     for mono, coef in F.terms.items():
-        term = Poly.const(coef)
-        for i, e in mono:
-            factor = (Poly.const(1) - Poly.var(i)) * half
-            for _ in range(e):
-                term = term * factor
-        out = out + term
-    return out
+        terms = [((), coef)]
+        for i, e in mono:  # ids ascend, so appending keeps monomials sorted
+            binomial = [Scalar.of(Fraction((-1) ** k * comb(e, k), 2**e)) for k in range(e + 1)]
+            terms = [(m + ((i, k),) if k else m, c * b)
+                     for m, c in terms for k, b in enumerate(binomial)]
+        for m, c in terms:
+            out[m] = out.get(m, ZERO) + c
+    return Poly(out)
 
 
 def check_form(cs: CompleteSet, form: str) -> bool:
@@ -328,12 +328,12 @@ def present(ineq: Inequality, form: str) -> PresentedInequality:
     oset = ineq.oset
     substituted = check_form(ineq.complete_set, form)
     if substituted:
-        presented_set = ObservableSet(dim=oset.dim)
-        for i, obs in enumerate(oset.observables):
-            presented_set.add(dichotomize(obs.ray, label=f"d{obs.label or i}"))
-        F_form = reduce(_substitute_dichotomic(ineq.F), presented_set.spectra())
+        # A = 1 - 2P (model.dichotomize) has spectrum (-1, 1), or (-1,) in d = 1
+        spectrum = (Fraction(-1),) if oset.dim == 1 else (Fraction(-1), Fraction(1))
+        F_form = reduce(_substitute_dichotomic(ineq.F), dict.fromkeys(range(len(oset)), spectrum))
+        labels = [f"d{obs.label or i}" for i, obs in enumerate(oset.observables)]
     else:
-        F_form, presented_set = ineq.F, oset
+        F_form, labels = ineq.F, oset.labels
 
     coeffs = _rational_coeffs(F_form)
     offset = coeffs.get((), Fraction(0))
@@ -362,7 +362,7 @@ def present(ineq: Inequality, form: str) -> PresentedInequality:
         classical_bound=classical_bound,
         bound_kind=bound_kind,
         quantum_value=quantum_value,
-        presented_set=presented_set,
+        labels=labels,
         substituted=substituted,
     )
 

@@ -13,7 +13,7 @@ rational inputs simply carry b = d = 0.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import DimensionMismatch, ZeroVector
@@ -191,20 +191,38 @@ def inner(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     return acc
 
 
+def _mul_integral(s: tuple, t: tuple) -> tuple:
+    """The product of two (a, b, c, d) int tuples as elements of Z[i, sqrt2]
+    (see Scalar.__mul__)."""
+    a, b, c, d = s
+    e, f, g, h = t
+    return (
+        a * e + 2 * b * f - c * g - 2 * d * h,
+        a * f + b * e - c * h - d * g,
+        a * g + 2 * b * h + c * e + 2 * d * f,
+        a * h + b * g + c * f + d * e,
+    )
+
+
 def primitive_integral(v: Sequence[Scalar]) -> tuple:
     """The canonical vector of the line through a nonzero v, over
-    Z[i, sqrt2]: v divided by its first nonzero component, times the least
-    common denominator of the resulting rationals, as one (a, b, c, d) tuple
-    of ints per component.  Those ints have no common factor: the lead
-    gives the int L, the least common denominator, and a prime dividing L
-    divides some denominator as often as L does, so not that component's int.
-    Two nonzero vectors span the same line, and so have the same projector,
-    exactly when their primitive integral vectors are equal."""
-    inv = next(x for x in v if not x.is_zero).inverse()
-    parts = [p for y in (x * inv for x in v) for p in (y.a, y.b, y.c, y.d)]
-    den = lcm(*(p.denominator for p in parts))
-    ints = [p.numerator * (den // p.denominator) for p in parts]
-    return tuple(tuple(ints[k : k + 4]) for k in range(0, len(ints), 4))
+    Z[i, sqrt2]: the positive rational multiple of v / (first nonzero
+    component) whose (a, b, c, d) int tuples, one per component, have no
+    common factor.  Two nonzero vectors span the same line, and so have the
+    same projector, exactly when their primitive integral vectors are equal.
+
+    It is computed in ints: clear v's denominators, then multiply by
+    conj(lead) * (x - y sqrt2), where lead * conj(lead) = x + y sqrt2, which
+    turns the lead into x^2 - 2y^2, the product of |lead|^2 and its sqrt2
+    conjugate, both positive; then divide by the gcd."""
+    den = lcm(*(p.denominator for x in v for p in (x.a, x.b, x.c, x.d)))
+    w = [tuple(p.numerator * (den // p.denominator) for p in (x.a, x.b, x.c, x.d)) for x in v]
+    a, b, c, d = next(t for t in w if any(t))
+    x, y = a * a + 2 * b * b + c * c + 2 * d * d, 2 * (a * b + c * d)
+    m = _mul_integral((a, b, -c, -d), (x, -y, 0, 0))
+    w = [_mul_integral(t, m) for t in w]
+    g = gcd(*(p for t in w for p in t))
+    return tuple(tuple(p // g for p in t) for t in w)
 
 
 def orthogonal_integral(u: Sequence[tuple], v: Sequence[tuple]) -> bool:
@@ -314,27 +332,24 @@ class ExactMatrix:
 
 
 def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Exact matrix product."""
+    """Exact matrix product: row i is the sum of a[i][k] times b's row k,
+    over the nonzero a[i][k] and the nonzero entries of that row."""
     a._check_dim(b)
-    bt = list(zip(*b.entries))  # columns of b
+    b_rows = [[(j, y) for j, y in enumerate(row) if not y.is_zero] for row in b.entries]
     out = []
     for row in a.entries:
-        out_row = []
-        for col in bt:
-            acc = ZERO
-            for x, y in zip(row, col):
-                if x.is_zero or y.is_zero:
-                    continue
-                acc = acc + x * y
-            out_row.append(acc)
-        out.append(out_row)
+        acc = [ZERO] * a.dim
+        for x, b_row in zip(row, b_rows):
+            if not x.is_zero:
+                for j, y in b_row:
+                    acc[j] = acc[j] + x * y
+        out.append(acc)
     return ExactMatrix(out)
 
 
 def commutes(a: ExactMatrix, b: ExactMatrix) -> bool:
-    """True iff ab - ba is exactly the zero matrix."""
-    a._check_dim(b)
-    return (mat_mul(a, b) - mat_mul(b, a)).is_zero
+    """True iff ab = ba exactly."""
+    return mat_mul(a, b) == mat_mul(b, a)
 
 
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

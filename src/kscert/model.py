@@ -1,11 +1,11 @@
 """Observable-set data model: observables, rays, spectra, proof-set container.
 
-Every observable carries its finite spectrum.  Pauli and matrix input is
-re-verified on construction: the product of (A - a_j I) over the declared
-eigenvalues must be exactly zero.  Rays are the exception: a ray keeps its
-nonzero vector and that vector's primitive integral form over Z[i, sqrt2],
-which decides duplicates and orthogonality; its projector, whose spectrum
-is known, is built from the vector only when a matrix is read.
+Every observable carries its finite spectrum.  Matrix input is verified on
+construction: the product of (A - a_j I) over the declared eigenvalues must
+be exactly zero.  Rays and Pauli words have their spectra stated, for the
+reasons their constructors give.  A ray keeps its nonzero vector and that
+vector's primitive integral form over Z[i, sqrt2], which decides duplicates
+and orthogonality; its projector is built only when a matrix is read.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .exact import (
     ExactMatrix,
     Scalar,
     mat_mul,
+    pauli_matrix,
     primitive_integral,
     projector_from_vector,
 )
@@ -145,6 +146,17 @@ def ray_observable(ray: Ray, label: str = "") -> Observable:
     return Observable(spectrum=spec, label=label, ray=ray)
 
 
+def pauli_observable(word: str, label: str = "") -> Observable:
+    """A signed Pauli word such as -XYZ.  I, X, Y and Z are Hermitian and
+    square to I, and so does a signed tensor product M of them.  M = +-I,
+    and one factor of (M - I)(M + I) = 0 suffices, only for a word of I's
+    (any other letter makes the trace 0): the spectrum is then (sign,)."""
+    sign = -1 if word.startswith("-") else 1
+    letters = word[1:] if word[:1] in ("+", "-") else word
+    spec = (Fraction(sign),) if set(letters) == {"I"} else (Fraction(-1), Fraction(1))
+    return Observable(spectrum=spec, label=label, own_matrix=pauli_matrix(letters, sign))
+
+
 def dichotomize(ray: Ray, label: str = "") -> Observable:
     """The {-1,1}-valued observable I - 2P associated with a ray."""
     n = ray.dim
@@ -157,8 +169,8 @@ def _index_key(obs: Observable):
     """Equal exactly for observables with equal matrices.  A ray is keyed by
     the primitive integral vector of its line, so it needs no projector, and
     so is a matrix that is a rank-1 projector: one annihilated by x(x - 1)
-    (make_observable verified that, and Hermiticity) with trace 1.  Any
-    other matrix is its own key."""
+    (its constructor verified or stated that, and Hermiticity) with trace 1.
+    Any other matrix is its own key."""
     if obs.ray is not None:
         return obs.ray.key
     m = obs.own_matrix

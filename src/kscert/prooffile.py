@@ -32,8 +32,8 @@ from typing import List, Optional
 
 from .compat import validate_context
 from .errors import ParseError
-from .exact import ExactMatrix, Scalar, pauli_matrix
-from .model import ObservableSet, make_observable, make_ray, ray_observable
+from .exact import ExactMatrix, Scalar
+from .model import ObservableSet, make_observable, make_ray, pauli_observable, ray_observable
 from .poly import Poly, make_context_polynomial, render
 
 DERIVED_MARKER = "=== derived ==="
@@ -127,16 +127,10 @@ class ProofFile:
                     )
                 oset.add(ray_observable(make_ray(d.vector, d.label), d.label))
             elif d.kind == "pauli":
-                sign = 1
-                word = d.pauli
-                if word[0] in "+-":
-                    sign = -1 if word[0] == "-" else 1
-                    word = word[1:]
-                size = 2 ** len(word)
+                size = 2 ** sum(ch in "IXYZ" for ch in d.pauli)  # a qubit per letter
                 if size != self.dim:
                     raise ParseError(f"pauli {d.label} has dimension {size}, dim is {self.dim}")
-                m = pauli_matrix(word, sign)
-                oset.add(make_observable(m, spectrum=(-1, 1), label=d.label))
+                oset.add(pauli_observable(d.pauli, d.label))
             else:
                 m = ExactMatrix(d.rows)
                 if m.dim != self.dim:
@@ -408,7 +402,7 @@ def render_record(pf: ProofFile, ineq, presented) -> str:
     """Full derivation record: input section + derived section + hash."""
     oset = ineq.oset
     labels = dict(enumerate(oset.labels))
-    plabels = dict(enumerate(presented.presented_set.labels))
+    plabels = dict(enumerate(presented.labels))
     lines = [render_input_section(pf).rstrip("\n"), DERIVED_MARKER]
     cs = ineq.complete_set
     lines.append(f"provenance {cs.provenance}")

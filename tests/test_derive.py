@@ -34,7 +34,7 @@ from kscert.errors import (
     ZeroState,
 )
 from kscert.exact import Scalar
-from kscert.model import ObservableSet
+from kscert.model import ObservableSet, dichotomize
 from kscert.poly import (
     ContextPolynomial,
     Poly,
@@ -400,6 +400,32 @@ def colorable_inequality(oset, certified=True):
     return Inequality(oset=oset, complete_set=cs, F=F, classical=classical)
 
 
+def substitute_dichotomic_oracle(F: Poly) -> Poly:
+    """P_i -> (1 - A_i)/2 through Poly arithmetic, one term at a time."""
+    out = Poly.const(0)
+    half = Scalar.of(Fraction(1, 2))
+    for mono, coef in F.terms.items():
+        term = Poly.const(coef)
+        for i, e in mono:
+            factor = (Poly.const(1) - Poly.var(i)) * half
+            for _ in range(e):
+                term = term * factor
+        out = out + term
+    return out
+
+
+def assert_score_is_quantum_value(pres, oset):
+    """Under the rays' observables A_i = 1 - 2P_i the score is the quantum
+    value times I, so every state has that expectation."""
+    dich = ObservableSet(dim=oset.dim)
+    for obs in oset.observables:
+        dich.add(dichotomize(obs.ray))
+    states = [(1,) + (0,) * (oset.dim - 1), tuple(range(1, oset.dim + 1)),
+              (Scalar(0, 0, 1),) + (Scalar(0, 1),) * (oset.dim - 1)]
+    for state in states:
+        assert expectation(pres.score, dich, state) == pres.quantum_value
+
+
 class TestPresent:
     def test_projector_bound_formula(self, two_bases):
         # N bases: quantum value N, certified classical bound N - 1
@@ -426,8 +452,24 @@ class TestPresent:
         assert pres.scale == Fraction(1, 4)
         assert pres.quantum_value == 8
         assert pres.classical_bound == 4
-        assert pres.presented_set.all_dichotomic
-        assert pres.presented_set.labels == ["de1", "de2", "de3", "df1", "df2"]
+        assert pres.labels == ["de1", "de2", "de3", "df1", "df2"]
+        assert_score_is_quantum_value(pres, two_bases)
+
+    def test_dichotomic_score_operator_cabello(self, cabello):
+        oset, graph, bases = cabello
+        pres = present(assemble_F(build_complete_set_rays(oset, graph, bases)), "dichotomic")
+        assert pres.labels == [f"d{label}" for label in oset.labels]
+        assert_score_is_quantum_value(pres, oset)
+
+    def test_substitution_matches_poly_algebra(self, cabello):
+        oset, graph, bases = cabello
+        F = assemble_F(build_complete_set_rays(oset, graph, bases)).F
+        rng = random.Random(11)
+        cubic = Poly({tuple((i, rng.randint(1, 3)) for i in sorted(rng.sample(range(18), 3))):
+                      Scalar(rng.randint(-3, 3), rng.randint(-1, 1), rng.randint(-1, 1))
+                      for _ in range(20)})
+        for p in (F, cubic, Poly.const(5), Poly()):
+            assert derive._substitute_dichotomic(p) == substitute_dichotomic_oracle(p)
 
     def test_dichotomic_integer_even_pair_coefficients(self, two_bases):
         pres = present(colorable_inequality(two_bases), "dichotomic")
@@ -485,7 +527,7 @@ class TestPresent:
         ineq = assemble_F(build_complete_set_parity(oset, ctxs), exact_bound=True)
         pres = present(ineq, "dichotomic")
         assert not pres.substituted
-        assert pres.presented_set is oset
+        assert pres.labels == oset.labels
         assert pres.scale == Fraction(1, 2)
         assert pres.offset == -3
         assert pres.classical_bound == 4

@@ -109,6 +109,14 @@ def _close(a, b):
     )
 
 
+# pairs of n x n matrices, n = 1-4, half their entries zero
+exact_entries = st.sampled_from([Scalar(0)] * 7 + [
+    Scalar(1), Scalar(-2), Scalar(Fraction(1, 2)), Scalar(0, 1), Scalar(0, 0, 1),
+    Scalar(1, 0, -1), Scalar(0, Fraction(-1, 3), 0, 1)])
+exact_pairs = st.integers(1, 4).flatmap(lambda n: st.tuples(*[
+    st.lists(st.lists(exact_entries, min_size=n, max_size=n), min_size=n, max_size=n)] * 2))
+
+
 class TestMatrix:
     def test_identity_product(self):
         i2 = ExactMatrix.identity(2)
@@ -143,6 +151,16 @@ class TestMatrix:
         names = list(PAULI)
         a, b = PAULI[names[i]], PAULI[names[j]]
         assert commutes(a, b) == commutes(b, a)
+
+    @given(exact_pairs)
+    @settings(max_examples=80, deadline=None)
+    def test_mat_mul_oracle(self, pair):
+        a, b = (ExactMatrix(e) for e in pair)
+        n = a.dim
+        want = [[sum((a[i, k] * b[k, j] for k in range(n)), Scalar(0)) for j in range(n)]
+                for i in range(n)]
+        assert mat_mul(a, b) == ExactMatrix(want)
+        assert commutes(a, b) == (mat_mul(a, b) - mat_mul(b, a)).is_zero
 
     def test_kron_examples(self):
         i2 = ExactMatrix.identity(2)

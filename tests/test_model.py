@@ -1,5 +1,6 @@
 """Observables, rays, spectra, duplicate detection."""
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -16,7 +17,16 @@ from kscert.errors import (
     ZeroVector,
 )
 from kscert import model
-from kscert.exact import ExactMatrix, Scalar, kron, mat_mul, PAULI, projector_from_vector
+from kscert.exact import (
+    ExactMatrix,
+    PAULI,
+    Scalar,
+    kron,
+    mat_mul,
+    pauli_matrix,
+    primitive_integral,
+    projector_from_vector,
+)
 from kscert.model import (
     ObservableSet,
     _annihilates,
@@ -24,6 +34,7 @@ from kscert.model import (
     dichotomize,
     make_observable,
     make_ray,
+    pauli_observable,
     ray_observable,
 )
 from kscert.catalog import CABELLO_18_VECTORS
@@ -227,6 +238,41 @@ class TestRaySpectra:
             assert _annihilates(obs.matrix, obs.spectrum)
 
 
+SIGNED_PAULI_WORDS = [sign + "".join(letters)
+                      for n in (1, 2, 3)
+                      for letters in itertools.product("IXYZ", repeat=n)
+                      for sign in ("", "+", "-")]
+
+
+class TestPauliObservable:
+    """pauli_observable states its spectrum; the annihilation check and
+    make_observable are the oracles."""
+
+    def test_no_matrix_product(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(model, "mat_mul", lambda a, b: calls.append((a, b)))
+        for word in SIGNED_PAULI_WORDS:
+            pauli_observable(word)
+        assert calls == []
+
+    @pytest.mark.parametrize("word", SIGNED_PAULI_WORDS)
+    def test_spectrum_oracle(self, word):
+        obs = pauli_observable(word, label="a")
+        sign = -1 if word.startswith("-") else 1
+        matrix = pauli_matrix(word.lstrip("+-"), sign)
+        assert obs.matrix == matrix and obs.label == "a"
+        assert matrix.is_hermitian
+        assert obs.spectrum == _minimal_spectrum(matrix, (Fraction(-1), Fraction(1)))
+        assert _annihilates(matrix, obs.spectrum)
+        assert obs.spectrum == make_observable(matrix, spectrum=(-1, 1)).spectrum
+
+    def test_equal_matrix_is_duplicate(self):
+        oset = ObservableSet(dim=2)
+        oset.add(make_observable(ExactMatrix([[1, 0], [0, -1]]), label="m"))
+        with pytest.raises(DuplicateObservable, match="observable a duplicates m"):
+            oset.add(pauli_observable("+Z", label="a"))
+
+
 # entries of the integer-geometry oracle tests, sqrt2 and 1/2 included
 INTEGRAL_ENTRIES = [Scalar(0), Scalar(1), Scalar(-1), Scalar(2), Scalar(-2), Scalar(0, 0, 1),
                     Scalar(0, 0, -1), Scalar(0, 1), Scalar(Fraction(1, 2))]
@@ -245,9 +291,24 @@ nonzero_scalars = st.tuples(*[st.fractions(-3, 3, max_denominator=4)] * 4).map(
     lambda t: Scalar(*t)).filter(lambda s: not s.is_zero)
 
 
+def primitive_integral_oracle(v):
+    """v divided by its lead in Q(i, sqrt2), then cleared of denominators."""
+    inv = next(x for x in v if not x.is_zero).inverse()
+    parts = [p for y in (x * inv for x in v) for p in (y.a, y.b, y.c, y.d)]
+    den = math.lcm(*(p.denominator for p in parts))
+    ints = [p.numerator * (den // p.denominator) for p in parts]
+    return tuple(tuple(ints[k : k + 4]) for k in range(0, len(ints), 4))
+
+
 class TestPrimitiveIntegral:
     """A ray's key, its primitive integral vector over Z[i, sqrt2], against
     the projector it stands in for."""
+
+    @given(ray_vector_lists(1, 1), nonzero_scalars)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_rational_oracle(self, vectors, s):
+        for v in (vectors[0], [x * s for x in vectors[0]]):
+            assert primitive_integral(v) == primitive_integral_oracle(v)
 
     @pytest.mark.parametrize("vector,key", [
         ((0, 2, 0), ((0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0))),
