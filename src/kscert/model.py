@@ -148,9 +148,9 @@ def ray_observable(ray: Ray, label: str = "") -> Observable:
 
 def pauli_observable(word: str, label: str = "") -> Observable:
     """A signed Pauli word such as -XYZ.  I, X, Y and Z are Hermitian and
-    square to I, and so does a signed tensor product M of them.  M = +-I,
-    and one factor of (M - I)(M + I) = 0 suffices, only for a word of I's
-    (any other letter makes the trace 0): the spectrum is then (sign,)."""
+    square to I, so a signed tensor product M of them is too: (M - I)(M + I)
+    = 0.  One factor alone is 0 only if M = +-I, i.e. for a word of I's (any
+    other letter makes the trace 0); the spectrum is (sign,) there, else (-1, 1)."""
     sign = -1 if word.startswith("-") else 1
     letters = word[1:] if word[:1] in ("+", "-") else word
     spec = (Fraction(sign),) if set(letters) == {"I"} else (Fraction(-1), Fraction(1))
