@@ -1,10 +1,11 @@
 """Compatibility structure: contexts, orthogonality graph, basis enumeration.
 
 A context is a strictly increasing tuple of observable ids whose operators
-pairwise commute (verified exactly).  For ray sets the orthogonality graph
-has one vertex per ray and an edge whenever the inner product of the
-underlying vectors vanishes, computed in integers on their primitive
-integral vectors; bases are its n-vertex cliques.
+pairwise commute (verified exactly, for Pauli words from their letters).
+For ray sets the orthogonality graph has one vertex per ray and an edge
+whenever the inner product of the underlying vectors vanishes, computed in
+integers on their primitive integral vectors; bases are its n-vertex
+cliques.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .exact import (
     orthogonal_integral,
     scalar_multiple_of_identity,
 )
-from .model import ObservableSet
+from .model import Observable, ObservableSet
 
 
 @dataclass(frozen=True)
@@ -47,9 +48,19 @@ def validate_context(oset: ObservableSet, ids: Sequence[int]) -> Context:
             raise KSCertError(f"observable id {i} out of range")
     for a_pos, i in enumerate(ids):
         for j in ids[a_pos + 1 :]:
-            if not commutes(oset[i].matrix, oset[j].matrix):
+            if not _commute(oset[i], oset[j]):
                 raise NotCommuting(i, j)
     return Context(tuple(ids))
+
+
+def _commute(x: Observable, y: Observable) -> bool:
+    """Two Pauli words commute exactly when an even number of positions hold
+    two different letters other than I, as such a pair of letters
+    anticommutes and any other pair commutes; signs do not matter.  Any
+    other pair of observables is multiplied out."""
+    if x.pauli is not None and y.pauli is not None:
+        return sum(p != q and "I" not in (p, q) for p, q in zip(x.pauli, y.pauli)) % 2 == 0
+    return commutes(x.matrix, y.matrix)
 
 
 @dataclass

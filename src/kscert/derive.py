@@ -13,7 +13,7 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
 from .assign import (
@@ -36,12 +36,13 @@ from .errors import (
     PresentationUnavailable,
     ZeroState,
 )
-from .exact import ZERO, Scalar, inner
+from .exact import _FR0, ONE, MINUS_ONE, ZERO, Scalar, _mul_integral, inner, integral
 from .model import ObservableSet
 from .poly import (
     ContextPolynomial,
     Poly,
     eval_operator,
+    lowering,
     make_context_polynomial,
     mono_mul,
     normalization_constant,
@@ -74,7 +75,7 @@ def _ray_member(terms: dict, ctx: Context, oset: ObservableSet) -> ContextPolyno
 
 
 def _basis_poly(oset, ctx: Context) -> ContextPolynomial:
-    return _ray_member({((i, 1),): 1 for i in ctx.ids} | {(): -1}, ctx, oset)
+    return _ray_member({((i, 1),): ONE for i in ctx.ids} | {(): MINUS_ONE}, ctx, oset)
 
 
 def build_complete_set_rays(
@@ -86,7 +87,7 @@ def build_complete_set_rays(
     construction: edges join exactly orthogonal rays (P_i P_j = 0), and
     bases sum to I (see enumerate_bases).  The set records graph and bases,
     whose coloring rules are exactly its members (see decide)."""
-    polys = [_ray_member({((i, 1), (j, 1)): 1}, Context((i, j)), oset) for i, j in graph.edges]
+    polys = [_ray_member({((i, 1), (j, 1)): ONE}, Context((i, j)), oset) for i, j in graph.edges]
     polys += [_basis_poly(oset, b) for b in bases]
     return CompleteSet(oset, polys, RAY_EDGES_BASES, graph=graph, bases=list(bases))
 
@@ -112,7 +113,7 @@ def build_complete_set_parity(
     Condition 1 holds as parity_certify found each context product delta*I;
     whether the set is a proof is decide's question.  Dichotomic spectra
     have two values, so the products are reduced as written."""
-    polys = [ContextPolynomial(Poly({tuple((i, 1) for i in ctx.ids): 1}) - d, ctx, Fraction(4))
+    polys = [ContextPolynomial(Poly({tuple((i, 1) for i in ctx.ids): ONE}) - d, ctx, Fraction(4))
              for ctx, d in zip(contexts, parity_certify(oset, contexts))]
     return CompleteSet(oset=oset, polynomials=polys, provenance=PARITY)
 
@@ -233,22 +234,67 @@ def assemble_F(
     elif user:
         check_declared_constants(cs, constants)
     used = [replace(cp, c=c) for cp, c in zip(cs.polynomials, constants)]
-    # reduce is linear, so reducing the summed squares once gives the sum
-    # of the members' normalized_square
-    terms = {}
-    for cp in used:
-        weight = Scalar.of(-1 / cp.c)
-        for m1, c1 in cp.poly.terms.items():
-            c1w = c1.conjugate() * weight
-            for m2, c2 in cp.poly.terms.items():
-                mono = mono_mul(m1, m2)
-                terms[mono] = terms.get(mono, ZERO) + c1w * c2
     return Inequality(
         oset=oset,
         complete_set=replace(cs, polynomials=used),
-        F=reduce(Poly(terms), oset.spectra()),
+        F=sum_of_squares(used, oset.spectra()),
         classical=classical,
     )
+
+
+def sum_of_squares(members: Sequence[ContextPolynomial], spectra) -> Poly:
+    """The reduced F = -sum r_i^dagger r_i / c_i, summed in integers over
+    Z[i, sqrt2]; one Scalar is built per monomial of F.
+
+    Each member's coefficients are cleared to int (a, b, c, d) tuples with
+    one denominator den (exact.integral), so its term is the weight
+    -1 / (den^2 c_i) times a sum of products conj(t1) t2, added up per
+    distinct weight, which is kept as the int pair (den^2 p, q) for
+    c_i = p/q.  The pairs (m1, m2) and (m2, m1) give one monomial and
+    conjugate products, whose sum is twice the real part, so each unordered
+    pair is formed once and F's coefficients are real: ints (x, y) stand for
+    x + y sqrt2.  reduce is linear, so the sum is lowered once, each distinct
+    monomial once (poly.lowering), and the remainder's rational coefficients
+    are brought to one denominator, which joins the weight.  Last, the
+    weights are brought to one denominator L and F's coefficients are the
+    summed ints over -L.  The member-by-member sum of normalized_square is
+    the test oracle.
+    """
+    squares = {}  # (den^2 p, q) -> {monomial: (x, y)}
+    for cp in members:
+        den, ints = integral(cp.poly.terms.values())
+        acc = squares.setdefault((den * den * cp.c.numerator, cp.c.denominator), {})
+        items = list(zip(cp.poly.terms, ints))
+        for k, (m1, (a, b, c, d)) in enumerate(items):
+            conj = (a, b, -c, -d)
+            for j, (m2, t2) in enumerate(items[k:]):
+                x, y, _, _ = _mul_integral(conj, t2)
+                if j:
+                    x, y = 2 * x, 2 * y
+                mono = mono_mul(m1, m2)
+                s = acc.get(mono)
+                acc[mono] = (x, y) if s is None else (s[0] + x, s[1] + y)
+    rules, lowered, sums = {}, {}, {}
+    for (p, q), acc in squares.items():
+        for mono, (x, y) in acc.items():
+            if mono not in lowered:
+                terms = lowering(mono, spectra, rules)
+                den = lcm(*(r.denominator for _, r in terms))
+                lowered[mono] = den, [(m, r.numerator * (den // r.denominator)) for m, r in terms]
+            den, terms = lowered[mono]
+            out = sums.setdefault((p * den, q), {})
+            for m, n in terms:
+                s = out.get(m, (0, 0))
+                out[m] = (s[0] + n * x, s[1] + n * y)
+    L = lcm(*(p for p, _ in sums))
+    numerators = {}
+    for (p, q), out in sums.items():
+        k = q * (L // p)
+        for m, (x, y) in out.items():
+            s = numerators.get(m, (0, 0))
+            numerators[m] = (s[0] + k * x, s[1] + k * y)
+    return Poly({m: Scalar._make(Fraction(-x, L), Fraction(-y, L), _FR0, _FR0)
+                 for m, (x, y) in numerators.items() if x or y})
 
 
 def witness_str(witness: dict, labels: Sequence[str]) -> str:

@@ -105,8 +105,10 @@ class Scalar:
         o = Scalar.of(other)
         a, b, c, d = self.a, self.b, self.c, self.d
         e, f, g, h = o.a, o.b, o.c, o.d
-        if not (b or c or d or f or g or h):  # both purely rational
-            return Scalar._make(a * e, _FR0, _FR0, _FR0)
+        if not (b or d or f or h):  # both in Q(i)
+            if not (c or g):  # both purely rational
+                return Scalar._make(a * e, _FR0, _FR0, _FR0)
+            return Scalar._make(a * e - c * g, _FR0, a * g + c * e, _FR0)
         # (re1 + im1*i)(re2 + im2*i), components in Q(sqrt2):
         # (x1 + y1*s)(x2 + y2*s) = (x1x2 + 2 y1y2) + (x1y2 + y1x2) s
         re_a = a * e + 2 * b * f - (c * g + 2 * d * h)
@@ -121,8 +123,10 @@ class Scalar:
         return Scalar._make(self.a, self.b, -self.c, -self.d)
 
     def norm_squared(self) -> "Scalar":
-        """|z|^2, a real (possibly sqrt2-bearing) scalar."""
-        return self * self.conjugate()
+        """|z|^2 = (a + b sqrt2)^2 + (c + d sqrt2)^2, a real (possibly
+        sqrt2-bearing) scalar."""
+        a, b, c, d = self.a, self.b, self.c, self.d
+        return Scalar._make(a * a + 2 * b * b + c * c + 2 * d * d, 2 * (a * b + c * d), _FR0, _FR0)
 
     def inverse(self) -> "Scalar":
         if self.is_zero:
@@ -177,6 +181,7 @@ _FR0 = Fraction(0)
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
+MINUS_ONE = Scalar(-1)
 I_UNIT = Scalar(0, 0, 1, 0)
 SQRT2 = Scalar(0, 1, 0, 0)
 
@@ -204,6 +209,15 @@ def _mul_integral(s: tuple, t: tuple) -> tuple:
     )
 
 
+def integral(v: Iterable[Scalar]) -> tuple:
+    """(den, w): the least positive int den that clears every denominator of
+    the scalars v, and the (a, b, c, d) int tuples of den * v, one per scalar."""
+    v = list(v)
+    den = lcm(*(p.denominator for x in v for p in (x.a, x.b, x.c, x.d)))
+    return den, [tuple(p.numerator * (den // p.denominator) for p in (x.a, x.b, x.c, x.d))
+                 for x in v]
+
+
 def primitive_integral(v: Sequence[Scalar]) -> tuple:
     """The canonical vector of the line through a nonzero v, over
     Z[i, sqrt2]: the positive rational multiple of v / (first nonzero
@@ -211,12 +225,11 @@ def primitive_integral(v: Sequence[Scalar]) -> tuple:
     common factor.  Two nonzero vectors span the same line, and so have the
     same projector, exactly when their primitive integral vectors are equal.
 
-    It is computed in ints: clear v's denominators, then multiply by
+    It is computed in ints: clear v's denominators (integral), then multiply by
     conj(lead) * (x - y sqrt2), where lead * conj(lead) = x + y sqrt2, which
     turns the lead into x^2 - 2y^2, the product of |lead|^2 and its sqrt2
     conjugate, both positive; then divide by the gcd."""
-    den = lcm(*(p.denominator for x in v for p in (x.a, x.b, x.c, x.d)))
-    w = [tuple(p.numerator * (den // p.denominator) for p in (x.a, x.b, x.c, x.d)) for x in v]
+    _, w = integral(v)
     a, b, c, d = next(t for t in w if any(t))
     x, y = a * a + 2 * b * b + c * c + 2 * d * d, 2 * (a * b + c * d)
     m = _mul_integral((a, b, -c, -d), (x, -y, 0, 0))
@@ -282,7 +295,7 @@ class ExactMatrix:
         )
 
     def __neg__(self):
-        return self.scale(Scalar(-1))
+        return self.scale(MINUS_ONE)
 
     def scale(self, s) -> "ExactMatrix":
         s = Scalar.of(s)
@@ -353,15 +366,17 @@ def commutes(a: ExactMatrix, b: ExactMatrix) -> bool:
 
 
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Tensor product; result dimension a.dim * b.dim."""
+    """Tensor product; result dimension a.dim * b.dim.  Only nonzero entries
+    of a and b are multiplied, as in mat_mul."""
     n, m = a.dim, b.dim
+    b_nonzero = [(k, l, y) for k, row in enumerate(b.entries)
+                 for l, y in enumerate(row) if not y.is_zero]
     out = [[ZERO] * (n * m) for _ in range(n * m)]
-    for i in range(n):
-        for j in range(n):
-            aij = a.entries[i][j]
-            for k in range(m):
-                for l in range(m):
-                    out[i * m + k][j * m + l] = aij * b.entries[k][l]
+    for i, row in enumerate(a.entries):
+        for j, x in enumerate(row):
+            if not x.is_zero:
+                for k, l, y in b_nonzero:
+                    out[i * m + k][j * m + l] = x * y
     return ExactMatrix(out)
 
 
@@ -395,7 +410,7 @@ PAULI = {
     "I": ExactMatrix.identity(2),
     "X": ExactMatrix([[ZERO, ONE], [ONE, ZERO]]),
     "Y": ExactMatrix([[ZERO, -I_UNIT], [I_UNIT, ZERO]]),
-    "Z": ExactMatrix([[ONE, ZERO], [ZERO, Scalar(-1)]]),
+    "Z": ExactMatrix([[ONE, ZERO], [ZERO, MINUS_ONE]]),
 }
 
 

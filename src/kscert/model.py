@@ -52,12 +52,14 @@ class Ray:
 @dataclass(frozen=True)
 class Observable:
     """Hermitian matrix with a verified annihilating spectrum.  A ray
-    observable holds its ray instead, and its matrix is the ray's projector."""
+    observable holds its ray instead, and its matrix is the ray's projector.
+    A signed Pauli word also keeps its letters, which decide commutation."""
 
     spectrum: tuple  # distinct Fractions, ascending
     label: str = ""
     ray: Optional[Ray] = None  # set when the observable is a rank-1 projector
     own_matrix: Optional[ExactMatrix] = field(default=None, repr=False)  # unless ray
+    pauli: Optional[str] = field(default=None, compare=False)  # letters of a Pauli word
 
     @property
     def matrix(self) -> ExactMatrix:
@@ -154,7 +156,8 @@ def pauli_observable(word: str, label: str = "") -> Observable:
     sign = -1 if word.startswith("-") else 1
     letters = word[1:] if word[:1] in ("+", "-") else word
     spec = (Fraction(sign),) if set(letters) == {"I"} else (Fraction(-1), Fraction(1))
-    return Observable(spectrum=spec, label=label, own_matrix=pauli_matrix(letters, sign))
+    return Observable(spectrum=spec, label=label, own_matrix=pauli_matrix(letters, sign),
+                      pauli=letters)
 
 
 def dichotomize(ray: Ray, label: str = "") -> Observable:

@@ -153,26 +153,37 @@ def _power_rule(spectrum, e: int) -> list:
     return q
 
 
+def lowering(mono: Monomial, spectra: Mapping[int, Sequence], rules: dict) -> list:
+    """mono with each x_i^e whose e reaches the size of i's spectrum replaced
+    by its remainder (_power_rule), as a list of (monomial, q) with rational
+    q, an int where it is one; a reduced monomial gives [(mono, 1)].  rules
+    caches the nonzero terms of each remainder by (i, e), and computes them
+    once per (spectrum, e) that variables share."""
+    terms = [((), 1)]
+    for i, e in mono:
+        if e < len(spectra[i]):
+            terms = [(m + ((i, e),), q) for m, q in terms]
+            continue
+        rule = rules.get((i, e))
+        if rule is None:
+            shared = (tuple(spectra[i]), e)
+            if shared not in rules:
+                rules[shared] = [(k, r.numerator if r.denominator == 1 else r)
+                                 for k, r in enumerate(_power_rule(spectra[i], e)) if r]
+            rule = rules[i, e] = rules[shared]
+        terms = [(m + ((i, k),) if k else m, q * r) for m, q in terms for k, r in rule]
+    return terms
+
+
 def reduce(p: Poly, spectra: Mapping[int, Sequence]) -> Poly:
     """Bring every exponent of variable i below the size of its spectrum, in
     one step per factor: x^e becomes its remainder modulo the spectrum's
-    minimal polynomial (_power_rule)."""
+    minimal polynomial (lowering)."""
     rules = {}
     out = {}
     for mono, coef in p.terms.items():
-        terms = [((), coef)]
-        for i, e in mono:
-            if e < len(spectra[i]):
-                terms = [(m + ((i, e),), c) for m, c in terms]
-                continue
-            if (i, e) not in rules:
-                rule = _power_rule(spectra[i], e)
-                rules[i, e] = [(k, Scalar.of(q)) for k, q in enumerate(rule) if q]
-            terms = [
-                (m + ((i, k),) if k else m, c * q) for m, c in terms for k, q in rules[i, e]
-            ]
-        for m, c in terms:
-            out[m] = out.get(m, ZERO) + c
+        for m, q in lowering(mono, spectra, rules):
+            out[m] = out.get(m, ZERO) + (coef if q == 1 else coef * Scalar.of(q))
     return Poly(out)
 
 

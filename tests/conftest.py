@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from kscert import (
     enumerate_bases,
 )
 from kscert import catalog
+from kscert.exact import ExactMatrix, mat_mul
 
 
 @pytest.fixture(scope="session")
@@ -56,6 +58,27 @@ def two_bases_set():
     oset.add_ray((0, 0, 1), label="e3")
     oset.add_ray((0, 1, 1), label="f1")
     oset.add_ray((0, 1, -1), label="f2")
+    return oset
+
+
+def eigenray_set(name, prefix="r"):
+    """The rays of the joint eigenbases of a parity entry's contexts: per
+    context and sign pattern s, the first nonzero column of
+    prod_k (I + s_k A_k)/2 over all members but the last, labelled prefix1,
+    prefix2, ...  Peres' 24 rays from mermin-peres, Kernaghan and Peres' 40
+    from mermin-pentagram."""
+    source = catalog.get(name).load()
+    n = source.dim
+    one = ExactMatrix.identity(n)
+    oset = ObservableSet(dim=n)
+    for ids in source.declared_contexts:
+        gens = [source[i].matrix for i in ids[:-1]]
+        for signs in itertools.product((1, -1), repeat=len(gens)):
+            proj = one
+            for g, sign in zip(gens, signs):
+                proj = mat_mul(proj, (one + g.scale(sign)).scale(Fraction(1, 2)))
+            oset.add_ray(next(c for c in zip(*proj.entries) if any(not x.is_zero for x in c)),
+                         label=f"{prefix}{len(oset) + 1}")
     return oset
 
 

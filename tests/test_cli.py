@@ -1,6 +1,8 @@
 """Proof-file parsing and the command-line workflow."""
 
 import contextlib
+import functools
+import hashlib
 import io
 import sys
 import time
@@ -24,6 +26,8 @@ from kscert.prooffile import (
     proof_file_from_set,
     render_input_section,
 )
+
+from conftest import eigenray_set
 
 
 class TestParseScalar:
@@ -795,6 +799,39 @@ class TestExportRecordDigests:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out.splitlines()[-1] == f"sha256 {EXPORT_DIGESTS[name, form, exact_bound]}"
+
+
+# sha256 of the standard output of derive and export, in both forms, on
+# Peres' 24 and Kernaghan and Peres' 40 rays (conftest.eigenray_set), each
+# written as a ray file and read by its relative name
+WORKLOAD_DIGESTS = {
+    ("peres-24", "derive", "projector"): "9796d3e2411214983636231ad945132bf9d6096c172f0df740476d9f44de0d57",
+    ("peres-24", "derive", "dichotomic"): "cd959aa0690017fdcacd8220c8d63f60408a47fcbb980f74e05195d716eac456",
+    ("peres-24", "export", "projector"): "353167370acfac960e11bbba28a7a3ce4d0f0d119260e54c6c19a4cde89bb07c",
+    ("peres-24", "export", "dichotomic"): "a211b6e1a9d5acbdb8f841c037282f64ae390a29e68f115bdd28c59c84d0932c",
+    ("kp-40", "derive", "projector"): "09716e6a5ad0a1b158be560dc44254b24fdb4e7cacd8574eedc22df9ac4ac429",
+    ("kp-40", "derive", "dichotomic"): "ce1682eedc07ab5a1ac14416c10039a62a0ed5ca493e68557ae73564403fd909",
+    ("kp-40", "export", "projector"): "a7cda7f70aeb74c6e4b8453d9ff6c3b5e8b7860352fe67a380c43cc7fad484fe",
+    ("kp-40", "export", "dichotomic"): "e128480ba2588a1e90ce1650e06fda29b752e0bb18e33f45b0e2fb54e50ff5c4",
+}
+
+
+@functools.cache
+def _eigenray_file(name):
+    source, prefix = {"peres-24": ("mermin-peres", "p"), "kp-40": ("mermin-pentagram", "k")}[name]
+    return render_input_section(proof_file_from_set(eigenray_set(source, prefix), "ray"))
+
+
+class TestWorkloadOutputDigests:
+    """derive and export on the generated ray sets stay byte-identical."""
+
+    @pytest.mark.parametrize("name,command,form", list(WORKLOAD_DIGESTS))
+    def test_sha256_of_stdout(self, capsys, monkeypatch, tmp_path, name, command, form):
+        (tmp_path / f"{name}.txt").write_text(_eigenray_file(name), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)  # derive prints the input path
+        code, out, _ = run(capsys, command, "--input", f"{name}.txt", "--form", form)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == WORKLOAD_DIGESTS[name, command, form]
 
 
 class TestCatalogCommand:

@@ -3,7 +3,6 @@
 import itertools
 import random
 from contextlib import suppress
-from fractions import Fraction
 
 import networkx as nx
 import pytest
@@ -18,11 +17,11 @@ from kscert.compat import (
 )
 from kscert import catalog
 from kscert.errors import DuplicateObservable, KSCertError, NonRayMember, NotCommuting
-from kscert.exact import ExactMatrix, Scalar, inner, mat_mul
-from kscert.model import ObservableSet, make_observable
+from kscert.exact import Scalar, commutes, inner
+from kscert.model import ObservableSet, make_observable, pauli_observable
 from kscert.exact import PAULI
 
-from conftest import single_basis_set
+from conftest import eigenray_set, single_basis_set
 from test_acceptance import _random_ray_set
 from test_model import ray_vector_lists
 
@@ -75,25 +74,6 @@ def _inner_edges(oset):
             if inner(vs[i], vs[j]).is_zero]
 
 
-def _eigenray_set(name):
-    """The rays of the joint eigenbases of a parity entry's contexts: per
-    context and sign pattern s, the first nonzero column of
-    prod_k (I + s_k A_k)/2 over all members but the last.  Peres' 24 rays
-    from mermin-peres, Kernaghan and Peres' 40 from mermin-pentagram."""
-    source = catalog.get(name).load()
-    n = source.dim
-    one = ExactMatrix.identity(n)
-    oset = ObservableSet(dim=n)
-    for ids in source.declared_contexts:
-        gens = [source[i].matrix for i in ids[:-1]]
-        for signs in itertools.product((1, -1), repeat=len(gens)):
-            proj = one
-            for g, sign in zip(gens, signs):
-                proj = mat_mul(proj, (one + g.scale(sign)).scale(Fraction(1, 2)))
-            oset.add_ray(next(c for c in zip(*proj.entries) if any(not x.is_zero for x in c)))
-    return oset
-
-
 class TestIntegerGraphOracle:
     """build_orthogonality_graph tests orthogonality in integers on the
     rays' primitive integral vectors; exact.inner is the oracle."""
@@ -105,7 +85,7 @@ class TestIntegerGraphOracle:
     def test_catalog_entries(self, name, counts):
         oset = catalog.get(name).load()
         if not oset.all_rays:
-            oset = _eigenray_set(name)
+            oset = eigenray_set(name)
         edges = build_orthogonality_graph(oset).edges
         assert (len(oset), len(edges)) == counts
         assert edges == _inner_edges(oset)
@@ -177,6 +157,14 @@ class TestValidateContext:
             validate_context(oset, [0, 1])
         assert exc.value.pair == (0, 1)
 
+    def test_not_commuting_pauli_word_and_matrix(self):
+        oset = ObservableSet(dim=2)
+        oset.add(pauli_observable("X", label="x"))
+        oset.add(make_observable(PAULI["Z"], label="z"))
+        with pytest.raises(NotCommuting) as exc:
+            validate_context(oset, [0, 1])
+        assert exc.value.pair == (0, 1)
+
     def test_singleton(self, basis3):
         assert validate_context(basis3, [1]).ids == (1,)
 
@@ -187,6 +175,42 @@ class TestValidateContext:
     def test_context_canonical_order(self):
         with pytest.raises(KSCertError):
             Context((2, 1))
+
+
+def _first_anticommuting_pair(oset, ids):
+    """The oracle: the first pair, in validate_context's order, whose
+    matrices do not commute, or None."""
+    return next(((i, j) for i, j in itertools.combinations(sorted(ids), 2)
+                 if not commutes(oset[i].matrix, oset[j].matrix)), None)
+
+
+def _named_pair(oset, ids):
+    try:
+        validate_context(oset, ids)
+    except NotCommuting as exc:
+        return exc.pair
+    return None
+
+
+class TestPauliWordCommutation:
+    """validate_context decides two Pauli words from their letters;
+    commutes on their matrices is the oracle."""
+
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_every_pair_of_signed_words(self, length):
+        oset = ObservableSet(dim=2 ** length)
+        for sign in "+-":
+            for letters in itertools.product("IXYZ", repeat=length):
+                oset.add(pauli_observable(sign + "".join(letters)))
+        for pair in itertools.combinations(range(len(oset)), 2):
+            assert _named_pair(oset, pair) == _first_anticommuting_pair(oset, pair)
+
+    def test_names_the_same_pair(self, mermin_peres):
+        """On every three words of the square, NotCommuting names the first
+        pair that the matrices fail on."""
+        oset, _ = mermin_peres
+        for ids in itertools.combinations(range(len(oset)), 3):
+            assert _named_pair(oset, ids) == _first_anticommuting_pair(oset, ids)
 
 
 class TestContextProduct:

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+from collections import Counter
 from contextlib import suppress
 from fractions import Fraction
 
@@ -48,7 +49,7 @@ from kscert.poly import (
 )
 from kscert.prooffile import parse
 
-from conftest import two_bases_set
+from conftest import eigenray_set, two_bases_set
 from test_cli import GENERAL_MP
 
 
@@ -364,6 +365,24 @@ def _random_proof_ray_set(seed):
     return assemble_F(build_complete_set_rays(oset, graph, enumerate_bases(graph)))
 
 
+def _eigenray_inequality(name):
+    oset = eigenray_set(name)
+    graph = build_orthogonality_graph(oset)
+    return assemble_F(build_complete_set_rays(oset, graph, enumerate_bases(graph)))
+
+
+# GENERAL_MP with a = 5/4 + 3/4 XI, spectrum (1/2, 2), in place of XI =
+# (4a - 5)/3: a^2 is lowered to 5/2 a - 1, whose coefficients have two
+# different denominators
+AFFINE_A_MP = GENERAL_MP.replace("pauli a +XI\n", """\
+matrix a spectrum 1/2,2
+row 5/4 0 3/4 0
+row 0 5/4 0 3/4
+row 3/4 0 5/4 0
+row 0 3/4 0 5/4
+""").replace("a*b*c - 1", "4/3*a*b*c - 5/3*b*c - 1").replace("a*d*g - 1", "4/3*a*d*g - 5/3*d*g - 1")
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -373,6 +392,13 @@ def _random_proof_ray_set(seed):
     + [pytest.param(_general_mp_inequality, id="general-mermin-peres")]
     + [pytest.param(lambda: _general_mp_inequality(GENERAL_MP.replace(
         "poly c=4 a*b*c - 1", "poly c=8 (1+i)*a*b*c - 1 - i")), id="complex-coefficients")]
+    + [pytest.param(lambda: _general_mp_inequality(GENERAL_MP.replace(
+        "poly c=4 a*b*c - 1", "poly c=16 (r2+r2i)*a*b*c - r2 - r2i")), id="sqrt2-coefficients")]
+    + [pytest.param(lambda: _general_mp_inequality(GENERAL_MP.replace(
+        "poly c=4 d*e*f - 1", "poly c=1/4 1/4*d*e*f - 1/4")), id="fractional-c")]
+    + [pytest.param(lambda: _general_mp_inequality(AFFINE_A_MP), id="fractional-spectrum")]
+    + [pytest.param(lambda name=name: _eigenray_inequality(name), id=ray_name)
+       for name, ray_name in (("mermin-peres", "peres-24"), ("mermin-pentagram", "kp-40"))]
     + [pytest.param(lambda seed=seed: _random_proof_ray_set(seed), id=f"random-rays-{seed}")
        for seed in range(10)],
 )
@@ -384,6 +410,22 @@ def test_F_one_pass_oracle(build):
     for cp in ineq.complete_set.polynomials:
         F = F - normalized_square(cp, ineq.oset).poly
     assert ineq.F == reduce(F, ineq.oset.spectra())
+
+
+@pytest.mark.parametrize("exact_bound", [False, True], ids=["certified", "exact-bound"])
+@pytest.mark.parametrize("name", ["mermin-peres", "mermin-pentagram", "cabello-18", "peres-33"])
+def test_assemble_F_makes_no_scalar_sums_or_products(monkeypatch, name, exact_bound):
+    """F is summed in ints, and neither route's search adds or multiplies
+    Scalars on the catalog entries."""
+    cs = _catalog_complete_set(name)
+    calls = Counter()
+    for op in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        def counted(self, other, op=op, original=getattr(Scalar, op)):
+            calls[op] += 1
+            return original(self, other)
+        monkeypatch.setattr(Scalar, op, counted)
+    assemble_F(cs, exact_bound=exact_bound)
+    assert calls == Counter()
 
 
 def colorable_inequality(oset, certified=True):

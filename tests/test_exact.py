@@ -25,6 +25,7 @@ small_fracs = st.builds(
     Fraction, st.integers(-9, 9), st.integers(1, 9)
 )
 scalars = st.builds(Scalar, small_fracs, small_fracs, small_fracs, small_fracs)
+gaussian_rationals = st.builds(lambda a, c: Scalar(a, 0, c, 0), small_fracs, small_fracs)
 
 
 class TestScalar:
@@ -35,6 +36,11 @@ class TestScalar:
         assert (x * y) * z == x * (y * z)
         assert x * y == y * x
         assert x * (y + z) == x * y + x * z
+
+    @given(gaussian_rationals, gaussian_rationals)
+    def test_product_in_q_i(self, x, y):
+        """The product of two elements of Q(i) against the general product."""
+        assert x * y == (x + SQRT2) * y - SQRT2 * y
 
     @given(scalars)
     def test_inverse(self, x):
@@ -51,6 +57,7 @@ class TestScalar:
     @given(scalars)
     def test_norm_squared_real_nonneg(self, x):
         n = x.norm_squared()
+        assert n == x * x.conjugate()
         assert n.is_real
         # a + b*sqrt2 >= 0, decided exactly by sign cases
         a, b = n.a, n.b
@@ -161,6 +168,17 @@ class TestMatrix:
                 for i in range(n)]
         assert mat_mul(a, b) == ExactMatrix(want)
         assert commutes(a, b) == (mat_mul(a, b) - mat_mul(b, a)).is_zero
+
+    @given(exact_pairs, exact_pairs)
+    @settings(max_examples=60, deadline=None)
+    def test_kron_oracle(self, p, q):
+        """kron against its entrywise definition,
+        (a (x) b)[i m + k][j m + l] = a[i, j] b[k, l] with m = b.dim."""
+        a, b = ExactMatrix(p[0]), ExactMatrix(q[1])
+        m = b.dim
+        size = a.dim * m
+        want = [[a[r // m, s // m] * b[r % m, s % m] for s in range(size)] for r in range(size)]
+        assert kron(a, b) == ExactMatrix(want)
 
     def test_kron_examples(self):
         i2 = ExactMatrix.identity(2)
