@@ -10,6 +10,13 @@
   (Condition 2), max_F (the exact bound on F) and classical_max (the exact
   maximum of a score) differ only in their factors and seed.
 
+The search's scores are Python ints.  Each caller fixes one positive common
+denominator L before the search, so that L times every factor value is an
+int, evaluates its factors in ints over Z[i, sqrt2]
+(poly.integral_evaluator), and returns Fraction(best, L).  Scaling every
+score by L > 0 keeps every comparison of the search, so its nodes,
+witnesses and bounds are those of the same search over the rationals.
+
 All searches are deterministic: fixed variable and value orders, so
 identical inputs yield identical certificates.
 """
@@ -20,13 +27,15 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import lcm
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .compat import Context, OrthogonalityGraph, context_product
 from .errors import NotDichotomic, NotScalarMultiple, SearchBudgetExceeded
+from .exact import Scalar
 from .model import ObservableSet
-from .poly import ContextPolynomial, Poly, eval_assignment
+from .poly import ContextPolynomial, Poly, integral_evaluator
 
 DEFAULT_NODE_CAP = 10**8
 
@@ -176,14 +185,17 @@ def parity_certify(oset: ObservableSet, contexts: Sequence[Context]) -> list:
 def branch_and_bound(
     oset: ObservableSet,
     factors: Sequence[tuple],
-    seed: Optional[Fraction] = None,
+    seed: Optional[int] = None,
     node_cap: int = DEFAULT_NODE_CAP,
 ):
     """Maximise a sum of non-positive factors over the value assignments of
     their variables: weighted-CSP branch and bound with forward checking.
 
     Each factor is (ids, value), where value maps an assignment {id: value}
-    of its ids to a Fraction <= 0, memoised per local assignment.  At every
+    of its ids to an int <= 0, memoised per local assignment; the seed is an
+    int too.  A caller with rational factors multiplies them all by one
+    common denominator L and divides best by L (see the module docstring),
+    so the sums and comparisons below are int arithmetic.  At every
     node a fully assigned factor adds its value, a factor with one free
     variable adds its value at each candidate of that variable, and any
     other factor adds its upper bound 0.  A value is pruned when that
@@ -191,6 +203,7 @@ def branch_and_bound(
     explicit stack and undo trail keep the depth free of the recursion limit.
 
     Returns (best, witness, stats); witness is None when nothing beat seed.
+    Without a seed the incumbent starts at -inf, below every int.
     """
     ids = sorted({i for f_ids, _ in factors for i in f_ids})
     local = {i: v for v, i in enumerate(ids)}
@@ -200,7 +213,8 @@ def branch_and_bound(
     for k, vs in enumerate(fvars):
         for v in vs:
             watch[v].append(k)
-    memo = {}
+    memo = [{} for _ in fvars]  # per factor: its value indices -> value
+    keys = [itemgetter(*vs) if vs else (lambda _: ()) for vs in fvars]
     val = [None] * len(ids)  # assigned value index, None while free
     free = set(range(len(ids)))
     nfree = [len(vs) for vs in fvars]
@@ -215,10 +229,12 @@ def branch_and_bound(
     stack = []
 
     def value(k):
-        key = (k, tuple(val[w] for w in fvars[k]))
-        if key not in memo:
-            memo[key] = factors[k][1]({ids[w]: spec[w][val[w]] for w in fvars[k]})
-        return memo[key]
+        key = keys[k](val)
+        try:
+            return memo[k][key]
+        except KeyError:
+            memo[k][key] = x = factors[k][1]({ids[w]: spec[w][val[w]] for w in fvars[k]})
+            return x
 
     def settle(touched) -> bool:
         """Recompute the gains of the touched variables and prune their
@@ -230,7 +246,7 @@ def branch_and_bound(
             g = {}
             for x in dom[u]:
                 val[u] = x
-                g[x] = sum(value(k) for k in unary)
+                g[x] = sum(map(value, unary))
             val[u] = None
             t = max(g.values())
             trail.append((u, dom[u], gain[u], top[u]))
@@ -311,13 +327,17 @@ def general_unsat(
 
     Each violated polynomial counts -1 and the incumbent starts at -1, so
     only an assignment violating nothing beats it, and the pruning is plain
-    forward checking.  KSProof iff there is none; no c_i is needed.
+    forward checking.  KSProof iff there is none; no c_i is needed.  Whether
+    a member vanishes is read off its integral_evaluator value, so L = 1.
     """
+    spectra = oset.spectra()
+
     def violation(p):
-        return lambda a: 0 if eval_assignment(p, a).is_zero else -1
+        value = integral_evaluator(p, spectra)[1]
+        return lambda a: -1 if any(value(a)) else 0
 
     factors = [(cp.poly.variables(), violation(cp.poly)) for cp in complete_set]
-    _, witness, stats = branch_and_bound(oset, factors, seed=Fraction(-1), node_cap=node_cap)
+    _, witness, stats = branch_and_bound(oset, factors, seed=-1, node_cap=node_cap)
     if witness is None:
         return ProofCertificate(KS_PROOF, "GeneralCSP", stats=stats)
     return ProofCertificate(NOT_KS_PROOF, "GeneralCSP", witness=witness, stats=stats)
@@ -332,14 +352,34 @@ def max_F(
     """Exact maximum of F = -sum |r_i|^2 / c_i over value assignments, one
     factor per r_i, so F itself is never evaluated.  It is 0 exactly when
     some assignment zeroes every r_i, that is when there is no KS proof.
-    The witness assigns every observable (full_witness)."""
-    def weight(p, c):
-        return lambda a: -eval_assignment(p, a).norm_squared().rational() / c
+    The witness assigns every observable (full_witness).
 
-    factors = [(cp.poly.variables(), weight(cp.poly, c)) for cp, c in zip(complete_set, constants)]
+    integral_evaluator gives v_i = t_i r_i as ints for an int scale t_i, so
+    with c_i = p_i/q_i the factor -|r_i|^2 / c_i is -|v_i|^2 q_i / (t_i^2 p_i),
+    and L is the lcm of the t_i^2 p_i.  An irrational |r_i|^2 raises
+    ValueError.
+    """
+    spectra = oset.spectra()
+    members = []
+    for cp, c in zip(complete_set, constants):
+        scale, value = integral_evaluator(cp.poly, spectra)
+        members.append((cp.poly.variables(), value, scale * scale, c))
+    L = lcm(*(t2 * c.numerator for _, _, t2, c in members))
+
+    def weight(value, t2, k):
+        def f(a):
+            ta, tb, tc, td = value(a)
+            x, y = ta * ta + 2 * tb * tb + tc * tc + 2 * td * td, 2 * (ta * tb + tc * td)
+            if y:  # |r|^2 = (x + y sqrt2) / t2 is irrational: raise as .rational() does
+                Scalar(Fraction(x, t2), Fraction(y, t2)).rational()
+            return -k * x
+        return f
+
+    factors = [(ids, weight(value, t2, c.denominator * (L // (t2 * c.numerator))))
+               for ids, value, t2, c in members]
     best, witness, stats = branch_and_bound(oset, factors, node_cap=node_cap)
     return BoundResult(
-        kind="exact", value=Fraction(best), witness=full_witness(oset, witness), stats=stats
+        kind="exact", value=Fraction(best, L), witness=full_witness(oset, witness), stats=stats
     )
 
 
@@ -356,19 +396,24 @@ def classical_max(
 ) -> BoundResult:
     """Exact maximum of a rational-coefficient score over all value
     assignments: each monomial, less its maximum over the spectra, is one
-    factor, and the maxima are added back."""
+    factor, and the maxima are added back.  A monomial's integral_evaluator
+    clears its coefficient and spectrum powers with a scale s_m, so L is the
+    lcm of the s_m and each factor is L / s_m times the cleared value."""
     spectra = oset.spectra()
-    factors, offset = [], 0
+    monomials = []
     for mono, coef in score.terms.items():
         if not coef.is_rational:
             raise ValueError("classical_max requires a rational-coefficient score")
-        ids = [i for i, _ in mono]
+        monomials.append(([i for i, _ in mono], *integral_evaluator(Poly({mono: coef}), spectra)))
+    L = lcm(*(scale for _, scale, _ in monomials))
+    factors, offset = [], 0
+    for ids, scale, value in monomials:
 
-        def term(a, mono=mono, c=coef.rational()):
-            return c * prod(a[i] ** e for i, e in mono)
+        def term(a, value=value, k=L // scale):
+            return k * value(a)[0]
 
         top = max(term(dict(zip(ids, xs))) for xs in product(*(spectra[i] for i in ids)))
         factors.append((ids, lambda a, term=term, top=top: term(a) - top))
         offset += top
     best, witness, stats = branch_and_bound(oset, factors, node_cap=node_cap)
-    return BoundResult(kind="exact", value=Fraction(best + offset), witness=witness, stats=stats)
+    return BoundResult(kind="exact", value=Fraction(best + offset, L), witness=witness, stats=stats)

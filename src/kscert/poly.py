@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Mapping, Optional, Sequence
 
 from .compat import Context
@@ -24,7 +25,7 @@ from .errors import (
     UnknownVariable,
     VariableOutsideContext,
 )
-from .exact import ZERO, ExactMatrix, Scalar, mat_mul
+from .exact import ZERO, ExactMatrix, Scalar, integral, mat_mul
 from .model import ObservableSet
 
 Monomial = tuple  # tuple[(var_id, exponent), ...], ids strictly increasing
@@ -201,6 +202,47 @@ def eval_assignment(p: Poly, assignment: Mapping[int, Fraction]) -> Scalar:
         tc += coef.c * x
         td += coef.d * x
     return Scalar._make(ta, tb, tc, td)
+
+
+def integral_evaluator(p: Poly, spectra: Mapping[int, Sequence]) -> tuple:
+    """(scale, value): value(assignment) is scale * p(assignment) as an int
+    (a, b, c, d) tuple over Z[i, sqrt2], for any assignment from the spectra.
+
+    scale = den * prod s_i^E_i is a positive int fixed by p and the spectra:
+    den clears p's coefficients (exact.integral), s_i is the least common
+    denominator of variable i's spectrum and E_i its largest exponent in p.
+    A value a_i = n_i / s_i enters as the int n_i, and a monomial missing
+    s_i^(E_i - e) has it folded into its cleared coefficient, so fractional
+    spectra stay exact.  eval_assignment is the Fraction oracle."""
+    den, ints = integral(p.terms.values())
+    top = {}  # variable -> largest exponent
+    for mono in p.terms:
+        for i, e in mono:
+            top[i] = max(top.get(i, 0), e)
+    s = {i: lcm(*(x.denominator for x in spectra[i])) for i in top}
+    terms = []
+    for mono, t in zip(p.terms, ints):
+        exps = dict(mono)
+        w = prod(s[i] ** (E - exps.get(i, 0)) for i, E in top.items())
+        terms.append((mono, tuple(w * x for x in t)))
+
+    def value(assignment) -> tuple:
+        n = {}
+        for i, si in s.items():
+            q = assignment[i]
+            n[i] = q.numerator * (si // q.denominator)
+        ta = tb = tc = td = 0
+        for mono, (a, b, c, d) in terms:
+            x = 1
+            for i, e in mono:
+                x *= n[i] ** e
+            ta += a * x
+            tb += b * x
+            tc += c * x
+            td += d * x
+        return ta, tb, tc, td
+
+    return den * prod(s[i] ** E for i, E in top.items()), value
 
 
 def eval_operator(p: Poly, oset: ObservableSet) -> ExactMatrix:

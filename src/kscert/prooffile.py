@@ -32,7 +32,7 @@ from typing import List, Optional
 
 from .compat import validate_context
 from .errors import ParseError
-from .exact import ExactMatrix, Scalar
+from .exact import _FR0, ExactMatrix, Scalar
 from .model import ObservableSet, make_observable, make_ray, pauli_observable, ray_observable
 from .poly import Poly, make_context_polynomial, render
 
@@ -67,29 +67,19 @@ def parse_scalar(token: str, line: Optional[int] = None) -> Scalar:
         s = s[1:-1].strip()
     if not s:
         raise ParseError("empty scalar", line)
-    # split into signed terms
-    terms = re.findall(r"[+-]?[^+-]+", s.replace(" ", ""))
-    total = Scalar(0)
-    for t in terms:
-        sign = 1
+    # split into signed terms; a term adds to the component its tags name
+    parts = [_FR0] * 4  # a + b sqrt2 + (c + d sqrt2) i
+    for t in re.findall(r"[+-]?[^+-]+", s.replace(" ", "")):
+        negative = t[0] == "-"
         if t[0] in "+-":
-            sign = -1 if t[0] == "-" else 1
             t = t[1:]
         m = _SCALAR_TERM.match(t)
         if not m or (not m.group(1) and not m.group(2) and not m.group(3)):
             raise ParseError(f"bad scalar term {t!r} in {token!r}", line)
         q = _rational(m.group(1), line) if m.group(1) else Fraction(1)
-        q *= sign
-        has_r2, has_i = bool(m.group(2)), bool(m.group(3))
-        if has_r2 and has_i:
-            total = total + Scalar(0, 0, 0, q)
-        elif has_r2:
-            total = total + Scalar(0, q)
-        elif has_i:
-            total = total + Scalar(0, 0, q)
-        else:
-            total = total + Scalar(q)
-    return total
+        k = bool(m.group(2)) + 2 * bool(m.group(3))
+        parts[k] += -q if negative else q
+    return Scalar._make(*parts)
 
 
 @dataclass

@@ -2,7 +2,9 @@
 
 import itertools
 import random
+import re
 import sys
+from contextlib import suppress
 from fractions import Fraction
 
 import pytest
@@ -28,20 +30,25 @@ from kscert.derive import (
     decide,
 )
 from kscert.errors import (
+    IdenticallyZeroOnAssignments,
     NotDichotomic,
     NotScalarMultiple,
     SearchBudgetExceeded,
 )
-from kscert.exact import PAULI, ExactMatrix, kron
+from kscert.exact import PAULI, ExactMatrix, Scalar, kron
 from kscert.model import ObservableSet, make_observable, make_ray, ray_observable
 from kscert.poly import (
+    ContextPolynomial,
     Poly,
     eval_assignment,
+    make_context_polynomial,
     normalization_constant,
     spectral_assignments,
 )
+from kscert.prooffile import parse
 
 from conftest import single_basis_set, two_bases_set
+from test_derive import GENERAL_MP_VARIANTS
 
 
 def brute_force_coloring(n, edges, bases):
@@ -265,6 +272,17 @@ def mixed_spectra_set():
     return oset
 
 
+def fractional_spectra_set():
+    """Five diagonal observables in d = 3 whose spectra hold fractions, one
+    of them (1/2, 2)."""
+    oset = ObservableSet(dim=3)
+    for diag in [(Fraction(1, 2), 2, 2), (Fraction(-1, 3), 1, 1), (0, Fraction(3, 2), Fraction(-2, 5)),
+                 (1, -1, Fraction(1, 4)), (Fraction(5, 6), Fraction(5, 6), 0)]:
+        rows = [[d if r == c else 0 for c in range(3)] for r, d in enumerate(diag)]
+        oset.add(make_observable(ExactMatrix(rows), spectrum=set(diag)))
+    return oset
+
+
 class TestBranchAndBound:
     def test_matches_brute_force_on_random_tables(self):
         # arbitrary non-positive tables, so that several factors with one
@@ -277,7 +295,7 @@ class TestBranchAndBound:
             for _ in range(rng.randint(1, 8)):
                 ids = rng.sample(range(len(oset)), rng.randint(0, 3))
                 table = {
-                    xs: Fraction(-rng.randint(0, 4))
+                    xs: -rng.randint(0, 4)
                     for xs in itertools.product(*(spectra[i] for i in ids))
                 }
                 factors.append((ids, lambda a, ids=ids, t=table: t[tuple(a[i] for i in ids)]))
@@ -292,7 +310,7 @@ class TestBranchAndBound:
             )
             best, witness, _ = branch_and_bound(oset, factors)
             assert best == expect == total(witness)
-            seed = Fraction(-rng.randint(0, 6))
+            seed = -rng.randint(0, 6)
             best, witness, _ = branch_and_bound(oset, factors, seed=seed)
             if expect > seed:
                 assert best == expect == total(witness)
@@ -364,6 +382,47 @@ class TestMaxF:
         for oset, ctxs in (mermin_peres, pentagram):
             polys = build_complete_set_parity(oset, ctxs).polynomials
             assert check_max_F(oset, polys).value == -1
+
+    @pytest.mark.parametrize("name", list(GENERAL_MP_VARIANTS))
+    def test_matches_brute_force_on_general_mode_sets(self, name):
+        # members with complex and sqrt2 coefficients, c = 1/4 and a
+        # variable of spectrum (1/2, 2): the common denominator L of the
+        # int scores against Fraction arithmetic
+        pf = parse(GENERAL_MP_VARIANTS[name])
+        oset = pf.to_observable_set()
+        polys = pf.to_polynomials(oset)
+        assert check_max_F(oset, polys).value == -1
+        assert check_max_F(oset, polys[:-1]).value == 0
+
+    def test_matches_brute_force_on_fractional_spectra(self):
+        oset = fractional_spectra_set()
+        rng = random.Random(17)
+        for _ in range(30):
+            polys = []
+            for _ in range(rng.randint(1, 4)):
+                ids = sorted(rng.sample(range(len(oset)), rng.randint(1, 3)))
+                p = Poly()
+                for _ in range(rng.randint(1, 3)):
+                    coef = Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), 0,
+                                  Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+                    term = Poly.const(coef)
+                    for i in rng.sample(ids, rng.randint(0, len(ids))):
+                        term = term * Poly.var(i) * (Poly.var(i) if rng.random() < 0.3 else 1)
+                    p = p + term
+                cp = make_context_polynomial(p, Context(tuple(ids)), oset)
+                with suppress(IdenticallyZeroOnAssignments):  # no c for a zero member
+                    normalization_constant(cp, oset)
+                    polys.append(cp)
+            if polys:
+                check_max_F(oset, polys)
+
+    def test_irrational_square_raises(self, basis3):
+        # |P0 + sqrt2|^2 is 3 + 2 sqrt2 at P0 = 1, as the Fraction oracle says
+        cp = ContextPolynomial(Poly.var(0) + Scalar(0, 1), Context((0,)))
+        with pytest.raises(ValueError, match=re.escape("not a rational number: 3+2r2")):
+            max_F(basis3, [cp], [Fraction(1)])
+        with pytest.raises(ValueError, match=re.escape("not a rational number: 3+2r2")):
+            eval_assignment(cp.poly, {0: Fraction(1)}).norm_squared().rational()
 
 
 def brute_force_max(oset, score):
@@ -459,6 +518,22 @@ class TestClassicalMax:
                 term = Poly.const(rng.randint(-3, 3))
                 for i in rng.sample(range(7), rng.randint(1, 3)):
                     term = term * Poly.var(i)
+                score = score + term
+            res = classical_max(oset, score)
+            expect, _ = brute_force_max(oset, score)
+            assert res.value == expect
+            assert eval_assignment(score, res.witness).rational() == expect
+
+    def test_oracle_fractional_coefficients_and_spectra(self):
+        # the common denominator of coefficients and spectrum powers
+        oset = fractional_spectra_set()
+        rng = random.Random(13)
+        for _ in range(30):
+            score = Poly()
+            for _ in range(rng.randint(1, 6)):
+                term = Poly.const(Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
+                for i in rng.sample(range(len(oset)), rng.randint(0, 3)):
+                    term = term * Poly.var(i) * (Poly.var(i) if rng.random() < 0.3 else 1)
                 score = score + term
             res = classical_max(oset, score)
             expect, _ = brute_force_max(oset, score)

@@ -212,6 +212,22 @@ class TestVerifyCommand:
         assert code == 0
         assert "method: GeneralCSP (6 polynomials)" in out
 
+    # the branch and bound's node and propagation counts, pinned so that a
+    # change to its arithmetic that changes the search shows
+    @pytest.mark.parametrize("source,line", [
+        (("--catalog", "mermin-peres"), "search: 74 nodes, 76 propagations"),
+        (("--catalog", "mermin-pentagram"), "search: 230 nodes, 232 propagations"),
+        (("--input", GENERAL_MP), "search: 74 nodes, 76 propagations"),
+    ], ids=["mermin-peres", "mermin-pentagram", "general-mermin-peres"])
+    def test_search_line(self, capsys, tmp_path, source, line):
+        option, value = source
+        if option == "--input":
+            (tmp_path / "mp.txt").write_text(value)
+            value = str(tmp_path / "mp.txt")
+        code, out, _ = run(capsys, "verify", option, value)
+        assert code == 0
+        assert line in out.splitlines()
+
     def test_budget_exceeded(self, capsys):
         code, _, err = run(
             capsys, "verify", "--catalog", "cabello-18", "--node-cap", "2"
@@ -801,9 +817,10 @@ class TestExportRecordDigests:
         assert out.splitlines()[-1] == f"sha256 {EXPORT_DIGESTS[name, form, exact_bound]}"
 
 
-# sha256 of the standard output of derive and export, in both forms, on
-# Peres' 24 and Kernaghan and Peres' 40 rays (conftest.eigenray_set), each
-# written as a ray file and read by its relative name
+# sha256 of the standard output of derive, export, derive --exact-bound and
+# bound, in both forms, on Peres' 24 and Kernaghan and Peres' 40 rays
+# (conftest.eigenray_set), each written as a ray file and read by its
+# relative name
 WORKLOAD_DIGESTS = {
     ("peres-24", "derive", "projector"): "9796d3e2411214983636231ad945132bf9d6096c172f0df740476d9f44de0d57",
     ("peres-24", "derive", "dichotomic"): "cd959aa0690017fdcacd8220c8d63f60408a47fcbb980f74e05195d716eac456",
@@ -813,6 +830,14 @@ WORKLOAD_DIGESTS = {
     ("kp-40", "derive", "dichotomic"): "ce1682eedc07ab5a1ac14416c10039a62a0ed5ca493e68557ae73564403fd909",
     ("kp-40", "export", "projector"): "a7cda7f70aeb74c6e4b8453d9ff6c3b5e8b7860352fe67a380c43cc7fad484fe",
     ("kp-40", "export", "dichotomic"): "e128480ba2588a1e90ce1650e06fda29b752e0bb18e33f45b0e2fb54e50ff5c4",
+    ("peres-24", "derive --exact-bound", "projector"): "442dd99ae1ef8adfe627f69c89b3bb4be4439fd1c9401f250e98845812f2d834",
+    ("peres-24", "derive --exact-bound", "dichotomic"): "c04125a1b02bb67a3ec94c840065a9b1c7032229bb53e7796731416f18f00f11",
+    ("peres-24", "bound", "projector"): "65c018b61de04d53b7e354109a50f3e7135bba5884fcaa06305477166611cf2e",
+    ("peres-24", "bound", "dichotomic"): "6296830bf858f19acfce84b7555414924b4c9233fe7bd192ba53cab2e53f3f2e",
+    ("kp-40", "derive --exact-bound", "projector"): "4a21a27d6ee496b847e1ceb6b4baaab98ccfb8378544eeda6afaca0c5637e8d2",
+    ("kp-40", "derive --exact-bound", "dichotomic"): "7d1aef461476c09caa37d87ceb2fc753174f15e61d29500d3cc2606801610681",
+    ("kp-40", "bound", "projector"): "2c9255b75dae3c1456a2738bdcf8a87f6bd0184c99c23a02aac92ea4836b3584",
+    ("kp-40", "bound", "dichotomic"): "7ed3e7e63ac456f1e2aebb823fff61e708b7cfb42f6ebcd4f08d44a36d4cc05c",
 }
 
 
@@ -823,13 +848,14 @@ def _eigenray_file(name):
 
 
 class TestWorkloadOutputDigests:
-    """derive and export on the generated ray sets stay byte-identical."""
+    """derive, export and the exact bound on the generated ray sets stay
+    byte-identical."""
 
     @pytest.mark.parametrize("name,command,form", list(WORKLOAD_DIGESTS))
     def test_sha256_of_stdout(self, capsys, monkeypatch, tmp_path, name, command, form):
         (tmp_path / f"{name}.txt").write_text(_eigenray_file(name), encoding="utf-8")
         monkeypatch.chdir(tmp_path)  # derive prints the input path
-        code, out, _ = run(capsys, command, "--input", f"{name}.txt", "--form", form)
+        code, out, _ = run(capsys, *command.split(), "--input", f"{name}.txt", "--form", form)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == WORKLOAD_DIGESTS[name, command, form]
 

@@ -10,8 +10,10 @@ from fractions import Fraction
 
 import pytest
 
+from kscert import assign as assign_mod
 from kscert import catalog, derive
-from kscert.assign import BoundResult, classical_max, general_unsat, parity_certify
+from kscert import poly as poly_mod
+from kscert.assign import BoundResult, classical_max, general_unsat, max_F, parity_certify
 from kscert.compat import Context, build_orthogonality_graph, enumerate_bases
 from kscert.derive import (
     CompleteSet,
@@ -382,6 +384,18 @@ row 3/4 0 5/4 0
 row 0 3/4 0 5/4
 """).replace("a*b*c - 1", "4/3*a*b*c - 5/3*b*c - 1").replace("a*d*g - 1", "4/3*a*d*g - 5/3*d*g - 1")
 
+# general-mode Mermin-Peres proofs whose members take complex, sqrt2 and
+# fractional values, with a fractional c and a fractional spectrum
+GENERAL_MP_VARIANTS = {
+    "general-mermin-peres": GENERAL_MP,
+    "complex-coefficients": GENERAL_MP.replace(
+        "poly c=4 a*b*c - 1", "poly c=8 (1+i)*a*b*c - 1 - i"),
+    "sqrt2-coefficients": GENERAL_MP.replace(
+        "poly c=4 a*b*c - 1", "poly c=16 (r2+r2i)*a*b*c - r2 - r2i"),
+    "fractional-c": GENERAL_MP.replace("poly c=4 d*e*f - 1", "poly c=1/4 1/4*d*e*f - 1/4"),
+    "fractional-spectrum": AFFINE_A_MP,
+}
+
 
 @pytest.mark.parametrize(
     "build",
@@ -389,14 +403,8 @@ row 0 3/4 0 5/4
         pytest.param(lambda name=name: _catalog_inequality(name), id=name)
         for name in ("mermin-peres", "mermin-pentagram", "cabello-18", "peres-33")
     ]
-    + [pytest.param(_general_mp_inequality, id="general-mermin-peres")]
-    + [pytest.param(lambda: _general_mp_inequality(GENERAL_MP.replace(
-        "poly c=4 a*b*c - 1", "poly c=8 (1+i)*a*b*c - 1 - i")), id="complex-coefficients")]
-    + [pytest.param(lambda: _general_mp_inequality(GENERAL_MP.replace(
-        "poly c=4 a*b*c - 1", "poly c=16 (r2+r2i)*a*b*c - r2 - r2i")), id="sqrt2-coefficients")]
-    + [pytest.param(lambda: _general_mp_inequality(GENERAL_MP.replace(
-        "poly c=4 d*e*f - 1", "poly c=1/4 1/4*d*e*f - 1/4")), id="fractional-c")]
-    + [pytest.param(lambda: _general_mp_inequality(AFFINE_A_MP), id="fractional-spectrum")]
+    + [pytest.param(lambda text=text: _general_mp_inequality(text), id=name)
+       for name, text in GENERAL_MP_VARIANTS.items()]
     + [pytest.param(lambda name=name: _eigenray_inequality(name), id=ray_name)
        for name, ray_name in (("mermin-peres", "peres-24"), ("mermin-pentagram", "kp-40"))]
     + [pytest.param(lambda seed=seed: _random_proof_ray_set(seed), id=f"random-rays-{seed}")
@@ -425,6 +433,24 @@ def test_assemble_F_makes_no_scalar_sums_or_products(monkeypatch, name, exact_bo
             return original(self, other)
         monkeypatch.setattr(Scalar, op, counted)
     assemble_F(cs, exact_bound=exact_bound)
+    assert calls == Counter()
+
+
+@pytest.mark.parametrize("name", ["mermin-peres", "mermin-pentagram", "cabello-18", "peres-33"])
+def test_search_makes_no_fraction_evaluation(monkeypatch, name):
+    """general_unsat and max_F evaluate their factors in ints
+    (poly.integral_evaluator): neither calls the Fraction eval_assignment."""
+    cs = _catalog_complete_set(name)
+    calls = Counter()
+
+    def counted(*args, original=poly_mod.eval_assignment):
+        calls["eval_assignment"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(poly_mod, "eval_assignment", counted)
+    monkeypatch.setattr(assign_mod, "eval_assignment", counted, raising=False)
+    assert general_unsat(cs.oset, cs.polynomials).is_proof
+    assert max_F(cs.oset, cs.polynomials, [cp.c for cp in cs.polynomials]).value == -1
     assert calls == Counter()
 
 
