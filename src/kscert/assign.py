@@ -3,7 +3,8 @@
 * ks_colorability -- {0,1} colorings of a ray set under the orthogonality
   and basis rules, with unit propagation; derive.decide's engine for rays;
 * parity_certify -- the Condition 1 certificate of a parity set: each
-  context product is +-I; a direct check, not a search;
+  context product is +-I (compat.context_delta, from the words when every
+  member is a Pauli word); a direct check, not a search;
 * branch_and_bound -- the one engine for everything else: it maximises a
   sum of context-local factors with forward checking (weighted-CSP branch
   and bound, Freuder & Wallace, Artif. Intell. 58, 1992).  general_unsat
@@ -31,7 +32,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .compat import Context, OrthogonalityGraph, context_product
+from .compat import Context, OrthogonalityGraph, context_delta
 from .errors import NotDichotomic, NotScalarMultiple, SearchBudgetExceeded
 from .exact import Scalar
 from .model import ObservableSet
@@ -170,7 +171,7 @@ def parity_certify(oset: ObservableSet, contexts: Sequence[Context]) -> list:
             raise NotDichotomic(i)
     deltas = []
     for ctx in contexts:
-        _, delta = context_product(oset, ctx)
+        delta = context_delta(oset, ctx)
         if delta is None or not delta.is_rational or delta.rational() not in (1, -1):
             raise NotScalarMultiple(
                 f"context {ctx.ids} product is not +-identity"

@@ -1,10 +1,12 @@
 """Built-in proof catalog.
 
 Four classic observable sets, stored as construction code rather than
-trusted data: every entry is rebuilt on load (Pauli observables from their
-words, rays from their vectors), the commutation of its declared contexts
-is re-verified, and its expected headline numbers are regression-checked
-against a fresh derivation by the test suite.
+trusted data: every entry is rebuilt on load (Pauli observables as their
+signed words, rays from their vectors), the commutation of its declared
+contexts is re-verified, and its expected headline numbers are
+regression-checked against a fresh derivation by the test suite.  Loading
+builds no matrix: words are deduplicated by (sign, letters) and their
+commutation is read off the letters.
 """
 
 from __future__ import annotations

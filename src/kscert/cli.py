@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 input is not a KS proof, 3 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections import namedtuple
 
@@ -39,6 +40,8 @@ EXIT_INPUT = 3
 EXIT_BUDGET = 4
 
 
+# proof_file is None for a catalog entry: _proof_file builds it from the
+# set, only where a record is rendered
 _Loaded = namedtuple("_Loaded", "oset mode user_polys proof_file source")
 
 
@@ -49,8 +52,7 @@ def _load(args) -> _Loaded:
         entry = catalog_mod.get(args.catalog)
         oset = entry.load()
         mode = args.mode if args.mode != "auto" else entry.mode
-        pf = proof_file_from_set(oset, mode)
-        return _Loaded(oset, mode, [], pf, args.catalog)
+        return _Loaded(oset, mode, [], None, args.catalog)
     pf = parse_file(args.input)
     oset = pf.to_observable_set()
     user_polys = pf.to_polynomials(oset)
@@ -59,6 +61,12 @@ def _load(args) -> _Loaded:
         mode = _auto_mode(oset, user_polys)
     pf.mode = mode
     return _Loaded(oset, mode, user_polys, pf, args.input)
+
+
+def _proof_file(loaded):
+    if loaded.proof_file is not None:
+        return loaded.proof_file
+    return proof_file_from_set(loaded.oset, loaded.mode)
 
 
 def _auto_mode(oset, user_polys) -> str:
@@ -138,7 +146,7 @@ def cmd_derive(args) -> int:
     ineq, presented = _derive(loaded, args, args.exact_bound)
     _print_inequality(loaded, ineq, presented)
     if args.output:
-        record = render_record(loaded.proof_file, ineq, presented)
+        record = render_record(_proof_file(loaded), ineq, presented)
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(record)
         print(f"record written to {args.output}")
@@ -162,7 +170,7 @@ def cmd_bound(args) -> int:
 def cmd_export(args) -> int:
     loaded = _load(args)
     ineq, presented = _derive(loaded, args, args.exact_bound)
-    record = render_record(loaded.proof_file, ineq, presented)
+    record = render_record(_proof_file(loaded), ineq, presented)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(record)
@@ -196,7 +204,10 @@ def _node_cap(text: str) -> int:
     return int(text)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state
+    between calls."""
     ap = _Parser(
         prog="kscert",
         description="Verify Kochen-Specker proofs and derive the "

@@ -2,6 +2,8 @@
 
 A context is a strictly increasing tuple of observable ids whose operators
 pairwise commute (verified exactly, for Pauli words from their letters).
+A context of Pauli words is multiplied as words, with a phase in Z_4; a
+context with any other member is multiplied out.
 For ray sets the orthogonality graph has one vertex per ray and an edge
 whenever the inner product of the underlying vectors vanishes, computed in
 integers on their primitive integral vectors; bases are its n-vertex
@@ -15,6 +17,7 @@ from typing import Sequence
 
 from .errors import KSCertError, NonRayMember, NotCommuting
 from .exact import (
+    PHASES,
     ExactMatrix,
     commutes,
     mat_mul,
@@ -137,3 +140,47 @@ def context_product(oset: ObservableSet, ctx: Context):
     for i in ctx.ids:
         prod = mat_mul(prod, oset[i].matrix)
     return prod, scalar_multiple_of_identity(prod)
+
+
+def _letter_products() -> dict:
+    """(p, q) -> (k, r) with p * q = i^k * r for single-qubit Paulis."""
+    table = {}
+    for p in "IXYZ":
+        table["I", p] = table[p, "I"] = (0, p)
+        table[p, p] = (0, "I")
+    for p, q, r in ("XYZ", "YZX", "ZXY"):
+        table[p, q], table[q, p] = (1, r), (3, r)
+    return table
+
+
+_LETTER_PRODUCT = _letter_products()
+
+
+def word_product(words) -> tuple:
+    """(k, letters) with the product of the signed words (sign, letters), in
+    order, equal to i^k * letters: letters multiply position by position
+    (XY = iZ, YX = -iZ, PP = I, ...) and the phases add in Z_4, a sign -1
+    adding 2."""
+    k, out = 0, None
+    for sign, letters in words:
+        k += 1 - sign
+        if out is None:
+            out = letters
+            continue
+        prods = [_LETTER_PRODUCT[p, q] for p, q in zip(out, letters)]
+        k += sum(j for j, _ in prods)
+        out = "".join(r for _, r in prods)
+    return k % 4, out
+
+
+def context_delta(oset: ObservableSet, ctx: Context):
+    """delta with the product of ctx's members equal to delta*I, or None
+    when that product is not a scalar.  Pauli words are multiplied as words
+    (word_product): the product is scalar exactly when every letter reduces
+    to I, and delta is then i^k.  A context with any other member is
+    multiplied out (context_product)."""
+    members = [oset[i] for i in ctx.ids]
+    if members and all(o.pauli is not None for o in members):
+        k, letters = word_product((o.sign, o.pauli) for o in members)
+        return PHASES[k] if set(letters) == {"I"} else None
+    return context_product(oset, ctx)[1]

@@ -414,15 +414,58 @@ PAULI = {
 }
 
 
+# i^k for k in Z_4: the phases of products of Pauli words.
+PHASES = (ONE, I_UNIT, MINUS_ONE, -I_UNIT)
+
+
 def pauli_matrix(word: str, sign: int = 1) -> ExactMatrix:
-    """Tensor product of single-qubit Paulis, e.g. "XY" -> X (x) Y."""
+    """Tensor product of single-qubit Paulis, e.g. "XY" -> X (x) Y, times sign.
+
+    Written directly rather than by folding kron.  As Y = iXZ, the word is
+    sign * i^#Y * X^xmask Z^zmask, where the first letter is the highest bit
+    and X and Y set x bits, Z and Y z bits; it has one nonzero entry per
+    row r, in column c = r ^ xmask, equal to
+    sign * i^#Y * (-1)^popcount(c & zmask)."""
     if not word or any(ch not in PAULI for ch in word):
         raise ValueError(f"bad Pauli word: {word!r}")
-    m = PAULI[word[0]]
-    for ch in word[1:]:
-        m = kron(m, PAULI[ch])
-    if sign == -1:
-        m = -m
-    elif sign != 1:
+    if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return m
+    xmask = zmask = 0
+    for ch in word:
+        xmask = xmask << 1 | (ch in "XY")
+        zmask = zmask << 1 | (ch in "YZ")
+    even = PHASES[(word.count("Y") + 1 - sign) % 4]  # a sign -1 adds 2
+    odd = -even
+    n = 1 << len(word)
+    rows = []
+    for r in range(n):
+        row = [ZERO] * n
+        c = r ^ xmask
+        row[c] = odd if bin(c & zmask).count("1") % 2 else even
+        rows.append(row)
+    return ExactMatrix(rows)
+
+
+def pauli_word(m: ExactMatrix):
+    """(sign, letters) with m == pauli_matrix(letters, sign), or None.
+
+    A candidate is read off a few entries (see pauli_matrix): row 0's first
+    nonzero column is xmask, the entry in column 0 of row xmask is
+    sign * i^#Y, and the entry in column b of row xmask ^ b, for the bit b
+    of one qubit, differs from it exactly when that qubit has a z bit.  One
+    comparison with the candidate's matrix decides."""
+    n = m.dim
+    if n < 2 or n & (n - 1):
+        return None
+    e = m.entries
+    xmask = next((c for c, x in enumerate(e[0]) if not x.is_zero), None)
+    if xmask is None:
+        return None
+    base = e[xmask][0]
+    bits = [1 << k for k in reversed(range(n.bit_length() - 1))]  # first letter highest
+    letters = "".join("IZXY"[2 * bool(xmask & b) + (e[xmask ^ b][b] != base)] for b in bits)
+    phase = PHASES[letters.count("Y") % 4]
+    sign = 1 if base == phase else -1 if base == -phase else None
+    if sign is None or pauli_matrix(letters, sign) != m:
+        return None
+    return sign, letters

@@ -5,7 +5,9 @@ construction: the product of (A - a_j I) over the declared eigenvalues must
 be exactly zero.  Rays and Pauli words have their spectra stated, for the
 reasons their constructors give.  A ray keeps its nonzero vector and that
 vector's primitive integral form over Z[i, sqrt2], which decides duplicates
-and orthogonality; its projector is built only when a matrix is read.
+and orthogonality; a Pauli observable keeps its signed word, which decides
+duplicates, commutation and context products.  The projector or the Pauli
+matrix is built only when a matrix is read.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .exact import (
     Scalar,
     mat_mul,
     pauli_matrix,
+    pauli_word,
     primitive_integral,
     projector_from_vector,
 )
@@ -53,21 +56,31 @@ class Ray:
 class Observable:
     """Hermitian matrix with a verified annihilating spectrum.  A ray
     observable holds its ray instead, and its matrix is the ray's projector.
-    A signed Pauli word also keeps its letters, which decide commutation."""
+    A Pauli observable holds its signed word instead, and its matrix is
+    sign * pauli_matrix(letters), built when first read."""
 
     spectrum: tuple  # distinct Fractions, ascending
     label: str = ""
     ray: Optional[Ray] = None  # set when the observable is a rank-1 projector
-    own_matrix: Optional[ExactMatrix] = field(default=None, repr=False)  # unless ray
-    pauli: Optional[str] = field(default=None, compare=False)  # letters of a Pauli word
+    own_matrix: Optional[ExactMatrix] = field(default=None, repr=False)  # unless ray or word
+    pauli: Optional[str] = None  # letters of a Pauli word
+    sign: int = 1  # of the Pauli word
 
-    @property
+    @cached_property
     def matrix(self) -> ExactMatrix:
-        return self.ray.projector if self.ray is not None else self.own_matrix
+        if self.ray is not None:
+            return self.ray.projector
+        if self.pauli is not None:
+            return pauli_matrix(self.pauli, self.sign)
+        return self.own_matrix
 
     @property
     def dim(self) -> int:
-        return self.ray.dim if self.ray is not None else self.own_matrix.dim
+        if self.ray is not None:
+            return self.ray.dim
+        if self.pauli is not None:
+            return 1 << len(self.pauli)
+        return self.own_matrix.dim
 
     @property
     def is_projector(self) -> bool:
@@ -155,9 +168,10 @@ def pauli_observable(word: str, label: str = "") -> Observable:
     other letter makes the trace 0); the spectrum is (sign,) there, else (-1, 1)."""
     sign = -1 if word.startswith("-") else 1
     letters = word[1:] if word[:1] in ("+", "-") else word
+    if not letters or not set(letters) <= set("IXYZ"):
+        raise ValueError(f"bad Pauli word: {word!r}")
     spec = (Fraction(sign),) if set(letters) == {"I"} else (Fraction(-1), Fraction(1))
-    return Observable(spectrum=spec, label=label, own_matrix=pauli_matrix(letters, sign),
-                      pauli=letters)
+    return Observable(spectrum=spec, label=label, pauli=letters, sign=sign)
 
 
 def dichotomize(ray: Ray, label: str = "") -> Observable:
@@ -173,13 +187,17 @@ def _index_key(obs: Observable):
     the primitive integral vector of its line, so it needs no projector, and
     so is a matrix that is a rank-1 projector: one annihilated by x(x - 1)
     (its constructor verified or stated that, and Hermiticity) with trace 1.
-    Any other matrix is its own key."""
+    A Pauli word is keyed by (sign, letters), so it needs no matrix, and so
+    is a matrix equal to a signed Pauli word (exact.pauli_word).  Any other
+    matrix is its own key."""
     if obs.ray is not None:
         return obs.ray.key
+    if obs.pauli is not None:
+        return obs.sign, obs.pauli
     m = obs.own_matrix
     if set(obs.spectrum) <= {0, 1} and sum(m.entries[k][k] for k in range(m.dim)) == 1:
         return primitive_integral(next(c for c in zip(*m.entries) if any(not x.is_zero for x in c)))
-    return m
+    return pauli_word(m) or m
 
 
 @dataclass

@@ -36,7 +36,13 @@ from kscert.errors import (
     SearchBudgetExceeded,
 )
 from kscert.exact import PAULI, ExactMatrix, Scalar, kron
-from kscert.model import ObservableSet, make_observable, make_ray, ray_observable
+from kscert.model import (
+    ObservableSet,
+    make_observable,
+    make_ray,
+    pauli_observable,
+    ray_observable,
+)
 from kscert.poly import (
     ContextPolynomial,
     Poly,
@@ -179,6 +185,14 @@ class TestParityCertify:
         oset.add(make_observable(kron(PAULI["I"], PAULI["X"]), label="IX"))
         with pytest.raises(NotScalarMultiple):
             parity_certify(oset, [Context((0, 1))])
+
+    @pytest.mark.parametrize("words", [("XI", "IX"), ("X", "Y", "Z")], ids=["XI-IX", "XYZ=iI"])
+    def test_requires_scalar_product_of_words(self, words):
+        oset = ObservableSet(dim=2 ** len(words[0]))
+        for word in words:
+            oset.add(pauli_observable(word, label=word))
+        with pytest.raises(NotScalarMultiple):
+            parity_certify(oset, [Context(tuple(range(len(words))))])
 
 
 class TestGeneralUnsat:

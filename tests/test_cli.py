@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kscert import assign, catalog, derive, exact, model
-from kscert.cli import main
+from kscert.cli import build_parser, main
 from kscert.compat import build_orthogonality_graph, enumerate_bases
 from kscert.derive import assemble_F, build_complete_set_rays, present
 from kscert.errors import ParseError
@@ -720,6 +720,110 @@ class TestLazyProjectors:
         code, _, _ = run(capsys, command, "--form", "dichotomic", "--catalog", name)
         assert code == 0
         assert built == []
+
+
+class TestPauliWords:
+    """Parity entries load, deduplicate and certify from their signed words:
+    verify, derive and bound build no Pauli matrix and multiply none, and
+    export builds each observable's matrix once, for its matrix rows."""
+
+    COUNTED = (exact.pauli_matrix, exact.kron, exact.mat_mul, exact.ExactMatrix.__hash__)
+
+    def counted_run(self, capsys, *argv):
+        names = {f.__code__: f.__name__ for f in self.COUNTED}
+        calls = {name: 0 for name in names.values()}
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in names:
+                calls[names[frame.f_code]] += 1
+
+        sys.setprofile(profile)
+        try:
+            code, _, _ = run(capsys, *argv)
+        finally:
+            sys.setprofile(None)
+        assert code == 0
+        return calls
+
+    @pytest.mark.parametrize("name", ["mermin-peres", "mermin-pentagram"])
+    @pytest.mark.parametrize("argv", [
+        ["verify"], ["derive"], ["derive", "--form", "dichotomic"], ["derive", "--exact-bound"],
+        ["derive", "--form", "dichotomic", "--exact-bound"], ["bound"],
+    ])
+    def test_no_matrix(self, capsys, name, argv):
+        calls = self.counted_run(capsys, *argv, "--catalog", name)
+        assert calls == dict.fromkeys(calls, 0)
+
+    @pytest.mark.parametrize("name", ["mermin-peres", "mermin-pentagram"])
+    def test_export_builds_each_matrix_once(self, capsys, name):
+        calls = self.counted_run(capsys, "export", "--catalog", name)
+        assert calls["pauli_matrix"] == len(catalog.get(name).load())
+        assert calls["kron"] == calls["mat_mul"] == calls["__hash__"] == 0
+
+
+class TestParserReuse:
+    def test_no_state_between_calls(self, capsys):
+        """The parser is built once per process; a failed parse and --help
+        leave nothing behind for the next command."""
+        assert build_parser() is build_parser()
+        argv = ["verify", "--catalog", "mermin-peres"]
+        code, first, _ = run(capsys, *argv)
+        assert code == 0
+        code, _, err = run(capsys, "verify", "--catalog", "mermin-peres", "--node-cap", "0")
+        assert code == 3
+        assert err.startswith("error: input: ")
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: kscert" in capsys.readouterr().out
+        code, again, err = run(capsys, *argv)
+        assert (code, again, err) == (0, first, "")
+
+
+# parity inputs whose contexts are not all Pauli words, or whose words
+# multiply to -I or do not commute
+MIXED_INPUTS = {
+    # the Mermin-Peres square with XX and YY given as matrices
+    "mixed": MP_PARITY.replace("pauli c +XX\n", "matrix c\nrow 0 0 0 1\nrow 0 0 1 0\n"
+                               "row 0 1 0 0\nrow 1 0 0 0\n")
+                      .replace("pauli k +YY\n", "matrix k spectrum -1,1\nrow 0 0 0 -1\n"
+                               "row 0 0 1 0\nrow 0 1 0 0\nrow -1 0 0 0\n"),
+    "negated": "dim 2\npauli a +X\npauli b -X\ncontext a b\n",
+    "noncommuting": "dim 2\npauli a +X\npauli b +Z\ncontext a b\n",
+}
+
+# exit code and sha256 of stdout and of stderr, pinned before Pauli
+# contexts were multiplied as words
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+NOT_PROOF = "6f5ad3d9115b1b06a17b9cfbf53de4fed28fe5cb5830cfe0ae77bf112bd207f0"
+NOT_COMMUTING = "f78fdd967d47c13a10b52ebd1074503ddf5a08598a39fe56c1a22fe214f74d18"
+MIXED_DIGESTS = {
+    ("mixed", "verify"): (0, "d1fcce91951207a388f9d63f276bc9f9cedbe47b0d0f43f5d3bc9e65937b65ea", EMPTY),
+    ("mixed", "derive"): (0, "28a607e76e32a82aa06461134f112cde095ac3b64814e4d5a0776096ef831a3b", EMPTY),
+    ("mixed", "bound"): (0, "bbddedad9f7c7301bc082aa322fbdc07b054665c01476a4ebe455fd292e42e1d", EMPTY),
+    ("negated", "verify"): (2, "dbb99ed279ff1a0719ff60411921021e95a48eaa71cfef5db1c79f559da95ce7", EMPTY),
+    ("negated", "derive"): (2, EMPTY, NOT_PROOF),
+    ("negated", "bound"): (2, EMPTY, NOT_PROOF),
+    ("noncommuting", "verify"): (3, EMPTY, NOT_COMMUTING),
+    ("noncommuting", "derive"): (3, EMPTY, NOT_COMMUTING),
+    ("noncommuting", "bound"): (3, EMPTY, NOT_COMMUTING),
+}
+
+
+class TestMixedParityOutputs:
+    @pytest.mark.parametrize("name,command", list(MIXED_DIGESTS))
+    def test_sha256_of_outputs(self, capsys, monkeypatch, tmp_path, name, command):
+        (tmp_path / f"{name}.txt").write_text(MIXED_INPUTS[name], encoding="utf-8")
+        monkeypatch.chdir(tmp_path)  # derive prints the input path
+        code, out, err = run(capsys, command, "--input", f"{name}.txt")
+        out, err = (hashlib.sha256(text.encode()).hexdigest() for text in (out, err))
+        assert (code, out, err) == MIXED_DIGESTS[name, command]
+
+    def test_noncommuting_names_the_pair(self, capsys, tmp_path):
+        path = tmp_path / "xz.txt"
+        path.write_text(MIXED_INPUTS["noncommuting"])
+        code, _, err = run(capsys, "verify", "--input", str(path))
+        assert (code, err) == (3, "error: input: observables 0 and 1 do not commute\n")
 
 
 class TestBoundCommand:

@@ -8,16 +8,19 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
+from kscert import compat
 from kscert.compat import (
     Context,
     build_orthogonality_graph,
+    context_delta,
     context_product,
     enumerate_bases,
     validate_context,
+    word_product,
 )
 from kscert import catalog
 from kscert.errors import DuplicateObservable, KSCertError, NonRayMember, NotCommuting
-from kscert.exact import Scalar, commutes, inner
+from kscert.exact import PHASES, Scalar, commutes, inner, mat_mul, pauli_matrix
 from kscert.model import ObservableSet, make_observable, pauli_observable
 from kscert.exact import PAULI
 
@@ -251,3 +254,82 @@ class TestContextProduct:
                 for i in b.ids:
                     total = total + oset[i].matrix
                 assert total == ExactMatrix.identity(oset.dim)
+
+
+def _word_set(words):
+    """An observable set of signed words such as "-XZ", and the context of
+    them all."""
+    oset = ObservableSet(dim=2 ** len(words[0].lstrip("+-")))
+    for word in words:
+        oset.add(pauli_observable(word))
+    return oset, Context(tuple(range(len(words))))
+
+
+class TestWordProduct:
+    """context_delta multiplies Pauli words as words; context_product's
+    delta on their matrices is the oracle."""
+
+    def test_letter_table(self):
+        for p, q in itertools.product("IXYZ", repeat=2):
+            k, r = word_product([(1, p), (1, q)])
+            assert pauli_matrix(r).scale(PHASES[k]) == mat_mul(pauli_matrix(p), pauli_matrix(q))
+
+    @pytest.mark.parametrize("name", ["mermin-peres", "mermin-pentagram"])
+    def test_catalog_contexts(self, monkeypatch, name):
+        oset = catalog.get(name).load()
+        for ids in oset.declared_contexts:
+            ctx = Context(ids)
+            want = context_product(oset, ctx)[1]
+            assert want in (Scalar(1), Scalar(-1))
+            with monkeypatch.context() as m:
+                m.setattr(compat, "context_product", None)  # the words decide alone
+                assert context_delta(oset, ctx) == want
+
+    def test_random_commuting_words(self):
+        """Commuting tuples, closed by +- their product so that it is +-I, and
+        left open so that it is not a scalar."""
+        rng = random.Random(11)
+        seen = set()
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            words = ["".join(rng.choice("IXYZ") for _ in range(n))]
+            for _ in range(rng.randint(0, 3)):
+                w = "".join(rng.choice("IXYZ") for _ in range(n))
+                if all(sum(p != q and "I" not in (p, q) for p, q in zip(w, v)) % 2 == 0
+                       for v in words):
+                    words.append(w)
+            signed = [rng.choice("+-") + w for w in words]
+            k, rest = word_product((-1 if w[0] == "-" else 1, w[1:]) for w in signed)
+            assert k % 2 == 0  # commuting Hermitian words multiply to a Hermitian word
+            closing = rng.choice("+-") + rest
+            for ws in (signed, signed + [closing]):
+                try:
+                    oset, ctx = _word_set(ws)
+                except DuplicateObservable:
+                    continue
+                delta = context_delta(oset, ctx)
+                assert delta == context_product(oset, ctx)[1]
+                seen.add(None if delta is None else str(delta))
+        assert seen == {None, "1", "-1"}
+
+    def test_anticommuting_words(self):
+        # XYZ = iI is a scalar other than +-1, and XZ = -iY is no scalar
+        oset, ctx = _word_set(["X", "Y", "Z"])
+        assert context_delta(oset, ctx) == context_product(oset, ctx)[1] == Scalar(0, 0, 1, 0)
+        oset, ctx = _word_set(["X", "Z"])
+        assert context_delta(oset, ctx) is None is context_product(oset, ctx)[1]
+
+    def test_mixed_context_is_multiplied_out(self, monkeypatch):
+        oset = ObservableSet(dim=2)
+        oset.add(pauli_observable("X", label="x"))
+        oset.add(make_observable(PAULI["X"].scale(-1), label="m"))
+        calls = []
+        original = compat.context_product
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(compat, "context_product", counted)
+        assert context_delta(oset, Context((0, 1))) == Scalar(-1)
+        assert len(calls) == 1

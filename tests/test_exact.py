@@ -1,5 +1,6 @@
 """Scalar field and exact matrix arithmetic."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from kscert.errors import DimensionMismatch, ZeroVector
 from kscert.exact import (
+    I_UNIT,
     PAULI,
     SQRT2,
     ExactMatrix,
@@ -17,6 +19,7 @@ from kscert.exact import (
     kron,
     mat_mul,
     pauli_matrix,
+    pauli_word,
     projector_from_vector,
     scalar_multiple_of_identity,
 )
@@ -234,3 +237,43 @@ class TestMatrix:
     def test_inner_product(self):
         v = (Scalar(1), Scalar(0, 0, 1, 0))  # (1, i)
         assert inner(v, v) == Scalar(2)
+
+
+SIGNED_WORDS = [(sign, "".join(letters))
+                for n in (1, 2, 3)
+                for letters in itertools.product("IXYZ", repeat=n)
+                for sign in ("", "+", "-")]
+
+
+def _kron_fold(word, sign):
+    m = PAULI[word[0]]
+    for ch in word[1:]:
+        m = kron(m, PAULI[ch])
+    return -m if sign == -1 else m
+
+
+class TestPauliMatrix:
+    """pauli_matrix writes each row's one nonzero entry directly; the kron
+    fold is the oracle, and pauli_word reads the word back."""
+
+    @pytest.mark.parametrize("prefix,word", SIGNED_WORDS)
+    def test_kron_fold_oracle(self, prefix, word):
+        sign = -1 if prefix == "-" else 1
+        m = _kron_fold(word, sign)
+        assert pauli_matrix(word, sign) == m
+        assert pauli_word(m) == (sign, word)
+        assert pauli_word(m.scale(I_UNIT)) is None
+
+    def test_bad_sign(self):
+        with pytest.raises(ValueError):
+            pauli_matrix("X", 2)
+
+    @pytest.mark.parametrize("rows", [
+        pytest.param([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], id="swap"),
+        pytest.param([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], id="permutation"),
+        pytest.param([[0, 0], [0, 0]], id="zero"),
+        pytest.param([[1, 0, 0], [0, -1, 0], [0, 0, 1]], id="dim-3"),
+        pytest.param([[0, 1], [1, 1]], id="pauli-like-row-0"),
+    ])
+    def test_not_a_word(self, rows):
+        assert pauli_word(ExactMatrix(rows)) is None

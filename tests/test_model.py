@@ -251,9 +251,22 @@ class TestPauliObservable:
     def test_no_matrix_product(self, monkeypatch):
         calls = []
         monkeypatch.setattr(model, "mat_mul", lambda a, b: calls.append((a, b)))
+        monkeypatch.setattr(model, "pauli_matrix", lambda *args: calls.append(args))
         for word in SIGNED_PAULI_WORDS:
-            pauli_observable(word)
+            obs = pauli_observable(word)
+            assert obs.dim == 2 ** len(word.lstrip("+-"))
         assert calls == []
+
+    def test_bad_word(self):
+        with pytest.raises(ValueError):
+            pauli_observable("XQ")
+        with pytest.raises(ValueError):
+            pauli_observable("-")
+
+    def test_different_words_differ(self):
+        assert pauli_observable("+Z") == pauli_observable("Z")
+        assert pauli_observable("Z") != pauli_observable("-Z")
+        assert pauli_observable("XI") != pauli_observable("IX")
 
     @pytest.mark.parametrize("word", SIGNED_PAULI_WORDS)
     def test_spectrum_oracle(self, word):
@@ -271,6 +284,35 @@ class TestPauliObservable:
         oset.add(make_observable(ExactMatrix([[1, 0], [0, -1]]), label="m"))
         with pytest.raises(DuplicateObservable, match="observable a duplicates m"):
             oset.add(pauli_observable("+Z", label="a"))
+
+    @pytest.mark.parametrize("word", ["Z", "-Y", "XZ", "-YY", "IIX", "-XYZ"])
+    @pytest.mark.parametrize("matrix_first", [True, False], ids=["matrix-first", "word-first"])
+    def test_matrix_equal_to_word_is_duplicate(self, word, matrix_first):
+        """In d = 2, 4 and 8, keyed without the word's matrix."""
+        sign = -1 if word.startswith("-") else 1
+        letters = word.lstrip("-")
+        obs = [make_observable(pauli_matrix(letters, sign), label="m"),
+               pauli_observable(word, label="a")]
+        first, second = obs if matrix_first else obs[::-1]
+        oset = ObservableSet(dim=2 ** len(letters))
+        oset.add(first)
+        with pytest.raises(DuplicateObservable,
+                           match=f"observable {second.label} duplicates {first.label}"):
+            oset.add(second)
+
+    @pytest.mark.parametrize("rows", [
+        pytest.param([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], id="swap"),
+        pytest.param([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], id="permutation"),
+    ])
+    def test_word_like_matrix_is_no_word(self, rows):
+        """Hermitian, spectrum (-1, 1) and one nonzero per row, yet no signed
+        Pauli word: it sits beside all 32 signed two-qubit words."""
+        oset = ObservableSet(dim=4)
+        oset.add(make_observable(ExactMatrix(rows), spectrum=(-1, 1), label="m"))
+        for sign in "+-":
+            for letters in itertools.product("IXYZ", repeat=2):
+                oset.add(pauli_observable(sign + "".join(letters)))
+        assert len(oset) == 33
 
 
 # entries of the integer-geometry oracle tests, sqrt2 and 1/2 included
