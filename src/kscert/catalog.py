@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
-from .compat import Context, validate_context
+from .compat import validate_context
 from .exact import SQRT2, Scalar
 from .model import ObservableSet, pauli_observable
 

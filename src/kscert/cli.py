@@ -22,6 +22,7 @@ from .derive import (
     build_complete_set_rays,
     check_form,
     decide,
+    member_constants,
     present,
     witness_str,
 )
@@ -103,6 +104,8 @@ def cmd_verify(args) -> int:
     loaded = _load(args)
     cs = _build_complete_set(loaded)
     cert = decide(cs, node_cap=args.node_cap)
+    if cert.is_proof:
+        member_constants(cs)  # exit 3 where derive cannot fix a c_i
     if cs.graph is None:
         print(f"method: {cert.method} ({len(cs)} polynomials)")
     else:

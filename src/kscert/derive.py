@@ -13,7 +13,8 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb, gcd, lcm
+from itertools import combinations
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .assign import (
@@ -36,7 +37,7 @@ from .errors import (
     PresentationUnavailable,
     ZeroState,
 )
-from .exact import _FR0, ONE, MINUS_ONE, ZERO, Scalar, _mul_integral, inner, integral
+from .exact import _FR0, ONE, MINUS_ONE, Scalar, _mul_integral, inner, integral
 from .model import ObservableSet
 from .poly import (
     ContextPolynomial,
@@ -46,7 +47,6 @@ from .poly import (
     make_context_polynomial,
     mono_mul,
     normalization_constant,
-    reduce,
 )
 
 RAY_EDGES_BASES = "RayEdgesBases"
@@ -128,16 +128,22 @@ def build_complete_set_general(oset: ObservableSet, polynomials: Sequence) -> Co
     return CompleteSet(oset=oset, polynomials=list(polynomials), provenance=USER_SUPPLIED)
 
 
-def check_declared_constants(cs: CompleteSet, constants: Optional[Sequence] = None) -> None:
-    """Raise NormalizationMismatch on the first member whose declared c
-    differs from its normalization constant, taken from `constants` when
-    given and otherwise computed for the declared members only."""
+def member_constants(cs: CompleteSet) -> list:
+    """The c_i of every member, in member order; no other code fixes a c_i.
+    A builder's stated c_i is kept; a member with no c, and every
+    user-supplied member, gets normalization_constant's, which raises
+    IdenticallyZeroOnAssignments where there is none.  A declared c that
+    differs raises NormalizationMismatch.  The first faulty member is named."""
+    user = cs.provenance == USER_SUPPLIED
+    constants = []
     for idx, cp in enumerate(cs.polynomials):
-        if cp.c is None:
-            continue
-        c = normalization_constant(cp, cs.oset) if constants is None else constants[idx]
-        if cp.c != c:
-            raise NormalizationMismatch(idx, cp.c, c)
+        c = cp.c
+        if c is None or user:
+            c = normalization_constant(cp, cs.oset)
+            if cp.c not in (None, c):
+                raise NormalizationMismatch(idx, cp.c, c)
+        constants.append(c)
+    return constants
 
 
 def decide(cs: CompleteSet, node_cap: int = DEFAULT_NODE_CAP) -> ProofCertificate:
@@ -146,16 +152,12 @@ def decide(cs: CompleteSet, node_cap: int = DEFAULT_NODE_CAP) -> ProofCertificat
     does.  A set with a recorded graph is decided by ks_colorability, whose
     rules are exactly its members and which is far faster there; any other
     by general_unsat, whose witness full_witness extends to the observables
-    in no member, as max_F's.  A user-supplied proof then has its declared
-    c checked."""
+    in no member, as max_F's.  The c_i are member_constants' question."""
     if cs.graph is not None:
-        cert = ks_colorability(cs.oset, cs.graph, cs.bases, node_cap=node_cap)
-    else:
-        cert = general_unsat(cs.oset, cs.polynomials, node_cap=node_cap)
-        if cert.witness is not None:
-            cert.witness = full_witness(cs.oset, cert.witness)
-    if cert.is_proof and cs.provenance == USER_SUPPLIED:
-        check_declared_constants(cs)
+        return ks_colorability(cs.oset, cs.graph, cs.bases, node_cap=node_cap)
+    cert = general_unsat(cs.oset, cs.polynomials, node_cap=node_cap)
+    if cert.witness is not None:
+        cert.witness = full_witness(cs.oset, cert.witness)
     return cert
 
 
@@ -202,22 +204,17 @@ def assemble_F(
     r_i costs at least 1 once divided by c_i), and the exact bound maximises
     F = -sum |r_i|^2 / c_i, where a maximum of 0 means not a proof.
 
-    Builders set their members' c_i (see their docstrings); the others are
-    computed, and a declared c_i that differs raises NormalizationMismatch.
+    The c_i come from member_constants, after the verdict on the certified
+    route.  The exact route needs them before max_F; a member without a
+    rational c_i, or with a wrong declared one, sends it to the certified
+    route, so not-a-proof is still reported before the normalization error.
     The returned complete set carries the c_i used.
     """
     oset = cs.oset
-    user = cs.provenance == USER_SUPPLIED
-
-    def c_of(cp):  # decide has checked a declared c, max_F has not
-        return normalization_constant(cp, oset) if cp.c is None or user and exact_bound else cp.c
-
     constants = None
     if exact_bound:
-        # a member without a rational c falls back to the certified route,
-        # so not-a-proof is still reported before the normalization error
-        with suppress(IdenticallyZeroOnAssignments):
-            constants = [c_of(cp) for cp in cs.polynomials]
+        with suppress(IdenticallyZeroOnAssignments, NormalizationMismatch):
+            constants = member_constants(cs)
     if constants is None:
         cert = decide(cs, node_cap=node_cap)
         witness = cert.witness
@@ -230,9 +227,7 @@ def assemble_F(
             f"not a KS proof; satisfying assignment {witness_str(witness, oset.labels)}"
         )
     if constants is None:
-        constants = [c_of(cp) for cp in cs.polynomials]
-    elif user:
-        check_declared_constants(cs, constants)
+        constants = member_constants(cs)
     used = [replace(cp, c=c) for cp, c in zip(cs.polynomials, constants)]
     return Inequality(
         oset=oset,
@@ -311,32 +306,30 @@ def _rational_coeffs(p: Poly) -> dict:
 
 
 def _primitive_scale(coeffs: dict) -> Fraction:
-    """Positive s with coeffs/s integers of gcd 1."""
-    nums = [c for c in coeffs.values() if c != 0]
-    if not nums:
-        return Fraction(1)
-    # gcd of fractions = gcd(numerators) / lcm(denominators)
-    num_g = 0
-    den_l = 1
-    for c in nums:
-        num_g = gcd(num_g, abs(c.numerator))
-        den_l = den_l * c.denominator // gcd(den_l, c.denominator)
-    return Fraction(num_g, den_l)
+    """Positive s with coeffs/s integers of gcd 1: the gcd of the numerators
+    over the lcm of the denominators, or 1 when there is no coefficient."""
+    return Fraction(gcd(*(c.numerator for c in coeffs.values())) or 1,
+                    lcm(*(c.denominator for c in coeffs.values())))
 
 
-def _substitute_dichotomic(F: Poly) -> Poly:
-    """Replace every projector variable P_i by (1 - A_i)/2, keeping ids:
-    P_i^e becomes sum_k C(e, k) (-A_i)^k / 2^e, all summed in one dict."""
+def _substitute_dichotomic(coeffs: dict) -> dict:
+    """Replace every projector variable P_i by (1 - A_i)/2 in F's rational
+    coefficients, keeping ids.
+
+    F is reduced over the rays' spectrum (0, 1), where P^e = P, so a
+    monomial depends only on its variable set S, and
+    prod_{i in S} (1 - A_i)/2 = 2^-|S| sum_{T subset S} (-1)^|T| A_T.
+    Each A_i occurs at most once per monomial, so no A^2 arises and the
+    result needs no reduction over A's spectrum (-1, 1)."""
     out = {}
-    for mono, coef in F.terms.items():
-        terms = [((), coef)]
-        for i, e in mono:  # ids ascend, so appending keeps monomials sorted
-            binomial = [Scalar.of(Fraction((-1) ** k * comb(e, k), 2**e)) for k in range(e + 1)]
-            terms = [(m + ((i, k),) if k else m, c * b)
-                     for m, c in terms for k, b in enumerate(binomial)]
-        for m, c in terms:
-            out[m] = out.get(m, ZERO) + c
-    return Poly(out)
+    for mono, coef in coeffs.items():
+        ids = [i for i, _ in mono]
+        w = coef / 2 ** len(ids)
+        for k in range(len(ids) + 1):
+            for sub in combinations(ids, k):  # ids ascend, so sub is sorted
+                m = tuple((i, 1) for i in sub)
+                out[m] = out.get(m, 0) + (-w if k % 2 else w)
+    return {m: c for m, c in out.items() if c}
 
 
 def check_form(cs: CompleteSet, form: str) -> bool:
@@ -367,21 +360,19 @@ def present(ineq: Inequality, form: str) -> PresentedInequality:
     """Rearrange F into an integer-coefficient score with explicit bounds.
 
     projector form requires projector variables and keeps them; dichotomic
-    form substitutes P = (1 - A)/2 when needed (check_form) and re-reduces
-    with A^2 = 1.  The affine bookkeeping F = scale*G + offset transforms
-    both the classical bound and the quantum value exactly.
+    form substitutes P = (1 - A)/2 when needed (check_form), on F's
+    rational coefficients.  The affine bookkeeping F = scale*G + offset
+    transforms both the classical bound and the quantum value exactly.
     """
     oset = ineq.oset
     substituted = check_form(ineq.complete_set, form)
+    coeffs = _rational_coeffs(ineq.F)
     if substituted:
-        # A = 1 - 2P (model.dichotomize) has spectrum (-1, 1), or (-1,) in d = 1
-        spectrum = (Fraction(-1),) if oset.dim == 1 else (Fraction(-1), Fraction(1))
-        F_form = reduce(_substitute_dichotomic(ineq.F), dict.fromkeys(range(len(oset)), spectrum))
+        coeffs = _substitute_dichotomic(coeffs)
         labels = [f"d{obs.label or i}" for i, obs in enumerate(oset.observables)]
     else:
-        F_form, labels = ineq.F, oset.labels
+        labels = oset.labels
 
-    coeffs = _rational_coeffs(F_form)
     offset = coeffs.get((), Fraction(0))
     noncon = {m: c for m, c in coeffs.items() if m != ()}
     scale = _primitive_scale(noncon)
@@ -393,21 +384,15 @@ def present(ineq: Inequality, form: str) -> PresentedInequality:
         if all((c / power).denominator == 1 for c in noncon.values()):
             scale = power
     score = Poly({m: Scalar.of(c / scale) for m, c in noncon.items()})
-    quantum_value = -offset / scale
-    if ineq.classical.kind == "exact":
-        classical_bound = (ineq.classical.value - offset) / scale
-        bound_kind = "exact"
-    else:
-        classical_bound = (Fraction(-1) - offset) / scale
-        bound_kind = "certified"
     return PresentedInequality(
         form=form,
         score=score,
         scale=scale,
         offset=offset,
-        classical_bound=classical_bound,
-        bound_kind=bound_kind,
-        quantum_value=quantum_value,
+        # a certified BoundResult carries the bound -1 on F
+        classical_bound=(ineq.classical.value - offset) / scale,
+        bound_kind=ineq.classical.kind,
+        quantum_value=-offset / scale,
         labels=labels,
         substituted=substituted,
     )

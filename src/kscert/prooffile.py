@@ -346,6 +346,7 @@ def parse_file(path: str) -> ProofFile:
 
 def render_input_section(pf: ProofFile) -> str:
     lines = [f"dim {pf.dim}", f"mode {pf.mode}"]
+    text = {}  # by id, as a catalog Pauli matrix repeats 0 and two phase objects
     for d in pf.observables:
         if d.kind == "ray":
             lines.append("ray " + d.label + " " + " ".join(str(x) for x in d.vector))
@@ -357,7 +358,8 @@ def render_input_section(pf: ProofFile) -> str:
                 f"matrix {d.label}" + (f" spectrum {spec}" if spec else "")
             )
             for row in d.rows:
-                lines.append("row " + " ".join(str(x) for x in row))
+                lines.append("row " + " ".join(
+                    text.get(id(x)) or text.setdefault(id(x), str(x)) for x in row))
     for ctx in pf.contexts:
         lines.append("context " + " ".join(ctx))
     for p in pf.polynomials:

@@ -534,6 +534,22 @@ class TestDeriveCommand:
             assert code == 3, argv
             assert f"polynomial {index} declares {declared}, but its normalization constant is 4" in err
 
+    @pytest.mark.parametrize("wrong_c", [False, True])
+    def test_irrational_member_same_error_everywhere(self, capsys, tmp_path, wrong_c):
+        # (1 + r2)(abc - 1) vanishes as an operator, but its nonzero value
+        # -2(1 + r2) has the irrational squared modulus 4(3 + 2r2), so it has
+        # no c; verify exits 3 after the search, as derive does.  With member 2
+        # declaring a wrong c as well, the first faulty member is named.
+        text = GENERAL_MP.replace("poly c=4 a*b*c - 1", "poly (1+r2)*a*b*c - (1+r2)")
+        if wrong_c:
+            text = text.replace("poly c=4 g*h*k - 1", "poly c=3 g*h*k - 1")
+        path = tmp_path / "mp.txt"
+        path.write_text(text)
+        for argv in (["verify"], ["derive"], ["derive", "--exact-bound"], ["bound"]):
+            code, _, err = run(capsys, *argv, "--input", str(path))
+            assert code == 3, argv
+            assert err == "error: input: squared modulus is irrational; cannot normalize\n", argv
+
     def test_unused_observable_does_not_block_form(self, capsys, tmp_path, monkeypatch):
         # m is neither a ray nor dichotomic, but no polynomial uses it, so
         # the dichotomic form needs no substitution; the projector form is

@@ -34,6 +34,7 @@ from kscert.errors import (
     DuplicateObservable,
     EdgeOutsideBases,
     NotKSProofError,
+    PresentationUnavailable,
     ZeroState,
 )
 from kscert.exact import Scalar
@@ -530,14 +531,29 @@ class TestPresent:
         assert_score_is_quantum_value(pres, oset)
 
     def test_substitution_matches_poly_algebra(self, cabello):
+        # P^e = P on the rays' spectrum (0, 1) and ((1 - A)/2)^2 = (1 - A)/2
+        # once A^2 = 1, so exponents above 1 substitute as 1 does
         oset, graph, bases = cabello
         F = assemble_F(build_complete_set_rays(oset, graph, bases)).F
         rng = random.Random(11)
         cubic = Poly({tuple((i, rng.randint(1, 3)) for i in sorted(rng.sample(range(18), 3))):
-                      Scalar(rng.randint(-3, 3), rng.randint(-1, 1), rng.randint(-1, 1))
-                      for _ in range(20)})
+                      Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(20)})
+        spectra = dict.fromkeys(range(18), (Fraction(-1), Fraction(1)))
         for p in (F, cubic, Poly.const(5), Poly()):
-            assert derive._substitute_dichotomic(p) == substitute_dichotomic_oracle(p)
+            expected = reduce(substitute_dichotomic_oracle(p), spectra)
+            coeffs = {m: c.rational() for m, c in p.terms.items()}
+            assert derive._substitute_dichotomic(coeffs) == {
+                m: c.rational() for m, c in expected.terms.items()}
+
+    @pytest.mark.parametrize("form", ["projector", "dichotomic"])
+    def test_refuses_irrational_coefficients(self, two_bases, form):
+        # the builders always give a rational F; only library input reaches this
+        ineq = colorable_inequality(two_bases)
+        ineq = Inequality(ineq.oset, ineq.complete_set,
+                          ineq.F + Poly({((0, 1), (1, 1)): Scalar(0, 1)}), ineq.classical)
+        with pytest.raises(PresentationUnavailable,
+                           match=r"^presentation requires rational coefficients$"):
+            present(ineq, form)
 
     def test_dichotomic_integer_even_pair_coefficients(self, two_bases):
         pres = present(colorable_inequality(two_bases), "dichotomic")
