@@ -12,7 +12,6 @@ from .model import (
     make_ray,
 )
 from .compat import (
-    Context,
     OrthogonalityGraph,
     build_orthogonality_graph,
     context_product,

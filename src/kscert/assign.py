@@ -32,7 +32,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .compat import Context, OrthogonalityGraph, context_delta
+from .compat import OrthogonalityGraph, context_delta
 from .errors import NotDichotomic, NotScalarMultiple, SearchBudgetExceeded
 from .exact import Scalar
 from .model import ObservableSet
@@ -92,7 +92,7 @@ def value_order(spectrum) -> list:
 def ks_colorability(
     oset: ObservableSet,
     graph: OrthogonalityGraph,
-    bases: Sequence[Context],
+    bases: Sequence[tuple],
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> ProofCertificate:
     """Complete backtracking search for a {0,1} coloring of the rays.
@@ -106,10 +106,9 @@ def ks_colorability(
     """
     ZERO, ONE, BOTH = 1, 2, 3
     mu = len(oset)
-    basis_ids = [b.ids for b in bases]
     stats = SearchStats()
     # static branching order: rays in the most bases first, then degree
-    in_bases = Counter(i for b in basis_ids for i in b)
+    in_bases = Counter(i for b in bases for i in b)
     order_key = [(-in_bases[i], -len(graph.adjacency[i]), i) for i in range(mu)]
 
     def propagate(dom):
@@ -125,7 +124,7 @@ def ks_colorability(
                             dom[j] = ZERO
                             stats.propagations += 1
                             changed = True
-            for b in basis_ids:
+            for b in bases:
                 can_be_one = [i for i in b if dom[i] & ONE]
                 if not can_be_one:
                     return False
@@ -163,7 +162,7 @@ def ks_colorability(
 # -- parity certification ----------------------------------------------------
 
 
-def parity_certify(oset: ObservableSet, contexts: Sequence[Context]) -> list:
+def parity_certify(oset: ObservableSet, contexts: Sequence[tuple]) -> list:
     """The deltas of a parity set: every observable is dichotomic and each
     context product is delta*I with delta = +-1 (raises otherwise)."""
     for i, obs in enumerate(oset.observables):
@@ -173,9 +172,7 @@ def parity_certify(oset: ObservableSet, contexts: Sequence[Context]) -> list:
     for ctx in contexts:
         delta = context_delta(oset, ctx)
         if delta is None or not delta.is_rational or delta.rational() not in (1, -1):
-            raise NotScalarMultiple(
-                f"context {ctx.ids} product is not +-identity"
-            )
+            raise NotScalarMultiple(f"context {ctx} product is not +-identity")
         deltas.append(int(delta.rational()))
     return deltas
 

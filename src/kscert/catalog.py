@@ -31,9 +31,7 @@ class CatalogEntry:
     def load(self) -> ObservableSet:
         oset = self.build()
         # re-verify declared contexts rather than trusting stored ids
-        oset.declared_contexts = [
-            validate_context(oset, ids).ids for ids in oset.declared_contexts
-        ]
+        oset.declared_contexts = [validate_context(oset, ids) for ids in oset.declared_contexts]
         return oset
 
 

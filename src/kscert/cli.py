@@ -13,7 +13,7 @@ from collections import namedtuple
 
 from . import catalog as catalog_mod
 from .assign import DEFAULT_NODE_CAP
-from .compat import Context, build_orthogonality_graph, enumerate_bases
+from .compat import build_orthogonality_graph, enumerate_bases
 from .derive import (
     assemble_F,
     build_complete_set_bases_only,
@@ -33,7 +33,7 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from .poly import render
-from .prooffile import parse_file, proof_file_from_set, render_input_section, render_record
+from .prooffile import MODES, parse_file, proof_file_from_set, render_input_section, render_record
 
 EXIT_OK = 0
 EXIT_NOT_PROOF = 2
@@ -92,7 +92,7 @@ def _build_complete_set(loaded):
     if mode == "parity":
         if not oset.declared_contexts:
             raise ParseError("this mode requires declared contexts")
-        return build_complete_set_parity(oset, [Context(ids) for ids in oset.declared_contexts])
+        return build_complete_set_parity(oset, oset.declared_contexts)
     if mode == "general":
         if not loaded.user_polys:
             raise ParseError("general mode requires user-supplied polynomials")
@@ -221,11 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, with_form=False, with_output=False):
         p.add_argument("--catalog", help="built-in proof name")
         p.add_argument("--input", help="proof file path")
-        p.add_argument(
-            "--mode",
-            choices=["ray", "bases-only", "parity", "general", "auto"],
-            default="auto",
-        )
+        p.add_argument("--mode", choices=MODES, default="auto")
         p.add_argument("--node-cap", type=_node_cap, default=DEFAULT_NODE_CAP)
         if with_form:
             p.add_argument("--form", choices=["projector", "dichotomic"])
@@ -265,7 +261,7 @@ def main(argv=None) -> int:
     except SearchBudgetExceeded as ex:
         print(f"error: budget-exceeded: {ex}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ParseError, KSCertError, OSError, KeyError) as ex:
+    except (KSCertError, OSError, KeyError) as ex:
         print(f"error: input: {ex}", file=sys.stderr)
         return EXIT_INPUT
 

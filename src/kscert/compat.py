@@ -1,7 +1,10 @@
 """Compatibility structure: contexts, orthogonality graph, basis enumeration.
 
-A context is a strictly increasing tuple of observable ids whose operators
-pairwise commute (verified exactly, for Pauli words from their letters).
+A context is a plain strictly increasing tuple of observable ids whose
+operators pairwise commute (verified exactly, for Pauli words from their
+letters).  Every producer returns it sorted: validate_context (declared
+contexts and each user polynomial's variables), OrthogonalityGraph.edges
+(pairs i < j) and enumerate_bases (sorted cliques); consumers take it as is.
 A context of Pauli words is multiplied as words, with a phase in Z_4; a
 context with any other member is multiplied out.
 For ray sets the orthogonality graph has one vertex per ray and an edge
@@ -13,7 +16,7 @@ cliques.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable
 
 from .errors import KSCertError, NonRayMember, NotCommuting
 from .exact import (
@@ -27,22 +30,9 @@ from .exact import (
 from .model import Observable, ObservableSet
 
 
-@dataclass(frozen=True)
-class Context:
-    """Ordered ids of a set of mutually commuting observables."""
-
-    ids: tuple
-
-    def __post_init__(self):
-        if any(a >= b for a, b in zip(self.ids, self.ids[1:])):
-            raise KSCertError("context ids must be strictly increasing")
-
-    def __len__(self):
-        return len(self.ids)
-
-
-def validate_context(oset: ObservableSet, ids: Sequence[int]) -> Context:
-    """Certify pairwise commutation; raises NotCommuting on the first bad pair."""
+def validate_context(oset: ObservableSet, ids: Iterable[int]) -> tuple:
+    """The sorted context of ids: they are distinct, in range and pairwise
+    commuting; raises NotCommuting on the first bad pair."""
     ids = sorted(ids)
     if len(set(ids)) != len(ids):
         raise KSCertError("context ids must be distinct")
@@ -53,7 +43,7 @@ def validate_context(oset: ObservableSet, ids: Sequence[int]) -> Context:
         for j in ids[a_pos + 1 :]:
             if not _commute(oset[i], oset[j]):
                 raise NotCommuting(i, j)
-    return Context(tuple(ids))
+    return tuple(ids)
 
 
 def _commute(x: Observable, y: Observable) -> bool:
@@ -117,7 +107,7 @@ def _bron_kerbosch(adj, r, p, x, out):
 
 
 def enumerate_bases(graph: OrthogonalityGraph) -> list:
-    """All n-cliques of the orthogonality graph, as canonical Contexts.
+    """All n-cliques of the orthogonality graph, as sorted id tuples.
 
     In dimension n at most n rays are mutually orthogonal, so every n-clique
     is maximal and the pivoted maximal-clique search finds them all.  Each is
@@ -127,17 +117,17 @@ def enumerate_bases(graph: OrthogonalityGraph) -> list:
     cliques = []
     vertices = set(range(graph.n_vertices))
     _bron_kerbosch(graph.adjacency, set(), vertices, set(), cliques)
-    return [Context(c) for c in sorted(c for c in cliques if len(c) == graph.oset.dim)]
+    return sorted(c for c in cliques if len(c) == graph.oset.dim)
 
 
-def context_product(oset: ObservableSet, ctx: Context):
+def context_product(oset: ObservableSet, ctx: tuple):
     """Exact product of the member matrices and, when scalar, its delta.
 
     Returns (matrix, delta) with delta a Scalar when the product is a scalar
     multiple of the identity, else (matrix, None).
     """
     prod = ExactMatrix.identity(oset.dim)
-    for i in ctx.ids:
+    for i in ctx:
         prod = mat_mul(prod, oset[i].matrix)
     return prod, scalar_multiple_of_identity(prod)
 
@@ -173,13 +163,13 @@ def word_product(words) -> tuple:
     return k % 4, out
 
 
-def context_delta(oset: ObservableSet, ctx: Context):
+def context_delta(oset: ObservableSet, ctx: tuple):
     """delta with the product of ctx's members equal to delta*I, or None
     when that product is not a scalar.  Pauli words are multiplied as words
     (word_product): the product is scalar exactly when every letter reduces
     to I, and delta is then i^k.  A context with any other member is
     multiplied out (context_product)."""
-    members = [oset[i] for i in ctx.ids]
+    members = [oset[i] for i in ctx]
     if members and all(o.pauli is not None for o in members):
         k, letters = word_product((o.sign, o.pauli) for o in members)
         return PHASES[k] if set(letters) == {"I"} else None

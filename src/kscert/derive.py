@@ -27,7 +27,7 @@ from .assign import (
     max_F,
     parity_certify,
 )
-from .compat import Context, OrthogonalityGraph
+from .compat import OrthogonalityGraph
 from .errors import (
     Condition1Violated,
     EdgeOutsideBases,
@@ -67,19 +67,19 @@ class CompleteSet:
         return len(self.polynomials)
 
 
-def _ray_member(terms: dict, ctx: Context, oset: ObservableSet) -> ContextPolynomial:
+def _ray_member(terms: dict, oset: ObservableSet) -> ContextPolynomial:
     # a ray's spectrum is (0, 1) for d >= 2, so exponents of 1 are reduced
     if oset.dim == 1:
-        return make_context_polynomial(Poly(terms), ctx, oset)
-    return ContextPolynomial(Poly(terms), ctx)
+        return make_context_polynomial(Poly(terms), oset)
+    return ContextPolynomial(Poly(terms))
 
 
-def _basis_poly(oset, ctx: Context) -> ContextPolynomial:
-    return _ray_member({((i, 1),): ONE for i in ctx.ids} | {(): MINUS_ONE}, ctx, oset)
+def _basis_poly(oset, basis: tuple) -> ContextPolynomial:
+    return _ray_member({((i, 1),): ONE for i in basis} | {(): MINUS_ONE}, oset)
 
 
 def build_complete_set_rays(
-    oset: ObservableSet, graph: OrthogonalityGraph, bases: Sequence[Context]
+    oset: ObservableSet, graph: OrthogonalityGraph, bases: Sequence[tuple]
 ) -> CompleteSet:
     """One P_i*P_j polynomial per orthogonality edge plus one sum-minus-one
     polynomial per basis, each with c = 1 (edge products take the values 0
@@ -87,18 +87,18 @@ def build_complete_set_rays(
     construction: edges join exactly orthogonal rays (P_i P_j = 0), and
     bases sum to I (see enumerate_bases).  The set records graph and bases,
     whose coloring rules are exactly its members (see decide)."""
-    polys = [_ray_member({((i, 1), (j, 1)): ONE}, Context((i, j)), oset) for i, j in graph.edges]
+    polys = [_ray_member({((i, 1), (j, 1)): ONE}, oset) for i, j in graph.edges]
     polys += [_basis_poly(oset, b) for b in bases]
     return CompleteSet(oset, polys, RAY_EDGES_BASES, graph=graph, bases=list(bases))
 
 
 def build_complete_set_bases_only(
-    oset: ObservableSet, graph: OrthogonalityGraph, bases: Sequence[Context]
+    oset: ObservableSet, graph: OrthogonalityGraph, bases: Sequence[tuple]
 ) -> CompleteSet:
     """Basis polynomials only; valid when every orthogonality edge lies in
     some supplied basis (raises EdgeOutsideBases otherwise).  c = 1 and
     Condition 1 hold as for build_complete_set_rays."""
-    basis_sets = [set(b.ids) for b in bases]
+    basis_sets = [set(b) for b in bases]
     for i, j in graph.edges:
         if not any({i, j} <= b for b in basis_sets):
             raise EdgeOutsideBases(i, j)
@@ -106,14 +106,12 @@ def build_complete_set_bases_only(
     return CompleteSet(oset=oset, polynomials=polys, provenance=RAY_BASES_ONLY)
 
 
-def build_complete_set_parity(
-    oset: ObservableSet, contexts: Sequence[Context]
-) -> CompleteSet:
+def build_complete_set_parity(oset: ObservableSet, contexts: Sequence[tuple]) -> CompleteSet:
     """Product-minus-delta polynomials, each with c = 4 (values are 0 or +-2).
     Condition 1 holds as parity_certify found each context product delta*I;
     whether the set is a proof is decide's question.  Dichotomic spectra
     have two values, so the products are reduced as written."""
-    polys = [ContextPolynomial(Poly({tuple((i, 1) for i in ctx.ids): ONE}) - d, ctx, Fraction(4))
+    polys = [ContextPolynomial(Poly({tuple((i, 1) for i in ctx): ONE}) - d, Fraction(4))
              for ctx, d in zip(contexts, parity_certify(oset, contexts))]
     return CompleteSet(oset=oset, polynomials=polys, provenance=PARITY)
 
@@ -133,13 +131,17 @@ def member_constants(cs: CompleteSet) -> list:
     A builder's stated c_i is kept; a member with no c, and every
     user-supplied member, gets normalization_constant's, which raises
     IdenticallyZeroOnAssignments where there is none.  A declared c that
-    differs raises NormalizationMismatch.  The first faulty member is named."""
+    differs raises NormalizationMismatch.  Either error names the first
+    faulty member."""
     user = cs.provenance == USER_SUPPLIED
     constants = []
     for idx, cp in enumerate(cs.polynomials):
         c = cp.c
         if c is None or user:
-            c = normalization_constant(cp, cs.oset)
+            try:
+                c = normalization_constant(cp, cs.oset)
+            except IdenticallyZeroOnAssignments as ex:
+                raise IdenticallyZeroOnAssignments(f"polynomial {idx}: {ex}") from None
             if cp.c not in (None, c):
                 raise NormalizationMismatch(idx, cp.c, c)
         constants.append(c)

@@ -49,10 +49,6 @@ class NotDichotomic(KSCertError):
         self.index = i
 
 
-class VariableOutsideContext(KSCertError):
-    pass
-
-
 class UnknownVariable(KSCertError):
     pass
 

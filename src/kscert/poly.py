@@ -17,13 +17,11 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Mapping, Optional, Sequence
 
-from .compat import Context
 from .errors import (
     IdenticallyZeroOnAssignments,
     KSCertError,
     UnassignedVariable,
     UnknownVariable,
-    VariableOutsideContext,
 )
 from .exact import ZERO, ExactMatrix, Scalar, integral, mat_mul
 from .model import ObservableSet
@@ -267,10 +265,11 @@ def eval_operator(p: Poly, oset: ObservableSet) -> ExactMatrix:
 
 @dataclass(frozen=True)
 class ContextPolynomial:
-    """A reduced polynomial in the observables of one context."""
+    """A complete-set member: a reduced polynomial and its c.  Its variables
+    pairwise commute, which is validated where the member is built (the
+    builders in derive, prooffile's validate_context)."""
 
     poly: Poly
-    context: Context
     c: Optional[Fraction] = Fraction(1)  # None until assemble_F computes it
 
     def __post_init__(self):
@@ -279,14 +278,11 @@ class ContextPolynomial:
 
 
 def make_context_polynomial(
-    p: Poly, context: Context, oset: ObservableSet, c: Optional[Fraction] = Fraction(1)
+    p: Poly, oset: ObservableSet, c: Optional[Fraction] = Fraction(1)
 ) -> ContextPolynomial:
-    extra = p.variables() - set(context.ids)
-    if extra:
-        raise VariableOutsideContext(
-            f"variables {sorted(extra)} outside context {context.ids}"
-        )
-    return ContextPolynomial(poly=reduce(p, oset.spectra()), context=context, c=c)
+    """The member of p reduced over oset's spectra.  The caller has validated
+    that p's variables pairwise commute."""
+    return ContextPolynomial(poly=reduce(p, oset.spectra()), c=c)
 
 
 def spectral_assignments(oset: ObservableSet, ids: Sequence[int]):
@@ -304,9 +300,10 @@ def spectral_assignments(oset: ObservableSet, ids: Sequence[int]):
 
 
 def normalization_constant(cp: ContextPolynomial, oset: ObservableSet) -> Fraction:
-    """Minimum nonzero squared modulus of the polynomial over all assignments."""
+    """Minimum nonzero squared modulus of the polynomial over all assignments
+    of its variables."""
     best = None
-    for v in spectral_assignments(oset, cp.context.ids):
+    for v in spectral_assignments(oset, sorted(cp.poly.variables())):
         val = eval_assignment(cp.poly, v)
         if val.is_zero:
             continue
@@ -330,7 +327,7 @@ def normalized_square(cp: ContextPolynomial, oset: ObservableSet) -> ContextPoly
     sq = cp.poly.conjugate() * cp.poly
     sq = reduce(sq, oset.spectra())
     scaled = sq * Scalar.of(Fraction(1, 1) / cp.c)
-    return make_context_polynomial(scaled, cp.context, oset)
+    return make_context_polynomial(scaled, oset)
 
 
 # -- canonical rendering ---------------------------------------------------

@@ -38,6 +38,8 @@ from .poly import Poly, make_context_polynomial, render
 
 DERIVED_MARKER = "=== derived ==="
 
+MODES = ("ray", "bases-only", "parity", "general", "auto")
+
 _SCALAR_TERM = re.compile(r"^(\d+(?:/\d+)?)?(r2)?(i)?$")
 
 
@@ -130,7 +132,7 @@ class ProofFile:
                 oset.add(make_observable(m, spectrum=d.spectrum, label=d.label))
         for labels in self.contexts:
             ids = [oset.by_label(l) for l in labels]
-            oset.declared_contexts.append(validate_context(oset, ids).ids)
+            oset.declared_contexts.append(validate_context(oset, ids))
         return oset
 
     def to_polynomials(self, oset: ObservableSet) -> list:
@@ -143,9 +145,8 @@ class ProofFile:
                     i = oset.by_label(label)
                     mono[i] = mono.get(i, 0) + exp
                 p = p + Poly({tuple(sorted(mono.items())): coef})
-            ids = sorted(p.variables())
-            ctx = validate_context(oset, ids) if ids else validate_context(oset, [])
-            out.append(make_context_polynomial(p, ctx, oset, c=decl.c))
+            validate_context(oset, p.variables())
+            out.append(make_context_polynomial(p, oset, c=decl.c))
         return out
 
 
@@ -256,16 +257,8 @@ def parse(text: str) -> ProofFile:
                 parts[1] if len(parts) == 2 else "", lineno, "dim takes one positive integer"
             )
         elif head == "mode":
-            if len(parts) != 2 or parts[1] not in (
-                "ray",
-                "bases-only",
-                "parity",
-                "general",
-                "auto",
-            ):
-                raise ParseError(
-                    "mode must be ray | bases-only | parity | general | auto", lineno
-                )
+            if len(parts) != 2 or parts[1] not in MODES:
+                raise ParseError("mode must be " + " | ".join(MODES), lineno)
             mode = parts[1]
         elif head == "ray":
             if dim is None:

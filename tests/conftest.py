@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from kscert import (
-    Context,
     ObservableSet,
     build_orthogonality_graph,
     enumerate_bases,
@@ -16,13 +15,13 @@ from kscert.exact import ExactMatrix, mat_mul
 @pytest.fixture(scope="session")
 def mermin_peres():
     oset = catalog.get("mermin-peres").load()
-    return oset, [Context(ids) for ids in oset.declared_contexts]
+    return oset, list(oset.declared_contexts)
 
 
 @pytest.fixture(scope="session")
 def pentagram():
     oset = catalog.get("mermin-pentagram").load()
-    return oset, [Context(ids) for ids in oset.declared_contexts]
+    return oset, list(oset.declared_contexts)
 
 
 @pytest.fixture(scope="session")

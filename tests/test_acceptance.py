@@ -21,7 +21,7 @@ from kscert.assign import (
     parity_certify,
 )
 from kscert.cli import main
-from kscert.compat import Context, build_orthogonality_graph, enumerate_bases
+from kscert.compat import build_orthogonality_graph, enumerate_bases
 from kscert.derive import (
     Inequality,
     assemble_F,
@@ -140,7 +140,7 @@ def _two_bases_inequality(two_bases):
     for cp in cs.polynomials:
         c = normalization_constant(cp, two_bases)
         F = F - normalized_square(
-            ContextPolynomial(cp.poly, cp.context, c), two_bases
+            ContextPolynomial(cp.poly, c), two_bases
         ).poly
     F = reduce(F, two_bases.spectra())
     return Inequality(
@@ -230,10 +230,10 @@ def test_criterion_6_property_suite(mermin_peres, pentagram, cabello, peres33, t
 
     # normalized squares: >= 1 off the zero set, and = 1 somewhere
     oset, ctxs = mermin_peres
-    for cp in build_complete_set_parity(oset, ctxs).polynomials:
+    for ctx, cp in zip(ctxs, build_complete_set_parity(oset, ctxs).polynomials):
         sq = normalized_square(cp, oset)
         values = []
-        for v in spectral_assignments(oset, cp.context.ids):
+        for v in spectral_assignments(oset, ctx):
             if eval_assignment(cp.poly, v).is_zero:
                 assert eval_assignment(sq.poly, v).is_zero
             else:
@@ -256,7 +256,7 @@ def test_criterion_6_property_suite(mermin_peres, pentagram, cabello, peres33, t
         for cp in cs.polynomials:
             c = normalization_constant(cp, rset)
             F = F - normalized_square(
-                ContextPolynomial(cp.poly, cp.context, c), rset
+                ContextPolynomial(cp.poly, c), rset
             ).poly
         F = reduce(F, rset.spectra())
         fmax = classical_max(rset, F) if F.variables() else None
@@ -270,14 +270,14 @@ def test_criterion_6_property_suite(mermin_peres, pentagram, cabello, peres33, t
         if not coloring.is_proof:
             w = coloring.witness
             assert all(not (w[i] == 1 and w[j] == 1) for i, j in g.edges)
-            assert all(sum(w[i] for i in b.ids) == 1 for b in bases)
+            assert all(sum(w[i] for i in b) == 1 for b in bases)
 
     # cross-method verdict agreement on every catalog entry; the parity
     # count (deltas multiplying to -1, every observable in an even number
     # of contexts) is sufficient for a proof, so the search must agree
     for po, pctxs in (mermin_peres, pentagram):
         assert prod(parity_certify(po, pctxs)) == -1
-        assert all(sum(i in c.ids for c in pctxs) % 2 == 0 for i in range(len(po)))
+        assert all(sum(i in c for c in pctxs) % 2 == 0 for i in range(len(po)))
         assert decide(build_complete_set_parity(po, pctxs)).is_proof
     for entry in (cabello, peres33):
         eo, eg, eb = entry

@@ -23,7 +23,7 @@ from kscert.assign import (
     parity_certify,
     value_order,
 )
-from kscert.compat import Context, OrthogonalityGraph, build_orthogonality_graph, enumerate_bases
+from kscert.compat import OrthogonalityGraph, build_orthogonality_graph, enumerate_bases
 from kscert.derive import (
     build_complete_set_parity,
     build_complete_set_rays,
@@ -86,7 +86,7 @@ class TestKSColorability:
         for i, j in g.edges:
             assert not (w[i] == 1 and w[j] == 1)
         for b in bases:
-            assert sum(w[i] for i in b.ids) == 1
+            assert sum(w[i] for i in b) == 1
 
     def test_cabello_uncolorable(self, cabello):
         oset, graph, bases = cabello
@@ -121,7 +121,7 @@ class TestKSColorability:
             oset.observables += [ray_observable(make_ray(v)) for v in ((1, k), (-k, 1))]
         adjacency = {i: frozenset({i ^ 1}) for i in range(2 * n)}
         graph = OrthogonalityGraph(oset=oset, adjacency=adjacency)
-        bases = [Context((2 * k, 2 * k + 1)) for k in range(n)]
+        bases = [(2 * k, 2 * k + 1) for k in range(n)]
         cert = ks_colorability(oset, graph, bases)
         assert not cert.is_proof
         assert cert.stats.nodes == n + 1
@@ -149,7 +149,7 @@ class TestKSColorability:
         g = build_orthogonality_graph(oset)
         bases = enumerate_bases(g)
         cert = ks_colorability(oset, g, bases)
-        sols = brute_force_coloring(len(oset), g.edges, [b.ids for b in bases])
+        sols = brute_force_coloring(len(oset), g.edges, bases)
         assert cert.is_proof == (not sols)
         if not cert.is_proof:
             assert tuple(cert.witness[i] for i in range(len(oset))) in sols
@@ -177,14 +177,14 @@ class TestParityCertify:
 
     def test_requires_dichotomic(self, basis3):
         with pytest.raises(NotDichotomic):
-            parity_certify(basis3, [Context((0, 1, 2))])
+            parity_certify(basis3, [(0, 1, 2)])
 
     def test_requires_scalar_product(self):
         oset = ObservableSet(dim=4)
         oset.add(make_observable(kron(PAULI["X"], PAULI["I"]), label="XI"))
         oset.add(make_observable(kron(PAULI["I"], PAULI["X"]), label="IX"))
         with pytest.raises(NotScalarMultiple):
-            parity_certify(oset, [Context((0, 1))])
+            parity_certify(oset, [(0, 1)])
 
     @pytest.mark.parametrize("words", [("XI", "IX"), ("X", "Y", "Z")], ids=["XI-IX", "XYZ=iI"])
     def test_requires_scalar_product_of_words(self, words):
@@ -192,7 +192,7 @@ class TestParityCertify:
         for word in words:
             oset.add(pauli_observable(word, label=word))
         with pytest.raises(NotScalarMultiple):
-            parity_certify(oset, [Context(tuple(range(len(words))))])
+            parity_certify(oset, [tuple(range(len(words)))])
 
 
 class TestGeneralUnsat:
@@ -423,7 +423,7 @@ class TestMaxF:
                     for i in rng.sample(ids, rng.randint(0, len(ids))):
                         term = term * Poly.var(i) * (Poly.var(i) if rng.random() < 0.3 else 1)
                     p = p + term
-                cp = make_context_polynomial(p, Context(tuple(ids)), oset)
+                cp = make_context_polynomial(p, oset)
                 with suppress(IdenticallyZeroOnAssignments):  # no c for a zero member
                     normalization_constant(cp, oset)
                     polys.append(cp)
@@ -432,7 +432,7 @@ class TestMaxF:
 
     def test_irrational_square_raises(self, basis3):
         # |P0 + sqrt2|^2 is 3 + 2 sqrt2 at P0 = 1, as the Fraction oracle says
-        cp = ContextPolynomial(Poly.var(0) + Scalar(0, 1), Context((0,)))
+        cp = ContextPolynomial(Poly.var(0) + Scalar(0, 1))
         with pytest.raises(ValueError, match=re.escape("not a rational number: 3+2r2")):
             max_F(basis3, [cp], [Fraction(1)])
         with pytest.raises(ValueError, match=re.escape("not a rational number: 3+2r2")):
@@ -465,7 +465,7 @@ class TestClassicalMax:
 
     def test_oracle_mermin_peres_row(self, mermin_peres):
         oset, ctxs = mermin_peres
-        ids = ctxs[0].ids
+        ids = ctxs[0]
         score = Poly.var(ids[0]) * Poly.var(ids[1]) + Poly.var(ids[2])
         res = classical_max(oset, score)
         expect, _ = brute_force_max(oset, score)
@@ -477,7 +477,7 @@ class TestClassicalMax:
         score = Poly()
         for ctx, delta in zip(ctxs, [1, 1, 1, 1, 1, -1]):
             term = Poly.const(delta)
-            for i in ctx.ids:
+            for i in ctx:
                 term = term * Poly.var(i)
             score = score + term
         res = classical_max(oset, score)

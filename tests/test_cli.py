@@ -548,7 +548,19 @@ class TestDeriveCommand:
         for argv in (["verify"], ["derive"], ["derive", "--exact-bound"], ["bound"]):
             code, _, err = run(capsys, *argv, "--input", str(path))
             assert code == 3, argv
-            assert err == "error: input: squared modulus is irrational; cannot normalize\n", argv
+            assert err == ("error: input: polynomial 0: squared modulus is irrational; "
+                           "cannot normalize\n"), argv
+
+    def test_zero_member_named(self, capsys, tmp_path):
+        # a*a - 1 reduces to 0 for a dichotomic a: it vanishes as an operator
+        # and at every assignment, so the proof stands but member 6 has no c
+        path = tmp_path / "mp.txt"
+        path.write_text(GENERAL_MP + "poly a*a - 1\n")
+        for argv in (["verify"], ["derive"], ["bound"]):
+            code, _, err = run(capsys, *argv, "--input", str(path))
+            assert code == 3, argv
+            assert err == ("error: input: polynomial 6: polynomial vanishes at every "
+                           "spectral assignment\n"), argv
 
     def test_unused_observable_does_not_block_form(self, capsys, tmp_path, monkeypatch):
         # m is neither a ray nor dichotomic, but no polynomial uses it, so

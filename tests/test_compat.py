@@ -10,7 +10,6 @@ from hypothesis import given, settings
 
 from kscert import compat
 from kscert.compat import (
-    Context,
     build_orthogonality_graph,
     context_delta,
     context_product,
@@ -63,7 +62,7 @@ class TestGraph:
             ("r16", "r18", "r6", "r12"),
             ("r17", "r18", "r13", "r15"),
         ]
-        found = {b.ids for b in bases}
+        found = set(bases)
         for labels in known:
             ids = tuple(sorted(oset.by_label(l) for l in labels))
             assert ids in found
@@ -113,7 +112,7 @@ class TestEnumerateBases:
     def test_single_basis(self, basis3):
         g = build_orthogonality_graph(basis3)
         bases = enumerate_bases(g)
-        assert [b.ids for b in bases] == [(0, 1, 2)]
+        assert bases == [(0, 1, 2)]
 
     def test_networkx_oracle(self, cabello):
         oset, graph, bases = cabello
@@ -123,7 +122,7 @@ class TestEnumerateBases:
         oracle = sorted(
             tuple(sorted(c)) for c in nx.find_cliques(g) if len(c) == 4
         )
-        assert [b.ids for b in bases] == oracle
+        assert bases == oracle
 
     def test_order_independence(self, cabello):
         oset, graph, bases = cabello
@@ -136,21 +135,21 @@ class TestEnumerateBases:
         rbases = enumerate_bases(build_orthogonality_graph(rev))
         n = len(oset)
         mapped = sorted(
-            tuple(sorted(n - 1 - i for i in b.ids)) for b in rbases
+            tuple(sorted(n - 1 - i for i in b)) for b in rbases
         )
-        assert mapped == [b.ids for b in bases]
+        assert mapped == bases
 
     def test_two_disjoint_bases(self, two_bases):
         g = build_orthogonality_graph(two_bases)
         bases = enumerate_bases(g)
-        assert [b.ids for b in bases] == [(0, 1, 2), (0, 3, 4)]
+        assert bases == [(0, 1, 2), (0, 3, 4)]
 
 
 class TestValidateContext:
     def test_mermin_peres_row(self, mermin_peres):
         oset, _ = mermin_peres
         ctx = validate_context(oset, [0, 1, 2])
-        assert ctx.ids == (0, 1, 2)
+        assert ctx == (0, 1, 2)
 
     def test_not_commuting(self):
         oset = ObservableSet(dim=2)
@@ -169,15 +168,11 @@ class TestValidateContext:
         assert exc.value.pair == (0, 1)
 
     def test_singleton(self, basis3):
-        assert validate_context(basis3, [1]).ids == (1,)
+        assert validate_context(basis3, [1]) == (1,)
 
     def test_duplicates_rejected(self, basis3):
         with pytest.raises(KSCertError):
             validate_context(basis3, [0, 0])
-
-    def test_context_canonical_order(self):
-        with pytest.raises(KSCertError):
-            Context((2, 1))
 
 
 def _first_anticommuting_pair(oset, ids):
@@ -230,17 +225,17 @@ class TestContextProduct:
         from kscert.exact import ExactMatrix
 
         oset.add(make_observable(ExactMatrix.identity(2), spectrum=(1,)))
-        _, delta = context_product(oset, Context((0,)))
+        _, delta = context_product(oset, (0,))
         assert delta == Scalar(1)
 
     def test_non_scalar_product(self, basis3):
         # product of two projectors of one basis is the zero matrix (0*I)
-        m, delta = context_product(basis3, Context((0, 1)))
+        m, delta = context_product(basis3, (0, 1))
         assert m.is_zero and delta == Scalar(0)
         # a genuinely non-scalar product
         oset = ObservableSet(dim=3)
         oset.add_ray((1, 0, 0))
-        _, delta = context_product(oset, Context((0,)))
+        _, delta = context_product(oset, (0,))
         assert delta is None
 
     def test_ray_contexts_resolve_identity(self, cabello, peres33):
@@ -251,7 +246,7 @@ class TestContextProduct:
             assert bases
             for b in bases:
                 total = ExactMatrix.zero(oset.dim)
-                for i in b.ids:
+                for i in b:
                     total = total + oset[i].matrix
                 assert total == ExactMatrix.identity(oset.dim)
 
@@ -262,7 +257,7 @@ def _word_set(words):
     oset = ObservableSet(dim=2 ** len(words[0].lstrip("+-")))
     for word in words:
         oset.add(pauli_observable(word))
-    return oset, Context(tuple(range(len(words))))
+    return oset, tuple(range(len(words)))
 
 
 class TestWordProduct:
@@ -277,8 +272,7 @@ class TestWordProduct:
     @pytest.mark.parametrize("name", ["mermin-peres", "mermin-pentagram"])
     def test_catalog_contexts(self, monkeypatch, name):
         oset = catalog.get(name).load()
-        for ids in oset.declared_contexts:
-            ctx = Context(ids)
+        for ctx in oset.declared_contexts:
             want = context_product(oset, ctx)[1]
             assert want in (Scalar(1), Scalar(-1))
             with monkeypatch.context() as m:
@@ -331,5 +325,5 @@ class TestWordProduct:
             return original(*args)
 
         monkeypatch.setattr(compat, "context_product", counted)
-        assert context_delta(oset, Context((0, 1))) == Scalar(-1)
+        assert context_delta(oset, (0, 1)) == Scalar(-1)
         assert len(calls) == 1

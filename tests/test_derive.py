@@ -14,7 +14,7 @@ from kscert import assign as assign_mod
 from kscert import catalog, derive
 from kscert import poly as poly_mod
 from kscert.assign import BoundResult, classical_max, general_unsat, max_F, parity_certify
-from kscert.compat import Context, build_orthogonality_graph, enumerate_bases
+from kscert.compat import build_orthogonality_graph, enumerate_bases
 from kscert.derive import (
     CompleteSet,
     Inequality,
@@ -83,7 +83,7 @@ def parity_witness_polynomial(contexts, deltas):
     F = Poly.const(Scalar(Fraction(-len(contexts), 2)))
     for ctx, delta in zip(contexts, deltas):
         term = Poly.const(delta)
-        for i in ctx.ids:
+        for i in ctx:
             term = term * Poly.var(i)
         F = F + term * h
     return F
@@ -110,7 +110,7 @@ class TestCompleteSets:
             build_complete_set_bases_only(oset, graph, bases)
         i, j = exc.value.pair
         assert (i, j) in graph.edges
-        assert not any({i, j} <= set(b.ids) for b in bases)
+        assert not any({i, j} <= set(b) for b in bases)
 
     def test_parity_set(self, mermin_peres):
         oset, ctxs = mermin_peres
@@ -134,7 +134,7 @@ class TestVerifyCompleteSet:
         oset.add_ray((1, 0, 0))
         oset.add_ray((0, 1, 0))
         p = Poly.var(0) + Poly.var(1) - Poly.const(1)
-        cp = make_context_polynomial(p, Context((0, 1)), oset)
+        cp = make_context_polynomial(p, oset)
         with pytest.raises(Condition1Violated) as exc:
             build_complete_set_general(oset, [cp])
         assert exc.value.index == 0
@@ -174,7 +174,7 @@ class TestAssembleF:
         oset, graph, bases = cabello
         cs = build_complete_set_rays(oset, graph, bases)
         ineq = assemble_F(cs)
-        assert ineq.F == ray_witness_polynomial(graph.edges, [b.ids for b in bases])
+        assert ineq.F == ray_witness_polynomial(graph.edges, bases)
         assert eval_operator(ineq.F, oset).is_zero
         assert ineq.classical.kind == "certified"
         assert ineq.classical.value == -1
@@ -264,7 +264,7 @@ class TestAssembleF:
         cs = build_complete_set_parity(oset, ctxs)
         undeclared = CompleteSet(
             oset=oset,
-            polynomials=[ContextPolynomial(cp.poly, cp.context, None) for cp in cs.polynomials],
+            polynomials=[ContextPolynomial(cp.poly, None) for cp in cs.polynomials],
             provenance=cs.provenance,
         )
         ineq = assemble_F(undeclared, exact_bound=exact_bound)
@@ -287,7 +287,7 @@ def _catalog_complete_set(name):
     if oset.all_rays:
         graph = build_orthogonality_graph(oset)
         return build_complete_set_rays(oset, graph, enumerate_bases(graph))
-    return build_complete_set_parity(oset, [Context(ids) for ids in oset.declared_contexts])
+    return build_complete_set_parity(oset, list(oset.declared_contexts))
 
 
 def _two_bases_complete_set():
@@ -461,7 +461,7 @@ def colorable_inequality(oset, certified=True):
     g = build_orthogonality_graph(oset)
     bases = enumerate_bases(g)
     cs = build_complete_set_bases_only(oset, g, bases)
-    F = bases_only_witness_polynomial([b.ids for b in bases])
+    F = bases_only_witness_polynomial(bases)
     if certified:
         classical = BoundResult(kind="certified", value=Fraction(-1))
     else:
@@ -568,10 +568,10 @@ class TestPresent:
         # 69/2 and -21/2 in G at scale 1/8; the primitive scale keeps G integral
         oset, graph, bases = cabello
         cs = build_complete_set_rays(oset, graph, bases)
-        P = [Poly.var(i) for i in bases[0].ids]
+        P = [Poly.var(i) for i in bases[0]]
         p = 2 * (P[0] + P[1] + P[2] + P[3] - 1) + P[0] * P[1]
         polys = list(cs.polynomials)
-        polys[len(graph.edges)] = make_context_polynomial(p, bases[0], oset, c=None)
+        polys[len(graph.edges)] = make_context_polynomial(p, oset, c=None)
         ineq = assemble_F(CompleteSet(oset, polys, cs.provenance))
         assert ineq.F.max_degree() == 3
         pres = present(ineq, "dichotomic")

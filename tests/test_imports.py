@@ -1,8 +1,10 @@
-"""Every name a kscert module imports is used there.
+"""Every name a kscert module imports is used there, and every public
+function and class a module defines is named somewhere else.
 
 __init__.py is exempt: its imports are the package's re-exports."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -34,3 +36,37 @@ def test_detects_unused():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
+CORPUS.append(ROOT / "README.md")
+
+
+def unreferenced(source: str, others: list) -> list:
+    """The module-level public functions and classes of source that neither
+    the rest of source nor any text of others names."""
+    lines = source.splitlines()
+    out = []
+    for node in ast.parse(source).body:
+        if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                or node.name.startswith("_")):
+            continue
+        word = re.compile(rf"\b{node.name}\b")
+        rest = lines[: node.lineno - 1] + lines[node.end_lineno :]
+        if not any(word.search(t) for t in rest + others):
+            out.append(node.name)
+    return out
+
+
+def test_detects_unreferenced():
+    source = ("def used():\n    return 1\n\n\ndef helper():\n    return helper\n\n\n"
+              "class Kept:\n    pass\n\n\ndef _private():\n    pass\n\n\nx = Kept\n")
+    assert unreferenced(source, ["used()"]) == ["helper"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_public_definitions_referenced(path):
+    others = [p.read_text(encoding="utf-8") for p in CORPUS if p.resolve() != path.resolve()]
+    assert len(others) == len(CORPUS) - 1  # path is in the corpus
+    assert unreferenced(path.read_text(encoding="utf-8"), others) == []

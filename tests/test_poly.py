@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kscert.compat import Context
 from kscert.errors import (
     IdenticallyZeroOnAssignments,
     KSCertError,
     UnassignedVariable,
-    VariableOutsideContext,
+    UnknownVariable,
 )
 from kscert.exact import ExactMatrix, Scalar
 from kscert.poly import (
@@ -40,28 +39,19 @@ def basis_poly(ids):
 
 class TestArithmetic:
     def test_add_cancel(self, basis3):
-        ctx = Context((0, 1))
-        p1 = make_context_polynomial(Poly.var(0) + Poly.var(1), ctx, basis3)
-        p2 = make_context_polynomial(-Poly.var(1), ctx, basis3)
-        assert make_context_polynomial(p1.poly + p2.poly, ctx, basis3).poly == Poly.var(0)
+        p1 = make_context_polynomial(Poly.var(0) + Poly.var(1), basis3)
+        p2 = make_context_polynomial(-Poly.var(1), basis3)
+        assert make_context_polynomial(p1.poly + p2.poly, basis3).poly == Poly.var(0)
 
     def test_minimal_poly_kills_product(self, mermin_peres):
         oset, _ = mermin_peres
-        ctx = Context((0,))
         a = Poly.var(0)
         prod = (a - Poly.const(1)) * (a + Poly.const(1))
-        assert make_context_polynomial(prod, ctx, oset).poly.is_zero
+        assert make_context_polynomial(prod, oset).poly.is_zero
 
     def test_conjugate_coefficients(self, basis3):
-        ctx = Context((0,))
-        p = make_context_polynomial(
-            Poly.var(0) * Scalar(0, 0, 1, 0), ctx, basis3
-        )
+        p = make_context_polynomial(Poly.var(0) * Scalar(0, 0, 1, 0), basis3)
         assert p.poly.conjugate() == Poly.var(0) * Scalar(0, 0, -1, 0)
-
-    def test_variable_outside_context(self, basis3):
-        with pytest.raises(VariableOutsideContext):
-            make_context_polynomial(Poly.var(2), Context((0, 1)), basis3)
 
 
 class TestReduce:
@@ -223,6 +213,12 @@ class TestEvalOperator:
         p = Poly.var(0) * Poly.var(1)
         assert not eval_operator(p, oset).is_zero
 
+    def test_unknown_variable(self, basis3):
+        # without the range check, id -1 would read the last observable
+        for i in (-1, len(basis3)):
+            with pytest.raises(UnknownVariable):
+                eval_operator(Poly.var(0) * Poly.var(i) + Poly.const(1), basis3)
+
 
 class TestEvalAssignment:
     def test_basis_sum(self, basis3):
@@ -234,7 +230,7 @@ class TestEvalAssignment:
 
     def test_parity_gap(self, mermin_peres):
         oset, ctxs = mermin_peres
-        ids = ctxs[5].ids
+        ids = ctxs[5]
         p = Poly.const(1)
         for i in ids:
             p = p * Poly.var(i)
@@ -249,31 +245,25 @@ class TestEvalAssignment:
 
 class TestNormalization:
     def test_edge_polynomial(self, basis3):
-        cp = make_context_polynomial(
-            Poly.var(0) * Poly.var(1), Context((0, 1)), basis3
-        )
+        cp = make_context_polynomial(Poly.var(0) * Poly.var(1), basis3)
         assert normalization_constant(cp, basis3) == 1
 
     def test_basis_polynomial(self, basis3):
-        cp = make_context_polynomial(
-            basis_poly((0, 1, 2)), Context((0, 1, 2)), basis3
-        )
+        cp = make_context_polynomial(basis_poly((0, 1, 2)), basis3)
         assert normalization_constant(cp, basis3) == 1
 
     def test_parity_polynomial(self, mermin_peres):
         oset, ctxs = mermin_peres
-        ids = ctxs[0].ids
+        ids = ctxs[0]
         p = Poly.const(-1)
         for i in ids:
             p = p * Poly.var(i) if i != ids[0] else Poly.var(i)
         p = Poly.var(ids[0]) * Poly.var(ids[1]) * Poly.var(ids[2]) - Poly.const(1)
-        cp = make_context_polynomial(p, ctxs[0], oset)
+        cp = make_context_polynomial(p, oset)
         assert normalization_constant(cp, oset) == 4
 
     def test_identically_zero(self, basis3):
-        cp = make_context_polynomial(
-            Poly.var(0) * (Poly.var(0) - Poly.const(1)), Context((0,)), basis3
-        )
+        cp = make_context_polynomial(Poly.var(0) * (Poly.var(0) - Poly.const(1)), basis3)
         with pytest.raises(IdenticallyZeroOnAssignments):
             normalization_constant(cp, basis3)
 
@@ -281,24 +271,20 @@ class TestNormalization:
 class TestNormalizedSquare:
     def test_parity_shape(self, mermin_peres):
         oset, ctxs = mermin_peres
-        ids = ctxs[5].ids  # delta = -1 context
+        ids = ctxs[5]  # delta = -1 context
         p = Poly.var(ids[0]) * Poly.var(ids[1]) * Poly.var(ids[2]) - Poly.const(-1)
-        cp = make_context_polynomial(p, ctxs[5], oset, c=Fraction(4))
+        cp = make_context_polynomial(p, oset, c=Fraction(4))
         got = normalized_square(cp, oset)
         h = Scalar(Fraction(1, 2))
         expect = Poly.const(h) + Poly.var(ids[0]) * Poly.var(ids[1]) * Poly.var(ids[2]) * h
         assert got.poly == expect
 
     def test_edge_fixed_point(self, basis3):
-        cp = make_context_polynomial(
-            Poly.var(0) * Poly.var(1), Context((0, 1)), basis3
-        )
+        cp = make_context_polynomial(Poly.var(0) * Poly.var(1), basis3)
         assert normalized_square(cp, basis3).poly == cp.poly
 
     def test_basis_shape(self, basis3):
-        cp = make_context_polynomial(
-            basis_poly((0, 1, 2)), Context((0, 1, 2)), basis3
-        )
+        cp = make_context_polynomial(basis_poly((0, 1, 2)), basis3)
         got = normalized_square(cp, basis3).poly
         expect = Poly.const(1)
         for i in range(3):
@@ -312,12 +298,12 @@ class TestNormalizedSquare:
         oset, ctxs = mermin_peres
         for ctx, delta in zip(ctxs, [1, 1, 1, 1, 1, -1]):
             p = Poly.const(1)
-            for i in ctx.ids:
+            for i in ctx:
                 p = p * Poly.var(i)
             p = p - Poly.const(delta)
-            cp = make_context_polynomial(p, ctx, oset, c=Fraction(4))
+            cp = make_context_polynomial(p, oset, c=Fraction(4))
             sq = normalized_square(cp, oset)
-            for v in spectral_assignments(oset, ctx.ids):
+            for v in spectral_assignments(oset, ctx):
                 base = eval_assignment(cp.poly, v)
                 val = eval_assignment(sq.poly, v)
                 assert val.is_rational
@@ -329,7 +315,7 @@ class TestNormalizedSquare:
     def test_conjugation_operator_adjoint(self, mermin_peres):
         oset, ctxs = mermin_peres
         ctx = ctxs[0]
-        p = Poly.var(ctx.ids[0]) * Scalar(0, 0, 1, 0) + Poly.var(ctx.ids[1])
+        p = Poly.var(ctx[0]) * Scalar(0, 0, 1, 0) + Poly.var(ctx[1])
         assert eval_operator(p.conjugate(), oset) == eval_operator(p, oset).dagger()
 
 
