@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .compat import validate_context
+from .errors import KSCertError
 from .exact import SQRT2, Scalar
 from .model import ObservableSet, pauli_observable
 
@@ -199,7 +200,7 @@ ENTRIES = {
 
 def get(name: str) -> CatalogEntry:
     if name not in ENTRIES:
-        raise KeyError(f"unknown catalog entry {name!r}; have {sorted(ENTRIES)}")
+        raise KSCertError(f"unknown catalog entry {name}; have {', '.join(names())}")
     return ENTRIES[name]
 
 

@@ -261,7 +261,7 @@ def main(argv=None) -> int:
     except SearchBudgetExceeded as ex:
         print(f"error: budget-exceeded: {ex}", file=sys.stderr)
         return EXIT_BUDGET
-    except (KSCertError, OSError, KeyError) as ex:
+    except (KSCertError, OSError) as ex:
         print(f"error: input: {ex}", file=sys.stderr)
         return EXIT_INPUT
 

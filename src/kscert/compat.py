@@ -2,15 +2,16 @@
 
 A context is a plain strictly increasing tuple of observable ids whose
 operators pairwise commute (verified exactly, for Pauli words from their
-letters).  Every producer returns it sorted: validate_context (declared
+bit masks).  Every producer returns it sorted: validate_context (declared
 contexts and each user polynomial's variables), OrthogonalityGraph.edges
 (pairs i < j) and enumerate_bases (sorted cliques); consumers take it as is.
-A context of Pauli words is multiplied as words, with a phase in Z_4; a
-context with any other member is multiplied out.
+A Pauli word is i^k X^x Z^z, kept as the masks (n, k, x, z); a context of
+Pauli words is multiplied as masks, with a phase in Z_4, and a context with
+any other member is multiplied out.
 For ray sets the orthogonality graph has one vertex per ray and an edge
 whenever the inner product of the underlying vectors vanishes, computed in
 integers on their primitive integral vectors; bases are its n-vertex
-cliques.
+cliques, grown from an explicit stack.
 """
 
 from __future__ import annotations
@@ -46,14 +47,16 @@ def validate_context(oset: ObservableSet, ids: Iterable[int]) -> tuple:
     return tuple(ids)
 
 
-def _commute(x: Observable, y: Observable) -> bool:
-    """Two Pauli words commute exactly when an even number of positions hold
-    two different letters other than I, as such a pair of letters
-    anticommutes and any other pair commutes; signs do not matter.  Any
-    other pair of observables is multiplied out."""
-    if x.pauli is not None and y.pauli is not None:
-        return sum(p != q and "I" not in (p, q) for p, q in zip(x.pauli, y.pauli)) % 2 == 0
-    return commutes(x.matrix, y.matrix)
+def _commute(a: Observable, b: Observable) -> bool:
+    """Two Pauli words X^x1 Z^z1 and X^x2 Z^z2 commute exactly when
+    popcount(x1 & z2 ^ z1 & x2) is even, as moving each Z past an X on the
+    same qubit changes the sign; phases do not matter.  Any other pair of
+    observables is multiplied out."""
+    if a.pauli is not None and b.pauli is not None:
+        _, _, x1, z1 = a.pauli
+        _, _, x2, z2 = b.pauli
+        return (x1 & z2 ^ z1 & x2).bit_count() % 2 == 0
+    return commutes(a.matrix, b.matrix)
 
 
 @dataclass
@@ -62,10 +65,6 @@ class OrthogonalityGraph:
 
     oset: ObservableSet
     adjacency: dict = field(default_factory=dict)  # id -> frozenset of ids
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.oset)
 
     @property
     def edges(self) -> list:
@@ -94,30 +93,29 @@ def build_orthogonality_graph(oset: ObservableSet) -> OrthogonalityGraph:
     )
 
 
-def _bron_kerbosch(adj, r, p, x, out):
-    # pivot on the vertex of p|x with the most neighbors in p
-    if not p and not x:
-        out.append(tuple(sorted(r)))
-        return
-    pivot = max(p | x, key=lambda u: (len(adj[u] & p), -u))
-    for v in sorted(p - adj[pivot]):
-        _bron_kerbosch(adj, r | {v}, p & adj[v], x & adj[v], out)
-        p = p - {v}
-        x = x | {v}
-
-
 def enumerate_bases(graph: OrthogonalityGraph) -> list:
     """All n-cliques of the orthogonality graph, as sorted id tuples.
 
-    In dimension n at most n rays are mutually orthogonal, so every n-clique
-    is maximal and the pivoted maximal-clique search finds them all.  Each is
-    an orthogonal basis of C^n, so its projectors sum to I: the basis half of
-    Condition 1 for ray sets (sum P_i - 1 = 0).
+    Each sorted clique on the stack keeps its candidates, the later
+    vertices adjacent to all its members, and is extended by each in turn;
+    a branch stops as soon as its clique and remaining candidates together
+    fall short of n.  Each n-clique is an orthogonal basis of C^n, so its
+    projectors sum to I: the basis half of Condition 1 for ray sets
+    (sum P_i - 1 = 0).
     """
-    cliques = []
-    vertices = set(range(graph.n_vertices))
-    _bron_kerbosch(graph.adjacency, set(), vertices, set(), cliques)
-    return sorted(c for c in cliques if len(c) == graph.oset.dim)
+    n, adj = graph.oset.dim, graph.adjacency
+    bases = []
+    stack = [((), sorted(adj))]
+    while stack:
+        clique, cands = stack.pop()
+        if len(clique) == n:
+            bases.append(clique)
+            continue
+        for pos, v in enumerate(cands):
+            if len(clique) + len(cands) - pos < n:
+                break
+            stack.append((clique + (v,), [u for u in cands[pos + 1 :] if u in adj[v]]))
+    return sorted(bases)
 
 
 def context_product(oset: ObservableSet, ctx: tuple):
@@ -132,45 +130,27 @@ def context_product(oset: ObservableSet, ctx: tuple):
     return prod, scalar_multiple_of_identity(prod)
 
 
-def _letter_products() -> dict:
-    """(p, q) -> (k, r) with p * q = i^k * r for single-qubit Paulis."""
-    table = {}
-    for p in "IXYZ":
-        table["I", p] = table[p, "I"] = (0, p)
-        table[p, p] = (0, "I")
-    for p, q, r in ("XYZ", "YZX", "ZXY"):
-        table[p, q], table[q, p] = (1, r), (3, r)
-    return table
-
-
-_LETTER_PRODUCT = _letter_products()
-
-
 def word_product(words) -> tuple:
-    """(k, letters) with the product of the signed words (sign, letters), in
-    order, equal to i^k * letters: letters multiply position by position
-    (XY = iZ, YX = -iZ, PP = I, ...) and the phases add in Z_4, a sign -1
-    adding 2."""
-    k, out = 0, None
-    for sign, letters in words:
-        k += 1 - sign
-        if out is None:
-            out = letters
-            continue
-        prods = [_LETTER_PRODUCT[p, q] for p, q in zip(out, letters)]
-        k += sum(j for j, _ in prods)
-        out = "".join(r for _, r in prods)
-    return k % 4, out
+    """The masks (n, k, x, z) of the product, in order, of one or more Pauli
+    words given as masks: as Z^z X^x2 = (-1)^popcount(z & x2) X^x2 Z^z,
+    i^k X^x Z^z times i^k2 X^x2 Z^z2 is
+    i^(k + k2 + 2 popcount(z & x2)) X^(x ^ x2) Z^(z ^ z2)."""
+    k = x = z = 0
+    for n, k2, x2, z2 in words:
+        k += k2 + 2 * (z & x2).bit_count()
+        x ^= x2
+        z ^= z2
+    return n, k % 4, x, z
 
 
 def context_delta(oset: ObservableSet, ctx: tuple):
     """delta with the product of ctx's members equal to delta*I, or None
-    when that product is not a scalar.  Pauli words are multiplied as words
-    (word_product): the product is scalar exactly when every letter reduces
-    to I, and delta is then i^k.  A context with any other member is
+    when that product is not a scalar.  Pauli words are multiplied as masks
+    (word_product): the product i^k X^x Z^z is scalar exactly when
+    x = z = 0, and delta is then i^k.  A context with any other member is
     multiplied out (context_product)."""
     members = [oset[i] for i in ctx]
     if members and all(o.pauli is not None for o in members):
-        k, letters = word_product((o.sign, o.pauli) for o in members)
-        return PHASES[k] if set(letters) == {"I"} else None
+        _, k, x, z = word_product(o.pauli for o in members)
+        return None if x or z else PHASES[k]
     return context_product(oset, ctx)[1]

@@ -418,54 +418,64 @@ PAULI = {
 PHASES = (ONE, I_UNIT, MINUS_ONE, -I_UNIT)
 
 
-def pauli_matrix(word: str, sign: int = 1) -> ExactMatrix:
-    """Tensor product of single-qubit Paulis, e.g. "XY" -> X (x) Y, times sign.
-
-    Written directly rather than by folding kron.  As Y = iXZ, the word is
-    sign * i^#Y * X^xmask Z^zmask, where the first letter is the highest bit
-    and X and Y set x bits, Z and Y z bits; it has one nonzero entry per
-    row r, in column c = r ^ xmask, equal to
-    sign * i^#Y * (-1)^popcount(c & zmask)."""
+def pauli_masks(word: str, sign: int = 1) -> tuple:
+    """(n, k, x, z) with the signed word sign * word on n qubits equal to
+    i^k X^x Z^z, e.g. "XY" -> X (x) Y.  As Y = iXZ, X and Y set x bits, Y
+    and Z set z bits, the first letter is the highest bit, and k counts the
+    Y's, a sign -1 adding 2."""
     if not word or any(ch not in PAULI for ch in word):
         raise ValueError(f"bad Pauli word: {word!r}")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    xmask = zmask = 0
+    x = z = 0
     for ch in word:
-        xmask = xmask << 1 | (ch in "XY")
-        zmask = zmask << 1 | (ch in "YZ")
-    even = PHASES[(word.count("Y") + 1 - sign) % 4]  # a sign -1 adds 2
+        x = x << 1 | (ch in "XY")
+        z = z << 1 | (ch in "YZ")
+    return len(word), (word.count("Y") + 1 - sign) % 4, x, z
+
+
+def pauli_matrix(word: str, sign: int = 1) -> ExactMatrix:
+    """Tensor product of single-qubit Paulis, e.g. "XY" -> X (x) Y, times sign."""
+    return mask_matrix(*pauli_masks(word, sign))
+
+
+def mask_matrix(n: int, k: int, x: int, z: int) -> ExactMatrix:
+    """The matrix of i^k X^x Z^z on n qubits, written directly rather than
+    by folding kron: it has one nonzero entry per row r, in column
+    c = r ^ x, equal to i^k * (-1)^popcount(c & z)."""
+    even = PHASES[k]
     odd = -even
-    n = 1 << len(word)
+    size = 1 << n
     rows = []
-    for r in range(n):
-        row = [ZERO] * n
-        c = r ^ xmask
-        row[c] = odd if bin(c & zmask).count("1") % 2 else even
+    for r in range(size):
+        row = [ZERO] * size
+        c = r ^ x
+        row[c] = odd if (c & z).bit_count() % 2 else even
         rows.append(row)
     return ExactMatrix(rows)
 
 
 def pauli_word(m: ExactMatrix):
-    """(sign, letters) with m == pauli_matrix(letters, sign), or None.
+    """The masks (n, k, x, z) of a Hermitian Pauli word with
+    m == mask_matrix(n, k, x, z), or None.
 
-    A candidate is read off a few entries (see pauli_matrix): row 0's first
-    nonzero column is xmask, the entry in column 0 of row xmask is
-    sign * i^#Y, and the entry in column b of row xmask ^ b, for the bit b
-    of one qubit, differs from it exactly when that qubit has a z bit.  One
+    A candidate is read off a few entries (see mask_matrix): row 0's first
+    nonzero column is x, the entry in column 0 of row x is i^k, and the
+    entry in column b of row x ^ b, for the bit b of one qubit, differs from
+    it exactly when b is a z bit.  The word is Hermitian exactly when
+    k = popcount(x & z) (mod 2), as (X^x Z^z)^dagger = Z^z X^x =
+    (-1)^popcount(x & z) X^x Z^z; so i times a Hermitian word is none.  One
     comparison with the candidate's matrix decides."""
-    n = m.dim
-    if n < 2 or n & (n - 1):
+    dim = m.dim
+    if dim < 2 or dim & (dim - 1):
         return None
     e = m.entries
-    xmask = next((c for c, x in enumerate(e[0]) if not x.is_zero), None)
-    if xmask is None:
+    x = next((c for c, v in enumerate(e[0]) if not v.is_zero), None)
+    if x is None or e[x][0] not in PHASES:
         return None
-    base = e[xmask][0]
-    bits = [1 << k for k in reversed(range(n.bit_length() - 1))]  # first letter highest
-    letters = "".join("IZXY"[2 * bool(xmask & b) + (e[xmask ^ b][b] != base)] for b in bits)
-    phase = PHASES[letters.count("Y") % 4]
-    sign = 1 if base == phase else -1 if base == -phase else None
-    if sign is None or pauli_matrix(letters, sign) != m:
+    k = PHASES.index(e[x][0])
+    n = dim.bit_length() - 1
+    z = sum(b for b in (1 << q for q in range(n)) if e[x ^ b][b] != e[x][0])
+    if (k - (x & z).bit_count()) % 2 or mask_matrix(n, k, x, z) != m:
         return None
-    return sign, letters
+    return n, k, x, z

@@ -5,9 +5,9 @@ construction: the product of (A - a_j I) over the declared eigenvalues must
 be exactly zero.  Rays and Pauli words have their spectra stated, for the
 reasons their constructors give.  A ray keeps its nonzero vector and that
 vector's primitive integral form over Z[i, sqrt2], which decides duplicates
-and orthogonality; a Pauli observable keeps its signed word, which decides
-duplicates, commutation and context products.  The projector or the Pauli
-matrix is built only when a matrix is read.
+and orthogonality; a Pauli observable keeps its word as bit masks, which
+decide duplicates, commutation and context products.  The projector or the
+Pauli matrix is built only when a matrix is read.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .errors import (
     AnnihilationFailure,
     DimensionMismatch,
     DuplicateObservable,
+    KSCertError,
     NonHermitian,
     ZeroVector,
 )
@@ -28,7 +29,8 @@ from .exact import (
     ExactMatrix,
     Scalar,
     mat_mul,
-    pauli_matrix,
+    mask_matrix,
+    pauli_masks,
     pauli_word,
     primitive_integral,
     projector_from_vector,
@@ -56,22 +58,21 @@ class Ray:
 class Observable:
     """Hermitian matrix with a verified annihilating spectrum.  A ray
     observable holds its ray instead, and its matrix is the ray's projector.
-    A Pauli observable holds its signed word instead, and its matrix is
-    sign * pauli_matrix(letters), built when first read."""
+    A Pauli observable holds its word i^k X^x Z^z on n qubits instead, as
+    (n, k, x, z), and its matrix is built from those masks when first read."""
 
     spectrum: tuple  # distinct Fractions, ascending
     label: str = ""
     ray: Optional[Ray] = None  # set when the observable is a rank-1 projector
     own_matrix: Optional[ExactMatrix] = field(default=None, repr=False)  # unless ray or word
-    pauli: Optional[str] = None  # letters of a Pauli word
-    sign: int = 1  # of the Pauli word
+    pauli: Optional[tuple] = None  # (n, k, x, z), see exact.pauli_masks
 
     @cached_property
     def matrix(self) -> ExactMatrix:
         if self.ray is not None:
             return self.ray.projector
         if self.pauli is not None:
-            return pauli_matrix(self.pauli, self.sign)
+            return mask_matrix(*self.pauli)
         return self.own_matrix
 
     @property
@@ -79,7 +80,7 @@ class Observable:
         if self.ray is not None:
             return self.ray.dim
         if self.pauli is not None:
-            return 1 << len(self.pauli)
+            return 1 << self.pauli[0]
         return self.own_matrix.dim
 
     @property
@@ -167,11 +168,9 @@ def pauli_observable(word: str, label: str = "") -> Observable:
     = 0.  One factor alone is 0 only if M = +-I, i.e. for a word of I's (any
     other letter makes the trace 0); the spectrum is (sign,) there, else (-1, 1)."""
     sign = -1 if word.startswith("-") else 1
-    letters = word[1:] if word[:1] in ("+", "-") else word
-    if not letters or not set(letters) <= set("IXYZ"):
-        raise ValueError(f"bad Pauli word: {word!r}")
-    spec = (Fraction(sign),) if set(letters) == {"I"} else (Fraction(-1), Fraction(1))
-    return Observable(spectrum=spec, label=label, pauli=letters, sign=sign)
+    n, k, x, z = pauli_masks(word[1:] if word[:1] in ("+", "-") else word, sign)
+    spec = (Fraction(-1), Fraction(1)) if x or z else (Fraction(sign),)
+    return Observable(spectrum=spec, label=label, pauli=(n, k, x, z))
 
 
 def dichotomize(ray: Ray, label: str = "") -> Observable:
@@ -187,13 +186,13 @@ def _index_key(obs: Observable):
     the primitive integral vector of its line, so it needs no projector, and
     so is a matrix that is a rank-1 projector: one annihilated by x(x - 1)
     (its constructor verified or stated that, and Hermiticity) with trace 1.
-    A Pauli word is keyed by (sign, letters), so it needs no matrix, and so
-    is a matrix equal to a signed Pauli word (exact.pauli_word).  Any other
+    A Pauli word is keyed by its masks (n, k, x, z), so it needs no matrix,
+    and so is a matrix equal to a Pauli word (exact.pauli_word).  Any other
     matrix is its own key."""
     if obs.ray is not None:
         return obs.ray.key
     if obs.pauli is not None:
-        return obs.sign, obs.pauli
+        return obs.pauli
     m = obs.own_matrix
     if set(obs.spectrum) <= {0, 1} and sum(m.entries[k][k] for k in range(m.dim)) == 1:
         return primitive_integral(next(c for c in zip(*m.entries) if any(not x.is_zero for x in c)))
@@ -262,4 +261,4 @@ class ObservableSet:
         for i, o in enumerate(self.observables):
             if o.label == label:
                 return i
-        raise KeyError(label)
+        raise KSCertError(f"unknown observable label {label}")

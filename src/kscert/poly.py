@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import lcm, prod
 from typing import Mapping, Optional, Sequence
 
@@ -286,17 +287,11 @@ def make_context_polynomial(
 
 
 def spectral_assignments(oset: ObservableSet, ids: Sequence[int]):
-    """Iterate all assignments of the given observables over their spectra."""
-    ids = list(ids)
-    if not ids:
-        yield {}
-        return
-    head, tail = ids[0], ids[1:]
-    for rest in spectral_assignments(oset, tail):
-        for a in oset[head].spectrum:
-            out = dict(rest)
-            out[head] = a
-            yield out
+    """Iterate all assignments of the given observables over their spectra,
+    the first id varying fastest."""
+    ids = list(ids)[::-1]
+    for values in product(*(oset[i].spectrum for i in ids)):
+        yield dict(zip(ids, values))
 
 
 def normalization_constant(cp: ContextPolynomial, oset: ObservableSet) -> Fraction:

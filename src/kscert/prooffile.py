@@ -212,6 +212,8 @@ def parse_poly_expr(s: str, line: Optional[int] = None) -> list:
                     exp = _positive_int(peek() or "", line, "exponent must be a positive integer")
                     idx += 1
                 factors.append((label, exp))
+            elif tok is None:
+                raise ParseError("unexpected end of polynomial", line)
             else:
                 raise ParseError(f"unexpected token {tok!r} in polynomial", line)
             if peek() == "*":

@@ -348,6 +348,26 @@ class TestVerifyCommand:
         assert code == 3
         assert "error: input: projector form requires a ray observable set" in err
 
+    @pytest.mark.parametrize("line", ["context a z", "poly a*z - 1"])
+    def test_unknown_label(self, capsys, tmp_path, line):
+        path = tmp_path / "unknown.txt"
+        path.write_text(f"dim 2\nray a 1 0\n{line}\n")
+        code, _, err = run(capsys, "verify", "--input", str(path))
+        assert code == 3
+        assert err.strip() == "error: input: unknown observable label z"
+
+    def test_unknown_catalog_name(self, capsys):
+        code, _, err = run(capsys, "verify", "--catalog", "nope")
+        assert code == 3
+        assert err.startswith("error: input: unknown catalog entry nope; have cabello-18, ")
+
+    def test_trailing_operator_in_poly(self, capsys, tmp_path):
+        path = tmp_path / "poly.txt"
+        path.write_text("dim 2\nray a 1 0\npoly a*\n")
+        code, _, err = run(capsys, "verify", "--input", str(path))
+        assert code == 3
+        assert err.strip() == "error: input: line 3: unexpected end of polynomial"
+
     def test_bad_pauli_word(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("dim 4\npauli a +QQ\n")
@@ -755,7 +775,8 @@ class TestPauliWords:
     verify, derive and bound build no Pauli matrix and multiply none, and
     export builds each observable's matrix once, for its matrix rows."""
 
-    COUNTED = (exact.pauli_matrix, exact.kron, exact.mat_mul, exact.ExactMatrix.__hash__)
+    COUNTED = (exact.pauli_matrix, exact.mask_matrix, exact.kron, exact.mat_mul,
+               exact.ExactMatrix.__hash__)
 
     def counted_run(self, capsys, *argv):
         names = {f.__code__: f.__name__ for f in self.COUNTED}
@@ -785,8 +806,8 @@ class TestPauliWords:
     @pytest.mark.parametrize("name", ["mermin-peres", "mermin-pentagram"])
     def test_export_builds_each_matrix_once(self, capsys, name):
         calls = self.counted_run(capsys, "export", "--catalog", name)
-        assert calls["pauli_matrix"] == len(catalog.get(name).load())
-        assert calls["kron"] == calls["mat_mul"] == calls["__hash__"] == 0
+        assert calls["mask_matrix"] == len(catalog.get(name).load())
+        assert calls["pauli_matrix"] == calls["kron"] == calls["mat_mul"] == calls["__hash__"] == 0
 
 
 class TestParserReuse:

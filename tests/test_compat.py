@@ -1,15 +1,19 @@
 """Orthogonality graph, basis enumeration, context validation."""
 
+import functools
 import itertools
 import random
+import sys
 from contextlib import suppress
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kscert import compat
 from kscert.compat import (
+    OrthogonalityGraph,
     build_orthogonality_graph,
     context_delta,
     context_product,
@@ -19,7 +23,7 @@ from kscert.compat import (
 )
 from kscert import catalog
 from kscert.errors import DuplicateObservable, KSCertError, NonRayMember, NotCommuting
-from kscert.exact import PHASES, Scalar, commutes, inner, mat_mul, pauli_matrix
+from kscert.exact import Scalar, commutes, inner, mask_matrix, mat_mul, pauli_masks, pauli_matrix
 from kscert.model import ObservableSet, make_observable, pauli_observable
 from kscert.exact import PAULI
 
@@ -108,6 +112,30 @@ class TestIntegerGraphOracle:
         assert build_orthogonality_graph(oset).edges == _inner_edges(oset)
 
 
+@st.composite
+def graphs(draw):
+    """A graph on up to 9 vertices, each pair an edge or not, with an
+    empty observable set of dimension 1 to 4."""
+    vertices = range(draw(st.integers(0, 9)))
+    pairs = list(itertools.combinations(vertices, 2))
+    edges = [p for p, edge in zip(pairs, draw(st.lists(
+        st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if edge]
+    adjacency = {i: set() for i in vertices}
+    for i, j in edges:
+        adjacency[i].add(j)
+        adjacency[j].add(i)
+    return OrthogonalityGraph(oset=ObservableSet(dim=draw(st.integers(1, 4))),
+                              adjacency={i: frozenset(s) for i, s in adjacency.items()})
+
+
+def _nx_cliques(graph, n):
+    """The oracle: networkx's cliques of the graph with n vertices."""
+    g = nx.Graph()
+    g.add_nodes_from(graph.adjacency)
+    g.add_edges_from(graph.edges)
+    return sorted(tuple(sorted(c)) for c in nx.enumerate_all_cliques(g) if len(c) == n)
+
+
 class TestEnumerateBases:
     def test_single_basis(self, basis3):
         g = build_orthogonality_graph(basis3)
@@ -123,6 +151,29 @@ class TestEnumerateBases:
             tuple(sorted(c)) for c in nx.find_cliques(g) if len(c) == 4
         )
         assert bases == oracle
+
+    @pytest.mark.parametrize("oset", [
+        pytest.param(catalog.get("peres-33").load(), id="peres-33"),
+        pytest.param(eigenray_set("mermin-peres"), id="peres-24"),
+        pytest.param(eigenray_set("mermin-pentagram"), id="kp-40"),
+    ])
+    def test_networkx_oracle_ray_sets(self, oset):
+        graph = build_orthogonality_graph(oset)
+        assert enumerate_bases(graph) == _nx_cliques(graph, oset.dim)
+
+    @given(graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_networkx_oracle_random_graphs(self, graph):
+        """Any graph, orthogonality graph or not: the n-cliques are not
+        assumed maximal."""
+        assert enumerate_bases(graph) == _nx_cliques(graph, graph.oset.dim)
+
+    def test_basis_larger_than_recursion_limit(self):
+        n = sys.getrecursionlimit() + 100
+        everything = frozenset(range(n))
+        graph = OrthogonalityGraph(oset=ObservableSet(dim=n),
+                                   adjacency={i: everything - {i} for i in range(n)})
+        assert enumerate_bases(graph) == [tuple(range(n))]
 
     def test_order_independence(self, cabello):
         oset, graph, bases = cabello
@@ -260,14 +311,19 @@ def _word_set(words):
     return oset, tuple(range(len(words)))
 
 
+def _letters(x, z, n):
+    """The letters of X^x Z^z on n qubits, up to its phase."""
+    return "".join("IXZY"[(x >> q & 1) + 2 * (z >> q & 1)] for q in reversed(range(n)))
+
+
 class TestWordProduct:
-    """context_delta multiplies Pauli words as words; context_product's
-    delta on their matrices is the oracle."""
+    """context_delta multiplies Pauli words as bit masks; context_product's
+    delta on their matrices is the oracle, and mat_mul the product's."""
 
     def test_letter_table(self):
         for p, q in itertools.product("IXYZ", repeat=2):
-            k, r = word_product([(1, p), (1, q)])
-            assert pauli_matrix(r).scale(PHASES[k]) == mat_mul(pauli_matrix(p), pauli_matrix(q))
+            product = word_product([pauli_masks(p), pauli_masks(q)])
+            assert mask_matrix(*product) == mat_mul(pauli_matrix(p), pauli_matrix(q))
 
     @pytest.mark.parametrize("name", ["mermin-peres", "mermin-pentagram"])
     def test_catalog_contexts(self, monkeypatch, name):
@@ -293,9 +349,13 @@ class TestWordProduct:
                        for v in words):
                     words.append(w)
             signed = [rng.choice("+-") + w for w in words]
-            k, rest = word_product((-1 if w[0] == "-" else 1, w[1:]) for w in signed)
-            assert k % 2 == 0  # commuting Hermitian words multiply to a Hermitian word
-            closing = rng.choice("+-") + rest
+            masks = [pauli_masks(w[1:], -1 if w[0] == "-" else 1) for w in signed]
+            _, k, x, z = product = word_product(masks)
+            assert mask_matrix(*product) == functools.reduce(
+                mat_mul, (mask_matrix(*m) for m in masks))
+            # commuting Hermitian words multiply to a Hermitian word
+            assert (k - (x & z).bit_count()) % 2 == 0
+            closing = rng.choice("+-") + _letters(x, z, n)
             for ws in (signed, signed + [closing]):
                 try:
                     oset, ctx = _word_set(ws)

@@ -18,6 +18,7 @@ from kscert.exact import (
     inner,
     kron,
     mat_mul,
+    pauli_masks,
     pauli_matrix,
     pauli_word,
     projector_from_vector,
@@ -261,7 +262,7 @@ class TestPauliMatrix:
         sign = -1 if prefix == "-" else 1
         m = _kron_fold(word, sign)
         assert pauli_matrix(word, sign) == m
-        assert pauli_word(m) == (sign, word)
+        assert pauli_word(m) == pauli_masks(word, sign)
         assert pauli_word(m.scale(I_UNIT)) is None
 
     def test_bad_sign(self):

@@ -1,5 +1,6 @@
-"""Every name a kscert module imports is used there, and every public
-function and class a module defines is named somewhere else.
+"""Every name a kscert module imports is used there, every public
+function and class a module defines is named somewhere else, and no
+function calls itself.
 
 __init__.py is exempt: its imports are the package's re-exports."""
 
@@ -70,3 +71,34 @@ def test_public_definitions_referenced(path):
     others = [p.read_text(encoding="utf-8") for p in CORPUS if p.resolve() != path.resolve()]
     assert len(others) == len(CORPUS) - 1  # path is in the corpus
     assert unreferenced(path.read_text(encoding="utf-8"), others) == []
+
+
+def self_calling(source: str) -> list:
+    """The functions of source, at any depth, that call themselves by name,
+    as f(...) or, in a method, self.f(...)."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(node):
+            f = getattr(call, "func", None)
+            if (isinstance(f, ast.Name) and f.id == node.name
+                    or isinstance(f, ast.Attribute) and f.attr == node.name
+                    and isinstance(f.value, ast.Name) and f.value.id == "self"):
+                out.append(node.name)
+                break
+    return out
+
+
+def test_detects_self_calling():
+    source = ("def walk(n):\n    return walk(n - 1) if n else 0\n\n\n"
+              "class Tree:\n    def size(self):\n        return 1 + self.size()\n\n"
+              "    def conjugate(self, c):\n        return c.conjugate()\n\n\n"
+              "def flat(n):\n    return list(range(n))\n")
+    assert self_calling(source) == ["walk", "size"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_self_calling_function(path):
+    """Searches are iterative, so the recursion limit cannot be reached."""
+    assert self_calling(path.read_text(encoding="utf-8")) == []

@@ -251,7 +251,7 @@ class TestPauliObservable:
     def test_no_matrix_product(self, monkeypatch):
         calls = []
         monkeypatch.setattr(model, "mat_mul", lambda a, b: calls.append((a, b)))
-        monkeypatch.setattr(model, "pauli_matrix", lambda *args: calls.append(args))
+        monkeypatch.setattr(model, "mask_matrix", lambda *args: calls.append(args))
         for word in SIGNED_PAULI_WORDS:
             obs = pauli_observable(word)
             assert obs.dim == 2 ** len(word.lstrip("+-"))
