@@ -17,6 +17,7 @@ cliques, grown from an explicit stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 from .errors import KSCertError, NonRayMember, NotCommuting
@@ -66,8 +67,9 @@ class OrthogonalityGraph:
     oset: ObservableSet
     adjacency: dict = field(default_factory=dict)  # id -> frozenset of ids
 
-    @property
+    @cached_property
     def edges(self) -> list:
+        """The pairs (i, j), i < j, in order; computed on first read."""
         out = []
         for i in sorted(self.adjacency):
             for j in sorted(self.adjacency[i]):

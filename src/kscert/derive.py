@@ -37,7 +37,7 @@ from .errors import (
     PresentationUnavailable,
     ZeroState,
 )
-from .exact import _FR0, ONE, MINUS_ONE, Scalar, _mul_integral, inner, integral
+from .exact import _FR0, ONE, MINUS_ONE, Scalar, inner, integral
 from .model import ObservableSet
 from .poly import (
     ContextPolynomial,
@@ -68,10 +68,12 @@ class CompleteSet:
 
 
 def _ray_member(terms: dict, oset: ObservableSet) -> ContextPolynomial:
-    # a ray's spectrum is (0, 1) for d >= 2, so exponents of 1 are reduced
+    # terms are clean: ONE or MINUS_ONE on tuple monomials.  A ray's
+    # spectrum is (0, 1) for d >= 2, so exponents of 1 are reduced
+    p = Poly._make(terms)
     if oset.dim == 1:
-        return make_context_polynomial(Poly(terms), oset)
-    return ContextPolynomial(Poly(terms))
+        return make_context_polynomial(p, oset)
+    return ContextPolynomial(p)
 
 
 def _basis_poly(oset, basis: tuple) -> ContextPolynomial:
@@ -230,59 +232,90 @@ def assemble_F(
         )
     if constants is None:
         constants = member_constants(cs)
-    used = [replace(cp, c=c) for cp, c in zip(cs.polynomials, constants)]
+    # only a member whose c_i was computed is copied; a builder's is kept
+    changed = {k: replace(cp, c=c) for k, (cp, c) in enumerate(zip(cs.polynomials, constants))
+               if cp.c != c}
+    if changed:
+        cs = replace(cs, polynomials=[changed.get(k, cp) for k, cp in enumerate(cs.polynomials)])
     return Inequality(
         oset=oset,
-        complete_set=replace(cs, polynomials=used),
-        F=sum_of_squares(used, oset.spectra()),
+        complete_set=cs,
+        F=sum_of_squares(cs.polynomials, oset.spectra()),
         classical=classical,
     )
 
 
 def sum_of_squares(members: Sequence[ContextPolynomial], spectra) -> Poly:
     """The reduced F = -sum r_i^dagger r_i / c_i, summed in integers over
-    Z[i, sqrt2]; one Scalar is built per monomial of F.
+    Z[i, sqrt2]; one Scalar is built per distinct coefficient of F.
 
     Each member's coefficients are cleared to int (a, b, c, d) tuples with
     one denominator den (exact.integral), so its term is the weight
     -1 / (den^2 c_i) times a sum of products conj(t1) t2, added up per
     distinct weight, which is kept as the int pair (den^2 p, q) for
-    c_i = p/q.  The pairs (m1, m2) and (m2, m1) give one monomial and
-    conjugate products, whose sum is twice the real part, so each unordered
-    pair is formed once and F's coefficients are real: ints (x, y) stand for
-    x + y sqrt2.  reduce is linear, so the sum is lowered once, each distinct
-    monomial once (poly.lowering), and the remainder's rational coefficients
-    are brought to one denominator, which joins the weight.  Last, the
-    weights are brought to one denominator L and F's coefficients are the
-    summed ints over -L.  The member-by-member sum of normalized_square is
-    the test oracle.
+    c_i = p/q.  A diagonal pair gives |t1|^2 at the doubled exponents.  The
+    pairs (m1, m2) and (m2, m1) give one monomial and conjugate products,
+    whose sum is twice the real part, so each unordered pair is formed once
+    and F's coefficients are real: ints (x, y) stand for x + y sqrt2.  When
+    one monomial's variables all precede the other's, the product is their
+    concatenation.
+
+    reduce is linear, so the sum is lowered once.  Members are reduced, so
+    a product of two monomials with no common variable is reduced as well;
+    only a monomial with an exponent at or above its spectrum's size is
+    lowered (poly.lowering), once, and its remainder's rational
+    coefficients are brought to one denominator, which joins the weight.
+    Last, the weights are brought to one denominator L and F's coefficients
+    are the summed ints over -L.  The member-by-member sum of
+    normalized_square is the test oracle.
     """
+    size = {i: len(spectrum) for i, spectrum in spectra.items()}
     squares = {}  # (den^2 p, q) -> {monomial: (x, y)}
+    high = set()  # the monomials with an exponent at or above its spectrum's size
     for cp in members:
         den, ints = integral(cp.poly.terms.values())
         acc = squares.setdefault((den * den * cp.c.numerator, cp.c.denominator), {})
         items = list(zip(cp.poly.terms, ints))
         for k, (m1, (a, b, c, d)) in enumerate(items):
-            conj = (a, b, -c, -d)
-            for j, (m2, t2) in enumerate(items[k:]):
-                x, y, _, _ = _mul_integral(conj, t2)
-                if j:
-                    x, y = 2 * x, 2 * y
-                mono = mono_mul(m1, m2)
+            mono = tuple([(i, 2 * e) for i, e in m1])
+            x, y = a * a + 2 * b * b + c * c + 2 * d * d, 2 * (a * b + c * d)
+            s = acc.get(mono)
+            if s is None:
+                acc[mono] = x, y
+                if any(n >= size[v] for v, n in mono):
+                    high.add(mono)
+            else:
+                acc[mono] = s[0] + x, s[1] + y
+            for m2, (e, f, g, h) in items[k + 1:]:
+                x = 2 * (a * e + 2 * b * f + c * g + 2 * d * h)
+                y = 2 * (a * f + b * e + c * h + d * g)
+                if not m1 or not m2 or m1[-1][0] < m2[0][0]:
+                    mono = m1 + m2
+                elif m2[-1][0] < m1[0][0]:
+                    mono = m2 + m1
+                else:
+                    mono = mono_mul(m1, m2)
+                    if any(n >= size[v] for v, n in mono):
+                        high.add(mono)
                 s = acc.get(mono)
                 acc[mono] = (x, y) if s is None else (s[0] + x, s[1] + y)
     rules, lowered, sums = {}, {}, {}
     for (p, q), acc in squares.items():
+        reduced = sums.setdefault((p, q), {})
         for mono, (x, y) in acc.items():
-            if mono not in lowered:
-                terms = lowering(mono, spectra, rules)
-                den = lcm(*(r.denominator for _, r in terms))
-                lowered[mono] = den, [(m, r.numerator * (den // r.denominator)) for m, r in terms]
-            den, terms = lowered[mono]
-            out = sums.setdefault((p * den, q), {})
+            if mono in high:
+                if mono not in lowered:
+                    terms = lowering(mono, spectra, rules)
+                    den = lcm(*(r.denominator for _, r in terms))
+                    lowered[mono] = den, [(m, r.numerator * (den // r.denominator))
+                                          for m, r in terms]
+                den, terms = lowered[mono]
+                out = sums.setdefault((p * den, q), {})
+            else:
+                terms, out = ((mono, 1),), reduced
             for m, n in terms:
-                s = out.get(m, (0, 0))
-                out[m] = (s[0] + n * x, s[1] + n * y)
+                s = out.get(m)
+                out[m] = (n * x, n * y) if s is None else (s[0] + n * x, s[1] + n * y)
     L = lcm(*(p for p, _ in sums))
     numerators = {}
     for (p, q), out in sums.items():
@@ -290,21 +323,20 @@ def sum_of_squares(members: Sequence[ContextPolynomial], spectra) -> Poly:
         for m, (x, y) in out.items():
             s = numerators.get(m, (0, 0))
             numerators[m] = (s[0] + k * x, s[1] + k * y)
-    return Poly({m: Scalar._make(Fraction(-x, L), Fraction(-y, L), _FR0, _FR0)
-                 for m, (x, y) in numerators.items() if x or y})
+    scalars, terms = {}, {}  # F's coefficients take few distinct values
+    for m, xy in numerators.items():
+        if xy != (0, 0):
+            s = scalars.get(xy)
+            if s is None:
+                x, y = xy
+                s = scalars[xy] = Scalar._make(Fraction(-x, L), Fraction(-y, L) if y else _FR0,
+                                               _FR0, _FR0)
+            terms[m] = s
+    return Poly._make(terms)
 
 
 def witness_str(witness: dict, labels: Sequence[str]) -> str:
     return ", ".join(f"{labels[i]}={witness[i]}" for i in sorted(witness))
-
-
-def _rational_coeffs(p: Poly) -> dict:
-    out = {}
-    for mono, coef in p.terms.items():
-        if not coef.is_rational:
-            raise PresentationUnavailable("presentation requires rational coefficients")
-        out[mono] = coef.rational()
-    return out
 
 
 def _primitive_scale(coeffs: dict) -> Fraction:
@@ -361,34 +393,49 @@ def check_form(cs: CompleteSet, form: str) -> bool:
 def present(ineq: Inequality, form: str) -> PresentedInequality:
     """Rearrange F into an integer-coefficient score with explicit bounds.
 
+    F's coefficients are read as Fractions from their rational part, after
+    one test that the rest is zero (PresentationUnavailable otherwise).
     projector form requires projector variables and keeps them; dichotomic
-    form substitutes P = (1 - A)/2 when needed (check_form), on F's
-    rational coefficients.  The affine bookkeeping F = scale*G + offset
-    transforms both the classical bound and the quantum value exactly.
+    form substitutes P = (1 - A)/2 when needed (check_form), on those
+    Fractions.  The score's coefficients are ints, one Scalar per distinct
+    value.  The affine bookkeeping F = scale*G + offset transforms both the
+    classical bound and the quantum value exactly.
     """
     oset = ineq.oset
     substituted = check_form(ineq.complete_set, form)
-    coeffs = _rational_coeffs(ineq.F)
+    coeffs = {}
+    for mono, coef in ineq.F.terms.items():
+        if coef.b or coef.c or coef.d:
+            raise PresentationUnavailable("presentation requires rational coefficients")
+        coeffs[mono] = coef.a
     if substituted:
         coeffs = _substitute_dichotomic(coeffs)
         labels = [f"d{obs.label or i}" for i, obs in enumerate(oset.observables)]
     else:
         labels = oset.labels
 
-    offset = coeffs.get((), Fraction(0))
-    noncon = {m: c for m, c in coeffs.items() if m != ()}
-    scale = _primitive_scale(noncon)
+    offset = coeffs.pop((), _FR0)
+    scale = _primitive_scale(coeffs)
     if substituted:
         # substitution introduces denominators up to 2^maxdeg; where that
         # exact power still gives integers it keeps pair-correlation
         # coefficients even, matching the customary dichotomic presentation
         power = Fraction(1, 2 ** ineq.F.max_degree())
-        if all((c / power).denominator == 1 for c in noncon.values()):
+        if all((c / power).denominator == 1 for c in coeffs.values()):
             scale = power
-    score = Poly({m: Scalar.of(c / scale) for m, c in noncon.items()})
+    # scale divides every coefficient (the primitive scale by construction,
+    # the power of two by the test above), so each c / scale is an int
+    num, den = scale.numerator, scale.denominator
+    scalars, score = {}, {}
+    for m, c in coeffs.items():
+        n = c.numerator * den // (c.denominator * num)
+        s = scalars.get(n)
+        if s is None:
+            s = scalars[n] = Scalar._make(Fraction(n), _FR0, _FR0, _FR0)
+        score[m] = s
     return PresentedInequality(
         form=form,
-        score=score,
+        score=Poly._make(score),
         scale=scale,
         offset=offset,
         # a certified BoundResult carries the bound -1 on F

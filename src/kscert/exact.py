@@ -211,11 +211,13 @@ def _mul_integral(s: tuple, t: tuple) -> tuple:
 
 def integral(v: Iterable[Scalar]) -> tuple:
     """(den, w): the least positive int den that clears every denominator of
-    the scalars v, and the (a, b, c, d) int tuples of den * v, one per scalar."""
-    v = list(v)
-    den = lcm(*(p.denominator for x in v for p in (x.a, x.b, x.c, x.d)))
-    return den, [tuple(p.numerator * (den // p.denominator) for p in (x.a, x.b, x.c, x.d))
-                 for x in v]
+    the scalars v, and the (a, b, c, d) int tuples of den * v, one per scalar.
+    Each component's denominator is read once."""
+    parts = [p for x in v for p in (x.a, x.b, x.c, x.d)]
+    dens = [p.denominator for p in parts]
+    den = lcm(*dens)
+    nums = [p.numerator * (den // q) for p, q in zip(parts, dens)]
+    return den, list(zip(*[iter(nums)] * 4))
 
 
 def primitive_integral(v: Sequence[Scalar]) -> tuple:

@@ -50,6 +50,15 @@ class Poly:
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    def _make(cls, terms: dict) -> "Poly":
+        """Internal fast constructor; terms must already be clean: tuple
+        monomials mapped to nonzero Scalars, as __init__ would leave them.
+        The dict is kept, not copied."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "terms", terms)
+        return self
+
+    @classmethod
     def const(cls, c) -> "Poly":
         return cls({(): Scalar.of(c)})
 
@@ -333,6 +342,10 @@ def _mono_key(mono: Monomial):
 
 
 def _coef_str(coef: Scalar) -> str:
+    """A rational coefficient as its Fraction prints; any other as
+    Scalar.__str__ prints it, in parentheses when it has several parts."""
+    if not (coef.b or coef.c or coef.d):
+        return str(coef.a)
     s = str(coef)
     if ("+" in s[1:]) or ("-" in s[1:]):
         return f"({s})"
@@ -340,7 +353,10 @@ def _coef_str(coef: Scalar) -> str:
 
 
 def render(p: Poly, labels: Optional[Mapping[int, str]] = None) -> str:
-    """Deterministic text form: graded order, lowest degree first."""
+    """Deterministic text form: graded order, lowest degree first.  A
+    rational coefficient is printed from its Fraction, which reads as
+    Scalar.__str__ would print it; only an irrational or complex one goes
+    through Scalar.__str__."""
     if p.is_zero:
         return "0"
     parts = []

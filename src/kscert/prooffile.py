@@ -63,7 +63,10 @@ def _positive_int(text: str, line: Optional[int], message: str) -> int:
 
 
 def parse_scalar(token: str, line: Optional[int] = None) -> Scalar:
-    """Parse an exact scalar token like `-3/2`, `i`, `r2`, `1+i`, `2r2i`."""
+    """Parse an exact scalar token like `-3/2`, `i`, `r2`, `1+i`, `2r2i`;
+    ParseError, with the line number, on a bad one.  parse reads each
+    distinct ray or row token once per call and shares the immutable
+    Scalar."""
     s = token.strip()
     if s.startswith("(") and s.endswith(")"):
         s = s[1:-1].strip()
@@ -238,6 +241,13 @@ def parse(text: str) -> ProofFile:
     contexts: List[list] = []
     polynomials: List[PolyDecl] = []
     pending_matrix: Optional[ObsDecl] = None
+    scalars = {}  # token -> Scalar, for the tokens parsed without error
+
+    def scalar(token: str, lineno: int) -> Scalar:
+        s = scalars.get(token)
+        if s is None:
+            s = scalars[token] = parse_scalar(token, lineno)
+        return s
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -267,7 +277,7 @@ def parse(text: str) -> ProofFile:
                 raise ParseError("dim must come before observables", lineno)
             if len(parts) < 3:
                 raise ParseError("ray takes a label and components", lineno)
-            vec = tuple(parse_scalar(t, lineno) for t in parts[2:])
+            vec = tuple(scalar(t, lineno) for t in parts[2:])
             observables.append(ObsDecl(kind="ray", label=parts[1], vector=vec))
         elif head == "pauli":
             if dim is None:
@@ -294,7 +304,7 @@ def parse(text: str) -> ProofFile:
         elif head == "row":
             if pending_matrix is None:
                 raise ParseError("row outside a matrix declaration", lineno)
-            row = [parse_scalar(t, lineno) for t in parts[1:]]
+            row = [scalar(t, lineno) for t in parts[1:]]
             if len(row) != dim:
                 raise ParseError(f"row has {len(row)} entries, expected {dim}", lineno)
             pending_matrix.rows.append(row)

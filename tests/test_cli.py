@@ -6,13 +6,14 @@ import hashlib
 import io
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kscert import assign, catalog, derive, exact, model
+from kscert import assign, catalog, derive, exact, model, prooffile
 from kscert.cli import build_parser, main
 from kscert.compat import build_orthogonality_graph, enumerate_bases
 from kscert.derive import assemble_F, build_complete_set_rays, present
@@ -161,6 +162,46 @@ class TestParseErrors:
     def test_derived_section_ignored(self):
         pf = parse(SINGLE_BASIS + "=== derived ===\nnot even a directive\n")
         assert len(pf.observables) == 3
+
+
+class TestScalarTokensParsedOnce:
+    def _count(self, monkeypatch):
+        tokens = Counter()
+
+        def counted(token, line=None, original=prooffile.parse_scalar):
+            tokens[token] += 1
+            return original(token, line)
+
+        monkeypatch.setattr(prooffile, "parse_scalar", counted)
+        return tokens
+
+    def test_kp40_each_distinct_token_once(self, monkeypatch):
+        text = _eigenray_file("kp-40")
+        tokens = self._count(monkeypatch)
+        pf = parse(text)
+        rays = [line.split()[2:] for line in text.splitlines() if line.startswith("ray ")]
+        assert set(tokens) == {t for ray in rays for t in ray}
+        assert set(tokens.values()) == {1}
+        assert [d.vector for d in pf.observables] == [
+            tuple(parse_scalar(t) for t in ray) for ray in rays]
+
+    def test_once_per_call(self, monkeypatch):
+        tokens = self._count(monkeypatch)
+        parse(SINGLE_BASIS)
+        parse(SINGLE_BASIS)
+        assert tokens == {"0": 2, "1": 2}
+
+    def test_matrix_rows_share_the_memo(self, monkeypatch):
+        tokens = self._count(monkeypatch)
+        pf = parse("dim 2\nray e1 1 0\nmatrix m spectrum -1,1\nrow 0 1\nrow 1 0\n")
+        assert tokens == {"0": 1, "1": 1}
+        assert pf.observables[1].rows == [[Scalar(0), Scalar(1)], [Scalar(1), Scalar(0)]]
+
+    def test_bad_token_keeps_its_line_number(self):
+        # only tokens that parse are kept; a bad one raises where it occurs
+        with pytest.raises(ParseError) as exc:
+            parse("dim 2\nray a 1 0\nray b 0 1\nray c 1 q\nray d q 1\n")
+        assert exc.value.line == 4
 
 
 class TestParseRoundTrip:

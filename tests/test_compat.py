@@ -37,6 +37,12 @@ class TestGraph:
         g = build_orthogonality_graph(basis3)
         assert g.edges == [(0, 1), (0, 2), (1, 2)]
 
+    def test_edges_computed_once(self, basis3):
+        g = build_orthogonality_graph(basis3)
+        assert g.edges is g.edges
+        built = OrthogonalityGraph(oset=basis3, adjacency=dict(g.adjacency))
+        assert built.edges == g.edges
+
     def test_non_orthogonal_no_edge(self):
         oset = ObservableSet(dim=3)
         oset.add_ray((1, 0, 0))

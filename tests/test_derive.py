@@ -19,6 +19,7 @@ from kscert.derive import (
     CompleteSet,
     Inequality,
     PARITY,
+    PresentedInequality,
     RAY_BASES_ONLY,
     RAY_EDGES_BASES,
     assemble_F,
@@ -26,8 +27,10 @@ from kscert.derive import (
     build_complete_set_general,
     build_complete_set_parity,
     build_complete_set_rays,
+    check_form,
     expectation,
     present,
+    sum_of_squares,
 )
 from kscert.errors import (
     Condition1Violated,
@@ -45,14 +48,16 @@ from kscert.poly import (
     eval_assignment,
     eval_operator,
     make_context_polynomial,
+    mono_mul,
     normalization_constant,
     normalized_square,
     reduce,
+    render,
     spectral_assignments,
 )
 from kscert.prooffile import parse
 
-from conftest import eigenray_set, two_bases_set
+from conftest import eigenray_set, single_basis_set, two_bases_set
 from test_cli import GENERAL_MP
 
 
@@ -277,9 +282,19 @@ def _catalog_inequality(name):
 
 
 def _general_mp_inequality(text=GENERAL_MP):
+    return assemble_F(_general_mp_complete_set(text))
+
+
+def _eigenray_complete_set(name):
+    oset = eigenray_set(name)
+    graph = build_orthogonality_graph(oset)
+    return build_complete_set_rays(oset, graph, enumerate_bases(graph))
+
+
+def _general_mp_complete_set(text):
     pf = parse(text)
     oset = pf.to_observable_set()
-    return assemble_F(build_complete_set_general(oset, pf.to_polynomials(oset)))
+    return build_complete_set_general(oset, pf.to_polynomials(oset))
 
 
 def _catalog_complete_set(name):
@@ -369,9 +384,7 @@ def _random_proof_ray_set(seed):
 
 
 def _eigenray_inequality(name):
-    oset = eigenray_set(name)
-    graph = build_orthogonality_graph(oset)
-    return assemble_F(build_complete_set_rays(oset, graph, enumerate_bases(graph)))
+    return assemble_F(_eigenray_complete_set(name))
 
 
 # GENERAL_MP with a = 5/4 + 3/4 XI, spectrum (1/2, 2), in place of XI =
@@ -437,6 +450,93 @@ def test_assemble_F_makes_no_scalar_sums_or_products(monkeypatch, name, exact_bo
     assert calls == Counter()
 
 
+def _assert_clean(p: Poly):
+    """p is as Poly.__init__ would leave its terms: tuple monomials mapped
+    to nonzero Scalars."""
+    assert p == Poly(p.terms)
+    assert all(type(m) is tuple and type(c) is Scalar and not c.is_zero
+               for m, c in p.terms.items())
+
+
+def _one_ray_complete_set():
+    oset = single_basis_set(1)  # d = 1: the ray's spectrum is (1,)
+    graph = build_orthogonality_graph(oset)
+    return build_complete_set_rays(oset, graph, enumerate_bases(graph))
+
+
+_BACK_HALF_SETS = (
+    [pytest.param(lambda name=name: _catalog_complete_set(name), id=name)
+     for name in ("mermin-peres", "mermin-pentagram", "cabello-18", "peres-33")]
+    + [pytest.param(lambda: _eigenray_complete_set("mermin-pentagram"), id="kp-40"),
+       pytest.param(_two_bases_complete_set, id="two-bases"),
+       pytest.param(_one_ray_complete_set, id="one-ray")]
+    + [pytest.param(lambda text=text: _general_mp_complete_set(text), id=name)
+       for name, text in GENERAL_MP_VARIANTS.items()]
+)
+
+
+@pytest.mark.parametrize("build", _BACK_HALF_SETS)
+def test_trusted_polys_are_clean(build):
+    """The builders' members, F and the presented scores, which are built
+    without Poly.__init__, are exactly what it would build."""
+    cs = build()
+    for cp in cs.polynomials:
+        _assert_clean(cp.poly)
+    constants = derive.member_constants(cs)
+    F = sum_of_squares([ContextPolynomial(cp.poly, c) for cp, c in zip(cs.polynomials, constants)],
+                       cs.oset.spectra())
+    _assert_clean(F)
+    # present needs no verdict, so sets that are not proofs are presented too
+    ineq = Inequality(cs.oset, cs, F, BoundResult(kind="certified", value=Fraction(-1)))
+    for form in ("projector", "dichotomic"):
+        with suppress(PresentationUnavailable):
+            _assert_clean(present(ineq, form).score)
+
+
+@pytest.mark.parametrize("build", _BACK_HALF_SETS)
+def test_sum_of_squares_lowers_only_unreduced_monomials(monkeypatch, build):
+    """lowering runs once for each distinct monomial of the pair products
+    with an exponent at or above its spectrum's size, and for no other."""
+    cs = build()
+    spectra = cs.oset.spectra()
+    constants = derive.member_constants(cs)
+    members = [ContextPolynomial(cp.poly, c) for cp, c in zip(cs.polynomials, constants)]
+    needed = {mono_mul(m1, m2) for cp in members for m1 in cp.poly.terms for m2 in cp.poly.terms}
+    needed = {m for m in needed if any(e >= len(spectra[i]) for i, e in m)}
+    lowered = Counter()
+
+    def counted(mono, *args, original=derive.lowering):
+        lowered[mono] += 1
+        return original(mono, *args)
+
+    monkeypatch.setattr(derive, "lowering", counted)
+    sum_of_squares(members, spectra)
+    assert set(lowered) == needed
+    assert set(lowered.values()) <= {1}
+
+
+@pytest.mark.parametrize("name", ["peres-24", "kp-40"])
+def test_back_half_builds_no_poly_or_scalar(monkeypatch, name):
+    """On an eigenray set, assemble_F keeps the builder's members, and it,
+    present in both forms and render call neither the validating
+    Poly.__init__ nor Scalar.__init__."""
+    cs = _eigenray_complete_set({"peres-24": "mermin-peres", "kp-40": "mermin-pentagram"}[name])
+    calls = Counter()
+    for cls in (Poly, Scalar):
+        def counted(self, *args, cls=cls, original=cls.__init__, **kwargs):
+            calls[cls.__name__] += 1
+            original(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    ineq = assemble_F(cs)
+    labels = dict(enumerate(cs.oset.labels))
+    render(ineq.F, labels)
+    for form in ("projector", "dichotomic"):
+        pres = present(ineq, form)
+        render(pres.score, dict(enumerate(pres.labels)))
+    assert calls == Counter()
+    assert ineq.complete_set is cs
+
+
 @pytest.mark.parametrize("name", ["mermin-peres", "mermin-pentagram", "cabello-18", "peres-33"])
 def test_search_makes_no_fraction_evaluation(monkeypatch, name):
     """general_unsat and max_F evaluate their factors in ints
@@ -493,6 +593,71 @@ def assert_score_is_quantum_value(pres, oset):
               (Scalar(0, 0, 1),) + (Scalar(0, 1),) * (oset.dim - 1)]
     for state in states:
         assert expectation(pres.score, dich, state) == pres.quantum_value
+
+
+def _scaled(ineq: Inequality, k: Fraction) -> Inequality:
+    return Inequality(ineq.oset, ineq.complete_set, ineq.F * Scalar(k), ineq.classical)
+
+
+def present_oracle(ineq: Inequality, form: str) -> PresentedInequality:
+    """present as it was before it read F's coefficients directly: each
+    through Scalar.is_rational and Scalar.rational, each score coefficient a
+    Fraction quotient through Scalar.of and Poly.__init__."""
+    oset = ineq.oset
+    substituted = check_form(ineq.complete_set, form)
+    coeffs = {}
+    for mono, coef in ineq.F.terms.items():
+        if not coef.is_rational:
+            raise PresentationUnavailable("presentation requires rational coefficients")
+        coeffs[mono] = coef.rational()
+    if substituted:
+        coeffs = derive._substitute_dichotomic(coeffs)
+        labels = [f"d{obs.label or i}" for i, obs in enumerate(oset.observables)]
+    else:
+        labels = oset.labels
+    offset = coeffs.get((), Fraction(0))
+    noncon = {m: c for m, c in coeffs.items() if m != ()}
+    scale = derive._primitive_scale(noncon)
+    if substituted:
+        power = Fraction(1, 2 ** ineq.F.max_degree())
+        if all((c / power).denominator == 1 for c in noncon.values()):
+            scale = power
+    return PresentedInequality(
+        form=form,
+        score=Poly({m: Scalar.of(c / scale) for m, c in noncon.items()}),
+        scale=scale,
+        offset=offset,
+        classical_bound=(ineq.classical.value - offset) / scale,
+        bound_kind=ineq.classical.kind,
+        quantum_value=-offset / scale,
+        labels=labels,
+        substituted=substituted,
+    )
+
+
+@pytest.mark.parametrize("form", ["projector", "dichotomic"])
+@pytest.mark.parametrize(
+    "build",
+    [pytest.param(lambda name=name: _catalog_inequality(name), id=name)
+     for name in ("mermin-peres", "mermin-pentagram", "cabello-18", "peres-33")]
+    + [pytest.param(lambda name=name: _eigenray_inequality(name), id=ray_name)
+       for name, ray_name in (("mermin-peres", "peres-24"), ("mermin-pentagram", "kp-40"))]
+    + [pytest.param(lambda: colorable_inequality(two_bases_set()), id="two-bases")]
+    # F scaled so that the primitive scale's numerator is not 1
+    + [pytest.param(lambda k=k: _scaled(_catalog_inequality(name), k), id=f"{name}-times-{k}")
+       for name, k in (("mermin-peres", Fraction(3, 2)), ("cabello-18", Fraction(6)))],
+)
+def test_present_oracle(build, form):
+    """present agrees with the Scalar-based presentation field by field, and
+    refuses exactly where it does."""
+    ineq = build()
+    try:
+        expected = present_oracle(ineq, form)
+    except PresentationUnavailable as ex:
+        with pytest.raises(PresentationUnavailable, match=f"^{ex}$"):
+            present(ineq, form)
+    else:
+        assert present(ineq, form) == expected
 
 
 class TestPresent:

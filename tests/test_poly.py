@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kscert.errors import (
@@ -23,6 +23,7 @@ from kscert.poly import (
     normalization_constant,
     normalized_square,
     reduce,
+    _mono_key,
     render,
     spectral_assignments,
 )
@@ -330,3 +331,48 @@ class TestRender:
 
     def test_zero(self):
         assert render(Poly()) == "0"
+
+
+def render_oracle(p, labels=None):
+    """render as it was before its rational fast path: every coefficient
+    printed through Scalar.__str__."""
+    if p.is_zero:
+        return "0"
+    parts = []
+    for mono in sorted(p.terms, key=_mono_key):
+        s = str(p.terms[mono])
+        cs = f"({s})" if ("+" in s[1:]) or ("-" in s[1:]) else s
+        body = "*".join((labels[i] if labels else f"A{i}") + ("" if e == 1 else f"^{e}")
+                        for i, e in mono)
+        if body:
+            term = body if cs == "1" else f"-{body}" if cs == "-1" else f"{cs}*{body}"
+        else:
+            term = cs
+        if not parts:
+            parts.append(term)
+        elif term.startswith("-"):
+            parts.append(f" - {term[1:]}")
+        else:
+            parts.append(f" + {term}")
+    return "".join(parts)
+
+
+_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+_parts = st.one_of(st.just(Fraction(0)), _fractions)
+# rational coefficients, and any mix of sqrt2, i and sqrt2*i parts
+_coefficients = st.one_of(
+    st.builds(Scalar, _fractions),
+    st.builds(Scalar, _parts, _parts, _parts, _parts),
+)
+_monomials = st.dictionaries(st.integers(0, 4), st.integers(1, 3), max_size=3).map(
+    lambda m: tuple(sorted(m.items())))
+
+
+class TestRenderOracle:
+    @given(st.dictionaries(_monomials, _coefficients, max_size=8).map(Poly), st.booleans())
+    @example(Poly({(): Scalar(Fraction(-3, 2)), ((0, 2), (3, 1)): Scalar(-1),
+                   ((1, 3),): Scalar(Fraction(5, 4), 1), ((2, 1),): Scalar(0, 0, -1)}), True)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_str_renderer(self, p, labelled):
+        labels = {i: f"x{i}" for i in range(5)} if labelled else None
+        assert render(p, labels) == render_oracle(p, labels)
