@@ -147,11 +147,12 @@ def _print_inequality(loaded, ineq, presented):
 def cmd_derive(args) -> int:
     loaded = _load(args)
     ineq, presented = _derive(loaded, args, args.exact_bound)
-    _print_inequality(loaded, ineq, presented)
-    if args.output:
+    if args.output:  # written first, so that a failed write prints nothing
         record = render_record(_proof_file(loaded), ineq, presented)
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(record)
+    _print_inequality(loaded, ineq, presented)
+    if args.output:
         print(f"record written to {args.output}")
     return EXIT_OK
 

@@ -246,90 +246,72 @@ def assemble_F(
 
 
 def sum_of_squares(members: Sequence[ContextPolynomial], spectra) -> Poly:
-    """The reduced F = -sum r_i^dagger r_i / c_i, summed in integers over
-    Z[i, sqrt2]; one Scalar is built per distinct coefficient of F.
+    """The reduced F = -sum r_i^dagger r_i / c_i, summed in ints over one
+    denominator; one Scalar is built per distinct coefficient of F.
 
     Each member's coefficients are cleared to int (a, b, c, d) tuples with
-    one denominator den (exact.integral), so its term is the weight
-    -1 / (den^2 c_i) times a sum of products conj(t1) t2, added up per
-    distinct weight, which is kept as the int pair (den^2 p, q) for
-    c_i = p/q.  A diagonal pair gives |t1|^2 at the doubled exponents.  The
-    pairs (m1, m2) and (m2, m1) give one monomial and conjugate products,
-    whose sum is twice the real part, so each unordered pair is formed once
-    and F's coefficients are real: ints (x, y) stand for x + y sqrt2.  When
-    one monomial's variables all precede the other's, the product is their
-    concatenation.
+    one denominator den (exact.integral), so with c_i = p/q its term is
+    -q / (den^2 p) times a sum of products conj(t1) t2.  L is the lcm of the
+    den^2 p, as in max_F, and each member's products, scaled by the int
+    q L / (den^2 p), go into one dict.  The pairs (m1, m2) and (m2, m1)
+    give one monomial and conjugate products, whose sum is twice the real
+    part, so each unordered pair is formed once, at weight 2, and the
+    diagonal (m, m) at weight 1 and doubled exponents; F's coefficients are
+    real, ints (x, y) standing for x + y sqrt2.  When one monomial's
+    variables all precede the other's, the product is their concatenation.
 
     reduce is linear, so the sum is lowered once.  Members are reduced, so
     a product of two monomials with no common variable is reduced as well;
     only a monomial with an exponent at or above its spectrum's size is
-    lowered (poly.lowering), once, and its remainder's rational
-    coefficients are brought to one denominator, which joins the weight.
-    Last, the weights are brought to one denominator L and F's coefficients
-    are the summed ints over -L.  The member-by-member sum of
-    normalized_square is the test oracle.
+    lowered (poly.lowering), and the remainders' rational coefficients are
+    brought to one more denominator D, so F = -num / (L D).  The
+    member-by-member sum of normalized_square is the test oracle.
     """
-    size = {i: len(spectrum) for i, spectrum in spectra.items()}
-    squares = {}  # (den^2 p, q) -> {monomial: (x, y)}
-    high = set()  # the monomials with an exponent at or above its spectrum's size
-    for cp in members:
-        den, ints = integral(cp.poly.terms.values())
-        acc = squares.setdefault((den * den * cp.c.numerator, cp.c.denominator), {})
+    cleared = [(cp, *integral(cp.poly.terms.values())) for cp in members]
+    L = lcm(*(den * den * cp.c.numerator for cp, den, _ in cleared))
+    acc = {}  # monomial -> (x, y)
+    for cp, den, ints in cleared:
+        k = cp.c.denominator * (L // (den * den * cp.c.numerator))
         items = list(zip(cp.poly.terms, ints))
-        for k, (m1, (a, b, c, d)) in enumerate(items):
-            mono = tuple([(i, 2 * e) for i, e in m1])
-            x, y = a * a + 2 * b * b + c * c + 2 * d * d, 2 * (a * b + c * d)
-            s = acc.get(mono)
-            if s is None:
-                acc[mono] = x, y
-                if any(n >= size[v] for v, n in mono):
-                    high.add(mono)
-            else:
-                acc[mono] = s[0] + x, s[1] + y
-            for m2, (e, f, g, h) in items[k + 1:]:
-                x = 2 * (a * e + 2 * b * f + c * g + 2 * d * h)
-                y = 2 * (a * f + b * e + c * h + d * g)
-                if not m1 or not m2 or m1[-1][0] < m2[0][0]:
-                    mono = m1 + m2
-                elif m2[-1][0] < m1[0][0]:
-                    mono = m2 + m1
+        for j, (m1, (a, b, c, d)) in enumerate(items):
+            for m2, (e, f, g, h) in items[j:]:
+                if m1 is m2:
+                    w, mono = k, tuple([(i, 2 * n) for i, n in m1])
                 else:
-                    mono = mono_mul(m1, m2)
-                    if any(n >= size[v] for v, n in mono):
-                        high.add(mono)
+                    w = 2 * k
+                    if not m1 or not m2 or m1[-1][0] < m2[0][0]:
+                        mono = m1 + m2
+                    elif m2[-1][0] < m1[0][0]:
+                        mono = m2 + m1
+                    else:
+                        mono = mono_mul(m1, m2)
+                x = w * (a * e + 2 * b * f + c * g + 2 * d * h)
+                y = w * (a * f + b * e + c * h + d * g)
                 s = acc.get(mono)
                 acc[mono] = (x, y) if s is None else (s[0] + x, s[1] + y)
-    rules, lowered, sums = {}, {}, {}
-    for (p, q), acc in squares.items():
-        reduced = sums.setdefault((p, q), {})
-        for mono, (x, y) in acc.items():
-            if mono in high:
-                if mono not in lowered:
-                    terms = lowering(mono, spectra, rules)
-                    den = lcm(*(r.denominator for _, r in terms))
-                    lowered[mono] = den, [(m, r.numerator * (den // r.denominator))
-                                          for m, r in terms]
-                den, terms = lowered[mono]
-                out = sums.setdefault((p * den, q), {})
-            else:
-                terms, out = ((mono, 1),), reduced
-            for m, n in terms:
-                s = out.get(m)
-                out[m] = (n * x, n * y) if s is None else (s[0] + n * x, s[1] + n * y)
-    L = lcm(*(p for p, _ in sums))
-    numerators = {}
-    for (p, q), out in sums.items():
-        k = q * (L // p)
-        for m, (x, y) in out.items():
-            s = numerators.get(m, (0, 0))
-            numerators[m] = (s[0] + k * x, s[1] + k * y)
-    scalars, terms = {}, {}  # F's coefficients take few distinct values
-    for m, xy in numerators.items():
+    rules = {}
+    lowered = {m: lowering(m, spectra, rules) for m in acc
+               if any(n >= len(spectra[i]) for i, n in m)}
+    D = lcm(*(q.denominator for terms in lowered.values() for _, q in terms))
+    num = {}
+    for mono, (x, y) in acc.items():
+        for m, q in lowered.get(mono, ((mono, 1),)):
+            n = q.numerator * (D // q.denominator)
+            s = num.get(m)
+            num[m] = (n * x, n * y) if s is None else (s[0] + n * x, s[1] + n * y)
+    return _int_poly(num, -L * D)
+
+
+def _int_poly(nums: dict, den: int) -> Poly:
+    """The Poly with coefficient (x + y sqrt2) / den at each monomial m whose
+    int pair nums[m] = (x, y) is not (0, 0); one Scalar per distinct pair."""
+    scalars, terms = {}, {}  # coefficients take few distinct values
+    for m, xy in nums.items():
         if xy != (0, 0):
             s = scalars.get(xy)
             if s is None:
                 x, y = xy
-                s = scalars[xy] = Scalar._make(Fraction(-x, L), Fraction(-y, L) if y else _FR0,
+                s = scalars[xy] = Scalar._make(Fraction(x, den), Fraction(y, den) if y else _FR0,
                                                _FR0, _FR0)
             terms[m] = s
     return Poly._make(terms)
@@ -339,31 +321,27 @@ def witness_str(witness: dict, labels: Sequence[str]) -> str:
     return ", ".join(f"{labels[i]}={witness[i]}" for i in sorted(witness))
 
 
-def _primitive_scale(coeffs: dict) -> Fraction:
-    """Positive s with coeffs/s integers of gcd 1: the gcd of the numerators
-    over the lcm of the denominators, or 1 when there is no coefficient."""
-    return Fraction(gcd(*(c.numerator for c in coeffs.values())) or 1,
-                    lcm(*(c.denominator for c in coeffs.values())))
-
-
-def _substitute_dichotomic(coeffs: dict) -> dict:
-    """Replace every projector variable P_i by (1 - A_i)/2 in F's rational
-    coefficients, keeping ids.
+def _substitute_dichotomic(nums: dict, deg: int) -> dict:
+    """Replace every projector variable P_i by (1 - A_i)/2 in F, keeping
+    ids: F's coefficients are the int numerators nums over a denominator D,
+    and the result's are int numerators over D 2^deg, where deg is at least
+    the size of every monomial's variable set.
 
     F is reduced over the rays' spectrum (0, 1), where P^e = P, so a
     monomial depends only on its variable set S, and
-    prod_{i in S} (1 - A_i)/2 = 2^-|S| sum_{T subset S} (-1)^|T| A_T.
-    Each A_i occurs at most once per monomial, so no A^2 arises and the
-    result needs no reduction over A's spectrum (-1, 1)."""
+    prod_{i in S} (1 - A_i)/2 = 2^-|S| sum_{T subset S} (-1)^|T| A_T: its
+    numerator n adds +-n 2^(deg - |S|) to each T.  Each A_i occurs at most
+    once per monomial, so no A^2 arises and the result needs no reduction
+    over A's spectrum (-1, 1)."""
     out = {}
-    for mono, coef in coeffs.items():
+    for mono, n in nums.items():
         ids = [i for i, _ in mono]
-        w = coef / 2 ** len(ids)
+        w = n << (deg - len(ids))
         for k in range(len(ids) + 1):
             for sub in combinations(ids, k):  # ids ascend, so sub is sorted
                 m = tuple((i, 1) for i in sub)
                 out[m] = out.get(m, 0) + (-w if k % 2 else w)
-    return {m: c for m, c in out.items() if c}
+    return {m: n for m, n in out.items() if n}
 
 
 def check_form(cs: CompleteSet, form: str) -> bool:
@@ -393,49 +371,44 @@ def check_form(cs: CompleteSet, form: str) -> bool:
 def present(ineq: Inequality, form: str) -> PresentedInequality:
     """Rearrange F into an integer-coefficient score with explicit bounds.
 
-    F's coefficients are read as Fractions from their rational part, after
-    one test that the rest is zero (PresentationUnavailable otherwise).
-    projector form requires projector variables and keeps them; dichotomic
-    form substitutes P = (1 - A)/2 when needed (check_form), on those
-    Fractions.  The score's coefficients are ints, one Scalar per distinct
-    value.  The affine bookkeeping F = scale*G + offset transforms both the
+    F's coefficients are read as int numerators over one denominator D
+    (exact.integral), after one test that their irrational and imaginary
+    parts are zero (PresentationUnavailable otherwise).  projector form
+    requires projector variables and keeps them; dichotomic form substitutes
+    P = (1 - A)/2 when needed (check_form), in ints over D 2^deg.  The
+    scale is one int g over that final denominator, and each score
+    coefficient is a numerator divided by g, one Scalar per distinct value.
+    The affine bookkeeping F = scale*G + offset transforms both the
     classical bound and the quantum value exactly.
     """
     oset = ineq.oset
     substituted = check_form(ineq.complete_set, form)
-    coeffs = {}
-    for mono, coef in ineq.F.terms.items():
-        if coef.b or coef.c or coef.d:
-            raise PresentationUnavailable("presentation requires rational coefficients")
-        coeffs[mono] = coef.a
+    coefs = {id(c): c for c in ineq.F.terms.values()}  # F shares few distinct Scalars
+    D, ints = integral(coefs.values())
+    if any(b or c or d for _, b, c, d in ints):
+        raise PresentationUnavailable("presentation requires rational coefficients")
+    by_id = {k: a for k, (a, _, _, _) in zip(coefs, ints)}
+    nums = {m: by_id[id(c)] for m, c in ineq.F.terms.items()}
     if substituted:
-        coeffs = _substitute_dichotomic(coeffs)
+        deg = ineq.F.max_degree()
+        nums, den = _substitute_dichotomic(nums, deg), D << deg
         labels = [f"d{obs.label or i}" for i, obs in enumerate(oset.observables)]
     else:
-        labels = oset.labels
+        den, labels = D, oset.labels
 
-    offset = coeffs.pop((), _FR0)
-    scale = _primitive_scale(coeffs)
-    if substituted:
-        # substitution introduces denominators up to 2^maxdeg; where that
-        # exact power still gives integers it keeps pair-correlation
-        # coefficients even, matching the customary dichotomic presentation
-        power = Fraction(1, 2 ** ineq.F.max_degree())
-        if all((c / power).denominator == 1 for c in coeffs.values()):
-            scale = power
-    # scale divides every coefficient (the primitive scale by construction,
-    # the power of two by the test above), so each c / scale is an int
-    num, den = scale.numerator, scale.denominator
-    scalars, score = {}, {}
-    for m, c in coeffs.items():
-        n = c.numerator * den // (c.denominator * num)
-        s = scalars.get(n)
-        if s is None:
-            s = scalars[n] = Scalar._make(Fraction(n), _FR0, _FR0, _FR0)
-        score[m] = s
+    offset = Fraction(nums.pop((), 0), den)
+    if substituted and not any(n % D for n in nums.values()):
+        # substitution introduces denominators up to 2^deg; where that exact
+        # power still gives integers it keeps pair-correlation coefficients
+        # even, matching the customary dichotomic presentation
+        g = D
+    else:
+        # the primitive scale, or 1 when F is constant
+        g = gcd(*nums.values()) or den
+    scale = Fraction(g, den)
     return PresentedInequality(
         form=form,
-        score=Poly._make(score),
+        score=_int_poly({m: (n // g, 0) for m, n in nums.items()}, 1),
         scale=scale,
         offset=offset,
         # a certified BoundResult carries the bound -1 on F

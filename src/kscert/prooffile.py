@@ -113,6 +113,10 @@ class ProofFile:
     polynomials: List[PolyDecl] = field(default_factory=list)
 
     def to_observable_set(self) -> ObservableSet:
+        # a file with no observables has nothing to prove, and a constant
+        # member would be evaluated as a dim x dim matrix
+        if not self.observables:
+            raise ParseError("the file declares no observables")
         oset = ObservableSet(dim=self.dim)
         for d in self.observables:
             if d.kind == "ray":
@@ -342,8 +346,16 @@ def parse(text: str) -> ProofFile:
 
 
 def parse_file(path: str) -> ProofFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+    """parse the file's text; a file that is not UTF-8 raises ParseError
+    naming the offset of its first invalid byte.  parse splits lines at
+    \r\n and \r as well as \n, so the bytes are decoded as they are."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as ex:
+        raise ParseError(f"not UTF-8 text: invalid byte at offset {ex.start}") from None
+    return parse(text)
 
 
 # -- rendering ----------------------------------------------------------------

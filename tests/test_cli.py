@@ -298,6 +298,27 @@ class TestVerifyCommand:
         path.write_text("dim 3\nray e1 1 0 q\n")
         code, _, err = run(capsys, "verify", "--input", str(path))
         assert code == 3
+
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"dim 2\nray a 1 0\xff\n")
+        code, out, err = run(capsys, "verify", "--input", str(path))
+        assert code == 3 and out == ""
+        assert err == "error: input: not UTF-8 text: invalid byte at offset 15\n"
+
+    @pytest.mark.parametrize("text", ["dim 3\npoly 0\n", "dim 3000\npoly 1\n", "dim 2\n"])
+    def test_no_observables(self, capsys, tmp_path, monkeypatch, text):
+        # a constant member must not be evaluated as a dim x dim matrix
+        def refuse(cls, n):
+            raise AssertionError(f"built a {n} x {n} matrix")
+        for name in ("zero", "identity"):
+            monkeypatch.setattr(exact.ExactMatrix, name, classmethod(refuse))
+        path = tmp_path / "empty.txt"
+        path.write_text(text)
+        for argv in (["verify"], ["derive"], ["export"]):
+            code, out, err = run(capsys, *argv, "--input", str(path))
+            assert code == 3 and out == ""
+            assert err == "error: input: the file declares no observables\n"
         assert "error: input" in err
 
     @pytest.mark.parametrize(
@@ -514,10 +535,17 @@ class TestFuzzProofFiles:
             ["verify"], ["derive"], ["derive", "--exact-bound"], ["bound"], ["export"],
             ["derive", "--form", "projector"], ["derive", "--form", "dichotomic"],
         ]),
+        # sometimes a byte that is not UTF-8, at a position modulo the length
+        splice=st.none() | st.tuples(st.integers(0, 1 << 16),
+                                     st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"])),
     )
-    def test_exit_codes(self, tmp_path_factory, text, argv):
+    def test_exit_codes(self, tmp_path_factory, text, argv, splice):
         path = tmp_path_factory.getbasetemp() / "fuzz.txt"
-        path.write_text(text)
+        data = text.encode("utf-8")
+        if splice is not None:
+            at = splice[0] % (len(data) + 1)
+            data = data[:at] + splice[1] + data[at:]
+        path.write_bytes(data)
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             code = main([*argv, "--input", str(path), "--node-cap", "500"])
@@ -542,6 +570,19 @@ class TestDeriveCommand:
         assert "<= 8" in out
         assert "quantum value: 9" in out
         assert "(certified)" in out
+
+    def test_output_written_before_printing(self, capsys, tmp_path):
+        _, plain, _ = run(capsys, "derive", "--catalog", "cabello-18")
+        path = tmp_path / "c.rec"
+        code, out, _ = run(capsys, "derive", "--catalog", "cabello-18", "--output", str(path))
+        assert code == 0
+        assert out == plain + f"record written to {path}\n"
+        assert path.read_text().startswith("dim 4\n")
+        # a failed write leaves stdout empty
+        missing = tmp_path / "missing" / "c.rec"
+        code, out, err = run(capsys, "derive", "--catalog", "cabello-18", "--output", str(missing))
+        assert code == 3 and out == ""
+        assert err.startswith("error: input: ")
 
     def test_not_a_proof(self, capsys, tmp_path):
         path = tmp_path / "basis.txt"

@@ -599,10 +599,38 @@ def _scaled(ineq: Inequality, k: Fraction) -> Inequality:
     return Inequality(ineq.oset, ineq.complete_set, ineq.F * Scalar(k), ineq.classical)
 
 
+def primitive_scale_oracle(coeffs: dict) -> Fraction:
+    """Positive s with coeffs/s integers of gcd 1: the gcd of the numerators
+    over the lcm of the denominators, or 1 when there is no coefficient."""
+    return Fraction(math.gcd(*(c.numerator for c in coeffs.values())) or 1,
+                    math.lcm(*(c.denominator for c in coeffs.values())))
+
+
+def fraction_substitution_oracle(coeffs: dict) -> dict:
+    """P_i -> (1 - A_i)/2 on F's Fraction coefficients, one Fraction per
+    term of each monomial's expansion over the subsets of its variables."""
+    out = {}
+    for mono, coef in coeffs.items():
+        ids = [i for i, _ in mono]
+        w = coef / 2 ** len(ids)
+        for k in range(len(ids) + 1):
+            for sub in itertools.combinations(ids, k):
+                m = tuple((i, 1) for i in sub)
+                out[m] = out.get(m, 0) + (-w if k % 2 else w)
+    return {m: c for m, c in out.items() if c}
+
+
+def _constant_inequality() -> Inequality:
+    """cabello-18's Inequality with F = 1, on a ray set."""
+    ineq = _catalog_inequality("cabello-18")
+    return Inequality(ineq.oset, ineq.complete_set, Poly.const(1), ineq.classical)
+
+
 def present_oracle(ineq: Inequality, form: str) -> PresentedInequality:
-    """present as it was before it read F's coefficients directly: each
-    through Scalar.is_rational and Scalar.rational, each score coefficient a
-    Fraction quotient through Scalar.of and Poly.__init__."""
+    """present as it was before it read F's coefficients as ints: each
+    through Scalar.is_rational and Scalar.rational, substituted and scaled
+    in Fractions, each score coefficient a Fraction quotient through
+    Scalar.of and Poly.__init__."""
     oset = ineq.oset
     substituted = check_form(ineq.complete_set, form)
     coeffs = {}
@@ -611,13 +639,13 @@ def present_oracle(ineq: Inequality, form: str) -> PresentedInequality:
             raise PresentationUnavailable("presentation requires rational coefficients")
         coeffs[mono] = coef.rational()
     if substituted:
-        coeffs = derive._substitute_dichotomic(coeffs)
+        coeffs = fraction_substitution_oracle(coeffs)
         labels = [f"d{obs.label or i}" for i, obs in enumerate(oset.observables)]
     else:
         labels = oset.labels
     offset = coeffs.get((), Fraction(0))
     noncon = {m: c for m, c in coeffs.items() if m != ()}
-    scale = derive._primitive_scale(noncon)
+    scale = primitive_scale_oracle(noncon)
     if substituted:
         power = Fraction(1, 2 ** ineq.F.max_degree())
         if all((c / power).denominator == 1 for c in noncon.values()):
@@ -645,7 +673,10 @@ def present_oracle(ineq: Inequality, form: str) -> PresentedInequality:
     + [pytest.param(lambda: colorable_inequality(two_bases_set()), id="two-bases")]
     # F scaled so that the primitive scale's numerator is not 1
     + [pytest.param(lambda k=k: _scaled(_catalog_inequality(name), k), id=f"{name}-times-{k}")
-       for name, k in (("mermin-peres", Fraction(3, 2)), ("cabello-18", Fraction(6)))],
+       for name, k in (("mermin-peres", Fraction(3, 2)), ("cabello-18", Fraction(6)))]
+    # a constant or zero F: no non-constant coefficient, so no gcd to scale by
+    + [pytest.param(lambda k=k: _scaled(_constant_inequality(), k), id=f"constant-{k}")
+       for k in (Fraction(-3, 2), Fraction(0))],
 )
 def test_present_oracle(build, form):
     """present agrees with the Scalar-based presentation field by field, and
@@ -658,6 +689,22 @@ def test_present_oracle(build, form):
             present(ineq, form)
     else:
         assert present(ineq, form) == expected
+
+
+@pytest.mark.parametrize("form", ["projector", "dichotomic"])
+def test_present_makes_few_fraction_operations(monkeypatch, form):
+    """present works in ints over one denominator: on KP-40 it adds,
+    subtracts, multiplies or divides Fractions only for the two bounds."""
+    ineq = _eigenray_inequality("mermin-pentagram")
+    calls = Counter()
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+               "__truediv__", "__rtruediv__", "__neg__"):
+        def counted(*args, op=op, original=getattr(Fraction, op)):
+            calls[op] += 1
+            return original(*args)
+        monkeypatch.setattr(Fraction, op, counted)
+    present(ineq, form)
+    assert sum(calls.values()) <= 5
 
 
 class TestPresent:
@@ -706,9 +753,12 @@ class TestPresent:
         spectra = dict.fromkeys(range(18), (Fraction(-1), Fraction(1)))
         for p in (F, cubic, Poly.const(5), Poly()):
             expected = reduce(substitute_dichotomic_oracle(p), spectra)
-            coeffs = {m: c.rational() for m, c in p.terms.items()}
-            assert derive._substitute_dichotomic(coeffs) == {
-                m: c.rational() for m, c in expected.terms.items()}
+            # F's coefficients as int numerators over D, the result's over D 2^deg
+            D = math.lcm(*(c.rational().denominator for c in p.terms.values()))
+            nums = {m: int(c.rational() * D) for m, c in p.terms.items()}
+            for deg in (p.max_degree(), p.max_degree() + 2):
+                assert derive._substitute_dichotomic(nums, deg) == {
+                    m: c.rational() * (D << deg) for m, c in expected.terms.items()}
 
     @pytest.mark.parametrize("form", ["projector", "dichotomic"])
     def test_refuses_irrational_coefficients(self, two_bases, form):

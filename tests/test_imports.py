@@ -1,6 +1,6 @@
 """Every name a kscert module imports is used there, every public
-function and class a module defines is named somewhere else, and no
-function calls itself.
+function and class a module defines is named somewhere else, every private
+one is named elsewhere in its own module, and no function calls itself.
 
 __init__.py is exempt: its imports are the package's re-exports."""
 
@@ -44,20 +44,21 @@ CORPUS = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("
 CORPUS.append(ROOT / "README.md")
 
 
+def definitions(source: str) -> list:
+    """(name, word, rest) for each module-level function and class of
+    source: a pattern matching its name as a word, and source's other lines."""
+    lines = source.splitlines()
+    return [(node.name, re.compile(rf"\b{node.name}\b"),
+             lines[: node.lineno - 1] + lines[node.end_lineno :])
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
 def unreferenced(source: str, others: list) -> list:
     """The module-level public functions and classes of source that neither
     the rest of source nor any text of others names."""
-    lines = source.splitlines()
-    out = []
-    for node in ast.parse(source).body:
-        if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                or node.name.startswith("_")):
-            continue
-        word = re.compile(rf"\b{node.name}\b")
-        rest = lines[: node.lineno - 1] + lines[node.end_lineno :]
-        if not any(word.search(t) for t in rest + others):
-            out.append(node.name)
-    return out
+    return [name for name, word, rest in definitions(source)
+            if not name.startswith("_") and not any(word.search(t) for t in rest + others)]
 
 
 def test_detects_unreferenced():
@@ -71,6 +72,25 @@ def test_public_definitions_referenced(path):
     others = [p.read_text(encoding="utf-8") for p in CORPUS if p.resolve() != path.resolve()]
     assert len(others) == len(CORPUS) - 1  # path is in the corpus
     assert unreferenced(path.read_text(encoding="utf-8"), others) == []
+
+
+def unreferenced_private(source: str) -> list:
+    """The module-level private functions and classes of source that the
+    rest of source does not name: a helper that only tests keep alive."""
+    return [name for name, word, rest in definitions(source)
+            if name.startswith("_") and not any(word.search(t) for t in rest)]
+
+
+def test_detects_unreferenced_private():
+    source = ("def _used():\n    return 1\n\n\ndef _helper():\n    return _helper\n\n\n"
+              "class _Kept:\n    pass\n\n\ndef public():\n    pass\n\n\n"
+              "x = _Kept, _used(), _helper_too\n")
+    assert unreferenced_private(source) == ["_helper"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_private_definitions_referenced(path):
+    assert unreferenced_private(path.read_text(encoding="utf-8")) == []
 
 
 def self_calling(source: str) -> list:
