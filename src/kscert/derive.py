@@ -383,7 +383,8 @@ def present(ineq: Inequality, form: str) -> PresentedInequality:
     """
     oset = ineq.oset
     substituted = check_form(ineq.complete_set, form)
-    coefs = {id(c): c for c in ineq.F.terms.values()}  # F shares few distinct Scalars
+    # F shares few Scalar objects (4 over KP-40's 501 terms): read each once
+    coefs = {id(c): c for c in ineq.F.terms.values()}
     D, ints = integral(coefs.values())
     if any(b or c or d for _, b, c, d in ints):
         raise PresentationUnavailable("presentation requires rational coefficients")
