@@ -1,7 +1,10 @@
 """Value-assignment searches.
 
 * ks_colorability -- {0,1} colorings of a ray set under the orthogonality
-  and basis rules, with unit propagation; derive.decide's engine for rays;
+  and basis rules, with unit propagation; derive.decide's engine for rays.
+  Its domains are int bit masks over the ray ids, (ones, zeros), and it
+  visits neighbours and bases in ascending order, so its propagations
+  count is fixed by the input;
 * parity_certify -- the Condition 1 certificate of a parity set: each
   context product is +-I (compat.context_delta, from the words when every
   member is a Pauli word); a direct check, not a search;
@@ -98,62 +101,75 @@ def ks_colorability(
     """Complete backtracking search for a {0,1} coloring of the rays.
 
     Rules: orthogonal rays cannot both be 1; every basis carries exactly
-    one 1.  Assigning 1 propagates 0 to all neighbors; a basis whose
-    members are all 0 is an immediate conflict.  A ray's domain is a bit
-    mask (ZERO, ONE, or both), and an explicit stack of domain copies
-    visits the nodes depth first, 0 before 1, so no input reaches the
-    recursion limit.
+    one 1.  A node's domains are two int bit masks over the ray ids, ones
+    and zeros; a ray in neither is free.  Unit propagation sweeps until
+    nothing changes: each sweep zeroes the free neighbours of the rays that
+    became 1 since the last sweep, in ascending id order, then scans the
+    bases in order, setting a ray to 1 when it is the only one left that
+    can be 1 in its basis.  A 1 next to a 1, or a basis of 0s, is a
+    conflict.  propagations counts the rays so zeroed or set, up to the
+    conflict: a 1 meeting a 1 among its neighbours first zeroes the free
+    ones below it.  An explicit stack of (ones, zeros, new ones) visits the
+    nodes depth first, 0 before 1, so no input reaches the recursion limit.
     """
-    ZERO, ONE, BOTH = 1, 2, 3
     mu = len(oset)
+    masks = graph.masks
     stats = SearchStats()
+    bmasks = [sum(1 << i for i in b) for b in bases]
     # static branching order: rays in the most bases first, then degree
     in_bases = Counter(i for b in bases for i in b)
-    order_key = [(-in_bases[i], -len(graph.adjacency[i]), i) for i in range(mu)]
+    order = sorted(range(mu), key=lambda i: (-in_bases[i], -masks[i].bit_count(), i))
+    every = (1 << mu) - 1
 
-    def propagate(dom):
-        changed = True
-        while changed:
-            changed = False
-            for i, d in enumerate(dom):
-                if d == ONE:
-                    for j in graph.adjacency[i]:
-                        if dom[j] & ONE:
-                            if dom[j] == ONE:
-                                return False
-                            dom[j] = ZERO
-                            stats.propagations += 1
-                            changed = True
-            for b in bases:
-                can_be_one = [i for i in b if dom[i] & ONE]
-                if not can_be_one:
-                    return False
-                if len(can_be_one) == 1 and dom[can_be_one[0]] == BOTH:
-                    dom[can_be_one[0]] = ONE
+    def propagate(ones, zeros, new):
+        """The node's (ones, zeros, free) after propagation, or None on a
+        conflict."""
+        free = every ^ ones ^ zeros
+        while True:
+            while new:
+                low = new & -new
+                new ^= low
+                nb = masks[low.bit_length() - 1]
+                hit = nb & ones
+                if hit:
+                    stats.propagations += (nb & free & ((hit & -hit) - 1)).bit_count()
+                    return None
+                nb &= free
+                stats.propagations += nb.bit_count()
+                zeros |= nb
+                free ^= nb
+            alive = every ^ zeros
+            for b in bmasks:
+                live = b & alive
+                if not live:
+                    return None
+                if not live & (live - 1) and live & free:
+                    ones |= live
+                    free ^= live
+                    new |= live
                     stats.propagations += 1
-                    changed = True
-        return True
+            if not new:
+                return ones, zeros, free
 
     witness = None
-    stack = [bytearray([BOTH]) * mu]
+    stack = [(0, 0, 0)]
     while stack:
-        dom = stack.pop()
+        node = stack.pop()
         stats.nodes += 1
         if stats.nodes > node_cap:
             raise SearchBudgetExceeded(f"node cap {node_cap} exceeded")
-        if not propagate(dom):
+        node = propagate(*node)
+        if node is None:
             continue
-        free = [i for i, d in enumerate(dom) if d == BOTH]
+        ones, zeros, free = node
         if not free:
             # propagate leaves no adjacent pair of 1s and a 1 in every basis;
             # a basis is a clique, so that 1 is its only one
-            witness = {i: Fraction(int(dom[i] == ONE)) for i in range(mu)}
+            witness = {i: Fraction(ones >> i & 1) for i in range(mu)}
             break
-        var = min(free, key=order_key.__getitem__)
-        for x in (ONE, ZERO):  # pushed so that 0 is tried first
-            nxt = bytearray(dom)
-            nxt[var] = x
-            stack.append(nxt)
+        bit = 1 << next(i for i in order if free >> i & 1)
+        stack.append((ones | bit, zeros, bit))
+        stack.append((ones, zeros | bit, 0))  # pushed last so that 0 is tried first
     if witness is None:
         return ProofCertificate(KS_PROOF, "RayColoring", stats=stats)
     return ProofCertificate(NOT_KS_PROOF, "RayColoring", witness=witness, stats=stats)

@@ -10,13 +10,14 @@ Pauli words is multiplied as masks, with a phase in Z_4, and a context with
 any other member is multiplied out.
 For ray sets the orthogonality graph has one vertex per ray and an edge
 whenever the inner product of the underlying vectors vanishes, computed in
-integers on their primitive integral vectors; bases are its n-vertex
-cliques, grown from an explicit stack.
+integers on their primitive integral vectors.  Each ray's neighbours are one
+int bit mask, bit j set for ray j; bases are the graph's n-vertex cliques,
+grown from an explicit stack by intersecting masks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -62,19 +63,24 @@ def _commute(a: Observable, b: Observable) -> bool:
 
 @dataclass
 class OrthogonalityGraph:
-    """Vertices are ray ids; edges join rays with vanishing inner product."""
+    """Vertices are ray ids; edges join rays with vanishing inner product.
+
+    masks[i] is an int with bit j set exactly when rays i and j are
+    orthogonal (never bit i itself)."""
 
     oset: ObservableSet
-    adjacency: dict = field(default_factory=dict)  # id -> frozenset of ids
+    masks: list
 
     @cached_property
     def edges(self) -> list:
         """The pairs (i, j), i < j, in order; computed on first read."""
         out = []
-        for i in sorted(self.adjacency):
-            for j in sorted(self.adjacency[i]):
-                if i < j:
-                    out.append((i, j))
+        for i, m in enumerate(self.masks):
+            m = m >> (i + 1) << (i + 1)
+            while m:
+                low = m & -m
+                out.append((i, low.bit_length() - 1))
+                m ^= low
         return out
 
 
@@ -83,40 +89,41 @@ def build_orthogonality_graph(oset: ObservableSet) -> OrthogonalityGraph:
         raise NonRayMember("orthogonality graph requires a pure ray set")
     n = len(oset)
     keys = [obs.ray.key for obs in oset.observables]
-    adj = {i: set() for i in range(n)}
+    masks = [0] * n
     for i in range(n):
         ki = keys[i]
         for j in range(i + 1, n):
             if orthogonal_integral(ki, keys[j]):
-                adj[i].add(j)
-                adj[j].add(i)
-    return OrthogonalityGraph(
-        oset=oset, adjacency={i: frozenset(s) for i, s in adj.items()}
-    )
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return OrthogonalityGraph(oset=oset, masks=masks)
 
 
 def enumerate_bases(graph: OrthogonalityGraph) -> list:
     """All n-cliques of the orthogonality graph, as sorted id tuples.
 
     Each sorted clique on the stack keeps its candidates, the later
-    vertices adjacent to all its members, and is extended by each in turn;
-    a branch stops as soon as its clique and remaining candidates together
-    fall short of n.  Each n-clique is an orthogonal basis of C^n, so its
-    projectors sum to I: the basis half of Condition 1 for ray sets
+    vertices adjacent to all its members, as an int bit mask.  It is
+    extended by each candidate in turn, lowest first, which keeps the
+    later candidates in its own mask; a branch stops as soon as its clique
+    and remaining candidates together fall short of n.  Each n-clique is an orthogonal basis of C^n,
+    so its projectors sum to I: the basis half of Condition 1 for ray sets
     (sum P_i - 1 = 0).
     """
-    n, adj = graph.oset.dim, graph.adjacency
+    n, masks = graph.oset.dim, graph.masks
     bases = []
-    stack = [((), sorted(adj))]
+    stack = [((), (1 << len(masks)) - 1)]
     while stack:
         clique, cands = stack.pop()
-        if len(clique) == n:
+        need = n - len(clique)
+        if not need:
             bases.append(clique)
             continue
-        for pos, v in enumerate(cands):
-            if len(clique) + len(cands) - pos < n:
-                break
-            stack.append((clique + (v,), [u for u in cands[pos + 1 :] if u in adj[v]]))
+        while cands.bit_count() >= need:
+            low = cands & -cands
+            cands ^= low
+            v = low.bit_length() - 1
+            stack.append((clique + (v,), cands & masks[v]))
     return sorted(bases)
 
 

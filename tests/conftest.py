@@ -9,7 +9,7 @@ from kscert import (
     enumerate_bases,
 )
 from kscert import catalog
-from kscert.exact import ExactMatrix, mat_mul
+from kscert.exact import ExactMatrix, commutes, mat_mul, pauli_matrix
 
 
 @pytest.fixture(scope="session")
@@ -67,11 +67,29 @@ def eigenray_set(name, prefix="r"):
     prefix2, ...  Peres' 24 rays from mermin-peres, Kernaghan and Peres' 40
     from mermin-pentagram."""
     source = catalog.get(name).load()
-    n = source.dim
+    return _eigenray_set(source.dim, [[source[i].matrix for i in ids]
+                                      for ids in source.declared_contexts], prefix)
+
+
+def stabilizer_ray_set(prefix="s"):
+    """The 60 two-qubit stabilizer states, as eigenray_set builds its rays:
+    the contexts are the 15 maximal commuting sets of two-qubit Pauli
+    words, each three pairwise commuting words taken in lexicographic order
+    of the letters IXYZ."""
+    words = ["".join(w) for w in itertools.product("IXYZ", repeat=2)][1:]
+    contexts = [ctx for ctx in itertools.combinations(words, 3)
+                if all(commutes(pauli_matrix(a), pauli_matrix(b))
+                       for a, b in itertools.combinations(ctx, 2))]
+    assert len(contexts) == 15
+    return _eigenray_set(4, [[pauli_matrix(w) for w in ctx] for ctx in contexts], prefix)
+
+
+def _eigenray_set(n, contexts, prefix):
+    """eigenray_set's rays from each context's n x n matrices."""
     one = ExactMatrix.identity(n)
     oset = ObservableSet(dim=n)
-    for ids in source.declared_contexts:
-        gens = [source[i].matrix for i in ids[:-1]]
+    for members in contexts:
+        gens = members[:-1]
         for signs in itertools.product((1, -1), repeat=len(gens)):
             proj = one
             for g, sign in zip(gens, signs):

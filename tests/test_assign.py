@@ -1,5 +1,7 @@
 """Search engines: ray coloring, parity certification, general CSP, bounds."""
 
+import collections
+import functools
 import itertools
 import random
 import re
@@ -69,6 +71,84 @@ def brute_force_coloring(n, edges, bases):
     return sols
 
 
+def ks_colorability_oracle(mu, adjacency, bases, node_cap):
+    """The oracle: the sweep ks_colorability ran before its domains were bit
+    masks, one bytearray of domains per node, its neighbours visited in
+    sorted order.  Every sweep runs over all 1s and all bases, until one
+    changes nothing.  Returns (witness, nodes, propagations), the witness a
+    tuple of 0s and 1s or None."""
+    ZERO, ONE, BOTH = 1, 2, 3
+    in_bases = collections.Counter(i for b in bases for i in b)
+    order_key = [(-in_bases[i], -len(adjacency[i]), i) for i in range(mu)]
+    nodes = propagations = 0
+
+    def propagate(dom):
+        nonlocal propagations
+        changed = True
+        while changed:
+            changed = False
+            for i, d in enumerate(dom):
+                if d == ONE:
+                    for j in sorted(adjacency[i]):
+                        if dom[j] & ONE:
+                            if dom[j] == ONE:
+                                return False
+                            dom[j] = ZERO
+                            propagations += 1
+                            changed = True
+            for b in bases:
+                can_be_one = [i for i in b if dom[i] & ONE]
+                if not can_be_one:
+                    return False
+                if len(can_be_one) == 1 and dom[can_be_one[0]] == BOTH:
+                    dom[can_be_one[0]] = ONE
+                    propagations += 1
+                    changed = True
+        return True
+
+    stack = [bytearray([BOTH]) * mu]
+    while stack:
+        dom = stack.pop()
+        nodes += 1
+        if nodes > node_cap:
+            raise SearchBudgetExceeded(f"node cap {node_cap} exceeded")
+        if not propagate(dom):
+            continue
+        free = [i for i, d in enumerate(dom) if d == BOTH]
+        if not free:
+            return tuple(int(d == ONE) for d in dom), nodes, propagations
+        var = min(free, key=order_key.__getitem__)
+        for x in (ONE, ZERO):
+            nxt = bytearray(dom)
+            nxt[var] = x
+            stack.append(nxt)
+    return None, nodes, propagations
+
+
+@functools.cache
+def _ray_set(mu):
+    """mu rays for a search that reads only how many there are."""
+    oset = ObservableSet(dim=2)
+    oset.observables += [ray_observable(make_ray((1, k))) for k in range(mu)]
+    return oset
+
+
+@st.composite
+def colouring_instances(draw):
+    """A graph on 4 to 90 vertices with bases: each basis a set of 2 to 5
+    vertices made a clique, in the order drawn, plus edges drawn apart
+    from the bases."""
+    mu = draw(st.integers(4, 90))
+    d = draw(st.integers(2, min(5, mu)))
+    vertex = st.integers(0, mu - 1)
+    bases = draw(st.lists(st.lists(vertex, min_size=d, max_size=d, unique=True).map(
+        lambda b: tuple(sorted(b))), max_size=mu))
+    pairs = {p for b in bases for p in itertools.combinations(b, 2)}
+    pairs |= {(min(p), max(p)) for p in draw(st.lists(st.tuples(vertex, vertex), max_size=3 * mu))
+              if p[0] != p[1]}
+    return mu, sorted(pairs), bases
+
+
 class TestKSColorability:
     def test_single_basis_colorable(self, basis3):
         g = build_orthogonality_graph(basis3)
@@ -119,8 +199,7 @@ class TestKSColorability:
         oset = ObservableSet(dim=2)
         for k in range(1, n + 1):
             oset.observables += [ray_observable(make_ray(v)) for v in ((1, k), (-k, 1))]
-        adjacency = {i: frozenset({i ^ 1}) for i in range(2 * n)}
-        graph = OrthogonalityGraph(oset=oset, adjacency=adjacency)
+        graph = OrthogonalityGraph(oset=oset, masks=[1 << (i ^ 1) for i in range(2 * n)])
         bases = [(2 * k, 2 * k + 1) for k in range(n)]
         cert = ks_colorability(oset, graph, bases)
         assert not cert.is_proof
@@ -153,6 +232,33 @@ class TestKSColorability:
         assert cert.is_proof == (not sols)
         if not cert.is_proof:
             assert tuple(cert.witness[i] for i in range(len(oset))) in sols
+
+
+    @given(colouring_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sorted_sweep_oracle(self, instance):
+        """Verdict, witness, nodes and propagations all agree with the
+        oracle, whose neighbours are visited in ascending id order."""
+        mu, edges, bases = instance
+        masks, adjacency = [0] * mu, [set() for _ in range(mu)]
+        for i, j in edges:
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+        oset = _ray_set(mu)
+        graph = OrthogonalityGraph(oset=oset, masks=masks)
+        assert graph.edges == edges
+        try:
+            want = ks_colorability_oracle(mu, adjacency, bases, node_cap=2000)
+        except SearchBudgetExceeded:
+            with pytest.raises(SearchBudgetExceeded):
+                ks_colorability(oset, graph, bases, node_cap=2000)
+            return
+        cert = ks_colorability(oset, graph, bases, node_cap=2000)
+        witness = None if cert.witness is None else tuple(cert.witness[i] for i in range(mu))
+        assert (witness, cert.stats.nodes, cert.stats.propagations) == want
+        assert cert.is_proof == (witness is None)
 
 
 class TestParityCertify:

@@ -28,7 +28,7 @@ from kscert.prooffile import (
     render_input_section,
 )
 
-from conftest import eigenray_set
+from conftest import eigenray_set, stabilizer_ray_set
 
 
 class TestParseScalar:
@@ -259,15 +259,31 @@ class TestVerifyCommand:
         (("--catalog", "mermin-peres"), "search: 74 nodes, 76 propagations"),
         (("--catalog", "mermin-pentagram"), "search: 230 nodes, 232 propagations"),
         (("--input", GENERAL_MP), "search: 74 nodes, 76 propagations"),
-    ], ids=["mermin-peres", "mermin-pentagram", "general-mermin-peres"])
+        (("--catalog", "cabello-18"), "search: 31 nodes, 131 propagations"),
+        (("--catalog", "peres-33"), "search: 47 nodes, 424 propagations"),
+        (("--eigenrays", "peres-24"), "search: 31 nodes, 203 propagations"),
+        (("--eigenrays", "kp-40"), "search: 127 nodes, 725 propagations"),
+        (("--eigenrays", "kp-40"), "method: RayColoring (25 bases, 460 edges)"),
+        (("--eigenrays", "stabilizer-60"), "search: 63 nodes, 815 propagations"),
+    ], ids=["mermin-peres", "mermin-pentagram", "general-mermin-peres", "cabello-18",
+            "peres-33", "peres-24", "kp-40", "kp-40-method", "stabilizer-60"])
     def test_search_line(self, capsys, tmp_path, source, line):
         option, value = source
+        if option == "--eigenrays":  # a generated ray set, written as a file
+            option, value = "--input", _eigenray_file(value)
         if option == "--input":
             (tmp_path / "mp.txt").write_text(value)
             value = str(tmp_path / "mp.txt")
         code, out, _ = run(capsys, "verify", option, value)
         assert code == 0
         assert line in out.splitlines()
+
+    @pytest.mark.parametrize("cap,code", [(126, 4), (127, 0)])
+    def test_ray_search_node_cap(self, capsys, tmp_path, cap, code):
+        """The ray search on KP-40 takes exactly 127 nodes."""
+        path = tmp_path / "kp-40.txt"
+        path.write_text(_eigenray_file("kp-40"))
+        assert run(capsys, "verify", "--input", str(path), "--node-cap", str(cap))[0] == code
 
     def test_budget_exceeded(self, capsys):
         code, _, err = run(
@@ -553,6 +569,14 @@ class TestFuzzProofFiles:
 
 
 class TestDeriveCommand:
+    def test_stabilizer_rays(self, capsys, tmp_path):
+        """The 60 two-qubit stabilizer states (verify: test_search_line)."""
+        path = tmp_path / "stabilizer-60.txt"
+        path.write_text(_eigenray_file("stabilizer-60"))
+        code, out, _ = run(capsys, "derive", "--input", str(path))
+        assert code == 0
+        assert "bound: 104 (certified); quantum value: 105" in out.splitlines()
+
     def test_mermin_peres(self, capsys):
         code, out, _ = run(
             capsys, "derive", "--catalog", "mermin-peres", "--exact-bound"
@@ -1078,6 +1102,8 @@ WORKLOAD_DIGESTS = {
 
 @functools.cache
 def _eigenray_file(name):
+    if name == "stabilizer-60":
+        return render_input_section(proof_file_from_set(stabilizer_ray_set(), "ray"))
     source, prefix = {"peres-24": ("mermin-peres", "p"), "kp-40": ("mermin-pentagram", "k")}[name]
     return render_input_section(proof_file_from_set(eigenray_set(source, prefix), "ray"))
 

@@ -27,7 +27,7 @@ from kscert.exact import Scalar, commutes, inner, mask_matrix, mat_mul, pauli_ma
 from kscert.model import ObservableSet, make_observable, pauli_observable
 from kscert.exact import PAULI
 
-from conftest import eigenray_set, single_basis_set
+from conftest import eigenray_set, single_basis_set, stabilizer_ray_set
 from test_acceptance import _random_ray_set
 from test_model import ray_vector_lists
 
@@ -40,7 +40,7 @@ class TestGraph:
     def test_edges_computed_once(self, basis3):
         g = build_orthogonality_graph(basis3)
         assert g.edges is g.edges
-        built = OrthogonalityGraph(oset=basis3, adjacency=dict(g.adjacency))
+        built = OrthogonalityGraph(oset=basis3, masks=list(g.masks))
         assert built.edges == g.edges
 
     def test_non_orthogonal_no_edge(self):
@@ -126,18 +126,17 @@ def graphs(draw):
     pairs = list(itertools.combinations(vertices, 2))
     edges = [p for p, edge in zip(pairs, draw(st.lists(
         st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if edge]
-    adjacency = {i: set() for i in vertices}
+    masks = [0 for _ in vertices]
     for i, j in edges:
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-    return OrthogonalityGraph(oset=ObservableSet(dim=draw(st.integers(1, 4))),
-                              adjacency={i: frozenset(s) for i, s in adjacency.items()})
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    return OrthogonalityGraph(oset=ObservableSet(dim=draw(st.integers(1, 4))), masks=masks)
 
 
 def _nx_cliques(graph, n):
     """The oracle: networkx's cliques of the graph with n vertices."""
     g = nx.Graph()
-    g.add_nodes_from(graph.adjacency)
+    g.add_nodes_from(range(len(graph.masks)))
     g.add_edges_from(graph.edges)
     return sorted(tuple(sorted(c)) for c in nx.enumerate_all_cliques(g) if len(c) == n)
 
@@ -176,9 +175,9 @@ class TestEnumerateBases:
 
     def test_basis_larger_than_recursion_limit(self):
         n = sys.getrecursionlimit() + 100
-        everything = frozenset(range(n))
+        everything = (1 << n) - 1
         graph = OrthogonalityGraph(oset=ObservableSet(dim=n),
-                                   adjacency={i: everything - {i} for i in range(n)})
+                                   masks=[everything ^ 1 << i for i in range(n)])
         assert enumerate_bases(graph) == [tuple(range(n))]
 
     def test_order_independence(self, cabello):
@@ -200,6 +199,21 @@ class TestEnumerateBases:
         g = build_orthogonality_graph(two_bases)
         bases = enumerate_bases(g)
         assert bases == [(0, 1, 2), (0, 3, 4)]
+
+
+class TestStabilizerRays:
+    """The 60 two-qubit stabilizer states: their graph against exact.inner
+    and their bases against networkx."""
+
+    def test_rays_edges_bases(self):
+        oset = stabilizer_ray_set()
+        graph = build_orthogonality_graph(oset)
+        assert len(oset) == 60
+        assert len(graph.edges) == 450
+        assert graph.edges == _inner_edges(oset)
+        bases = enumerate_bases(graph)
+        assert len(bases) == 105
+        assert bases == _nx_cliques(graph, 4)
 
 
 class TestValidateContext:
