@@ -22,6 +22,7 @@ from .derive import (
     build_complete_set_rays,
     check_form,
     decide,
+    decide_rays,
     member_constants,
     present,
     witness_str,
@@ -102,14 +103,20 @@ def _build_complete_set(loaded):
 
 def cmd_verify(args) -> int:
     loaded = _load(args)
-    cs = _build_complete_set(loaded)
-    cert = decide(cs, node_cap=args.node_cap)
-    if cert.is_proof:
-        member_constants(cs)  # exit 3 where derive cannot fix a c_i
-    if cs.graph is None:
-        print(f"method: {cert.method} ({len(cs)} polynomials)")
+    if loaded.mode == "ray":
+        # decided from the graph and bases alone, building no member; ray
+        # members have c = 1 by construction, so member_constants has
+        # nothing to check
+        graph = build_orthogonality_graph(loaded.oset)
+        bases = enumerate_bases(graph)
+        cert = decide_rays(loaded.oset, graph, bases, node_cap=args.node_cap)
+        print(f"method: {cert.method} ({len(bases)} bases, {len(graph.edges)} edges)")
     else:
-        print(f"method: {cert.method} ({len(cs.bases)} bases, {len(cs.graph.edges)} edges)")
+        cs = _build_complete_set(loaded)
+        cert = decide(cs, node_cap=args.node_cap)
+        if cert.is_proof:
+            member_constants(cs)  # exit 3 where derive cannot fix a c_i
+        print(f"method: {cert.method} ({len(cs)} polynomials)")
     print(f"verdict: {cert.verdict}")
     print(f"search: {cert.stats.nodes} nodes, {cert.stats.propagations} propagations")
     if cert.witness is not None:

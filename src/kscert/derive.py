@@ -10,6 +10,7 @@ an integer-coefficient score with explicit classical bound and quantum value.
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -88,7 +89,8 @@ def build_complete_set_rays(
     and 1, basis sums the integers -1 to n - 1).  Condition 1 holds by
     construction: edges join exactly orthogonal rays (P_i P_j = 0), and
     bases sum to I (see enumerate_bases).  The set records graph and bases,
-    whose coloring rules are exactly its members (see decide)."""
+    whose coloring rules are exactly its members (see decide), and from
+    which ray_F sums its F; it is the only builder that records a graph."""
     polys = [_ray_member({((i, 1), (j, 1)): ONE}, oset) for i, j in graph.edges]
     polys += [_basis_poly(oset, b) for b in bases]
     return CompleteSet(oset, polys, RAY_EDGES_BASES, graph=graph, bases=list(bases))
@@ -150,6 +152,14 @@ def member_constants(cs: CompleteSet) -> list:
     return constants
 
 
+def decide_rays(oset: ObservableSet, graph: OrthogonalityGraph, bases: Sequence[tuple],
+                node_cap: int = DEFAULT_NODE_CAP) -> ProofCertificate:
+    """decide's verdict on the set build_complete_set_rays would build from
+    graph and bases, without building its members: ks_colorability's
+    rules are exactly those members."""
+    return ks_colorability(oset, graph, bases, node_cap=node_cap)
+
+
 def decide(cs: CompleteSet, node_cap: int = DEFAULT_NODE_CAP) -> ProofCertificate:
     """Condition 2, the verdict of verify and of derive's certified route:
     KSProof iff no value assignment zeroes every member, else a witness that
@@ -158,7 +168,7 @@ def decide(cs: CompleteSet, node_cap: int = DEFAULT_NODE_CAP) -> ProofCertificat
     by general_unsat, whose witness full_witness extends to the observables
     in no member, as max_F's.  The c_i are member_constants' question."""
     if cs.graph is not None:
-        return ks_colorability(cs.oset, cs.graph, cs.bases, node_cap=node_cap)
+        return decide_rays(cs.oset, cs.graph, cs.bases, node_cap=node_cap)
     cert = general_unsat(cs.oset, cs.polynomials, node_cap=node_cap)
     if cert.witness is not None:
         cert.witness = full_witness(cs.oset, cert.witness)
@@ -213,6 +223,10 @@ def assemble_F(
     rational c_i, or with a wrong declared one, sends it to the certified
     route, so not-a-proof is still reported before the normalization error.
     The returned complete set carries the c_i used.
+
+    On either route, F of a set that records a graph (built by
+    build_complete_set_rays, each member with c = 1) is ray_F's sum of
+    counts; every other set's is sum_of_squares'.
     """
     oset = cs.oset
     constants = None
@@ -232,17 +246,42 @@ def assemble_F(
         )
     if constants is None:
         constants = member_constants(cs)
-    # only a member whose c_i was computed is copied; a builder's is kept
+    # only a member whose c_i was computed is copied; a builder's is kept,
+    # as the same object (an identity test, not a Fraction comparison)
     changed = {k: replace(cp, c=c) for k, (cp, c) in enumerate(zip(cs.polynomials, constants))
-               if cp.c != c}
+               if cp.c is not c}
     if changed:
         cs = replace(cs, polynomials=[changed.get(k, cp) for k, cp in enumerate(cs.polynomials)])
-    return Inequality(
-        oset=oset,
-        complete_set=cs,
-        F=sum_of_squares(cs.polynomials, oset.spectra()),
-        classical=classical,
-    )
+    if cs.graph is None:
+        F = sum_of_squares(cs.polynomials, oset.spectra())
+    else:
+        F = ray_F(cs.graph.edges, cs.bases)
+    return Inequality(oset=oset, complete_set=cs, F=F, classical=classical)
+
+
+def ray_F(edges: Sequence[tuple], bases: Sequence[tuple]) -> Poly:
+    """F of the complete set build_complete_set_rays builds from edges and
+    bases, from counts alone; sum_of_squares is its oracle.
+
+    Each member has c = 1, and P^2 = P on a ray's spectrum (0, 1).  So the
+    edge member P_i P_j gives -P_i P_j, and the basis member sum P_i - 1
+    gives -1 + sum P_i - 2 sum_{i<j} P_i P_j, where every pair is an edge.
+    Hence F = -B + sum_i m_i P_i - sum_edges (1 + 2 m_ij) P_i P_j, with B
+    the number of bases, m_i the number that hold ray i and m_ij the number
+    that hold edge ij (Cabello, Severini and Winter's weighted graph).  The
+    counts are ints, over denominator 1.
+
+    P^2 = P needs d >= 2.  In d = 1, P = I and every member is 0, but
+    assemble_F never reaches F there: a ray set in d <= 2 is colourable.
+    """
+    pairs = dict.fromkeys(edges, 1)
+    for b in bases:
+        for e in combinations(b, 2):  # bases are sorted, as edges are
+            pairs[e] += 2
+    nums = {(): (-len(bases), 0)}
+    nums.update((((i, 1),), (m, 0)) for i, m in Counter(i for b in bases for i in b).items())
+    nums.update((((i, 1), (j, 1)), (-w, 0)) for (i, j), w in pairs.items())
+    return _int_poly(nums, 1)
 
 
 def sum_of_squares(members: Sequence[ContextPolynomial], spectra) -> Poly:
@@ -265,7 +304,8 @@ def sum_of_squares(members: Sequence[ContextPolynomial], spectra) -> Poly:
     only a monomial with an exponent at or above its spectrum's size is
     lowered (poly.lowering), and the remainders' rational coefficients are
     brought to one more denominator D, so F = -num / (L D).  The
-    member-by-member sum of normalized_square is the test oracle.
+    member-by-member sum of normalized_square is the test oracle.  On ray
+    sets assemble_F takes ray_F's closed form, and this is its oracle.
     """
     cleared = [(cp, *integral(cp.poly.terms.values())) for cp in members]
     L = lcm(*(den * den * cp.c.numerator for cp, den, _ in cleared))

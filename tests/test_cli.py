@@ -278,6 +278,28 @@ class TestVerifyCommand:
         assert code == 0
         assert line in out.splitlines()
 
+    def test_ray_verify_builds_no_member(self, capsys, monkeypatch, tmp_path):
+        """verify decides a ray set from its graph and bases alone, with the
+        output it had when it built the complete set first; derive still
+        builds every member."""
+        calls = []
+
+        def counted(*args, original=derive._ray_member):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(derive, "_ray_member", counted)
+        path = tmp_path / "kp-40.txt"
+        path.write_text(_eigenray_file("kp-40"))
+        code, out, _ = run(capsys, "verify", "--input", str(path))
+        assert code == 0
+        assert calls == []
+        assert out == ("method: RayColoring (25 bases, 460 edges)\n"
+                       "verdict: KSProof\n"
+                       "search: 127 nodes, 725 propagations\n")
+        assert run(capsys, "derive", "--input", str(path))[0] == 0
+        assert len(calls) == 485
+
     @pytest.mark.parametrize("cap,code", [(126, 4), (127, 0)])
     def test_ray_search_node_cap(self, capsys, tmp_path, cap, code):
         """The ray search on KP-40 takes exactly 127 nodes."""

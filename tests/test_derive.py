@@ -6,9 +6,12 @@ import math
 import random
 from collections import Counter
 from contextlib import suppress
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kscert import assign as assign_mod
 from kscert import catalog, derive
@@ -30,6 +33,7 @@ from kscert.derive import (
     check_form,
     expectation,
     present,
+    ray_F,
     sum_of_squares,
 )
 from kscert.errors import (
@@ -59,6 +63,7 @@ from kscert.prooffile import parse
 
 from conftest import eigenray_set, single_basis_set, two_bases_set
 from test_cli import GENERAL_MP
+from test_compat import graphs
 
 
 def ray_witness_polynomial(edges, bases):
@@ -448,6 +453,93 @@ def test_assemble_F_makes_no_scalar_sums_or_products(monkeypatch, name, exact_bo
         monkeypatch.setattr(Scalar, op, counted)
     assemble_F(cs, exact_bound=exact_bound)
     assert calls == Counter()
+
+
+@st.composite
+def graphs_with_bases(draw):
+    """A graph shaped like test_compat.graphs, with a set of its cliques of
+    any size as bases: rays and edges may lie in no basis or in several."""
+    graph = draw(graphs())
+    n, masks = len(graph.masks), graph.masks
+    cliques = [c for k in range(1, n + 1) for c in itertools.combinations(range(n), k)
+               if all(masks[i] >> j & 1 for i, j in itertools.combinations(c, 2))]
+    bases = draw(st.lists(st.sampled_from(cliques), unique=True)) if cliques else []
+    return graph, sorted(bases)
+
+
+def _ray_members(edges, bases):
+    """build_complete_set_rays' members on these edges and bases, each
+    variable with the spectrum (0, 1): P_i P_j and sum P_i - 1, c = 1."""
+    members = [ContextPolynomial(Poly({((i, 1), (j, 1)): 1})) for i, j in edges]
+    members += [ContextPolynomial(Poly({((i, 1),): 1 for i in b} | {(): -1})) for b in bases]
+    return members
+
+
+class TestRayF:
+    """ray_F's closed form against sum_of_squares, its oracle."""
+
+    @given(graphs_with_bases())
+    @settings(max_examples=150, deadline=None)
+    def test_sum_of_squares_oracle(self, structure):
+        graph, bases = structure
+        spectra = [(Fraction(0), Fraction(1))] * len(graph.masks)
+        F = ray_F(graph.edges, bases)
+        assert F == sum_of_squares(_ray_members(graph.edges, bases), spectra)
+        assert F == ray_witness_polynomial(graph.edges, bases)
+        _assert_clean(F)
+
+    def test_counts(self):
+        # a triangle 0-1-2 and the edges 0-3, 1-3 and 3-4; ray 5 is isolated
+        edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (3, 4)]
+        bases = [(0, 1, 2), (0, 1, 3)]
+        F = ray_F(edges, bases)
+        assert F == sum_of_squares(_ray_members(edges, bases), [(Fraction(0), Fraction(1))] * 6)
+        coefs = {tuple(i for i, _ in m): c.rational() for m, c in F.terms.items()}
+        assert coefs == {
+            (): -2,  # B = 2
+            (0,): 2, (1,): 2, (2,): 1, (3,): 1,  # m_i; rays 4 and 5 lie in no basis
+            (0, 1): -5,  # in both bases
+            (0, 2): -3, (0, 3): -3, (1, 2): -3, (1, 3): -3,  # in one
+            (3, 4): -1,  # in none
+        }
+        assert ray_F(edges, []) == Poly({((i, 1), (j, 1)): -1 for i, j in edges})
+        assert ray_F([], []) == Poly()
+
+
+@pytest.mark.parametrize("exact_bound", [False, True], ids=["certified", "exact-bound"])
+@pytest.mark.parametrize("name", ["peres-24", "kp-40"])
+def test_assemble_F_takes_ray_F_on_ray_sets(monkeypatch, name, exact_bound):
+    """On a set that records a graph, neither route squares a member:
+    assemble_F calls neither sum_of_squares nor lowering nor integral."""
+    cs = _eigenray_complete_set({"peres-24": "mermin-peres", "kp-40": "mermin-pentagram"}[name])
+    F = sum_of_squares(cs.polynomials, cs.oset.spectra())
+    calls = Counter()
+    for fn in ("sum_of_squares", "lowering", "integral"):
+        def counted(*args, fn=fn, original=getattr(derive, fn)):
+            calls[fn] += 1
+            return original(*args)
+        monkeypatch.setattr(derive, fn, counted)
+    ineq = assemble_F(cs, exact_bound=exact_bound)
+    assert calls == Counter()
+    assert ineq.F == F
+
+
+def test_ray_set_without_graph_sums_squares(monkeypatch, cabello):
+    """ray_F is taken on the graph, not the provenance: a RayEdgesBases set
+    that records no graph goes through sum_of_squares."""
+    oset, graph, bases = cabello
+    cs = replace(build_complete_set_rays(oset, graph, bases), graph=None, bases=None)
+    calls = []
+
+    def counted(*args, original=derive.sum_of_squares):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(derive, "sum_of_squares", counted)
+    ineq = assemble_F(cs)
+    assert cs.provenance == RAY_EDGES_BASES
+    assert len(calls) == 1
+    assert ineq.F == ray_F(graph.edges, bases)
 
 
 def _assert_clean(p: Poly):
