@@ -359,14 +359,14 @@ def general_unsat(
 
 def max_F(
     oset: ObservableSet,
-    complete_set: Sequence[ContextPolynomial],
-    constants: Sequence[Fraction],
+    members: Sequence[ContextPolynomial],
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> BoundResult:
     """Exact maximum of F = -sum |r_i|^2 / c_i over value assignments, one
-    factor per r_i, so F itself is never evaluated.  It is 0 exactly when
-    some assignment zeroes every r_i, that is when there is no KS proof.
-    The witness assigns every observable (full_witness).
+    factor per member r_i, read with its c_i, so F itself is never
+    evaluated.  It is 0 exactly when some assignment zeroes every r_i, that
+    is when there is no KS proof.  The witness assigns every observable
+    (full_witness).
 
     integral_evaluator gives v_i = t_i r_i as ints for an int scale t_i, so
     with c_i = p_i/q_i the factor -|r_i|^2 / c_i is -|v_i|^2 q_i / (t_i^2 p_i),
@@ -374,11 +374,11 @@ def max_F(
     ValueError.
     """
     spectra = oset.spectra()
-    members = []
-    for cp, c in zip(complete_set, constants):
+    cleared = []
+    for cp in members:
         scale, value = integral_evaluator(cp.poly, spectra)
-        members.append((cp.poly.variables(), value, scale * scale, c))
-    L = lcm(*(t2 * c.numerator for _, _, t2, c in members))
+        cleared.append((cp.poly.variables(), value, scale * scale, cp.c))
+    L = lcm(*(t2 * c.numerator for _, _, t2, c in cleared))
 
     def weight(value, t2, k):
         def f(a):
@@ -390,7 +390,7 @@ def max_F(
         return f
 
     factors = [(ids, weight(value, t2, c.denominator * (L // (t2 * c.numerator))))
-               for ids, value, t2, c in members]
+               for ids, value, t2, c in cleared]
     best, witness, stats = branch_and_bound(oset, factors, node_cap=node_cap)
     return BoundResult(
         kind="exact", value=Fraction(best, L), witness=full_witness(oset, witness), stats=stats

@@ -12,7 +12,7 @@ import sys
 from collections import namedtuple
 
 from . import catalog as catalog_mod
-from .assign import DEFAULT_NODE_CAP
+from .assign import DEFAULT_NODE_CAP, ks_colorability
 from .compat import build_orthogonality_graph, enumerate_bases
 from .derive import (
     assemble_F,
@@ -22,10 +22,9 @@ from .derive import (
     build_complete_set_rays,
     check_form,
     decide,
-    decide_rays,
-    member_constants,
     present,
     witness_str,
+    with_constants,
 )
 from .errors import (
     KSCertError,
@@ -104,18 +103,18 @@ def _build_complete_set(loaded):
 def cmd_verify(args) -> int:
     loaded = _load(args)
     if loaded.mode == "ray":
-        # decided from the graph and bases alone, building no member; ray
-        # members have c = 1 by construction, so member_constants has
-        # nothing to check
+        # decide's engine on a ray set, fed the graph and bases alone, so no
+        # member is built; ray members have c = 1 by construction, so
+        # with_constants has nothing to check
         graph = build_orthogonality_graph(loaded.oset)
         bases = enumerate_bases(graph)
-        cert = decide_rays(loaded.oset, graph, bases, node_cap=args.node_cap)
+        cert = ks_colorability(loaded.oset, graph, bases, node_cap=args.node_cap)
         print(f"method: {cert.method} ({len(bases)} bases, {len(graph.edges)} edges)")
     else:
         cs = _build_complete_set(loaded)
         cert = decide(cs, node_cap=args.node_cap)
         if cert.is_proof:
-            member_constants(cs)  # exit 3 where derive cannot fix a c_i
+            with_constants(cs)  # exit 3 where derive cannot fix a c_i
         print(f"method: {cert.method} ({len(cs)} polynomials)")
     print(f"verdict: {cert.verdict}")
     print(f"search: {cert.stats.nodes} nodes, {cert.stats.propagations} propagations")

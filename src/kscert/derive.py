@@ -130,34 +130,28 @@ def build_complete_set_general(oset: ObservableSet, polynomials: Sequence) -> Co
     return CompleteSet(oset=oset, polynomials=list(polynomials), provenance=USER_SUPPLIED)
 
 
-def member_constants(cs: CompleteSet) -> list:
-    """The c_i of every member, in member order; no other code fixes a c_i.
-    A builder's stated c_i is kept; a member with no c, and every
-    user-supplied member, gets normalization_constant's, which raises
-    IdenticallyZeroOnAssignments where there is none.  A declared c that
-    differs raises NormalizationMismatch.  Either error names the first
-    faulty member."""
+def with_constants(cs: CompleteSet) -> CompleteSet:
+    """cs with every member's c_i fixed; no other code fixes a c_i.  A
+    builder's stated c_i is kept, and cs itself is returned when every c_i
+    is a builder's.  A member with no c, and every user-supplied member, gets
+    normalization_constant's, which raises IdenticallyZeroOnAssignments
+    where there is none.  A declared c that differs raises
+    NormalizationMismatch.  Either error names the first faulty member."""
     user = cs.provenance == USER_SUPPLIED
-    constants = []
+    if not user and all(cp.c is not None for cp in cs.polynomials):
+        return cs
+    polys = []
     for idx, cp in enumerate(cs.polynomials):
-        c = cp.c
-        if c is None or user:
+        if cp.c is None or user:
             try:
                 c = normalization_constant(cp, cs.oset)
             except IdenticallyZeroOnAssignments as ex:
                 raise IdenticallyZeroOnAssignments(f"polynomial {idx}: {ex}") from None
             if cp.c not in (None, c):
                 raise NormalizationMismatch(idx, cp.c, c)
-        constants.append(c)
-    return constants
-
-
-def decide_rays(oset: ObservableSet, graph: OrthogonalityGraph, bases: Sequence[tuple],
-                node_cap: int = DEFAULT_NODE_CAP) -> ProofCertificate:
-    """decide's verdict on the set build_complete_set_rays would build from
-    graph and bases, without building its members: ks_colorability's
-    rules are exactly those members."""
-    return ks_colorability(oset, graph, bases, node_cap=node_cap)
+            cp = replace(cp, c=c)
+        polys.append(cp)
+    return replace(cs, polynomials=polys)
 
 
 def decide(cs: CompleteSet, node_cap: int = DEFAULT_NODE_CAP) -> ProofCertificate:
@@ -166,9 +160,9 @@ def decide(cs: CompleteSet, node_cap: int = DEFAULT_NODE_CAP) -> ProofCertificat
     does.  A set with a recorded graph is decided by ks_colorability, whose
     rules are exactly its members and which is far faster there; any other
     by general_unsat, whose witness full_witness extends to the observables
-    in no member, as max_F's.  The c_i are member_constants' question."""
+    in no member, as max_F's.  The c_i are with_constants' question."""
     if cs.graph is not None:
-        return decide_rays(cs.oset, cs.graph, cs.bases, node_cap=node_cap)
+        return ks_colorability(cs.oset, cs.graph, cs.bases, node_cap=node_cap)
     cert = general_unsat(cs.oset, cs.polynomials, node_cap=node_cap)
     if cert.witness is not None:
         cert.witness = full_witness(cs.oset, cert.witness)
@@ -218,7 +212,7 @@ def assemble_F(
     r_i costs at least 1 once divided by c_i), and the exact bound maximises
     F = -sum |r_i|^2 / c_i, where a maximum of 0 means not a proof.
 
-    The c_i come from member_constants, after the verdict on the certified
+    The c_i come from with_constants, after the verdict on the certified
     route.  The exact route needs them before max_F; a member without a
     rational c_i, or with a wrong declared one, sends it to the certified
     route, so not-a-proof is still reported before the normalization error.
@@ -229,29 +223,22 @@ def assemble_F(
     counts; every other set's is sum_of_squares'.
     """
     oset = cs.oset
-    constants = None
+    fixed = None
     if exact_bound:
         with suppress(IdenticallyZeroOnAssignments, NormalizationMismatch):
-            constants = member_constants(cs)
-    if constants is None:
+            fixed = with_constants(cs)
+    if fixed is None:
         cert = decide(cs, node_cap=node_cap)
         witness = cert.witness
         classical = BoundResult(kind="certified", value=Fraction(-1), stats=cert.stats)
     else:
-        classical = max_F(oset, cs.polynomials, constants, node_cap=node_cap)
+        classical = max_F(oset, fixed.polynomials, node_cap=node_cap)
         witness = classical.witness if classical.value == 0 else None
     if witness is not None:
         raise NotKSProofError(
             f"not a KS proof; satisfying assignment {witness_str(witness, oset.labels)}"
         )
-    if constants is None:
-        constants = member_constants(cs)
-    # only a member whose c_i was computed is copied; a builder's is kept,
-    # as the same object (an identity test, not a Fraction comparison)
-    changed = {k: replace(cp, c=c) for k, (cp, c) in enumerate(zip(cs.polynomials, constants))
-               if cp.c is not c}
-    if changed:
-        cs = replace(cs, polynomials=[changed.get(k, cp) for k, cp in enumerate(cs.polynomials)])
+    cs = with_constants(cs) if fixed is None else fixed
     if cs.graph is None:
         F = sum_of_squares(cs.polynomials, oset.spectra())
     else:
@@ -295,9 +282,8 @@ def sum_of_squares(members: Sequence[ContextPolynomial], spectra) -> Poly:
     q L / (den^2 p), go into one dict.  The pairs (m1, m2) and (m2, m1)
     give one monomial and conjugate products, whose sum is twice the real
     part, so each unordered pair is formed once, at weight 2, and the
-    diagonal (m, m) at weight 1 and doubled exponents; F's coefficients are
-    real, ints (x, y) standing for x + y sqrt2.  When one monomial's
-    variables all precede the other's, the product is their concatenation.
+    diagonal (m, m) at weight 1, each monomial product by mono_mul; F's
+    coefficients are real, ints (x, y) standing for x + y sqrt2.
 
     reduce is linear, so the sum is lowered once.  Members are reduced, so
     a product of two monomials with no common variable is reduced as well;
@@ -315,16 +301,8 @@ def sum_of_squares(members: Sequence[ContextPolynomial], spectra) -> Poly:
         items = list(zip(cp.poly.terms, ints))
         for j, (m1, (a, b, c, d)) in enumerate(items):
             for m2, (e, f, g, h) in items[j:]:
-                if m1 is m2:
-                    w, mono = k, tuple([(i, 2 * n) for i, n in m1])
-                else:
-                    w = 2 * k
-                    if not m1 or not m2 or m1[-1][0] < m2[0][0]:
-                        mono = m1 + m2
-                    elif m2[-1][0] < m1[0][0]:
-                        mono = m2 + m1
-                    else:
-                        mono = mono_mul(m1, m2)
+                w = k if m1 is m2 else 2 * k
+                mono = mono_mul(m1, m2)
                 x = w * (a * e + 2 * b * f + c * g + 2 * d * h)
                 y = w * (a * f + b * e + c * h + d * g)
                 s = acc.get(mono)

@@ -7,6 +7,7 @@ import random
 import re
 import sys
 from contextlib import suppress
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -462,13 +463,13 @@ def brute_force_F(oset, polys):
 
 
 def check_max_F(oset, polys):
-    cs = [normalization_constant(cp, oset) for cp in polys]
-    res = max_F(oset, polys, cs)
+    polys = [replace(cp, c=normalization_constant(cp, oset)) for cp in polys]
+    res = max_F(oset, polys)
     assert res.kind == "exact"
     assert brute_force_F(oset, polys) == res.value
     attained = sum(
-        -eval_assignment(cp.poly, res.witness).norm_squared().rational() / c
-        for cp, c in zip(polys, cs)
+        -eval_assignment(cp.poly, res.witness).norm_squared().rational() / cp.c
+        for cp in polys
     )
     assert attained == res.value
     return res
@@ -540,7 +541,7 @@ class TestMaxF:
         # |P0 + sqrt2|^2 is 3 + 2 sqrt2 at P0 = 1, as the Fraction oracle says
         cp = ContextPolynomial(Poly.var(0) + Scalar(0, 1))
         with pytest.raises(ValueError, match=re.escape("not a rational number: 3+2r2")):
-            max_F(basis3, [cp], [Fraction(1)])
+            max_F(basis3, [cp])
         with pytest.raises(ValueError, match=re.escape("not a rational number: 3+2r2")):
             eval_assignment(cp.poly, {0: Fraction(1)}).norm_squared().rational()
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kscert import assign, catalog, derive, exact, model, prooffile
+from kscert import assign, catalog, cli, derive, exact, model, prooffile
 from kscert.cli import build_parser, main
 from kscert.compat import build_orthogonality_graph, enumerate_bases
 from kscert.derive import assemble_F, build_complete_set_rays, present
@@ -494,6 +494,42 @@ class TestVerifyCommand:
         assert code == 3
         assert "error: input: line 2: " in err
 
+    @pytest.mark.parametrize("text,argv,message", [
+        ("dim 2\nrow 1 0\n", [], "line 2: row outside a matrix declaration"),
+        ("dim 2\nmatrix m\nrow 1 0\nray a 1 0\n", [], "line 4: matrix m has 1 rows, expected 2"),
+        ("dim 2\nray a\n", [], "line 2: ray takes a label and components"),
+        ("pauli a +X\ndim 2\n", [], "line 1: dim must come before observables"),
+        ("matrix m\ndim 2\n", [], "line 1: dim must come before observables"),
+        ("dim 2\nmatrix\n", [], "line 2: matrix takes a label"),
+        ("dim 2\nmatrix m spectrum\n", [],
+         "line 2: matrix syntax: matrix LABEL [spectrum a,b,...]"),
+        ("dim 2\nray a 1 0\ncontext\n", [], "line 3: context takes observable labels"),
+        ("dim 2\nray a 1 0\npoly c=0 a\n", [], "line 3: c must be positive"),
+        ("mode auto\npoly a\n", [], "file does not declare dim"),
+        ("dim 2\nray a 1 0\npoly ()*a\n", [], "line 3: empty scalar"),
+        ("dim 2\nray a 1 0\npoly a -\n", [], "line 3: dangling sign in polynomial"),
+        ("dim 2\nray a 1 0\npoly a b\n", [], "line 3: unexpected token 'b' after term"),
+        ("dim 2\nray a 1 0\npoly ^a\n", [], "line 3: unexpected token '^' in polynomial"),
+        ("dim 2\nray a 1 0\npoly a $ b\n", [], "line 3: cannot tokenize polynomial near ' $ b'"),
+        ("dim 2\nray a 1 0\npoly\n", [], "line 3: empty polynomial expression"),
+        ("dim 2\nray a 1 0\npoly (1+i*a - 1\n", [], "line 3: unclosed parenthesis in polynomial"),
+        ("dim 4\npauli a +X\n", [], "pauli a has dimension 2, dim is 4"),
+        ("dim 2\npauli a +X\npauli b +Z\n", ["--mode", "parity"],
+         "this mode requires declared contexts"),
+        ("dim 2\nray a 1 0\nray b 0 1\n", ["--mode", "general"],
+         "general mode requires user-supplied polynomials"),
+    ], ids=["row-outside-matrix", "too-few-rows", "ray-no-components", "pauli-before-dim",
+            "matrix-before-dim", "matrix-no-label", "matrix-bad-spectrum", "context-no-labels",
+            "poly-c-zero", "no-dim", "empty-scalar", "dangling-sign", "token-after-term",
+            "token-in-term", "untokenizable", "empty-poly", "unclosed-paren",
+            "pauli-wrong-dim", "parity-no-contexts", "general-no-poly"])
+    def test_input_error_message(self, capsys, tmp_path, text, argv, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        for command in ("verify", "derive"):
+            code, out, err = run(capsys, command, "--input", str(path), *argv)
+            assert (code, out, err) == (3, "", f"error: input: {message}\n"), command
+
 
 _FUZZ_RAYS = {
     1: ["1"],
@@ -761,7 +797,8 @@ class TestDeriveCommand:
 
     def test_one_search_per_command(self, capsys, monkeypatch):
         runs = []
-        for module, name in ((assign, "branch_and_bound"), (derive, "ks_colorability")):
+        for module, name in ((assign, "branch_and_bound"), (derive, "ks_colorability"),
+                             (cli, "ks_colorability")):
             def counted(*args, engine=getattr(module, name), **kwargs):
                 runs.append(1)
                 return engine(*args, **kwargs)

@@ -245,6 +245,10 @@ class TestValidateContext:
         with pytest.raises(KSCertError):
             validate_context(basis3, [0, 0])
 
+    def test_out_of_range_rejected(self, basis3):
+        with pytest.raises(KSCertError, match="observable id 3 out of range"):
+            validate_context(basis3, [0, len(basis3)])
+
 
 def _first_anticommuting_pair(oset, ids):
     """The oracle: the first pair, in validate_context's order, whose

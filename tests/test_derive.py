@@ -574,9 +574,7 @@ def test_trusted_polys_are_clean(build):
     cs = build()
     for cp in cs.polynomials:
         _assert_clean(cp.poly)
-    constants = derive.member_constants(cs)
-    F = sum_of_squares([ContextPolynomial(cp.poly, c) for cp, c in zip(cs.polynomials, constants)],
-                       cs.oset.spectra())
+    F = sum_of_squares(derive.with_constants(cs).polynomials, cs.oset.spectra())
     _assert_clean(F)
     # present needs no verdict, so sets that are not proofs are presented too
     ineq = Inequality(cs.oset, cs, F, BoundResult(kind="certified", value=Fraction(-1)))
@@ -591,8 +589,7 @@ def test_sum_of_squares_lowers_only_unreduced_monomials(monkeypatch, build):
     with an exponent at or above its spectrum's size, and for no other."""
     cs = build()
     spectra = cs.oset.spectra()
-    constants = derive.member_constants(cs)
-    members = [ContextPolynomial(cp.poly, c) for cp, c in zip(cs.polynomials, constants)]
+    members = derive.with_constants(cs).polynomials
     needed = {mono_mul(m1, m2) for cp in members for m1 in cp.poly.terms for m2 in cp.poly.terms}
     needed = {m for m in needed if any(e >= len(spectra[i]) for i, e in m)}
     lowered = Counter()
@@ -643,7 +640,7 @@ def test_search_makes_no_fraction_evaluation(monkeypatch, name):
     monkeypatch.setattr(poly_mod, "eval_assignment", counted)
     monkeypatch.setattr(assign_mod, "eval_assignment", counted, raising=False)
     assert general_unsat(cs.oset, cs.polynomials).is_proof
-    assert max_F(cs.oset, cs.polynomials, [cp.c for cp in cs.polynomials]).value == -1
+    assert max_F(cs.oset, cs.polynomials).value == -1
     assert calls == Counter()
 
 

@@ -23,6 +23,7 @@ from kscert.exact import (
     pauli_word,
     projector_from_vector,
     scalar_multiple_of_identity,
+    _frac,
 )
 
 small_fracs = st.builds(
@@ -33,6 +34,11 @@ gaussian_rationals = st.builds(lambda a, c: Scalar(a, 0, c, 0), small_fracs, sma
 
 
 class TestScalar:
+    def test_frac_reads_exact_rationals_only(self):
+        assert _frac("1/2") == Fraction(1, 2)
+        with pytest.raises(TypeError, match="not an exact rational: 0.5"):
+            _frac(0.5)
+
     @given(scalars, scalars, scalars)
     def test_field_axioms(self, x, y, z):
         assert (x + y) + z == x + (y + z)

@@ -1,6 +1,7 @@
 """Every name a kscert module imports is used there, every public
 function and class a module defines is named somewhere else, every private
-one is named elsewhere in its own module, and no function calls itself.
+one is named elsewhere in its own module, no function calls itself, and none
+only hands its parameters on to another.
 
 __init__.py is exempt: its imports are the package's re-exports."""
 
@@ -122,3 +123,46 @@ def test_detects_self_calling():
 def test_no_self_calling_function(path):
     """Searches are iterative, so the recursion limit cannot be reached."""
     assert self_calling(path.read_text(encoding="utf-8")) == []
+
+
+def pass_throughs(source: str) -> list:
+    """The module-level functions of source whose body, after any
+    docstring, is only return f(...) with the function's own parameters
+    passed in order, each keyword under its own name: a second name for f."""
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        body = node.body
+        if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+            body = body[1:]
+        if len(body) != 1 or not isinstance(body[0], ast.Return):
+            continue
+        call = body[0].value
+        if not isinstance(call, ast.Call):
+            continue
+        passed = [a.id if isinstance(a, ast.Name) else None for a in call.args]
+        passed += [k.arg if isinstance(k.value, ast.Name) and k.value.id == k.arg else None
+                   for k in call.keywords]
+        a = node.args
+        if passed == [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]:
+            out.append(node.name)
+    return out
+
+
+def test_detects_pass_through():
+    source = ('def decide(oset, graph, cap=1):\n    """Doc."""\n'
+              "    return search(oset, graph, cap=cap)\n\n\n"
+              "def swapped(a, b):\n    return f(b, a)\n\n\n"
+              "def renamed(a, cap=1):\n    return f(a, limit=cap)\n\n\n"
+              "def extra(a):\n    return f(a, 2)\n\n\n"
+              "def more(a):\n    a = g(a)\n    return f(a)\n\n\n"
+              "class C:\n    def m(self, a):\n        return f(self, a)\n")
+    assert pass_throughs(source) == ["decide"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_pass_through_function(path):
+    """A function that only hands its parameters on to another adds a name
+    and no behaviour: call the other directly."""
+    assert pass_throughs(path.read_text(encoding="utf-8")) == []

@@ -55,6 +55,13 @@ class TestArithmetic:
         assert p.poly.conjugate() == Poly.var(0) * Scalar(0, 0, -1, 0)
 
 
+class TestContextPolynomial:
+    @pytest.mark.parametrize("c", [0, -1])
+    def test_nonpositive_c_rejected(self, c):
+        with pytest.raises(ValueError, match="normalization constant must be positive"):
+            ContextPolynomial(Poly.var(0), c=c)
+
+
 class TestReduce:
     def test_projector_square(self, basis3):
         spectra = basis3.spectra()
