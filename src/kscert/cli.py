@@ -12,7 +12,7 @@ import sys
 from collections import namedtuple
 
 from . import catalog as catalog_mod
-from .assign import DEFAULT_NODE_CAP, ks_colorability
+from .assign import DEFAULT_NODE_CAP
 from .compat import build_orthogonality_graph, enumerate_bases
 from .derive import (
     assemble_F,
@@ -102,20 +102,14 @@ def _build_complete_set(loaded):
 
 def cmd_verify(args) -> int:
     loaded = _load(args)
-    if loaded.mode == "ray":
-        # decide's engine on a ray set, fed the graph and bases alone, so no
-        # member is built; ray members have c = 1 by construction, so
-        # with_constants has nothing to check
-        graph = build_orthogonality_graph(loaded.oset)
-        bases = enumerate_bases(graph)
-        cert = ks_colorability(loaded.oset, graph, bases, node_cap=args.node_cap)
-        print(f"method: {cert.method} ({len(bases)} bases, {len(graph.edges)} edges)")
-    else:
-        cs = _build_complete_set(loaded)
-        cert = decide(cs, node_cap=args.node_cap)
-        if cert.is_proof:
-            with_constants(cs)  # exit 3 where derive cannot fix a c_i
+    cs = _build_complete_set(loaded)  # a ray set's members are not built
+    cert = decide(cs, node_cap=args.node_cap)
+    if cert.is_proof:
+        with_constants(cs)  # exit 3 where derive cannot fix a c_i
+    if cs.graph is None:
         print(f"method: {cert.method} ({len(cs)} polynomials)")
+    else:
+        print(f"method: {cert.method} ({len(cs.bases)} bases, {len(cs.graph.edges)} edges)")
     print(f"verdict: {cert.verdict}")
     print(f"search: {cert.stats.nodes} nodes, {cert.stats.propagations} propagations")
     if cert.witness is not None:

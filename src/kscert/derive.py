@@ -14,6 +14,7 @@ from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -59,13 +60,23 @@ USER_SUPPLIED = "UserSupplied"
 @dataclass
 class CompleteSet:
     oset: ObservableSet
-    polynomials: list  # list[ContextPolynomial]
+    members: Optional[list]  # list[ContextPolynomial]; None on a ray set
     provenance: str
     graph: Optional[OrthogonalityGraph] = None  # with bases, set by build_complete_set_rays
     bases: Optional[list] = None
 
+    @cached_property
+    def polynomials(self) -> list:
+        """The members, a ray set's built from its graph and bases when read."""
+        if self.members is not None:
+            return self.members
+        polys = [_ray_member({((i, 1), (j, 1)): ONE}, self.oset) for i, j in self.graph.edges]
+        return polys + [_basis_poly(self.oset, b) for b in self.bases]
+
     def __len__(self):
-        return len(self.polynomials)
+        if self.members is None:
+            return len(self.graph.edges) + len(self.bases)
+        return len(self.members)
 
 
 def _ray_member(terms: dict, oset: ObservableSet) -> ContextPolynomial:
@@ -90,10 +101,8 @@ def build_complete_set_rays(
     construction: edges join exactly orthogonal rays (P_i P_j = 0), and
     bases sum to I (see enumerate_bases).  The set records graph and bases,
     whose coloring rules are exactly its members (see decide), and from
-    which ray_F sums its F; it is the only builder that records a graph."""
-    polys = [_ray_member({((i, 1), (j, 1)): ONE}, oset) for i, j in graph.edges]
-    polys += [_basis_poly(oset, b) for b in bases]
-    return CompleteSet(oset, polys, RAY_EDGES_BASES, graph=graph, bases=list(bases))
+    which ray_F sums its F; it alone records a graph, and builds no member."""
+    return CompleteSet(oset, None, RAY_EDGES_BASES, graph=graph, bases=list(bases))
 
 
 def build_complete_set_bases_only(
@@ -107,7 +116,7 @@ def build_complete_set_bases_only(
         if not any({i, j} <= b for b in basis_sets):
             raise EdgeOutsideBases(i, j)
     polys = [_basis_poly(oset, b) for b in bases]
-    return CompleteSet(oset=oset, polynomials=polys, provenance=RAY_BASES_ONLY)
+    return CompleteSet(oset=oset, members=polys, provenance=RAY_BASES_ONLY)
 
 
 def build_complete_set_parity(oset: ObservableSet, contexts: Sequence[tuple]) -> CompleteSet:
@@ -117,7 +126,7 @@ def build_complete_set_parity(oset: ObservableSet, contexts: Sequence[tuple]) ->
     have two values, so the products are reduced as written."""
     polys = [ContextPolynomial(Poly({tuple((i, 1) for i in ctx): ONE}) - d, Fraction(4))
              for ctx, d in zip(contexts, parity_certify(oset, contexts))]
-    return CompleteSet(oset=oset, polynomials=polys, provenance=PARITY)
+    return CompleteSet(oset=oset, members=polys, provenance=PARITY)
 
 
 def build_complete_set_general(oset: ObservableSet, polynomials: Sequence) -> CompleteSet:
@@ -127,18 +136,18 @@ def build_complete_set_general(oset: ObservableSet, polynomials: Sequence) -> Co
         m = eval_operator(cp.poly, oset)
         if not m.is_zero:
             raise Condition1Violated(idx, m)
-    return CompleteSet(oset=oset, polynomials=list(polynomials), provenance=USER_SUPPLIED)
+    return CompleteSet(oset=oset, members=list(polynomials), provenance=USER_SUPPLIED)
 
 
 def with_constants(cs: CompleteSet) -> CompleteSet:
     """cs with every member's c_i fixed; no other code fixes a c_i.  A
     builder's stated c_i is kept, and cs itself is returned when every c_i
-    is a builder's.  A member with no c, and every user-supplied member, gets
-    normalization_constant's, which raises IdenticallyZeroOnAssignments
-    where there is none.  A declared c that differs raises
-    NormalizationMismatch.  Either error names the first faulty member."""
+    is a builder's, unread on a set that records a graph.  A member with no
+    c, and every user-supplied member, gets normalization_constant's, which
+    raises IdenticallyZeroOnAssignments where there is none.  A declared c
+    that differs raises NormalizationMismatch.  Either names the faulty member."""
     user = cs.provenance == USER_SUPPLIED
-    if not user and all(cp.c is not None for cp in cs.polynomials):
+    if cs.graph is not None or (not user and all(cp.c is not None for cp in cs.polynomials)):
         return cs
     polys = []
     for idx, cp in enumerate(cs.polynomials):
@@ -151,7 +160,7 @@ def with_constants(cs: CompleteSet) -> CompleteSet:
                 raise NormalizationMismatch(idx, cp.c, c)
             cp = replace(cp, c=c)
         polys.append(cp)
-    return replace(cs, polynomials=polys)
+    return replace(cs, members=polys)
 
 
 def decide(cs: CompleteSet, node_cap: int = DEFAULT_NODE_CAP) -> ProofCertificate:
@@ -377,6 +386,8 @@ def check_form(cs: CompleteSet, form: str) -> bool:
             raise PresentationUnavailable("projector form requires a ray observable set")
         return False
     if form == "dichotomic":
+        if cs.graph is not None:  # members use rays, none dichotomic, exactly
+            return bool(cs.graph.edges)  # when there is an edge; in d = 1 each is constant
         used = {i for cp in cs.polynomials for i in cp.poly.variables()}
         if all(oset[i].is_dichotomic for i in used):
             return False

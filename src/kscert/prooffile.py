@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .compat import validate_context
-from .errors import ParseError
+from .errors import KSCertError, ParseError
 from .exact import _FR0, ExactMatrix, Scalar
 from .model import ObservableSet, make_observable, make_ray, pauli_observable, ray_observable
 from .poly import Poly, make_context_polynomial, render
@@ -95,6 +95,13 @@ class ObsDecl:
     pauli: Optional[str] = None  # signed word
     rows: Optional[list] = None  # matrix rows of Scalar
     spectrum: Optional[tuple] = None
+    line: Optional[int] = None  # in its file; None in proof_file_from_set's
+
+
+@dataclass
+class ContextDecl:
+    labels: list
+    line: Optional[int] = None  # as ObsDecl's
 
 
 @dataclass
@@ -102,6 +109,7 @@ class PolyDecl:
     c: Optional[Fraction]  # None when the file declares no c=
     terms: list  # [(Scalar coef, [(label, exp), ...]), ...]
     source: str
+    line: Optional[int] = None  # as ObsDecl's
 
 
 @dataclass
@@ -109,7 +117,7 @@ class ProofFile:
     dim: int
     mode: str = "auto"
     observables: List[ObsDecl] = field(default_factory=list)
-    contexts: List[list] = field(default_factory=list)  # lists of labels
+    contexts: List[ContextDecl] = field(default_factory=list)
     polynomials: List[PolyDecl] = field(default_factory=list)
 
     def to_observable_set(self) -> ObservableSet:
@@ -118,42 +126,50 @@ class ProofFile:
         if not self.observables:
             raise ParseError("the file declares no observables")
         oset = ObservableSet(dim=self.dim)
-        for d in self.observables:
-            if d.kind == "ray":
-                if len(d.vector) != self.dim:
-                    raise ParseError(
-                        f"ray {d.label} has {len(d.vector)} components, dim is {self.dim}"
-                    )
-                oset.add(ray_observable(make_ray(d.vector, d.label), d.label))
-            elif d.kind == "pauli":
-                size = 2 ** sum(ch in "IXYZ" for ch in d.pauli)  # a qubit per letter
-                if size != self.dim:
-                    raise ParseError(f"pauli {d.label} has dimension {size}, dim is {self.dim}")
-                oset.add(pauli_observable(d.pauli, d.label))
-            else:
-                m = ExactMatrix(d.rows)
-                if m.dim != self.dim:
-                    raise ParseError(
-                        f"matrix {d.label} has dimension {m.dim}, dim is {self.dim}"
-                    )
-                oset.add(make_observable(m, spectrum=d.spectrum, label=d.label))
-        for labels in self.contexts:
-            ids = [oset.by_label(l) for l in labels]
-            oset.declared_contexts.append(validate_context(oset, ids))
+        try:
+            for d in self.observables:
+                if d.kind == "ray":
+                    if len(d.vector) != self.dim:
+                        raise ParseError(
+                            f"ray {d.label} has {len(d.vector)} components, dim is {self.dim}"
+                        )
+                    oset.add(ray_observable(make_ray(d.vector, d.label), d.label))
+                elif d.kind == "pauli":
+                    size = 2 ** sum(ch in "IXYZ" for ch in d.pauli)  # a qubit per letter
+                    if size != self.dim:
+                        raise ParseError(
+                            f"pauli {d.label} has dimension {size}, dim is {self.dim}"
+                        )
+                    oset.add(pauli_observable(d.pauli, d.label))
+                else:
+                    m = ExactMatrix(d.rows)
+                    if m.dim != self.dim:
+                        raise ParseError(
+                            f"matrix {d.label} has dimension {m.dim}, dim is {self.dim}"
+                        )
+                    oset.add(make_observable(m, spectrum=d.spectrum, label=d.label))
+            for d in self.contexts:
+                ids = [oset.by_label(l) for l in d.labels]
+                oset.declared_contexts.append(validate_context(oset, ids))
+        except KSCertError as ex:  # the error of declaration d, at its line
+            raise ParseError(str(ex), d.line) from None
         return oset
 
     def to_polynomials(self, oset: ObservableSet) -> list:
         out = []
-        for decl in self.polynomials:
-            p = Poly()
-            for coef, factors in decl.terms:
-                mono = {}
-                for label, exp in factors:
-                    i = oset.by_label(label)
-                    mono[i] = mono.get(i, 0) + exp
-                p = p + Poly({tuple(sorted(mono.items())): coef})
-            validate_context(oset, p.variables())
-            out.append(make_context_polynomial(p, oset, c=decl.c))
+        try:
+            for decl in self.polynomials:
+                p = Poly()
+                for coef, factors in decl.terms:
+                    mono = {}
+                    for label, exp in factors:
+                        i = oset.by_label(label)
+                        mono[i] = mono.get(i, 0) + exp
+                    p = p + Poly({tuple(sorted(mono.items())): coef})
+                validate_context(oset, p.variables())
+                out.append(make_context_polynomial(p, oset, c=decl.c))
+        except KSCertError as ex:  # the error of declaration decl, at its line
+            raise ParseError(str(ex), decl.line) from None
         return out
 
 
@@ -238,11 +254,20 @@ def parse_poly_expr(s: str, line: Optional[int] = None) -> list:
 # -- file parsing -------------------------------------------------------------
 
 
+def _check_rows(matrix: ObsDecl, dim: int, line: int) -> None:
+    """ParseError at line, where the matrix declaration ended, unless it has
+    dim rows."""
+    if len(matrix.rows) != dim:
+        raise ParseError(
+            f"matrix {matrix.label} has {len(matrix.rows)} rows, expected {dim}", line
+        )
+
+
 def parse(text: str) -> ProofFile:
     dim = None
     mode = "auto"
     observables: List[ObsDecl] = []
-    contexts: List[list] = []
+    contexts: List[ContextDecl] = []
     polynomials: List[PolyDecl] = []
     pending_matrix: Optional[ObsDecl] = None
     scalars = {}  # token -> Scalar, for the tokens parsed without error
@@ -262,11 +287,7 @@ def parse(text: str) -> ProofFile:
         parts = line.split()
         head = parts[0]
         if pending_matrix is not None and head != "row":
-            if len(pending_matrix.rows) != dim:
-                raise ParseError(
-                    f"matrix {pending_matrix.label} has {len(pending_matrix.rows)} rows, expected {dim}",
-                    lineno,
-                )
+            _check_rows(pending_matrix, dim, lineno)
             pending_matrix = None
         if head == "dim":
             dim = _positive_int(
@@ -282,7 +303,7 @@ def parse(text: str) -> ProofFile:
             if len(parts) < 3:
                 raise ParseError("ray takes a label and components", lineno)
             vec = tuple(scalar(t, lineno) for t in parts[2:])
-            observables.append(ObsDecl(kind="ray", label=parts[1], vector=vec))
+            observables.append(ObsDecl(kind="ray", label=parts[1], vector=vec, line=lineno))
         elif head == "pauli":
             if dim is None:
                 raise ParseError("dim must come before observables", lineno)
@@ -290,7 +311,7 @@ def parse(text: str) -> ProofFile:
                 raise ParseError(
                     "pauli takes a label and a signed word over I, X, Y, Z", lineno
                 )
-            observables.append(ObsDecl(kind="pauli", label=parts[1], pauli=parts[2]))
+            observables.append(ObsDecl(kind="pauli", label=parts[1], pauli=parts[2], line=lineno))
         elif head == "matrix":
             if dim is None:
                 raise ParseError("dim must come before observables", lineno)
@@ -302,7 +323,7 @@ def parse(text: str) -> ProofFile:
             elif len(parts) != 2:
                 raise ParseError("matrix syntax: matrix LABEL [spectrum a,b,...]", lineno)
             pending_matrix = ObsDecl(
-                kind="matrix", label=parts[1], rows=[], spectrum=spectrum
+                kind="matrix", label=parts[1], rows=[], spectrum=spectrum, line=lineno
             )
             observables.append(pending_matrix)
         elif head == "row":
@@ -315,7 +336,7 @@ def parse(text: str) -> ProofFile:
         elif head == "context":
             if len(parts) < 2:
                 raise ParseError("context takes observable labels", lineno)
-            contexts.append(parts[1:])
+            contexts.append(ContextDecl(parts[1:], lineno))
         elif head == "poly":
             rest = line[len("poly") :].strip()
             c = None
@@ -326,11 +347,11 @@ def parse(text: str) -> ProofFile:
                     raise ParseError("c must be positive", lineno)
                 rest = m.group(2)
             terms = parse_poly_expr(rest, lineno)
-            polynomials.append(PolyDecl(c=c, terms=terms, source=rest))
+            polynomials.append(PolyDecl(c=c, terms=terms, source=rest, line=lineno))
         else:
             raise ParseError(f"unknown directive {head!r}", lineno)
-    if pending_matrix is not None and len(pending_matrix.rows) != dim:
-        raise ParseError(f"matrix {pending_matrix.label} is missing rows")
+    if pending_matrix is not None:  # the file ends at its last row or the derived marker
+        _check_rows(pending_matrix, dim, lineno)
     if dim is None:
         raise ParseError("file does not declare dim")
     labels = [d.label for d in observables]
@@ -378,7 +399,7 @@ def render_input_section(pf: ProofFile) -> str:
                 lines.append("row " + " ".join(
                     text.get(id(x)) or text.setdefault(id(x), str(x)) for x in row))
     for ctx in pf.contexts:
-        lines.append("context " + " ".join(ctx))
+        lines.append("context " + " ".join(ctx.labels))
     for p in pf.polynomials:
         prefix = f"c={p.c} " if p.c not in (None, 1) else ""
         lines.append(f"poly {prefix}{p.source}")
@@ -403,7 +424,7 @@ def proof_file_from_set(oset: ObservableSet, mode: str) -> ProofFile:
                 )
             )
     labels = oset.labels
-    contexts = [[labels[i] for i in ids] for ids in oset.declared_contexts]
+    contexts = [ContextDecl([labels[i] for i in ids]) for ids in oset.declared_contexts]
     return ProofFile(dim=oset.dim, mode=mode, observables=decls, contexts=contexts)
 
 

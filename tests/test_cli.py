@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kscert import assign, catalog, cli, derive, exact, model, prooffile
+from kscert import assign, catalog, derive, exact, model, prooffile
 from kscert.cli import build_parser, main
 from kscert.compat import build_orthogonality_graph, enumerate_bases
 from kscert.derive import assemble_F, build_complete_set_rays, present
@@ -279,9 +279,9 @@ class TestVerifyCommand:
         assert line in out.splitlines()
 
     def test_ray_verify_builds_no_member(self, capsys, monkeypatch, tmp_path):
-        """verify decides a ray set from its graph and bases alone, with the
-        output it had when it built the complete set first; derive still
-        builds every member."""
+        """verify and derive read a ray set's graph and bases alone, with
+        the output they had when they built the complete set first; export's
+        record and the exact bound's max_F build every member once."""
         calls = []
 
         def counted(*args, original=derive._ray_member):
@@ -293,12 +293,16 @@ class TestVerifyCommand:
         path.write_text(_eigenray_file("kp-40"))
         code, out, _ = run(capsys, "verify", "--input", str(path))
         assert code == 0
-        assert calls == []
         assert out == ("method: RayColoring (25 bases, 460 edges)\n"
                        "verdict: KSProof\n"
                        "search: 127 nodes, 725 propagations\n")
-        assert run(capsys, "derive", "--input", str(path))[0] == 0
-        assert len(calls) == 485
+        for form in ("projector", "dichotomic"):
+            assert run(capsys, "derive", "--input", str(path), "--form", form)[0] == 0
+        assert calls == []
+        for command in ("export", "bound"):
+            calls.clear()
+            assert run(capsys, command, "--input", str(path), "--form", "projector")[0] == 0
+            assert len(calls) == 485, command
 
     @pytest.mark.parametrize("cap,code", [(126, 4), (127, 0)])
     def test_ray_search_node_cap(self, capsys, tmp_path, cap, code):
@@ -439,7 +443,8 @@ class TestVerifyCommand:
         path.write_text("dim 2\n" + "".join(decls[k] for k in order))
         code, _, err = run(capsys, "verify", "--input", str(path))
         assert code == 3
-        assert err.strip() == f"error: input: {message}"
+        line = 2 + decls[order[0]].count("\n")  # the second declaration's first line
+        assert err.strip() == f"error: input: line {line}: {message}"
 
     def test_projector_form_of_parity_proof(self, capsys):
         code, _, err = run(
@@ -454,7 +459,7 @@ class TestVerifyCommand:
         path.write_text(f"dim 2\nray a 1 0\n{line}\n")
         code, _, err = run(capsys, "verify", "--input", str(path))
         assert code == 3
-        assert err.strip() == "error: input: unknown observable label z"
+        assert err.strip() == "error: input: line 3: unknown observable label z"
 
     def test_unknown_catalog_name(self, capsys):
         code, _, err = run(capsys, "verify", "--catalog", "nope")
@@ -497,6 +502,9 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("text,argv,message", [
         ("dim 2\nrow 1 0\n", [], "line 2: row outside a matrix declaration"),
         ("dim 2\nmatrix m\nrow 1 0\nray a 1 0\n", [], "line 4: matrix m has 1 rows, expected 2"),
+        ("dim 2\nmatrix m\nrow 1 0\n", [], "line 3: matrix m has 1 rows, expected 2"),
+        ("dim 2\nmatrix m\nrow 1 0\nrow 0 1\nrow 0 0\n", [],
+         "line 5: matrix m has 3 rows, expected 2"),
         ("dim 2\nray a\n", [], "line 2: ray takes a label and components"),
         ("pauli a +X\ndim 2\n", [], "line 1: dim must come before observables"),
         ("matrix m\ndim 2\n", [], "line 1: dim must come before observables"),
@@ -513,16 +521,21 @@ class TestVerifyCommand:
         ("dim 2\nray a 1 0\npoly a $ b\n", [], "line 3: cannot tokenize polynomial near ' $ b'"),
         ("dim 2\nray a 1 0\npoly\n", [], "line 3: empty polynomial expression"),
         ("dim 2\nray a 1 0\npoly (1+i*a - 1\n", [], "line 3: unclosed parenthesis in polynomial"),
-        ("dim 4\npauli a +X\n", [], "pauli a has dimension 2, dim is 4"),
+        ("dim 4\npauli a +X\n", [], "line 2: pauli a has dimension 2, dim is 4"),
+        ("dim 3\nray a 1 0\n", [], "line 2: ray a has 2 components, dim is 3"),
+        ("dim 2\nmatrix m\nrow 0 1\nrow 0 0\n", [], "line 2: observable m is not Hermitian"),
+        ("dim 2\npauli a +X\npauli b +Z\npoly a*b - 1\n", [],
+         "line 4: observables 0 and 1 do not commute"),
         ("dim 2\npauli a +X\npauli b +Z\n", ["--mode", "parity"],
          "this mode requires declared contexts"),
         ("dim 2\nray a 1 0\nray b 0 1\n", ["--mode", "general"],
          "general mode requires user-supplied polynomials"),
-    ], ids=["row-outside-matrix", "too-few-rows", "ray-no-components", "pauli-before-dim",
-            "matrix-before-dim", "matrix-no-label", "matrix-bad-spectrum", "context-no-labels",
-            "poly-c-zero", "no-dim", "empty-scalar", "dangling-sign", "token-after-term",
-            "token-in-term", "untokenizable", "empty-poly", "unclosed-paren",
-            "pauli-wrong-dim", "parity-no-contexts", "general-no-poly"])
+    ], ids=["row-outside-matrix", "too-few-rows", "too-few-rows-at-end", "too-many-rows-at-end",
+            "ray-no-components", "pauli-before-dim", "matrix-before-dim", "matrix-no-label",
+            "matrix-bad-spectrum", "context-no-labels", "poly-c-zero", "no-dim", "empty-scalar",
+            "dangling-sign", "token-after-term", "token-in-term", "untokenizable", "empty-poly",
+            "unclosed-paren", "pauli-wrong-dim", "ray-wrong-dim", "matrix-not-hermitian",
+            "poly-noncommuting", "parity-no-contexts", "general-no-poly"])
     def test_input_error_message(self, capsys, tmp_path, text, argv, message):
         path = tmp_path / "bad.txt"
         path.write_text(text)
@@ -797,8 +810,7 @@ class TestDeriveCommand:
 
     def test_one_search_per_command(self, capsys, monkeypatch):
         runs = []
-        for module, name in ((assign, "branch_and_bound"), (derive, "ks_colorability"),
-                             (cli, "ks_colorability")):
+        for module, name in ((assign, "branch_and_bound"), (derive, "ks_colorability")):
             def counted(*args, engine=getattr(module, name), **kwargs):
                 runs.append(1)
                 return engine(*args, **kwargs)
@@ -1010,7 +1022,7 @@ MIXED_INPUTS = {
 # contexts were multiplied as words
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 NOT_PROOF = "6f5ad3d9115b1b06a17b9cfbf53de4fed28fe5cb5830cfe0ae77bf112bd207f0"
-NOT_COMMUTING = "f78fdd967d47c13a10b52ebd1074503ddf5a08598a39fe56c1a22fe214f74d18"
+NOT_COMMUTING = "fe33c96beaeaeae00fa788e9b9fa2490fd3bf2654985896ea4041ade361abea1"
 MIXED_DIGESTS = {
     ("mixed", "verify"): (0, "d1fcce91951207a388f9d63f276bc9f9cedbe47b0d0f43f5d3bc9e65937b65ea", EMPTY),
     ("mixed", "derive"): (0, "28a607e76e32a82aa06461134f112cde095ac3b64814e4d5a0776096ef831a3b", EMPTY),
@@ -1037,7 +1049,7 @@ class TestMixedParityOutputs:
         path = tmp_path / "xz.txt"
         path.write_text(MIXED_INPUTS["noncommuting"])
         code, _, err = run(capsys, "verify", "--input", str(path))
-        assert (code, err) == (3, "error: input: observables 0 and 1 do not commute\n")
+        assert (code, err) == (3, "error: input: line 4: observables 0 and 1 do not commute\n")
 
 
 class TestBoundCommand:
@@ -1167,9 +1179,26 @@ def _eigenray_file(name):
     return render_input_section(proof_file_from_set(eigenray_set(source, prefix), "ray"))
 
 
+# sha256 of the standard output of verify on the generated ray sets and on
+# a colourable ray file, whose output ends in a witness line
+VERIFY_DIGESTS = {
+    "peres-24": "f6238f5ec28feadbc4a191697937fa1b29706a47a6c831a8442a988d2356b0a4",
+    "kp-40": "d31716e07988cd1d25655c8a5ccfb087079b35195418429225afeae71fc92927",
+    "cabello-less-ray": "02c328c81de17f21cfa5e2612655276b032c522ab37b58bfd40ce087a72aa454",
+}
+
+
 class TestWorkloadOutputDigests:
-    """derive, export and the exact bound on the generated ray sets stay
-    byte-identical."""
+    """verify, derive, export and the exact bound on the generated ray sets
+    stay byte-identical."""
+
+    @pytest.mark.parametrize("name", list(VERIFY_DIGESTS))
+    def test_sha256_of_verify_stdout(self, capsys, tmp_path, name):
+        text = AGREEMENT_INPUTS[name]() if name in AGREEMENT_INPUTS else _eigenray_file(name)
+        (tmp_path / f"{name}.txt").write_text(text, encoding="utf-8")
+        code, out, _ = run(capsys, "verify", "--input", str(tmp_path / f"{name}.txt"))
+        assert code == (2 if name in AGREEMENT_INPUTS else 0)
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[name]
 
     @pytest.mark.parametrize("name,command,form", list(WORKLOAD_DIGESTS))
     def test_sha256_of_stdout(self, capsys, monkeypatch, tmp_path, name, command, form):

@@ -274,7 +274,7 @@ class TestAssembleF:
         cs = build_complete_set_parity(oset, ctxs)
         undeclared = CompleteSet(
             oset=oset,
-            polynomials=[ContextPolynomial(cp.poly, None) for cp in cs.polynomials],
+            members=[ContextPolynomial(cp.poly, None) for cp in cs.polynomials],
             provenance=cs.provenance,
         )
         ineq = assemble_F(undeclared, exact_bound=exact_bound)
@@ -526,9 +526,10 @@ def test_assemble_F_takes_ray_F_on_ray_sets(monkeypatch, name, exact_bound):
 
 def test_ray_set_without_graph_sums_squares(monkeypatch, cabello):
     """ray_F is taken on the graph, not the provenance: a RayEdgesBases set
-    that records no graph goes through sum_of_squares."""
+    that records no graph, handed its members, goes through sum_of_squares."""
     oset, graph, bases = cabello
-    cs = replace(build_complete_set_rays(oset, graph, bases), graph=None, bases=None)
+    rays = build_complete_set_rays(oset, graph, bases)
+    cs = replace(rays, members=rays.polynomials, graph=None, bases=None)
     calls = []
 
     def counted(*args, original=derive.sum_of_squares):
@@ -581,6 +582,27 @@ def test_trusted_polys_are_clean(build):
     for form in ("projector", "dichotomic"):
         with suppress(PresentationUnavailable):
             _assert_clean(present(ineq, form).score)
+
+
+@pytest.mark.parametrize("build", _BACK_HALF_SETS)
+def test_graph_answers_as_members_do(build):
+    """A set that records a graph is counted, given its c_i and checked for
+    a form without its members being read; the same set handed its members
+    and no graph, the oracle, gives the same answers."""
+    cs = build()
+    oracle = replace(cs, members=list(cs.polynomials), graph=None, bases=None)
+    assert len(cs) == len(oracle)
+    if cs.graph is not None:
+        assert derive.with_constants(cs) is cs
+        assert derive.with_constants(oracle).polynomials == cs.polynomials
+    for form in ("projector", "dichotomic"):
+        answers = []
+        for s in (cs, oracle):
+            try:
+                answers.append(check_form(s, form))
+            except PresentationUnavailable as ex:
+                answers.append(str(ex))
+        assert answers[0] == answers[1], form
 
 
 @pytest.mark.parametrize("build", _BACK_HALF_SETS)
