@@ -39,7 +39,7 @@ from .compat import OrthogonalityGraph, context_delta
 from .errors import NotDichotomic, NotScalarMultiple, SearchBudgetExceeded
 from .exact import Scalar
 from .model import ObservableSet
-from .poly import ContextPolynomial, Poly, integral_evaluator
+from .poly import ContextPolynomial, Poly, integral_evaluator, squared_modulus
 
 DEFAULT_NODE_CAP = 10**8
 
@@ -55,14 +55,17 @@ class SearchStats:
 
 @dataclass
 class ProofCertificate:
-    verdict: str  # KS_PROOF or NOT_KS_PROOF
     method: str  # RayColoring | GeneralCSP
-    witness: Optional[dict] = None  # id -> Fraction, when NOT_KS_PROOF
+    witness: Optional[dict]  # id -> Fraction for every observable; None for a proof
     stats: Optional[SearchStats] = None
 
     @property
     def is_proof(self) -> bool:
-        return self.verdict == KS_PROOF
+        return self.witness is None
+
+    @property
+    def verdict(self) -> str:
+        return KS_PROOF if self.is_proof else NOT_KS_PROOF
 
 
 @dataclass
@@ -170,9 +173,7 @@ def ks_colorability(
         bit = 1 << next(i for i in order if free >> i & 1)
         stack.append((ones | bit, zeros, bit))
         stack.append((ones, zeros | bit, 0))  # pushed last so that 0 is tried first
-    if witness is None:
-        return ProofCertificate(KS_PROOF, "RayColoring", stats=stats)
-    return ProofCertificate(NOT_KS_PROOF, "RayColoring", witness=witness, stats=stats)
+    return ProofCertificate("RayColoring", witness, stats)
 
 
 # -- parity certification ----------------------------------------------------
@@ -217,11 +218,15 @@ def branch_and_bound(
     explicit stack and undo trail keep the depth free of the recursion limit.
 
     Returns (best, witness, stats); witness is None when nothing beat seed.
-    Without a seed the incumbent starts at -inf, below every int.
+    Without a seed the incumbent starts at -inf, below every int.  The
+    witness assigns every observable: one that no factor reads takes its
+    first value_order value, as an unconstrained ray does in ks_colorability.
     """
     ids = sorted({i for f_ids, _ in factors for i in f_ids})
     local = {i: v for v, i in enumerate(ids)}
-    spec = [value_order(oset[i].spectrum) for i in ids]
+    orders = [value_order(obs.spectrum) for obs in oset.observables]
+    spec = [orders[i] for i in ids]
+    first = {i: order[0] for i, order in enumerate(orders)}
     fvars = [tuple(local[i] for i in f_ids) for f_ids, _ in factors]
     watch = [[] for _ in ids]
     for k, vs in enumerate(fvars):
@@ -309,7 +314,7 @@ def branch_and_bound(
         with the fewest candidates, the highest optimistic total on top."""
         nonlocal best, witness
         if not free:
-            best, witness = A, {i: spec[v][val[v]] for v, i in enumerate(ids)}
+            best, witness = A, first | {i: spec[v][val[v]] for v, i in enumerate(ids)}
             return
         var = min(free, key=lambda v: (len(dom[v]), -len(watch[v]), ids[v]))
         bounds = [(A + T - top[var] + gain[var].get(x, 0), x) for x in dom[var]]
@@ -352,9 +357,7 @@ def general_unsat(
 
     factors = [(cp.poly.variables(), violation(cp.poly)) for cp in complete_set]
     _, witness, stats = branch_and_bound(oset, factors, seed=-1, node_cap=node_cap)
-    if witness is None:
-        return ProofCertificate(KS_PROOF, "GeneralCSP", stats=stats)
-    return ProofCertificate(NOT_KS_PROOF, "GeneralCSP", witness=witness, stats=stats)
+    return ProofCertificate("GeneralCSP", witness, stats)
 
 
 def max_F(
@@ -365,8 +368,7 @@ def max_F(
     """Exact maximum of F = -sum |r_i|^2 / c_i over value assignments, one
     factor per member r_i, read with its c_i, so F itself is never
     evaluated.  It is 0 exactly when some assignment zeroes every r_i, that
-    is when there is no KS proof.  The witness assigns every observable
-    (full_witness).
+    is when there is no KS proof.
 
     integral_evaluator gives v_i = t_i r_i as ints for an int scale t_i, so
     with c_i = p_i/q_i the factor -|r_i|^2 / c_i is -|v_i|^2 q_i / (t_i^2 p_i),
@@ -382,8 +384,7 @@ def max_F(
 
     def weight(value, t2, k):
         def f(a):
-            ta, tb, tc, td = value(a)
-            x, y = ta * ta + 2 * tb * tb + tc * tc + 2 * td * td, 2 * (ta * tb + tc * td)
+            x, y = squared_modulus(value(a))
             if y:  # |r|^2 = (x + y sqrt2) / t2 is irrational: raise as .rational() does
                 Scalar(Fraction(x, t2), Fraction(y, t2)).rational()
             return -k * x
@@ -392,17 +393,7 @@ def max_F(
     factors = [(ids, weight(value, t2, c.denominator * (L // (t2 * c.numerator))))
                for ids, value, t2, c in cleared]
     best, witness, stats = branch_and_bound(oset, factors, node_cap=node_cap)
-    return BoundResult(
-        kind="exact", value=Fraction(best, L), witness=full_witness(oset, witness), stats=stats
-    )
-
-
-def full_witness(oset: ObservableSet, witness: dict) -> dict:
-    """witness extended to every observable of oset: one that no factor
-    reads takes the first value of its value_order, as ks_colorability
-    gives a ray that no rule constrains."""
-    return {i: witness[i] if i in witness else value_order(obs.spectrum)[0]
-            for i, obs in enumerate(oset.observables)}
+    return BoundResult(kind="exact", value=Fraction(best, L), witness=witness, stats=stats)
 
 
 def classical_max(

@@ -159,15 +159,11 @@ def cmd_derive(args) -> int:
 
 def cmd_bound(args) -> int:
     loaded = _load(args)
-    ineq, presented = _derive(loaded, args, exact_bound=True)
-    # G = (F - offset)/scale, scale > 0: F's maximiser is G's, at A = 1 - 2P
-    witness = ineq.classical.witness
-    if presented.substituted:
-        witness = {i: 1 - 2 * p for i, p in witness.items()}
+    _, presented = _derive(loaded, args, exact_bound=True)
     print(f"form: {presented.form}")
     print(f"exact classical maximum: {presented.classical_bound}")
     print(f"quantum value: {presented.quantum_value}")
-    print(f"attained at: {witness_str(witness, presented.labels)}")
+    print(f"attained at: {witness_str(presented.witness, presented.labels)}")
     return EXIT_OK
 
 

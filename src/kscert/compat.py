@@ -45,7 +45,7 @@ def validate_context(oset: ObservableSet, ids: Iterable[int]) -> tuple:
     for a_pos, i in enumerate(ids):
         for j in ids[a_pos + 1 :]:
             if not _commute(oset[i], oset[j]):
-                raise NotCommuting(i, j)
+                raise NotCommuting((i, j), (oset.labels[i], oset.labels[j]))
     return tuple(ids)
 
 

@@ -23,7 +23,6 @@ from .assign import (
     BoundResult,
     DEFAULT_NODE_CAP,
     ProofCertificate,
-    full_witness,
     general_unsat,
     ks_colorability,
     max_F,
@@ -168,14 +167,10 @@ def decide(cs: CompleteSet, node_cap: int = DEFAULT_NODE_CAP) -> ProofCertificat
     KSProof iff no value assignment zeroes every member, else a witness that
     does.  A set with a recorded graph is decided by ks_colorability, whose
     rules are exactly its members and which is far faster there; any other
-    by general_unsat, whose witness full_witness extends to the observables
-    in no member, as max_F's.  The c_i are with_constants' question."""
+    by general_unsat.  The c_i are with_constants' question."""
     if cs.graph is not None:
         return ks_colorability(cs.oset, cs.graph, cs.bases, node_cap=node_cap)
-    cert = general_unsat(cs.oset, cs.polynomials, node_cap=node_cap)
-    if cert.witness is not None:
-        cert.witness = full_witness(cs.oset, cert.witness)
-    return cert
+    return general_unsat(cs.oset, cs.polynomials, node_cap=node_cap)
 
 
 @dataclass
@@ -197,6 +192,7 @@ class PresentedInequality:
     quantum_value: Fraction
     labels: list  # the score's variable labels, by id
     substituted: bool = False  # True when P -> (1-A)/2 was applied
+    witness: Optional[dict] = None  # the exact bound's maximiser in the score's variables
 
 
 def assemble_F(
@@ -408,10 +404,12 @@ def present(ineq: Inequality, form: str) -> PresentedInequality:
     scale is one int g over that final denominator, and each score
     coefficient is a numerator divided by g, one Scalar per distinct value.
     The affine bookkeeping F = scale*G + offset transforms both the
-    classical bound and the quantum value exactly.
+    classical bound and the quantum value exactly; scale > 0, so the exact
+    bound's witness maximises G too, at A = 1 - 2P where P is substituted.
     """
     oset = ineq.oset
     substituted = check_form(ineq.complete_set, form)
+    witness = ineq.classical.witness
     # F shares few Scalar objects (4 over KP-40's 501 terms): read each once
     coefs = {id(c): c for c in ineq.F.terms.values()}
     D, ints = integral(coefs.values())
@@ -423,6 +421,8 @@ def present(ineq: Inequality, form: str) -> PresentedInequality:
         deg = ineq.F.max_degree()
         nums, den = _substitute_dichotomic(nums, deg), D << deg
         labels = [f"d{obs.label or i}" for i, obs in enumerate(oset.observables)]
+        if witness is not None:
+            witness = {i: 1 - 2 * p for i, p in witness.items()}
     else:
         den, labels = D, oset.labels
 
@@ -447,6 +447,7 @@ def present(ineq: Inequality, form: str) -> PresentedInequality:
         quantum_value=-offset / scale,
         labels=labels,
         substituted=substituted,
+        witness=witness,
     )
 
 

@@ -30,9 +30,11 @@ class DuplicateObservable(KSCertError):
 
 
 class NotCommuting(KSCertError):
-    def __init__(self, i, j):
-        super().__init__(f"observables {i} and {j} do not commute")
-        self.pair = (i, j)
+    """Names the pair by its labels; .pair holds its ids."""
+
+    def __init__(self, pair, labels):
+        super().__init__(f"observables {labels[0]} and {labels[1]} do not commute")
+        self.pair = pair
 
 
 class NonRayMember(KSCertError):

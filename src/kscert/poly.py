@@ -253,6 +253,13 @@ def integral_evaluator(p: Poly, spectra: Mapping[int, Sequence]) -> tuple:
     return den * prod(s[i] ** E for i, E in top.items()), value
 
 
+def squared_modulus(v: tuple) -> tuple:
+    """|v|^2 = x + y sqrt2 as ints (x, y), for an integral_evaluator value
+    v = (a, b, c, d), which stands for a + b sqrt2 + i (c + d sqrt2)."""
+    a, b, c, d = v
+    return a * a + 2 * b * b + c * c + 2 * d * d, 2 * (a * b + c * d)
+
+
 def eval_operator(p: Poly, oset: ObservableSet) -> ExactMatrix:
     """Substitute operators for variables; factors within a monomial commute."""
     n = oset.dim
@@ -305,25 +312,26 @@ def spectral_assignments(oset: ObservableSet, ids: Sequence[int]):
 
 def normalization_constant(cp: ContextPolynomial, oset: ObservableSet) -> Fraction:
     """Minimum nonzero squared modulus of the polynomial over all assignments
-    of its variables."""
+    of its variables, in ints: integral_evaluator reads t*r(a) for an int
+    scale t, |t*r(a)|^2 = x + y sqrt2, and the minimum is x_min / t^2.  The
+    first nonzero value with y != 0 raises, its modulus being irrational."""
+    scale, value = integral_evaluator(cp.poly, oset.spectra())
     best = None
     for v in spectral_assignments(oset, sorted(cp.poly.variables())):
-        val = eval_assignment(cp.poly, v)
-        if val.is_zero:
+        x, y = squared_modulus(value(v))
+        if not x:  # a sum of squares, 0 exactly when r(a) = 0
             continue
-        sq = val.norm_squared()
-        if not sq.is_rational:
+        if y:
             raise IdenticallyZeroOnAssignments(
                 "squared modulus is irrational; cannot normalize"
             )
-        q = sq.rational()
-        if best is None or q < best:
-            best = q
+        if best is None or x < best:
+            best = x
     if best is None:
         raise IdenticallyZeroOnAssignments(
             "polynomial vanishes at every spectral assignment"
         )
-    return best
+    return Fraction(best, scale * scale)
 
 
 def normalized_square(cp: ContextPolynomial, oset: ObservableSet) -> ContextPolynomial:

@@ -354,9 +354,11 @@ def parse(text: str) -> ProofFile:
         _check_rows(pending_matrix, dim, lineno)
     if dim is None:
         raise ParseError("file does not declare dim")
-    labels = [d.label for d in observables]
-    if len(set(labels)) != len(labels):
-        raise ParseError("duplicate observable labels")
+    seen = set()
+    for d in observables:
+        if d.label in seen:
+            raise ParseError(f"duplicate observable label {d.label}", d.line)
+        seen.add(d.label)
     return ProofFile(
         dim=dim,
         mode=mode,

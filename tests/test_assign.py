@@ -306,7 +306,7 @@ class TestGeneralUnsat:
     def test_empty_set_is_not_proof(self, basis3):
         cert = general_unsat(basis3, [])
         assert cert.verdict == NOT_KS_PROOF
-        assert cert.witness == {}
+        assert cert.witness == {0: 0, 1: 0, 2: 0}
 
     def test_single_basis_sat(self, basis3):
         g = build_orthogonality_graph(basis3)
@@ -382,6 +382,59 @@ def assert_ray_shortcut_matches_oracle(cs):
     if not cert.is_proof:
         for cp in cs.polynomials:
             assert eval_assignment(cp.poly, cert.witness).is_zero
+
+
+def _with_unread_ray(oset, vector):
+    """oset and one more ray, orthogonal to none of its rays, so that no
+    member of its complete set reads it."""
+    out = ObservableSet(dim=oset.dim)
+    for obs in oset.observables:
+        out.add(obs)
+    out.add_ray(vector, label="u")
+    return out
+
+
+class TestWitnessContract:
+    """Every search returns a witness that assigns every observable, the one
+    that no member reads included, or None; the verdict is read off it."""
+
+    @pytest.fixture(params=["basis3", "cabello-18"])
+    def unread(self, request):
+        """(complete set, whether it is a proof)."""
+        if request.param == "basis3":
+            oset = _with_unread_ray(single_basis_set(3), (1, 1, 1))
+        else:  # (1, 2, 4, 8) is orthogonal to no vector of 0s and +-1s
+            oset = _with_unread_ray(catalog.get("cabello-18").load(), (1, 2, 4, 8))
+        graph = build_orthogonality_graph(oset)
+        cs = build_complete_set_rays(oset, graph, enumerate_bases(graph))
+        u = len(oset) - 1
+        assert not any(u in cp.poly.variables() for cp in cs.polynomials)
+        return cs, request.param == "cabello-18"
+
+    @staticmethod
+    def assert_full(witness, oset):
+        if witness is not None:
+            assert sorted(witness) == list(range(len(oset)))
+            assert witness[len(oset) - 1] == 0  # the first of the ray's value_order
+
+    def test_proof_certificates(self, unread):
+        cs, is_proof = unread
+        colouring = ks_colorability(cs.oset, cs.graph, cs.bases)
+        csp = general_unsat(cs.oset, cs.polynomials)
+        for cert in (colouring, csp, decide(cs)):
+            self.assert_full(cert.witness, cs.oset)
+            assert cert.is_proof == (cert.witness is None) == is_proof
+            assert cert.verdict == (KS_PROOF if is_proof else NOT_KS_PROOF)
+
+    def test_bounds(self, unread):
+        cs, _ = unread
+        oset = cs.oset
+        bound = max_F(oset, cs.polynomials)
+        score = classical_max(oset, Poly({((0, 1),): Scalar(1)}))
+        _, witness, _ = branch_and_bound(oset, [((0, 1), lambda a: -int(a[0] * a[1]))])
+        for w in (bound.witness, score.witness, witness):
+            assert w is not None
+            self.assert_full(w, oset)
 
 
 def mixed_spectra_set():

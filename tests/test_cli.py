@@ -525,7 +525,8 @@ class TestVerifyCommand:
         ("dim 3\nray a 1 0\n", [], "line 2: ray a has 2 components, dim is 3"),
         ("dim 2\nmatrix m\nrow 0 1\nrow 0 0\n", [], "line 2: observable m is not Hermitian"),
         ("dim 2\npauli a +X\npauli b +Z\npoly a*b - 1\n", [],
-         "line 4: observables 0 and 1 do not commute"),
+         "line 4: observables a and b do not commute"),
+        ("dim 3\nray e1 1 0 0\nray e1 0 1 0\n", [], "line 3: duplicate observable label e1"),
         ("dim 2\npauli a +X\npauli b +Z\n", ["--mode", "parity"],
          "this mode requires declared contexts"),
         ("dim 2\nray a 1 0\nray b 0 1\n", ["--mode", "general"],
@@ -535,7 +536,7 @@ class TestVerifyCommand:
             "matrix-bad-spectrum", "context-no-labels", "poly-c-zero", "no-dim", "empty-scalar",
             "dangling-sign", "token-after-term", "token-in-term", "untokenizable", "empty-poly",
             "unclosed-paren", "pauli-wrong-dim", "ray-wrong-dim", "matrix-not-hermitian",
-            "poly-noncommuting", "parity-no-contexts", "general-no-poly"])
+            "poly-noncommuting", "duplicate-label", "parity-no-contexts", "general-no-poly"])
     def test_input_error_message(self, capsys, tmp_path, text, argv, message):
         path = tmp_path / "bad.txt"
         path.write_text(text)
@@ -1022,7 +1023,7 @@ MIXED_INPUTS = {
 # contexts were multiplied as words
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 NOT_PROOF = "6f5ad3d9115b1b06a17b9cfbf53de4fed28fe5cb5830cfe0ae77bf112bd207f0"
-NOT_COMMUTING = "fe33c96beaeaeae00fa788e9b9fa2490fd3bf2654985896ea4041ade361abea1"
+NOT_COMMUTING = "45b30649ad3599477f8174ebd5a374e6cab1168fc614e878cf4a30f3b735dcf9"
 MIXED_DIGESTS = {
     ("mixed", "verify"): (0, "d1fcce91951207a388f9d63f276bc9f9cedbe47b0d0f43f5d3bc9e65937b65ea", EMPTY),
     ("mixed", "derive"): (0, "28a607e76e32a82aa06461134f112cde095ac3b64814e4d5a0776096ef831a3b", EMPTY),
@@ -1049,7 +1050,7 @@ class TestMixedParityOutputs:
         path = tmp_path / "xz.txt"
         path.write_text(MIXED_INPUTS["noncommuting"])
         code, _, err = run(capsys, "verify", "--input", str(path))
-        assert (code, err) == (3, "error: input: line 4: observables 0 and 1 do not commute\n")
+        assert (code, err) == (3, "error: input: line 4: observables a and b do not commute\n")
 
 
 class TestBoundCommand:

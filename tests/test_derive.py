@@ -971,6 +971,21 @@ class TestPresent:
         with pytest.raises(ValueError):
             present(ineq, "cglmp")
 
+    @pytest.mark.parametrize("form", ["projector", "dichotomic"])
+    def test_certified_route_has_no_witness(self, form):
+        assert present(_catalog_inequality("cabello-18"), form).witness is None
+
+    def test_exact_witness_in_score_variables(self, cabello):
+        """The exact bound's maximiser is max_F's witness, at A = 1 - 2P
+        where the dichotomic form substitutes."""
+        oset, graph, bases = cabello
+        ineq = assemble_F(build_complete_set_rays(oset, graph, bases), exact_bound=True)
+        witness = max_F(oset, ineq.complete_set.polynomials).witness
+        assert present(ineq, "projector").witness == witness
+        pres = present(ineq, "dichotomic")
+        assert pres.substituted
+        assert pres.witness == {i: 1 - 2 * p for i, p in witness.items()}
+
 
 class TestExpectation:
     def test_F_operator_zero_any_state(self, mermin_peres):

@@ -1,5 +1,6 @@
 """Polynomial algebra: reduction, evaluation, normalization."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from kscert.errors import (
     UnknownVariable,
 )
 from kscert.exact import ExactMatrix, Scalar
+from kscert.model import ObservableSet, make_observable
 from kscert.poly import (
     MAX_POWER_BITS,
     ContextPolynomial,
@@ -274,6 +276,44 @@ class TestNormalization:
         cp = make_context_polynomial(Poly.var(0) * (Poly.var(0) - Poly.const(1)), basis3)
         with pytest.raises(IdenticallyZeroOnAssignments):
             normalization_constant(cp, basis3)
+
+    @given(st.lists(st.tuples(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 2)), max_size=3),
+                              st.tuples(*[st.fractions(-2, 2, max_denominator=3)] * 4)),
+                    min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_oracle(self, terms):
+        """normalization_constant in ints against the Fraction evaluator, on
+        coefficients in Q(i, sqrt2) and fractional spectra: the same c, or
+        the same error."""
+        oset = ObservableSet(dim=2)
+        for diag in [(Fraction(1, 2), 2), (Fraction(-1, 3), 1), (0, Fraction(3, 2))]:
+            oset.add(make_observable(ExactMatrix([[diag[0], 0], [0, diag[1]]]), spectrum=set(diag)))
+        p = sum((Poly({tuple(sorted(dict(m).items())): Scalar(*c)}) for m, c in terms), Poly())
+        cp = make_context_polynomial(p, oset)
+        try:
+            expected = normalization_constant_oracle(cp, oset)
+        except IdenticallyZeroOnAssignments as ex:
+            with pytest.raises(IdenticallyZeroOnAssignments, match=f"^{re.escape(str(ex))}$"):
+                normalization_constant(cp, oset)
+        else:
+            assert normalization_constant(cp, oset) == expected
+
+
+def normalization_constant_oracle(cp, oset):
+    """The minimum nonzero |r(a)|^2 through eval_assignment in Fractions, in
+    normalization_constant's assignment order and with its errors."""
+    best = None
+    for v in spectral_assignments(oset, sorted(cp.poly.variables())):
+        val = eval_assignment(cp.poly, v)
+        if val.is_zero:
+            continue
+        sq = val.norm_squared()
+        if not sq.is_rational:
+            raise IdenticallyZeroOnAssignments("squared modulus is irrational; cannot normalize")
+        best = sq.rational() if best is None else min(best, sq.rational())
+    if best is None:
+        raise IdenticallyZeroOnAssignments("polynomial vanishes at every spectral assignment")
+    return best
 
 
 class TestNormalizedSquare:
