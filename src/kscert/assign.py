@@ -37,9 +37,9 @@ from typing import Optional, Sequence
 
 from .compat import OrthogonalityGraph, context_delta
 from .errors import NotDichotomic, NotScalarMultiple, SearchBudgetExceeded
-from .exact import Scalar
+from .exact import Scalar, squared_modulus
 from .model import ObservableSet
-from .poly import ContextPolynomial, Poly, integral_evaluator, squared_modulus
+from .poly import ContextPolynomial, Poly, integral_evaluator
 
 DEFAULT_NODE_CAP = 10**8
 
@@ -82,12 +82,9 @@ class BoundResult:
 
 
 def value_order(spectrum) -> list:
-    """Deterministic value order: 0 before 1 for rays, +1 before -1 for
-    dichotomic observables, ascending otherwise."""
-    s = set(spectrum)
-    if s == {Fraction(0), Fraction(1)}:
-        return [Fraction(0), Fraction(1)]
-    if s == {Fraction(-1), Fraction(1)}:
+    """Deterministic value order: +1 before -1 for dichotomic observables,
+    ascending otherwise (so 0 before 1 for rays)."""
+    if set(spectrum) == {Fraction(-1), Fraction(1)}:
         return [Fraction(1), Fraction(-1)]
     return sorted(spectrum)
 
@@ -184,12 +181,13 @@ def parity_certify(oset: ObservableSet, contexts: Sequence[tuple]) -> list:
     context product is delta*I with delta = +-1 (raises otherwise)."""
     for i, obs in enumerate(oset.observables):
         if not obs.is_dichotomic:
-            raise NotDichotomic(i)
+            raise NotDichotomic(i, oset.labels[i])
     deltas = []
     for ctx in contexts:
         delta = context_delta(oset, ctx)
         if delta is None or not delta.is_rational or delta.rational() not in (1, -1):
-            raise NotScalarMultiple(f"context {ctx} product is not +-identity")
+            names = ", ".join(oset.labels[i] for i in ctx)
+            raise NotScalarMultiple(f"context ({names}) product is not +-identity")
         deltas.append(int(delta.rational()))
     return deltas
 

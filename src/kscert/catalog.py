@@ -2,17 +2,15 @@
 
 Four classic observable sets, stored as construction code rather than
 trusted data: every entry is rebuilt on load (Pauli observables as their
-signed words, rays from their vectors), the commutation of its declared
-contexts is re-verified, and its expected headline numbers are
-regression-checked against a fresh derivation by the test suite.  Loading
-builds no matrix: words are deduplicated by (sign, letters) and their
-commutation is read off the letters.
+signed words, rays from their vectors), and the commutation of its
+declared contexts is re-verified.  Loading builds no matrix: words are
+deduplicated by (sign, letters) and their commutation is read off the
+letters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Callable
 
 from .compat import validate_context
@@ -23,11 +21,9 @@ from .model import ObservableSet, pauli_observable
 
 @dataclass
 class CatalogEntry:
-    name: str
     description: str
     mode: str  # "parity" | "ray"
     build: Callable[[], ObservableSet]
-    expected: dict = field(default_factory=dict)
 
     def load(self) -> ObservableSet:
         oset = self.build()
@@ -146,54 +142,24 @@ def _peres_33() -> ObservableSet:
 
 ENTRIES = {
     "mermin-peres": CatalogEntry(
-        name="mermin-peres",
         description="3x3 square of two-qubit Pauli observables, 6 contexts, dim 4",
         mode="parity",
         build=_mermin_peres,
-        expected={
-            "verdict": "KSProof",
-            "n_contexts": 6,
-            "deltas": [1, 1, 1, 1, 1, -1],
-            "classical_bound": Fraction(4),
-            "quantum_value": Fraction(6),
-        },
     ),
     "mermin-pentagram": CatalogEntry(
-        name="mermin-pentagram",
         description="10 three-qubit Pauli observables on 5 lines, dim 8",
         mode="parity",
         build=_mermin_pentagram,
-        expected={
-            "verdict": "KSProof",
-            "n_contexts": 5,
-            "deltas": [1, 1, 1, 1, -1],
-            "classical_bound": Fraction(3),
-            "quantum_value": Fraction(5),
-        },
     ),
     "cabello-18": CatalogEntry(
-        name="cabello-18",
         description="18 rays in dim 4 forming 9 bases, each ray in two bases",
         mode="ray",
         build=_cabello_18,
-        expected={
-            "verdict": "KSProof",
-            "n_bases": 9,
-            "classical_bound": Fraction(8),
-            "quantum_value": Fraction(9),
-        },
     ),
     "peres-33": CatalogEntry(
-        name="peres-33",
         description="Peres' 33 rays in dim 3 (components 0, +-1, +-sqrt2)",
         mode="ray",
         build=_peres_33,
-        expected={
-            "verdict": "KSProof",
-            "n_bases": 16,
-            "classical_bound": Fraction(15),
-            "quantum_value": Fraction(16),
-        },
     ),
 }
 

@@ -93,11 +93,10 @@ def _build_complete_set(loaded):
         if not oset.declared_contexts:
             raise ParseError("this mode requires declared contexts")
         return build_complete_set_parity(oset, oset.declared_contexts)
-    if mode == "general":
-        if not loaded.user_polys:
-            raise ParseError("general mode requires user-supplied polynomials")
-        return build_complete_set_general(oset, loaded.user_polys)
-    raise ParseError(f"unknown mode {mode!r}")
+    # general, the last of MODES: _load has resolved auto
+    if not loaded.user_polys:
+        raise ParseError("general mode requires user-supplied polynomials")
+    return build_complete_set_general(oset, loaded.user_polys)
 
 
 def cmd_verify(args) -> int:

@@ -113,7 +113,7 @@ def build_complete_set_bases_only(
     basis_sets = [set(b) for b in bases]
     for i, j in graph.edges:
         if not any({i, j} <= b for b in basis_sets):
-            raise EdgeOutsideBases(i, j)
+            raise EdgeOutsideBases((i, j), (oset.labels[i], oset.labels[j]))
     polys = [_basis_poly(oset, b) for b in bases]
     return CompleteSet(oset=oset, members=polys, provenance=RAY_BASES_ONLY)
 

@@ -46,8 +46,10 @@ class NotScalarMultiple(KSCertError):
 
 
 class NotDichotomic(KSCertError):
-    def __init__(self, i):
-        super().__init__(f"observable {i} is not {{-1,1}}-dichotomic")
+    """Names the observable by its label; .index holds its id."""
+
+    def __init__(self, i, label):
+        super().__init__(f"observable {label} is not {{-1,1}}-dichotomic")
         self.index = i
 
 
@@ -64,9 +66,11 @@ class IdenticallyZeroOnAssignments(KSCertError):
 
 
 class EdgeOutsideBases(KSCertError):
-    def __init__(self, i, j):
-        super().__init__(f"orthogonal pair ({i}, {j}) lies in no supplied basis")
-        self.pair = (i, j)
+    """Names the pair by its labels; .pair holds its ids."""
+
+    def __init__(self, pair, labels):
+        super().__init__(f"orthogonal pair ({labels[0]}, {labels[1]}) lies in no supplied basis")
+        self.pair = pair
 
 
 class Condition1Violated(KSCertError):

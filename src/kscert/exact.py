@@ -14,11 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, ZeroVector
-
-RationalLike = Union[int, Fraction]
 
 
 def _frac(x) -> Fraction:
@@ -109,13 +107,7 @@ class Scalar:
             if not (c or g):  # both purely rational
                 return Scalar._make(a * e, _FR0, _FR0, _FR0)
             return Scalar._make(a * e - c * g, _FR0, a * g + c * e, _FR0)
-        # (re1 + im1*i)(re2 + im2*i), components in Q(sqrt2):
-        # (x1 + y1*s)(x2 + y2*s) = (x1x2 + 2 y1y2) + (x1y2 + y1x2) s
-        re_a = a * e + 2 * b * f - (c * g + 2 * d * h)
-        re_b = a * f + b * e - (c * h + d * g)
-        im_a = a * g + 2 * b * h + c * e + 2 * d * f
-        im_b = a * h + b * g + c * f + d * e
-        return Scalar._make(re_a, re_b, im_a, im_b)
+        return Scalar._make(*_mul_integral((a, b, c, d), (e, f, g, h)))
 
     __rmul__ = __mul__
 
@@ -123,10 +115,8 @@ class Scalar:
         return Scalar._make(self.a, self.b, -self.c, -self.d)
 
     def norm_squared(self) -> "Scalar":
-        """|z|^2 = (a + b sqrt2)^2 + (c + d sqrt2)^2, a real (possibly
-        sqrt2-bearing) scalar."""
-        a, b, c, d = self.a, self.b, self.c, self.d
-        return Scalar._make(a * a + 2 * b * b + c * c + 2 * d * d, 2 * (a * b + c * d), _FR0, _FR0)
+        """|z|^2, a real (possibly sqrt2-bearing) scalar."""
+        return Scalar._make(*squared_modulus((self.a, self.b, self.c, self.d)), _FR0, _FR0)
 
     def inverse(self) -> "Scalar":
         if self.is_zero:
@@ -197,8 +187,9 @@ def inner(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
 
 
 def _mul_integral(s: tuple, t: tuple) -> tuple:
-    """The product of two (a, b, c, d) int tuples as elements of Z[i, sqrt2]
-    (see Scalar.__mul__)."""
+    """The product of two (a, b, c, d) tuples, each standing for
+    a + b sqrt2 + i (c + d sqrt2): ints for elements of Z[i, sqrt2], and
+    Fractions for Scalar.__mul__'s."""
     a, b, c, d = s
     e, f, g, h = t
     return (
@@ -207,6 +198,14 @@ def _mul_integral(s: tuple, t: tuple) -> tuple:
         a * g + 2 * b * h + c * e + 2 * d * f,
         a * h + b * g + c * f + d * e,
     )
+
+
+def squared_modulus(v: tuple) -> tuple:
+    """|v|^2 = x + y sqrt2 as (x, y), for v = (a, b, c, d) as in
+    _mul_integral: ints for an int tuple (an integral or
+    poly.integral_evaluator value), Fractions for Scalar.norm_squared's."""
+    a, b, c, d = v
+    return a * a + 2 * b * b + c * c + 2 * d * d, 2 * (a * b + c * d)
 
 
 def integral(v: Iterable[Scalar]) -> tuple:
@@ -233,7 +232,7 @@ def primitive_integral(v: Sequence[Scalar]) -> tuple:
     conjugate, both positive; then divide by the gcd."""
     _, w = integral(v)
     a, b, c, d = next(t for t in w if any(t))
-    x, y = a * a + 2 * b * b + c * c + 2 * d * d, 2 * (a * b + c * d)
+    x, y = squared_modulus((a, b, c, d))
     m = _mul_integral((a, b, -c, -d), (x, -y, 0, 0))
     w = [_mul_integral(t, m) for t in w]
     g = gcd(*(p for t in w for p in t))

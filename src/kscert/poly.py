@@ -24,7 +24,7 @@ from .errors import (
     UnassignedVariable,
     UnknownVariable,
 )
-from .exact import ZERO, ExactMatrix, Scalar, integral, mat_mul
+from .exact import ZERO, ExactMatrix, Scalar, integral, mat_mul, squared_modulus
 from .model import ObservableSet
 
 Monomial = tuple  # tuple[(var_id, exponent), ...], ids strictly increasing
@@ -251,13 +251,6 @@ def integral_evaluator(p: Poly, spectra: Mapping[int, Sequence]) -> tuple:
         return ta, tb, tc, td
 
     return den * prod(s[i] ** E for i, E in top.items()), value
-
-
-def squared_modulus(v: tuple) -> tuple:
-    """|v|^2 = x + y sqrt2 as ints (x, y), for an integral_evaluator value
-    v = (a, b, c, d), which stands for a + b sqrt2 + i (c + d sqrt2)."""
-    a, b, c, d = v
-    return a * a + 2 * b * b + c * c + 2 * d * d, 2 * (a * b + c * d)
 
 
 def eval_operator(p: Poly, oset: ObservableSet) -> ExactMatrix:

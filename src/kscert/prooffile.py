@@ -14,7 +14,8 @@ Input files are line-oriented, hand-editable and diff-able:
 
 Scalar tokens are exact: rationals (`-3/2`), the imaginary unit (`i`,
 `2i`), and sqrt2 written `r2` (`-r2`, `1/2r2`), combinable as `1+i` or
-`(1+i)` inside polynomial expressions.
+`(1+i)` inside polynomial expressions.  There, a bare `i`, `r2` or `r2i`
+that labels an observable is that observable.
 
 Exports append a `=== derived ===` section with the complete set, F, the
 presented score, bounds and a content hash; the parser reads only the
@@ -157,12 +158,18 @@ class ProofFile:
 
     def to_polynomials(self, oset: ObservableSet) -> list:
         out = []
+        labels = set(oset.labels)
         try:
             for decl in self.polynomials:
                 p = Poly()
                 for coef, factors in decl.terms:
                     mono = {}
                     for label, exp in factors:
+                        if label not in labels and _SCALAR_TOKEN.match(label):  # i, r2, r2i
+                            if exp != 1:  # a scalar takes no exponent
+                                raise KSCertError("unexpected token '^' after term")
+                            coef = coef * parse_scalar(label)
+                            continue
                         i = oset.by_label(label)
                         mono[i] = mono.get(i, 0) + exp
                     p = p + Poly({tuple(sorted(mono.items())): coef})
@@ -196,7 +203,9 @@ _SCALAR_TOKEN = re.compile(r"^(\d+(?:/\d+)?(?:r2)?i?|r2i?|i)$")
 
 
 def parse_poly_expr(s: str, line: Optional[int] = None) -> list:
-    """Parse `2*a*b^2 - (1+i)*c + 1` into [(Scalar, [(label, exp), ...]), ...]."""
+    """Parse `2*a*b^2 - (1+i)*c + 1` into [(Scalar, [(label, exp), ...]), ...].
+    Every word is a factor, i, r2 and r2i too: ProofFile.to_polynomials
+    reads such a word as that scalar unless an observable has it as label."""
     toks = _tokenize_expr(s, line)
     terms = []
     idx = 0
@@ -223,9 +232,6 @@ def parse_poly_expr(s: str, line: Optional[int] = None) -> list:
                 depth_end = toks.index(")", idx)
                 coef = coef * parse_scalar("".join(toks[idx + 1 : depth_end]), line)
                 idx = depth_end + 1
-            elif tok is not None and _SCALAR_TOKEN.match(tok):
-                coef = coef * parse_scalar(tok, line)
-                idx += 1
             elif tok is not None and re.match(r"^[A-Za-z_]", tok):
                 label = tok
                 idx += 1
@@ -235,6 +241,9 @@ def parse_poly_expr(s: str, line: Optional[int] = None) -> list:
                     exp = _positive_int(peek() or "", line, "exponent must be a positive integer")
                     idx += 1
                 factors.append((label, exp))
+            elif tok is not None and _SCALAR_TOKEN.match(tok):
+                coef = coef * parse_scalar(tok, line)
+                idx += 1
             elif tok is None:
                 raise ParseError("unexpected end of polynomial", line)
             else:
@@ -289,6 +298,8 @@ def parse(text: str) -> ProofFile:
         if pending_matrix is not None and head != "row":
             _check_rows(pending_matrix, dim, lineno)
             pending_matrix = None
+        if head in ("ray", "pauli", "matrix") and dim is None:
+            raise ParseError("dim must come before observables", lineno)
         if head == "dim":
             dim = _positive_int(
                 parts[1] if len(parts) == 2 else "", lineno, "dim takes one positive integer"
@@ -298,23 +309,17 @@ def parse(text: str) -> ProofFile:
                 raise ParseError("mode must be " + " | ".join(MODES), lineno)
             mode = parts[1]
         elif head == "ray":
-            if dim is None:
-                raise ParseError("dim must come before observables", lineno)
             if len(parts) < 3:
                 raise ParseError("ray takes a label and components", lineno)
             vec = tuple(scalar(t, lineno) for t in parts[2:])
             observables.append(ObsDecl(kind="ray", label=parts[1], vector=vec, line=lineno))
         elif head == "pauli":
-            if dim is None:
-                raise ParseError("dim must come before observables", lineno)
             if len(parts) != 3 or not re.match(r"^[+-]?[IXYZ]+$", parts[2]):
                 raise ParseError(
                     "pauli takes a label and a signed word over I, X, Y, Z", lineno
                 )
             observables.append(ObsDecl(kind="pauli", label=parts[1], pauli=parts[2], line=lineno))
         elif head == "matrix":
-            if dim is None:
-                raise ParseError("dim must come before observables", lineno)
             if len(parts) < 2:
                 raise ParseError("matrix takes a label", lineno)
             spectrum = None

@@ -253,6 +253,19 @@ class TestVerifyCommand:
         assert code == 0
         assert "method: GeneralCSP (6 polynomials)" in out
 
+    @pytest.mark.parametrize("labels", [("r1", "r2"), ("i", "r2i")], ids=["r1-r2", "i-r2i"])
+    @pytest.mark.parametrize("below", [False, True], ids=["declared-above", "declared-below"])
+    def test_poly_word_names_observable(self, capsys, tmp_path, labels, below):
+        """A poly word that labels an observable is that observable, even
+        where it also reads as a scalar (r2 is sqrt2, i the imaginary unit)."""
+        x, y = labels
+        rays, poly = f"ray {x} 1 0\nray {y} 0 1\n", f"poly {x} + {y} - 1\n"
+        path = tmp_path / "labels.txt"
+        path.write_text("dim 2\nmode general\n" + (poly + rays if below else rays + poly))
+        code, out, _ = run(capsys, "verify", "--input", str(path))
+        assert code == 2
+        assert f"witness: {x}=0, {y}=1" in out
+
     # the branch and bound's node and propagation counts, pinned so that a
     # change to its arithmetic that changes the search shows
     @pytest.mark.parametrize("source,line", [
@@ -531,12 +544,20 @@ class TestVerifyCommand:
          "this mode requires declared contexts"),
         ("dim 2\nray a 1 0\nray b 0 1\n", ["--mode", "general"],
          "general mode requires user-supplied polynomials"),
+        ("dim 2\nmode parity\nray a 1 0\nray b 0 1\ncontext a b\n", [],
+         "observable a is not {-1,1}-dichotomic"),
+        ("dim 4\npauli a XI\npauli b IX\ncontext a b\n", [],
+         "context (a, b) product is not +-identity"),
+        ("dim 3\nray e1 1 0 0\nray e2 0 1 0\n", ["--mode", "bases-only"],
+         "orthogonal pair (e1, e2) lies in no supplied basis"),
+        ("dim 2\nray a 1 0\npoly r2^2*a - 1\n", [], "line 3: unexpected token '^' after term"),
     ], ids=["row-outside-matrix", "too-few-rows", "too-few-rows-at-end", "too-many-rows-at-end",
             "ray-no-components", "pauli-before-dim", "matrix-before-dim", "matrix-no-label",
             "matrix-bad-spectrum", "context-no-labels", "poly-c-zero", "no-dim", "empty-scalar",
             "dangling-sign", "token-after-term", "token-in-term", "untokenizable", "empty-poly",
             "unclosed-paren", "pauli-wrong-dim", "ray-wrong-dim", "matrix-not-hermitian",
-            "poly-noncommuting", "duplicate-label", "parity-no-contexts", "general-no-poly"])
+            "poly-noncommuting", "duplicate-label", "parity-no-contexts", "general-no-poly",
+            "not-dichotomic", "not-scalar-multiple", "edge-outside-bases", "scalar-power"])
     def test_input_error_message(self, capsys, tmp_path, text, argv, message):
         path = tmp_path / "bad.txt"
         path.write_text(text)

@@ -1,7 +1,8 @@
 """Every name a kscert module imports is used there, every public
 function and class a module defines is named somewhere else, every private
-one is named elsewhere in its own module, no function calls itself, and none
-only hands its parameters on to another.
+one is named elsewhere in its own module, every dataclass field is read
+somewhere, no function calls itself, and none only hands its parameters on
+to another.
 
 __init__.py is exempt: its imports are the package's re-exports."""
 
@@ -73,6 +74,36 @@ def test_public_definitions_referenced(path):
     others = [p.read_text(encoding="utf-8") for p in CORPUS if p.resolve() != path.resolve()]
     assert len(others) == len(CORPUS) - 1  # path is in the corpus
     assert unreferenced(path.read_text(encoding="utf-8"), others) == []
+
+
+def unread_fields(source: str, corpus: list) -> list:
+    """Class.field for each field of a dataclass in source that no text of
+    corpus reads as .field: data that nothing uses."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(
+                re.search(r"\bdataclass\b", ast.unparse(d)) for d in node.decorator_list):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    word = re.compile(rf"\.{stmt.target.id}\b")
+                    if not any(word.search(t) for t in corpus):
+                        out.append(f"{node.name}.{stmt.target.id}")
+    return out
+
+
+def test_detects_unread_field():
+    source = ("@dataclass\nclass Entry:\n    name: str\n    expected: dict = None\n\n\n"
+              "@dataclass(frozen=True)\nclass Pair:\n    left: int\n\n\n"
+              "class Plain:\n    note: str\n")
+    assert unread_fields(source, ["e.name", "p.left_x", "p.note"]) == [
+        "Entry.expected", "Pair.left"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_dataclass_fields_read(path):
+    # this file is left out: its detector test reads the fields it names
+    corpus = [p.read_text(encoding="utf-8") for p in CORPUS if p.name != "test_imports.py"]
+    assert unread_fields(path.read_text(encoding="utf-8"), corpus) == []
 
 
 def unreferenced_private(source: str) -> list:
