@@ -10,15 +10,19 @@ Pauli words is multiplied as masks, with a phase in Z_4, and a context with
 any other member is multiplied out.
 For ray sets the orthogonality graph has one vertex per ray and an edge
 whenever the inner product of the underlying vectors vanishes, computed in
-integers on their primitive integral vectors.  Each ray's neighbours are one
-int bit mask, bit j set for ray j; bases are the graph's n-vertex cliques,
-grown from an explicit stack by intersecting masks.
+integers on their primitive integral vectors: the four integer sums of the
+inner product are packed into one integer with a radix fixed from the
+largest key part, so each pair is one integer dot product
+(build_orthogonality_graph says why that is exact).  Each ray's neighbours
+are one int bit mask, bit j set for ray j; bases are the graph's n-vertex
+cliques, grown from an explicit stack by intersecting masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter, mul
 from typing import Iterable
 
 from .errors import KSCertError, NonRayMember, NotCommuting
@@ -27,7 +31,6 @@ from .exact import (
     ExactMatrix,
     commutes,
     mat_mul,
-    orthogonal_integral,
     scalar_multiple_of_identity,
 )
 from .model import Observable, ObservableSet
@@ -85,15 +88,51 @@ class OrthogonalityGraph:
 
 
 def build_orthogonality_graph(oset: ObservableSet) -> OrthogonalityGraph:
+    """The graph of the rays' orthogonality, tested exactly in integers on
+    their keys, the primitive integral vectors (exact.primitive_integral).
+
+    For keys u and v, with components a + b sqrt2 + i (c + d sqrt2) and
+    e + f sqrt2 + i (g + h sqrt2), <u, v> = sum conj(u_k) v_k is
+    ra + rb sqrt2 + i (ia + ib sqrt2), with
+        ra = sum a e + 2 b f + c g + 2 d h    rb = sum a f + b e + c h + d g
+        ia = sum a g + 2 b h - c e - 2 d f    ib = sum a h + b g - c f - d e,
+    and it is 0 exactly when all four are.  With A the largest |part| of
+    any key and n the dimension, each sum is at most 6 n A^2 in size, less
+    than M / 2 for the radix M, the power of two above 12 n A^2.  So
+    Z = ra + M rb + M^2 ia + M^3 ib is 0 exactly when all four are: balanced
+    base-M digits are unique (Z mod M is ra, which is then 0; divide by M
+    and repeat).  Z is linear in u's parts, Z = sum_p u_p W_v[p], so each
+    pair is one integer dot product over u's nonzero parts; W_v is built
+    once per ray, from the weights of each distinct component.
+    """
     if not oset.all_rays:
         raise NonRayMember("orthogonality graph requires a pure ray set")
     n = len(oset)
     keys = [obs.ray.key for obs in oset.observables]
+    comps = {t for key in keys for t in key}  # KP-40's 320 take 5 values
+    big = max((abs(p) for t in comps for p in t), default=0)
+    m1 = 1 << (12 * oset.dim * big * big).bit_length()
+    m2, m3 = m1 * m1, m1 * m1 * m1
+    weight = {
+        (e, f, g, h): (
+            e + m1 * f + m2 * g + m3 * h,
+            2 * f + m1 * e + 2 * m2 * h + m3 * g,
+            g + m1 * h - m2 * e - m3 * f,
+            2 * h + m1 * g - 2 * m2 * f - m3 * e,
+        )
+        for e, f, g, h in comps
+    }
+    weights = [[w for t in key for w in weight[t]] for key in keys]
     masks = [0] * n
-    for i in range(n):
-        ki = keys[i]
+    for i, key in enumerate(keys):
+        ps = [p for t in key for p in t]
+        nonzero = [k for k, p in enumerate(ps) if p]
+        vals = [ps[k] for k in nonzero]
+        get = itemgetter(*nonzero)
+        if len(nonzero) == 1:  # itemgetter of one position gives a bare value
+            get = itemgetter(slice(nonzero[0], nonzero[0] + 1))
         for j in range(i + 1, n):
-            if orthogonal_integral(ki, keys[j]):
+            if not sum(map(mul, vals, get(weights[j]))):
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
     return OrthogonalityGraph(oset=oset, masks=masks)

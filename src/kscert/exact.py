@@ -239,18 +239,6 @@ def primitive_integral(v: Sequence[Scalar]) -> tuple:
     return tuple(tuple(p // g for p in t) for t in w)
 
 
-def orthogonal_integral(u: Sequence[tuple], v: Sequence[tuple]) -> bool:
-    """Whether <u, v> = sum conj(u_k) v_k is 0, for vectors of (a, b, c, d)
-    int tuples (see primitive_integral), in integer arithmetic."""
-    ra = rb = ia = ib = 0
-    for (a, b, c, d), (e, f, g, h) in zip(u, v):
-        ra += a * e + 2 * b * f + c * g + 2 * d * h
-        rb += a * f + b * e + c * h + d * g
-        ia += a * g + 2 * b * h - c * e - 2 * d * f
-        ib += a * h + b * g - c * f - d * e
-    return not (ra or rb or ia or ib)
-
-
 class ExactMatrix:
     """A dense square matrix over Q(i, sqrt2); immutable value semantics."""
 

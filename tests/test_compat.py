@@ -29,6 +29,7 @@ from kscert.exact import PAULI
 
 from conftest import eigenray_set, single_basis_set, stabilizer_ray_set
 from test_acceptance import _random_ray_set
+from test_cli import run
 from test_model import ray_vector_lists
 
 
@@ -78,6 +79,10 @@ class TestGraph:
             assert ids in found
 
 
+big_parts = st.integers(-(2**40), 2**40)
+big_scalars = st.tuples(big_parts, big_parts, big_parts, big_parts).map(lambda t: Scalar(*t))
+
+
 def _inner_edges(oset):
     """The oracle for the integer test: edges where exact.inner of the
     vectors as given, over Q(i, sqrt2), is 0."""
@@ -116,6 +121,50 @@ class TestIntegerGraphOracle:
             with suppress(DuplicateObservable):
                 oset.add_ray(v)
         assert build_orthogonality_graph(oset).edges == _inner_edges(oset)
+
+    @given(st.integers(2, 4).flatmap(lambda d: st.lists(
+        big_scalars, min_size=d, max_size=d)).filter(lambda u: not (u[0].is_zero and u[1].is_zero)))
+    @settings(max_examples=150, deadline=None)
+    def test_large_parts(self, u):
+        """Parts up to 2^40 in size, far above INTEGRAL_ENTRIES': u, a vector
+        v orthogonal to it, and the copies of v with one part moved by 1."""
+        v = [u[1].conjugate(), -u[0].conjugate()] + [Scalar(0)] * (len(u) - 2)
+        near = []
+        for k, x in enumerate(v):
+            for p in range(4):
+                parts = [x.a, x.b, x.c, x.d]
+                parts[p] += 1
+                near.append(v[:k] + [Scalar(*parts)] + v[k + 1 :])
+        oset = ObservableSet(dim=len(u))
+        for w in [u, v, *near]:
+            if any(not x.is_zero for x in w):
+                with suppress(DuplicateObservable):
+                    oset.add_ray(w)
+        edges = build_orthogonality_graph(oset).edges
+        assert (0, 1) in edges
+        assert edges == _inner_edges(oset)
+
+    def test_radix_carries(self):
+        """<u, w> = 2^s r_k - r_(k+1), for r the units 1, sqrt2, i, i sqrt2:
+        its four integer sums, 2^s and -1 in adjacent places, cancel when
+        packed with a radix of 2^s, so a radix fixed that low joins u and w.
+        u = (1, 1) and w = (1, <u, w> - 1) are their own keys."""
+        units = [Scalar(1), Scalar(0, 1), Scalar(0, 0, 1), Scalar(0, 0, 0, 1)]
+        for s in range(64):
+            for k in range(3):
+                oset = ObservableSet(dim=2)
+                oset.add_ray((1, 1))
+                oset.add_ray((1, units[k] * 2**s - units[k + 1] - 1))
+                assert build_orthogonality_graph(oset).edges == [], (s, k)
+
+    def test_large_parts_file(self, capsys, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text("dim 2\n"
+                        "ray a 10000000000000000000000000000 1/3\n"
+                        "ray b -1/3 10000000000000000000000000000\n")
+        code, out, _ = run(capsys, "verify", "--input", str(path))
+        assert code == 2
+        assert "method: RayColoring (1 bases, 1 edges)" in out
 
 
 @st.composite
