@@ -61,20 +61,21 @@ class CompleteSet:
     oset: ObservableSet
     members: Optional[list]  # list[ContextPolynomial]; None on a ray set
     provenance: str
-    graph: Optional[OrthogonalityGraph] = None  # with bases, set by build_complete_set_rays
+    graph: Optional[OrthogonalityGraph] = None  # with bases and edges, set by the ray builders
     bases: Optional[list] = None
+    edges: Optional[list] = None  # the graph's edges that are members
 
     @cached_property
     def polynomials(self) -> list:
-        """The members, a ray set's built from its graph and bases when read."""
+        """The members, a ray set's built from its edges and bases when read."""
         if self.members is not None:
             return self.members
-        polys = [_ray_member({((i, 1), (j, 1)): ONE}, self.oset) for i, j in self.graph.edges]
+        polys = [_ray_member({((i, 1), (j, 1)): ONE}, self.oset) for i, j in self.edges]
         return polys + [_basis_poly(self.oset, b) for b in self.bases]
 
     def __len__(self):
         if self.members is None:
-            return len(self.graph.edges) + len(self.bases)
+            return len(self.edges) + len(self.bases)
         return len(self.members)
 
 
@@ -98,10 +99,10 @@ def build_complete_set_rays(
     polynomial per basis, each with c = 1 (edge products take the values 0
     and 1, basis sums the integers -1 to n - 1).  Condition 1 holds by
     construction: edges join exactly orthogonal rays (P_i P_j = 0), and
-    bases sum to I (see enumerate_bases).  The set records graph and bases,
-    whose coloring rules are exactly its members (see decide), and from
-    which ray_F sums its F; it alone records a graph, and builds no member."""
-    return CompleteSet(oset, None, RAY_EDGES_BASES, graph=graph, bases=list(bases))
+    bases sum to I (see enumerate_bases).  The set records graph, bases and
+    member edges, whose coloring rules are exactly its members (see decide),
+    and from which ray_F sums its F; it builds no member."""
+    return CompleteSet(oset, None, RAY_EDGES_BASES, graph, list(bases), graph.edges)
 
 
 def build_complete_set_bases_only(
@@ -109,13 +110,13 @@ def build_complete_set_bases_only(
 ) -> CompleteSet:
     """Basis polynomials only; valid when every orthogonality edge lies in
     some supplied basis (raises EdgeOutsideBases otherwise).  c = 1 and
-    Condition 1 hold as for build_complete_set_rays."""
+    Condition 1 hold as for build_complete_set_rays, and the set records its
+    graph and bases as that one does, with no member edge (see decide)."""
     basis_sets = [set(b) for b in bases]
     for i, j in graph.edges:
         if not any({i, j} <= b for b in basis_sets):
             raise EdgeOutsideBases((i, j), (oset.labels[i], oset.labels[j]))
-    polys = [_basis_poly(oset, b) for b in bases]
-    return CompleteSet(oset=oset, members=polys, provenance=RAY_BASES_ONLY)
+    return CompleteSet(oset, None, RAY_BASES_ONLY, graph, list(bases), [])
 
 
 def build_complete_set_parity(oset: ObservableSet, contexts: Sequence[tuple]) -> CompleteSet:
@@ -165,9 +166,11 @@ def with_constants(cs: CompleteSet) -> CompleteSet:
 def decide(cs: CompleteSet, node_cap: int = DEFAULT_NODE_CAP) -> ProofCertificate:
     """Condition 2, the verdict of verify and of derive's certified route:
     KSProof iff no value assignment zeroes every member, else a witness that
-    does.  A set with a recorded graph is decided by ks_colorability, whose
-    rules are exactly its members and which is far faster there; any other
-    by general_unsat.  The c_i are with_constants' question."""
+    does.  A set with a recorded graph is decided by ks_colorability, which
+    is far faster there.  Its rules are a ray set's members; in bases-only
+    mode every edge lies in a basis, whose one 1 leaves no edge at 1, so
+    they have the same zeroes.  Any other set is decided by general_unsat.
+    The c_i are with_constants' question."""
     if cs.graph is not None:
         return ks_colorability(cs.oset, cs.graph, cs.bases, node_cap=node_cap)
     return general_unsat(cs.oset, cs.polynomials, node_cap=node_cap)
@@ -223,9 +226,9 @@ def assemble_F(
     route, so not-a-proof is still reported before the normalization error.
     The returned complete set carries the c_i used.
 
-    On either route, F of a set that records a graph (built by
-    build_complete_set_rays, each member with c = 1) is ray_F's sum of
-    counts; every other set's is sum_of_squares'.
+    On either route, F of a set that records a graph (a ray set, in either
+    mode, each member with c = 1) is ray_F's sum of counts; a parity or
+    general set's is sum_of_squares'.
     """
     oset = cs.oset
     fixed = None
@@ -247,21 +250,22 @@ def assemble_F(
     if cs.graph is None:
         F = sum_of_squares(cs.polynomials, oset.spectra())
     else:
-        F = ray_F(cs.graph.edges, cs.bases)
+        F = ray_F(cs.edges, cs.bases)
     return Inequality(oset=oset, complete_set=cs, F=F, classical=classical)
 
 
 def ray_F(edges: Sequence[tuple], bases: Sequence[tuple]) -> Poly:
-    """F of the complete set build_complete_set_rays builds from edges and
-    bases, from counts alone; sum_of_squares is its oracle.
+    """F of the ray set with member edges `edges` (all, or in bases-only mode
+    none, of its graph's) and bases `bases`, from counts alone;
+    sum_of_squares is its oracle.
 
     Each member has c = 1, and P^2 = P on a ray's spectrum (0, 1).  So the
     edge member P_i P_j gives -P_i P_j, and the basis member sum P_i - 1
-    gives -1 + sum P_i - 2 sum_{i<j} P_i P_j, where every pair is an edge.
-    Hence F = -B + sum_i m_i P_i - sum_edges (1 + 2 m_ij) P_i P_j, with B
-    the number of bases, m_i the number that hold ray i and m_ij the number
-    that hold edge ij (Cabello, Severini and Winter's weighted graph).  The
-    counts are ints, over denominator 1.
+    gives -1 + sum P_i - 2 sum_{i<j} P_i P_j.  Hence
+    F = -B + sum_i m_i P_i - sum_pairs (e_ij + 2 m_ij) P_i P_j, with B the
+    number of bases, m_i the number that hold ray i, m_ij the number that
+    hold pair ij and e_ij 1 on a member edge, else 0 (Cabello, Severini and
+    Winter's weighted graph).  The counts are ints, over denominator 1.
 
     P^2 = P needs d >= 2.  In d = 1, P = I and every member is 0, but
     assemble_F never reaches F there: a ray set in d <= 2 is colourable.
@@ -269,7 +273,7 @@ def ray_F(edges: Sequence[tuple], bases: Sequence[tuple]) -> Poly:
     pairs = dict.fromkeys(edges, 1)
     for b in bases:
         for e in combinations(b, 2):  # bases are sorted, as edges are
-            pairs[e] += 2
+            pairs[e] = pairs.get(e, 0) + 2
     nums = {(): (-len(bases), 0)}
     nums.update((((i, 1),), (m, 0)) for i, m in Counter(i for b in bases for i in b).items())
     nums.update((((i, 1), (j, 1)), (-w, 0)) for (i, j), w in pairs.items())

@@ -68,10 +68,6 @@ class Scalar:
         return not (self.a or self.b or self.c or self.d)
 
     @property
-    def is_real(self) -> bool:
-        return not (self.c or self.d)
-
-    @property
     def is_rational(self) -> bool:
         return not (self.b or self.c or self.d)
 

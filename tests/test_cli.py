@@ -28,7 +28,7 @@ from kscert.prooffile import (
     render_input_section,
 )
 
-from conftest import eigenray_set, stabilizer_ray_set
+from conftest import eigenray_set, stabilizer_ray_set, two_bases_set
 
 
 class TestParseScalar:
@@ -266,8 +266,9 @@ class TestVerifyCommand:
         assert code == 2
         assert f"witness: {x}=0, {y}=1" in out
 
-    # the branch and bound's node and propagation counts, pinned so that a
-    # change to its arithmetic that changes the search shows
+    # node and propagation counts of both searches, the branch and bound's
+    # and the ray coloring's, pinned so that a change that alters a search
+    # shows; a bases-only set is searched as its ray set is
     @pytest.mark.parametrize("source,line", [
         (("--catalog", "mermin-peres"), "search: 74 nodes, 76 propagations"),
         (("--catalog", "mermin-pentagram"), "search: 230 nodes, 232 propagations"),
@@ -278,44 +279,61 @@ class TestVerifyCommand:
         (("--eigenrays", "kp-40"), "search: 127 nodes, 725 propagations"),
         (("--eigenrays", "kp-40"), "method: RayColoring (25 bases, 460 edges)"),
         (("--eigenrays", "stabilizer-60"), "search: 63 nodes, 815 propagations"),
+        (("--eigenrays", "peres-24", "--mode", "bases-only"), "search: 31 nodes, 203 propagations"),
+        (("--eigenrays", "kp-40", "--mode", "bases-only"), "search: 127 nodes, 725 propagations"),
+        (("--eigenrays", "kp-40", "--mode", "bases-only"),
+         "method: RayColoring (25 bases, 460 edges)"),
     ], ids=["mermin-peres", "mermin-pentagram", "general-mermin-peres", "cabello-18",
-            "peres-33", "peres-24", "kp-40", "kp-40-method", "stabilizer-60"])
+            "peres-33", "peres-24", "kp-40", "kp-40-method", "stabilizer-60",
+            "peres-24-bases-only", "kp-40-bases-only", "kp-40-bases-only-method"])
     def test_search_line(self, capsys, tmp_path, source, line):
-        option, value = source
+        option, value, *mode = source
         if option == "--eigenrays":  # a generated ray set, written as a file
             option, value = "--input", _eigenray_file(value)
         if option == "--input":
             (tmp_path / "mp.txt").write_text(value)
             value = str(tmp_path / "mp.txt")
-        code, out, _ = run(capsys, "verify", option, value)
+        code, out, _ = run(capsys, "verify", option, value, *mode)
         assert code == 0
         assert line in out.splitlines()
 
     def test_ray_verify_builds_no_member(self, capsys, monkeypatch, tmp_path):
-        """verify and derive read a ray set's graph and bases alone, with
-        the output they had when they built the complete set first; export's
-        record and the exact bound's max_F build every member once."""
+        """verify and derive read a ray set's graph and bases alone, in ray
+        and in bases-only mode, with the output they had when they built
+        the complete set first; export's record and the exact bound's max_F
+        build every member once: 485 in ray mode, the 25 bases in
+        bases-only mode.  Neither mode reaches general_unsat or
+        sum_of_squares."""
         calls = []
 
         def counted(*args, original=derive._ray_member):
             calls.append(1)
             return original(*args)
 
+        def unreached(*args, **kwargs):
+            raise AssertionError("a ray set took the general path")
+
         monkeypatch.setattr(derive, "_ray_member", counted)
+        monkeypatch.setattr(derive, "general_unsat", unreached)
+        monkeypatch.setattr(derive, "sum_of_squares", unreached)
         path = tmp_path / "kp-40.txt"
         path.write_text(_eigenray_file("kp-40"))
-        code, out, _ = run(capsys, "verify", "--input", str(path))
-        assert code == 0
-        assert out == ("method: RayColoring (25 bases, 460 edges)\n"
-                       "verdict: KSProof\n"
-                       "search: 127 nodes, 725 propagations\n")
-        for form in ("projector", "dichotomic"):
-            assert run(capsys, "derive", "--input", str(path), "--form", form)[0] == 0
-        assert calls == []
-        for command in ("export", "bound"):
+        for mode, members in (("ray", 485), ("bases-only", 25)):
             calls.clear()
-            assert run(capsys, command, "--input", str(path), "--form", "projector")[0] == 0
-            assert len(calls) == 485, command
+            code, out, _ = run(capsys, "verify", "--input", str(path), "--mode", mode)
+            assert code == 0
+            assert out == ("method: RayColoring (25 bases, 460 edges)\n"
+                           "verdict: KSProof\n"
+                           "search: 127 nodes, 725 propagations\n")
+            for form in ("projector", "dichotomic"):
+                assert run(capsys, "derive", "--input", str(path), "--form", form,
+                           "--mode", mode)[0] == 0
+            assert calls == [], mode
+            for command in ("export", "bound"):
+                calls.clear()
+                assert run(capsys, command, "--input", str(path), "--form", "projector",
+                           "--mode", mode)[0] == 0
+                assert len(calls) == members, (mode, command)
 
     @pytest.mark.parametrize("cap,code", [(126, 4), (127, 0)])
     def test_ray_search_node_cap(self, capsys, tmp_path, cap, code):
@@ -867,6 +885,8 @@ AGREEMENT_INPUTS = {
     "pentagram-less-context": lambda: _without_last(_catalog_text("mermin-pentagram"), "context"),
     "pentagram-extra-context": lambda: _catalog_text("mermin-pentagram") + PENTAGRAM_EXTRA,
     "cabello-less-ray": lambda: _without_last(_catalog_text("cabello-18"), "ray"),
+    "two-bases-only": lambda: render_input_section(proof_file_from_set(two_bases_set(),
+                                                                       "bases-only")),
 }
 
 
@@ -1172,7 +1192,7 @@ class TestExportRecordDigests:
 # sha256 of the standard output of derive, export, derive --exact-bound and
 # bound, in both forms, on Peres' 24 and Kernaghan and Peres' 40 rays
 # (conftest.eigenray_set), each written as a ray file and read by its
-# relative name
+# relative name, in ray mode and with --mode bases-only
 WORKLOAD_DIGESTS = {
     ("peres-24", "derive", "projector"): "9796d3e2411214983636231ad945132bf9d6096c172f0df740476d9f44de0d57",
     ("peres-24", "derive", "dichotomic"): "cd959aa0690017fdcacd8220c8d63f60408a47fcbb980f74e05195d716eac456",
@@ -1190,6 +1210,22 @@ WORKLOAD_DIGESTS = {
     ("kp-40", "derive --exact-bound", "dichotomic"): "7d1aef461476c09caa37d87ceb2fc753174f15e61d29500d3cc2606801610681",
     ("kp-40", "bound", "projector"): "2c9255b75dae3c1456a2738bdcf8a87f6bd0184c99c23a02aac92ea4836b3584",
     ("kp-40", "bound", "dichotomic"): "7ed3e7e63ac456f1e2aebb823fff61e708b7cfb42f6ebcd4f08d44a36d4cc05c",
+    ("peres-24", "derive --mode bases-only", "projector"): "b2bd14aab8f7c96ff8a9b6366a865faf0432231df49118e0312f66b8df1d0ba8",
+    ("peres-24", "derive --mode bases-only", "dichotomic"): "1bc3c8d99b1a91772e3c6f3691e307e2d084f6021462250c9ac8da8df3a177e3",
+    ("kp-40", "derive --mode bases-only", "projector"): "0a0c836d197f816c9b38dcbf3f3f3e04769854ffe6e11ca1d61346a493909b72",
+    ("kp-40", "derive --mode bases-only", "dichotomic"): "23620de7b7b0670ecc431f30e51e72467219ad653ebce2b5da60f0fa21525239",
+    ("peres-24", "export --mode bases-only", "projector"): "c58d2250436fa2165b24e4725e0de28906d7a55df82bf27db8a4b70aeb6a9eaf",
+    ("peres-24", "export --mode bases-only", "dichotomic"): "5ee7430b2389c3a4741493986da02e2139948c52e9775528ec0f331ac6a53839",
+    ("kp-40", "export --mode bases-only", "projector"): "95ec0c1935586a230f216c4b6a9cfb21fce55328623da995f258a2272d6a7ae7",
+    ("kp-40", "export --mode bases-only", "dichotomic"): "5ee775b9158cf9a3f0afbcfaca5e4d7549804a4b849efe794e7b4923d0341cdb",
+    ("peres-24", "derive --exact-bound --mode bases-only", "projector"): "c4c0c367670fa6e24be3422429430a35caa1caaf1a5ab31f719110c04694dd6e",
+    ("peres-24", "derive --exact-bound --mode bases-only", "dichotomic"): "c03dbdbf254f64552eea6fda30f111792dbb78ad855ff7c118e440f054a2890e",
+    ("kp-40", "derive --exact-bound --mode bases-only", "projector"): "d721941fe06403d1de1eda2a0de4d7daeadb4edd8f4747d47d668887b9989ce4",
+    ("kp-40", "derive --exact-bound --mode bases-only", "dichotomic"): "a1255e73230da4d8fd3647c2c9441fda2192c2a2eed777e26e7954c9109c4dfa",
+    ("peres-24", "bound --mode bases-only", "projector"): "8c0fecb57da365be09ec4a9552738474dcf1f6756dd14272f891e613e774787b",
+    ("peres-24", "bound --mode bases-only", "dichotomic"): "d5a066ceabf9c06ee833e302663057cfb1500947f46f0afce42fbfa9d1ae3c34",
+    ("kp-40", "bound --mode bases-only", "projector"): "5a306187b66b366073ad18b69900e27fd9a8dfb0662b1c84bbba345cb69f0db3",
+    ("kp-40", "bound --mode bases-only", "dichotomic"): "81d40b61790a854dd7036c4e60e1cecf4c0191cf37b2c71b2e9a9970cad22ce0",
 }
 
 
@@ -1202,11 +1238,13 @@ def _eigenray_file(name):
 
 
 # sha256 of the standard output of verify on the generated ray sets and on
-# a colourable ray file, whose output ends in a witness line
+# two colourable ray files, one read in bases-only mode, whose output ends
+# in a witness line
 VERIFY_DIGESTS = {
     "peres-24": "f6238f5ec28feadbc4a191697937fa1b29706a47a6c831a8442a988d2356b0a4",
     "kp-40": "d31716e07988cd1d25655c8a5ccfb087079b35195418429225afeae71fc92927",
     "cabello-less-ray": "02c328c81de17f21cfa5e2612655276b032c522ab37b58bfd40ce087a72aa454",
+    "two-bases-only": "c4cdfae7c26074b5f766e133ad5a4aca667990620684c68b939cd3bd78a0e1f3",
 }
 
 

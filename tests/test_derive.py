@@ -17,7 +17,7 @@ from kscert import assign as assign_mod
 from kscert import catalog, derive
 from kscert import poly as poly_mod
 from kscert.assign import BoundResult, classical_max, general_unsat, max_F, parity_certify
-from kscert.compat import build_orthogonality_graph, enumerate_bases
+from kscert.compat import OrthogonalityGraph, build_orthogonality_graph, enumerate_bases
 from kscert.derive import (
     CompleteSet,
     Inequality,
@@ -478,15 +478,20 @@ def _ray_members(edges, bases):
 class TestRayF:
     """ray_F's closed form against sum_of_squares, its oracle."""
 
-    @given(graphs_with_bases())
+    @given(graphs_with_bases(), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_sum_of_squares_oracle(self, structure):
+    def test_sum_of_squares_oracle(self, structure, data):
+        """Any subset of the graph's edges as member edges: all of them in
+        ray mode, none in bases-only mode, where a basis pair is no member."""
         graph, bases = structure
+        keep = data.draw(st.lists(st.booleans(), min_size=len(graph.edges),
+                                  max_size=len(graph.edges)))
         spectra = [(Fraction(0), Fraction(1))] * len(graph.masks)
-        F = ray_F(graph.edges, bases)
-        assert F == sum_of_squares(_ray_members(graph.edges, bases), spectra)
-        assert F == ray_witness_polynomial(graph.edges, bases)
-        _assert_clean(F)
+        for edges in ([e for e, k in zip(graph.edges, keep) if k], []):
+            F = ray_F(edges, bases)
+            assert F == sum_of_squares(_ray_members(edges, bases), spectra)
+            assert F == ray_witness_polynomial(edges, bases)
+            _assert_clean(F)
 
     def test_counts(self):
         # a triangle 0-1-2 and the edges 0-3, 1-3 and 3-4; ray 5 is isolated
@@ -504,6 +509,34 @@ class TestRayF:
         }
         assert ray_F(edges, []) == Poly({((i, 1), (j, 1)): -1 for i, j in edges})
         assert ray_F([], []) == Poly()
+
+
+@given(graphs_with_bases())
+@settings(max_examples=150, deadline=None)
+def test_bases_only_coloring_oracle(structure):
+    """A bases-only set, every edge of its graph in some basis, is decided
+    by the ray coloring of its graph and bases; general_unsat on its basis
+    members, the oracle, gives the same verdict, and a witness zeroes
+    every member."""
+    graph, bases = structure
+    n = len(graph.masks)
+    oset = ObservableSet(dim=max(n, 2))  # rays with the spectrum (0, 1)
+    for k in range(n):
+        oset.add_ray([int(i == k) for i in range(oset.dim)])
+    masks = [0] * n
+    for b in bases:
+        for i, j in itertools.combinations(b, 2):
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+    covered = OrthogonalityGraph(oset=oset, masks=masks)
+    cs = build_complete_set_bases_only(oset, covered, bases)
+    cert = derive.decide(cs)
+    oracle = general_unsat(oset, cs.polynomials)
+    assert cert.method == "RayColoring"
+    assert cert.is_proof == oracle.is_proof
+    for witness in (cert.witness, oracle.witness):
+        if witness is not None:
+            assert all(eval_assignment(cp.poly, witness).is_zero for cp in cs.polynomials)
 
 
 @pytest.mark.parametrize("exact_bound", [False, True], ids=["certified", "exact-bound"])

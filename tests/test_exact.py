@@ -68,7 +68,7 @@ class TestScalar:
     def test_norm_squared_real_nonneg(self, x):
         n = x.norm_squared()
         assert n == x * x.conjugate()
-        assert n.is_real
+        assert n.c == n.d == 0
         # a + b*sqrt2 >= 0, decided exactly by sign cases
         a, b = n.a, n.b
         if a >= 0 and b >= 0:
