@@ -112,9 +112,13 @@ def build_complete_set_bases_only(
     some supplied basis (raises EdgeOutsideBases otherwise).  c = 1 and
     Condition 1 hold as for build_complete_set_rays, and the set records its
     graph and bases as that one does, with no member edge (see decide)."""
-    basis_sets = [set(b) for b in bases]
+    covered = [0] * len(graph.masks)  # bit j of covered[i]: i and j share a basis
+    for b in bases:
+        mask = sum(1 << i for i in b)
+        for i in b:
+            covered[i] |= mask
     for i, j in graph.edges:
-        if not any({i, j} <= b for b in basis_sets):
+        if not covered[i] >> j & 1:
             raise EdgeOutsideBases((i, j), (oset.labels[i], oset.labels[j]))
     return CompleteSet(oset, None, RAY_BASES_ONLY, graph, list(bases), [])
 
@@ -424,7 +428,7 @@ def present(ineq: Inequality, form: str) -> PresentedInequality:
     if substituted:
         deg = ineq.F.max_degree()
         nums, den = _substitute_dichotomic(nums, deg), D << deg
-        labels = [f"d{obs.label or i}" for i, obs in enumerate(oset.observables)]
+        labels = ["d" + label for label in oset.labels]
         if witness is not None:
             witness = {i: 1 - 2 * p for i, p in witness.items()}
     else:

@@ -2,10 +2,11 @@
 
 Every observable carries its finite spectrum.  Matrix input is verified on
 construction: the product of (A - a_j I) over the declared eigenvalues must
-be exactly zero.  Rays and Pauli words have their spectra stated, for the
-reasons their constructors give.  A ray keeps its nonzero vector and that
-vector's primitive integral form over Z[i, sqrt2], which decides duplicates
-and orthogonality; a Pauli observable keeps its word as bit masks, which
+be exactly zero, and a value is kept exactly when it is an eigenvalue.
+Rays and Pauli words have their spectra stated, for the reasons their
+constructors give.  A ray keeps its nonzero vector and that vector's
+primitive integral form over Z[i, sqrt2], which decides duplicates and
+orthogonality; a Pauli observable keeps its word as bit masks, which
 decide duplicates, commutation and context products.  The projector or the
 Pauli matrix is built only when a matrix is read.
 """
@@ -102,48 +103,31 @@ def _annihilates(matrix: ExactMatrix, spectrum) -> bool:
     return prod.is_zero
 
 
-def _minimal_spectrum(matrix: ExactMatrix, spectrum) -> tuple:
-    """Greedily drop eigenvalues whose factor is not needed to annihilate."""
-    spec = list(spectrum)
-    for a in list(spec):
-        if len(spec) == 1:
-            break
-        trial = [x for x in spec if x != a]
-        if _annihilates(matrix, trial):
-            spec = trial
-    return tuple(sorted(spec))
-
-
-def _detect_spectrum(matrix: ExactMatrix) -> tuple:
-    m2 = mat_mul(matrix, matrix)
-    n = matrix.dim
-    if m2 == matrix:  # idempotent
-        return _minimal_spectrum(matrix, (Fraction(0), Fraction(1)))
-    if m2 == ExactMatrix.identity(n):  # involutory
-        return _minimal_spectrum(matrix, (Fraction(-1), Fraction(1)))
-    raise AnnihilationFailure(
-        "spectrum omitted and matrix is neither idempotent nor involutory"
-    )
-
-
 def make_observable(
     matrix: ExactMatrix, spectrum: Optional[Sequence] = None, label: str = ""
 ) -> Observable:
-    """Build an Observable, verifying Hermiticity and annihilation exactly."""
+    """Build an Observable, verifying Hermiticity and annihilation exactly;
+    an omitted spectrum is (0, 1) if m^2 = m and (-1, 1) if m^2 = I.  For a
+    Hermitian A annihilated by the product of (A - bI) over the values, a is
+    an eigenvalue exactly when the product over the other values is not 0."""
     if not matrix.is_hermitian:
         raise NonHermitian(f"observable {label or '?'} is not Hermitian")
     if spectrum is None:
-        spec = _detect_spectrum(matrix)
-    else:
-        spec = tuple(sorted(Fraction(a) for a in spectrum))
-        if len(set(spec)) != len(spec):
-            raise AnnihilationFailure("spectrum values must be pairwise distinct")
-        if not _annihilates(matrix, spec):
+        m2 = mat_mul(matrix, matrix)
+        if m2 != matrix and m2 != ExactMatrix.identity(matrix.dim):
             raise AnnihilationFailure(
-                f"declared spectrum {list(map(str, spec))} does not annihilate "
-                f"observable {label or '?'}"
+                "spectrum omitted and matrix is neither idempotent nor involutory"
             )
-        spec = _minimal_spectrum(matrix, spec)
+        spectrum = (0, 1) if m2 == matrix else (-1, 1)
+    spec = tuple(sorted(Fraction(a) for a in spectrum))
+    if len(set(spec)) != len(spec):
+        raise AnnihilationFailure("spectrum values must be pairwise distinct")
+    if not _annihilates(matrix, spec):
+        raise AnnihilationFailure(
+            f"declared spectrum {list(map(str, spec))} does not annihilate "
+            f"observable {label or '?'}"
+        )
+    spec = tuple(a for a in spec if not _annihilates(matrix, [b for b in spec if b != a]))
     return Observable(spectrum=spec, label=label, own_matrix=matrix)
 
 

@@ -130,25 +130,12 @@ class ProofFile:
         try:
             for d in self.observables:
                 if d.kind == "ray":
-                    if len(d.vector) != self.dim:
-                        raise ParseError(
-                            f"ray {d.label} has {len(d.vector)} components, dim is {self.dim}"
-                        )
-                    oset.add(ray_observable(make_ray(d.vector, d.label), d.label))
+                    obs = ray_observable(make_ray(d.vector, d.label), d.label)
                 elif d.kind == "pauli":
-                    size = 2 ** sum(ch in "IXYZ" for ch in d.pauli)  # a qubit per letter
-                    if size != self.dim:
-                        raise ParseError(
-                            f"pauli {d.label} has dimension {size}, dim is {self.dim}"
-                        )
-                    oset.add(pauli_observable(d.pauli, d.label))
+                    obs = pauli_observable(d.pauli, d.label)
                 else:
-                    m = ExactMatrix(d.rows)
-                    if m.dim != self.dim:
-                        raise ParseError(
-                            f"matrix {d.label} has dimension {m.dim}, dim is {self.dim}"
-                        )
-                    oset.add(make_observable(m, spectrum=d.spectrum, label=d.label))
+                    obs = make_observable(ExactMatrix(d.rows), spectrum=d.spectrum, label=d.label)
+                oset.add(obs)  # which checks its dimension
             for d in self.contexts:
                 ids = [oset.by_label(l) for l in d.labels]
                 oset.declared_contexts.append(validate_context(oset, ids))
@@ -165,7 +152,7 @@ class ProofFile:
                 for coef, factors in decl.terms:
                     mono = {}
                     for label, exp in factors:
-                        if label not in labels and _SCALAR_TOKEN.match(label):  # i, r2, r2i
+                        if label not in labels and _SCALAR_TERM.match(label):  # i, r2, r2i
                             if exp != 1:  # a scalar takes no exponent
                                 raise KSCertError("unexpected token '^' after term")
                             coef = coef * parse_scalar(label)
@@ -183,7 +170,7 @@ class ProofFile:
 # -- polynomial expression parsing -------------------------------------------
 
 _TOKEN = re.compile(
-    r"\s*(\(|\)|\*|\^|\+|-|[A-Za-z_][A-Za-z_0-9]*|\d+(?:/\d+)?(?:r2)?i?|r2i?|i)"
+    r"\s*(\(|\)|\*|\^|\+|-|[A-Za-z_][A-Za-z_0-9]*|\d+(?:/\d+)?(?:r2)?i?)"
 )
 
 
@@ -197,9 +184,6 @@ def _tokenize_expr(s: str, line):
         out.append(m.group(1))
         pos = m.end()
     return out
-
-
-_SCALAR_TOKEN = re.compile(r"^(\d+(?:/\d+)?(?:r2)?i?|r2i?|i)$")
 
 
 def parse_poly_expr(s: str, line: Optional[int] = None) -> list:
@@ -241,7 +225,7 @@ def parse_poly_expr(s: str, line: Optional[int] = None) -> list:
                     exp = _positive_int(peek() or "", line, "exponent must be a positive integer")
                     idx += 1
                 factors.append((label, exp))
-            elif tok is not None and _SCALAR_TOKEN.match(tok):
+            elif tok is not None and _SCALAR_TERM.match(tok):
                 coef = coef * parse_scalar(tok, line)
                 idx += 1
             elif tok is None:

@@ -617,6 +617,11 @@ class TestClassicalMax:
         res = classical_max(basis3, Poly.const(Fraction(5, 2)))
         assert res.kind == "exact" and res.value == Fraction(5, 2)
 
+    def test_irrational_coefficient_rejected(self, basis3):
+        score = Poly.var(0) + Poly({((1, 1),): Scalar(0, 1)})  # P0 + sqrt2 P1
+        with pytest.raises(ValueError, match="^classical_max requires a rational-coefficient score$"):
+            classical_max(basis3, score)
+
     def test_linear_projectors(self, basis3):
         score = Poly.var(0) + Poly.var(1) - Poly.var(2)
         res = classical_max(basis3, score)

@@ -225,6 +225,39 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _padded(text):
+    """text with a blank line, a full-line comment and an indented comment
+    before each of its lines, so its line k is physical line 4k."""
+    return "".join(f"\n# line {k}\n   \t# indented\n{line}\n"
+                   for k, line in enumerate(text.splitlines(), start=1))
+
+
+class TestBlankAndCommentLines:
+    """parse skips blank and comment-only lines, and every line keeps its
+    physical number."""
+
+    @pytest.mark.parametrize("text", [SINGLE_BASIS, MP_PARITY, GENERAL_MP,
+                                      "dim 2\nmatrix m spectrum -1,1\nrow 0 1\nrow 1 0\n"],
+                             ids=["rays", "parity", "general", "matrix"])
+    def test_same_output(self, capsys, tmp_path, text):
+        path = tmp_path / "proof.txt"  # one path for both, as the output names it
+        outputs = []
+        for content in (text, _padded(text)):
+            path.write_text(content)
+            outputs.append([run(capsys, command, "--input", str(path))
+                            for command in ("verify", "derive", "export")])
+        assert outputs[1] == outputs[0]
+
+    def test_error_keeps_its_physical_line(self, capsys, tmp_path):
+        with pytest.raises(ParseError) as exc:
+            parse(_padded("dim 3\nray e1 1 0 0\nray e2 1 q 0\n"))
+        assert exc.value.line == 12
+        path = tmp_path / "bad.txt"
+        path.write_text(_padded("dim 3\nray e1 1 0 0\nray e2 2 0 0\n"))
+        assert run(capsys, "verify", "--input", str(path)) == \
+            (3, "", "error: input: line 12: observable e2 duplicates e1\n")
+
+
 class TestVerifyCommand:
     def test_catalog_proof(self, capsys):
         code, out, _ = run(capsys, "verify", "--catalog", "cabello-18")
@@ -552,8 +585,9 @@ class TestVerifyCommand:
         ("dim 2\nray a 1 0\npoly a $ b\n", [], "line 3: cannot tokenize polynomial near ' $ b'"),
         ("dim 2\nray a 1 0\npoly\n", [], "line 3: empty polynomial expression"),
         ("dim 2\nray a 1 0\npoly (1+i*a - 1\n", [], "line 3: unclosed parenthesis in polynomial"),
-        ("dim 4\npauli a +X\n", [], "line 2: pauli a has dimension 2, dim is 4"),
-        ("dim 3\nray a 1 0\n", [], "line 2: ray a has 2 components, dim is 3"),
+        ("dim 4\npauli a +X\n", [], "line 2: observable a has dimension 2, set has 4"),
+        ("dim 3\nray a 1 0\n", [], "line 2: observable a has dimension 2, set has 3"),
+        ("dim 3\nray a 0 0\n", [], "line 2: ray a is the zero vector"),
         ("dim 2\nmatrix m\nrow 0 1\nrow 0 0\n", [], "line 2: observable m is not Hermitian"),
         ("dim 2\npauli a +X\npauli b +Z\npoly a*b - 1\n", [],
          "line 4: observables a and b do not commute"),
@@ -573,9 +607,10 @@ class TestVerifyCommand:
             "ray-no-components", "pauli-before-dim", "matrix-before-dim", "matrix-no-label",
             "matrix-bad-spectrum", "context-no-labels", "poly-c-zero", "no-dim", "empty-scalar",
             "dangling-sign", "token-after-term", "token-in-term", "untokenizable", "empty-poly",
-            "unclosed-paren", "pauli-wrong-dim", "ray-wrong-dim", "matrix-not-hermitian",
-            "poly-noncommuting", "duplicate-label", "parity-no-contexts", "general-no-poly",
-            "not-dichotomic", "not-scalar-multiple", "edge-outside-bases", "scalar-power"])
+            "unclosed-paren", "pauli-wrong-dim", "ray-wrong-dim", "ray-zero-and-wrong-dim",
+            "matrix-not-hermitian", "poly-noncommuting", "duplicate-label", "parity-no-contexts",
+            "general-no-poly", "not-dichotomic", "not-scalar-multiple", "edge-outside-bases",
+            "scalar-power"])
     def test_input_error_message(self, capsys, tmp_path, text, argv, message):
         path = tmp_path / "bad.txt"
         path.write_text(text)

@@ -118,9 +118,8 @@ class TestCompleteSets:
         oset, graph, bases = cabello
         with pytest.raises(EdgeOutsideBases) as exc:
             build_complete_set_bases_only(oset, graph, bases)
-        i, j = exc.value.pair
-        assert (i, j) in graph.edges
-        assert not any({i, j} <= set(b) for b in bases)
+        assert exc.value.pair == _first_edge_outside_bases(graph, bases) == (0, 14)
+        assert str(exc.value) == "orthogonal pair (r1, r15) lies in no supplied basis"
 
     def test_parity_set(self, mermin_peres):
         oset, ctxs = mermin_peres
@@ -511,6 +510,38 @@ class TestRayF:
         assert ray_F([], []) == Poly()
 
 
+def _axis_rays(n):
+    """n unlabeled axis rays, in dimension n but at least 2, so each has the
+    spectrum (0, 1)."""
+    oset = ObservableSet(dim=max(n, 2))
+    for k in range(n):
+        oset.add_ray([int(i == k) for i in range(oset.dim)])
+    return oset
+
+
+def _first_edge_outside_bases(graph, bases):
+    """The oracle of build_complete_set_bases_only's check, on Python sets:
+    the first edge, in graph.edges order, that lies in no basis, or None."""
+    basis_sets = [set(b) for b in bases]
+    return next((e for e in graph.edges if not any(set(e) <= b for b in basis_sets)), None)
+
+
+@given(graphs_with_bases())
+@settings(max_examples=150, deadline=None)
+def test_bases_only_admission_oracle(structure):
+    """build_complete_set_bases_only admits a set exactly when every edge
+    lies in a basis, and otherwise names the oracle's first such edge."""
+    graph, bases = structure
+    oset = _axis_rays(len(graph.masks))
+    first = _first_edge_outside_bases(graph, bases)
+    if first is None:
+        assert build_complete_set_bases_only(oset, graph, bases).edges == []
+    else:
+        with pytest.raises(EdgeOutsideBases) as exc:
+            build_complete_set_bases_only(oset, graph, bases)
+        assert exc.value.pair == first
+
+
 @given(graphs_with_bases())
 @settings(max_examples=150, deadline=None)
 def test_bases_only_coloring_oracle(structure):
@@ -520,9 +551,7 @@ def test_bases_only_coloring_oracle(structure):
     every member."""
     graph, bases = structure
     n = len(graph.masks)
-    oset = ObservableSet(dim=max(n, 2))  # rays with the spectrum (0, 1)
-    for k in range(n):
-        oset.add_ray([int(i == k) for i in range(oset.dim)])
+    oset = _axis_rays(n)
     masks = [0] * n
     for b in bases:
         for i, j in itertools.combinations(b, 2):
@@ -784,7 +813,7 @@ def present_oracle(ineq: Inequality, form: str) -> PresentedInequality:
         coeffs[mono] = coef.rational()
     if substituted:
         coeffs = fraction_substitution_oracle(coeffs)
-        labels = [f"d{obs.label or i}" for i, obs in enumerate(oset.observables)]
+        labels = ["d" + label for label in oset.labels]
     else:
         labels = oset.labels
     offset = coeffs.get((), Fraction(0))
@@ -885,6 +914,18 @@ class TestPresent:
         pres = present(assemble_F(build_complete_set_rays(oset, graph, bases)), "dichotomic")
         assert pres.labels == [f"d{label}" for label in oset.labels]
         assert_score_is_quantum_value(pres, oset)
+
+    def test_unlabeled_dichotomic_labels(self):
+        """An unlabeled ray is A0 in projector form and dA0 in dichotomic form."""
+        oset = ObservableSet(dim=4)
+        for v in catalog.CABELLO_18_VECTORS:
+            oset.add_ray(v)
+        graph = build_orthogonality_graph(oset)
+        ineq = assemble_F(build_complete_set_rays(oset, graph, enumerate_bases(graph)))
+        names = [f"A{i}" for i in range(18)]
+        assert present(ineq, "projector").labels == names
+        assert present(ineq, "dichotomic").labels == ["d" + name for name in names]
+        assert present_oracle(ineq, "dichotomic").labels == ["d" + name for name in names]
 
     def test_substitution_matches_poly_algebra(self, cabello):
         # P^e = P on the rays' spectrum (0, 1) and ((1 - A)/2)^2 = (1 - A)/2

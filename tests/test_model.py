@@ -30,7 +30,6 @@ from kscert.exact import (
 from kscert.model import (
     ObservableSet,
     _annihilates,
-    _minimal_spectrum,
     dichotomize,
     make_observable,
     make_ray,
@@ -77,6 +76,56 @@ class TestMakeObservable:
     def test_distinct_spectrum_required(self):
         with pytest.raises(AnnihilationFailure):
             make_observable(PAULI["X"], spectrum=(1, 1, -1))
+
+
+HADAMARD = ExactMatrix([[1, 1], [1, -1]]).scale(Scalar(0, Fraction(1, 2)))  # entries +-1/sqrt2
+SMALL_FRACTIONS = st.fractions(-3, 3, max_denominator=4)
+
+
+@st.composite
+def diagonalized(draw, values=SMALL_FRACTIONS):
+    """(A, D's entries) for A = U D U^dagger in d = 2 or 4, D diagonal with
+    entries drawn from values, and U a permutation or a sqrt2 Hadamard (H,
+    H x H or H x I)."""
+    d = draw(st.sampled_from([2, 4]))
+    diag = draw(st.lists(values, min_size=d, max_size=d))
+    D = ExactMatrix([[diag[i] if i == j else 0 for j in range(d)] for i in range(d)])
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(d)))
+        U = ExactMatrix([[int(perm[i] == j) for j in range(d)] for i in range(d)])
+    elif d == 2:
+        U = HADAMARD
+    else:
+        U = kron(HADAMARD, draw(st.sampled_from([HADAMARD, ExactMatrix.identity(2)])))
+    return mat_mul(mat_mul(U, D), U.dagger()), diag
+
+
+class TestSpectrumRule:
+    """make_observable keeps a declared value exactly when it is an
+    eigenvalue: the product over the other values then no longer
+    annihilates the matrix."""
+
+    @given(diagonalized(), st.lists(SMALL_FRACTIONS, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_declared_values_reduce_to_eigenvalues(self, case, extra):
+        matrix, diag = case
+        spec = make_observable(matrix, list(set(diag) | set(extra))).spectrum
+        assert spec == tuple(sorted(set(diag)))
+        assert _annihilates(matrix, spec)
+        for a in spec:
+            assert not _annihilates(matrix, [b for b in spec if b != a])
+
+    @given(diagonalized(st.sampled_from([Fraction(0), Fraction(1)])))
+    @settings(max_examples=30, deadline=None)
+    def test_undeclared_idempotent(self, case):
+        matrix, diag = case
+        assert make_observable(matrix).spectrum == tuple(sorted(set(diag)))
+
+    @given(diagonalized(st.sampled_from([Fraction(-1), Fraction(1)])))
+    @settings(max_examples=30, deadline=None)
+    def test_undeclared_involutory(self, case):
+        matrix, diag = case
+        assert make_observable(matrix).spectrum == tuple(sorted(set(diag)))
 
 
 class TestMakeRay:
@@ -234,7 +283,7 @@ class TestRaySpectra:
             (ray_observable(ray), (Fraction(0), Fraction(1))),
             (dichotomize(ray), (Fraction(-1), Fraction(1))),
         ):
-            assert obs.spectrum == _minimal_spectrum(obs.matrix, candidates)
+            assert obs.spectrum == make_observable(obs.matrix, candidates).spectrum
             assert _annihilates(obs.matrix, obs.spectrum)
 
 
@@ -275,9 +324,8 @@ class TestPauliObservable:
         matrix = pauli_matrix(word.lstrip("+-"), sign)
         assert obs.matrix == matrix and obs.label == "a"
         assert matrix.is_hermitian
-        assert obs.spectrum == _minimal_spectrum(matrix, (Fraction(-1), Fraction(1)))
-        assert _annihilates(matrix, obs.spectrum)
         assert obs.spectrum == make_observable(matrix, spectrum=(-1, 1)).spectrum
+        assert _annihilates(matrix, obs.spectrum)
 
     def test_equal_matrix_is_duplicate(self):
         oset = ObservableSet(dim=2)
