@@ -4,8 +4,8 @@ Four classic observable sets, stored as construction code rather than
 trusted data: every entry is rebuilt on load (Pauli observables as their
 signed words, rays from their vectors), and the commutation of its
 declared contexts is re-verified.  Loading builds no matrix: words are
-deduplicated by (sign, letters) and their commutation is read off the
-letters.
+deduplicated by their masks (exact.pauli_masks), and their commutation is
+read off the same masks.
 """
 
 from __future__ import annotations

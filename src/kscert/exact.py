@@ -439,28 +439,3 @@ def mask_matrix(n: int, k: int, x: int, z: int) -> ExactMatrix:
         rows.append(row)
     return ExactMatrix(rows)
 
-
-def pauli_word(m: ExactMatrix):
-    """The masks (n, k, x, z) of a Hermitian Pauli word with
-    m == mask_matrix(n, k, x, z), or None.
-
-    A candidate is read off a few entries (see mask_matrix): row 0's first
-    nonzero column is x, the entry in column 0 of row x is i^k, and the
-    entry in column b of row x ^ b, for the bit b of one qubit, differs from
-    it exactly when b is a z bit.  The word is Hermitian exactly when
-    k = popcount(x & z) (mod 2), as (X^x Z^z)^dagger = Z^z X^x =
-    (-1)^popcount(x & z) X^x Z^z; so i times a Hermitian word is none.  One
-    comparison with the candidate's matrix decides."""
-    dim = m.dim
-    if dim < 2 or dim & (dim - 1):
-        return None
-    e = m.entries
-    x = next((c for c, v in enumerate(e[0]) if not v.is_zero), None)
-    if x is None or e[x][0] not in PHASES:
-        return None
-    k = PHASES.index(e[x][0])
-    n = dim.bit_length() - 1
-    z = sum(b for b in (1 << q for q in range(n)) if e[x ^ b][b] != e[x][0])
-    if (k - (x & z).bit_count()) % 2 or mask_matrix(n, k, x, z) != m:
-        return None
-    return n, k, x, z

@@ -5,10 +5,10 @@ construction: the product of (A - a_j I) over the declared eigenvalues must
 be exactly zero, and a value is kept exactly when it is an eigenvalue.
 Rays and Pauli words have their spectra stated, for the reasons their
 constructors give.  A ray keeps its nonzero vector and that vector's
-primitive integral form over Z[i, sqrt2], which decides duplicates and
-orthogonality; a Pauli observable keeps its word as bit masks, which
-decide duplicates, commutation and context products.  The projector or the
-Pauli matrix is built only when a matrix is read.
+primitive integral form over Z[i, sqrt2], which decides orthogonality; a
+Pauli observable keeps its word as bit masks, which decide commutation and
+context products.  Both forms also key duplicates (ObservableSet).  The
+projector or the Pauli matrix is built only when a matrix is read.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .exact import (
     mat_mul,
     mask_matrix,
     pauli_masks,
-    pauli_word,
     primitive_integral,
     projector_from_vector,
 )
@@ -94,22 +93,25 @@ class Observable:
 
 
 def _annihilates(matrix: ExactMatrix, spectrum) -> bool:
-    n = matrix.dim
-    prod = ExactMatrix.identity(n)
+    """True iff the product of (matrix - aI) over spectrum is 0; over no
+    value the product is I, which is not."""
+    prod = None
     for a in spectrum:
-        prod = mat_mul(prod, matrix - ExactMatrix.identity(n).scale(Scalar.of(a)))
+        factor = matrix - ExactMatrix.identity(matrix.dim).scale(Scalar.of(a))
+        prod = factor if prod is None else mat_mul(prod, factor)
         if prod.is_zero:
             return True
-    return prod.is_zero
+    return False
 
 
 def make_observable(
     matrix: ExactMatrix, spectrum: Optional[Sequence] = None, label: str = ""
 ) -> Observable:
     """Build an Observable, verifying Hermiticity and annihilation exactly;
-    an omitted spectrum is (0, 1) if m^2 = m and (-1, 1) if m^2 = I.  For a
-    Hermitian A annihilated by the product of (A - bI) over the values, a is
-    an eigenvalue exactly when the product over the other values is not 0."""
+    an omitted spectrum is (0, 1) if m^2 = m and (-1, 1) if m^2 = I, which
+    is that spectrum's annihilation check.  For a Hermitian A annihilated by
+    the product of (A - bI) over the values, a is an eigenvalue exactly when
+    the product over the other values is not 0."""
     if not matrix.is_hermitian:
         raise NonHermitian(f"observable {label or '?'} is not Hermitian")
     if spectrum is None:
@@ -118,15 +120,16 @@ def make_observable(
             raise AnnihilationFailure(
                 "spectrum omitted and matrix is neither idempotent nor involutory"
             )
-        spectrum = (0, 1) if m2 == matrix else (-1, 1)
-    spec = tuple(sorted(Fraction(a) for a in spectrum))
-    if len(set(spec)) != len(spec):
-        raise AnnihilationFailure("spectrum values must be pairwise distinct")
-    if not _annihilates(matrix, spec):
-        raise AnnihilationFailure(
-            f"declared spectrum {list(map(str, spec))} does not annihilate "
-            f"observable {label or '?'}"
-        )
+        spec = (Fraction(0), Fraction(1)) if m2 == matrix else (Fraction(-1), Fraction(1))
+    else:
+        spec = tuple(sorted(Fraction(a) for a in spectrum))
+        if len(set(spec)) != len(spec):
+            raise AnnihilationFailure("spectrum values must be pairwise distinct")
+        if not _annihilates(matrix, spec):
+            raise AnnihilationFailure(
+                f"declared spectrum {list(map(str, spec))} does not annihilate "
+                f"observable {label or '?'}"
+            )
     spec = tuple(a for a in spec if not _annihilates(matrix, [b for b in spec if b != a]))
     return Observable(spectrum=spec, label=label, own_matrix=matrix)
 
@@ -165,46 +168,37 @@ def dichotomize(ray: Ray, label: str = "") -> Observable:
     return Observable(spectrum=spec, label=label, own_matrix=matrix)
 
 
-def _index_key(obs: Observable):
-    """Equal exactly for observables with equal matrices.  A ray is keyed by
-    the primitive integral vector of its line, so it needs no projector, and
-    so is a matrix that is a rank-1 projector: one annihilated by x(x - 1)
-    (its constructor verified or stated that, and Hermiticity) with trace 1.
-    A Pauli word is keyed by its masks (n, k, x, z), so it needs no matrix,
-    and so is a matrix equal to a Pauli word (exact.pauli_word).  Any other
-    matrix is its own key."""
-    if obs.ray is not None:
-        return obs.ray.key
-    if obs.pauli is not None:
-        return obs.pauli
-    m = obs.own_matrix
-    if set(obs.spectrum) <= {0, 1} and sum(m.entries[k][k] for k in range(m.dim)) == 1:
-        return primitive_integral(next(c for c in zip(*m.entries) if any(not x.is_zero for x in c)))
-    return pauli_word(m) or m
-
-
 @dataclass
 class ObservableSet:
     """The proof-set container: a fixed-dimension list of observables.
 
-    Observable ids are positions in `observables`.  Duplicate matrices are
-    rejected; for rays this makes scalar multiples of an existing vector
-    duplicates, since both yield the same projector, and so are a ray and a
-    matrix equal to its projector, in either order.  Observables enter
-    through add, which keeps the index that finds duplicates (_index_key).
+    Observable ids are positions in `observables`.  add rejects an
+    observable whose matrix equals an earlier one's.  Its index keys a ray
+    by its primitive integral vector and a Pauli word by its masks, both
+    canonical, so a set of rays and words builds no matrix.  From the first
+    `matrix` declaration on, every observable is keyed by its matrix; the
+    rebuilt keys cannot collide, as in d >= 2 a ray's projector has the
+    eigenvalue 0 and a word's eigenvalues are +-1.
     """
 
     dim: int
     observables: list = field(default_factory=list)
     declared_contexts: list = field(default_factory=list)  # list[tuple[int,...]]
     _ids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _by_matrix: bool = field(default=False, init=False, repr=False, compare=False)
 
     def add(self, obs: Observable) -> int:
         if obs.dim != self.dim:
             raise DimensionMismatch(
                 f"observable {obs.label or '?'} has dimension {obs.dim}, set has {self.dim}"
             )
-        key = _index_key(obs)
+        if obs.own_matrix is not None and not self._by_matrix:
+            self._by_matrix = True
+            self._ids = {o.matrix: i for i, o in enumerate(self.observables)}
+        if self._by_matrix:
+            key = obs.matrix
+        else:
+            key = obs.ray.key if obs.ray is not None else obs.pauli
         if key in self._ids:
             existing = self.observables[self._ids[key]]
             raise DuplicateObservable(

@@ -307,7 +307,7 @@ def parse(text: str) -> ProofFile:
             if len(parts) < 2:
                 raise ParseError("matrix takes a label", lineno)
             spectrum = None
-            if len(parts) >= 4 and parts[2] == "spectrum":
+            if len(parts) == 4 and parts[2] == "spectrum":
                 spectrum = tuple(_rational(x, lineno) for x in parts[3].split(","))
             elif len(parts) != 2:
                 raise ParseError("matrix syntax: matrix LABEL [spectrum a,b,...]", lineno)

@@ -575,6 +575,8 @@ class TestVerifyCommand:
         ("dim 2\nmatrix\n", [], "line 2: matrix takes a label"),
         ("dim 2\nmatrix m spectrum\n", [],
          "line 2: matrix syntax: matrix LABEL [spectrum a,b,...]"),
+        ("dim 2\nmatrix m spectrum -1,1 junk\nrow 1 0\nrow 0 -1\n", [],
+         "line 2: matrix syntax: matrix LABEL [spectrum a,b,...]"),
         ("dim 2\nray a 1 0\ncontext\n", [], "line 3: context takes observable labels"),
         ("dim 2\nray a 1 0\npoly c=0 a\n", [], "line 3: c must be positive"),
         ("mode auto\npoly a\n", [], "file does not declare dim"),
@@ -605,7 +607,7 @@ class TestVerifyCommand:
         ("dim 2\nray a 1 0\npoly r2^2*a - 1\n", [], "line 3: unexpected token '^' after term"),
     ], ids=["row-outside-matrix", "too-few-rows", "too-few-rows-at-end", "too-many-rows-at-end",
             "ray-no-components", "pauli-before-dim", "matrix-before-dim", "matrix-no-label",
-            "matrix-bad-spectrum", "context-no-labels", "poly-c-zero", "no-dim", "empty-scalar",
+            "matrix-bad-spectrum", "matrix-trailing-token", "context-no-labels", "poly-c-zero", "no-dim", "empty-scalar",
             "dangling-sign", "token-after-term", "token-in-term", "untokenizable", "empty-poly",
             "unclosed-paren", "pauli-wrong-dim", "ray-wrong-dim", "ray-zero-and-wrong-dim",
             "matrix-not-hermitian", "poly-noncommuting", "duplicate-label", "parity-no-contexts",
@@ -1062,6 +1064,42 @@ class TestPauliWords:
         calls = self.counted_run(capsys, "export", "--catalog", name)
         assert calls["mask_matrix"] == len(catalog.get(name).load())
         assert calls["pauli_matrix"] == calls["kron"] == calls["mat_mul"] == calls["__hash__"] == 0
+
+
+class TestIndexBuildsNoMatrix:
+    """ObservableSet keys rays by their integer vectors and words by their
+    masks, so no command on a ray or word set builds a projector or a
+    word's matrix; export builds each catalog word's matrix for its
+    `matrix` lines."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        built = Counter()
+        for name in ("projector_from_vector", "mask_matrix"):
+            def counted(*args, name=name, original=getattr(model, name)):
+                built[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(model, name, counted)
+        return built
+
+    @pytest.mark.parametrize("name", ["mermin-peres", "mermin-pentagram", "cabello-18", "peres-33"])
+    def test_catalog(self, capsys, monkeypatch, name):
+        built = self._count(monkeypatch)
+        for argv in (["verify"], ["derive"], ["derive", "--exact-bound"], ["bound"]):
+            code, _, _ = run(capsys, *argv, "--catalog", name)
+            assert code == 0 and not built, argv
+        code, _, _ = run(capsys, "export", "--catalog", name)
+        words = {"mermin-peres": 9, "mermin-pentagram": 10}.get(name, 0)
+        assert code == 0 and dict(built) == ({"mask_matrix": words} if words else {})
+
+    @pytest.mark.parametrize("name", ["peres-24", "kp-40"])
+    def test_ray_files(self, capsys, monkeypatch, tmp_path, name):
+        (tmp_path / "rays.txt").write_text(_eigenray_file(name), encoding="utf-8")
+        built = self._count(monkeypatch)  # after the file, whose rays are built from words
+        for command in ("verify", "derive"):
+            code, _, _ = run(capsys, command, "--input", str(tmp_path / "rays.txt"))
+            assert code == 0 and not built, command
 
 
 class TestParserReuse:

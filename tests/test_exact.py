@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from kscert.errors import DimensionMismatch, ZeroVector
 from kscert.exact import (
-    I_UNIT,
     PAULI,
     SQRT2,
     ExactMatrix,
@@ -18,9 +17,7 @@ from kscert.exact import (
     inner,
     kron,
     mat_mul,
-    pauli_masks,
     pauli_matrix,
-    pauli_word,
     projector_from_vector,
     scalar_multiple_of_identity,
     _frac,
@@ -261,26 +258,14 @@ def _kron_fold(word, sign):
 
 class TestPauliMatrix:
     """pauli_matrix writes each row's one nonzero entry directly; the kron
-    fold is the oracle, and pauli_word reads the word back."""
+    fold is the oracle."""
 
     @pytest.mark.parametrize("prefix,word", SIGNED_WORDS)
     def test_kron_fold_oracle(self, prefix, word):
         sign = -1 if prefix == "-" else 1
         m = _kron_fold(word, sign)
         assert pauli_matrix(word, sign) == m
-        assert pauli_word(m) == pauli_masks(word, sign)
-        assert pauli_word(m.scale(I_UNIT)) is None
 
     def test_bad_sign(self):
         with pytest.raises(ValueError):
             pauli_matrix("X", 2)
-
-    @pytest.mark.parametrize("rows", [
-        pytest.param([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], id="swap"),
-        pytest.param([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], id="permutation"),
-        pytest.param([[0, 0], [0, 0]], id="zero"),
-        pytest.param([[1, 0, 0], [0, -1, 0], [0, 0, 1]], id="dim-3"),
-        pytest.param([[0, 1], [1, 1]], id="pauli-like-row-0"),
-    ])
-    def test_not_a_word(self, rows):
-        assert pauli_word(ExactMatrix(rows)) is None

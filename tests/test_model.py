@@ -77,6 +77,25 @@ class TestMakeObservable:
         with pytest.raises(AnnihilationFailure):
             make_observable(PAULI["X"], spectrum=(1, 1, -1))
 
+    @pytest.mark.parametrize("matrix,spectrum,products", [
+        pytest.param(pauli_matrix("XYZ"), (-1, 0, 1), 5, id="XYZ-declared"),
+        pytest.param(pauli_matrix("XYZ"), None, 1, id="XYZ-undeclared"),
+        pytest.param(ExactMatrix([[1, 0], [0, 0]]), (0, 1), 1, id="diag-1-0"),
+    ])
+    def test_no_product_by_identity(self, monkeypatch, matrix, spectrum, products):
+        """A product starts from its first factor, and m^2 = m or m^2 = I
+        is the annihilation check of an undeclared spectrum."""
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return mat_mul(a, b)
+
+        monkeypatch.setattr(model, "mat_mul", counted)
+        make_observable(matrix, spectrum)
+        assert len(calls) == products
+        assert not any(ExactMatrix.identity(matrix.dim) in pair for pair in calls)
+
 
 HADAMARD = ExactMatrix([[1, 1], [1, -1]]).scale(Scalar(0, Fraction(1, 2)))  # entries +-1/sqrt2
 SMALL_FRACTIONS = st.fractions(-3, 3, max_denominator=4)
@@ -361,6 +380,60 @@ class TestPauliObservable:
             for letters in itertools.product("IXYZ", repeat=2):
                 oset.add(pauli_observable(sign + "".join(letters)))
         assert len(oset) == 33
+
+
+def _pool(rays, words, matrices):
+    """Observable constructors taking a label: rays, signed words and
+    matrices, some of them equal to a ray's projector or to a word."""
+    return ([lambda label, v=v: ray_observable(make_ray(v), label) for v in rays]
+            + [lambda label, w=w: pauli_observable(w, label) for w in words]
+            + [lambda label, m=m: make_observable(m, label=label) for m in matrices])
+
+
+def _word(word):
+    return pauli_matrix(word.lstrip("-"), -1 if word.startswith("-") else 1)
+
+
+IU, R2 = Scalar(0, 0, 1), Scalar(0, 1)
+SWAP = ExactMatrix([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+CZ = ExactMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
+INDEX_POOLS = {
+    2: _pool(
+        [(1, 0), (0, 1), (1, 1), (-2, -2), (1, IU), (1, -IU)],
+        ["Z", "-Z", "X", "-Y", "I", "-I"],
+        [projector_from_vector((1, 0)), projector_from_vector((IU, -1)), _word("Z"), _word("-Y"),
+         ExactMatrix.identity(2), HADAMARD],
+    ),
+    4: _pool(
+        [(1, 0, 0, 0), (1, 1, 0, 0), (IU, IU, 0, 0), (1, 0, 0, 1), (1, R2, 0, 0)],
+        ["ZZ", "-ZZ", "XI", "IX", "-XY", "II"],
+        [projector_from_vector((1, 1, 0, 0)), projector_from_vector((2, 0, 0, 2)), _word("ZZ"),
+         _word("-XY"), ExactMatrix.identity(4), SWAP, CZ],
+    ),
+}
+
+
+class TestDuplicateIndex:
+    """ObservableSet.add rejects an observable exactly when an earlier one
+    has an equal matrix, whatever the kinds and the order."""
+
+    @given(st.sampled_from([2, 4]).flatmap(lambda d: st.tuples(
+        st.just(d), st.lists(st.integers(0, len(INDEX_POOLS[d]) - 1), max_size=10))))
+    @settings(max_examples=150, deadline=None)
+    def test_duplicate_iff_equal_matrix(self, case):
+        d, picks = case
+        oset, kept = ObservableSet(dim=d), []
+        for n, k in enumerate(picks):
+            obs = INDEX_POOLS[d][k](f"o{n}")
+            earlier = next((o for o in kept if o.matrix == obs.matrix), None)
+            if earlier is None:
+                oset.add(obs)
+                kept.append(obs)
+            else:
+                with pytest.raises(DuplicateObservable,
+                                   match=f"^observable o{n} duplicates {earlier.label}$"):
+                    oset.add(obs)
+        assert oset.observables == kept
 
 
 # entries of the integer-geometry oracle tests, sqrt2 and 1/2 included
