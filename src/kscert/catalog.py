@@ -15,7 +15,7 @@ from typing import Callable
 
 from .compat import validate_context
 from .errors import KSCertError
-from .exact import SQRT2, Scalar
+from .exact import MINUS_ONE, ONE, SQRT2, ZERO
 from .model import ObservableSet, pauli_observable
 
 
@@ -85,49 +85,53 @@ CABELLO_18_VECTORS = [
 ]
 
 
+# each catalog ray component is one of these shared objects, so loading a
+# set reads each distinct component once and makes no Scalar product
+_UNITS = {0: ZERO, 1: ONE, -1: MINUS_ONE}
+_MINUS_SQRT2 = -SQRT2
+
+
 def _cabello_18() -> ObservableSet:
     oset = ObservableSet(dim=4)
     for k, v in enumerate(CABELLO_18_VECTORS):
-        oset.add_ray(v, label=f"r{k + 1}")
+        oset.add_ray(tuple(_UNITS[x] for x in v), label=f"r{k + 1}")
     return oset
 
 
 def _peres_33_vectors():
     """Peres' 33 rays: all components in {0, +-1, +-sqrt2}, up to sign."""
-    one = Scalar(1)
-    zero = Scalar(0)
     vecs = []
     # axes
     for p in range(3):
-        v = [zero, zero, zero]
-        v[p] = one
+        v = [ZERO, ZERO, ZERO]
+        v[p] = ONE
         vecs.append(tuple(v))
     # one zero, the others +-1
     for z in range(3):
         rest = [p for p in range(3) if p != z]
-        for s in (1, -1):
-            v = [zero, zero, zero]
-            v[rest[0]] = one
-            v[rest[1]] = Scalar(s)
+        for s in (ONE, MINUS_ONE):
+            v = [ZERO, ZERO, ZERO]
+            v[rest[0]] = ONE
+            v[rest[1]] = s
             vecs.append(tuple(v))
     # one zero, a 1 and a +-sqrt2
     for z in range(3):
         rest = [p for p in range(3) if p != z]
         for a, b in (rest, rest[::-1]):
-            for s in (1, -1):
-                v = [zero, zero, zero]
-                v[a] = one
-                v[b] = SQRT2 * Scalar(s)
+            for s in (SQRT2, _MINUS_SQRT2):
+                v = [ZERO, ZERO, ZERO]
+                v[a] = ONE
+                v[b] = s
                 vecs.append(tuple(v))
     # a sqrt2 and two +-1
     for p in range(3):
         rest = [q for q in range(3) if q != p]
-        for s1 in (1, -1):
-            for s2 in (1, -1):
-                v = [zero, zero, zero]
+        for s1 in (ONE, MINUS_ONE):
+            for s2 in (ONE, MINUS_ONE):
+                v = [ZERO, ZERO, ZERO]
                 v[p] = SQRT2
-                v[rest[0]] = Scalar(s1)
-                v[rest[1]] = Scalar(s2)
+                v[rest[0]] = s1
+                v[rest[1]] = s2
                 vecs.append(tuple(v))
     assert len(vecs) == 33
     return vecs

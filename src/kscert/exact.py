@@ -13,8 +13,9 @@ rational inputs simply carry b = d = 0.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, ZeroVector
 
@@ -215,24 +216,53 @@ def integral(v: Iterable[Scalar]) -> tuple:
     return den, list(zip(*[iter(nums)] * 4))
 
 
-def primitive_integral(v: Sequence[Scalar]) -> tuple:
-    """The canonical vector of the line through a nonzero v, over
-    Z[i, sqrt2]: the positive rational multiple of v / (first nonzero
-    component) whose (a, b, c, d) int tuples, one per component, have no
-    common factor.  Two nonzero vectors span the same line, and so have the
-    same projector, exactly when their primitive integral vectors are equal.
+def primitive_integral(v: Sequence[Scalar], memo: Optional[dict] = None) -> Optional[tuple]:
+    """The canonical vector of the line through v over Z[i, sqrt2], or None
+    when v is the zero vector: the positive rational multiple of
+    v / (first nonzero component) whose (a, b, c, d) int tuples, one per
+    component, have no common factor.  Two nonzero vectors span the same
+    line, and so have the same projector, exactly when their primitive
+    integral vectors are equal.
 
-    It is computed in ints: clear v's denominators (integral), then multiply by
-    conj(lead) * (x - y sqrt2), where lead * conj(lead) = x + y sqrt2, which
-    turns the lead into x^2 - 2y^2, the product of |lead|^2 and its sqrt2
-    conjugate, both positive; then divide by the gcd."""
-    _, w = integral(v)
-    a, b, c, d = next(t for t in w if any(t))
-    x, y = squared_modulus((a, b, c, d))
-    m = _mul_integral((a, b, -c, -d), (x, -y, 0, 0))
-    w = [_mul_integral(t, m) for t in w]
-    g = gcd(*(p for t in w for p in t))
-    return tuple(tuple(p // g for p in t) for t in w)
+    It is computed in ints.  Each component x is read once, as integral((x,)):
+    its own denominator and int tuple.  memo, a dict the caller keeps for one
+    load, maps id(x) to (x, den, tuple), so a component object that many
+    vectors share is read once per load; it holds x, so no id is reused
+    while it lives.  The tuples are brought to the lcm of their denominators
+    and multiplied by m = conj(lead) * (x - y sqrt2), where lead * conj(lead)
+    = x + y sqrt2, which turns the lead into x^2 - 2y^2, the product of
+    |lead|^2 and its sqrt2 conjugate, both positive.  For a rational lead a
+    or an imaginary lead ci, m is a positive multiple of the unit sign(a) or
+    -i sign(c), which is used instead.  Last, they are divided by their gcd."""
+    if memo is None:
+        memo = {}
+    parts = []
+    den = 1
+    for x in v:
+        entry = memo.get(id(x))
+        if entry is None:
+            q, (t,) = integral((x,))
+            entry = memo[id(x)] = (x, q, t)
+        parts.append(entry)
+        if entry[1] != den:
+            den = lcm(den, entry[1])
+    w = [t if q == den or not any(t) else tuple(p * (den // q) for p in t) for _, q, t in parts]
+    lead = next(filter(any, w), None)
+    if lead is None:
+        return None
+    a, b, c, d = lead
+    if b or d or (a and c):
+        x, y = squared_modulus(lead)
+        m = _mul_integral((a, b, -c, -d), (x, -y, 0, 0))
+        w = [_mul_integral(t, m) if any(t) else t for t in w]
+    elif c:  # lead = ci; m is a positive multiple of -i sign(c)
+        w = [(r, s, -p, -q) if c > 0 else (-r, -s, p, q) for p, q, r, s in w]
+    elif a < 0:
+        w = [(-p, -q, -r, -s) for p, q, r, s in w]
+    g = gcd(*chain.from_iterable(w))
+    if g != 1:
+        w = [tuple(p // g for p in t) for t in w]
+    return tuple(w)
 
 
 class ExactMatrix:

@@ -5,10 +5,13 @@ construction: the product of (A - a_j I) over the declared eigenvalues must
 be exactly zero, and a value is kept exactly when it is an eigenvalue.
 Rays and Pauli words have their spectra stated, for the reasons their
 constructors give.  A ray keeps its nonzero vector and that vector's
-primitive integral form over Z[i, sqrt2], which decides orthogonality; a
-Pauli observable keeps its word as bit masks, which decide commutation and
-context products.  Both forms also key duplicates (ObservableSet).  The
-projector or the Pauli matrix is built only when a matrix is read.
+primitive integral form over Z[i, sqrt2], which decides orthogonality.
+That key is computed in ints (exact.primitive_integral), and a set's
+add_ray reads each distinct component object once, so loading rays makes
+no Scalar product.  A Pauli observable keeps its word as bit masks,
+which decide commutation and context products.  Both forms also key
+duplicates (ObservableSet).  The projector or the Pauli matrix is built
+only when a matrix is read.
 """
 
 from __future__ import annotations
@@ -92,12 +95,18 @@ class Observable:
         return set(self.spectrum) == {Fraction(-1), Fraction(1)}
 
 
-def _annihilates(matrix: ExactMatrix, spectrum) -> bool:
+def _annihilates(matrix: ExactMatrix, spectrum, factors: Optional[dict] = None) -> bool:
     """True iff the product of (matrix - aI) over spectrum is 0; over no
-    value the product is I, which is not."""
+    value the product is I, which is not.  factors, a dict the caller keeps
+    for one matrix, maps each value a to matrix - aI, so that a factor is
+    built once however many products it enters."""
+    if factors is None:
+        factors = {}
     prod = None
     for a in spectrum:
-        factor = matrix - ExactMatrix.identity(matrix.dim).scale(Scalar.of(a))
+        factor = factors.get(a)
+        if factor is None:
+            factor = factors[a] = matrix - ExactMatrix.identity(matrix.dim).scale(Scalar.of(a))
         prod = factor if prod is None else mat_mul(prod, factor)
         if prod.is_zero:
             return True
@@ -114,6 +123,7 @@ def make_observable(
     the product over the other values is not 0."""
     if not matrix.is_hermitian:
         raise NonHermitian(f"observable {label or '?'} is not Hermitian")
+    factors = {}
     if spectrum is None:
         m2 = mat_mul(matrix, matrix)
         if m2 != matrix and m2 != ExactMatrix.identity(matrix.dim):
@@ -125,28 +135,34 @@ def make_observable(
         spec = tuple(sorted(Fraction(a) for a in spectrum))
         if len(set(spec)) != len(spec):
             raise AnnihilationFailure("spectrum values must be pairwise distinct")
-        if not _annihilates(matrix, spec):
+        if not _annihilates(matrix, spec, factors):
             raise AnnihilationFailure(
                 f"declared spectrum {list(map(str, spec))} does not annihilate "
                 f"observable {label or '?'}"
             )
-    spec = tuple(a for a in spec if not _annihilates(matrix, [b for b in spec if b != a]))
+    spec = tuple(a for a in spec if not _annihilates(matrix, [b for b in spec if b != a], factors))
     return Observable(spectrum=spec, label=label, own_matrix=matrix)
 
 
-def make_ray(vector: Sequence, label: str = "") -> Ray:
-    """A ray from an unnormalized nonzero vector."""
-    v = tuple(Scalar.of(x) for x in vector)
-    if all(x.is_zero for x in v):
+def make_ray(vector: Sequence, label: str = "", memo: Optional[dict] = None) -> Ray:
+    """A ray from an unnormalized nonzero vector; memo as in
+    exact.primitive_integral, which also finds the zero vector."""
+    v = tuple(map(Scalar.of, vector))
+    key = primitive_integral(v, memo)
+    if key is None:
         raise ZeroVector(f"ray {label or '?'} is the zero vector")
-    return Ray(vector=v, key=primitive_integral(v))
+    return Ray(vector=v, key=key)
+
+
+# a ray observable's spectrum, shared, as a load makes one per ray
+_SPECTRUM_1 = (Fraction(1),)
+_SPECTRUM_01 = (Fraction(0), Fraction(1))
 
 
 def ray_observable(ray: Ray, label: str = "") -> Observable:
     """P = vv*/(v*v) is idempotent, and for d >= 2 neither 0 nor I, so its
     minimal spectrum is (0, 1); for d = 1, P = I and the spectrum is (1,)."""
-    spec = (Fraction(1),) if ray.dim == 1 else (Fraction(0), Fraction(1))
-    return Observable(spectrum=spec, label=label, ray=ray)
+    return Observable(spectrum=_SPECTRUM_1 if ray.dim == 1 else _SPECTRUM_01, label=label, ray=ray)
 
 
 def pauli_observable(word: str, label: str = "") -> Observable:
@@ -178,7 +194,9 @@ class ObservableSet:
     canonical, so a set of rays and words builds no matrix.  From the first
     `matrix` declaration on, every observable is keyed by its matrix; the
     rebuilt keys cannot collide, as in d >= 2 a ray's projector has the
-    eigenvalue 0 and a word's eigenvalues are +-1.
+    eigenvalue 0 and a word's eigenvalues are +-1.  add also indexes each
+    label at its first observable, for by_label, and add_ray keys its rays
+    with one memo (exact.primitive_integral), which lives as long as the set.
     """
 
     dim: int
@@ -186,6 +204,8 @@ class ObservableSet:
     declared_contexts: list = field(default_factory=list)  # list[tuple[int,...]]
     _ids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _by_matrix: bool = field(default=False, init=False, repr=False, compare=False)
+    _by_label: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def add(self, obs: Observable) -> int:
         if obs.dim != self.dim:
@@ -204,12 +224,13 @@ class ObservableSet:
             raise DuplicateObservable(
                 f"observable {obs.label or '?'} duplicates {existing.label or '?'}"
             )
-        self._ids[key] = len(self.observables)
+        i = self._ids[key] = len(self.observables)
+        self._by_label.setdefault(obs.label, i)
         self.observables.append(obs)
-        return len(self.observables) - 1
+        return i
 
     def add_ray(self, vector: Sequence, label: str = "") -> int:
-        ray = make_ray(vector, label)
+        ray = make_ray(vector, label, self._memo)
         return self.add(ray_observable(ray, label))
 
     def __len__(self):
@@ -236,7 +257,7 @@ class ObservableSet:
         return {i: o.spectrum for i, o in enumerate(self.observables)}
 
     def by_label(self, label: str) -> int:
-        for i, o in enumerate(self.observables):
-            if o.label == label:
-                return i
-        raise KSCertError(f"unknown observable label {label}")
+        i = self._by_label.get(label)
+        if i is None:
+            raise KSCertError(f"unknown observable label {label}")
+        return i

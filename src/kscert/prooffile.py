@@ -34,7 +34,7 @@ from typing import List, Optional
 from .compat import validate_context
 from .errors import KSCertError, ParseError
 from .exact import _FR0, ExactMatrix, Scalar
-from .model import ObservableSet, make_observable, make_ray, pauli_observable, ray_observable
+from .model import ObservableSet, make_observable, pauli_observable
 from .poly import Poly, make_context_polynomial, render
 
 DERIVED_MARKER = "=== derived ==="
@@ -128,14 +128,13 @@ class ProofFile:
             raise ParseError("the file declares no observables")
         oset = ObservableSet(dim=self.dim)
         try:
-            for d in self.observables:
+            for d in self.observables:  # add checks each one's dimension
                 if d.kind == "ray":
-                    obs = ray_observable(make_ray(d.vector, d.label), d.label)
+                    oset.add_ray(d.vector, d.label)
                 elif d.kind == "pauli":
-                    obs = pauli_observable(d.pauli, d.label)
+                    oset.add(pauli_observable(d.pauli, d.label))
                 else:
-                    obs = make_observable(ExactMatrix(d.rows), spectrum=d.spectrum, label=d.label)
-                oset.add(obs)  # which checks its dimension
+                    oset.add(make_observable(ExactMatrix(d.rows), spectrum=d.spectrum, label=d.label))
             for d in self.contexts:
                 ids = [oset.by_label(l) for l in d.labels]
                 oset.declared_contexts.append(validate_context(oset, ids))

@@ -204,6 +204,26 @@ class TestScalarTokensParsedOnce:
         assert exc.value.line == 4
 
 
+class TestRayLoadMakesNoProduct:
+    def test_kp40_file_and_peres33_catalog(self, monkeypatch, tmp_path):
+        """Ray keys are computed in ints, and the catalog builds its
+        vectors from shared constants: loading makes no Scalar product."""
+        path = tmp_path / "kp-40.txt"
+        path.write_text(_eigenray_file("kp-40"), encoding="utf-8")
+        products = []
+
+        def counted(a, b, original=Scalar.__mul__):
+            products.append((a, b))
+            return original(a, b)
+
+        monkeypatch.setattr(Scalar, "__mul__", counted)
+        monkeypatch.setattr(Scalar, "__rmul__", counted)
+        kp40 = prooffile.parse_file(str(path)).to_observable_set()
+        peres = catalog.get("peres-33").load()
+        assert (len(kp40), len(peres)) == (40, 33)
+        assert products == []
+
+
 class TestParseRoundTrip:
     def test_input_section_stable(self):
         pf = parse(SINGLE_BASIS)

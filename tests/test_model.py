@@ -13,10 +13,11 @@ from kscert.errors import (
     AnnihilationFailure,
     DimensionMismatch,
     DuplicateObservable,
+    KSCertError,
     NonHermitian,
     ZeroVector,
 )
-from kscert import model
+from kscert import catalog, exact, model
 from kscert.exact import (
     ExactMatrix,
     PAULI,
@@ -37,6 +38,7 @@ from kscert.model import (
     ray_observable,
 )
 from kscert.catalog import CABELLO_18_VECTORS
+from kscert.prooffile import parse_scalar
 
 
 class TestMakeObservable:
@@ -95,6 +97,20 @@ class TestMakeObservable:
         make_observable(matrix, spectrum)
         assert len(calls) == products
         assert not any(ExactMatrix.identity(matrix.dim) in pair for pair in calls)
+
+    def test_each_factor_built_once(self, monkeypatch):
+        """A - aI is built once per value, however many of the products
+        over the declared values take it."""
+        built = []
+
+        def counted(a, b, original=ExactMatrix.__sub__):
+            built.append(b)
+            return original(a, b)
+
+        monkeypatch.setattr(ExactMatrix, "__sub__", counted)
+        obs = make_observable(pauli_matrix("XYZ"), spectrum=(-2, -1, 0, 1, 2))
+        assert obs.spectrum == (Fraction(-1), Fraction(1))
+        assert len(built) == 5
 
 
 HADAMARD = ExactMatrix([[1, 1], [1, -1]]).scale(Scalar(0, Fraction(1, 2)))  # entries +-1/sqrt2
@@ -436,6 +452,42 @@ class TestDuplicateIndex:
         assert oset.observables == kept
 
 
+def scanned_label(oset, label):
+    """The oracle of ObservableSet.by_label: the first observable with the
+    label, by a scan, or None."""
+    return next((i for i, o in enumerate(oset.observables) if o.label == label), None)
+
+
+class TestLabelIndex:
+    """by_label reads the index add keeps; unlabeled observables (label "")
+    and a label repeated in a library-built set resolve as a scan does."""
+
+    @given(st.lists(st.tuples(st.integers(0, len(INDEX_POOLS[4]) - 1),
+                              st.sampled_from(["", "a", "b", "c"])), max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_index_matches_scan(self, picks):
+        oset = ObservableSet(dim=4)
+        for k, label in picks:
+            try:
+                oset.add(INDEX_POOLS[4][k](label))
+            except DuplicateObservable:
+                pass
+        for label in ("", "a", "b", "c", "d"):
+            want = scanned_label(oset, label)
+            if want is None:
+                with pytest.raises(KSCertError, match=f"^unknown observable label {label}$"):
+                    oset.by_label(label)
+            else:
+                assert oset.by_label(label) == want
+
+    def test_repeated_label_first_wins(self):
+        oset = ObservableSet(dim=3)
+        oset.add_ray((1, 0, 0), label="e")
+        oset.add_ray((0, 1, 0))
+        oset.add_ray((0, 0, 1), label="e")
+        assert (oset.by_label("e"), oset.by_label("")) == (0, 1)
+
+
 # entries of the integer-geometry oracle tests, sqrt2 and 1/2 included
 INTEGRAL_ENTRIES = [Scalar(0), Scalar(1), Scalar(-1), Scalar(2), Scalar(-2), Scalar(0, 0, 1),
                     Scalar(0, 0, -1), Scalar(0, 1), Scalar(Fraction(1, 2))]
@@ -452,6 +504,12 @@ def ray_vector_lists(min_size, max_size):
 UNIT_PHASES = [Scalar(1), Scalar(-1), Scalar(0, 0, 1), Scalar(0, 0, -1)]
 nonzero_scalars = st.tuples(*[st.fractions(-3, 3, max_denominator=4)] * 4).map(
     lambda t: Scalar(*t)).filter(lambda s: not s.is_zero)
+
+
+# component objects shared by many vectors, two of them zero
+SHARED_COMPONENTS = [Scalar(0), Scalar(0), Scalar(1), Scalar(Fraction(1, 2)),
+                     Scalar(0, Fraction(-1, 3)), Scalar(Fraction(2, 5), 0, Fraction(-1, 4)),
+                     Scalar(0, 0, Fraction(1, 6), 1), Scalar(0, 0, -1), Scalar(Fraction(-3, 7))]
 
 
 def primitive_integral_oracle(v):
@@ -500,6 +558,32 @@ class TestPrimitiveIntegral:
         assert make_ray([x * phase for x in v]).key == key
         assert make_ray([x * s for x in v]).key == key
 
+    @given(st.integers(1, 4).flatmap(lambda d: st.lists(
+        st.lists(st.integers(0, len(SHARED_COMPONENTS) - 1), min_size=d, max_size=d),
+        min_size=1, max_size=6)))
+    @settings(max_examples=200, deadline=None)
+    def test_shared_components_one_memo(self, picks):
+        """Vectors of one load share component objects, with denominators
+        that differ between vectors: each object is read once, every key is
+        the oracle's, and a vector of zero objects is the zero vector."""
+        read = []
+
+        def counted(v, original=exact.integral):
+            read.extend(id(x) for x in v)
+            return original(v)
+
+        memo = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "integral", counted)
+            for n, pick in enumerate(picks):
+                v = [SHARED_COMPONENTS[k] for k in pick]
+                if all(x.is_zero for x in v):
+                    with pytest.raises(ZeroVector, match=f"^ray o{n} is the zero vector$"):
+                        make_ray(v, f"o{n}", memo)
+                else:
+                    assert make_ray(v, f"o{n}", memo).key == primitive_integral_oracle(v)
+        assert sorted(read) == sorted({id(SHARED_COMPONENTS[k]) for pick in picks for k in pick})
+
     def test_projector_built_once_on_first_read(self, monkeypatch):
         built = []
 
@@ -513,3 +597,29 @@ class TestPrimitiveIntegral:
         assert obs.matrix == projector_from_vector((1, 2, 2))
         assert obs.matrix is obs.ray.projector
         assert len(built) == 1
+
+
+# peres-33 as the catalog built it with Scalar products (SQRT2 * Scalar(-1))
+PERES_33_TEXT = [
+    "1 0 0", "0 1 0", "0 0 1", "0 1 1", "0 1 -1", "1 0 1", "1 0 -1", "1 1 0", "1 -1 0",
+    "0 1 r2", "0 1 -r2", "0 r2 1", "0 -r2 1", "1 0 r2", "1 0 -r2", "r2 0 1", "-r2 0 1",
+    "1 r2 0", "1 -r2 0", "r2 1 0", "-r2 1 0", "r2 1 1", "r2 1 -1", "r2 -1 1", "r2 -1 -1",
+    "1 r2 1", "1 r2 -1", "-1 r2 1", "-1 r2 -1", "1 1 r2", "1 -1 r2", "-1 1 r2", "-1 -1 r2",
+]
+
+
+class TestCatalogRayVectors:
+    """The catalog builds its rays from shared constants; their vectors are
+    the values it built before, component by component."""
+
+    def test_cabello_18(self):
+        oset = catalog.get("cabello-18").load()
+        assert [o.ray.vector for o in oset.observables] == [
+            tuple(Scalar(x) for x in v) for v in CABELLO_18_VECTORS]
+
+    def test_peres_33(self):
+        oset = catalog.get("peres-33").load()
+        vectors = [o.ray.vector for o in oset.observables]
+        assert vectors == [tuple(parse_scalar(t) for t in v.split()) for v in PERES_33_TEXT]
+        assert [" ".join(map(str, v)) for v in vectors] == PERES_33_TEXT
+        assert all(type(p) is Fraction for v in vectors for x in v for p in (x.a, x.b, x.c, x.d))
