@@ -8,11 +8,17 @@
 * parity_certify -- the Condition 1 certificate of a parity set: each
   context product is +-I (compat.context_delta, from the words when every
   member is a Pauli word); a direct check, not a search;
+* parity_elimination -- derive.decide's engine for parity sets: with
+  v_i = (-1)^x_i, Condition 2 is one linear equation over GF(2) per
+  context, solved by Gaussian elimination over int bit masks (Mermin, PRL
+  65, 3373, 1990; XOR clauses as in CryptoMiniSat, Soos, Nohl and
+  Castelluccia, SAT 2009), so no parity set is searched;
 * branch_and_bound -- the one engine for everything else: it maximises a
   sum of context-local factors with forward checking (weighted-CSP branch
   and bound, Freuder & Wallace, Artif. Intell. 58, 1992).  general_unsat
-  (Condition 2), max_F (the exact bound on F) and classical_max (the exact
-  maximum of a score) differ only in their factors and seed.
+  (Condition 2 of a general set), max_F (the exact bound on F) and
+  classical_max (the exact maximum of a score) differ only in their
+  factors and seed.
 
 The search's scores are Python ints.  Each caller fixes one positive common
 denominator L before the search, so that L times every factor value is an
@@ -21,8 +27,9 @@ int, evaluates its factors in ints over Z[i, sqrt2]
 score by L > 0 keeps every comparison of the search, so its nodes,
 witnesses and bounds are those of the same search over the rationals.
 
-All searches are deterministic: fixed variable and value orders, so
-identical inputs yield identical certificates.
+All engines are deterministic: fixed variable and value orders (row
+order and pivots for the elimination), so identical inputs yield identical
+certificates.
 """
 
 from __future__ import annotations
@@ -55,9 +62,12 @@ class SearchStats:
 
 @dataclass
 class ProofCertificate:
-    method: str  # RayColoring | GeneralCSP
+    method: str  # RayColoring | ParityElimination | GeneralCSP
     witness: Optional[dict]  # id -> Fraction for every observable; None for a proof
     stats: Optional[SearchStats] = None
+    # a parity proof's contradiction: the indices of the contexts whose
+    # equations sum to 0 = 1; None for every other certificate
+    contexts: Optional[tuple] = None
 
     @property
     def is_proof(self) -> bool:
@@ -190,6 +200,50 @@ def parity_certify(oset: ObservableSet, contexts: Sequence[tuple]) -> list:
             raise NotScalarMultiple(f"context ({names}) product is not +-identity")
         deltas.append(int(delta.rational()))
     return deltas
+
+
+# -- parity sets by GF(2) elimination ---------------------------------------------
+
+
+def parity_elimination(oset: ObservableSet, rows: Sequence[tuple]) -> ProofCertificate:
+    """Condition 2 of a parity set, each row a context and its delta (see
+    parity_certify).  With v_i = (-1)^x_i the member prod_C v_i - delta_C
+    vanishes exactly when sum_{i in C} x_i = [delta_C = -1] over GF(2), so
+    the set is a proof exactly when that system has no solution.
+
+    Each equation is one int bit mask over the ids, its right-hand side,
+    and one int mask of the rows summed into it.  The rows are reduced in
+    order against the pivots so far, each pivot at its row's highest set
+    bit; propagations counts the row additions, and there are no nodes.  A
+    row that reduces to 0 = 1 ends the elimination: its combination is a
+    set of contexts that holds every observable an even number of times
+    and has an odd number with delta = -1 (Mermin's parity argument), so no
+    assignment zeroes them all.  Those contexts are the certificate.
+    Otherwise back-substitution in ascending pivot order, every free
+    variable at x = 0, gives the lexicographically first solution in id
+    order, +1 before -1 as in value_order: the witness, which assigns
+    every observable."""
+    stats = SearchStats()
+    pivots = {}  # highest bit -> (mask, rhs, combination)
+    for k, (ctx, delta) in enumerate(rows):
+        mask, rhs, comb = sum(1 << i for i in ctx), int(delta == -1), 1 << k
+        while mask:
+            top = mask.bit_length() - 1
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = mask, rhs, comb
+                break
+            mask, rhs, comb = mask ^ pivot[0], rhs ^ pivot[1], comb ^ pivot[2]
+            stats.propagations += 1
+        if not mask and rhs:
+            contexts = tuple(j for j in range(k + 1) if comb >> j & 1)
+            return ProofCertificate("ParityElimination", None, stats, contexts)
+    x = 0
+    for top in sorted(pivots):
+        mask, rhs, _ = pivots[top]
+        x |= (rhs ^ (mask & x).bit_count() & 1) << top
+    witness = {i: Fraction(-1) if x >> i & 1 else Fraction(1) for i in range(len(oset))}
+    return ProofCertificate("ParityElimination", witness, stats)
 
 
 # -- branch and bound over context-local factors -------------------------------
@@ -340,7 +394,8 @@ def general_unsat(
     complete_set: Sequence[ContextPolynomial],
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> ProofCertificate:
-    """Condition 2: complete search for an assignment zeroing every polynomial.
+    """Condition 2 of a general set: complete search for an assignment
+    zeroing every polynomial; the tests' oracle for parity_elimination.
 
     Each violated polynomial counts -1 and the incumbent starts at -1, so
     only an assignment violating nothing beats it, and the pruning is plain

@@ -27,6 +27,7 @@ from .assign import (
     ks_colorability,
     max_F,
     parity_certify,
+    parity_elimination,
 )
 from .compat import OrthogonalityGraph
 from .errors import (
@@ -64,6 +65,7 @@ class CompleteSet:
     graph: Optional[OrthogonalityGraph] = None  # with bases and edges, set by the ray builders
     bases: Optional[list] = None
     edges: Optional[list] = None  # the graph's edges that are members
+    parity: Optional[list] = None  # (context, delta) per member, set by the parity builder
 
     @cached_property
     def polynomials(self) -> list:
@@ -126,11 +128,13 @@ def build_complete_set_bases_only(
 def build_complete_set_parity(oset: ObservableSet, contexts: Sequence[tuple]) -> CompleteSet:
     """Product-minus-delta polynomials, each with c = 4 (values are 0 or +-2).
     Condition 1 holds as parity_certify found each context product delta*I;
-    whether the set is a proof is decide's question.  Dichotomic spectra
-    have two values, so the products are reduced as written."""
+    whether the set is a proof is decide's question, which it answers from
+    the (context, delta) rows the set records.  Dichotomic spectra have two
+    values, so the products are reduced as written."""
+    rows = list(zip(contexts, parity_certify(oset, contexts)))
     polys = [ContextPolynomial(Poly({tuple((i, 1) for i in ctx): ONE}) - d, Fraction(4))
-             for ctx, d in zip(contexts, parity_certify(oset, contexts))]
-    return CompleteSet(oset=oset, members=polys, provenance=PARITY)
+             for ctx, d in rows]
+    return CompleteSet(oset=oset, members=polys, provenance=PARITY, parity=rows)
 
 
 def build_complete_set_general(oset: ObservableSet, polynomials: Sequence) -> CompleteSet:
@@ -168,15 +172,20 @@ def with_constants(cs: CompleteSet) -> CompleteSet:
 
 
 def decide(cs: CompleteSet, node_cap: int = DEFAULT_NODE_CAP) -> ProofCertificate:
-    """Condition 2, the verdict of verify and of derive's certified route:
-    KSProof iff no value assignment zeroes every member, else a witness that
-    does.  A set with a recorded graph is decided by ks_colorability, which
-    is far faster there.  Its rules are a ray set's members; in bases-only
-    mode every edge lies in a basis, whose one 1 leaves no edge at 1, so
-    they have the same zeroes.  Any other set is decided by general_unsat.
-    The c_i are with_constants' question."""
+    """Condition 2, the verdict of verify and of every derivation: KSProof
+    iff no value assignment zeroes every member, else a witness that does.
+    A set with a recorded graph is decided by ks_colorability, which is far
+    faster there.  Its rules are a ray set's members; in bases-only mode
+    every edge lies in a basis, whose one 1 leaves no edge at 1, so they
+    have the same zeroes.  A parity set is decided by parity_elimination
+    from its recorded rows: its members are zero exactly where the GF(2)
+    equations hold, so it is never searched and node_cap cannot be
+    reached.  A general set is decided by general_unsat.  The c_i are
+    with_constants' question."""
     if cs.graph is not None:
         return ks_colorability(cs.oset, cs.graph, cs.bases, node_cap=node_cap)
+    if cs.parity is not None:
+        return parity_elimination(cs.oset, cs.parity)
     return general_unsat(cs.oset, cs.polynomials, node_cap=node_cap)
 
 
@@ -219,15 +228,16 @@ def assemble_F(
     evaluating the reduced -sum r_i^dagger r_i / c_i gives
     -sum r_i(A)^dagger r_i(A) / c_i, which is 0 once every r_i(A) = 0.
 
-    One search decides Condition 2 and the classical bound together: the
-    certified bound -1 comes with decide's UNSAT certificate (each violated
-    r_i costs at least 1 once divided by c_i), and the exact bound maximises
-    F = -sum |r_i|^2 / c_i, where a maximum of 0 means not a proof.
+    decide settles Condition 2 first on either route, and a non-proof
+    raises NotKSProofError with decide's witness.  On a proof the certified
+    bound -1 comes with decide's UNSAT certificate (each violated r_i costs
+    at least 1 once divided by c_i), and the exact bound maximises
+    F = -sum |r_i|^2 / c_i with max_F, which therefore never runs on a set
+    whose maximum is 0.
 
-    The c_i come from with_constants, after the verdict on the certified
-    route.  The exact route needs them before max_F; a member without a
-    rational c_i, or with a wrong declared one, sends it to the certified
-    route, so not-a-proof is still reported before the normalization error.
+    The c_i come from with_constants, after the verdict.  A member without
+    a rational c_i, or with a wrong declared one, sends the exact route to
+    the certified one, where with_constants raises the normalization error.
     The returned complete set carries the c_i used.
 
     On either route, F of a set that records a graph (a ray set, in either
@@ -235,22 +245,21 @@ def assemble_F(
     general set's is sum_of_squares'.
     """
     oset = cs.oset
+    cert = decide(cs, node_cap=node_cap)
+    if cert.witness is not None:
+        raise NotKSProofError(
+            f"not a KS proof; satisfying assignment {witness_str(cert.witness, oset.labels)}"
+        )
     fixed = None
     if exact_bound:
         with suppress(IdenticallyZeroOnAssignments, NormalizationMismatch):
             fixed = with_constants(cs)
     if fixed is None:
-        cert = decide(cs, node_cap=node_cap)
-        witness = cert.witness
         classical = BoundResult(kind="certified", value=Fraction(-1), stats=cert.stats)
+        cs = with_constants(cs)
     else:
         classical = max_F(oset, fixed.polynomials, node_cap=node_cap)
-        witness = classical.witness if classical.value == 0 else None
-    if witness is not None:
-        raise NotKSProofError(
-            f"not a KS proof; satisfying assignment {witness_str(witness, oset.labels)}"
-        )
-    cs = with_constants(cs) if fixed is None else fixed
+        cs = fixed
     if cs.graph is None:
         F = sum_of_squares(cs.polynomials, oset.spectra())
     else:

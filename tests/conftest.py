@@ -1,4 +1,7 @@
+import functools
 import itertools
+import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -97,6 +100,56 @@ def _eigenray_set(n, contexts, prefix):
             oset.add_ray(next(c for c in zip(*proj.entries) if any(not x.is_zero for x in c)),
                          label=f"{prefix}{len(oset) + 1}")
     return oset
+
+
+@functools.lru_cache(maxsize=None)
+def pauli_contexts(n, kind):
+    """The 4^n - 1 non-identity n-qubit Pauli words, and the contexts of
+    kind "lines" (the triples {a, b, ab} of pairwise commuting words) or
+    "maximal" (the maximal sets of pairwise commuting words), each a sorted
+    tuple of words.  A word is the int x << n | z for X^x Z^z, the product
+    of two words is their XOR up to a phase, and a and b commute exactly
+    when popcount(x_a & z_b ^ z_a & x_b) is even.  A maximal set is an
+    n-dimensional subspace less its 0, grown one word at a time from
+    {0}, each time by a word above the largest that commutes with all."""
+    words = tuple(range(1, 4 ** n))
+    commuting = [sum(1 << b for b in words if not ((a >> n & b ^ a & b >> n).bit_count() & 1))
+                 for a in range(4 ** n)]  # bit b of commuting[a]: a and b commute
+    if kind == "lines":
+        return words, tuple((a, b, a ^ b) for a in words for b in words
+                            if a < b < a ^ b and commuting[a] >> b & 1)
+    level = {(0,)}  # subspaces of pairwise commuting words, 0 included
+    for _ in range(n):
+        grown = set()
+        for space in level:
+            common = functools.reduce(operator.and_, (commuting[g] for g in space))
+            common = common >> (space[-1] + 1) << (space[-1] + 1)
+            while common:
+                w = common.bit_length() - 1
+                common ^= 1 << w
+                grown.add(tuple(sorted(space + tuple(g ^ w for g in space))))
+        level = grown
+    return words, tuple(sorted(space[1:] for space in level))
+
+
+def pauli_word(word, n):
+    """The letters of the word x << n | z, qubit 1 first."""
+    return "".join("IZXY"[(word >> (2 * n - 1 - q) & 1) << 1 | word >> (n - 1 - q) & 1]
+                   for q in range(n))
+
+
+def pauli_parity_text(n, kind, seed=None):
+    """A parity proof file of pauli_contexts(n, kind): every word is an
+    observable labelled by its letters, with sign + or, given a seed, a
+    random sign each."""
+    words, contexts = pauli_contexts(n, kind)
+    rng = random.Random(seed)
+    lines = [f"dim {2 ** n}", "mode parity"]
+    for w in words:
+        sign = "+" if seed is None else rng.choice("+-")
+        lines.append(f"pauli {pauli_word(w, n)} {sign}{pauli_word(w, n)}")
+    lines += ["context " + " ".join(pauli_word(w, n) for w in ctx) for ctx in contexts]
+    return "\n".join(lines) + "\n"
 
 
 def pytest_terminal_summary(terminalreporter):

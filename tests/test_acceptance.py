@@ -296,8 +296,8 @@ def test_criterion_7_negative_controls(tmp_path, capsys, mermin_peres):
     assert "verdict: NotKSProof" in out
     assert "witness: e1=" in out
 
-    # a parity set that is not a KS proof is decided by the search, and
-    # its witness zeroes every member
+    # a parity set that is not a KS proof is decided by the elimination,
+    # and its witness zeroes every member
     oset, ctxs = mermin_peres
     cs = build_complete_set_parity(oset, ctxs[:-1])
     cert = decide(cs)
@@ -307,5 +307,5 @@ def test_criterion_7_negative_controls(tmp_path, capsys, mermin_peres):
     code = main(["verify", "--input", str(path)])
     out = capsys.readouterr().out
     assert code == 2
-    assert "method: GeneralCSP (5 polynomials)" in out
+    assert "method: ParityElimination (5 polynomials)" in out
     assert "witness: a=" in out

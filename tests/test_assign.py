@@ -272,13 +272,13 @@ class TestParityCertify:
         assert sorted(parity_certify(oset, ctxs)) == [-1, 1, 1, 1, 1]
 
     def test_dropped_context_fails(self, mermin_peres):
-        # without the minus column the search finds an assignment that
+        # without the minus column the elimination finds an assignment that
         # zeroes every remaining member
         oset, ctxs = mermin_peres
         cs = build_complete_set_parity(oset, ctxs[:-1])
         cert = decide(cs)
         assert not cert.is_proof
-        assert cert.method == "GeneralCSP"
+        assert cert.method == "ParityElimination"
         for cp in cs.polynomials:
             assert eval_assignment(cp.poly, cert.witness).is_zero
 

@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 from kscert import assign, catalog, derive, exact, model, prooffile
 from kscert.cli import build_parser, main
 from kscert.compat import build_orthogonality_graph, enumerate_bases
-from kscert.derive import assemble_F, build_complete_set_rays, present
+from kscert.derive import (
+    assemble_F,
+    build_complete_set_parity,
+    build_complete_set_rays,
+    decide,
+    present,
+)
 from kscert.errors import ParseError
 from kscert.exact import Scalar
 from kscert.poly import MAX_POWER_BITS, eval_assignment
@@ -28,7 +34,14 @@ from kscert.prooffile import (
     render_input_section,
 )
 
-from conftest import eigenray_set, stabilizer_ray_set, two_bases_set
+from conftest import (
+    eigenray_set,
+    pauli_contexts,
+    pauli_parity_text,
+    pauli_word,
+    stabilizer_ray_set,
+    two_bases_set,
+)
 
 
 class TestParseScalar:
@@ -288,7 +301,7 @@ class TestVerifyCommand:
     def test_parity_catalog(self, capsys):
         code, out, _ = run(capsys, "verify", "--catalog", "mermin-peres")
         assert code == 0
-        assert "method: GeneralCSP (6 polynomials)" in out
+        assert "method: ParityElimination (6 polynomials)" in out
         assert "verdict: KSProof" in out
 
     def test_colorable_file(self, capsys, tmp_path):
@@ -319,12 +332,13 @@ class TestVerifyCommand:
         assert code == 2
         assert f"witness: {x}=0, {y}=1" in out
 
-    # node and propagation counts of both searches, the branch and bound's
-    # and the ray coloring's, pinned so that a change that alters a search
-    # shows; a bases-only set is searched as its ray set is
+    # node and propagation counts of every engine, the parity elimination's
+    # (row additions, no nodes), the branch and bound's and the ray
+    # coloring's, pinned so that a change that alters one shows; a
+    # bases-only set is searched as its ray set is
     @pytest.mark.parametrize("source,line", [
-        (("--catalog", "mermin-peres"), "search: 74 nodes, 76 propagations"),
-        (("--catalog", "mermin-pentagram"), "search: 230 nodes, 232 propagations"),
+        (("--catalog", "mermin-peres"), "search: 0 nodes, 5 propagations"),
+        (("--catalog", "mermin-pentagram"), "search: 0 nodes, 4 propagations"),
         (("--input", GENERAL_MP), "search: 74 nodes, 76 propagations"),
         (("--catalog", "cabello-18"), "search: 31 nodes, 131 propagations"),
         (("--catalog", "peres-33"), "search: 47 nodes, 424 propagations"),
@@ -906,20 +920,25 @@ class TestDeriveCommand:
             assert sorted((witness[f"a{k}"], witness[f"b{k}"])) == ["0", "1"]
 
     def test_one_search_per_command(self, capsys, monkeypatch):
+        """Every command runs decide's search once; the exact route then
+        runs max_F's, on a proof only."""
         runs = []
         for module, name in ((assign, "branch_and_bound"), (derive, "ks_colorability")):
-            def counted(*args, engine=getattr(module, name), **kwargs):
-                runs.append(1)
+            def counted(*args, engine=getattr(module, name), name=name, **kwargs):
+                runs.append(name)
                 return engine(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
-        for argv in (
-            ["verify"], ["derive"], ["derive", "--exact-bound"], ["export"], ["bound"]
+        decided = ["ks_colorability"]
+        for argv, searches in (
+            (["verify"], decided), (["derive"], decided), (["export"], decided),
+            (["derive", "--exact-bound"], decided + ["branch_and_bound"]),
+            (["bound"], decided + ["branch_and_bound"]),
         ):
             runs.clear()
             code, _, _ = run(capsys, *argv, "--catalog", "cabello-18")
             assert code == 0
-            assert len(runs) == 1, argv
+            assert runs == searches, argv
 
 
 def _catalog_text(name):
@@ -1154,15 +1173,17 @@ MIXED_INPUTS = {
 }
 
 # exit code and sha256 of stdout and of stderr, pinned before Pauli
-# contexts were multiplied as words
+# contexts were multiplied as words; the verify digests of mixed and
+# negated since parity sets are decided by elimination, whose method and
+# search lines they print
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 NOT_PROOF = "6f5ad3d9115b1b06a17b9cfbf53de4fed28fe5cb5830cfe0ae77bf112bd207f0"
 NOT_COMMUTING = "45b30649ad3599477f8174ebd5a374e6cab1168fc614e878cf4a30f3b735dcf9"
 MIXED_DIGESTS = {
-    ("mixed", "verify"): (0, "d1fcce91951207a388f9d63f276bc9f9cedbe47b0d0f43f5d3bc9e65937b65ea", EMPTY),
+    ("mixed", "verify"): (0, "63fe254c36ada9ffdd5aa0415a370292bd76a1e3ac4ee4526a846e9a50a8af93", EMPTY),
     ("mixed", "derive"): (0, "28a607e76e32a82aa06461134f112cde095ac3b64814e4d5a0776096ef831a3b", EMPTY),
     ("mixed", "bound"): (0, "bbddedad9f7c7301bc082aa322fbdc07b054665c01476a4ebe455fd292e42e1d", EMPTY),
-    ("negated", "verify"): (2, "dbb99ed279ff1a0719ff60411921021e95a48eaa71cfef5db1c79f559da95ce7", EMPTY),
+    ("negated", "verify"): (2, "dc55a211867a0b910689dd244862388b64159bdb951a481a30b47f8b69fcce48", EMPTY),
     ("negated", "derive"): (2, EMPTY, NOT_PROOF),
     ("negated", "bound"): (2, EMPTY, NOT_PROOF),
     ("noncommuting", "verify"): (3, EMPTY, NOT_COMMUTING),
@@ -1185,6 +1206,133 @@ class TestMixedParityOutputs:
         path.write_text(MIXED_INPUTS["noncommuting"])
         code, _, err = run(capsys, "verify", "--input", str(path))
         assert (code, err) == (3, "error: input: line 4: observables a and b do not commute\n")
+
+
+def _parity_set(text):
+    oset = parse(text).to_observable_set()
+    return build_complete_set_parity(oset, oset.declared_contexts)
+
+
+def _recounted(cs, cert) -> bool:
+    """Mermin's parity argument, recounted from the certificate: every
+    observable lies in an even number of its contexts, and an odd number
+    of them have delta = -1."""
+    rows = [cs.parity[k] for k in cert.contexts]
+    held = Counter(i for ctx, _ in rows for i in ctx)
+    return all(m % 2 == 0 for m in held.values()) and sum(d == -1 for _, d in rows) % 2 == 1
+
+
+def _zeroes_every_member(cs, witness) -> bool:
+    return all(eval_assignment(cp.poly, witness).is_zero for cp in cs.polynomials)
+
+
+# every parity input of these tests, with the two-qubit lines (the doily)
+# and the three-qubit lines, W(5,2), from conftest.pauli_parity_text; all
+# but negated and dropped-column are proofs
+PARITY_INPUTS = {
+    "mermin-peres": lambda: _catalog_text("mermin-peres"),
+    "mermin-pentagram": lambda: _catalog_text("mermin-pentagram"),
+    "mixed": lambda: MIXED_INPUTS["mixed"],
+    "negated": lambda: MIXED_INPUTS["negated"],
+    "dropped-column": lambda: MP_PARITY.replace("context c f k\n", ""),
+    "doily": lambda: pauli_parity_text(2, "lines"),
+    "w52": lambda: pauli_parity_text(3, "lines"),
+}
+
+
+class TestParityElimination:
+    """decide eliminates a parity set; general_unsat, the search it
+    replaced, is the oracle."""
+
+    def _check(self, cs):
+        cert = decide(cs)
+        assert cert.method == "ParityElimination"
+        assert cert.stats.nodes == 0
+        assert cert.is_proof == assign.general_unsat(cs.oset, cs.polynomials).is_proof
+        if cert.is_proof:
+            assert _recounted(cs, cert)
+        else:
+            assert cert.contexts is None
+            assert sorted(cert.witness) == list(range(len(cs.oset)))
+            assert _zeroes_every_member(cs, cert.witness)
+        return cert
+
+    @pytest.mark.parametrize("name", sorted(PARITY_INPUTS))
+    def test_agrees_with_search(self, name):
+        cert = self._check(_parity_set(PARITY_INPUTS[name]()))
+        assert cert.is_proof == (name not in ("negated", "dropped-column"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from([(2, "lines"), (3, "lines"), (3, "maximal")]), data=st.data())
+    def test_random_signed_pauli_systems(self, kind, data):
+        n = kind[0]
+        words, contexts = pauli_contexts(*kind)
+        signs = data.draw(st.lists(st.sampled_from("+-"), min_size=len(words),
+                                   max_size=len(words)))
+        chosen = data.draw(st.lists(st.sampled_from(contexts), max_size=15, unique=True))
+        oset = model.ObservableSet(dim=2 ** n)
+        for w, sign in zip(words, signs):
+            oset.add(model.pauli_observable(sign + pauli_word(w, n), label=pauli_word(w, n)))
+        # words are 1, 2, ...: word w has id w - 1, so each context is sorted
+        self._check(build_complete_set_parity(oset, [tuple(w - 1 for w in c) for c in chosen]))
+
+    def test_parity_commands_do_not_search(self, capsys, monkeypatch, tmp_path):
+        def unreached(*args, **kwargs):
+            raise AssertionError("a parity set was searched")
+
+        monkeypatch.setattr(derive, "general_unsat", unreached)
+        for name, text in PARITY_INPUTS.items():
+            path = tmp_path / f"{name}.txt"
+            path.write_text(text())
+            want = 2 if name in ("negated", "dropped-column") else 0
+            commands = [["verify"], ["derive"], ["export"]]
+            if name != "w52":  # its exact bound is still a long search
+                commands += [["derive", "--exact-bound"], ["bound"]]
+            for argv in commands:
+                code, _, _ = run(capsys, *argv, "--input", str(path))
+                assert code == want, (name, argv)
+
+    @pytest.mark.parametrize("n,kind,counts", [
+        (2, "lines", (15, 15)), (3, "lines", (63, 315)), (3, "maximal", (63, 135)),
+        (4, "maximal", (255, 2295)),
+    ], ids=["doily", "w52", "three-qubit-maximal", "four-qubit-maximal"])
+    def test_pauli_group_counts(self, n, kind, counts):
+        words, contexts = pauli_contexts(n, kind)
+        assert (len(words), len(contexts)) == counts
+        assert {len(c) for c in contexts} == {3 if kind == "lines" else 2 ** n - 1}
+        assert sorted({w for c in contexts for w in c}) == list(words)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_signed_four_qubit_maximal_sets(self, capsys, tmp_path, seed):
+        """Colourable, as every maximal-set family is: a word's sign flips
+        one x_i.  Under the cap no search would finish; the elimination
+        runs none."""
+        text = pauli_parity_text(4, "maximal", seed)
+        assert "-" in text
+        path = tmp_path / "four.txt"
+        path.write_text(text)
+        code, out, _ = run(capsys, "verify", "--input", str(path), "--node-cap", "1000")
+        assert code == 2
+        assert "verdict: NotKSProof" in out
+        cs = _parity_set(text)
+        listed = out.split("witness: ")[1].strip()
+        witness = {cs.oset.by_label(label): Fraction(v)
+                   for label, v in (item.split("=") for item in listed.split(", "))}
+        assert sorted(witness) == list(range(255))
+        assert _zeroes_every_member(cs, witness)
+
+    def test_exact_route_decides_first(self, capsys, tmp_path):
+        """The colourable three-qubit maximal sets: bound and derive
+        --exact-bound exit 2 with verify's witness, under a cap that max_F
+        alone exceeds."""
+        path = tmp_path / "three.txt"
+        path.write_text(pauli_parity_text(3, "maximal"))
+        code, out, _ = run(capsys, "verify", "--input", str(path))
+        assert code == 2
+        witness = out.split("witness: ")[1].strip()
+        for argv in (["bound"], ["derive", "--exact-bound"]):
+            code, _, err = run(capsys, *argv, "--input", str(path), "--node-cap", "1000")
+            assert (code, err.strip().split("satisfying assignment ")[1]) == (2, witness)
 
 
 class TestBoundCommand:
