@@ -5,7 +5,9 @@ trusted data: every entry is rebuilt on load (Pauli observables as their
 signed words, rays from their vectors), and the commutation of its
 declared contexts is re-verified.  Loading builds no matrix: words are
 deduplicated by their masks (exact.pauli_masks), and their commutation is
-read off the same masks.
+read off the same masks.  An entry states no mode: the CLI infers it from
+the set, as for a file's `mode auto` (parity for the Pauli entries, ray
+for the ray entries).
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .model import ObservableSet, pauli_observable
 @dataclass
 class CatalogEntry:
     description: str
-    mode: str  # "parity" | "ray"
     build: Callable[[], ObservableSet]
 
     def load(self) -> ObservableSet:
@@ -147,22 +148,18 @@ def _peres_33() -> ObservableSet:
 ENTRIES = {
     "mermin-peres": CatalogEntry(
         description="3x3 square of two-qubit Pauli observables, 6 contexts, dim 4",
-        mode="parity",
         build=_mermin_peres,
     ),
     "mermin-pentagram": CatalogEntry(
         description="10 three-qubit Pauli observables on 5 lines, dim 8",
-        mode="parity",
         build=_mermin_pentagram,
     ),
     "cabello-18": CatalogEntry(
         description="18 rays in dim 4 forming 9 bases, each ray in two bases",
-        mode="ray",
         build=_cabello_18,
     ),
     "peres-33": CatalogEntry(
         description="Peres' 33 rays in dim 3 (components 0, +-1, +-sqrt2)",
-        mode="ray",
         build=_peres_33,
     ),
 }

@@ -49,19 +49,18 @@ _Loaded = namedtuple("_Loaded", "oset mode user_polys proof_file source")
 def _load(args) -> _Loaded:
     if bool(args.catalog) == bool(args.input):
         raise ParseError("exactly one of --catalog and --input is required")
-    if args.catalog:
-        entry = catalog_mod.get(args.catalog)
-        oset = entry.load()
-        mode = args.mode if args.mode != "auto" else entry.mode
-        return _Loaded(oset, mode, [], None, args.catalog)
-    pf = parse_file(args.input)
-    oset = pf.to_observable_set()
-    user_polys = pf.to_polynomials(oset)
-    mode = args.mode if args.mode != "auto" else pf.mode
+    if args.catalog:  # an entry reads as a file that declares mode auto
+        pf, oset, user_polys, declared = None, catalog_mod.get(args.catalog).load(), [], "auto"
+    else:
+        pf = parse_file(args.input)
+        oset = pf.to_observable_set()
+        user_polys, declared = pf.to_polynomials(oset), pf.mode
+    mode = args.mode if args.mode != "auto" else declared
     if mode == "auto":
         mode = _auto_mode(oset, user_polys)
-    pf.mode = mode
-    return _Loaded(oset, mode, user_polys, pf, args.input)
+    if pf is not None:
+        pf.mode = mode
+    return _Loaded(oset, mode, user_polys, pf, args.catalog or args.input)
 
 
 def _proof_file(loaded):
@@ -180,9 +179,8 @@ def cmd_export(args) -> int:
 
 def cmd_catalog(args) -> int:
     if args.name:
-        entry = catalog_mod.get(args.name)
-        oset = entry.load()
-        sys.stdout.write(render_input_section(proof_file_from_set(oset, entry.mode)))
+        oset = catalog_mod.get(args.name).load()
+        sys.stdout.write(render_input_section(proof_file_from_set(oset, _auto_mode(oset, []))))
         return EXIT_OK
     for name in catalog_mod.names():
         entry = catalog_mod.get(name)

@@ -11,7 +11,6 @@ an integer-coefficient score with explicit classical bound and quantum value.
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import suppress
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -153,7 +152,9 @@ def with_constants(cs: CompleteSet) -> CompleteSet:
     is a builder's, unread on a set that records a graph.  A member with no
     c, and every user-supplied member, gets normalization_constant's, which
     raises IdenticallyZeroOnAssignments where there is none.  A declared c
-    that differs raises NormalizationMismatch.  Either names the faulty member."""
+    that differs raises NormalizationMismatch.  Either names the faulty member.
+    It runs once per command, after a KSProof verdict: in assemble_F before
+    either bound route, and in verify."""
     user = cs.provenance == USER_SUPPLIED
     if cs.graph is not None or (not user and all(cp.c is not None for cp in cs.polynomials)):
         return cs
@@ -191,7 +192,6 @@ def decide(cs: CompleteSet, node_cap: int = DEFAULT_NODE_CAP) -> ProofCertificat
 
 @dataclass
 class Inequality:
-    oset: ObservableSet
     complete_set: CompleteSet
     F: Poly  # fully reduced, across all contexts
     classical: BoundResult  # bound on max F|_v
@@ -235,10 +235,10 @@ def assemble_F(
     F = -sum |r_i|^2 / c_i with max_F, which therefore never runs on a set
     whose maximum is 0.
 
-    The c_i come from with_constants, after the verdict.  A member without
-    a rational c_i, or with a wrong declared one, sends the exact route to
-    the certified one, where with_constants raises the normalization error.
-    The returned complete set carries the c_i used.
+    with_constants fixes the c_i once, after the verdict and before either
+    route, and raises the normalization error for a member without a
+    rational c_i or with a wrong declared one.  The returned complete set
+    carries the c_i used.
 
     On either route, F of a set that records a graph (a ray set, in either
     mode, each member with c = 1) is ray_F's sum of counts; a parity or
@@ -250,21 +250,16 @@ def assemble_F(
         raise NotKSProofError(
             f"not a KS proof; satisfying assignment {witness_str(cert.witness, oset.labels)}"
         )
-    fixed = None
+    cs = with_constants(cs)
     if exact_bound:
-        with suppress(IdenticallyZeroOnAssignments, NormalizationMismatch):
-            fixed = with_constants(cs)
-    if fixed is None:
-        classical = BoundResult(kind="certified", value=Fraction(-1), stats=cert.stats)
-        cs = with_constants(cs)
+        classical = max_F(oset, cs.polynomials, node_cap=node_cap)
     else:
-        classical = max_F(oset, fixed.polynomials, node_cap=node_cap)
-        cs = fixed
+        classical = BoundResult(kind="certified", value=Fraction(-1), stats=cert.stats)
     if cs.graph is None:
         F = sum_of_squares(cs.polynomials, oset.spectra())
     else:
         F = ray_F(cs.edges, cs.bases)
-    return Inequality(oset=oset, complete_set=cs, F=F, classical=classical)
+    return Inequality(complete_set=cs, F=F, classical=classical)
 
 
 def ray_F(edges: Sequence[tuple], bases: Sequence[tuple]) -> Poly:
@@ -424,7 +419,7 @@ def present(ineq: Inequality, form: str) -> PresentedInequality:
     classical bound and the quantum value exactly; scale > 0, so the exact
     bound's witness maximises G too, at A = 1 - 2P where P is substituted.
     """
-    oset = ineq.oset
+    oset = ineq.complete_set.oset
     substituted = check_form(ineq.complete_set, form)
     witness = ineq.classical.witness
     # F shares few Scalar objects (4 over KP-40's 501 terms): read each once

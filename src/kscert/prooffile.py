@@ -328,12 +328,14 @@ def parse(text: str) -> ProofFile:
         elif head == "poly":
             rest = line[len("poly") :].strip()
             c = None
-            m = re.match(r"^c=(\d+(?:/\d+)?)\s+(.*)$", rest)
-            if m:
-                c = _rational(m.group(1), lineno)
-                if c == 0:
+            if rest.startswith("c="):  # a first word c=... declares c
+                text, rest = re.match(r"c=(\S*)\s*(.*)", rest).groups()
+                if not re.fullmatch(r"-?\d+(?:/\d+)?", text):
+                    raise ParseError(
+                        f"c must be an integer or a fraction N/M, not {text!r}", lineno)
+                c = _rational(text, lineno)
+                if c <= 0:
                     raise ParseError("c must be positive", lineno)
-                rest = m.group(2)
             terms = parse_poly_expr(rest, lineno)
             polynomials.append(PolyDecl(c=c, terms=terms, source=rest, line=lineno))
         else:
@@ -420,11 +422,10 @@ def proof_file_from_set(oset: ObservableSet, mode: str) -> ProofFile:
 
 def render_record(pf: ProofFile, ineq, presented) -> str:
     """Full derivation record: input section + derived section + hash."""
-    oset = ineq.oset
-    labels = dict(enumerate(oset.labels))
+    cs = ineq.complete_set
+    labels = dict(enumerate(cs.oset.labels))
     plabels = dict(enumerate(presented.labels))
     lines = [render_input_section(pf).rstrip("\n"), DERIVED_MARKER]
-    cs = ineq.complete_set
     lines.append(f"provenance {cs.provenance}")
     lines.append(f"complete_set {len(cs)}")
     for cp in cs.polynomials:

@@ -144,7 +144,6 @@ def _two_bases_inequality(two_bases):
         ).poly
     F = reduce(F, two_bases.spectra())
     return Inequality(
-        oset=two_bases,
         complete_set=cs,
         F=F,
         classical=BoundResult(kind="certified", value=Fraction(-1)),

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kscert import assign, catalog, derive, exact, model, prooffile
-from kscert.cli import build_parser, main
+from kscert.cli import _auto_mode, build_parser, main
 from kscert.compat import build_orthogonality_graph, enumerate_bases
 from kscert.derive import (
     assemble_F,
@@ -613,6 +613,12 @@ class TestVerifyCommand:
          "line 2: matrix syntax: matrix LABEL [spectrum a,b,...]"),
         ("dim 2\nray a 1 0\ncontext\n", [], "line 3: context takes observable labels"),
         ("dim 2\nray a 1 0\npoly c=0 a\n", [], "line 3: c must be positive"),
+        ("dim 2\nray a 1 0\npoly c=-1 a - 1\n", [], "line 3: c must be positive"),
+        ("dim 2\nray a 1 0\npoly c=2.5 a - 1\n", [],
+         "line 3: c must be an integer or a fraction N/M, not '2.5'"),
+        ("dim 2\nray a 1 0\npoly c=+4 a - 1\n", [],
+         "line 3: c must be an integer or a fraction N/M, not '+4'"),
+        ("dim 2\nray a 1 0\npoly c=4\n", [], "line 3: empty polynomial expression"),
         ("mode auto\npoly a\n", [], "file does not declare dim"),
         ("dim 2\nray a 1 0\npoly ()*a\n", [], "line 3: empty scalar"),
         ("dim 2\nray a 1 0\npoly a -\n", [], "line 3: dangling sign in polynomial"),
@@ -641,7 +647,9 @@ class TestVerifyCommand:
         ("dim 2\nray a 1 0\npoly r2^2*a - 1\n", [], "line 3: unexpected token '^' after term"),
     ], ids=["row-outside-matrix", "too-few-rows", "too-few-rows-at-end", "too-many-rows-at-end",
             "ray-no-components", "pauli-before-dim", "matrix-before-dim", "matrix-no-label",
-            "matrix-bad-spectrum", "matrix-trailing-token", "context-no-labels", "poly-c-zero", "no-dim", "empty-scalar",
+            "matrix-bad-spectrum", "matrix-trailing-token", "context-no-labels", "poly-c-zero",
+            "poly-c-negative", "poly-c-decimal", "poly-c-plus-sign", "poly-c-no-expression",
+            "no-dim", "empty-scalar",
             "dangling-sign", "token-after-term", "token-in-term", "untokenizable", "empty-poly",
             "unclosed-paren", "pauli-wrong-dim", "ray-wrong-dim", "ray-zero-and-wrong-dim",
             "matrix-not-hermitian", "poly-noncommuting", "duplicate-label", "parity-no-contexts",
@@ -842,6 +850,25 @@ class TestDeriveCommand:
             assert code == 3, argv
             assert f"polynomial {index} declares {declared}, but its normalization constant is 4" in err
 
+    def test_each_c_is_computed_once(self, capsys, tmp_path, monkeypatch):
+        # member 1 declares c=3, but its c is 4: every command computes the
+        # c of members 0 and 1, once each, and stops with the same error
+        calls = []
+
+        def counted(cp, oset, engine=derive.normalization_constant):
+            calls.append(cp)
+            return engine(cp, oset)
+
+        monkeypatch.setattr(derive, "normalization_constant", counted)
+        path = tmp_path / "mp.txt"
+        path.write_text(GENERAL_MP.replace("poly c=4 d*e*f - 1", "poly c=3 d*e*f - 1"))
+        for argv in (["verify"], ["derive"], ["derive", "--exact-bound"], ["bound"]):
+            calls.clear()
+            result = run(capsys, *argv, "--input", str(path))
+            assert result == (3, "", "error: input: polynomial 1 declares c=3, but its "
+                                     "normalization constant is 4\n"), argv
+            assert [cp.c for cp in calls] == [4, 3], argv
+
     @pytest.mark.parametrize("wrong_c", [False, True])
     def test_irrational_member_same_error_everywhere(self, capsys, tmp_path, wrong_c):
         # (1 + r2)(abc - 1) vanishes as an operator, but its nonzero value
@@ -942,8 +969,8 @@ class TestDeriveCommand:
 
 
 def _catalog_text(name):
-    entry = catalog.get(name)
-    return render_input_section(proof_file_from_set(entry.load(), entry.mode))
+    oset = catalog.get(name).load()
+    return render_input_section(proof_file_from_set(oset, _auto_mode(oset, [])))
 
 
 def _without_last(text, directive):
@@ -1522,3 +1549,18 @@ class TestCatalogCommand:
         assert code == 0
         assert out.startswith("dim 4")
         assert out.count("ray ") == 18
+
+    @pytest.mark.parametrize("name", catalog.names())
+    def test_round_trip_under_mode_auto(self, capsys, tmp_path, name):
+        # an entry's mode is the one mode auto infers from the set it prints
+        _, text, _ = run(capsys, "catalog", name)
+        assert text == _catalog_text(name)
+        lines = text.splitlines(keepends=True)
+        assert lines[1] in ("mode parity\n", "mode ray\n")
+        lines[1] = "mode auto\n"
+        path = tmp_path / f"{name}.txt"
+        path.write_text("".join(lines))
+        for command in ("verify", "derive", "export"):
+            code, out, err = run(capsys, command, "--input", str(path))
+            out = out.replace(f"input: {path}\n", f"input: {name}\n", 1)
+            assert (code, out, err) == run(capsys, command, "--catalog", name), command

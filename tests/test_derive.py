@@ -364,7 +364,7 @@ def test_builder_constants_oracle(build):
 def test_F_operator_zero_oracle(build):
     """The direct check that Condition 1 stands in for: F evaluates to 0."""
     ineq = build()
-    assert eval_operator(ineq.F, ineq.oset).is_zero
+    assert eval_operator(ineq.F, ineq.complete_set.oset).is_zero
 
 
 def _random_proof_ray_set(seed):
@@ -432,10 +432,11 @@ def test_F_one_pass_oracle(build):
     """The member-by-member sum that assemble_F's one pass stands in for:
     the reduced -sum of each member's normalized_square."""
     ineq = build()
+    oset = ineq.complete_set.oset
     F = Poly()
     for cp in ineq.complete_set.polynomials:
-        F = F - normalized_square(cp, ineq.oset).poly
-    assert ineq.F == reduce(F, ineq.oset.spectra())
+        F = F - normalized_square(cp, oset).poly
+    assert ineq.F == reduce(F, oset.spectra())
 
 
 @pytest.mark.parametrize("exact_bound", [False, True], ids=["certified", "exact-bound"])
@@ -640,7 +641,7 @@ def test_trusted_polys_are_clean(build):
     F = sum_of_squares(derive.with_constants(cs).polynomials, cs.oset.spectra())
     _assert_clean(F)
     # present needs no verdict, so sets that are not proofs are presented too
-    ineq = Inequality(cs.oset, cs, F, BoundResult(kind="certified", value=Fraction(-1)))
+    ineq = Inequality(cs, F, BoundResult(kind="certified", value=Fraction(-1)))
     for form in ("projector", "dichotomic"):
         with suppress(PresentationUnavailable):
             _assert_clean(present(ineq, form).score)
@@ -739,7 +740,7 @@ def colorable_inequality(oset, certified=True):
         classical = BoundResult(kind="certified", value=Fraction(-1))
     else:
         classical = classical_max(oset, F)
-    return Inequality(oset=oset, complete_set=cs, F=F, classical=classical)
+    return Inequality(complete_set=cs, F=F, classical=classical)
 
 
 def substitute_dichotomic_oracle(F: Poly) -> Poly:
@@ -769,7 +770,7 @@ def assert_score_is_quantum_value(pres, oset):
 
 
 def _scaled(ineq: Inequality, k: Fraction) -> Inequality:
-    return Inequality(ineq.oset, ineq.complete_set, ineq.F * Scalar(k), ineq.classical)
+    return Inequality(ineq.complete_set, ineq.F * Scalar(k), ineq.classical)
 
 
 def primitive_scale_oracle(coeffs: dict) -> Fraction:
@@ -796,7 +797,7 @@ def fraction_substitution_oracle(coeffs: dict) -> dict:
 def _constant_inequality() -> Inequality:
     """cabello-18's Inequality with F = 1, on a ray set."""
     ineq = _catalog_inequality("cabello-18")
-    return Inequality(ineq.oset, ineq.complete_set, Poly.const(1), ineq.classical)
+    return Inequality(ineq.complete_set, Poly.const(1), ineq.classical)
 
 
 def present_oracle(ineq: Inequality, form: str) -> PresentedInequality:
@@ -804,7 +805,7 @@ def present_oracle(ineq: Inequality, form: str) -> PresentedInequality:
     through Scalar.is_rational and Scalar.rational, substituted and scaled
     in Fractions, each score coefficient a Fraction quotient through
     Scalar.of and Poly.__init__."""
-    oset = ineq.oset
+    oset = ineq.complete_set.oset
     substituted = check_form(ineq.complete_set, form)
     coeffs = {}
     for mono, coef in ineq.F.terms.items():
@@ -949,7 +950,7 @@ class TestPresent:
     def test_refuses_irrational_coefficients(self, two_bases, form):
         # the builders always give a rational F; only library input reaches this
         ineq = colorable_inequality(two_bases)
-        ineq = Inequality(ineq.oset, ineq.complete_set,
+        ineq = Inequality(ineq.complete_set,
                           ineq.F + Poly({((0, 1), (1, 1)): Scalar(0, 1)}), ineq.classical)
         with pytest.raises(PresentationUnavailable,
                            match=r"^presentation requires rational coefficients$"):
