@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Sequence
 
 from .assign import (
@@ -38,16 +38,15 @@ from .errors import (
     PresentationUnavailable,
     ZeroState,
 )
-from .exact import _FR0, ONE, MINUS_ONE, Scalar, inner, integral
+from .exact import _FR0, ONE, MINUS_ONE, ZERO, Scalar, inner, integral
 from .model import ObservableSet
 from .poly import (
     ContextPolynomial,
     Poly,
     eval_operator,
-    lowering,
     make_context_polynomial,
-    mono_mul,
     normalization_constant,
+    reduce,
 )
 
 RAY_EDGES_BASES = "RayEdgesBases"
@@ -128,10 +127,13 @@ def build_complete_set_parity(oset: ObservableSet, contexts: Sequence[tuple]) ->
     """Product-minus-delta polynomials, each with c = 4 (values are 0 or +-2).
     Condition 1 holds as parity_certify found each context product delta*I;
     whether the set is a proof is decide's question, which it answers from
-    the (context, delta) rows the set records.  Dichotomic spectra have two
-    values, so the products are reduced as written."""
+    the (context, delta) rows the set records, and parity_F reads F from
+    them too.  Dichotomic spectra have two values, so the products are
+    reduced as written."""
     rows = list(zip(contexts, parity_certify(oset, contexts)))
-    polys = [ContextPolynomial(Poly({tuple((i, 1) for i in ctx): ONE}) - d, Fraction(4))
+    four = Fraction(4)
+    polys = [ContextPolynomial(Poly._make({tuple((i, 1) for i in ctx): ONE,
+                                           (): MINUS_ONE if d == 1 else ONE}), four)
              for ctx, d in rows]
     return CompleteSet(oset=oset, members=polys, provenance=PARITY, parity=rows)
 
@@ -240,9 +242,10 @@ def assemble_F(
     rational c_i or with a wrong declared one.  The returned complete set
     carries the c_i used.
 
-    On either route, F of a set that records a graph (a ray set, in either
-    mode, each member with c = 1) is ray_F's sum of counts; a parity or
-    general set's is sum_of_squares'.
+    On either route F is taken in decide's order: a set that records a
+    graph (a ray set, in either mode, each member with c = 1) takes ray_F's
+    sum of counts, one that records parity rows parity_F's closed form, and
+    any other, a user-supplied set, F's definition, sum_of_squares.
     """
     oset = cs.oset
     cert = decide(cs, node_cap=node_cap)
@@ -255,10 +258,12 @@ def assemble_F(
         classical = max_F(oset, cs.polynomials, node_cap=node_cap)
     else:
         classical = BoundResult(kind="certified", value=Fraction(-1), stats=cert.stats)
-    if cs.graph is None:
-        F = sum_of_squares(cs.polynomials, oset.spectra())
-    else:
+    if cs.graph is not None:
         F = ray_F(cs.edges, cs.bases)
+    elif cs.parity is not None:
+        F = parity_F(cs.parity)
+    else:
+        F = sum_of_squares(cs.polynomials, oset.spectra())
     return Inequality(complete_set=cs, F=F, classical=classical)
 
 
@@ -288,53 +293,38 @@ def ray_F(edges: Sequence[tuple], bases: Sequence[tuple]) -> Poly:
     return _int_poly(nums, 1)
 
 
-def sum_of_squares(members: Sequence[ContextPolynomial], spectra) -> Poly:
-    """The reduced F = -sum r_i^dagger r_i / c_i, summed in ints over one
-    denominator; one Scalar is built per distinct coefficient of F.
+def parity_F(rows: Sequence[tuple]) -> Poly:
+    """F of the parity set with (context, delta) rows `rows`, from the rows
+    alone; sum_of_squares is its oracle.
 
-    Each member's coefficients are cleared to int (a, b, c, d) tuples with
-    one denominator den (exact.integral), so with c_i = p/q its term is
-    -q / (den^2 p) times a sum of products conj(t1) t2.  L is the lcm of the
-    den^2 p, as in max_F, and each member's products, scaled by the int
-    q L / (den^2 p), go into one dict.  The pairs (m1, m2) and (m2, m1)
-    give one monomial and conjugate products, whose sum is twice the real
-    part, so each unordered pair is formed once, at weight 2, and the
-    diagonal (m, m) at weight 1, each monomial product by mono_mul; F's
-    coefficients are real, ints (x, y) standing for x + y sqrt2.
-
-    reduce is linear, so the sum is lowered once.  Members are reduced, so
-    a product of two monomials with no common variable is reduced as well;
-    only a monomial with an exponent at or above its spectrum's size is
-    lowered (poly.lowering), and the remainders' rational coefficients are
-    brought to one more denominator D, so F = -num / (L D).  The
-    member-by-member sum of normalized_square is the test oracle.  On ray
-    sets assemble_F takes ray_F's closed form, and this is its oracle.
+    Each member Pi_C - delta_C has c = 4, and every variable is dichotomic,
+    so A_i^2 = 1 on its spectrum (-1, 1) and, the ids of a context being
+    distinct, Pi_C^2 = 1; with delta^2 = 1 the member's normalized square
+    is (2 - 2 delta_C Pi_C) / 4.  Hence F = -N/2 + sum_C delta_C Pi_C / 2
+    for N rows (Mermin, PRL 65, 3373 (1990)), in ints over denominator 2.
     """
-    cleared = [(cp, *integral(cp.poly.terms.values())) for cp in members]
-    L = lcm(*(den * den * cp.c.numerator for cp, den, _ in cleared))
-    acc = {}  # monomial -> (x, y)
-    for cp, den, ints in cleared:
-        k = cp.c.denominator * (L // (den * den * cp.c.numerator))
-        items = list(zip(cp.poly.terms, ints))
-        for j, (m1, (a, b, c, d)) in enumerate(items):
-            for m2, (e, f, g, h) in items[j:]:
-                w = k if m1 is m2 else 2 * k
-                mono = mono_mul(m1, m2)
-                x = w * (a * e + 2 * b * f + c * g + 2 * d * h)
-                y = w * (a * f + b * e + c * h + d * g)
-                s = acc.get(mono)
-                acc[mono] = (x, y) if s is None else (s[0] + x, s[1] + y)
-    rules = {}
-    lowered = {m: lowering(m, spectra, rules) for m in acc
-               if any(n >= len(spectra[i]) for i, n in m)}
-    D = lcm(*(q.denominator for terms in lowered.values() for _, q in terms))
-    num = {}
-    for mono, (x, y) in acc.items():
-        for m, q in lowered.get(mono, ((mono, 1),)):
-            n = q.numerator * (D // q.denominator)
-            s = num.get(m)
-            num[m] = (n * x, n * y) if s is None else (s[0] + n * x, s[1] + n * y)
-    return _int_poly(num, -L * D)
+    deltas = Counter()  # a context may be declared twice
+    for ctx, delta in rows:
+        deltas[tuple((i, 1) for i in ctx)] += delta
+    nums = {(): (-len(rows), 0)}
+    nums.update((m, (x, 0)) for m, x in deltas.items())
+    return _int_poly(nums, 2)
+
+
+def sum_of_squares(members: Sequence[ContextPolynomial], spectra) -> Poly:
+    """F's definition: the reduced -sum r_i^dagger r_i / c_i.
+
+    Each member's square is added, scaled by -1/c_i, into one term dict,
+    and reduce, being linear, lowers the sum once.  This is assemble_F's
+    route for a set whose builder knows no closed form, a user-supplied
+    one, and the test oracle of ray_F and parity_F.
+    """
+    acc = {}
+    for cp in members:
+        w = Scalar.of(-1 / cp.c)
+        for m, c in (cp.poly.conjugate() * cp.poly).terms.items():
+            acc[m] = acc.get(m, ZERO) + c * w
+    return reduce(Poly(acc), spectra)
 
 
 def _int_poly(nums: dict, den: int) -> Poly:
@@ -422,7 +412,8 @@ def present(ineq: Inequality, form: str) -> PresentedInequality:
     oset = ineq.complete_set.oset
     substituted = check_form(ineq.complete_set, form)
     witness = ineq.classical.witness
-    # F shares few Scalar objects (4 over KP-40's 501 terms): read each once
+    # a closed form's F shares few Scalar objects (4 over KP-40's 501
+    # terms), a user-supplied set's none: read each once
     coefs = {id(c): c for c in ineq.F.terms.values()}
     D, ints = integral(coefs.values())
     if any(b or c or d for _, b, c, d in ints):

@@ -12,10 +12,11 @@ Input files are line-oriented, hand-editable and diff-able:
     context a11 a12 a13
     poly c=4 a11*a12*a13 - 1
 
-Scalar tokens are exact: rationals (`-3/2`), the imaginary unit (`i`,
-`2i`), and sqrt2 written `r2` (`-r2`, `1/2r2`), combinable as `1+i` or
-`(1+i)` inside polynomial expressions.  There, a bare `i`, `r2` or `r2i`
-that labels an observable is that observable.
+`dim` is declared once, before the observables, and `mode` at most once
+(`auto` if it is not).  Scalar tokens are exact: rationals (`-3/2`), the
+imaginary unit (`i`, `2i`), and sqrt2 written `r2` (`-r2`, `1/2r2`),
+combinable as `1+i` or `(1+i)` inside polynomial expressions.  There, a
+bare `i`, `r2` or `r2i` that labels an observable is that observable.
 
 Exports append a `=== derived ===` section with the complete set, F, the
 presented score, bounds and a content hash; the parser reads only the
@@ -256,8 +257,7 @@ def _check_rows(matrix: ObsDecl, dim: int, line: int) -> None:
 
 
 def parse(text: str) -> ProofFile:
-    dim = None
-    mode = "auto"
+    dim = mode = None
     observables: List[ObsDecl] = []
     contexts: List[ContextDecl] = []
     polynomials: List[PolyDecl] = []
@@ -283,6 +283,8 @@ def parse(text: str) -> ProofFile:
             pending_matrix = None
         if head in ("ray", "pauli", "matrix") and dim is None:
             raise ParseError("dim must come before observables", lineno)
+        if (head == "dim" and dim is not None) or (head == "mode" and mode is not None):
+            raise ParseError(f"{head} is declared twice", lineno)
         if head == "dim":
             dim = _positive_int(
                 parts[1] if len(parts) == 2 else "", lineno, "dim takes one positive integer"
@@ -351,7 +353,7 @@ def parse(text: str) -> ProofFile:
         seen.add(d.label)
     return ProofFile(
         dim=dim,
-        mode=mode,
+        mode=mode or "auto",
         observables=observables,
         contexts=contexts,
         polynomials=polynomials,

@@ -645,6 +645,9 @@ class TestVerifyCommand:
         ("dim 3\nray e1 1 0 0\nray e2 0 1 0\n", ["--mode", "bases-only"],
          "orthogonal pair (e1, e2) lies in no supplied basis"),
         ("dim 2\nray a 1 0\npoly r2^2*a - 1\n", [], "line 3: unexpected token '^' after term"),
+        ("dim 3\ndim 2\nray a 1 0\nray b 0 1\n", [], "line 2: dim is declared twice"),
+        ("dim 2\nray a 1 0\ndim 3\nray b 0 1 0\n", [], "line 3: dim is declared twice"),
+        ("dim 2\nmode ray\nmode parity\nray a 1 0\n", [], "line 3: mode is declared twice"),
     ], ids=["row-outside-matrix", "too-few-rows", "too-few-rows-at-end", "too-many-rows-at-end",
             "ray-no-components", "pauli-before-dim", "matrix-before-dim", "matrix-no-label",
             "matrix-bad-spectrum", "matrix-trailing-token", "context-no-labels", "poly-c-zero",
@@ -654,7 +657,7 @@ class TestVerifyCommand:
             "unclosed-paren", "pauli-wrong-dim", "ray-wrong-dim", "ray-zero-and-wrong-dim",
             "matrix-not-hermitian", "poly-noncommuting", "duplicate-label", "parity-no-contexts",
             "general-no-poly", "not-dichotomic", "not-scalar-multiple", "edge-outside-bases",
-            "scalar-power"])
+            "scalar-power", "dim-twice", "dim-twice-after-observable", "mode-twice"])
     def test_input_error_message(self, capsys, tmp_path, text, argv, message):
         path = tmp_path / "bad.txt"
         path.write_text(text)

@@ -32,6 +32,7 @@ from kscert.derive import (
     build_complete_set_rays,
     check_form,
     expectation,
+    parity_F,
     present,
     ray_F,
     sum_of_squares,
@@ -52,7 +53,6 @@ from kscert.poly import (
     eval_assignment,
     eval_operator,
     make_context_polynomial,
-    mono_mul,
     normalization_constant,
     normalized_square,
     reduce,
@@ -61,8 +61,8 @@ from kscert.poly import (
 )
 from kscert.prooffile import parse
 
-from conftest import eigenray_set, single_basis_set, two_bases_set
-from test_cli import GENERAL_MP
+from conftest import eigenray_set, pauli_parity_text, single_basis_set, two_bases_set
+from test_cli import GENERAL_MP, MP_PARITY, _parity_set
 from test_compat import graphs
 
 
@@ -391,6 +391,25 @@ def _eigenray_inequality(name):
     return assemble_F(_eigenray_complete_set(name))
 
 
+# parity sets from conftest.pauli_parity_text: the two- and three-qubit
+# lines (the doily and W(5,2)) are proofs, the three-qubit maximal sets,
+# with + signs or seeded ones, are colourable; a file may declare a
+# context twice, which gives its monomial twice delta_C / 2
+PARITY_TEXTS = {
+    "doily": lambda: pauli_parity_text(2, "lines"),
+    "mermin-peres-repeated-context": lambda: MP_PARITY + "context a b c\n",
+    "w52": lambda: pauli_parity_text(3, "lines"),
+    "three-qubit-maximal": lambda: pauli_parity_text(3, "maximal"),
+    "three-qubit-maximal-signed": lambda: pauli_parity_text(3, "maximal", seed=1),
+}
+
+
+def _parity_inequality(text):
+    """parity_F on the set of text, proof or not, with the certified bound."""
+    cs = _parity_set(text)
+    return Inequality(cs, parity_F(cs.parity), BoundResult(kind="certified", value=Fraction(-1)))
+
+
 # GENERAL_MP with a = 5/4 + 3/4 XI, spectrum (1/2, 2), in place of XI =
 # (4a - 5)/3: a^2 is lowered to 5/2 a - 1, whose coefficients have two
 # different denominators
@@ -426,17 +445,22 @@ GENERAL_MP_VARIANTS = {
     + [pytest.param(lambda name=name: _eigenray_inequality(name), id=ray_name)
        for name, ray_name in (("mermin-peres", "peres-24"), ("mermin-pentagram", "kp-40"))]
     + [pytest.param(lambda seed=seed: _random_proof_ray_set(seed), id=f"random-rays-{seed}")
-       for seed in range(10)],
+       for seed in range(10)]
+    + [pytest.param(lambda text=text: _parity_inequality(text()), id=name)
+       for name, text in PARITY_TEXTS.items()],
 )
 def test_F_one_pass_oracle(build):
-    """The member-by-member sum that assemble_F's one pass stands in for:
-    the reduced -sum of each member's normalized_square."""
+    """The member-by-member sum that ray_F, parity_F and sum_of_squares'
+    one reduction stand in for: the reduced -sum of each member's
+    normalized_square, which sum_of_squares, F's definition, equals too."""
     ineq = build()
-    oset = ineq.complete_set.oset
+    cs = ineq.complete_set
+    oset = cs.oset
     F = Poly()
-    for cp in ineq.complete_set.polynomials:
+    for cp in cs.polynomials:
         F = F - normalized_square(cp, oset).poly
-    assert ineq.F == reduce(F, oset.spectra())
+    assert ineq.F == reduce(F, oset.spectra()) == sum_of_squares(cs.polynomials, oset.spectra())
+    _assert_clean(ineq.F)
 
 
 @pytest.mark.parametrize("exact_bound", [False, True], ids=["certified", "exact-bound"])
@@ -569,22 +593,50 @@ def test_bases_only_coloring_oracle(structure):
             assert all(eval_assignment(cp.poly, witness).is_zero for cp in cs.polynomials)
 
 
-@pytest.mark.parametrize("exact_bound", [False, True], ids=["certified", "exact-bound"])
-@pytest.mark.parametrize("name", ["peres-24", "kp-40"])
-def test_assemble_F_takes_ray_F_on_ray_sets(monkeypatch, name, exact_bound):
-    """On a set that records a graph, neither route squares a member:
-    assemble_F calls neither sum_of_squares nor lowering nor integral."""
-    cs = _eigenray_complete_set({"peres-24": "mermin-peres", "kp-40": "mermin-pentagram"}[name])
-    F = sum_of_squares(cs.polynomials, cs.oset.spectra())
+def _route_calls(monkeypatch, cs, exact_bound):
+    """The calls that assemble_F on cs makes to each F route and to reduce
+    and integral; its F is checked against sum_of_squares, F's definition,
+    computed before the count."""
+    F = sum_of_squares(derive.with_constants(cs).polynomials, cs.oset.spectra())
     calls = Counter()
-    for fn in ("sum_of_squares", "lowering", "integral"):
+    for fn in ("ray_F", "parity_F", "sum_of_squares", "reduce", "integral"):
         def counted(*args, fn=fn, original=getattr(derive, fn)):
             calls[fn] += 1
             return original(*args)
         monkeypatch.setattr(derive, fn, counted)
-    ineq = assemble_F(cs, exact_bound=exact_bound)
-    assert calls == Counter()
-    assert ineq.F == F
+    assert assemble_F(cs, exact_bound=exact_bound).F == F
+    return calls
+
+
+@pytest.mark.parametrize("exact_bound", [False, True], ids=["certified", "exact-bound"])
+@pytest.mark.parametrize("name", ["peres-24", "kp-40"])
+def test_assemble_F_takes_ray_F_on_ray_sets(monkeypatch, name, exact_bound):
+    """On a set that records a graph, neither route squares a member:
+    assemble_F calls ray_F and none of parity_F, sum_of_squares, reduce or
+    integral."""
+    cs = _eigenray_complete_set({"peres-24": "mermin-peres", "kp-40": "mermin-pentagram"}[name])
+    assert _route_calls(monkeypatch, cs, exact_bound) == Counter(ray_F=1)
+
+
+@pytest.mark.parametrize("exact_bound", [False, True], ids=["certified", "exact-bound"])
+@pytest.mark.parametrize("name", ["mermin-peres", "mermin-pentagram", "doily"])
+def test_assemble_F_takes_parity_F_on_parity_sets(monkeypatch, name, exact_bound):
+    """On a set that records parity rows, assemble_F calls parity_F once and
+    never sum_of_squares."""
+    if name == "doily":
+        cs = _parity_set(PARITY_TEXTS[name]())
+    else:
+        cs = _catalog_complete_set(name)
+    assert _route_calls(monkeypatch, cs, exact_bound) == Counter(parity_F=1)
+
+
+@pytest.mark.parametrize("exact_bound", [False, True], ids=["certified", "exact-bound"])
+@pytest.mark.parametrize("name", list(GENERAL_MP_VARIANTS))
+def test_assemble_F_takes_sum_of_squares_on_user_sets(monkeypatch, name, exact_bound):
+    """On a user-supplied set, assemble_F takes F's definition: one call to
+    sum_of_squares, which reduces once."""
+    cs = _general_mp_complete_set(GENERAL_MP_VARIANTS[name])
+    assert _route_calls(monkeypatch, cs, exact_bound) == Counter(sum_of_squares=1, reduce=1)
 
 
 def test_ray_set_without_graph_sums_squares(monkeypatch, cabello):
@@ -666,27 +718,6 @@ def test_graph_answers_as_members_do(build):
             except PresentationUnavailable as ex:
                 answers.append(str(ex))
         assert answers[0] == answers[1], form
-
-
-@pytest.mark.parametrize("build", _BACK_HALF_SETS)
-def test_sum_of_squares_lowers_only_unreduced_monomials(monkeypatch, build):
-    """lowering runs once for each distinct monomial of the pair products
-    with an exponent at or above its spectrum's size, and for no other."""
-    cs = build()
-    spectra = cs.oset.spectra()
-    members = derive.with_constants(cs).polynomials
-    needed = {mono_mul(m1, m2) for cp in members for m1 in cp.poly.terms for m2 in cp.poly.terms}
-    needed = {m for m in needed if any(e >= len(spectra[i]) for i, e in m)}
-    lowered = Counter()
-
-    def counted(mono, *args, original=derive.lowering):
-        lowered[mono] += 1
-        return original(mono, *args)
-
-    monkeypatch.setattr(derive, "lowering", counted)
-    sum_of_squares(members, spectra)
-    assert set(lowered) == needed
-    assert set(lowered.values()) <= {1}
 
 
 @pytest.mark.parametrize("name", ["peres-24", "kp-40"])
