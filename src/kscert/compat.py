@@ -12,17 +12,19 @@ For ray sets the orthogonality graph has one vertex per ray and an edge
 whenever the inner product of the underlying vectors vanishes, computed in
 integers on their primitive integral vectors: the four integer sums of the
 inner product are packed into one integer with a radix fixed from the
-largest key part, so each pair is one integer dot product
+largest key part, and each ray's packed products with every ray are the
+digits of one int, its row, summed per key position rather than per pair
 (build_orthogonality_graph says why that is exact).  Each ray's neighbours
-are one int bit mask, bit j set for ray j; bases are the graph's n-vertex
-cliques, grown from an explicit stack by intersecting masks.
+are one int bit mask, bit j set for ray j, read off the row's zero digits;
+bases are the graph's n-vertex cliques, grown from an explicit stack by
+intersecting masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter, mul
+from operator import mul
 from typing import Iterable
 
 from .errors import KSCertError, NonRayMember, NotCommuting
@@ -101,9 +103,26 @@ def build_orthogonality_graph(oset: ObservableSet) -> OrthogonalityGraph:
     than M / 2 for the radix M, the power of two above 12 n A^2.  So
     Z = ra + M rb + M^2 ia + M^3 ib is 0 exactly when all four are: balanced
     base-M digits are unique (Z mod M is ra, which is then 0; divide by M
-    and repeat).  Z is linear in u's parts, Z = sum_p u_p W_v[p], so each
-    pair is one integer dot product over u's nonzero parts; W_v is built
-    once per ray, from the weights of each distinct component.
+    and repeat).  Z is linear in u's parts, Z = sum_p u_p W_v[p], with W_v
+    the weights of v's components.
+
+    Ray i's row is one int, whose base-R digit j is Z_ij + R/2, for R the
+    power of two of a whole number of bytes at least M^4.  As each sum is
+    at most M/2 - 1 in size, |Z| <= (M/2 - 1)(1 + M + M^2 + M^3) < M^4/2,
+    so every digit lies in (0, R): none borrows from or carries into the
+    next, and the row is exactly H + sum_j Z_ij R^j for H = sum_j (R/2) R^j.
+    Being linear in v, that sum is built per key position q, not per pair:
+    with ind[q][t] = sum R^j over the rays j whose key has component t at
+    q, row i = H + sum_q piece(q, u_q) for piece(q, s) =
+    sum_t Z(s, t) ind[q][t], one int per (position, component) pair (KP-40:
+    8 positions, 5 components).  XORed with H, a digit is 0 exactly when
+    Z_ij = 0.  Adding R/2 - 1 to a digit's lower bits sets its top bit
+    exactly when they are not all 0, and carries no further; OR-ed with the
+    digit's own top bit, the top bits left clear mark the zero digits.  Each
+    such bit is 0x80 in the digit's top byte, and the top bytes, read in
+    big-endian order from digit n - 1 down, are the bits of masks[i].
+    Z_ii = |u_i|^2 is not 0, so no row has its own bit, and Z_ij = 0 exactly
+    when Z_ji = 0, so the rows come out symmetric.
     """
     if not oset.all_rays:
         raise NonRayMember("orthogonality graph requires a pure ray set")
@@ -122,19 +141,28 @@ def build_orthogonality_graph(oset: ObservableSet) -> OrthogonalityGraph:
         )
         for e, f, g, h in comps
     }
-    weights = [[w for t in key for w in weight[t]] for key in keys]
-    masks = [0] * n
-    for i, key in enumerate(keys):
-        ps = [p for t in key for p in t]
-        nonzero = [k for k, p in enumerate(ps) if p]
-        vals = [ps[k] for k in nonzero]
-        get = itemgetter(*nonzero)
-        if len(nonzero) == 1:  # itemgetter of one position gives a bare value
-            get = itemgetter(slice(nonzero[0], nonzero[0] + 1))
-        for j in range(i + 1, n):
-            if not sum(map(mul, vals, get(weights[j]))):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
+    width = -(-4 * (m1.bit_length() - 1) // 8)  # bytes per digit
+    low = int.from_bytes(b"\x01".rjust(width, b"\0") * n, "big")  # sum_j R^j
+    high = low << (8 * width - 1)  # H
+    rest = high - low  # each digit's bits below its top bit
+    ind = [{} for _ in range(oset.dim)]
+    for j, key in enumerate(keys):
+        for q, t in enumerate(key):
+            ind[q][t] = ind[q].get(t, 0) | 1 << (8 * width * j)
+    pieces = {}
+    top = bytes.maketrans(b"\0\x80", b"01")  # a digit's top byte, unmarked or marked
+    masks = []
+    for key in keys:
+        row = high
+        for q, s in enumerate(key):
+            piece = pieces.get((q, s))
+            if piece is None:
+                piece = pieces[q, s] = sum(
+                    sum(map(mul, s, weight[t])) * x for t, x in ind[q].items())
+            row += piece
+        row ^= high
+        zero = high & ~((row & rest) + rest | row)
+        masks.append(int(zero.to_bytes(n * width, "big")[::width].translate(top), 2))
     return OrthogonalityGraph(oset=oset, masks=masks)
 
 

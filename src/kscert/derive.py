@@ -303,7 +303,7 @@ def parity_F(rows: Sequence[tuple]) -> Poly:
     is (2 - 2 delta_C Pi_C) / 4.  Hence F = -N/2 + sum_C delta_C Pi_C / 2
     for N rows (Mermin, PRL 65, 3373 (1990)), in ints over denominator 2.
     """
-    deltas = Counter()  # a context may be declared twice
+    deltas = Counter()  # a caller may pass a context twice; a proof file cannot
     for ctx, delta in rows:
         deltas[tuple((i, 1) for i in ctx)] += delta
     nums = {(): (-len(rows), 0)}

@@ -338,10 +338,6 @@ def normalized_square(cp: ContextPolynomial, oset: ObservableSet) -> ContextPoly
 # -- canonical rendering ---------------------------------------------------
 
 
-def _mono_key(mono: Monomial):
-    return (sum(e for _, e in mono), mono)
-
-
 def _coef_str(coef: Scalar) -> str:
     """A rational coefficient as its Fraction prints; any other as
     Scalar.__str__ prints it, in parentheses when it has several parts."""
@@ -357,31 +353,34 @@ def render(p: Poly, labels: Optional[Mapping[int, str]] = None) -> str:
     """Deterministic text form: graded order, lowest degree first.  A
     rational coefficient is printed from its Fraction, which reads as
     Scalar.__str__ would print it; only an irrational or complex one goes
-    through Scalar.__str__."""
+    through Scalar.__str__.  Terms share a handful of coefficient objects
+    and factors, so each is formatted once; the terms are then sorted as
+    (degree, monomial, ...) tuples, the monomials being distinct."""
     if p.is_zero:
         return "0"
-    parts = []
-    for mono in sorted(p.terms, key=_mono_key):
-        coef = p.terms[mono]
-        factors = []
-        for i, e in mono:
-            name = labels[i] if labels else f"A{i}"
-            factors.append(name if e == 1 else f"{name}^{e}")
-        body = "*".join(factors)
-        cs = _coef_str(coef)
-        if body:
-            if cs == "1":
-                term = body
-            elif cs == "-1":
-                term = f"-{body}"
-            else:
-                term = f"{cs}*{body}"
-        else:
-            term = cs
-        if not parts:
-            parts.append(term)
-        elif term.startswith("-"):
-            parts.append(f" - {term[1:]}")
-        else:
-            parts.append(f" + {term}")
+    names = {}  # factor (i, e) -> its text
+    coefs = {}  # id(coefficient) -> (joining sign, its text before a body, alone)
+    order = []
+    for mono, coef in p.terms.items():
+        degree = 0
+        texts = []
+        for f in mono:
+            text = names.get(f)
+            if text is None:
+                i, e = f
+                name = labels[i] if labels else f"A{i}"
+                text = names[f] = name if e == 1 else f"{name}^{e}"
+            degree += f[1]
+            texts.append(text)
+        c = coefs.get(id(coef))
+        if c is None:
+            cs = _coef_str(coef)
+            sign, cs = (" - ", cs[1:]) if cs.startswith("-") else (" + ", cs)
+            c = coefs[id(coef)] = (sign, "" if cs == "1" else f"{cs}*", cs)
+        sign, before, alone = c
+        order.append((degree, mono, sign, before + "*".join(texts) if texts else alone))
+    order.sort()
+    _, _, sign, term = order[0]
+    parts = [term if sign == " + " else f"-{term}"]
+    parts += [sign + term for _, _, sign, term in order[1:]]
     return "".join(parts)

@@ -260,6 +260,7 @@ def parse(text: str) -> ProofFile:
     dim = mode = None
     observables: List[ObsDecl] = []
     contexts: List[ContextDecl] = []
+    declared = set()  # each context's labels, sorted
     polynomials: List[PolyDecl] = []
     pending_matrix: Optional[ObsDecl] = None
     scalars = {}  # token -> Scalar, for the tokens parsed without error
@@ -326,6 +327,10 @@ def parse(text: str) -> ProofFile:
         elif head == "context":
             if len(parts) < 2:
                 raise ParseError("context takes observable labels", lineno)
+            members = tuple(sorted(parts[1:]))
+            if members in declared:  # the same set of labels, in any order
+                raise ParseError(f"context {' '.join(parts[1:])} is declared twice", lineno)
+            declared.add(members)
             contexts.append(ContextDecl(parts[1:], lineno))
         elif head == "poly":
             rest = line[len("poly") :].strip()

@@ -4,15 +4,19 @@ import contextlib
 import functools
 import hashlib
 import io
+import os
+import subprocess
 import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import kscert
 from kscert import assign, catalog, derive, exact, model, prooffile
 from kscert.cli import _auto_mode, build_parser, main
 from kscert.compat import build_orthogonality_graph, enumerate_bases
@@ -648,6 +652,8 @@ class TestVerifyCommand:
         ("dim 3\ndim 2\nray a 1 0\nray b 0 1\n", [], "line 2: dim is declared twice"),
         ("dim 2\nray a 1 0\ndim 3\nray b 0 1 0\n", [], "line 3: dim is declared twice"),
         ("dim 2\nmode ray\nmode parity\nray a 1 0\n", [], "line 3: mode is declared twice"),
+        (MP_PARITY + "context a b c\n", [], "line 17: context a b c is declared twice"),
+        (MP_PARITY + "context c a b\n", [], "line 17: context c a b is declared twice"),
     ], ids=["row-outside-matrix", "too-few-rows", "too-few-rows-at-end", "too-many-rows-at-end",
             "ray-no-components", "pauli-before-dim", "matrix-before-dim", "matrix-no-label",
             "matrix-bad-spectrum", "matrix-trailing-token", "context-no-labels", "poly-c-zero",
@@ -657,7 +663,8 @@ class TestVerifyCommand:
             "unclosed-paren", "pauli-wrong-dim", "ray-wrong-dim", "ray-zero-and-wrong-dim",
             "matrix-not-hermitian", "poly-noncommuting", "duplicate-label", "parity-no-contexts",
             "general-no-poly", "not-dichotomic", "not-scalar-multiple", "edge-outside-bases",
-            "scalar-power", "dim-twice", "dim-twice-after-observable", "mode-twice"])
+            "scalar-power", "dim-twice", "dim-twice-after-observable", "mode-twice",
+            "context-twice", "context-twice-reordered"])
     def test_input_error_message(self, capsys, tmp_path, text, argv, message):
         path = tmp_path / "bad.txt"
         path.write_text(text)
@@ -1567,3 +1574,15 @@ class TestCatalogCommand:
             code, out, err = run(capsys, command, "--input", str(path))
             out = out.replace(f"input: {path}\n", f"input: {name}\n", 1)
             assert (code, out, err) == run(capsys, command, "--catalog", name), command
+
+
+def test_python_m_kscert_runs_the_command_line(capsys):
+    """`python -m kscert` (kscert/__main__.py) is the command line: a fresh
+    interpreter prints what main prints, with the same exit code."""
+    src = str(Path(kscert.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["verify", "--catalog", "mermin-peres"]
+    done = subprocess.run([sys.executable, "-m", "kscert", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
+    assert done.returncode == 0

@@ -8,7 +8,7 @@ from contextlib import suppress
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kscert import compat
@@ -83,6 +83,16 @@ big_parts = st.integers(-(2**40), 2**40)
 big_scalars = st.tuples(big_parts, big_parts, big_parts, big_parts).map(lambda t: Scalar(*t))
 
 
+def _assert_symmetric_rows(graph):
+    """Each row is computed on its own, so check what setting both bits of a
+    pair at once used to give: bit j of row i exactly when bit i of row j,
+    no row with its own bit, and no bit beyond the last ray."""
+    masks = graph.masks
+    for i, m in enumerate(masks):
+        assert not m >> i & 1 and m >> len(masks) == 0, i
+        assert all(m >> j & 1 == masks[j] >> i & 1 for j in range(len(masks))), i
+
+
 def _inner_edges(oset):
     """The oracle for the integer test: edges where exact.inner of the
     vectors as given, over Q(i, sqrt2), is 0."""
@@ -120,7 +130,9 @@ class TestIntegerGraphOracle:
         for v in vectors:
             with suppress(DuplicateObservable):
                 oset.add_ray(v)
-        assert build_orthogonality_graph(oset).edges == _inner_edges(oset)
+        graph = build_orthogonality_graph(oset)
+        assert graph.edges == _inner_edges(oset)
+        _assert_symmetric_rows(graph)
 
     @given(st.integers(2, 4).flatmap(lambda d: st.lists(
         big_scalars, min_size=d, max_size=d)).filter(lambda u: not (u[0].is_zero and u[1].is_zero)))
@@ -140,9 +152,10 @@ class TestIntegerGraphOracle:
             if any(not x.is_zero for x in w):
                 with suppress(DuplicateObservable):
                     oset.add_ray(w)
-        edges = build_orthogonality_graph(oset).edges
-        assert (0, 1) in edges
-        assert edges == _inner_edges(oset)
+        graph = build_orthogonality_graph(oset)
+        assert (0, 1) in graph.edges
+        assert graph.edges == _inner_edges(oset)
+        _assert_symmetric_rows(graph)
 
     def test_radix_carries(self):
         """<u, w> = 2^s r_k - r_(k+1), for r the units 1, sqrt2, i, i sqrt2:
@@ -156,6 +169,26 @@ class TestIntegerGraphOracle:
                 oset.add_ray((1, 1))
                 oset.add_ray((1, units[k] * 2**s - units[k + 1] - 1))
                 assert build_orthogonality_graph(oset).edges == [], (s, k)
+
+    @given(st.lists(big_scalars.filter(lambda z: not z.is_zero), min_size=1, max_size=6))
+    @example([Scalar(sign * 2**s) * unit for s in (0, 1, 40) for sign in (1, -1)
+              for unit in (Scalar(1), Scalar(0, 1), Scalar(0, 0, 1), Scalar(0, 0, 0, 1))])
+    @settings(max_examples=100, deadline=None)
+    def test_row_digits_do_not_carry(self, products):
+        """The row twin of test_radix_carries: in u's row, digits with Z = 0
+        lie between digits with large |Z|, of either sign in each of the
+        four sums, so a carry or borrow across a digit boundary would move
+        a neighbour's bit.  u = (1, 1, 0); the rays (1, -1, k) are
+        orthogonal to it, and (1, z - 1, k) has <u, w> = z, each its own key."""
+        oset = ObservableSet(dim=3)
+        oset.add_ray((1, 1, 0))
+        for k, z in enumerate(products, start=1):  # ray ids 2k - 1 and 2k
+            oset.add_ray((1, -1, 2 * k - 1))
+            oset.add_ray((1, z - 1, 2 * k))
+        graph = build_orthogonality_graph(oset)
+        assert graph.masks[0] == sum(1 << j for j in range(1, len(oset), 2))
+        assert graph.edges == _inner_edges(oset)
+        _assert_symmetric_rows(graph)
 
     def test_large_parts_file(self, capsys, tmp_path):
         path = tmp_path / "big.txt"
@@ -260,6 +293,7 @@ class TestStabilizerRays:
         assert len(oset) == 60
         assert len(graph.edges) == 450
         assert graph.edges == _inner_edges(oset)
+        _assert_symmetric_rows(graph)
         bases = enumerate_bases(graph)
         assert len(bases) == 105
         assert bases == _nx_cliques(graph, 4)

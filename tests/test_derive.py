@@ -62,7 +62,7 @@ from kscert.poly import (
 from kscert.prooffile import parse
 
 from conftest import eigenray_set, pauli_parity_text, single_basis_set, two_bases_set
-from test_cli import GENERAL_MP, MP_PARITY, _parity_set
+from test_cli import GENERAL_MP, _parity_set
 from test_compat import graphs
 
 
@@ -393,11 +393,9 @@ def _eigenray_inequality(name):
 
 # parity sets from conftest.pauli_parity_text: the two- and three-qubit
 # lines (the doily and W(5,2)) are proofs, the three-qubit maximal sets,
-# with + signs or seeded ones, are colourable; a file may declare a
-# context twice, which gives its monomial twice delta_C / 2
+# with + signs or seeded ones, are colourable
 PARITY_TEXTS = {
     "doily": lambda: pauli_parity_text(2, "lines"),
-    "mermin-peres-repeated-context": lambda: MP_PARITY + "context a b c\n",
     "w52": lambda: pauli_parity_text(3, "lines"),
     "three-qubit-maximal": lambda: pauli_parity_text(3, "maximal"),
     "three-qubit-maximal-signed": lambda: pauli_parity_text(3, "maximal", seed=1),

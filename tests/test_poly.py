@@ -25,7 +25,6 @@ from kscert.poly import (
     normalization_constant,
     normalized_square,
     reduce,
-    _mono_key,
     render,
     spectral_assignments,
 )
@@ -381,12 +380,13 @@ class TestRender:
 
 
 def render_oracle(p, labels=None):
-    """render as it was before its rational fast path: every coefficient
-    printed through Scalar.__str__."""
+    """render as it was before its rational fast path and its memos: every
+    coefficient printed through Scalar.__str__, term by term, in graded
+    order."""
     if p.is_zero:
         return "0"
     parts = []
-    for mono in sorted(p.terms, key=_mono_key):
+    for mono in sorted(p.terms, key=lambda m: (sum(e for _, e in m), m)):
         s = str(p.terms[mono])
         cs = f"({s})" if ("+" in s[1:]) or ("-" in s[1:]) else s
         body = "*".join((labels[i] if labels else f"A{i}") + ("" if e == 1 else f"^{e}")
@@ -421,5 +421,19 @@ class TestRenderOracle:
                    ((1, 3),): Scalar(Fraction(5, 4), 1), ((2, 1),): Scalar(0, 0, -1)}), True)
     @settings(max_examples=300, deadline=None)
     def test_matches_scalar_str_renderer(self, p, labelled):
+        labels = {i: f"x{i}" for i in range(5)} if labelled else None
+        assert render(p, labels) == render_oracle(p, labels)
+
+    @given(st.lists(_coefficients.filter(lambda c: not c.is_zero), min_size=1, max_size=3),
+           st.dictionaries(_monomials, st.integers(0, 2), max_size=12), st.booleans())
+    @example([Scalar(Fraction(-1, 2)), Scalar(1)],
+             {(): 0, ((0, 2),): 0, ((1, 3), (4, 2)): 1, ((2, 2), (3, 3)): 0, ((0, 1), (2, 2)): 1},
+             False)
+    @settings(max_examples=200, deadline=None)
+    def test_shared_coefficient_objects(self, coefs, picks, labelled):
+        """Many terms holding one Scalar object, as derive's _int_poly
+        builds them through Poly._make: render, which formats each object
+        once, prints every term as the oracle does."""
+        p = Poly._make({m: coefs[k % len(coefs)] for m, k in picks.items()})
         labels = {i: f"x{i}" for i in range(5)} if labelled else None
         assert render(p, labels) == render_oracle(p, labels)
