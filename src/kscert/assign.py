@@ -13,6 +13,9 @@
   context, solved by Gaussian elimination over int bit masks (Mermin, PRL
   65, 3373, 1990; XOR clauses as in CryptoMiniSat, Soos, Nohl and
   Castelluccia, SAT 2009), so no parity set is searched;
+* parity_min_violations -- the least number of contexts of a parity set
+  that any assignment violates, by a Gray-code walk of a GF(2) coset; the
+  exact bound's ceiling on a parity proof;
 * branch_and_bound -- the one engine for everything else: it maximises a
   sum of context-local factors with forward checking (weighted-CSP branch
   and bound, Freuder & Wallace, Artif. Intell. 58, 1992).  general_unsat
@@ -38,7 +41,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import floor, lcm
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -49,6 +52,7 @@ from .model import ObservableSet
 from .poly import ContextPolynomial, Poly, integral_evaluator
 
 DEFAULT_NODE_CAP = 10**8
+MAX_COSET_RANK = 16  # parity_min_violations walks at most 2^16 coset elements
 
 KS_PROOF = "KSProof"
 NOT_KS_PROOF = "NotKSProof"
@@ -246,6 +250,44 @@ def parity_elimination(oset: ObservableSet, rows: Sequence[tuple]) -> ProofCerti
     return ProofCertificate("ParityElimination", witness, stats)
 
 
+def parity_min_violations(rows: Sequence[tuple]) -> Optional[int]:
+    """The least number of the (context, delta) rows that a value
+    assignment of a parity set violates, or None when the walk would be
+    long.  With x as in parity_elimination, the rows an assignment violates
+    are the set bits of Ax + b over GF(2), where column i of A is the mask
+    of the rows that hold observable i and b the mask of the delta = -1
+    rows; the least number is the least weight in the coset b + Im(A)
+    (Mermin, PRL 65, 3373, 1990).
+
+    The columns are eliminated to a basis of Im(A), each vector at its
+    highest set bit.  When its rank r is at most MAX_COSET_RANK, the 2^r
+    coset elements are walked in Gray-code order, one XOR and one
+    bit_count per step; a larger r returns None."""
+    columns, b = {}, 0
+    for k, (ctx, delta) in enumerate(rows):
+        for i in ctx:
+            columns[i] = columns.get(i, 0) | 1 << k
+        b |= int(delta == -1) << k
+    basis = {}  # highest bit -> vector
+    for col in columns.values():
+        while col:
+            top = col.bit_length() - 1
+            if top not in basis:
+                basis[top] = col
+                break
+            col ^= basis[top]
+    if len(basis) > MAX_COSET_RANK:
+        return None
+    vectors = list(basis.values())
+    least = b.bit_count()
+    for step in range(1, 1 << len(vectors)):
+        b ^= vectors[(step & -step).bit_length() - 1]
+        weight = b.bit_count()
+        if weight < least:
+            least = weight
+    return least
+
+
 # -- branch and bound over context-local factors -------------------------------
 
 
@@ -254,6 +296,7 @@ def branch_and_bound(
     factors: Sequence[tuple],
     seed: Optional[int] = None,
     node_cap: int = DEFAULT_NODE_CAP,
+    ceiling: int = 0,
 ):
     """Maximise a sum of non-positive factors over the value assignments of
     their variables: weighted-CSP branch and bound with forward checking.
@@ -268,6 +311,13 @@ def branch_and_bound(
     other factor adds its upper bound 0.  A value is pruned when that
     optimistic total cannot beat the incumbent, which starts at seed.  An
     explicit stack and undo trail keep the depth free of the recursion limit.
+
+    The search stops once the incumbent reaches ceiling, an upper bound on
+    the maximum that the caller has proven.  A later leaf is recorded only
+    when it strictly beats the incumbent, which none can do then, so best
+    and witness are those of the full search; only stats shrink.  The
+    default 0 bounds every sum of non-positive factors and moves no count:
+    once the incumbent is 0, every stacked value is pruned uncounted.
 
     Returns (best, witness, stats); witness is None when nothing beat seed.
     Without a seed the incumbent starts at -inf, below every int.  The
@@ -376,7 +426,7 @@ def branch_and_bound(
     A = sum(value(k) for k, vs in enumerate(fvars) if not vs)
     if settle(v for vs in fvars if len(vs) == 1 for v in vs):
         expand()
-    while stack:
+    while stack and best < ceiling:
         mark, saved, var, x, bound = stack.pop()
         undo(mark, saved)
         if bound <= best:
@@ -417,6 +467,7 @@ def max_F(
     oset: ObservableSet,
     members: Sequence[ContextPolynomial],
     node_cap: int = DEFAULT_NODE_CAP,
+    ceiling: Fraction = Fraction(0),
 ) -> BoundResult:
     """Exact maximum of F = -sum |r_i|^2 / c_i over value assignments, one
     factor per member r_i, read with its c_i, so F itself is never
@@ -427,6 +478,10 @@ def max_F(
     with c_i = p_i/q_i the factor -|r_i|^2 / c_i is -|v_i|^2 q_i / (t_i^2 p_i),
     and L is the lcm of the t_i^2 p_i.  An irrational |r_i|^2 raises
     ValueError.
+
+    ceiling is a proven upper bound on the maximum, 0 by default; the
+    search stops at floor(ceiling L) in its int units (see
+    branch_and_bound), which changes no value or witness.
     """
     spectra = oset.spectra()
     cleared = []
@@ -445,7 +500,8 @@ def max_F(
 
     factors = [(ids, weight(value, t2, c.denominator * (L // (t2 * c.numerator))))
                for ids, value, t2, c in cleared]
-    best, witness, stats = branch_and_bound(oset, factors, node_cap=node_cap)
+    best, witness, stats = branch_and_bound(oset, factors, node_cap=node_cap,
+                                            ceiling=floor(ceiling * L))
     return BoundResult(kind="exact", value=Fraction(best, L), witness=witness, stats=stats)
 
 

@@ -27,6 +27,7 @@ from .assign import (
     max_F,
     parity_certify,
     parity_elimination,
+    parity_min_violations,
 )
 from .compat import OrthogonalityGraph
 from .errors import (
@@ -235,7 +236,11 @@ def assemble_F(
     bound -1 comes with decide's UNSAT certificate (each violated r_i costs
     at least 1 once divided by c_i), and the exact bound maximises
     F = -sum |r_i|^2 / c_i with max_F, which therefore never runs on a set
-    whose maximum is 0.
+    whose maximum is 0.  That -1 is max_F's ceiling: the search stops when
+    it reaches it.  On a parity set each violated member costs exactly 1
+    (c = 4, |Pi - delta|^2 = 4), so max F is -m for the least number m of
+    violated contexts, and -m, from parity_min_violations where its walk is
+    short, is the ceiling instead.
 
     with_constants fixes the c_i once, after the verdict and before either
     route, and raises the normalization error for a member without a
@@ -255,7 +260,9 @@ def assemble_F(
         )
     cs = with_constants(cs)
     if exact_bound:
-        classical = max_F(oset, cs.polynomials, node_cap=node_cap)
+        m = parity_min_violations(cs.parity) if cs.parity is not None else None
+        ceiling = Fraction(-1 if m is None else -m)
+        classical = max_F(oset, cs.polynomials, node_cap=node_cap, ceiling=ceiling)
     else:
         classical = BoundResult(kind="certified", value=Fraction(-1), stats=cert.stats)
     if cs.graph is not None:

@@ -3,6 +3,7 @@
 import collections
 import functools
 import itertools
+import math
 import random
 import re
 import sys
@@ -24,6 +25,7 @@ from kscert.assign import (
     ks_colorability,
     max_F,
     parity_certify,
+    parity_min_violations,
     value_order,
 )
 from kscert.compat import OrthogonalityGraph, build_orthogonality_graph, enumerate_bases
@@ -57,6 +59,7 @@ from kscert.poly import (
 from kscert.prooffile import parse
 
 from conftest import single_basis_set, two_bases_set
+from test_cli import PARITY_INPUTS, _parity_set
 from test_derive import GENERAL_MP_VARIANTS
 
 
@@ -490,11 +493,49 @@ class TestBranchAndBound:
                 assert best == expect == total(witness)
             else:
                 assert witness is None
+            for kw in ({}, {"seed": seed}):
+                # ceiling inf never stops the search: the full search
+                full = branch_and_bound(oset, factors, ceiling=math.inf, **kw)
+                # the default 0 moves no count
+                best, witness, stats = branch_and_bound(oset, factors, **kw)
+                assert (best, witness, stats) == full
+                # a ceiling at the true maximum keeps the result, in no more nodes
+                best, witness, stats = branch_and_bound(oset, factors, ceiling=expect, **kw)
+                assert (best, witness) == full[:2]
+                assert stats.nodes <= full[2].nodes
 
     def test_budget(self, basis3):
         factors = [([i], lambda a, i=i: -a[i]) for i in range(3)]
         with pytest.raises(SearchBudgetExceeded):
             branch_and_bound(basis3, factors, node_cap=2)
+
+
+@st.composite
+def parity_rows(draw):
+    """A random parity row system over at most 10 observables: contexts as
+    sorted id tuples, each with a delta of +-1; proofs and non-proofs."""
+    n = draw(st.integers(1, 10))
+    contexts = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=12))
+    return n, [(tuple(sorted(c)), draw(st.sampled_from((1, -1)))) for c in contexts]
+
+
+class TestParityMinViolations:
+    @given(parity_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force(self, system):
+        n, rows = system
+        least = min(
+            sum(sum(x >> i & 1 for i in ctx) % 2 != (delta == -1) for ctx, delta in rows)
+            for x in range(1 << n)
+        )
+        assert parity_min_violations(rows) == least
+
+    @pytest.mark.parametrize("name,least", [
+        ("mermin-peres", 1), ("mermin-pentagram", 1), ("doily", 3),
+        ("w52", None),  # rank 56: no walk
+    ])
+    def test_pauli_sets(self, name, least):
+        assert parity_min_violations(_parity_set(PARITY_INPUTS[name]()).parity) == least
 
 
 def brute_force_F(oset, polys):

@@ -1371,6 +1371,19 @@ class TestParityElimination:
             code, _, err = run(capsys, *argv, "--input", str(path), "--node-cap", "1000")
             assert (code, err.strip().split("satisfying assignment ")[1]) == (2, witness)
 
+    def test_exact_bound_stops_at_its_ceiling(self, capsys, tmp_path):
+        """The doily's search stops at its ceiling, F = -3, after 15 nodes,
+        within a cap that the full search (1,970 nodes) exceeds.  W(5,2)'s
+        rank is too large for the coset walk: its ceiling stays -1, which
+        no assignment reaches, and it still exceeds the cap."""
+        outs = {}
+        for name, cap, want in (("doily", "100", 0), ("w52", "1000", 4)):
+            path = tmp_path / f"{name}.txt"
+            path.write_text(PARITY_INPUTS[name]())
+            code, outs[name], _ = run(capsys, "bound", "--input", str(path), "--node-cap", cap)
+            assert code == want, name
+        assert "exact classical maximum: 9" in outs["doily"]
+
 
 class TestBoundCommand:
     def test_mermin_peres(self, capsys):

@@ -637,6 +637,35 @@ def test_assemble_F_takes_sum_of_squares_on_user_sets(monkeypatch, name, exact_b
     assert _route_calls(monkeypatch, cs, exact_bound) == Counter(sum_of_squares=1, reduce=1)
 
 
+# every exact-bound input: max_F's nodes under assemble_F's ceiling where
+# the first dive reaches it (76, 231 and 1970 in the full search)
+_CEILING_INPUTS = {
+    "mermin-peres": (lambda: _catalog_complete_set("mermin-peres"), 9),
+    "mermin-pentagram": (lambda: _catalog_complete_set("mermin-pentagram"), 10),
+    "cabello-18": (lambda: _catalog_complete_set("cabello-18"), None),
+    "peres-33": (lambda: _catalog_complete_set("peres-33"), None),
+    "peres-24": (lambda: _eigenray_complete_set("mermin-peres"), None),
+    "kp-40": (lambda: _eigenray_complete_set("mermin-pentagram"), None),
+    "doily": (lambda: _parity_set(PARITY_TEXTS["doily"]()), 15),
+    **{name: (lambda text=text: _general_mp_complete_set(text), None)
+       for name, text in GENERAL_MP_VARIANTS.items()},
+}
+
+
+@pytest.mark.parametrize("name", list(_CEILING_INPUTS))
+def test_exact_bound_ceiling_matches_full_search(name):
+    """assemble_F stops max_F at a proven ceiling, -1 or a parity set's -m;
+    the value and witness are those of the full search, ceiling 0."""
+    build, nodes = _CEILING_INPUTS[name]
+    cs = build()
+    got = assemble_F(cs, exact_bound=True).classical
+    full = max_F(cs.oset, derive.with_constants(cs).polynomials)
+    assert (got.value, got.witness) == (full.value, full.witness)
+    assert got.stats.nodes <= full.stats.nodes
+    if nodes is not None:
+        assert got.stats.nodes == nodes
+
+
 def test_ray_set_without_graph_sums_squares(monkeypatch, cabello):
     """ray_F is taken on the graph, not the provenance: a RayEdgesBases set
     that records no graph, handed its members, goes through sum_of_squares."""
