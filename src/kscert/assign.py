@@ -1,14 +1,14 @@
 """Value-assignment searches.
 
 * ks_colorability -- {0,1} colorings of a ray set under the orthogonality
-  and basis rules, with unit propagation; derive.decide's engine for rays.
+  and basis rules, with unit propagation; RaySet.decide's engine.
   Its domains are int bit masks over the ray ids, (ones, zeros), and it
   visits neighbours and bases in ascending order, so its propagations
   count is fixed by the input;
 * parity_certify -- the Condition 1 certificate of a parity set: each
   context product is +-I (compat.context_delta, from the words when every
   member is a Pauli word); a direct check, not a search;
-* parity_elimination -- derive.decide's engine for parity sets: with
+* parity_elimination -- ParitySet.decide's engine: with
   v_i = (-1)^x_i, Condition 2 is one linear equation over GF(2) per
   context, solved by Gaussian elimination over int bit masks (Mermin, PRL
   65, 3373, 1990; XOR clauses as in CryptoMiniSat, Soos, Nohl and

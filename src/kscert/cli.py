@@ -21,10 +21,8 @@ from .derive import (
     build_complete_set_parity,
     build_complete_set_rays,
     check_form,
-    decide,
     present,
     witness_str,
-    with_constants,
 )
 from .errors import (
     KSCertError,
@@ -100,14 +98,11 @@ def _build_complete_set(loaded):
 
 def cmd_verify(args) -> int:
     loaded = _load(args)
-    cs = _build_complete_set(loaded)  # a ray set's members are not built
-    cert = decide(cs, node_cap=args.node_cap)
+    cs = _build_complete_set(loaded)  # a ray or parity set's members are not built
+    cert = cs.decide(args.node_cap)
     if cert.is_proof:
-        with_constants(cs)  # exit 3 where derive cannot fix a c_i
-    if cs.graph is None:
-        print(f"method: {cert.method} ({len(cs)} polynomials)")
-    else:
-        print(f"method: {cert.method} ({len(cs.bases)} bases, {len(cs.graph.edges)} edges)")
+        cs.with_constants()  # exit 3 where derive cannot fix a c_i
+    print(f"method: {cert.method} ({cs.size_text()})")
     print(f"verdict: {cert.verdict}")
     print(f"search: {cert.stats.nodes} nodes, {cert.stats.propagations} propagations")
     if cert.witness is not None:

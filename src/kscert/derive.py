@@ -50,34 +50,156 @@ from .poly import (
     reduce,
 )
 
-RAY_EDGES_BASES = "RayEdgesBases"
-RAY_BASES_ONLY = "RayBasesOnly"
-PARITY = "Parity"
-USER_SUPPLIED = "UserSupplied"
-
 
 @dataclass
 class CompleteSet:
+    """A complete set of polynomials over oset.  Each kind below holds what
+    its builder recorded and answers from it: len, polynomials, decide,
+    with_constants, F, ceiling, dichotomic_substitutes and the size text of
+    verify's method line.  Each default here, ceiling, with_constants and
+    size_text, is the answer of two kinds of the three."""
+
     oset: ObservableSet
-    members: Optional[list]  # list[ContextPolynomial]; None on a ray set
+
+    # the exact bound's proven ceiling on a proof: each violated member
+    # costs at least 1 once divided by its c_i
+    ceiling = Fraction(-1)
+
+    def with_constants(self) -> CompleteSet:
+        """The set with every c_i fixed, computed where UserSet overrides
+        this."""
+        return self  # a closed-form builder states every c_i: 1 on rays, 4 on parity
+
+    def size_text(self) -> str:
+        return f"{len(self)} polynomials"
+
+
+@dataclass
+class RaySet(CompleteSet):
+    """One P_i*P_j member per member edge and one sum-minus-one member per
+    basis, each with c = 1 (edge products take the values 0 and 1, basis
+    sums the integers -1 to n - 1).  The member edges are all of the graph's
+    in ray mode, RayEdgesBases, and none in bases-only mode, RayBasesOnly.
+    Every answer reads graph, bases and member edges alone; the members are
+    built when first read, which only export and the exact bound do."""
+
+    graph: OrthogonalityGraph
+    bases: list
+    edges: list  # the graph's edges that are members
     provenance: str
-    graph: Optional[OrthogonalityGraph] = None  # with bases and edges, set by the ray builders
-    bases: Optional[list] = None
-    edges: Optional[list] = None  # the graph's edges that are members
-    parity: Optional[list] = None  # (context, delta) per member, set by the parity builder
 
     @cached_property
     def polynomials(self) -> list:
-        """The members, a ray set's built from its edges and bases when read."""
-        if self.members is not None:
-            return self.members
-        polys = [_ray_member({((i, 1), (j, 1)): ONE}, self.oset) for i, j in self.edges]
-        return polys + [_basis_poly(self.oset, b) for b in self.bases]
+        terms = [{((i, 1), (j, 1)): ONE} for i, j in self.edges]
+        terms += [{((i, 1),): ONE for i in b} | {(): MINUS_ONE} for b in self.bases]
+        return [_ray_member(t, self.oset) for t in terms]
 
     def __len__(self):
-        if self.members is None:
-            return len(self.edges) + len(self.bases)
-        return len(self.members)
+        return len(self.edges) + len(self.bases)
+
+    def decide(self, node_cap: int = DEFAULT_NODE_CAP) -> ProofCertificate:
+        """ks_colorability on the graph and bases, far faster here than
+        general_unsat.  Its rules are the ray mode's members; in bases-only
+        mode every edge lies in a basis, whose one 1 leaves no edge at 1,
+        so they have the same zeroes."""
+        return ks_colorability(self.oset, self.graph, self.bases, node_cap=node_cap)
+
+    def F(self) -> Poly:
+        return ray_F(self.edges, self.bases)
+
+    def dichotomic_substitutes(self) -> bool:
+        # members use rays, none dichotomic, exactly when there is an edge;
+        # in d = 1 each is constant
+        return bool(self.graph.edges)
+
+    def size_text(self) -> str:
+        return f"{len(self.bases)} bases, {len(self.graph.edges)} edges"
+
+
+@dataclass
+class ParitySet(CompleteSet):
+    """One product-minus-delta member per (context, delta) row, each with
+    c = 4 (values are 0 or +-2), built when first read, as a ray set's are.
+    Every other answer reads the rows."""
+
+    rows: list  # (context, delta) per member
+    provenance = "Parity"
+
+    @cached_property
+    def polynomials(self) -> list:
+        # dichotomic spectra have two values, so the products are reduced as written
+        return [ContextPolynomial(Poly._make({tuple((i, 1) for i in ctx): ONE,
+                                              (): MINUS_ONE if delta == 1 else ONE}), Fraction(4))
+                for ctx, delta in self.rows]
+
+    def __len__(self):
+        return len(self.rows)
+
+    def decide(self, node_cap: int = DEFAULT_NODE_CAP) -> ProofCertificate:
+        """parity_elimination on the rows: the members are zero exactly
+        where the GF(2) equations hold, so the set is never searched and
+        node_cap cannot be reached."""
+        return parity_elimination(self.oset, self.rows)
+
+    @property
+    def ceiling(self) -> Fraction:
+        """-m for the least number m of violated contexts, from
+        parity_min_violations where its walk is short, else -1: each
+        violated member costs exactly 1 (c = 4, |Pi - delta|^2 = 4)."""
+        m = parity_min_violations(self.rows)
+        return Fraction(-1 if m is None else -m)
+
+    def F(self) -> Poly:
+        return parity_F(self.rows)
+
+    def dichotomic_substitutes(self) -> bool:
+        return False  # parity_certify found every observable dichotomic
+
+
+@dataclass
+class UserSet(CompleteSet):
+    """User-supplied members, each checked for Condition 1 by
+    build_complete_set_general; F is its definition, sum_of_squares."""
+
+    polynomials: list  # list[ContextPolynomial]
+    provenance = "UserSupplied"
+
+    def __len__(self):
+        return len(self.polynomials)
+
+    def decide(self, node_cap: int = DEFAULT_NODE_CAP) -> ProofCertificate:
+        return general_unsat(self.oset, self.polynomials, node_cap=node_cap)
+
+    def with_constants(self) -> UserSet:
+        """The set with every member's c_i computed, a declared one too, by
+        normalization_constant, which raises IdenticallyZeroOnAssignments
+        where there is none; a declared c that differs raises
+        NormalizationMismatch.  Either names the faulty member.  It runs
+        once per command, after a KSProof verdict: in assemble_F before
+        either bound route, and in verify."""
+        polys = []
+        for idx, cp in enumerate(self.polynomials):
+            try:
+                c = normalization_constant(cp, self.oset)
+            except IdenticallyZeroOnAssignments as ex:
+                raise IdenticallyZeroOnAssignments(f"polynomial {idx}: {ex}") from None
+            if cp.c not in (None, c):
+                raise NormalizationMismatch(idx, cp.c, c)
+            polys.append(replace(cp, c=c))
+        return UserSet(self.oset, polys)
+
+    def F(self) -> Poly:
+        return sum_of_squares(self.polynomials, self.oset.spectra())
+
+    def dichotomic_substitutes(self) -> bool:
+        """The variables stay when those the members use are all
+        dichotomic; otherwise they are substituted, which needs rays."""
+        used = {i for cp in self.polynomials for i in cp.poly.variables()}
+        if all(self.oset[i].is_dichotomic for i in used):
+            return False
+        if not self.oset.all_rays:
+            raise PresentationUnavailable("dichotomic substitution requires projector variables")
+        return True
 
 
 def _ray_member(terms: dict, oset: ObservableSet) -> ContextPolynomial:
@@ -89,30 +211,21 @@ def _ray_member(terms: dict, oset: ObservableSet) -> ContextPolynomial:
     return ContextPolynomial(p)
 
 
-def _basis_poly(oset, basis: tuple) -> ContextPolynomial:
-    return _ray_member({((i, 1),): ONE for i in basis} | {(): MINUS_ONE}, oset)
-
-
 def build_complete_set_rays(
     oset: ObservableSet, graph: OrthogonalityGraph, bases: Sequence[tuple]
-) -> CompleteSet:
-    """One P_i*P_j polynomial per orthogonality edge plus one sum-minus-one
-    polynomial per basis, each with c = 1 (edge products take the values 0
-    and 1, basis sums the integers -1 to n - 1).  Condition 1 holds by
+) -> RaySet:
+    """The ray set with every edge of graph a member.  Condition 1 holds by
     construction: edges join exactly orthogonal rays (P_i P_j = 0), and
-    bases sum to I (see enumerate_bases).  The set records graph, bases and
-    member edges, whose coloring rules are exactly its members (see decide),
-    and from which ray_F sums its F; it builds no member."""
-    return CompleteSet(oset, None, RAY_EDGES_BASES, graph, list(bases), graph.edges)
+    bases sum to I (see enumerate_bases)."""
+    return RaySet(oset, graph, list(bases), graph.edges, "RayEdgesBases")
 
 
 def build_complete_set_bases_only(
     oset: ObservableSet, graph: OrthogonalityGraph, bases: Sequence[tuple]
-) -> CompleteSet:
-    """Basis polynomials only; valid when every orthogonality edge lies in
-    some supplied basis (raises EdgeOutsideBases otherwise).  c = 1 and
-    Condition 1 hold as for build_complete_set_rays, and the set records its
-    graph and bases as that one does, with no member edge (see decide)."""
+) -> RaySet:
+    """The ray set of basis members only; valid when every orthogonality
+    edge lies in some supplied basis (raises EdgeOutsideBases otherwise).
+    Condition 1 holds as for build_complete_set_rays."""
     covered = [0] * len(graph.masks)  # bit j of covered[i]: i and j share a basis
     for b in bases:
         mask = sum(1 << i for i in b)
@@ -121,76 +234,24 @@ def build_complete_set_bases_only(
     for i, j in graph.edges:
         if not covered[i] >> j & 1:
             raise EdgeOutsideBases((i, j), (oset.labels[i], oset.labels[j]))
-    return CompleteSet(oset, None, RAY_BASES_ONLY, graph, list(bases), [])
+    return RaySet(oset, graph, list(bases), [], "RayBasesOnly")
 
 
-def build_complete_set_parity(oset: ObservableSet, contexts: Sequence[tuple]) -> CompleteSet:
-    """Product-minus-delta polynomials, each with c = 4 (values are 0 or +-2).
-    Condition 1 holds as parity_certify found each context product delta*I;
-    whether the set is a proof is decide's question, which it answers from
-    the (context, delta) rows the set records, and parity_F reads F from
-    them too.  Dichotomic spectra have two values, so the products are
-    reduced as written."""
-    rows = list(zip(contexts, parity_certify(oset, contexts)))
-    four = Fraction(4)
-    polys = [ContextPolynomial(Poly._make({tuple((i, 1) for i in ctx): ONE,
-                                           (): MINUS_ONE if d == 1 else ONE}), four)
-             for ctx, d in rows]
-    return CompleteSet(oset=oset, members=polys, provenance=PARITY, parity=rows)
+def build_complete_set_parity(oset: ObservableSet, contexts: Sequence[tuple]) -> ParitySet:
+    """The parity set of contexts.  Condition 1 holds as parity_certify
+    found each context product delta*I; whether the set is a proof is
+    ParitySet.decide's question."""
+    return ParitySet(oset, list(zip(contexts, parity_certify(oset, contexts))))
 
 
-def build_complete_set_general(oset: ObservableSet, polynomials: Sequence) -> CompleteSet:
+def build_complete_set_general(oset: ObservableSet, polynomials: Sequence) -> UserSet:
     """User-supplied polynomials: Condition 1 is checked member by member, and
     Condition1Violated names the first that is not zero as an operator."""
     for idx, cp in enumerate(polynomials):
         m = eval_operator(cp.poly, oset)
         if not m.is_zero:
             raise Condition1Violated(idx, m)
-    return CompleteSet(oset=oset, members=list(polynomials), provenance=USER_SUPPLIED)
-
-
-def with_constants(cs: CompleteSet) -> CompleteSet:
-    """cs with every member's c_i fixed; no other code fixes a c_i.  A
-    builder's stated c_i is kept, and cs itself is returned when every c_i
-    is a builder's, unread on a set that records a graph.  A member with no
-    c, and every user-supplied member, gets normalization_constant's, which
-    raises IdenticallyZeroOnAssignments where there is none.  A declared c
-    that differs raises NormalizationMismatch.  Either names the faulty member.
-    It runs once per command, after a KSProof verdict: in assemble_F before
-    either bound route, and in verify."""
-    user = cs.provenance == USER_SUPPLIED
-    if cs.graph is not None or (not user and all(cp.c is not None for cp in cs.polynomials)):
-        return cs
-    polys = []
-    for idx, cp in enumerate(cs.polynomials):
-        if cp.c is None or user:
-            try:
-                c = normalization_constant(cp, cs.oset)
-            except IdenticallyZeroOnAssignments as ex:
-                raise IdenticallyZeroOnAssignments(f"polynomial {idx}: {ex}") from None
-            if cp.c not in (None, c):
-                raise NormalizationMismatch(idx, cp.c, c)
-            cp = replace(cp, c=c)
-        polys.append(cp)
-    return replace(cs, members=polys)
-
-
-def decide(cs: CompleteSet, node_cap: int = DEFAULT_NODE_CAP) -> ProofCertificate:
-    """Condition 2, the verdict of verify and of every derivation: KSProof
-    iff no value assignment zeroes every member, else a witness that does.
-    A set with a recorded graph is decided by ks_colorability, which is far
-    faster there.  Its rules are a ray set's members; in bases-only mode
-    every edge lies in a basis, whose one 1 leaves no edge at 1, so they
-    have the same zeroes.  A parity set is decided by parity_elimination
-    from its recorded rows: its members are zero exactly where the GF(2)
-    equations hold, so it is never searched and node_cap cannot be
-    reached.  A general set is decided by general_unsat.  The c_i are
-    with_constants' question."""
-    if cs.graph is not None:
-        return ks_colorability(cs.oset, cs.graph, cs.bases, node_cap=node_cap)
-    if cs.parity is not None:
-        return parity_elimination(cs.oset, cs.parity)
-    return general_unsat(cs.oset, cs.polynomials, node_cap=node_cap)
+    return UserSet(oset, list(polynomials))
 
 
 @dataclass
@@ -231,47 +292,28 @@ def assemble_F(
     evaluating the reduced -sum r_i^dagger r_i / c_i gives
     -sum r_i(A)^dagger r_i(A) / c_i, which is 0 once every r_i(A) = 0.
 
-    decide settles Condition 2 first on either route, and a non-proof
-    raises NotKSProofError with decide's witness.  On a proof the certified
-    bound -1 comes with decide's UNSAT certificate (each violated r_i costs
-    at least 1 once divided by c_i), and the exact bound maximises
-    F = -sum |r_i|^2 / c_i with max_F, which therefore never runs on a set
-    whose maximum is 0.  That -1 is max_F's ceiling: the search stops when
-    it reaches it.  On a parity set each violated member costs exactly 1
-    (c = 4, |Pi - delta|^2 = 4), so max F is -m for the least number m of
-    violated contexts, and -m, from parity_min_violations where its walk is
-    short, is the ceiling instead.
+    The set's decide settles Condition 2 first on either route, and a
+    non-proof raises NotKSProofError with decide's witness.  On a proof the
+    certified bound -1 comes with decide's UNSAT certificate (each violated
+    r_i costs at least 1 once divided by c_i), and the exact bound
+    maximises F = -sum |r_i|^2 / c_i with max_F, which therefore never runs
+    on a set whose maximum is 0, and stops at the set's ceiling.
 
-    with_constants fixes the c_i once, after the verdict and before either
-    route, and raises the normalization error for a member without a
-    rational c_i or with a wrong declared one.  The returned complete set
-    carries the c_i used.
-
-    On either route F is taken in decide's order: a set that records a
-    graph (a ray set, in either mode, each member with c = 1) takes ray_F's
-    sum of counts, one that records parity rows parity_F's closed form, and
-    any other, a user-supplied set, F's definition, sum_of_squares.
+    The set's with_constants fixes the c_i once, after the verdict and
+    before either route; the returned complete set carries the c_i used.
+    F is the set's own: a closed form, or F's definition.
     """
-    oset = cs.oset
-    cert = decide(cs, node_cap=node_cap)
+    cert = cs.decide(node_cap)
     if cert.witness is not None:
         raise NotKSProofError(
-            f"not a KS proof; satisfying assignment {witness_str(cert.witness, oset.labels)}"
+            f"not a KS proof; satisfying assignment {witness_str(cert.witness, cs.oset.labels)}"
         )
-    cs = with_constants(cs)
+    cs = cs.with_constants()
     if exact_bound:
-        m = parity_min_violations(cs.parity) if cs.parity is not None else None
-        ceiling = Fraction(-1 if m is None else -m)
-        classical = max_F(oset, cs.polynomials, node_cap=node_cap, ceiling=ceiling)
+        classical = max_F(cs.oset, cs.polynomials, node_cap=node_cap, ceiling=cs.ceiling)
     else:
         classical = BoundResult(kind="certified", value=Fraction(-1), stats=cert.stats)
-    if cs.graph is not None:
-        F = ray_F(cs.edges, cs.bases)
-    elif cs.parity is not None:
-        F = parity_F(cs.parity)
-    else:
-        F = sum_of_squares(cs.polynomials, oset.spectra())
-    return Inequality(complete_set=cs, F=F, classical=classical)
+    return Inequality(complete_set=cs, F=cs.F(), classical=classical)
 
 
 def ray_F(edges: Sequence[tuple], bases: Sequence[tuple]) -> Poly:
@@ -294,9 +336,9 @@ def ray_F(edges: Sequence[tuple], bases: Sequence[tuple]) -> Poly:
     for b in bases:
         for e in combinations(b, 2):  # bases are sorted, as edges are
             pairs[e] = pairs.get(e, 0) + 2
-    nums = {(): (-len(bases), 0)}
-    nums.update((((i, 1),), (m, 0)) for i, m in Counter(i for b in bases for i in b).items())
-    nums.update((((i, 1), (j, 1)), (-w, 0)) for (i, j), w in pairs.items())
+    nums = {(): -len(bases)}
+    nums.update((((i, 1),), m) for i, m in Counter(i for b in bases for i in b).items())
+    nums.update((((i, 1), (j, 1)), -w) for (i, j), w in pairs.items())
     return _int_poly(nums, 1)
 
 
@@ -310,11 +352,9 @@ def parity_F(rows: Sequence[tuple]) -> Poly:
     is (2 - 2 delta_C Pi_C) / 4.  Hence F = -N/2 + sum_C delta_C Pi_C / 2
     for N rows (Mermin, PRL 65, 3373 (1990)), in ints over denominator 2.
     """
-    deltas = Counter()  # a caller may pass a context twice; a proof file cannot
+    nums = Counter({(): -len(rows)})  # a caller may pass a context twice; a proof file cannot
     for ctx, delta in rows:
-        deltas[tuple((i, 1) for i in ctx)] += delta
-    nums = {(): (-len(rows), 0)}
-    nums.update((m, (x, 0)) for m, x in deltas.items())
+        nums[tuple((i, 1) for i in ctx)] += delta
     return _int_poly(nums, 2)
 
 
@@ -322,9 +362,9 @@ def sum_of_squares(members: Sequence[ContextPolynomial], spectra) -> Poly:
     """F's definition: the reduced -sum r_i^dagger r_i / c_i.
 
     Each member's square is added, scaled by -1/c_i, into one term dict,
-    and reduce, being linear, lowers the sum once.  This is assemble_F's
-    route for a set whose builder knows no closed form, a user-supplied
-    one, and the test oracle of ray_F and parity_F.
+    and reduce, being linear, lowers the sum once.  This is the F of a set
+    whose builder knows no closed form, a UserSet, and the test oracle of
+    ray_F and parity_F.
     """
     acc = {}
     for cp in members:
@@ -335,16 +375,14 @@ def sum_of_squares(members: Sequence[ContextPolynomial], spectra) -> Poly:
 
 
 def _int_poly(nums: dict, den: int) -> Poly:
-    """The Poly with coefficient (x + y sqrt2) / den at each monomial m whose
-    int pair nums[m] = (x, y) is not (0, 0); one Scalar per distinct pair."""
+    """The Poly with the rational coefficient n / den at each monomial m
+    whose int numerator nums[m] = n is not 0; one Scalar per distinct n."""
     scalars, terms = {}, {}  # coefficients take few distinct values
-    for m, xy in nums.items():
-        if xy != (0, 0):
-            s = scalars.get(xy)
+    for m, n in nums.items():
+        if n:
+            s = scalars.get(n)
             if s is None:
-                x, y = xy
-                s = scalars[xy] = Scalar._make(Fraction(x, den), Fraction(y, den) if y else _FR0,
-                                               _FR0, _FR0)
+                s = scalars[n] = Scalar._make(Fraction(n, den), _FR0, _FR0, _FR0)
             terms[m] = s
     return Poly._make(terms)
 
@@ -382,23 +420,14 @@ def check_form(cs: CompleteSet, form: str) -> bool:
 
     F's variables are among the members' variables, so this runs before the
     search.  The projector form keeps projector variables and needs a ray
-    set.  The dichotomic form keeps the variables when those the members
-    use are all dichotomic, and otherwise substitutes, which needs a ray set.
+    set; the dichotomic form substitutes where the set says so.
     """
-    oset = cs.oset
     if form == "projector":
-        if not oset.all_rays:
+        if not cs.oset.all_rays:
             raise PresentationUnavailable("projector form requires a ray observable set")
         return False
     if form == "dichotomic":
-        if cs.graph is not None:  # members use rays, none dichotomic, exactly
-            return bool(cs.graph.edges)  # when there is an edge; in d = 1 each is constant
-        used = {i for cp in cs.polynomials for i in cp.poly.variables()}
-        if all(oset[i].is_dichotomic for i in used):
-            return False
-        if not oset.all_rays:
-            raise PresentationUnavailable("dichotomic substitution requires projector variables")
-        return True
+        return cs.dichotomic_substitutes()
     raise PresentationUnavailable(f"unknown form {form!r}")
 
 
@@ -448,7 +477,7 @@ def present(ineq: Inequality, form: str) -> PresentedInequality:
     scale = Fraction(g, den)
     return PresentedInequality(
         form=form,
-        score=_int_poly({m: (n // g, 0) for m, n in nums.items()}, 1),
+        score=_int_poly({m: n // g for m, n in nums.items()}, 1),
         scale=scale,
         offset=offset,
         # a certified BoundResult carries the bound -1 on F

@@ -28,7 +28,6 @@ from kscert.derive import (
     build_complete_set_bases_only,
     build_complete_set_parity,
     build_complete_set_rays,
-    decide,
     present,
 )
 from kscert.errors import EdgeOutsideBases
@@ -79,7 +78,7 @@ def test_criterion_1_mermin_peres_square(mermin_peres):
     start = time.monotonic()
     oset, ctxs = mermin_peres
     assert parity_certify(oset, ctxs).count(-1) == 1
-    assert decide(build_complete_set_parity(oset, ctxs)).is_proof
+    assert build_complete_set_parity(oset, ctxs).decide().is_proof
     ineq, pres = parity_pipeline(oset, ctxs)
     assert eval_operator(ineq.F, oset).is_zero
     assert pres.classical_bound == 4 and pres.bound_kind == "exact"
@@ -93,7 +92,7 @@ def test_criterion_1_mermin_peres_square(mermin_peres):
 def test_criterion_2_mermin_pentagram(pentagram):
     start = time.monotonic()
     oset, ctxs = pentagram
-    assert decide(build_complete_set_parity(oset, ctxs)).is_proof
+    assert build_complete_set_parity(oset, ctxs).decide().is_proof
     ineq, pres = parity_pipeline(oset, ctxs)
     assert eval_operator(ineq.F, oset).is_zero
     assert pres.classical_bound == 3 and pres.bound_kind == "exact"
@@ -277,7 +276,7 @@ def test_criterion_6_property_suite(mermin_peres, pentagram, cabello, peres33, t
     for po, pctxs in (mermin_peres, pentagram):
         assert prod(parity_certify(po, pctxs)) == -1
         assert all(sum(i in c for c in pctxs) % 2 == 0 for i in range(len(po)))
-        assert decide(build_complete_set_parity(po, pctxs)).is_proof
+        assert build_complete_set_parity(po, pctxs).decide().is_proof
     for entry in (cabello, peres33):
         eo, eg, eb = entry
         cs = build_complete_set_rays(eo, eg, eb)
@@ -299,7 +298,7 @@ def test_criterion_7_negative_controls(tmp_path, capsys, mermin_peres):
     # and its witness zeroes every member
     oset, ctxs = mermin_peres
     cs = build_complete_set_parity(oset, ctxs[:-1])
-    cert = decide(cs)
+    cert = cs.decide()
     assert not cert.is_proof
     assert all(eval_assignment(cp.poly, cert.witness).is_zero for cp in cs.polynomials)
     path.write_text(MP_PARITY.replace("context c f k\n", ""))

@@ -29,11 +29,7 @@ from kscert.assign import (
     value_order,
 )
 from kscert.compat import OrthogonalityGraph, build_orthogonality_graph, enumerate_bases
-from kscert.derive import (
-    build_complete_set_parity,
-    build_complete_set_rays,
-    decide,
-)
+from kscert.derive import build_complete_set_parity, build_complete_set_rays
 from kscert.errors import (
     IdenticallyZeroOnAssignments,
     NotDichotomic,
@@ -279,7 +275,7 @@ class TestParityCertify:
         # zeroes every remaining member
         oset, ctxs = mermin_peres
         cs = build_complete_set_parity(oset, ctxs[:-1])
-        cert = decide(cs)
+        cert = cs.decide()
         assert not cert.is_proof
         assert cert.method == "ParityElimination"
         for cp in cs.polynomials:
@@ -376,10 +372,10 @@ class TestGeneralUnsat:
 
 
 def assert_ray_shortcut_matches_oracle(cs):
-    """decide's ray shortcut (ks_colorability on the recorded graph and
+    """RaySet.decide's shortcut (ks_colorability on the recorded graph and
     bases) against general_unsat over the members: the same verdict, and a
     coloring witness that zeroes every member."""
-    cert = decide(cs)
+    cert = cs.decide()
     assert cert.method == "RayColoring"
     assert cert.is_proof == general_unsat(cs.oset, cs.polynomials).is_proof
     if not cert.is_proof:
@@ -424,7 +420,7 @@ class TestWitnessContract:
         cs, is_proof = unread
         colouring = ks_colorability(cs.oset, cs.graph, cs.bases)
         csp = general_unsat(cs.oset, cs.polynomials)
-        for cert in (colouring, csp, decide(cs)):
+        for cert in (colouring, csp, cs.decide()):
             self.assert_full(cert.witness, cs.oset)
             assert cert.is_proof == (cert.witness is None) == is_proof
             assert cert.verdict == (KS_PROOF if is_proof else NOT_KS_PROOF)
@@ -535,7 +531,7 @@ class TestParityMinViolations:
         ("w52", None),  # rank 56: no walk
     ])
     def test_pauli_sets(self, name, least):
-        assert parity_min_violations(_parity_set(PARITY_INPUTS[name]()).parity) == least
+        assert parity_min_violations(_parity_set(PARITY_INPUTS[name]()).rows) == least
 
 
 def brute_force_F(oset, polys):

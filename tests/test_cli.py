@@ -24,7 +24,6 @@ from kscert.derive import (
     assemble_F,
     build_complete_set_parity,
     build_complete_set_rays,
-    decide,
     present,
 )
 from kscert.errors import ParseError
@@ -405,6 +404,40 @@ class TestVerifyCommand:
                 assert run(capsys, command, "--input", str(path), "--form", "projector",
                            "--mode", mode)[0] == 0
                 assert len(calls) == members, (mode, command)
+
+    def test_parity_verify_builds_no_member(self, capsys, monkeypatch, tmp_path):
+        """verify and derive read a parity set's (context, delta) rows alone,
+        in either form (the projector form exits 3, as parity variables are
+        no projectors); export's record and the exact bound's max_F build
+        every member once.  No parity command reaches general_unsat or
+        sum_of_squares."""
+        calls = []
+
+        def counted(*args, original=derive.ContextPolynomial):
+            calls.append(1)
+            return original(*args)
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("a parity set took the general path")
+
+        monkeypatch.setattr(derive, "ContextPolynomial", counted)
+        monkeypatch.setattr(derive, "general_unsat", unreached)
+        monkeypatch.setattr(derive, "sum_of_squares", unreached)
+        path = tmp_path / "doily.txt"
+        path.write_text(pauli_parity_text(2, "lines"))
+        for source, members in ((["--catalog", "mermin-peres"], 6),
+                                (["--catalog", "mermin-pentagram"], 5),
+                                (["--input", str(path)], 15)):
+            calls.clear()
+            for argv, code in ((["verify"], 0), (["derive"], 0),
+                               (["derive", "--form", "dichotomic"], 0),
+                               (["derive", "--form", "projector"], 3)):
+                assert run(capsys, *argv, *source)[0] == code, argv
+            assert calls == [], source
+            for argv in (["export"], ["derive", "--exact-bound"], ["bound"]):
+                calls.clear()
+                assert run(capsys, *argv, *source)[0] == 0
+                assert len(calls) == members, (source, argv)
 
     @pytest.mark.parametrize("cap,code", [(126, 4), (127, 0)])
     def test_ray_search_node_cap(self, capsys, tmp_path, cap, code):
@@ -1254,7 +1287,7 @@ def _recounted(cs, cert) -> bool:
     """Mermin's parity argument, recounted from the certificate: every
     observable lies in an even number of its contexts, and an odd number
     of them have delta = -1."""
-    rows = [cs.parity[k] for k in cert.contexts]
+    rows = [cs.rows[k] for k in cert.contexts]
     held = Counter(i for ctx, _ in rows for i in ctx)
     return all(m % 2 == 0 for m in held.values()) and sum(d == -1 for _, d in rows) % 2 == 1
 
@@ -1278,11 +1311,11 @@ PARITY_INPUTS = {
 
 
 class TestParityElimination:
-    """decide eliminates a parity set; general_unsat, the search it
-    replaced, is the oracle."""
+    """ParitySet.decide eliminates the set's rows; general_unsat, the
+    search it replaced, is the oracle."""
 
     def _check(self, cs):
-        cert = decide(cs)
+        cert = cs.decide()
         assert cert.method == "ParityElimination"
         assert cert.stats.nodes == 0
         assert cert.is_proof == assign.general_unsat(cs.oset, cs.polynomials).is_proof

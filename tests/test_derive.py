@@ -1,12 +1,12 @@
 """Derivation pipeline: complete sets, F assembly, presentation, expectations."""
 
+import dataclasses
 import functools
 import itertools
 import math
 import random
 from collections import Counter
 from contextlib import suppress
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,12 +19,11 @@ from kscert import poly as poly_mod
 from kscert.assign import BoundResult, classical_max, general_unsat, max_F, parity_certify
 from kscert.compat import OrthogonalityGraph, build_orthogonality_graph, enumerate_bases
 from kscert.derive import (
-    CompleteSet,
     Inequality,
-    PARITY,
+    ParitySet,
     PresentedInequality,
-    RAY_BASES_ONLY,
-    RAY_EDGES_BASES,
+    RaySet,
+    UserSet,
     assemble_F,
     build_complete_set_bases_only,
     build_complete_set_general,
@@ -104,7 +103,7 @@ class TestCompleteSets:
         oset, graph, bases = cabello
         cs = build_complete_set_rays(oset, graph, bases)
         assert len(cs) == len(graph.edges) + len(bases) == 72
-        assert cs.provenance == RAY_EDGES_BASES
+        assert cs.provenance == "RayEdgesBases"
         assert all(cp.c == 1 for cp in cs.polynomials)
 
     def test_bases_only_covered(self, two_bases):
@@ -112,7 +111,7 @@ class TestCompleteSets:
         bases = enumerate_bases(g)
         cs = build_complete_set_bases_only(two_bases, g, bases)
         assert len(cs) == 2
-        assert cs.provenance == RAY_BASES_ONLY
+        assert cs.provenance == "RayBasesOnly"
 
     def test_bases_only_uncovered_edge(self, cabello):
         oset, graph, bases = cabello
@@ -125,7 +124,7 @@ class TestCompleteSets:
         oset, ctxs = mermin_peres
         cs = build_complete_set_parity(oset, ctxs)
         assert len(cs) == 6
-        assert cs.provenance == PARITY
+        assert cs.provenance == "Parity"
         assert all(cp.c == 4 for cp in cs.polynomials)
 
     def test_parity_rejects_broken_set(self, mermin_peres):
@@ -134,6 +133,17 @@ class TestCompleteSets:
         cs = build_complete_set_parity(oset, ctxs[:-1])
         with pytest.raises(NotKSProofError, match="satisfying assignment"):
             assemble_F(cs)
+
+
+def test_kinds_hold_only_what_their_builder_records():
+    """Each kind of complete set holds its own facts: no field is Optional
+    or has a default, and no module-level decide or with_constants asks a
+    set which kind it is."""
+    for kind in (RaySet, ParitySet, UserSet):
+        for f in dataclasses.fields(kind):
+            assert "Optional" not in str(f.type), (kind, f.name)
+            assert f.default is f.default_factory is dataclasses.MISSING, (kind, f.name)
+    assert not hasattr(derive, "decide") and not hasattr(derive, "with_constants")
 
 
 class TestVerifyCompleteSet:
@@ -271,11 +281,7 @@ class TestAssembleF:
         # members declared without c get the computed one (4 for parity)
         oset, ctxs = mermin_peres
         cs = build_complete_set_parity(oset, ctxs)
-        undeclared = CompleteSet(
-            oset=oset,
-            members=[ContextPolynomial(cp.poly, None) for cp in cs.polynomials],
-            provenance=cs.provenance,
-        )
+        undeclared = UserSet(oset, [ContextPolynomial(cp.poly, None) for cp in cs.polynomials])
         ineq = assemble_F(undeclared, exact_bound=exact_bound)
         assert [cp.c for cp in ineq.complete_set.polynomials] == [4] * 6
         assert ineq.F == assemble_F(cs).F
@@ -405,7 +411,7 @@ PARITY_TEXTS = {
 def _parity_inequality(text):
     """parity_F on the set of text, proof or not, with the certified bound."""
     cs = _parity_set(text)
-    return Inequality(cs, parity_F(cs.parity), BoundResult(kind="certified", value=Fraction(-1)))
+    return Inequality(cs, parity_F(cs.rows), BoundResult(kind="certified", value=Fraction(-1)))
 
 
 # GENERAL_MP with a = 5/4 + 3/4 XI, spectrum (1/2, 2), in place of XI =
@@ -582,7 +588,7 @@ def test_bases_only_coloring_oracle(structure):
             masks[j] |= 1 << i
     covered = OrthogonalityGraph(oset=oset, masks=masks)
     cs = build_complete_set_bases_only(oset, covered, bases)
-    cert = derive.decide(cs)
+    cert = cs.decide()
     oracle = general_unsat(oset, cs.polynomials)
     assert cert.method == "RayColoring"
     assert cert.is_proof == oracle.is_proof
@@ -595,7 +601,7 @@ def _route_calls(monkeypatch, cs, exact_bound):
     """The calls that assemble_F on cs makes to each F route and to reduce
     and integral; its F is checked against sum_of_squares, F's definition,
     computed before the count."""
-    F = sum_of_squares(derive.with_constants(cs).polynomials, cs.oset.spectra())
+    F = sum_of_squares(cs.with_constants().polynomials, cs.oset.spectra())
     calls = Counter()
     for fn in ("ray_F", "parity_F", "sum_of_squares", "reduce", "integral"):
         def counted(*args, fn=fn, original=getattr(derive, fn)):
@@ -659,7 +665,7 @@ def test_exact_bound_ceiling_matches_full_search(name):
     build, nodes = _CEILING_INPUTS[name]
     cs = build()
     got = assemble_F(cs, exact_bound=True).classical
-    full = max_F(cs.oset, derive.with_constants(cs).polynomials)
+    full = max_F(cs.oset, cs.with_constants().polynomials)
     assert (got.value, got.witness) == (full.value, full.witness)
     assert got.stats.nodes <= full.stats.nodes
     if nodes is not None:
@@ -667,11 +673,11 @@ def test_exact_bound_ceiling_matches_full_search(name):
 
 
 def test_ray_set_without_graph_sums_squares(monkeypatch, cabello):
-    """ray_F is taken on the graph, not the provenance: a RayEdgesBases set
-    that records no graph, handed its members, goes through sum_of_squares."""
+    """ray_F is the ray set's own F, not the members': a ray set's members
+    handed over without its graph, as a user set, go through
+    sum_of_squares, to the same F."""
     oset, graph, bases = cabello
-    rays = build_complete_set_rays(oset, graph, bases)
-    cs = replace(rays, members=rays.polynomials, graph=None, bases=None)
+    cs = UserSet(oset, build_complete_set_rays(oset, graph, bases).polynomials)
     calls = []
 
     def counted(*args, original=derive.sum_of_squares):
@@ -680,7 +686,7 @@ def test_ray_set_without_graph_sums_squares(monkeypatch, cabello):
 
     monkeypatch.setattr(derive, "sum_of_squares", counted)
     ineq = assemble_F(cs)
-    assert cs.provenance == RAY_EDGES_BASES
+    assert cs.provenance == "UserSupplied"
     assert len(calls) == 1
     assert ineq.F == ray_F(graph.edges, bases)
 
@@ -717,7 +723,7 @@ def test_trusted_polys_are_clean(build):
     cs = build()
     for cp in cs.polynomials:
         _assert_clean(cp.poly)
-    F = sum_of_squares(derive.with_constants(cs).polynomials, cs.oset.spectra())
+    F = sum_of_squares(cs.with_constants().polynomials, cs.oset.spectra())
     _assert_clean(F)
     # present needs no verdict, so sets that are not proofs are presented too
     ineq = Inequality(cs, F, BoundResult(kind="certified", value=Fraction(-1)))
@@ -728,23 +734,31 @@ def test_trusted_polys_are_clean(build):
 
 @pytest.mark.parametrize("build", _BACK_HALF_SETS)
 def test_graph_answers_as_members_do(build):
-    """A set that records a graph is counted, given its c_i and checked for
-    a form without its members being read; the same set handed its members
-    and no graph, the oracle, gives the same answers."""
+    """A ray or parity set is counted, given its c_i and checked for a form
+    from what its builder recorded, without its members being read; the
+    same members handed over as a user set, the oracle, give the same
+    answers, with every c_i computed."""
     cs = build()
-    oracle = replace(cs, members=list(cs.polynomials), graph=None, bases=None)
-    assert len(cs) == len(oracle)
-    if cs.graph is not None:
-        assert derive.with_constants(cs) is cs
-        assert derive.with_constants(oracle).polynomials == cs.polynomials
+    answers = _set_answers(cs)
+    if not isinstance(cs, UserSet):  # its builder states every c_i
+        assert cs.with_constants() is cs
+        assert "polynomials" not in vars(cs)
+    oracle = UserSet(cs.oset, list(cs.polynomials))
+    assert _set_answers(oracle) == answers
+    if not isinstance(cs, UserSet) and all(cp.poly.terms for cp in cs.polynomials):
+        # one ray in d = 1 has the member 0, whose c no computation fixes
+        assert oracle.with_constants().polynomials == cs.polynomials
+
+
+def _set_answers(cs) -> list:
+    """len(cs), and check_form's answer or error in either form."""
+    answers = [len(cs)]
     for form in ("projector", "dichotomic"):
-        answers = []
-        for s in (cs, oracle):
-            try:
-                answers.append(check_form(s, form))
-            except PresentationUnavailable as ex:
-                answers.append(str(ex))
-        assert answers[0] == answers[1], form
+        try:
+            answers.append(check_form(cs, form))
+        except PresentationUnavailable as ex:
+            answers.append(str(ex))
+    return answers
 
 
 @pytest.mark.parametrize("name", ["peres-24", "kp-40"])
@@ -1031,7 +1045,7 @@ class TestPresent:
         p = 2 * (P[0] + P[1] + P[2] + P[3] - 1) + P[0] * P[1]
         polys = list(cs.polynomials)
         polys[len(graph.edges)] = make_context_polynomial(p, oset, c=None)
-        ineq = assemble_F(CompleteSet(oset, polys, cs.provenance))
+        ineq = assemble_F(UserSet(oset, polys))
         assert ineq.F.max_degree() == 3
         pres = present(ineq, "dichotomic")
         coeffs = [c.rational() for c in pres.score.terms.values()]

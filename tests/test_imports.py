@@ -1,8 +1,8 @@
 """Every name a kscert module imports is used there, every public
 function and class a module defines is named somewhere else, every private
 one is named elsewhere in its own module, every dataclass field is read
-somewhere, no function calls itself, and none only hands its parameters on
-to another.
+somewhere, no function calls itself, none only hands its parameters on
+to another, and only the complete-set kinds test which kind a set is.
 
 __init__.py is exempt: its imports are the package's re-exports."""
 
@@ -190,6 +190,56 @@ def test_detects_pass_through():
               "def more(a):\n    a = g(a)\n    return f(a)\n\n\n"
               "class C:\n    def m(self, a):\n        return f(self, a)\n")
     assert pass_throughs(source) == ["decide"]
+
+
+KINDS = ("RaySet", "ParitySet", "UserSet")
+
+
+def kind_checks(source: str) -> list:
+    """The line of each test, outside the class bodies of the complete-set
+    kinds, of which kind a set is: .graph is (not) None, .parity or .rows
+    against None, provenance == or !=, and isinstance against a kind."""
+    tree = ast.parse(source)
+    inside = {id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name in KINDS
+              for n in ast.walk(c)}
+    out = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            attrs = {o.attr for o in operands if isinstance(o, ast.Attribute)}
+            names = attrs | {o.id for o in operands if isinstance(o, ast.Name)}
+            none = any(isinstance(o, ast.Constant) and o.value is None for o in operands)
+            if (none and attrs & {"graph", "parity", "rows"} or "provenance" in names
+                    and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)):
+                out.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "isinstance" and len(node.args) == 2):
+            named = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])}
+            if named & set(KINDS):
+                out.append(node.lineno)
+    return sorted(out)
+
+
+def test_detects_kind_check():
+    source = ("class RaySet:\n    def f(self, o):\n"
+              "        return o.graph is None, isinstance(o, RaySet)\n\n\n"
+              "def g(cs):\n    if cs.graph is not None or cs.parity is None:\n        return 1\n"
+              "    if cs.rows == None or cs.provenance == 'Parity':\n        return 2\n"
+              "    return isinstance(cs, (RaySet, kscert.UserSet))\n\n\n"
+              "def h(cs, graph, provenance):\n"
+              "    seen = graph is None, cs.edges is None, cs.provenance\n"
+              "    return seen, isinstance(cs, list)\n\n\n"
+              "def k(provenance):\n    return provenance != 'Parity'\n")
+    assert kind_checks(source) == [7, 7, 9, 9, 11, 20]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_kind_checks_outside_the_kinds(path):
+    """Only a complete set's own type knows which kind it is: every other
+    piece of code asks it, through the answers all three kinds give."""
+    assert kind_checks(path.read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
