@@ -48,7 +48,7 @@ from typing import Optional, Sequence
 from .compat import OrthogonalityGraph, context_delta
 from .errors import NotDichotomic, NotScalarMultiple, SearchBudgetExceeded
 from .exact import Scalar, squared_modulus
-from .model import ObservableSet
+from .model import _SPECTRUM_PM1, ObservableSet
 from .poly import ContextPolynomial, Poly, integral_evaluator
 
 DEFAULT_NODE_CAP = 10**8
@@ -98,9 +98,8 @@ class BoundResult:
 def value_order(spectrum) -> list:
     """Deterministic value order: +1 before -1 for dichotomic observables,
     ascending otherwise (so 0 before 1 for rays)."""
-    if set(spectrum) == {Fraction(-1), Fraction(1)}:
-        return [Fraction(1), Fraction(-1)]
-    return sorted(spectrum)
+    order = sorted(spectrum)
+    return order[::-1] if tuple(order) == _SPECTRUM_PM1 else order
 
 
 # -- KS colorability for ray sets -------------------------------------------

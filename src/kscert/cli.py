@@ -214,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--node-cap", type=_node_cap, default=DEFAULT_NODE_CAP)
         if with_form:
             p.add_argument("--form", choices=["projector", "dichotomic"])
-            p.add_argument("--exact-bound", action="store_true")
         if with_output:
+            p.add_argument("--exact-bound", action="store_true")
             p.add_argument("--output", help="write the derivation record here")
 
     p = sub.add_parser("verify", help="check whether the input is a KS proof")

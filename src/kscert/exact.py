@@ -304,10 +304,7 @@ class ExactMatrix:
         )
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_dim(other)
-        return ExactMatrix(
-            [[x - y for x, y in zip(r, s)] for r, s in zip(self.entries, other.entries)]
-        )
+        return self + -other
 
     def __neg__(self):
         return self.scale(MINUS_ONE)
@@ -328,12 +325,7 @@ class ExactMatrix:
 
     @property
     def is_hermitian(self) -> bool:
-        n = self.dim
-        return all(
-            self.entries[i][j] == self.entries[j][i].conjugate()
-            for i in range(n)
-            for j in range(i, n)
-        )
+        return self == self.dagger()
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -381,18 +373,9 @@ def commutes(a: ExactMatrix, b: ExactMatrix) -> bool:
 
 
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Tensor product; result dimension a.dim * b.dim.  Only nonzero entries
-    of a and b are multiplied, as in mat_mul."""
-    n, m = a.dim, b.dim
-    b_nonzero = [(k, l, y) for k, row in enumerate(b.entries)
-                 for l, y in enumerate(row) if not y.is_zero]
-    out = [[ZERO] * (n * m) for _ in range(n * m)]
-    for i, row in enumerate(a.entries):
-        for j, x in enumerate(row):
-            if not x.is_zero:
-                for k, l, y in b_nonzero:
-                    out[i * m + k][j * m + l] = x * y
-    return ExactMatrix(out)
+    """Tensor product; result dimension a.dim * b.dim: entry (i m + k, j m + l)
+    is a[i][j] * b[k][l], for m = b.dim."""
+    return ExactMatrix([[x * y for x in r for y in s] for r in a.entries for s in b.entries])
 
 
 def projector_from_vector(v: Sequence[Scalar]) -> ExactMatrix:
@@ -409,15 +392,9 @@ def projector_from_vector(v: Sequence[Scalar]) -> ExactMatrix:
 
 
 def scalar_multiple_of_identity(m: ExactMatrix):
-    """Return s if m == s*I exactly, else None."""
+    """Return s if m == s*I exactly, else None; s can only be m's entry (0, 0)."""
     s = m.entries[0][0]
-    n = m.dim
-    for i in range(n):
-        for j in range(n):
-            want = s if i == j else ZERO
-            if m.entries[i][j] != want:
-                return None
-    return s
+    return s if m == ExactMatrix.identity(m.dim).scale(s) else None
 
 
 # 2x2 Pauli matrices, the building blocks for tensor-product observables.

@@ -92,7 +92,7 @@ class Observable:
 
     @property
     def is_dichotomic(self) -> bool:
-        return set(self.spectrum) == {Fraction(-1), Fraction(1)}
+        return self.spectrum == _SPECTRUM_PM1  # spectra are sorted
 
 
 def _annihilates(matrix: ExactMatrix, spectrum, factors: Optional[dict] = None) -> bool:
@@ -130,7 +130,7 @@ def make_observable(
             raise AnnihilationFailure(
                 "spectrum omitted and matrix is neither idempotent nor involutory"
             )
-        spec = (Fraction(0), Fraction(1)) if m2 == matrix else (Fraction(-1), Fraction(1))
+        spec = _SPECTRUM_01 if m2 == matrix else _SPECTRUM_PM1
     else:
         spec = tuple(sorted(Fraction(a) for a in spectrum))
         if len(set(spec)) != len(spec):
@@ -154,9 +154,10 @@ def make_ray(vector: Sequence, label: str = "", memo: Optional[dict] = None) -> 
     return Ray(vector=v, key=key)
 
 
-# a ray observable's spectrum, shared, as a load makes one per ray
+# spectra shared by the observables that have them, as a load makes one per ray or word
 _SPECTRUM_1 = (Fraction(1),)
 _SPECTRUM_01 = (Fraction(0), Fraction(1))
+_SPECTRUM_PM1 = (Fraction(-1), Fraction(1))
 
 
 def ray_observable(ray: Ray, label: str = "") -> Observable:
@@ -172,7 +173,7 @@ def pauli_observable(word: str, label: str = "") -> Observable:
     other letter makes the trace 0); the spectrum is (sign,) there, else (-1, 1)."""
     sign = -1 if word.startswith("-") else 1
     n, k, x, z = pauli_masks(word[1:] if word[:1] in ("+", "-") else word, sign)
-    spec = (Fraction(-1), Fraction(1)) if x or z else (Fraction(sign),)
+    spec = _SPECTRUM_PM1 if x or z else (Fraction(sign),)
     return Observable(spectrum=spec, label=label, pauli=(n, k, x, z))
 
 
@@ -180,7 +181,7 @@ def dichotomize(ray: Ray, label: str = "") -> Observable:
     """The {-1,1}-valued observable I - 2P associated with a ray."""
     n = ray.dim
     matrix = ExactMatrix.identity(n) - ray.projector.scale(2)
-    spec = (Fraction(-1),) if n == 1 else (Fraction(-1), Fraction(1))
+    spec = (Fraction(-1),) if n == 1 else _SPECTRUM_PM1
     return Observable(spectrum=spec, label=label, own_matrix=matrix)
 
 

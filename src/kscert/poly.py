@@ -162,36 +162,26 @@ def _power_rule(spectrum, e: int) -> list:
     return q
 
 
-def lowering(mono: Monomial, spectra: Mapping[int, Sequence], rules: dict) -> list:
-    """mono with each x_i^e whose e reaches the size of i's spectrum replaced
-    by its remainder (_power_rule), as a list of (monomial, q) with rational
-    q, an int where it is one; a reduced monomial gives [(mono, 1)].  rules
-    caches the nonzero terms of each remainder by (i, e), and computes them
-    once per (spectrum, e) that variables share."""
-    terms = [((), 1)]
-    for i, e in mono:
-        if e < len(spectra[i]):
-            terms = [(m + ((i, e),), q) for m, q in terms]
-            continue
-        rule = rules.get((i, e))
-        if rule is None:
-            shared = (tuple(spectra[i]), e)
-            if shared not in rules:
-                rules[shared] = [(k, r.numerator if r.denominator == 1 else r)
-                                 for k, r in enumerate(_power_rule(spectra[i], e)) if r]
-            rule = rules[i, e] = rules[shared]
-        terms = [(m + ((i, k),) if k else m, q * r) for m, q in terms for k, r in rule]
-    return terms
-
-
 def reduce(p: Poly, spectra: Mapping[int, Sequence]) -> Poly:
     """Bring every exponent of variable i below the size of its spectrum, in
     one step per factor: x^e becomes its remainder modulo the spectrum's
-    minimal polynomial (lowering)."""
+    minimal polynomial (_power_rule).  Each monomial expands to terms
+    (monomial, q), q the product of its remainder coefficients; rules keeps
+    the nonzero coefficients once per (spectrum, e) that variables share,
+    and a coefficient is multiplied only by a q other than 1."""
     rules = {}
     out = {}
     for mono, coef in p.terms.items():
-        for m, q in lowering(mono, spectra, rules):
+        terms = [((), 1)]
+        for i, e in mono:
+            if e < len(spectra[i]):
+                terms = [(m + ((i, e),), q) for m, q in terms]
+                continue
+            key = (tuple(spectra[i]), e)
+            if key not in rules:
+                rules[key] = [(k, r) for k, r in enumerate(_power_rule(spectra[i], e)) if r]
+            terms = [(m + ((i, k),) if k else m, q * r) for m, q in terms for k, r in rules[key]]
+        for m, q in terms:
             out[m] = out.get(m, ZERO) + (coef if q == 1 else coef * Scalar.of(q))
     return Poly(out)
 
@@ -329,10 +319,7 @@ def normalization_constant(cp: ContextPolynomial, oset: ObservableSet) -> Fracti
 
 def normalized_square(cp: ContextPolynomial, oset: ObservableSet) -> ContextPolynomial:
     """The reduced polynomial (p^dagger p) / c; sqrt(c) is never materialized."""
-    sq = cp.poly.conjugate() * cp.poly
-    sq = reduce(sq, oset.spectra())
-    scaled = sq * Scalar.of(Fraction(1, 1) / cp.c)
-    return make_context_polynomial(scaled, oset)
+    return make_context_polynomial(cp.poly.conjugate() * cp.poly * (Fraction(1) / cp.c), oset)
 
 
 # -- canonical rendering ---------------------------------------------------

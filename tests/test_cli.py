@@ -517,6 +517,13 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("error: input: ")
 
+    def test_bound_takes_no_exact_bound(self, capsys):
+        """bound always computes the exact bound; only derive and export,
+        which can also stop at the certified one, take --exact-bound."""
+        code, out, err = run(capsys, "bound", "--exact-bound", "--catalog", "mermin-peres")
+        assert (code, out) == (3, "")
+        assert err == "error: input: unrecognized arguments: --exact-bound\n"
+
     def test_help(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--help"])

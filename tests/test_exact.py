@@ -153,6 +153,19 @@ class TestMatrix:
             mat_mul(ExactMatrix.identity(2), ExactMatrix.identity(3))
         with pytest.raises(DimensionMismatch):
             commutes(ExactMatrix.identity(2), ExactMatrix.identity(4))
+        i2, i3 = ExactMatrix.identity(2), ExactMatrix.identity(3)
+        for a, b in ((i2, i3), (i3, i2)):
+            with pytest.raises(DimensionMismatch, match=f"dimensions {a.dim} != {b.dim}"):
+                a + b
+            with pytest.raises(DimensionMismatch, match=f"dimensions {a.dim} != {b.dim}"):
+                a - b
+
+    def test_is_hermitian(self):
+        i = Scalar(0, 0, 1, 0)
+        assert not ExactMatrix([[0, i], [i, 0]]).is_hermitian  # symmetric only
+        assert ExactMatrix([[0, i], [-i, 0]]).is_hermitian
+        assert not ExactMatrix([[i, 0], [0, 1]]).is_hermitian  # a complex diagonal
+        assert ExactMatrix([[1, SQRT2 + i], [SQRT2 - i, 0]]).is_hermitian
 
     def test_commutes(self):
         x, z = PAULI["X"], PAULI["Z"]
@@ -231,6 +244,10 @@ class TestMatrix:
     def test_scalar_multiple_of_identity(self):
         assert scalar_multiple_of_identity(ExactMatrix.identity(3).scale(-2)) == Scalar(-2)
         assert scalar_multiple_of_identity(PAULI["X"]) is None
+        assert scalar_multiple_of_identity(PAULI["Z"]) is None  # diag(1, -1)
+        s = Scalar(1, 0, 0, 1)  # 1 + sqrt2 i
+        assert scalar_multiple_of_identity(ExactMatrix.identity(2).scale(s)) == s
+        assert scalar_multiple_of_identity(ExactMatrix([[s, 0], [1, s]])) is None
 
     def test_pauli_word(self):
         assert pauli_matrix("XY") == kron(PAULI["X"], PAULI["Y"])

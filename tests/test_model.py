@@ -59,8 +59,12 @@ class TestMakeObservable:
             make_observable(PAULI["X"], spectrum=(0, 1))
 
     def test_non_hermitian(self):
-        with pytest.raises(NonHermitian):
-            make_observable(ExactMatrix([[0, 1], [2, 0]]))
+        i = Scalar(0, 0, 1, 0)
+        # [[0, i], [i, 0]] is symmetric, not Hermitian
+        for rows in ([[0, 1], [2, 0]], [[0, i], [i, 0]]):
+            with pytest.raises(NonHermitian):
+                make_observable(ExactMatrix(rows))
+        assert make_observable(ExactMatrix([[0, i], [-i, 0]])).spectrum == (-1, 1)
 
     def test_autodetect_involutory(self):
         obs = make_observable(PAULI["X"])

@@ -2,6 +2,7 @@
 
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -165,6 +166,20 @@ class TestReducePreservation:
         spectra = oset.spectra()
         q = reduce(p, spectra)
         for v in spectral_assignments(oset, range(3)):
+            assert eval_assignment(p, v) == eval_assignment(q, v)
+
+    @given(random_poly_strategy(3, 5))
+    @example(Poly({((0, 5), (1, 5), (2, 5)): Scalar(1)}))
+    @settings(max_examples=120, deadline=None)
+    def test_preserves_mixed_spectra(self, p):
+        """Variables 0 and 1 share each remainder of x^e; variable 2, over a
+        three-point spectrum, must not take theirs."""
+        spectra = {0: (Fraction(0), Fraction(1)), 1: (Fraction(0), Fraction(1)),
+                   2: (Fraction(-1), Fraction(0), Fraction(1, 2))}
+        q = reduce(p, spectra)
+        assert all(e < len(spectra[i]) for mono in q.terms for i, e in mono)
+        for values in product(*spectra.values()):
+            v = dict(enumerate(values))
             assert eval_assignment(p, v) == eval_assignment(q, v)
 
     @given(random_poly_strategy(3, 3))
