@@ -40,7 +40,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import floor, lcm
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -49,7 +48,7 @@ from .compat import OrthogonalityGraph, context_delta
 from .errors import NotDichotomic, NotScalarMultiple, SearchBudgetExceeded
 from .exact import Scalar, squared_modulus
 from .model import _SPECTRUM_PM1, ObservableSet
-from .poly import ContextPolynomial, Poly, integral_evaluator
+from .poly import ContextPolynomial, Poly, integral_evaluator, spectral_assignments
 
 DEFAULT_NODE_CAP = 10**8
 MAX_COSET_RANK = 16  # parity_min_violations walks at most 2^16 coset elements
@@ -525,7 +524,7 @@ def classical_max(
         def term(a, value=value, k=L // scale):
             return k * value(a)[0]
 
-        top = max(term(dict(zip(ids, xs))) for xs in product(*(spectra[i] for i in ids)))
+        top = max(term(a) for a in spectral_assignments(oset, ids))
         factors.append((ids, lambda a, term=term, top=top: term(a) - top))
         offset += top
     best, witness, stats = branch_and_bound(oset, factors, node_cap=node_cap)

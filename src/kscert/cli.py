@@ -51,8 +51,7 @@ def _load(args) -> _Loaded:
         pf, oset, user_polys, declared = None, catalog_mod.get(args.catalog).load(), [], "auto"
     else:
         pf = parse_file(args.input)
-        oset = pf.to_observable_set()
-        user_polys, declared = pf.to_polynomials(oset), pf.mode
+        (oset, user_polys), declared = pf.load(), pf.mode
     mode = args.mode if args.mode != "auto" else declared
     if mode == "auto":
         mode = _auto_mode(oset, user_polys)
@@ -119,31 +118,37 @@ def _derive(loaded, args, exact_bound):
 
 
 def _print_inequality(loaded, ineq, presented):
-    oset, cs = loaded.oset, ineq.complete_set
-    labels = dict(enumerate(oset.labels))
-    plabels = dict(enumerate(presented.labels))
+    cs = ineq.complete_set
     print(f"input: {loaded.source}")
     print(f"mode: {loaded.mode}")
     print(f"complete set: {len(cs)} polynomials ({cs.provenance})")
-    print(f"F = {render(ineq.F, labels)}")
+    print(f"F = {render(ineq.F, loaded.oset.labels)}")
     # every complete-set builder certifies Condition 1, and that makes F zero
     print("quantum certificate: operator F is zero: True")
     print(f"classical certificate on F: {ineq.classical.statement} ({ineq.classical.kind})")
     print(f"form: {presented.form}")
-    print(f"inequality: {render(presented.score, plabels)} <= {presented.classical_bound}")
+    print(f"inequality: {render(presented.score, presented.labels)} <= {presented.classical_bound}")
     print(
-        f"bound: {presented.classical_bound} ({presented.bound_kind}); "
+        f"bound: {presented.classical_bound} ({ineq.classical.kind}); "
         f"quantum value: {presented.quantum_value}"
     )
+
+
+def _write_record(loaded, ineq, presented, path):
+    """The derivation record, written to path, or to stdout without one."""
+    record = render_record(_proof_file(loaded), ineq, presented)
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(record)
+    else:
+        sys.stdout.write(record)
 
 
 def cmd_derive(args) -> int:
     loaded = _load(args)
     ineq, presented = _derive(loaded, args, args.exact_bound)
     if args.output:  # written first, so that a failed write prints nothing
-        record = render_record(_proof_file(loaded), ineq, presented)
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(record)
+        _write_record(loaded, ineq, presented, args.output)
     _print_inequality(loaded, ineq, presented)
     if args.output:
         print(f"record written to {args.output}")
@@ -163,12 +168,7 @@ def cmd_bound(args) -> int:
 def cmd_export(args) -> int:
     loaded = _load(args)
     ineq, presented = _derive(loaded, args, args.exact_bound)
-    record = render_record(_proof_file(loaded), ineq, presented)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(record)
-    else:
-        sys.stdout.write(record)
+    _write_record(loaded, ineq, presented, args.output)
     return EXIT_OK
 
 

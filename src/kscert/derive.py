@@ -90,9 +90,13 @@ class RaySet(CompleteSet):
 
     @cached_property
     def polynomials(self) -> list:
+        # terms are clean: ONE or MINUS_ONE on tuple monomials.  A ray's
+        # spectrum is (0, 1) for d >= 2, so exponents of 1 are reduced
         terms = [{((i, 1), (j, 1)): ONE} for i, j in self.edges]
         terms += [{((i, 1),): ONE for i in b} | {(): MINUS_ONE} for b in self.bases]
-        return [_ray_member(t, self.oset) for t in terms]
+        if self.oset.dim == 1:
+            return [make_context_polynomial(Poly._make(t), self.oset) for t in terms]
+        return [ContextPolynomial(Poly._make(t)) for t in terms]
 
     def __len__(self):
         return len(self.edges) + len(self.bases)
@@ -105,7 +109,28 @@ class RaySet(CompleteSet):
         return ks_colorability(self.oset, self.graph, self.bases, node_cap=node_cap)
 
     def F(self) -> Poly:
-        return ray_F(self.edges, self.bases)
+        """F from the member edges and bases alone; sum_of_squares is its
+        oracle.
+
+        Each member has c = 1, and P^2 = P on a ray's spectrum (0, 1).  So the
+        edge member P_i P_j gives -P_i P_j, and the basis member sum P_i - 1
+        gives -1 + sum P_i - 2 sum_{i<j} P_i P_j.  Hence
+        F = -B + sum_i m_i P_i - sum_pairs (e_ij + 2 m_ij) P_i P_j, with B the
+        number of bases, m_i the number that hold ray i, m_ij the number that
+        hold pair ij and e_ij 1 on a member edge, else 0 (Cabello, Severini
+        and Winter's weighted graph).  The counts are ints, over denominator 1.
+
+        P^2 = P needs d >= 2.  In d = 1, P = I and every member is 0, but
+        assemble_F never reaches F there: a ray set in d <= 2 is colourable.
+        """
+        pairs = dict.fromkeys(self.edges, 1)
+        for b in self.bases:
+            for e in combinations(b, 2):  # bases are sorted, as edges are
+                pairs[e] = pairs.get(e, 0) + 2
+        nums = {(): -len(self.bases)}
+        nums.update((((i, 1),), m) for i, m in Counter(i for b in self.bases for i in b).items())
+        nums.update((((i, 1), (j, 1)), -w) for (i, j), w in pairs.items())
+        return _int_poly(nums, 1)
 
     def dichotomic_substitutes(self) -> bool:
         # members use rays, none dichotomic, exactly when there is an edge;
@@ -150,7 +175,19 @@ class ParitySet(CompleteSet):
         return Fraction(-1 if m is None else -m)
 
     def F(self) -> Poly:
-        return parity_F(self.rows)
+        """F from the rows alone; sum_of_squares is its oracle.
+
+        Each member Pi_C - delta_C has c = 4, and every variable is
+        dichotomic, so A_i^2 = 1 on its spectrum (-1, 1) and, the ids of a
+        context being distinct, Pi_C^2 = 1; with delta^2 = 1 the member's
+        normalized square is (2 - 2 delta_C Pi_C) / 4.  Hence
+        F = -N/2 + sum_C delta_C Pi_C / 2 for N rows (Mermin, PRL 65, 3373
+        (1990)), in ints over denominator 2.
+        """
+        nums = Counter({(): -len(self.rows)})  # a caller may pass a context twice; a proof file cannot
+        for ctx, delta in self.rows:
+            nums[tuple((i, 1) for i in ctx)] += delta
+        return _int_poly(nums, 2)
 
     def dichotomic_substitutes(self) -> bool:
         return False  # parity_certify found every observable dichotomic
@@ -200,15 +237,6 @@ class UserSet(CompleteSet):
         if not self.oset.all_rays:
             raise PresentationUnavailable("dichotomic substitution requires projector variables")
         return True
-
-
-def _ray_member(terms: dict, oset: ObservableSet) -> ContextPolynomial:
-    # terms are clean: ONE or MINUS_ONE on tuple monomials.  A ray's
-    # spectrum is (0, 1) for d >= 2, so exponents of 1 are reduced
-    p = Poly._make(terms)
-    if oset.dim == 1:
-        return make_context_polynomial(p, oset)
-    return ContextPolynomial(p)
 
 
 def build_complete_set_rays(
@@ -268,10 +296,8 @@ class PresentedInequality:
     scale: Fraction
     offset: Fraction
     classical_bound: Fraction
-    bound_kind: str  # "exact" | "certified"
     quantum_value: Fraction
     labels: list  # the score's variable labels, by id
-    substituted: bool = False  # True when P -> (1-A)/2 was applied
     witness: Optional[dict] = None  # the exact bound's maximiser in the score's variables
 
 
@@ -316,55 +342,13 @@ def assemble_F(
     return Inequality(complete_set=cs, F=cs.F(), classical=classical)
 
 
-def ray_F(edges: Sequence[tuple], bases: Sequence[tuple]) -> Poly:
-    """F of the ray set with member edges `edges` (all, or in bases-only mode
-    none, of its graph's) and bases `bases`, from counts alone;
-    sum_of_squares is its oracle.
-
-    Each member has c = 1, and P^2 = P on a ray's spectrum (0, 1).  So the
-    edge member P_i P_j gives -P_i P_j, and the basis member sum P_i - 1
-    gives -1 + sum P_i - 2 sum_{i<j} P_i P_j.  Hence
-    F = -B + sum_i m_i P_i - sum_pairs (e_ij + 2 m_ij) P_i P_j, with B the
-    number of bases, m_i the number that hold ray i, m_ij the number that
-    hold pair ij and e_ij 1 on a member edge, else 0 (Cabello, Severini and
-    Winter's weighted graph).  The counts are ints, over denominator 1.
-
-    P^2 = P needs d >= 2.  In d = 1, P = I and every member is 0, but
-    assemble_F never reaches F there: a ray set in d <= 2 is colourable.
-    """
-    pairs = dict.fromkeys(edges, 1)
-    for b in bases:
-        for e in combinations(b, 2):  # bases are sorted, as edges are
-            pairs[e] = pairs.get(e, 0) + 2
-    nums = {(): -len(bases)}
-    nums.update((((i, 1),), m) for i, m in Counter(i for b in bases for i in b).items())
-    nums.update((((i, 1), (j, 1)), -w) for (i, j), w in pairs.items())
-    return _int_poly(nums, 1)
-
-
-def parity_F(rows: Sequence[tuple]) -> Poly:
-    """F of the parity set with (context, delta) rows `rows`, from the rows
-    alone; sum_of_squares is its oracle.
-
-    Each member Pi_C - delta_C has c = 4, and every variable is dichotomic,
-    so A_i^2 = 1 on its spectrum (-1, 1) and, the ids of a context being
-    distinct, Pi_C^2 = 1; with delta^2 = 1 the member's normalized square
-    is (2 - 2 delta_C Pi_C) / 4.  Hence F = -N/2 + sum_C delta_C Pi_C / 2
-    for N rows (Mermin, PRL 65, 3373 (1990)), in ints over denominator 2.
-    """
-    nums = Counter({(): -len(rows)})  # a caller may pass a context twice; a proof file cannot
-    for ctx, delta in rows:
-        nums[tuple((i, 1) for i in ctx)] += delta
-    return _int_poly(nums, 2)
-
-
 def sum_of_squares(members: Sequence[ContextPolynomial], spectra) -> Poly:
     """F's definition: the reduced -sum r_i^dagger r_i / c_i.
 
     Each member's square is added, scaled by -1/c_i, into one term dict,
     and reduce, being linear, lowers the sum once.  This is the F of a set
     whose builder knows no closed form, a UserSet, and the test oracle of
-    ray_F and parity_F.
+    RaySet.F and ParitySet.F.
     """
     acc = {}
     for cp in members:
@@ -482,10 +466,8 @@ def present(ineq: Inequality, form: str) -> PresentedInequality:
         offset=offset,
         # a certified BoundResult carries the bound -1 on F
         classical_bound=(ineq.classical.value - offset) / scale,
-        bound_kind=ineq.classical.kind,
         quantum_value=-offset / scale,
         labels=labels,
-        substituted=substituted,
         witness=witness,
     )
 

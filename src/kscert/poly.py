@@ -336,7 +336,7 @@ def _coef_str(coef: Scalar) -> str:
     return s
 
 
-def render(p: Poly, labels: Optional[Mapping[int, str]] = None) -> str:
+def render(p: Poly, labels: Optional[Sequence[str]] = None) -> str:
     """Deterministic text form: graded order, lowest degree first.  A
     rational coefficient is printed from its Fraction, which reads as
     Scalar.__str__ would print it; only an irrational or complex one goes

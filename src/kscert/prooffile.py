@@ -122,12 +122,17 @@ class ProofFile:
     contexts: List[ContextDecl] = field(default_factory=list)
     polynomials: List[PolyDecl] = field(default_factory=list)
 
-    def to_observable_set(self) -> ObservableSet:
+    def load(self) -> tuple:
+        """The file's observable set, with its declared contexts, and its
+        polynomials as members over it.  The error of a declaration is a
+        ParseError at its line: observables are read first, then contexts,
+        then polynomials."""
         # a file with no observables has nothing to prove, and a constant
         # member would be evaluated as a dim x dim matrix
         if not self.observables:
             raise ParseError("the file declares no observables")
         oset = ObservableSet(dim=self.dim)
+        polys = []
         try:
             for d in self.observables:  # add checks each one's dimension
                 if d.kind == "ray":
@@ -139,17 +144,10 @@ class ProofFile:
             for d in self.contexts:
                 ids = [oset.by_label(l) for l in d.labels]
                 oset.declared_contexts.append(validate_context(oset, ids))
-        except KSCertError as ex:  # the error of declaration d, at its line
-            raise ParseError(str(ex), d.line) from None
-        return oset
-
-    def to_polynomials(self, oset: ObservableSet) -> list:
-        out = []
-        labels = set(oset.labels)
-        try:
-            for decl in self.polynomials:
+            labels = set(oset.labels)
+            for d in self.polynomials:
                 p = Poly()
-                for coef, factors in decl.terms:
+                for coef, factors in d.terms:
                     mono = {}
                     for label, exp in factors:
                         if label not in labels and _SCALAR_TERM.match(label):  # i, r2, r2i
@@ -161,10 +159,10 @@ class ProofFile:
                         mono[i] = mono.get(i, 0) + exp
                     p = p + Poly({tuple(sorted(mono.items())): coef})
                 validate_context(oset, p.variables())
-                out.append(make_context_polynomial(p, oset, c=decl.c))
-        except KSCertError as ex:  # the error of declaration decl, at its line
-            raise ParseError(str(ex), decl.line) from None
-        return out
+                polys.append(make_context_polynomial(p, oset, c=d.c))
+        except KSCertError as ex:  # the error of declaration d, at its line
+            raise ParseError(str(ex), d.line) from None
+        return oset, polys
 
 
 # -- polynomial expression parsing -------------------------------------------
@@ -188,8 +186,8 @@ def _tokenize_expr(s: str, line):
 
 def parse_poly_expr(s: str, line: Optional[int] = None) -> list:
     """Parse `2*a*b^2 - (1+i)*c + 1` into [(Scalar, [(label, exp), ...]), ...].
-    Every word is a factor, i, r2 and r2i too: ProofFile.to_polynomials
-    reads such a word as that scalar unless an observable has it as label."""
+    Every word is a factor, i, r2 and r2i too: ProofFile.load reads such a
+    word as that scalar unless an observable has it as label."""
     toks = _tokenize_expr(s, line)
     terms = []
     idx = 0
@@ -430,8 +428,7 @@ def proof_file_from_set(oset: ObservableSet, mode: str) -> ProofFile:
 def render_record(pf: ProofFile, ineq, presented) -> str:
     """Full derivation record: input section + derived section + hash."""
     cs = ineq.complete_set
-    labels = dict(enumerate(cs.oset.labels))
-    plabels = dict(enumerate(presented.labels))
+    labels = cs.oset.labels
     lines = [render_input_section(pf).rstrip("\n"), DERIVED_MARKER]
     lines.append(f"provenance {cs.provenance}")
     lines.append(f"complete_set {len(cs)}")
@@ -439,11 +436,11 @@ def render_record(pf: ProofFile, ineq, presented) -> str:
         lines.append(f"cpoly c={cp.c} :: {render(cp.poly, labels)}")
     lines.append(f"F :: {render(ineq.F, labels)}")
     lines.append(f"form {presented.form}")
-    lines.append(f"score :: {render(presented.score, plabels)}")
+    lines.append(f"score :: {render(presented.score, presented.labels)}")
     lines.append(f"scale {presented.scale}")
     lines.append(f"offset {presented.offset}")
     lines.append(f"classical_bound {presented.classical_bound}")
-    lines.append(f"bound_kind {presented.bound_kind}")
+    lines.append(f"bound_kind {ineq.classical.kind}")
     lines.append(f"quantum_value {presented.quantum_value}")
     lines.append("verdict KSProof")
     body = "\n".join(lines)

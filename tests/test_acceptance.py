@@ -81,7 +81,7 @@ def test_criterion_1_mermin_peres_square(mermin_peres):
     assert build_complete_set_parity(oset, ctxs).decide().is_proof
     ineq, pres = parity_pipeline(oset, ctxs)
     assert eval_operator(ineq.F, oset).is_zero
-    assert pres.classical_bound == 4 and pres.bound_kind == "exact"
+    assert pres.classical_bound == 4 and ineq.classical.kind == "exact"
     assert pres.quantum_value == 6
     exact = classical_max(oset, pres.score)
     assert exact.value == 4
@@ -95,7 +95,7 @@ def test_criterion_2_mermin_pentagram(pentagram):
     assert build_complete_set_parity(oset, ctxs).decide().is_proof
     ineq, pres = parity_pipeline(oset, ctxs)
     assert eval_operator(ineq.F, oset).is_zero
-    assert pres.classical_bound == 3 and pres.bound_kind == "exact"
+    assert pres.classical_bound == 3 and ineq.classical.kind == "exact"
     assert pres.quantum_value == 5
     assert brute_force_max(oset, pres.score) == 3  # all 1024 assignments
     assert time.monotonic() - start < 1.0
@@ -149,11 +149,11 @@ def _two_bases_inequality(two_bases):
     )
 
 
-def _presented_block(pres, oset, prefix=""):
+def _presented_block(ineq, pres, oset, prefix=""):
     return (
         "score :: " + render_labeled(pres.score, oset, prefix) + "\n"
         + f"classical_bound {pres.classical_bound}\n"
-        + f"bound_kind {pres.bound_kind}\n"
+        + f"bound_kind {ineq.classical.kind}\n"
         + f"quantum_value {pres.quantum_value}\n"
     )
 
@@ -163,7 +163,7 @@ def test_criterion_5_symbolic_fidelity(cabello, mermin_peres, pentagram, two_bas
     oset, graph, bases = cabello
     ineq_ray = assemble_F(build_complete_set_rays(oset, graph, bases))
     assert render_labeled(ineq_ray.F, oset) + "\n" == fixture("ray_cabello18_F.txt")
-    assert _presented_block(present(ineq_ray, "projector"), oset) == fixture(
+    assert _presented_block(ineq_ray, present(ineq_ray, "projector"), oset) == fixture(
         "projector_cabello18.txt"
     )
 
@@ -171,11 +171,11 @@ def test_criterion_5_symbolic_fidelity(cabello, mermin_peres, pentagram, two_bas
     ineq_bases = _two_bases_inequality(two_bases)
     assert eval_operator(ineq_bases.F, two_bases).is_zero
     assert render_labeled(ineq_bases.F, two_bases) + "\n" == fixture("bases_only_twobases_F.txt")
-    assert _presented_block(present(ineq_bases, "projector"), two_bases) == fixture(
+    assert _presented_block(ineq_bases, present(ineq_bases, "projector"), two_bases) == fixture(
         "projector_twobases.txt"
     )
     pres_dich = present(ineq_bases, "dichotomic")
-    assert _presented_block(pres_dich, two_bases, prefix="d") == fixture(
+    assert _presented_block(ineq_bases, pres_dich, two_bases, prefix="d") == fixture(
         "dichotomic_twobases.txt"
     )
 
@@ -183,7 +183,7 @@ def test_criterion_5_symbolic_fidelity(cabello, mermin_peres, pentagram, two_bas
     for fx, (po, pctxs) in [("mermin_peres", mermin_peres), ("pentagram", pentagram)]:
         ineq_par, pres_par = parity_pipeline(po, pctxs)
         assert render_labeled(ineq_par.F, po) + "\n" == fixture(f"parity_{fx}_F.txt")
-        assert _presented_block(pres_par, po) == fixture(f"parity_score_{fx}.txt")
+        assert _presented_block(ineq_par, pres_par, po) == fixture(f"parity_score_{fx}.txt")
 
 
 def _random_ray_set(rng, max_rays=6):

@@ -600,8 +600,7 @@ class TestMaxF:
         # variable of spectrum (1/2, 2): the common denominator L of the
         # int scores against Fraction arithmetic
         pf = parse(GENERAL_MP_VARIANTS[name])
-        oset = pf.to_observable_set()
-        polys = pf.to_polynomials(oset)
+        oset, polys = pf.load()
         assert check_max_F(oset, polys).value == -1
         assert check_max_F(oset, polys[:-1]).value == 0
 

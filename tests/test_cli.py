@@ -173,7 +173,7 @@ class TestParseErrors:
     def test_ray_dimension_mismatch(self):
         pf = parse("dim 4\nray e1 1 0 0\n")
         with pytest.raises(ParseError):
-            pf.to_observable_set()
+            pf.load()
 
     def test_derived_section_ignored(self):
         pf = parse(SINGLE_BASIS + "=== derived ===\nnot even a directive\n")
@@ -234,7 +234,7 @@ class TestRayLoadMakesNoProduct:
 
         monkeypatch.setattr(Scalar, "__mul__", counted)
         monkeypatch.setattr(Scalar, "__rmul__", counted)
-        kp40 = prooffile.parse_file(str(path)).to_observable_set()
+        kp40, _ = prooffile.parse_file(str(path)).load()
         peres = catalog.get("peres-33").load()
         assert (len(kp40), len(peres)) == (40, 33)
         assert products == []
@@ -249,7 +249,7 @@ class TestParseRoundTrip:
     def test_catalog_reconstruction(self, peres33):
         oset, _, _ = peres33
         pf = proof_file_from_set(oset, "ray")
-        oset2 = parse(render_input_section(pf)).to_observable_set()
+        oset2, _ = parse(render_input_section(pf)).load()
         assert len(oset2) == 33
         for a, b in zip(oset.observables, oset2.observables):
             assert a.matrix == b.matrix
@@ -376,14 +376,14 @@ class TestVerifyCommand:
         sum_of_squares."""
         calls = []
 
-        def counted(*args, original=derive._ray_member):
+        def counted(*args, original=derive.ContextPolynomial):
             calls.append(1)
             return original(*args)
 
         def unreached(*args, **kwargs):
             raise AssertionError("a ray set took the general path")
 
-        monkeypatch.setattr(derive, "_ray_member", counted)
+        monkeypatch.setattr(derive, "ContextPolynomial", counted)
         monkeypatch.setattr(derive, "general_unsat", unreached)
         monkeypatch.setattr(derive, "sum_of_squares", unreached)
         path = tmp_path / "kp-40.txt"
@@ -1092,8 +1092,7 @@ class TestVerifyDeriveAgree:
         path = tmp_path / "colourable.txt"
         path.write_text(text)
         pf = parse(text)
-        oset = pf.to_observable_set()
-        members = pf.to_polynomials(oset)
+        oset, members = pf.load()
         if not members:
             graph = build_orthogonality_graph(oset)
             members = build_complete_set_rays(oset, graph, enumerate_bases(graph)).polynomials
@@ -1286,7 +1285,7 @@ class TestMixedParityOutputs:
 
 
 def _parity_set(text):
-    oset = parse(text).to_observable_set()
+    oset, _ = parse(text).load()
     return build_complete_set_parity(oset, oset.declared_contexts)
 
 

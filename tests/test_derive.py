@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kscert import assign as assign_mod
-from kscert import catalog, derive
+from kscert import catalog, cli, derive
 from kscert import poly as poly_mod
 from kscert.assign import BoundResult, classical_max, general_unsat, max_F, parity_certify
 from kscert.compat import OrthogonalityGraph, build_orthogonality_graph, enumerate_bases
@@ -31,9 +31,7 @@ from kscert.derive import (
     build_complete_set_rays,
     check_form,
     expectation,
-    parity_F,
     present,
-    ray_F,
     sum_of_squares,
 )
 from kscert.errors import (
@@ -58,10 +56,10 @@ from kscert.poly import (
     render,
     spectral_assignments,
 )
-from kscert.prooffile import parse
+from kscert.prooffile import DERIVED_MARKER, parse, parse_poly_expr, parse_scalar
 
 from conftest import eigenray_set, pauli_parity_text, single_basis_set, two_bases_set
-from test_cli import GENERAL_MP, _parity_set
+from test_cli import GENERAL_MP, _eigenray_file, _parity_set
 from test_compat import graphs
 
 
@@ -119,6 +117,14 @@ class TestCompleteSets:
             build_complete_set_bases_only(oset, graph, bases)
         assert exc.value.pair == _first_edge_outside_bases(graph, bases) == (0, 14)
         assert str(exc.value) == "orthogonal pair (r1, r15) lies in no supplied basis"
+
+    def test_d1_ray_members_are_reduced(self):
+        # a ray's spectrum in d = 1 is (1,), so its one basis member a - 1
+        # is 0 once reduced; a member kept as written would be a - 1
+        oset, _ = parse("dim 1\nray a 1\n").load()
+        graph = build_orthogonality_graph(oset)
+        cs = build_complete_set_rays(oset, graph, enumerate_bases(graph))
+        assert cs.polynomials == [ContextPolynomial(Poly())]
 
     def test_parity_set(self, mermin_peres):
         oset, ctxs = mermin_peres
@@ -240,8 +246,7 @@ class TestAssembleF:
         assert calls == []
 
         pf = parse(GENERAL_MP)
-        goset = pf.to_observable_set()
-        polys = pf.to_polynomials(goset)
+        goset, polys = pf.load()
         general = build_complete_set_general(goset, polys)
         assert calls == [cp.poly for cp in polys]
         assemble_F(general, exact_bound=exact_bound)
@@ -271,8 +276,7 @@ class TestAssembleF:
         assert calls == []
 
         pf = parse(GENERAL_MP)
-        goset = pf.to_observable_set()
-        general = build_complete_set_general(goset, pf.to_polynomials(goset))
+        general = build_complete_set_general(*pf.load())
         assemble_F(general, exact_bound=exact_bound)
         assert calls == general.polynomials
 
@@ -302,9 +306,7 @@ def _eigenray_complete_set(name):
 
 
 def _general_mp_complete_set(text):
-    pf = parse(text)
-    oset = pf.to_observable_set()
-    return build_complete_set_general(oset, pf.to_polynomials(oset))
+    return build_complete_set_general(*parse(text).load())
 
 
 def _catalog_complete_set(name):
@@ -409,9 +411,9 @@ PARITY_TEXTS = {
 
 
 def _parity_inequality(text):
-    """parity_F on the set of text, proof or not, with the certified bound."""
+    """ParitySet.F on the set of text, proof or not, with the certified bound."""
     cs = _parity_set(text)
-    return Inequality(cs, parity_F(cs.rows), BoundResult(kind="certified", value=Fraction(-1)))
+    return Inequality(cs, cs.F(), BoundResult(kind="certified", value=Fraction(-1)))
 
 
 # GENERAL_MP with a = 5/4 + 3/4 XI, spectrum (1/2, 2), in place of XI =
@@ -454,8 +456,8 @@ GENERAL_MP_VARIANTS = {
        for name, text in PARITY_TEXTS.items()],
 )
 def test_F_one_pass_oracle(build):
-    """The member-by-member sum that ray_F, parity_F and sum_of_squares'
-    one reduction stand in for: the reduced -sum of each member's
+    """The member-by-member sum that RaySet.F, ParitySet.F and
+    sum_of_squares' one reduction stand in for: the reduced -sum of each member's
     normalized_square, which sum_of_squares, F's definition, equals too."""
     ineq = build()
     cs = ineq.complete_set
@@ -503,8 +505,14 @@ def _ray_members(edges, bases):
     return members
 
 
+def _ray_set(graph, edges, bases):
+    """The ray set on graph, its rays axis rays, with member edges `edges`
+    (all of the graph's, some or none) and bases `bases`."""
+    return RaySet(_axis_rays(len(graph.masks)), graph, list(bases), list(edges), "RayEdgesBases")
+
+
 class TestRayF:
-    """ray_F's closed form against sum_of_squares, its oracle."""
+    """RaySet.F's closed form against sum_of_squares, its oracle."""
 
     @given(graphs_with_bases(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -516,7 +524,7 @@ class TestRayF:
                                   max_size=len(graph.edges)))
         spectra = [(Fraction(0), Fraction(1))] * len(graph.masks)
         for edges in ([e for e, k in zip(graph.edges, keep) if k], []):
-            F = ray_F(edges, bases)
+            F = _ray_set(graph, edges, bases).F()
             assert F == sum_of_squares(_ray_members(edges, bases), spectra)
             assert F == ray_witness_polynomial(edges, bases)
             _assert_clean(F)
@@ -525,7 +533,12 @@ class TestRayF:
         # a triangle 0-1-2 and the edges 0-3, 1-3 and 3-4; ray 5 is isolated
         edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (3, 4)]
         bases = [(0, 1, 2), (0, 1, 3)]
-        F = ray_F(edges, bases)
+        masks = [0] * 6
+        for i, j in edges:
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        graph = OrthogonalityGraph(oset=_axis_rays(6), masks=masks)
+        F = _ray_set(graph, edges, bases).F()
         assert F == sum_of_squares(_ray_members(edges, bases), [(Fraction(0), Fraction(1))] * 6)
         coefs = {tuple(i for i, _ in m): c.rational() for m, c in F.terms.items()}
         assert coefs == {
@@ -535,8 +548,8 @@ class TestRayF:
             (0, 2): -3, (0, 3): -3, (1, 2): -3, (1, 3): -3,  # in one
             (3, 4): -1,  # in none
         }
-        assert ray_F(edges, []) == Poly({((i, 1), (j, 1)): -1 for i, j in edges})
-        assert ray_F([], []) == Poly()
+        assert _ray_set(graph, edges, []).F() == Poly({((i, 1), (j, 1)): -1 for i, j in edges})
+        assert _ray_set(graph, [], []).F() == Poly()
 
 
 def _axis_rays(n):
@@ -600,14 +613,18 @@ def test_bases_only_coloring_oracle(structure):
 def _route_calls(monkeypatch, cs, exact_bound):
     """The calls that assemble_F on cs makes to each F route and to reduce
     and integral; its F is checked against sum_of_squares, F's definition,
-    computed before the count."""
+    computed before the count.  The closed forms are counted as
+    RaySet.F and ParitySet.F."""
     F = sum_of_squares(cs.with_constants().polynomials, cs.oset.spectra())
     calls = Counter()
-    for fn in ("ray_F", "parity_F", "sum_of_squares", "reduce", "integral"):
-        def counted(*args, fn=fn, original=getattr(derive, fn)):
-            calls[fn] += 1
+    routes = [(RaySet, "F"), (ParitySet, "F")]
+    routes += [(derive, fn) for fn in ("sum_of_squares", "reduce", "integral")]
+    for owner, fn in routes:
+        name = f"{owner.__name__}.F" if owner is not derive else fn
+        def counted(*args, name=name, original=getattr(owner, fn)):
+            calls[name] += 1
             return original(*args)
-        monkeypatch.setattr(derive, fn, counted)
+        monkeypatch.setattr(owner, fn, counted)
     assert assemble_F(cs, exact_bound=exact_bound).F == F
     return calls
 
@@ -616,22 +633,22 @@ def _route_calls(monkeypatch, cs, exact_bound):
 @pytest.mark.parametrize("name", ["peres-24", "kp-40"])
 def test_assemble_F_takes_ray_F_on_ray_sets(monkeypatch, name, exact_bound):
     """On a set that records a graph, neither route squares a member:
-    assemble_F calls ray_F and none of parity_F, sum_of_squares, reduce or
-    integral."""
+    assemble_F calls RaySet.F and none of ParitySet.F, sum_of_squares,
+    reduce or integral."""
     cs = _eigenray_complete_set({"peres-24": "mermin-peres", "kp-40": "mermin-pentagram"}[name])
-    assert _route_calls(monkeypatch, cs, exact_bound) == Counter(ray_F=1)
+    assert _route_calls(monkeypatch, cs, exact_bound) == Counter({"RaySet.F": 1})
 
 
 @pytest.mark.parametrize("exact_bound", [False, True], ids=["certified", "exact-bound"])
 @pytest.mark.parametrize("name", ["mermin-peres", "mermin-pentagram", "doily"])
 def test_assemble_F_takes_parity_F_on_parity_sets(monkeypatch, name, exact_bound):
-    """On a set that records parity rows, assemble_F calls parity_F once and
-    never sum_of_squares."""
+    """On a set that records parity rows, assemble_F calls ParitySet.F once
+    and never sum_of_squares."""
     if name == "doily":
         cs = _parity_set(PARITY_TEXTS[name]())
     else:
         cs = _catalog_complete_set(name)
-    assert _route_calls(monkeypatch, cs, exact_bound) == Counter(parity_F=1)
+    assert _route_calls(monkeypatch, cs, exact_bound) == Counter({"ParitySet.F": 1})
 
 
 @pytest.mark.parametrize("exact_bound", [False, True], ids=["certified", "exact-bound"])
@@ -673,7 +690,7 @@ def test_exact_bound_ceiling_matches_full_search(name):
 
 
 def test_ray_set_without_graph_sums_squares(monkeypatch, cabello):
-    """ray_F is the ray set's own F, not the members': a ray set's members
+    """RaySet.F is the ray set's own F, not the members': a ray set's members
     handed over without its graph, as a user set, go through
     sum_of_squares, to the same F."""
     oset, graph, bases = cabello
@@ -688,7 +705,7 @@ def test_ray_set_without_graph_sums_squares(monkeypatch, cabello):
     ineq = assemble_F(cs)
     assert cs.provenance == "UserSupplied"
     assert len(calls) == 1
-    assert ineq.F == ray_F(graph.edges, bases)
+    assert ineq.F == build_complete_set_rays(oset, graph, bases).F()
 
 
 def _assert_clean(p: Poly):
@@ -902,10 +919,8 @@ def present_oracle(ineq: Inequality, form: str) -> PresentedInequality:
         scale=scale,
         offset=offset,
         classical_bound=(ineq.classical.value - offset) / scale,
-        bound_kind=ineq.classical.kind,
         quantum_value=-offset / scale,
         labels=labels,
-        substituted=substituted,
     )
 
 
@@ -956,13 +971,14 @@ def test_present_makes_few_fraction_operations(monkeypatch, form):
 class TestPresent:
     def test_projector_bound_formula(self, two_bases):
         # N bases: quantum value N, certified classical bound N - 1
-        pres = present(colorable_inequality(two_bases), "projector")
-        assert pres.form == "projector" and not pres.substituted
+        ineq = colorable_inequality(two_bases)
+        pres = present(ineq, "projector")
+        assert pres.form == "projector" and pres.labels == two_bases.labels
         assert pres.scale == 1
         assert pres.offset == -2
         assert pres.quantum_value == 2
         assert pres.classical_bound == 1
-        assert pres.bound_kind == "certified"
+        assert ineq.classical.kind == "certified"
 
     def test_projector_reconstructs_F(self, two_bases):
         ineq = colorable_inequality(two_bases)
@@ -975,7 +991,6 @@ class TestPresent:
     def test_dichotomic_bound_formula(self, two_bases):
         # d=3 bases-only: quantum 4N, classical bound 4N - 4 (N = 2)
         pres = present(colorable_inequality(two_bases), "dichotomic")
-        assert pres.substituted
         assert pres.scale == Fraction(1, 4)
         assert pres.quantum_value == 8
         assert pres.classical_bound == 4
@@ -1075,20 +1090,20 @@ class TestPresent:
     def test_exact_bound_passthrough(self, two_bases):
         # the colorable set attains F = 0, so the exact presented bound
         # coincides with the quantum value (zero gap for a non-proof)
-        pres = present(colorable_inequality(two_bases, certified=False), "projector")
-        assert pres.bound_kind == "exact"
+        ineq = colorable_inequality(two_bases, certified=False)
+        pres = present(ineq, "projector")
+        assert ineq.classical.kind == "exact"
         assert pres.classical_bound == pres.quantum_value == 2
 
     def test_mermin_peres_native_dichotomic(self, mermin_peres):
         oset, ctxs = mermin_peres
         ineq = assemble_F(build_complete_set_parity(oset, ctxs), exact_bound=True)
         pres = present(ineq, "dichotomic")
-        assert not pres.substituted
-        assert pres.labels == oset.labels
+        assert pres.labels == oset.labels  # the variables stay
         assert pres.scale == Fraction(1, 2)
         assert pres.offset == -3
         assert pres.classical_bound == 4
-        assert pres.bound_kind == "exact"
+        assert ineq.classical.kind == "exact"
         assert pres.quantum_value == 6
         assert pres.quantum_value - pres.classical_bound == 2
         # F = scale * G + offset holds exactly at the polynomial level
@@ -1109,7 +1124,7 @@ class TestPresent:
         pres = present(ineq, "projector")
         assert pres.quantum_value == 9
         assert pres.classical_bound == 8
-        assert pres.bound_kind == "certified"
+        assert ineq.classical.kind == "certified"
         assert pres.scale == 1 and pres.offset == -9
 
     def test_unknown_form(self, mermin_peres):
@@ -1130,8 +1145,97 @@ class TestPresent:
         witness = max_F(oset, ineq.complete_set.polynomials).witness
         assert present(ineq, "projector").witness == witness
         pres = present(ineq, "dichotomic")
-        assert pres.substituted
+        assert pres.labels == [f"d{label}" for label in oset.labels]
         assert pres.witness == {i: 1 - 2 * p for i, p in witness.items()}
+
+
+def _read_back(text, labels):
+    """The Poly of a rendered polynomial, read with the proof-file grammar
+    (parse_poly_expr): each word is resolved by its index in labels, the
+    list render was given, and a word that no label spells is a scalar
+    word, i, r2 or r2i, as ProofFile.load reads it."""
+    index = {label: i for i, label in enumerate(labels)}
+    p = Poly()
+    for coef, factors in parse_poly_expr(text):
+        mono = []
+        for word, e in factors:
+            if word in index:
+                mono.append((index[word], e))
+            else:
+                coef = coef * parse_scalar(word)
+        p = p + Poly({tuple(sorted(mono)): coef})
+    return p
+
+
+_READ_BACK_INPUTS = (
+    [pytest.param(["--catalog", name], form, id=f"{name}-{form}")
+     for name, forms in (("mermin-peres", ["dichotomic"]), ("mermin-pentagram", ["dichotomic"]),
+                         ("cabello-18", ["projector", "dichotomic"]),
+                         ("peres-33", ["projector", "dichotomic"]))
+     for form in forms]
+    + [pytest.param(_eigenray_file("peres-24"), form, id=f"peres-24-{form}")
+       for form in ("projector", "dichotomic")]
+    + [pytest.param(text, "dichotomic", id=name)
+       for name, text in GENERAL_MP_VARIANTS.items() if name != "fractional-spectrum"]
+)
+
+
+@pytest.mark.parametrize("source,form", _READ_BACK_INPUTS)
+def test_record_polynomials_read_back(monkeypatch, capsys, tmp_path, source, form):
+    """Every cpoly, F and score line of an export record reads back, with
+    the proof-file grammar, as the Poly that render wrote: the members and
+    F over the observable labels, the score over the presented labels."""
+    if isinstance(source, str):  # a proof file's text
+        (tmp_path / "proof.txt").write_text(source)
+        source = ["--input", str(tmp_path / "proof.txt")]
+    rendered = []
+
+    def recorded(pf, ineq, pres, original=cli.render_record):
+        rendered.append((ineq, pres))
+        return original(pf, ineq, pres)
+
+    monkeypatch.setattr(cli, "render_record", recorded)
+    assert cli.main(["export", *source, "--form", form]) == 0
+    record = capsys.readouterr().out
+    [(ineq, pres)] = rendered
+    labels = ineq.complete_set.oset.labels
+    lines = record.split(DERIVED_MARKER + "\n")[1].splitlines()
+    cpolys = [line.split(" :: ")[1] for line in lines if line.startswith("cpoly ")]
+    assert [_read_back(text, labels) for text in cpolys] == [
+        cp.poly for cp in ineq.complete_set.polynomials]
+    body = {line.split(" :: ")[0]: line.split(" :: ")[1] for line in lines if " :: " in line}
+    assert _read_back(body["F"], labels) == ineq.F
+    assert _read_back(body["score"], pres.labels) == pres.score
+
+
+_PART = st.one_of(st.just(0), st.fractions(min_value=-4, max_value=4, max_denominator=6))
+_LABEL = st.from_regex(r"[A-Za-z_][A-Za-z_0-9]{0,3}", fullmatch=True).filter(
+    lambda w: w not in ("i", "r2", "r2i"))
+
+
+@st.composite
+def _labeled_polys(draw):
+    labels = draw(st.lists(_LABEL, min_size=1, max_size=5, unique=True))
+    monomial = st.dictionaries(st.integers(0, len(labels) - 1), st.integers(1, 3), max_size=3)
+    terms = draw(st.lists(st.tuples(monomial, st.tuples(_PART, _PART, _PART, _PART)), max_size=6))
+    p = Poly()
+    for mono, parts in terms:
+        p = p + Poly({tuple(sorted(mono.items())): Scalar(*parts)})
+    return p, labels
+
+
+@given(_labeled_polys())
+@settings(max_examples=200, deadline=None)
+def test_rendered_polynomials_read_back(labeled):
+    """render's text reads back, with the proof-file grammar, as the Poly it
+    was rendered from, for coefficients with rational, sqrt2 and i parts.
+
+    A label spelled like a scalar word, i, r2 or r2i, reads back as that
+    label, so a coefficient written as that word would be misread; the
+    labels drawn here leave those words out, and a reader of records must
+    tell the two apart."""
+    p, labels = labeled
+    assert _read_back(render(p, labels), labels) == p
 
 
 class TestExpectation:
