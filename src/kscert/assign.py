@@ -13,9 +13,10 @@
   context, solved by Gaussian elimination over int bit masks (Mermin, PRL
   65, 3373, 1990; XOR clauses as in CryptoMiniSat, Soos, Nohl and
   Castelluccia, SAT 2009), so no parity set is searched;
-* parity_min_violations -- the least number of contexts of a parity set
-  that any assignment violates, by a Gray-code walk of a GF(2) coset; the
-  exact bound's ceiling on a parity proof;
+* parity_min_violations -- ParitySet.exact_bound's engine: max F = -m on
+  a parity set, for the least number m of contexts that any assignment
+  violates, at an assignment that violates m, read off a Gray-code walk
+  of a GF(2) coset; no member is built and nothing is searched;
 * branch_and_bound -- the one engine for everything else: it maximises a
   sum of context-local factors with forward checking (weighted-CSP branch
   and bound, Freuder & Wallace, Artif. Intell. 58, 1992).  general_unsat
@@ -244,31 +245,43 @@ def parity_elimination(oset: ObservableSet, rows: Sequence[tuple]) -> ProofCerti
     for top in sorted(pivots):
         mask, rhs, _ = pivots[top]
         x |= (rhs ^ (mask & x).bit_count() & 1) << top
-    witness = {i: Fraction(-1) if x >> i & 1 else Fraction(1) for i in range(len(oset))}
-    return ProofCertificate("ParityElimination", witness, stats)
+    return ProofCertificate("ParityElimination", signs(x, len(oset)), stats)
 
 
-def parity_min_violations(rows: Sequence[tuple]) -> Optional[int]:
-    """The least number of the (context, delta) rows that a value
-    assignment of a parity set violates, or None when the walk would be
-    long.  With x as in parity_elimination, the rows an assignment violates
-    are the set bits of Ax + b over GF(2), where column i of A is the mask
-    of the rows that hold observable i and b the mask of the delta = -1
-    rows; the least number is the least weight in the coset b + Im(A)
-    (Mermin, PRL 65, 3373, 1990).
+def signs(x: int, n: int) -> dict:
+    """The assignment v_i = (-1)^x_i of the ids 0 to n - 1, x_i being bit
+    i of x (higher bits are ignored): the witness form of
+    parity_elimination and parity_min_violations."""
+    return {i: Fraction(-1) if x >> i & 1 else Fraction(1) for i in range(n)}
 
-    The columns are eliminated to a basis of Im(A), each vector at its
-    highest set bit.  When its rank r is at most MAX_COSET_RANK, the 2^r
-    coset elements are walked in Gray-code order, one XOR and one
-    bit_count per step; a larger r returns None."""
+
+def parity_min_violations(rows: Sequence[tuple], n: int) -> Optional[BoundResult]:
+    """The exact maximum of F on a parity set over the ids 0 to n - 1, one
+    (context, delta) row per member: -m for the least number m of rows that
+    a value assignment violates, each violated member costing exactly 1
+    (c = 4, |Pi - delta|^2 = 4), at the first assignment met that violates
+    m; None when the walk would be long.  With x as in parity_elimination,
+    the rows an assignment violates are the set bits of Ax + b over GF(2),
+    where column i of A is the mask of the rows that hold observable i and
+    b the mask of the delta = -1 rows; m is the least weight in the coset
+    b + Im(A) (Mermin, PRL 65, 3373, 1990).
+
+    Each int below holds a row mask above bit n and, in bits 0 to n - 1,
+    the mask of the columns summed into it, so column i starts with bit i.
+    The columns are eliminated to a basis of Im(A), each vector at the
+    highest set bit of its row mask.  When the rank r is at most
+    MAX_COSET_RANK, the 2^r coset elements are walked in Gray-code order
+    from b (x = 0), one XOR per step, and the low bits of the first element
+    of least weight are x, so signs(x, n) is the witness; nothing is
+    searched.  A larger r returns None."""
     columns, b = {}, 0
     for k, (ctx, delta) in enumerate(rows):
         for i in ctx:
-            columns[i] = columns.get(i, 0) | 1 << k
-        b |= int(delta == -1) << k
+            columns[i] = columns.get(i, 1 << i) | 1 << (k + n)
+        b |= int(delta == -1) << (k + n)
     basis = {}  # highest bit -> vector
     for col in columns.values():
-        while col:
+        while col >> n:
             top = col.bit_length() - 1
             if top not in basis:
                 basis[top] = col
@@ -277,13 +290,13 @@ def parity_min_violations(rows: Sequence[tuple]) -> Optional[int]:
     if len(basis) > MAX_COSET_RANK:
         return None
     vectors = list(basis.values())
-    least = b.bit_count()
+    least, best = b.bit_count(), b
     for step in range(1, 1 << len(vectors)):
         b ^= vectors[(step & -step).bit_length() - 1]
-        weight = b.bit_count()
+        weight = (b >> n).bit_count()
         if weight < least:
-            least = weight
-    return least
+            least, best = weight, b
+    return BoundResult("exact", Fraction(-least), signs(best, n), SearchStats())
 
 
 # -- branch and bound over context-local factors -------------------------------

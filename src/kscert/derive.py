@@ -55,15 +55,17 @@ from .poly import (
 class CompleteSet:
     """A complete set of polynomials over oset.  Each kind below holds what
     its builder recorded and answers from it: len, polynomials, decide,
-    with_constants, F, ceiling, dichotomic_substitutes and the size text of
-    verify's method line.  Each default here, ceiling, with_constants and
-    size_text, is the answer of two kinds of the three."""
+    with_constants, F, exact_bound, dichotomic_substitutes and the size text
+    of verify's method line.  Each default here, with_constants,
+    exact_bound and size_text, is the answer of two kinds of the three."""
 
     oset: ObservableSet
 
-    # the exact bound's proven ceiling on a proof: each violated member
-    # costs at least 1 once divided by its c_i
-    ceiling = Fraction(-1)
+    def exact_bound(self, node_cap: int = DEFAULT_NODE_CAP) -> BoundResult:
+        """The exact maximum of F on a proof, by max_F on the members, which
+        stops at -1, a proven ceiling: each violated member costs at least 1
+        once divided by its c_i."""
+        return max_F(self.oset, self.polynomials, node_cap=node_cap, ceiling=Fraction(-1))
 
     def with_constants(self) -> CompleteSet:
         """The set with every c_i fixed, computed where UserSet overrides
@@ -166,13 +168,11 @@ class ParitySet(CompleteSet):
         node_cap cannot be reached."""
         return parity_elimination(self.oset, self.rows)
 
-    @property
-    def ceiling(self) -> Fraction:
-        """-m for the least number m of violated contexts, from
-        parity_min_violations where its walk is short, else -1: each
-        violated member costs exactly 1 (c = 4, |Pi - delta|^2 = 4)."""
-        m = parity_min_violations(self.rows)
-        return Fraction(-1 if m is None else -m)
+    def exact_bound(self, node_cap: int = DEFAULT_NODE_CAP) -> BoundResult:
+        """parity_min_violations on the rows: -m for the least number m of
+        violated contexts, with no member built and no search.  Past
+        MAX_COSET_RANK the walk returns None, and max_F searches."""
+        return parity_min_violations(self.rows, len(self.oset)) or super().exact_bound(node_cap)
 
     def F(self) -> Poly:
         """F from the rows alone; sum_of_squares is its oracle.
@@ -321,9 +321,9 @@ def assemble_F(
     The set's decide settles Condition 2 first on either route, and a
     non-proof raises NotKSProofError with decide's witness.  On a proof the
     certified bound -1 comes with decide's UNSAT certificate (each violated
-    r_i costs at least 1 once divided by c_i), and the exact bound
-    maximises F = -sum |r_i|^2 / c_i with max_F, which therefore never runs
-    on a set whose maximum is 0, and stops at the set's ceiling.
+    r_i costs at least 1 once divided by c_i), and the exact bound is the
+    set's exact_bound, the maximum of F = -sum |r_i|^2 / c_i, which
+    therefore never runs on a set whose maximum is 0.
 
     The set's with_constants fixes the c_i once, after the verdict and
     before either route; the returned complete set carries the c_i used.
@@ -336,7 +336,7 @@ def assemble_F(
         )
     cs = cs.with_constants()
     if exact_bound:
-        classical = max_F(cs.oset, cs.polynomials, node_cap=node_cap, ceiling=cs.ceiling)
+        classical = cs.exact_bound(node_cap)
     else:
         classical = BoundResult(kind="certified", value=Fraction(-1), stats=cert.stats)
     return Inequality(complete_set=cs, F=cs.F(), classical=classical)

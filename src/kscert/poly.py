@@ -340,9 +340,11 @@ def render(p: Poly, labels: Optional[Sequence[str]] = None) -> str:
     """Deterministic text form: graded order, lowest degree first.  A
     rational coefficient is printed from its Fraction, which reads as
     Scalar.__str__ would print it; only an irrational or complex one goes
-    through Scalar.__str__.  Terms share a handful of coefficient objects
-    and factors, so each is formatted once; the terms are then sorted as
-    (degree, monomial, ...) tuples, the monomials being distinct."""
+    through Scalar.__str__, in parentheses where, less its sign, that text
+    spells one of labels, as `(i)*a` beside a label i.  Terms share a
+    handful of coefficient objects and factors, so each is formatted once;
+    the terms are then sorted as (degree, monomial, ...) tuples, the
+    monomials being distinct."""
     if p.is_zero:
         return "0"
     names = {}  # factor (i, e) -> its text
@@ -363,6 +365,8 @@ def render(p: Poly, labels: Optional[Sequence[str]] = None) -> str:
         if c is None:
             cs = _coef_str(coef)
             sign, cs = (" - ", cs[1:]) if cs.startswith("-") else (" + ", cs)
+            if not coef.is_rational and labels and cs in labels:
+                cs = f"({cs})"  # a bare i, r2 or r2i would read back as that label
             c = coefs[id(coef)] = (sign, "" if cs == "1" else f"{cs}*", cs)
         sign, before, alone = c
         order.append((degree, mono, sign, before + "*".join(texts) if texts else alone))

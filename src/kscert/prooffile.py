@@ -74,18 +74,17 @@ def parse_scalar(token: str, line: Optional[int] = None) -> Scalar:
         s = s[1:-1].strip()
     if not s:
         raise ParseError("empty scalar", line)
-    # split into signed terms; a term adds to the component its tags name
+    # split into signed terms, which cover s, so a sign with no term after
+    # it is an empty term; a term adds to the component its tags name
     parts = [_FR0] * 4  # a + b sqrt2 + (c + d sqrt2) i
-    for t in re.findall(r"[+-]?[^+-]+", s.replace(" ", "")):
-        negative = t[0] == "-"
-        if t[0] in "+-":
-            t = t[1:]
+    for term in re.findall(r"[+-][^+-]*|[^+-]+", s.replace(" ", "")):
+        t = term.lstrip("+-")
         m = _SCALAR_TERM.match(t)
-        if not m or (not m.group(1) and not m.group(2) and not m.group(3)):
+        if not m or not any(m.groups()):
             raise ParseError(f"bad scalar term {t!r} in {token!r}", line)
         q = _rational(m.group(1), line) if m.group(1) else Fraction(1)
         k = bool(m.group(2)) + 2 * bool(m.group(3))
-        parts[k] += -q if negative else q
+        parts[k] += -q if term[0] == "-" else q
     return Scalar._make(*parts)
 
 

@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 from kscert import catalog
 from kscert.assign import (
     KS_PROOF,
+    MAX_COSET_RANK,
     NOT_KS_PROOF,
+    SearchStats,
     branch_and_bound,
     classical_max,
     general_unsat,
@@ -55,7 +57,7 @@ from kscert.poly import (
 from kscert.prooffile import parse
 
 from conftest import single_basis_set, two_bases_set
-from test_cli import PARITY_INPUTS, _parity_set
+from test_cli import PARITY_INPUTS, _parity_set, _violated
 from test_derive import GENERAL_MP_VARIANTS
 
 
@@ -508,30 +510,45 @@ class TestBranchAndBound:
 
 @st.composite
 def parity_rows(draw):
-    """A random parity row system over at most 10 observables: contexts as
-    sorted id tuples, each with a delta of +-1; proofs and non-proofs."""
-    n = draw(st.integers(1, 10))
-    contexts = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=12))
+    """A random parity row system over at most MAX_COSET_RANK observables,
+    so that its rank is within the coset walk's: contexts as sorted id
+    tuples, each with a delta of +-1; proofs and non-proofs."""
+    n = draw(st.integers(1, MAX_COSET_RANK))
+    contexts = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=20))
     return n, [(tuple(sorted(c)), draw(st.sampled_from((1, -1)))) for c in contexts]
 
 
 class TestParityMinViolations:
+    """The walk's answer: the exact bound -m, for the least number m of
+    violated rows, at a witness over every id that violates exactly m, with
+    no search."""
+
+    def _check(self, rows, n, least):
+        res = parity_min_violations(rows, n)
+        assert (res.kind, res.value, res.stats) == ("exact", -least, SearchStats())
+        assert sorted(res.witness) == list(range(n))
+        assert set(res.witness.values()) <= {1, -1}
+        assert _violated(rows, res.witness) == least
+
     @given(parity_rows())
     @settings(max_examples=200, deadline=None)
     def test_matches_brute_force(self, system):
         n, rows = system
-        least = min(
-            sum(sum(x >> i & 1 for i in ctx) % 2 != (delta == -1) for ctx, delta in rows)
-            for x in range(1 << n)
-        )
-        assert parity_min_violations(rows) == least
+        masks = [(sum(1 << i for i in ctx), int(delta == -1)) for ctx, delta in rows]
+        least = min(sum((x & mask).bit_count() & 1 ^ rhs for mask, rhs in masks)
+                    for x in range(1 << n))
+        self._check(rows, n, least)
 
     @pytest.mark.parametrize("name,least", [
         ("mermin-peres", 1), ("mermin-pentagram", 1), ("doily", 3),
         ("w52", None),  # rank 56: no walk
     ])
     def test_pauli_sets(self, name, least):
-        assert parity_min_violations(_parity_set(PARITY_INPUTS[name]()).rows) == least
+        cs = _parity_set(PARITY_INPUTS[name]())
+        if least is None:
+            assert parity_min_violations(cs.rows, len(cs.oset)) is None
+        else:
+            self._check(cs.rows, len(cs.oset), least)
 
 
 def brute_force_F(oset, polys):

@@ -4,6 +4,7 @@ import contextlib
 import functools
 import hashlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -82,6 +83,11 @@ class TestParseScalar:
     def test_bad_token(self):
         with pytest.raises(ParseError):
             parse_scalar("sqrt3")
+
+    @pytest.mark.parametrize("token", ["-", "+", "(-)", "1+", "1-", "1++2", "i-", "+-1"])
+    def test_sign_with_no_term(self, token):
+        with pytest.raises(ParseError, match="bad scalar term ''"):
+            parse_scalar(token)
 
 
 class TestParsePolyExpr:
@@ -406,11 +412,12 @@ class TestVerifyCommand:
                 assert len(calls) == members, (mode, command)
 
     def test_parity_verify_builds_no_member(self, capsys, monkeypatch, tmp_path):
-        """verify and derive read a parity set's (context, delta) rows alone,
-        in either form (the projector form exits 3, as parity variables are
-        no projectors); export's record and the exact bound's max_F build
-        every member once.  No parity command reaches general_unsat or
-        sum_of_squares."""
+        """verify, derive and the exact bound (bound, derive --exact-bound)
+        read a parity set's (context, delta) rows alone, in either form (the
+        projector form exits 3, as parity variables are no projectors): the
+        exact bound is the coset walk's, with no max_F.  Only export's
+        record builds every member, once.  No parity command reaches
+        general_unsat or sum_of_squares."""
         calls = []
 
         def counted(*args, original=derive.ContextPolynomial):
@@ -418,11 +425,12 @@ class TestVerifyCommand:
             return original(*args)
 
         def unreached(*args, **kwargs):
-            raise AssertionError("a parity set took the general path")
+            raise AssertionError("a parity set took the general path or a search")
 
         monkeypatch.setattr(derive, "ContextPolynomial", counted)
         monkeypatch.setattr(derive, "general_unsat", unreached)
         monkeypatch.setattr(derive, "sum_of_squares", unreached)
+        monkeypatch.setattr(derive, "max_F", unreached)
         path = tmp_path / "doily.txt"
         path.write_text(pauli_parity_text(2, "lines"))
         for source, members in ((["--catalog", "mermin-peres"], 6),
@@ -431,13 +439,12 @@ class TestVerifyCommand:
             calls.clear()
             for argv, code in ((["verify"], 0), (["derive"], 0),
                                (["derive", "--form", "dichotomic"], 0),
-                               (["derive", "--form", "projector"], 3)):
+                               (["derive", "--form", "projector"], 3),
+                               (["derive", "--exact-bound"], 0), (["bound"], 0)):
                 assert run(capsys, *argv, *source)[0] == code, argv
             assert calls == [], source
-            for argv in (["export"], ["derive", "--exact-bound"], ["bound"]):
-                calls.clear()
-                assert run(capsys, *argv, *source)[0] == 0
-                assert len(calls) == members, (source, argv)
+            assert run(capsys, "export", *source)[0] == 0
+            assert len(calls) == members, source
 
     @pytest.mark.parametrize("cap,code", [(126, 4), (127, 0)])
     def test_ray_search_node_cap(self, capsys, tmp_path, cap, code):
@@ -665,6 +672,8 @@ class TestVerifyCommand:
         ("dim 2\nray a 1 0\npoly c=4\n", [], "line 3: empty polynomial expression"),
         ("mode auto\npoly a\n", [], "file does not declare dim"),
         ("dim 2\nray a 1 0\npoly ()*a\n", [], "line 3: empty scalar"),
+        ("dim 3\nray a 1 0 0\nray b - 1 0\n", [], "line 3: bad scalar term '' in '-'"),
+        ("dim 2\nray a 1 0\npoly (1+)*a\n", [], "line 3: bad scalar term '' in '1+'"),
         ("dim 2\nray a 1 0\npoly a -\n", [], "line 3: dangling sign in polynomial"),
         ("dim 2\nray a 1 0\npoly a b\n", [], "line 3: unexpected token 'b' after term"),
         ("dim 2\nray a 1 0\npoly ^a\n", [], "line 3: unexpected token '^' in polynomial"),
@@ -698,7 +707,7 @@ class TestVerifyCommand:
             "ray-no-components", "pauli-before-dim", "matrix-before-dim", "matrix-no-label",
             "matrix-bad-spectrum", "matrix-trailing-token", "context-no-labels", "poly-c-zero",
             "poly-c-negative", "poly-c-decimal", "poly-c-plus-sign", "poly-c-no-expression",
-            "no-dim", "empty-scalar",
+            "no-dim", "empty-scalar", "ray-bare-sign", "poly-scalar-bare-sign",
             "dangling-sign", "token-after-term", "token-in-term", "untokenizable", "empty-poly",
             "unclosed-paren", "pauli-wrong-dim", "ray-wrong-dim", "ray-zero-and-wrong-dim",
             "matrix-not-hermitian", "poly-noncommuting", "duplicate-label", "parity-no-contexts",
@@ -1298,6 +1307,12 @@ def _recounted(cs, cert) -> bool:
     return all(m % 2 == 0 for m in held.values()) and sum(d == -1 for _, d in rows) % 2 == 1
 
 
+def _violated(rows, witness) -> int:
+    """The number of (context, delta) rows whose product under witness is
+    not delta."""
+    return sum(math.prod(witness[i] for i in ctx) != delta for ctx, delta in rows)
+
+
 def _zeroes_every_member(cs, witness) -> bool:
     return all(eval_assignment(cp.poly, witness).is_zero for cp in cs.polynomials)
 
@@ -1411,12 +1426,12 @@ class TestParityElimination:
             assert (code, err.strip().split("satisfying assignment ")[1]) == (2, witness)
 
     def test_exact_bound_stops_at_its_ceiling(self, capsys, tmp_path):
-        """The doily's search stops at its ceiling, F = -3, after 15 nodes,
-        within a cap that the full search (1,970 nodes) exceeds.  W(5,2)'s
-        rank is too large for the coset walk: its ceiling stays -1, which
-        no assignment reaches, and it still exceeds the cap."""
+        """The doily's exact bound, F = -3, is its coset walk's: no search,
+        so any cap holds, where the full search takes 1,970 nodes.  W(5,2)'s
+        rank is too large for the walk: max_F searches with the ceiling -1,
+        which no assignment reaches, and it still exceeds the cap."""
         outs = {}
-        for name, cap, want in (("doily", "100", 0), ("w52", "1000", 4)):
+        for name, cap, want in (("doily", "1", 0), ("w52", "1000", 4)):
             path = tmp_path / f"{name}.txt"
             path.write_text(PARITY_INPUTS[name]())
             code, outs[name], _ = run(capsys, "bound", "--input", str(path), "--node-cap", cap)
@@ -1424,7 +1439,24 @@ class TestParityElimination:
         assert "exact classical maximum: 9" in outs["doily"]
 
 
+# sha256 of the standard output of bound on the parity proofs, whose exact
+# bound and `attained at:` witness are the coset walk's
+PARITY_BOUND_DIGESTS = {
+    "mermin-peres": "03815add1821e23c12635618039c39af001b21b5cf5ffba0d16e248f2d2d72b9",
+    "mermin-pentagram": "6227b8ff6327b7d893342fc46d95c04208452ed31e18ee0ec5d07cb14d583f31",
+    "doily": "6c853a639b201e2a42ddb4ce769bd35b951aba7781bed1022880e3f302a92620",
+}
+
+
 class TestBoundCommand:
+    @pytest.mark.parametrize("name", list(PARITY_BOUND_DIGESTS))
+    def test_sha256_of_parity_stdout(self, capsys, tmp_path, name):
+        (tmp_path / "doily.txt").write_text(PARITY_INPUTS["doily"]())
+        source = ["--input", str(tmp_path / "doily.txt")] if name == "doily" else ["--catalog", name]
+        code, out, _ = run(capsys, "bound", *source)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PARITY_BOUND_DIGESTS[name]
+
     def test_mermin_peres(self, capsys):
         code, out, _ = run(capsys, "bound", "--catalog", "mermin-peres")
         assert code == 0

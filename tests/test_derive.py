@@ -59,7 +59,7 @@ from kscert.poly import (
 from kscert.prooffile import DERIVED_MARKER, parse, parse_poly_expr, parse_scalar
 
 from conftest import eigenray_set, pauli_parity_text, single_basis_set, two_bases_set
-from test_cli import GENERAL_MP, _eigenray_file, _parity_set
+from test_cli import GENERAL_MP, _eigenray_file, _parity_set, _violated
 from test_compat import graphs
 
 
@@ -660,33 +660,41 @@ def test_assemble_F_takes_sum_of_squares_on_user_sets(monkeypatch, name, exact_b
     assert _route_calls(monkeypatch, cs, exact_bound) == Counter(sum_of_squares=1, reduce=1)
 
 
-# every exact-bound input: max_F's nodes under assemble_F's ceiling where
-# the first dive reaches it (76, 231 and 1970 in the full search)
+# every exact-bound input with the nodes of its exact bound: max_F's under
+# the ceiling -1 on a ray or user set (160, 667, 1780 and 4213 on the ray
+# sets and 76 on each user set in the full search), none on a parity set,
+# whose bound is its coset walk's (max_F's full search takes 76, 231 and
+# 1970)
 _CEILING_INPUTS = {
-    "mermin-peres": (lambda: _catalog_complete_set("mermin-peres"), 9),
-    "mermin-pentagram": (lambda: _catalog_complete_set("mermin-pentagram"), 10),
-    "cabello-18": (lambda: _catalog_complete_set("cabello-18"), None),
-    "peres-33": (lambda: _catalog_complete_set("peres-33"), None),
-    "peres-24": (lambda: _eigenray_complete_set("mermin-peres"), None),
-    "kp-40": (lambda: _eigenray_complete_set("mermin-pentagram"), None),
-    "doily": (lambda: _parity_set(PARITY_TEXTS["doily"]()), 15),
-    **{name: (lambda text=text: _general_mp_complete_set(text), None)
+    "mermin-peres": (lambda: _catalog_complete_set("mermin-peres"), 0),
+    "mermin-pentagram": (lambda: _catalog_complete_set("mermin-pentagram"), 0),
+    "cabello-18": (lambda: _catalog_complete_set("cabello-18"), 18),
+    "peres-33": (lambda: _catalog_complete_set("peres-33"), 224),
+    "peres-24": (lambda: _eigenray_complete_set("mermin-peres"), 1780),
+    "kp-40": (lambda: _eigenray_complete_set("mermin-pentagram"), 4213),
+    "doily": (lambda: _parity_set(PARITY_TEXTS["doily"]()), 0),
+    **{name: (lambda text=text: _general_mp_complete_set(text), 9)
        for name, text in GENERAL_MP_VARIANTS.items()},
 }
 
 
 @pytest.mark.parametrize("name", list(_CEILING_INPUTS))
 def test_exact_bound_ceiling_matches_full_search(name):
-    """assemble_F stops max_F at a proven ceiling, -1 or a parity set's -m;
-    the value and witness are those of the full search, ceiling 0."""
+    """The set's exact_bound has the value of max_F's full search, ceiling
+    0.  On a ray or user set it is max_F stopped at the ceiling -1, with the
+    full search's witness.  On a parity set it is the coset walk's -m, at a
+    witness over every observable that violates exactly m contexts."""
     build, nodes = _CEILING_INPUTS[name]
     cs = build()
     got = assemble_F(cs, exact_bound=True).classical
     full = max_F(cs.oset, cs.with_constants().polynomials)
-    assert (got.value, got.witness) == (full.value, full.witness)
-    assert got.stats.nodes <= full.stats.nodes
-    if nodes is not None:
-        assert got.stats.nodes == nodes
+    assert got.value == full.value
+    assert got.stats.nodes == nodes
+    if isinstance(cs, ParitySet):
+        assert sorted(got.witness) == list(range(len(cs.oset)))
+        assert _violated(cs.rows, got.witness) == -got.value
+    else:
+        assert got.witness == full.witness
 
 
 def test_ray_set_without_graph_sums_squares(monkeypatch, cabello):
@@ -1209,8 +1217,8 @@ def test_record_polynomials_read_back(monkeypatch, capsys, tmp_path, source, for
 
 
 _PART = st.one_of(st.just(0), st.fractions(min_value=-4, max_value=4, max_denominator=6))
-_LABEL = st.from_regex(r"[A-Za-z_][A-Za-z_0-9]{0,3}", fullmatch=True).filter(
-    lambda w: w not in ("i", "r2", "r2i"))
+_LABEL = st.one_of(st.sampled_from(["i", "r2", "r2i"]),
+                   st.from_regex(r"[A-Za-z_][A-Za-z_0-9]{0,3}", fullmatch=True))
 
 
 @st.composite
@@ -1228,12 +1236,9 @@ def _labeled_polys(draw):
 @settings(max_examples=200, deadline=None)
 def test_rendered_polynomials_read_back(labeled):
     """render's text reads back, with the proof-file grammar, as the Poly it
-    was rendered from, for coefficients with rational, sqrt2 and i parts.
-
-    A label spelled like a scalar word, i, r2 or r2i, reads back as that
-    label, so a coefficient written as that word would be misread; the
-    labels drawn here leave those words out, and a reader of records must
-    tell the two apart."""
+    was rendered from, for coefficients with rational, sqrt2 and i parts,
+    also over labels spelled like a scalar word, i, r2 or r2i, beside which
+    render parenthesizes the coefficient of that spelling."""
     p, labels = labeled
     assert _read_back(render(p, labels), labels) == p
 
