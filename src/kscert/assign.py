@@ -46,7 +46,7 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from .compat import OrthogonalityGraph, context_delta
-from .errors import NotDichotomic, NotScalarMultiple, SearchBudgetExceeded
+from .errors import KSCertError, SearchBudgetExceeded
 from .exact import Scalar, squared_modulus
 from .model import _SPECTRUM_PM1, ObservableSet
 from .poly import ContextPolynomial, Poly, integral_evaluator, spectral_assignments
@@ -194,13 +194,13 @@ def parity_certify(oset: ObservableSet, contexts: Sequence[tuple]) -> list:
     context product is delta*I with delta = +-1 (raises otherwise)."""
     for i, obs in enumerate(oset.observables):
         if not obs.is_dichotomic:
-            raise NotDichotomic(i, oset.labels[i])
+            raise KSCertError(f"observable {oset.labels[i]} is not {{-1,1}}-dichotomic")
     deltas = []
     for ctx in contexts:
         delta = context_delta(oset, ctx)
         if delta is None or not delta.is_rational or delta.rational() not in (1, -1):
             names = ", ".join(oset.labels[i] for i in ctx)
-            raise NotScalarMultiple(f"context ({names}) product is not +-identity")
+            raise KSCertError(f"context ({names}) product is not +-identity")
         deltas.append(int(delta.rational()))
     return deltas
 

@@ -24,12 +24,7 @@ from .derive import (
     present,
     witness_str,
 )
-from .errors import (
-    KSCertError,
-    NotKSProofError,
-    ParseError,
-    SearchBudgetExceeded,
-)
+from .errors import KSCertError, NotKSProofError, ParseError, SearchBudgetExceeded
 from .poly import render
 from .prooffile import MODES, parse_file, proof_file_from_set, render_input_section, render_record
 

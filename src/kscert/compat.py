@@ -27,7 +27,7 @@ from functools import cached_property
 from operator import mul
 from typing import Iterable
 
-from .errors import KSCertError, NonRayMember, NotCommuting
+from .errors import KSCertError
 from .exact import (
     PHASES,
     ExactMatrix,
@@ -40,7 +40,7 @@ from .model import Observable, ObservableSet
 
 def validate_context(oset: ObservableSet, ids: Iterable[int]) -> tuple:
     """The sorted context of ids: they are distinct, in range and pairwise
-    commuting; raises NotCommuting on the first bad pair."""
+    commuting; raises KSCertError on the first bad pair."""
     ids = sorted(ids)
     if len(set(ids)) != len(ids):
         raise KSCertError("context ids must be distinct")
@@ -50,7 +50,8 @@ def validate_context(oset: ObservableSet, ids: Iterable[int]) -> tuple:
     for a_pos, i in enumerate(ids):
         for j in ids[a_pos + 1 :]:
             if not _commute(oset[i], oset[j]):
-                raise NotCommuting((i, j), (oset.labels[i], oset.labels[j]))
+                raise KSCertError(
+                    f"observables {oset.labels[i]} and {oset.labels[j]} do not commute")
     return tuple(ids)
 
 
@@ -125,7 +126,7 @@ def build_orthogonality_graph(oset: ObservableSet) -> OrthogonalityGraph:
     when Z_ji = 0, so the rows come out symmetric.
     """
     if not oset.all_rays:
-        raise NonRayMember("orthogonality graph requires a pure ray set")
+        raise KSCertError("orthogonality graph requires a pure ray set")
     n = len(oset)
     keys = [obs.ray.key for obs in oset.observables]
     comps = {t for key in keys for t in key}  # KP-40's 320 take 5 values

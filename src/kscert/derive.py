@@ -30,15 +30,7 @@ from .assign import (
     parity_min_violations,
 )
 from .compat import OrthogonalityGraph
-from .errors import (
-    Condition1Violated,
-    EdgeOutsideBases,
-    IdenticallyZeroOnAssignments,
-    NormalizationMismatch,
-    NotKSProofError,
-    PresentationUnavailable,
-    ZeroState,
-)
+from .errors import KSCertError, NotKSProofError
 from .exact import _FR0, ONE, MINUS_ONE, ZERO, Scalar, inner, integral
 from .model import ObservableSet
 from .poly import (
@@ -209,19 +201,19 @@ class UserSet(CompleteSet):
 
     def with_constants(self) -> UserSet:
         """The set with every member's c_i computed, a declared one too, by
-        normalization_constant, which raises IdenticallyZeroOnAssignments
-        where there is none; a declared c that differs raises
-        NormalizationMismatch.  Either names the faulty member.  It runs
-        once per command, after a KSProof verdict: in assemble_F before
-        either bound route, and in verify."""
+        normalization_constant, which raises where there is none; a
+        declared c that differs raises too.  Either error names the faulty
+        member.  It runs once per command, after a KSProof verdict: in
+        assemble_F before either bound route, and in verify."""
         polys = []
         for idx, cp in enumerate(self.polynomials):
             try:
                 c = normalization_constant(cp, self.oset)
-            except IdenticallyZeroOnAssignments as ex:
-                raise IdenticallyZeroOnAssignments(f"polynomial {idx}: {ex}") from None
+            except KSCertError as ex:
+                raise KSCertError(f"polynomial {idx}: {ex}") from None
             if cp.c not in (None, c):
-                raise NormalizationMismatch(idx, cp.c, c)
+                raise KSCertError(f"polynomial {idx} declares c={cp.c}, but its "
+                                  f"normalization constant is {c}")
             polys.append(replace(cp, c=c))
         return UserSet(self.oset, polys)
 
@@ -235,7 +227,7 @@ class UserSet(CompleteSet):
         if all(self.oset[i].is_dichotomic for i in used):
             return False
         if not self.oset.all_rays:
-            raise PresentationUnavailable("dichotomic substitution requires projector variables")
+            raise KSCertError("dichotomic substitution requires projector variables")
         return True
 
 
@@ -252,7 +244,7 @@ def build_complete_set_bases_only(
     oset: ObservableSet, graph: OrthogonalityGraph, bases: Sequence[tuple]
 ) -> RaySet:
     """The ray set of basis members only; valid when every orthogonality
-    edge lies in some supplied basis (raises EdgeOutsideBases otherwise).
+    edge lies in some supplied basis (raises KSCertError otherwise).
     Condition 1 holds as for build_complete_set_rays."""
     covered = [0] * len(graph.masks)  # bit j of covered[i]: i and j share a basis
     for b in bases:
@@ -261,7 +253,8 @@ def build_complete_set_bases_only(
             covered[i] |= mask
     for i, j in graph.edges:
         if not covered[i] >> j & 1:
-            raise EdgeOutsideBases((i, j), (oset.labels[i], oset.labels[j]))
+            raise KSCertError(f"orthogonal pair ({oset.labels[i]}, {oset.labels[j]}) "
+                              "lies in no supplied basis")
     return RaySet(oset, graph, list(bases), [], "RayBasesOnly")
 
 
@@ -274,11 +267,10 @@ def build_complete_set_parity(oset: ObservableSet, contexts: Sequence[tuple]) ->
 
 def build_complete_set_general(oset: ObservableSet, polynomials: Sequence) -> UserSet:
     """User-supplied polynomials: Condition 1 is checked member by member, and
-    Condition1Violated names the first that is not zero as an operator."""
+    KSCertError names the first that is not zero as an operator."""
     for idx, cp in enumerate(polynomials):
-        m = eval_operator(cp.poly, oset)
-        if not m.is_zero:
-            raise Condition1Violated(idx, m)
+        if not eval_operator(cp.poly, oset).is_zero:
+            raise KSCertError(f"polynomial {idx} does not vanish as an operator")
     return UserSet(oset, list(polynomials))
 
 
@@ -400,7 +392,7 @@ def _substitute_dichotomic(nums: dict, deg: int) -> dict:
 
 def check_form(cs: CompleteSet, form: str) -> bool:
     """Whether presenting the F of cs in `form` substitutes P = (1 - A)/2;
-    raises PresentationUnavailable when the form cannot present it.
+    raises KSCertError when the form cannot present it.
 
     F's variables are among the members' variables, so this runs before the
     search.  The projector form keeps projector variables and needs a ray
@@ -408,11 +400,11 @@ def check_form(cs: CompleteSet, form: str) -> bool:
     """
     if form == "projector":
         if not cs.oset.all_rays:
-            raise PresentationUnavailable("projector form requires a ray observable set")
+            raise KSCertError("projector form requires a ray observable set")
         return False
     if form == "dichotomic":
         return cs.dichotomic_substitutes()
-    raise PresentationUnavailable(f"unknown form {form!r}")
+    raise KSCertError(f"unknown form {form!r}")
 
 
 def present(ineq: Inequality, form: str) -> PresentedInequality:
@@ -420,8 +412,8 @@ def present(ineq: Inequality, form: str) -> PresentedInequality:
 
     F's coefficients are read as int numerators over one denominator D
     (exact.integral), after one test that their irrational and imaginary
-    parts are zero (PresentationUnavailable otherwise).  projector form
-    requires projector variables and keeps them; dichotomic form substitutes
+    parts are zero (KSCertError otherwise).  projector form requires
+    projector variables and keeps them; dichotomic form substitutes
     P = (1 - A)/2 when needed (check_form), in ints over D 2^deg.  The
     scale is one int g over that final denominator, and each score
     coefficient is a numerator divided by g, one Scalar per distinct value.
@@ -437,7 +429,7 @@ def present(ineq: Inequality, form: str) -> PresentedInequality:
     coefs = {id(c): c for c in ineq.F.terms.values()}
     D, ints = integral(coefs.values())
     if any(b or c or d for _, b, c, d in ints):
-        raise PresentationUnavailable("presentation requires rational coefficients")
+        raise KSCertError("presentation requires rational coefficients")
     by_id = {k: a for k, (a, _, _, _) in zip(coefs, ints)}
     nums = {m: by_id[id(c)] for m, c in ineq.F.terms.items()}
     if substituted:
@@ -476,6 +468,6 @@ def expectation(p: Poly, oset: ObservableSet, state: Sequence) -> Scalar:
     """Exact <psi| p(A) |psi> / <psi|psi> for an unnormalized state vector."""
     psi = tuple(Scalar.of(x) for x in state)
     if all(x.is_zero for x in psi):
-        raise ZeroState("state vector is zero")
+        raise KSCertError("state vector is zero")
     m = eval_operator(p, oset)
     return inner(psi, m.apply(psi)) / inner(psi, psi)

@@ -17,7 +17,7 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .errors import DimensionMismatch, ZeroVector
+from .errors import KSCertError
 
 
 def _frac(x) -> Fraction:
@@ -176,7 +176,7 @@ SQRT2 = Scalar(0, 1, 0, 0)
 def inner(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     """Hermitian inner product <u, v> = sum conj(u_k) v_k."""
     if len(u) != len(v):
-        raise DimensionMismatch(f"vector lengths {len(u)} != {len(v)}")
+        raise KSCertError(f"vector lengths {len(u)} != {len(v)}")
     acc = ZERO
     for x, y in zip(u, v):
         acc = acc + x.conjugate() * y
@@ -274,7 +274,7 @@ class ExactMatrix:
         rows = tuple(tuple(Scalar.of(x) for x in row) for row in entries)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
-            raise DimensionMismatch("matrix must be square and nonempty")
+            raise KSCertError("matrix must be square and nonempty")
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "entries", rows)
 
@@ -295,7 +295,7 @@ class ExactMatrix:
 
     def _check_dim(self, other: "ExactMatrix"):
         if self.dim != other.dim:
-            raise DimensionMismatch(f"dimensions {self.dim} != {other.dim}")
+            raise KSCertError(f"dimensions {self.dim} != {other.dim}")
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check_dim(other)
@@ -337,7 +337,7 @@ class ExactMatrix:
 
     def apply(self, v: Sequence[Scalar]) -> tuple:
         if len(v) != self.dim:
-            raise DimensionMismatch("vector length does not match matrix dimension")
+            raise KSCertError("vector length does not match matrix dimension")
         out = []
         for row in self.entries:
             acc = ZERO
@@ -383,7 +383,7 @@ def projector_from_vector(v: Sequence[Scalar]) -> ExactMatrix:
     v = tuple(Scalar.of(x) for x in v)
     nrm = inner(v, v)
     if nrm.is_zero:
-        raise ZeroVector("cannot project along the zero vector")
+        raise KSCertError("cannot project along the zero vector")
     inv = nrm.inverse()
     n = len(v)
     return ExactMatrix(

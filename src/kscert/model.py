@@ -21,14 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .errors import (
-    AnnihilationFailure,
-    DimensionMismatch,
-    DuplicateObservable,
-    KSCertError,
-    NonHermitian,
-    ZeroVector,
-)
+from .errors import KSCertError
 from .exact import (
     ExactMatrix,
     Scalar,
@@ -122,21 +115,19 @@ def make_observable(
     the product of (A - bI) over the values, a is an eigenvalue exactly when
     the product over the other values is not 0."""
     if not matrix.is_hermitian:
-        raise NonHermitian(f"observable {label or '?'} is not Hermitian")
+        raise KSCertError(f"observable {label or '?'} is not Hermitian")
     factors = {}
     if spectrum is None:
         m2 = mat_mul(matrix, matrix)
         if m2 != matrix and m2 != ExactMatrix.identity(matrix.dim):
-            raise AnnihilationFailure(
-                "spectrum omitted and matrix is neither idempotent nor involutory"
-            )
+            raise KSCertError("spectrum omitted and matrix is neither idempotent nor involutory")
         spec = _SPECTRUM_01 if m2 == matrix else _SPECTRUM_PM1
     else:
         spec = tuple(sorted(Fraction(a) for a in spectrum))
         if len(set(spec)) != len(spec):
-            raise AnnihilationFailure("spectrum values must be pairwise distinct")
+            raise KSCertError("spectrum values must be pairwise distinct")
         if not _annihilates(matrix, spec, factors):
-            raise AnnihilationFailure(
+            raise KSCertError(
                 f"declared spectrum {list(map(str, spec))} does not annihilate "
                 f"observable {label or '?'}"
             )
@@ -150,7 +141,7 @@ def make_ray(vector: Sequence, label: str = "", memo: Optional[dict] = None) -> 
     v = tuple(map(Scalar.of, vector))
     key = primitive_integral(v, memo)
     if key is None:
-        raise ZeroVector(f"ray {label or '?'} is the zero vector")
+        raise KSCertError(f"ray {label or '?'} is the zero vector")
     return Ray(vector=v, key=key)
 
 
@@ -210,9 +201,8 @@ class ObservableSet:
 
     def add(self, obs: Observable) -> int:
         if obs.dim != self.dim:
-            raise DimensionMismatch(
-                f"observable {obs.label or '?'} has dimension {obs.dim}, set has {self.dim}"
-            )
+            raise KSCertError(f"observable {obs.label or '?'} has dimension {obs.dim}, "
+                              f"set has {self.dim}")
         if obs.own_matrix is not None and not self._by_matrix:
             self._by_matrix = True
             self._ids = {o.matrix: i for i, o in enumerate(self.observables)}
@@ -222,9 +212,7 @@ class ObservableSet:
             key = obs.ray.key if obs.ray is not None else obs.pauli
         if key in self._ids:
             existing = self.observables[self._ids[key]]
-            raise DuplicateObservable(
-                f"observable {obs.label or '?'} duplicates {existing.label or '?'}"
-            )
+            raise KSCertError(f"observable {obs.label or '?'} duplicates {existing.label or '?'}")
         i = self._ids[key] = len(self.observables)
         self._by_label.setdefault(obs.label, i)
         self.observables.append(obs)

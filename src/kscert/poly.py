@@ -18,12 +18,7 @@ from itertools import product
 from math import lcm, prod
 from typing import Mapping, Optional, Sequence
 
-from .errors import (
-    IdenticallyZeroOnAssignments,
-    KSCertError,
-    UnassignedVariable,
-    UnknownVariable,
-)
+from .errors import KSCertError
 from .exact import ZERO, ExactMatrix, Scalar, integral, mat_mul, squared_modulus
 from .model import ObservableSet
 
@@ -193,7 +188,7 @@ def eval_assignment(p: Poly, assignment: Mapping[int, Fraction]) -> Scalar:
         x = Fraction(1)
         for i, e in mono:
             if i not in assignment:
-                raise UnassignedVariable(f"variable {i} is unassigned")
+                raise KSCertError(f"variable {i} is unassigned")
             x *= Fraction(assignment[i]) ** e
         ta += coef.a * x
         tb += coef.b * x
@@ -251,7 +246,7 @@ def eval_operator(p: Poly, oset: ObservableSet) -> ExactMatrix:
         m = None
         for i, e in mono:
             if not 0 <= i < len(oset):
-                raise UnknownVariable(f"variable {i} not in observable set")
+                raise KSCertError(f"variable {i} not in observable set")
             for _ in range(e):
                 m = oset[i].matrix if m is None else mat_mul(m, oset[i].matrix)
         if m is None:
@@ -297,7 +292,8 @@ def normalization_constant(cp: ContextPolynomial, oset: ObservableSet) -> Fracti
     """Minimum nonzero squared modulus of the polynomial over all assignments
     of its variables, in ints: integral_evaluator reads t*r(a) for an int
     scale t, |t*r(a)|^2 = x + y sqrt2, and the minimum is x_min / t^2.  The
-    first nonzero value with y != 0 raises, its modulus being irrational."""
+    first nonzero value with y != 0 raises KSCertError, its modulus being
+    irrational, and so does a polynomial zero at every assignment."""
     scale, value = integral_evaluator(cp.poly, oset.spectra())
     best = None
     for v in spectral_assignments(oset, sorted(cp.poly.variables())):
@@ -305,15 +301,11 @@ def normalization_constant(cp: ContextPolynomial, oset: ObservableSet) -> Fracti
         if not x:  # a sum of squares, 0 exactly when r(a) = 0
             continue
         if y:
-            raise IdenticallyZeroOnAssignments(
-                "squared modulus is irrational; cannot normalize"
-            )
+            raise KSCertError("squared modulus is irrational; cannot normalize")
         if best is None or x < best:
             best = x
     if best is None:
-        raise IdenticallyZeroOnAssignments(
-            "polynomial vanishes at every spectral assignment"
-        )
+        raise KSCertError("polynomial vanishes at every spectral assignment")
     return Fraction(best, scale * scale)
 
 

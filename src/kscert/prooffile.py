@@ -13,7 +13,8 @@ Input files are line-oriented, hand-editable and diff-able:
     poly c=4 a11*a12*a13 - 1
 
 `dim` is declared once, before the observables, and `mode` at most once
-(`auto` if it is not).  Scalar tokens are exact: rationals (`-3/2`), the
+(`auto` if it is not).  An observable's label is a word: a letter or `_`,
+then letters, digits or `_`.  Scalar tokens are exact: rationals (`-3/2`), the
 imaginary unit (`i`, `2i`), and sqrt2 written `r2` (`-r2`, `1/2r2`),
 combinable as `1+i` or `(1+i)` inside polynomial expressions.  There, a
 bare `i`, `r2` or `r2i` that labels an observable is that observable.
@@ -43,6 +44,10 @@ DERIVED_MARKER = "=== derived ==="
 MODES = ("ray", "bases-only", "parity", "general", "auto")
 
 _SCALAR_TERM = re.compile(r"^(\d+(?:/\d+)?)?(r2)?(i)?$")
+
+# a word of the polynomial grammar; an observable's label must be one, so
+# that a record's F reads back: `1` or `a-1` would read as numbers and signs
+_WORD = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 def _rational(text: str, line: Optional[int]) -> Fraction:
@@ -166,9 +171,7 @@ class ProofFile:
 
 # -- polynomial expression parsing -------------------------------------------
 
-_TOKEN = re.compile(
-    r"\s*(\(|\)|\*|\^|\+|-|[A-Za-z_][A-Za-z_0-9]*|\d+(?:/\d+)?(?:r2)?i?)"
-)
+_TOKEN = re.compile(rf"\s*(\(|\)|\*|\^|\+|-|{_WORD.pattern}|\d+(?:/\d+)?(?:r2)?i?)")
 
 
 def _tokenize_expr(s: str, line):
@@ -213,7 +216,7 @@ def parse_poly_expr(s: str, line: Optional[int] = None) -> list:
                 depth_end = toks.index(")", idx)
                 coef = coef * parse_scalar("".join(toks[idx + 1 : depth_end]), line)
                 idx = depth_end + 1
-            elif tok is not None and re.match(r"^[A-Za-z_]", tok):
+            elif tok is not None and _WORD.match(tok):
                 label = tok
                 idx += 1
                 exp = 1
@@ -253,6 +256,15 @@ def _check_rows(matrix: ObsDecl, dim: int, line: int) -> None:
         )
 
 
+def _label(token: str, lineno: int) -> str:
+    """token, if it is a word of the polynomial grammar, so that the
+    records written with it read back."""
+    if not _WORD.fullmatch(token):
+        raise ParseError(f"label {token!r} must be a letter or _ followed by "
+                         "letters, digits or _", lineno)
+    return token
+
+
 def parse(text: str) -> ProofFile:
     dim = mode = None
     observables: List[ObsDecl] = []
@@ -279,8 +291,9 @@ def parse(text: str) -> ProofFile:
         if pending_matrix is not None and head != "row":
             _check_rows(pending_matrix, dim, lineno)
             pending_matrix = None
-        if head in ("ray", "pauli", "matrix") and dim is None:
-            raise ParseError("dim must come before observables", lineno)
+        if head in ("ray", "pauli", "matrix"):
+            if dim is None:
+                raise ParseError("dim must come before observables", lineno)
         if (head == "dim" and dim is not None) or (head == "mode" and mode is not None):
             raise ParseError(f"{head} is declared twice", lineno)
         if head == "dim":
@@ -295,13 +308,15 @@ def parse(text: str) -> ProofFile:
             if len(parts) < 3:
                 raise ParseError("ray takes a label and components", lineno)
             vec = tuple(scalar(t, lineno) for t in parts[2:])
-            observables.append(ObsDecl(kind="ray", label=parts[1], vector=vec, line=lineno))
+            observables.append(ObsDecl(kind="ray", label=_label(parts[1], lineno),
+                                       vector=vec, line=lineno))
         elif head == "pauli":
             if len(parts) != 3 or not re.match(r"^[+-]?[IXYZ]+$", parts[2]):
                 raise ParseError(
                     "pauli takes a label and a signed word over I, X, Y, Z", lineno
                 )
-            observables.append(ObsDecl(kind="pauli", label=parts[1], pauli=parts[2], line=lineno))
+            observables.append(ObsDecl(kind="pauli", label=_label(parts[1], lineno),
+                                       pauli=parts[2], line=lineno))
         elif head == "matrix":
             if len(parts) < 2:
                 raise ParseError("matrix takes a label", lineno)
@@ -310,9 +325,8 @@ def parse(text: str) -> ProofFile:
                 spectrum = tuple(_rational(x, lineno) for x in parts[3].split(","))
             elif len(parts) != 2:
                 raise ParseError("matrix syntax: matrix LABEL [spectrum a,b,...]", lineno)
-            pending_matrix = ObsDecl(
-                kind="matrix", label=parts[1], rows=[], spectrum=spectrum, line=lineno
-            )
+            pending_matrix = ObsDecl(kind="matrix", label=_label(parts[1], lineno),
+                                     rows=[], spectrum=spectrum, line=lineno)
             observables.append(pending_matrix)
         elif head == "row":
             if pending_matrix is None:

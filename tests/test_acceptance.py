@@ -30,7 +30,7 @@ from kscert.derive import (
     build_complete_set_rays,
     present,
 )
-from kscert.errors import EdgeOutsideBases
+from kscert.errors import KSCertError
 from kscert.model import ObservableSet
 from kscert.poly import (
     ContextPolynomial,
@@ -110,7 +110,8 @@ def test_criterion_3_cabello_18(cabello):
     assert len(bases) == 9
     # the edge-coverage precondition for the bases-only route fails here,
     # so the full edge+basis pipeline applies
-    with pytest.raises(EdgeOutsideBases):
+    with pytest.raises(KSCertError,
+                       match=r"^orthogonal pair \(r1, r15\) lies in no supplied basis$"):
         build_complete_set_bases_only(oset, graph, bases)
     ineq = assemble_F(build_complete_set_rays(oset, graph, bases))
     assert eval_operator(ineq.F, oset).is_zero

@@ -1,5 +1,6 @@
 """Proof-file parsing and the command-line workflow."""
 
+import argparse
 import contextlib
 import functools
 import hashlib
@@ -267,6 +268,24 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+# the commands that print an error: every command loads its input and
+# builds the complete set, and all but verify present a form
+EVERY = ("verify", "derive", "bound", "export")
+PRESENTING = ("derive", "bound", "export")
+
+
+def _choice_error(option, value, choices):
+    """argparse's own message for a value outside an option's choices,
+    which quotes the choices differently across Python versions."""
+    ap = argparse.ArgumentParser(exit_on_error=False)
+    ap.add_argument(option, choices=choices)
+    try:
+        ap.parse_args([option, value])
+    except argparse.ArgumentError as ex:
+        return str(ex)
+    raise AssertionError(f"{value!r} is a choice of {option}")
+
+
 def _padded(text):
     """text with a blank line, a full-line comment and an indented comment
     before each of its lines, so its line k is physical line 4k."""
@@ -506,23 +525,26 @@ class TestVerifyCommand:
             assert err == "error: input: the file declares no observables\n"
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,message",
         [
-            ["verify", "--catalog", "cabello-18", "--node-cap", "abc"],
-            ["verify", "--catalog", "cabello-18", "--node-cap", "-5"],
-            ["verify", "--catalog", "cabello-18", "--node-cap", "0"],
-            ["derive", "--catalog", "cabello-18", "--form", "bogus"],
-            ["verify", "--catalog", "cabello-18", "--bogus"],
-            [],
+            (["verify", "--catalog", "cabello-18", "--node-cap", "abc"],
+             "argument --node-cap: must be a positive integer, not 'abc'"),
+            (["verify", "--catalog", "cabello-18", "--node-cap", "-5"],
+             "argument --node-cap: must be a positive integer, not '-5'"),
+            (["verify", "--catalog", "cabello-18", "--node-cap", "0"],
+             "argument --node-cap: must be a positive integer, not '0'"),
+            (["derive", "--catalog", "cabello-18", "--form", "bogus"],
+             _choice_error("--form", "bogus", ["projector", "dichotomic"])),
+            (["verify", "--catalog", "cabello-18", "--mode", "bogus"],
+             _choice_error("--mode", "bogus", prooffile.MODES)),
+            (["verify", "--catalog", "cabello-18", "--bogus"], "unrecognized arguments: --bogus"),
+            ([], "the following arguments are required: command"),
         ],
-        ids=["cap-abc", "cap-negative", "cap-zero", "form", "unknown-option", "no-command"],
+        ids=["cap-abc", "cap-negative", "cap-zero", "form", "mode", "unknown-option", "no-command"],
     )
-    def test_option_error(self, capsys, argv):
+    def test_option_error(self, capsys, argv, message):
         # argparse's own exit code, 2, would read as "not a KS proof"
-        code, out, err = run(capsys, *argv)
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: input: ")
+        assert run(capsys, *argv) == (3, "", f"error: input: {message}\n")
 
     def test_bound_takes_no_exact_bound(self, capsys):
         """bound always computes the exact bound; only derive and export,
@@ -648,61 +670,152 @@ class TestVerifyCommand:
         assert code == 3
         assert "error: input: line 2: " in err
 
-    @pytest.mark.parametrize("text,argv,message", [
-        ("dim 2\nrow 1 0\n", [], "line 2: row outside a matrix declaration"),
-        ("dim 2\nmatrix m\nrow 1 0\nray a 1 0\n", [], "line 4: matrix m has 1 rows, expected 2"),
-        ("dim 2\nmatrix m\nrow 1 0\n", [], "line 3: matrix m has 1 rows, expected 2"),
-        ("dim 2\nmatrix m\nrow 1 0\nrow 0 1\nrow 0 0\n", [],
+    @pytest.mark.parametrize("text,argv,commands,message", [
+        ("dim 2\nrow 1 0\n", [], EVERY, "line 2: row outside a matrix declaration"),
+        ("dim 2\nmatrix m\nrow 1 0\nray a 1 0\n", [], EVERY,
+         "line 4: matrix m has 1 rows, expected 2"),
+        ("dim 2\nmatrix m\nrow 1 0\n", [], EVERY, "line 3: matrix m has 1 rows, expected 2"),
+        ("dim 2\nmatrix m\nrow 1 0\nrow 0 1\nrow 0 0\n", [], EVERY,
          "line 5: matrix m has 3 rows, expected 2"),
-        ("dim 2\nray a\n", [], "line 2: ray takes a label and components"),
-        ("pauli a +X\ndim 2\n", [], "line 1: dim must come before observables"),
-        ("matrix m\ndim 2\n", [], "line 1: dim must come before observables"),
-        ("dim 2\nmatrix\n", [], "line 2: matrix takes a label"),
-        ("dim 2\nmatrix m spectrum\n", [],
+        ("dim 2\nray a\n", [], EVERY, "line 2: ray takes a label and components"),
+        ("pauli a +X\ndim 2\n", [], EVERY, "line 1: dim must come before observables"),
+        ("matrix m\ndim 2\n", [], EVERY, "line 1: dim must come before observables"),
+        ("dim 2\nmatrix\n", [], EVERY, "line 2: matrix takes a label"),
+        ("dim 2\nmatrix m spectrum\n", [], EVERY,
          "line 2: matrix syntax: matrix LABEL [spectrum a,b,...]"),
-        ("dim 2\nmatrix m spectrum -1,1 junk\nrow 1 0\nrow 0 -1\n", [],
+        ("dim 2\nmatrix m spectrum -1,1 junk\nrow 1 0\nrow 0 -1\n", [], EVERY,
          "line 2: matrix syntax: matrix LABEL [spectrum a,b,...]"),
-        ("dim 2\nray a 1 0\ncontext\n", [], "line 3: context takes observable labels"),
-        ("dim 2\nray a 1 0\npoly c=0 a\n", [], "line 3: c must be positive"),
-        ("dim 2\nray a 1 0\npoly c=-1 a - 1\n", [], "line 3: c must be positive"),
-        ("dim 2\nray a 1 0\npoly c=2.5 a - 1\n", [],
+        ("dim 2\nray a 1 0\ncontext\n", [], EVERY, "line 3: context takes observable labels"),
+        ("dim 2\nray a 1 0\npoly c=0 a\n", [], EVERY, "line 3: c must be positive"),
+        ("dim 2\nray a 1 0\npoly c=-1 a - 1\n", [], EVERY, "line 3: c must be positive"),
+        ("dim 2\nray a 1 0\npoly c=2.5 a - 1\n", [], EVERY,
          "line 3: c must be an integer or a fraction N/M, not '2.5'"),
-        ("dim 2\nray a 1 0\npoly c=+4 a - 1\n", [],
+        ("dim 2\nray a 1 0\npoly c=+4 a - 1\n", [], EVERY,
          "line 3: c must be an integer or a fraction N/M, not '+4'"),
-        ("dim 2\nray a 1 0\npoly c=4\n", [], "line 3: empty polynomial expression"),
-        ("mode auto\npoly a\n", [], "file does not declare dim"),
-        ("dim 2\nray a 1 0\npoly ()*a\n", [], "line 3: empty scalar"),
-        ("dim 3\nray a 1 0 0\nray b - 1 0\n", [], "line 3: bad scalar term '' in '-'"),
-        ("dim 2\nray a 1 0\npoly (1+)*a\n", [], "line 3: bad scalar term '' in '1+'"),
-        ("dim 2\nray a 1 0\npoly a -\n", [], "line 3: dangling sign in polynomial"),
-        ("dim 2\nray a 1 0\npoly a b\n", [], "line 3: unexpected token 'b' after term"),
-        ("dim 2\nray a 1 0\npoly ^a\n", [], "line 3: unexpected token '^' in polynomial"),
-        ("dim 2\nray a 1 0\npoly a $ b\n", [], "line 3: cannot tokenize polynomial near ' $ b'"),
-        ("dim 2\nray a 1 0\npoly\n", [], "line 3: empty polynomial expression"),
-        ("dim 2\nray a 1 0\npoly (1+i*a - 1\n", [], "line 3: unclosed parenthesis in polynomial"),
-        ("dim 4\npauli a +X\n", [], "line 2: observable a has dimension 2, set has 4"),
-        ("dim 3\nray a 1 0\n", [], "line 2: observable a has dimension 2, set has 3"),
-        ("dim 3\nray a 0 0\n", [], "line 2: ray a is the zero vector"),
-        ("dim 2\nmatrix m\nrow 0 1\nrow 0 0\n", [], "line 2: observable m is not Hermitian"),
-        ("dim 2\npauli a +X\npauli b +Z\npoly a*b - 1\n", [],
+        ("dim 2\nray a 1 0\npoly c=4\n", [], EVERY, "line 3: empty polynomial expression"),
+        ("mode auto\npoly a\n", [], EVERY, "file does not declare dim"),
+        ("dim 2\nray a 1 0\npoly ()*a\n", [], EVERY, "line 3: empty scalar"),
+        ("dim 3\nray a 1 0 0\nray b - 1 0\n", [], EVERY, "line 3: bad scalar term '' in '-'"),
+        ("dim 2\nray a 1 0\npoly (1+)*a\n", [], EVERY, "line 3: bad scalar term '' in '1+'"),
+        ("dim 2\nray a 1 0\npoly a -\n", [], EVERY, "line 3: dangling sign in polynomial"),
+        ("dim 2\nray a 1 0\npoly a b\n", [], EVERY, "line 3: unexpected token 'b' after term"),
+        ("dim 2\nray a 1 0\npoly ^a\n", [], EVERY,
+         "line 3: unexpected token '^' in polynomial"),
+        ("dim 2\nray a 1 0\npoly a $ b\n", [], EVERY,
+         "line 3: cannot tokenize polynomial near ' $ b'"),
+        ("dim 2\nray a 1 0\npoly\n", [], EVERY, "line 3: empty polynomial expression"),
+        ("dim 2\nray a 1 0\npoly (1+i*a - 1\n", [], EVERY,
+         "line 3: unclosed parenthesis in polynomial"),
+        ("dim 4\npauli a +X\n", [], EVERY, "line 2: observable a has dimension 2, set has 4"),
+        ("dim 3\nray a 1 0\n", [], EVERY, "line 2: observable a has dimension 2, set has 3"),
+        ("dim 3\nray a 0 0\n", [], EVERY, "line 2: ray a is the zero vector"),
+        ("dim 2\nmatrix m\nrow 0 1\nrow 0 0\n", [], EVERY,
+         "line 2: observable m is not Hermitian"),
+        ("dim 2\npauli a +X\npauli b +Z\npoly a*b - 1\n", [], EVERY,
          "line 4: observables a and b do not commute"),
-        ("dim 3\nray e1 1 0 0\nray e1 0 1 0\n", [], "line 3: duplicate observable label e1"),
-        ("dim 2\npauli a +X\npauli b +Z\n", ["--mode", "parity"],
+        ("dim 3\nray e1 1 0 0\nray e1 0 1 0\n", [], EVERY,
+         "line 3: duplicate observable label e1"),
+        ("dim 2\npauli a +X\npauli b +Z\n", ["--mode", "parity"], EVERY,
          "this mode requires declared contexts"),
-        ("dim 2\nray a 1 0\nray b 0 1\n", ["--mode", "general"],
+        ("dim 2\nray a 1 0\nray b 0 1\n", ["--mode", "general"], EVERY,
          "general mode requires user-supplied polynomials"),
-        ("dim 2\nmode parity\nray a 1 0\nray b 0 1\ncontext a b\n", [],
+        ("dim 2\nmode parity\nray a 1 0\nray b 0 1\ncontext a b\n", [], EVERY,
          "observable a is not {-1,1}-dichotomic"),
-        ("dim 4\npauli a XI\npauli b IX\ncontext a b\n", [],
+        ("dim 4\npauli a XI\npauli b IX\ncontext a b\n", [], EVERY,
          "context (a, b) product is not +-identity"),
-        ("dim 3\nray e1 1 0 0\nray e2 0 1 0\n", ["--mode", "bases-only"],
+        ("dim 3\nray e1 1 0 0\nray e2 0 1 0\n", ["--mode", "bases-only"], EVERY,
          "orthogonal pair (e1, e2) lies in no supplied basis"),
-        ("dim 2\nray a 1 0\npoly r2^2*a - 1\n", [], "line 3: unexpected token '^' after term"),
-        ("dim 3\ndim 2\nray a 1 0\nray b 0 1\n", [], "line 2: dim is declared twice"),
-        ("dim 2\nray a 1 0\ndim 3\nray b 0 1 0\n", [], "line 3: dim is declared twice"),
-        ("dim 2\nmode ray\nmode parity\nray a 1 0\n", [], "line 3: mode is declared twice"),
-        (MP_PARITY + "context a b c\n", [], "line 17: context a b c is declared twice"),
-        (MP_PARITY + "context c a b\n", [], "line 17: context c a b is declared twice"),
+        ("dim 2\nray a 1 0\npoly r2^2*a - 1\n", [], EVERY,
+         "line 3: unexpected token '^' after term"),
+        ("dim 3\ndim 2\nray a 1 0\nray b 0 1\n", [], EVERY, "line 2: dim is declared twice"),
+        ("dim 2\nray a 1 0\ndim 3\nray b 0 1 0\n", [], EVERY, "line 3: dim is declared twice"),
+        ("dim 2\nmode ray\nmode parity\nray a 1 0\n", [], EVERY, "line 3: mode is declared twice"),
+        (MP_PARITY + "context a b c\n", [], EVERY, "line 17: context a b c is declared twice"),
+        (MP_PARITY + "context c a b\n", [], EVERY, "line 17: context c a b is declared twice"),
+        # the source
+        (None, [], EVERY, "exactly one of --catalog and --input is required"),
+        (SINGLE_BASIS, ["--catalog", "cabello-18"], EVERY,
+         "exactly one of --catalog and --input is required"),
+        (None, ["--input", "missing.txt"], EVERY,
+         "[Errno 2] No such file or directory: 'missing.txt'"),
+        (None, ["--catalog", "nope"], EVERY,
+         "unknown catalog entry nope; have cabello-18, mermin-pentagram, mermin-peres, peres-33"),
+        (b"dim 2\nray a 1 0\xff\n", [], EVERY, "not UTF-8 text: invalid byte at offset 15"),
+        ("", [], EVERY, "file does not declare dim"),
+        ("dim 3\npoly 0\n", [], EVERY, "the file declares no observables"),
+        # tokens and declarations
+        ("dim " + "9" * 5000 + "\n", [], EVERY, "line 1: dim takes one positive integer"),
+        ("dim 2\nray a 1 0\nray b 0 1\npoly a^" + "9" * 5000 + " - a\n", [], EVERY,
+         "line 4: exponent must be a positive integer"),
+        (GENERAL_MP.replace("a*b*c - 1", "a*b*c - a^0"), [], EVERY,
+         "line 17: exponent must be a positive integer"),
+        ("dim 3\nmatrix m spectrum 0,1,2\nrow 0 0 0\nrow 0 1 0\nrow 0 0 2\npoly m^9999999999 - m\n",
+         [], EVERY,
+         f"line 6: x^9999999999 at 2 needs 19999999998 bits, over the limit {MAX_POWER_BITS}"),
+        ("dim 3\nray a 1/0 1 0\n", [], EVERY, "line 2: bad rational '1/0'"),
+        ("dim 3\nmatrix m spectrum x,1\n", [], EVERY, "line 2: bad rational 'x'"),
+        ("dim 4\npauli a +QQ\n", [], EVERY,
+         "line 2: pauli takes a label and a signed word over I, X, Y, Z"),
+        ("dim 2\nfoo 1\n", [], EVERY, "line 2: unknown directive 'foo'"),
+        ("dim 2\nray a 1 0\ncontext a z\n", [], EVERY, "line 3: unknown observable label z"),
+        ("dim 2\nray a 1 0\npoly a*z - 1\n", [], EVERY, "line 3: unknown observable label z"),
+        # observables and contexts
+        ("dim 3\nray a 0 0 0\n", [], EVERY, "line 2: ray a is the zero vector"),
+        ("dim 2\nray a 1 0\nray b 2 0\n", [], EVERY, "line 3: observable b duplicates a"),
+        ("dim 2\nmatrix m spectrum 0,2\nrow 1 0\nrow 0 0\n", [], EVERY,
+         "line 2: declared spectrum ['0', '2'] does not annihilate observable m"),
+        ("dim 2\nmatrix m spectrum 1,1\nrow 1 0\nrow 0 1\n", [], EVERY,
+         "line 2: spectrum values must be pairwise distinct"),
+        ("dim 2\npauli a X\npauli b Z\ncontext a b\n", [], EVERY,
+         "line 4: observables a and b do not commute"),
+        ("dim 2\npauli a +Z\ncontext a a\n", [], EVERY, "line 3: context ids must be distinct"),
+        # labels: a word of the polynomial grammar, so that a record reads back
+        ("dim 2\nray 1 1 0\n", [], EVERY,
+         "line 2: label '1' must be a letter or _ followed by letters, digits or _"),
+        ("dim 2\nray a-1 1 0\n", [], EVERY,
+         "line 2: label 'a-1' must be a letter or _ followed by letters, digits or _"),
+        ("dim 2\npauli 2x +Z\n", [], EVERY,
+         "line 2: label '2x' must be a letter or _ followed by letters, digits or _"),
+        ("dim 2\nmatrix m.1\nrow 1 0\nrow 0 0\n", [], EVERY,
+         "line 2: label 'm.1' must be a letter or _ followed by letters, digits or _"),
+        # a line that is malformed apart from its label keeps that message
+        ("dim 2\nray 1\n", [], EVERY, "line 2: ray takes a label and components"),
+        ("dim 2\nray 1 x 0\n", [], EVERY, "line 2: bad scalar term 'x' in 'x'"),
+        ("dim 2\npauli 1\n", [], EVERY,
+         "line 2: pauli takes a label and a signed word over I, X, Y, Z"),
+        ("dim 2\nmatrix 1 spectrum\n", [], EVERY,
+         "line 2: matrix syntax: matrix LABEL [spectrum a,b,...]"),
+        # the mode
+        ("dim 2\nmatrix m spectrum 0,2\nrow 0 0\nrow 0 2\n", [], EVERY,
+         "cannot infer mode: supply contexts for parity proofs, rays for ray proofs, "
+         "or explicit polynomials for general proofs"),
+        (None, ["--catalog", "cabello-18", "--mode", "parity"], EVERY,
+         "this mode requires declared contexts"),
+        (None, ["--catalog", "cabello-18", "--mode", "general"], EVERY,
+         "general mode requires user-supplied polynomials"),
+        (None, ["--catalog", "mermin-peres", "--mode", "ray"], EVERY,
+         "orthogonality graph requires a pure ray set"),
+        (None, ["--catalog", "mermin-peres", "--mode", "bases-only"], EVERY,
+         "orthogonality graph requires a pure ray set"),
+        (None, ["--catalog", "cabello-18", "--mode", "bases-only"], EVERY,
+         "orthogonal pair (r1, r15) lies in no supplied basis"),
+        # the form: verify presents none
+        (None, ["--catalog", "mermin-peres", "--form", "projector"], PRESENTING,
+         "projector form requires a ray observable set"),
+        (GENERAL_MP, ["--form", "projector"], PRESENTING,
+         "projector form requires a ray observable set"),
+        ("dim 2\nray a 1 0\nmatrix m spectrum 0,2\nrow 0 0\nrow 0 2\npoly m*a\n", [],
+         PRESENTING, "dichotomic substitution requires projector variables"),
+        # user-supplied members: Condition 1, and the c_i that
+        # UserSet.with_constants computes and names by member
+        ("dim 2\nmode general\nray a 1 0\nray b 0 1\npoly 2*a - 1\n", [], EVERY,
+         "polynomial 0 does not vanish as an operator"),
+        (GENERAL_MP.replace("poly c=4 d*e*f - 1", "poly c=3 d*e*f - 1"), [], EVERY,
+         "polynomial 1 declares c=3, but its normalization constant is 4"),
+        (GENERAL_MP.replace("poly c=4 a*b*c - 1", "poly (1+r2)*a*b*c - 1 - r2"), [], EVERY,
+         "polynomial 0: squared modulus is irrational; cannot normalize"),
+        (GENERAL_MP + "poly a*a - 1\n", [], EVERY,
+         "polynomial 6: polynomial vanishes at every spectral assignment"),
     ], ids=["row-outside-matrix", "too-few-rows", "too-few-rows-at-end", "too-many-rows-at-end",
             "ray-no-components", "pauli-before-dim", "matrix-before-dim", "matrix-no-label",
             "matrix-bad-spectrum", "matrix-trailing-token", "context-no-labels", "poly-c-zero",
@@ -713,13 +826,35 @@ class TestVerifyCommand:
             "matrix-not-hermitian", "poly-noncommuting", "duplicate-label", "parity-no-contexts",
             "general-no-poly", "not-dichotomic", "not-scalar-multiple", "edge-outside-bases",
             "scalar-power", "dim-twice", "dim-twice-after-observable", "mode-twice",
-            "context-twice", "context-twice-reordered"])
-    def test_input_error_message(self, capsys, tmp_path, text, argv, message):
-        path = tmp_path / "bad.txt"
-        path.write_text(text)
-        for command in ("verify", "derive"):
-            code, out, err = run(capsys, command, "--input", str(path), *argv)
-            assert (code, out, err) == (3, "", f"error: input: {message}\n"), command
+            "context-twice", "context-twice-reordered",
+            "no-source", "both-sources", "missing-file", "unknown-catalog", "non-utf8",
+            "empty-file", "no-observables",
+            "overlong-dim", "overlong-exponent", "zero-exponent", "power-limit",
+            "bad-rational", "bad-spectrum-value", "bad-pauli-word", "unknown-directive",
+            "unknown-label-in-context", "unknown-label-in-poly",
+            "ray-zero", "duplicate-ray", "spectrum-not-annihilating", "spectrum-repeated",
+            "context-noncommuting", "context-repeated-label",
+            "ray-label-digit", "ray-label-dash", "pauli-label-digit", "matrix-label-dot",
+            "ray-bad-label-no-components", "ray-bad-label-bad-scalar",
+            "pauli-bad-label-no-word", "matrix-bad-label-bad-syntax",
+            "cannot-infer-mode", "catalog-parity-no-contexts", "catalog-general-no-poly",
+            "catalog-ray-mode-of-paulis", "catalog-bases-only-of-paulis",
+            "catalog-edge-outside-bases",
+            "projector-form-of-paulis", "projector-form-of-general",
+            "dichotomic-substitution",
+            "condition-1", "normalization-mismatch", "irrational-member", "zero-member"])
+    def test_input_error_message(self, capsys, tmp_path, monkeypatch, text, argv, commands,
+                                 message):
+        """Every message a command prints on exit 3, with each command
+        that prints it: a message that moves fails here."""
+        monkeypatch.chdir(tmp_path)
+        source = []
+        if text is not None:
+            Path("bad.txt").write_bytes(text if isinstance(text, bytes) else text.encode())
+            source = ["--input", "bad.txt"]
+        for command in commands:
+            result = run(capsys, command, *source, *argv)
+            assert result == (3, "", f"error: input: {message}\n"), command
 
 
 _FUZZ_RAYS = {

@@ -2,11 +2,13 @@
 function and class a module defines is named somewhere else, every private
 one is named elsewhere in its own module, every dataclass field is read
 somewhere, no function calls itself, none only hands its parameters on
-to another, and only the complete-set kinds test which kind a set is.
+to another, only the complete-set kinds test which kind a set is, and
+every exception class is told apart from its base.
 
 __init__.py is exempt: its imports are the package's re-exports."""
 
 import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -247,3 +249,51 @@ def test_no_pass_through_function(path):
     """A function that only hands its parameters on to another adds a name
     and no behaviour: call the other directly."""
     assert pass_throughs(path.read_text(encoding="utf-8")) == []
+
+
+def undistinguished_exceptions(sources: list) -> list:
+    """The exception classes defined in sources that no except clause of
+    sources names and that define no method of their own: a type that
+    nothing tells apart from its base, so its base would do."""
+    trees = [ast.parse(s) for s in sources]
+    classes = {node.name: node for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    builtin = {name for name, v in vars(builtins).items()
+               if isinstance(v, type) and issubclass(v, BaseException)}
+    errors = set()
+    while True:  # a class deriving from an exception class is one
+        more = {name for name, node in classes.items()
+                if {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases}
+                & (builtin | errors)} - errors
+        if not more:
+            break
+        errors |= more
+    caught = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.type)}
+    return sorted(name for name in errors if name not in caught and not any(
+        isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef)) for s in classes[name].body))
+
+
+def test_detects_undistinguished_exception():
+    errors = ("class BaseErr(Exception):\n    pass\n\n\n"
+              "class Caught(BaseErr):\n    pass\n\n\n"
+              "class Lined(BaseErr):\n    def __init__(self, m):\n        super().__init__(m)\n\n\n"
+              "class Plain(BaseErr):\n    \"\"\"Doc.\"\"\"\n\n\n"
+              "class AlsoValue(BaseErr, ValueError):\n    pass\n\n\n"
+              "class Viaattr(errors.Caught):\n    pass\n\n\n"
+              "class NotAnError:\n    pass\n")
+    uses = ("try:\n    f()\nexcept (errors.Caught, KeyError):\n    pass\n"
+            "except BaseErr as ex:\n    raise Plain(str(ex))\n")
+    assert undistinguished_exceptions([errors, uses]) == ["AlsoValue", "Plain", "Viaattr"]
+
+
+def test_every_exception_class_is_told_apart():
+    """An exception class is caught by type somewhere in the package, or
+    does work of its own (ParseError adds the line); any other is its base
+    under a second name."""
+    package = Path(kscert.__file__).parent
+    sources = [p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))]
+    assert undistinguished_exceptions(sources) == []
