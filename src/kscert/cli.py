@@ -24,7 +24,7 @@ from .derive import (
     present,
     witness_str,
 )
-from .errors import KSCertError, NotKSProofError, ParseError, SearchBudgetExceeded
+from .errors import KSCertError, NotKSProofError, SearchBudgetExceeded
 from .poly import render
 from .prooffile import MODES, parse_file, proof_file_from_set, render_input_section, render_record
 
@@ -41,7 +41,7 @@ _Loaded = namedtuple("_Loaded", "oset mode user_polys proof_file source")
 
 def _load(args) -> _Loaded:
     if bool(args.catalog) == bool(args.input):
-        raise ParseError("exactly one of --catalog and --input is required")
+        raise KSCertError("exactly one of --catalog and --input is required")
     if args.catalog:  # an entry reads as a file that declares mode auto
         pf, oset, user_polys, declared = None, catalog_mod.get(args.catalog).load(), [], "auto"
     else:
@@ -68,7 +68,7 @@ def _auto_mode(oset, user_polys) -> str:
         return "ray"
     if oset.all_dichotomic and oset.declared_contexts:
         return "parity"
-    raise ParseError(
+    raise KSCertError(
         "cannot infer mode: supply contexts for parity proofs, rays for "
         "ray proofs, or explicit polynomials for general proofs"
     )
@@ -82,11 +82,11 @@ def _build_complete_set(loaded):
         return build(oset, graph, enumerate_bases(graph))
     if mode == "parity":
         if not oset.declared_contexts:
-            raise ParseError("this mode requires declared contexts")
+            raise KSCertError("this mode requires declared contexts")
         return build_complete_set_parity(oset, oset.declared_contexts)
     # general, the last of MODES: _load has resolved auto
     if not loaded.user_polys:
-        raise ParseError("general mode requires user-supplied polynomials")
+        raise KSCertError("general mode requires user-supplied polynomials")
     return build_complete_set_general(oset, loaded.user_polys)
 
 
@@ -182,7 +182,7 @@ class _Parser(argparse.ArgumentParser):
     """Option errors exit 3, as argparse's own 2 means "not a KS proof"."""
 
     def error(self, message):
-        raise ParseError(message)
+        raise KSCertError(message)
 
 
 def _node_cap(text: str) -> int:

@@ -39,14 +39,15 @@ from .model import Observable, ObservableSet
 
 
 def validate_context(oset: ObservableSet, ids: Iterable[int]) -> tuple:
-    """The sorted context of ids: they are distinct, in range and pairwise
-    commuting; raises KSCertError on the first bad pair."""
+    """The sorted context of ids: they are in range, distinct and pairwise
+    commuting; raises KSCertError on the first bad id or pair."""
     ids = sorted(ids)
-    if len(set(ids)) != len(ids):
-        raise KSCertError("context ids must be distinct")
     for i in ids:
         if not 0 <= i < len(oset):
             raise KSCertError(f"observable id {i} out of range")
+    for i, j in zip(ids, ids[1:]):  # sorted, so a repeated id is next to itself
+        if i == j:
+            raise KSCertError(f"context repeats observable {oset.labels[i]}")
     for a_pos, i in enumerate(ids):
         for j in ids[a_pos + 1 :]:
             if not _commute(oset[i], oset[j]):

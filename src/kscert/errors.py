@@ -1,8 +1,8 @@
 """The error types, one per exit code of the command line: KSCertError is
 an input error (exit 3) and the base of the others, NotKSProofError says
 the input is not a KS proof (exit 2), and SearchBudgetExceeded that a
-search ran out of nodes (exit 4).  ParseError is an input error at a line
-of the file."""
+search ran out of nodes (exit 4).  An input error in a proof file names
+its line."""
 
 
 class KSCertError(Exception):
@@ -15,10 +15,3 @@ class SearchBudgetExceeded(KSCertError):
 
 class NotKSProofError(KSCertError):
     """Raised by pipeline stages that require a verified proof as input."""
-
-
-class ParseError(KSCertError):
-    def __init__(self, message, line=None):
-        loc = f"line {line}: " if line is not None else ""
-        super().__init__(loc + message)
-        self.line = line

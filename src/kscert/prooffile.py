@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .compat import validate_context
-from .errors import KSCertError, ParseError
+from .errors import KSCertError
 from .exact import _FR0, ExactMatrix, Scalar
 from .model import ObservableSet, make_observable, pauli_observable
 from .poly import Poly, make_context_polynomial, render
@@ -50,35 +50,34 @@ _SCALAR_TERM = re.compile(r"^(\d+(?:/\d+)?)?(r2)?(i)?$")
 _WORD = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
-def _rational(text: str, line: Optional[int]) -> Fraction:
+def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational {text!r}", line) from None
+        raise KSCertError(f"bad rational {text!r}") from None
 
 
-def _positive_int(text: str, line: Optional[int], message: str) -> int:
-    """A positive decimal integer; ParseError(message) otherwise, also when
+def _positive_int(text: str, message: str) -> int:
+    """A positive decimal integer; KSCertError(message) otherwise, also when
     int() refuses the digits (more than sys.get_int_max_str_digits())."""
     try:
         value = int(text) if text.isdigit() else 0
     except ValueError:
         value = 0
     if value < 1:
-        raise ParseError(message, line)
+        raise KSCertError(message)
     return value
 
 
-def parse_scalar(token: str, line: Optional[int] = None) -> Scalar:
+def parse_scalar(token: str) -> Scalar:
     """Parse an exact scalar token like `-3/2`, `i`, `r2`, `1+i`, `2r2i`;
-    ParseError, with the line number, on a bad one.  parse reads each
-    distinct ray or row token once per call and shares the immutable
-    Scalar."""
+    KSCertError on a bad one.  parse reads each distinct ray or row token
+    once per call and shares the immutable Scalar."""
     s = token.strip()
     if s.startswith("(") and s.endswith(")"):
         s = s[1:-1].strip()
     if not s:
-        raise ParseError("empty scalar", line)
+        raise KSCertError("empty scalar")
     # split into signed terms, which cover s, so a sign with no term after
     # it is an empty term; a term adds to the component its tags name
     parts = [_FR0] * 4  # a + b sqrt2 + (c + d sqrt2) i
@@ -86,8 +85,8 @@ def parse_scalar(token: str, line: Optional[int] = None) -> Scalar:
         t = term.lstrip("+-")
         m = _SCALAR_TERM.match(t)
         if not m or not any(m.groups()):
-            raise ParseError(f"bad scalar term {t!r} in {token!r}", line)
-        q = _rational(m.group(1), line) if m.group(1) else Fraction(1)
+            raise KSCertError(f"bad scalar term {t!r} in {token!r}")
+        q = _rational(m.group(1)) if m.group(1) else Fraction(1)
         k = bool(m.group(2)) + 2 * bool(m.group(3))
         parts[k] += -q if term[0] == "-" else q
     return Scalar._make(*parts)
@@ -128,13 +127,12 @@ class ProofFile:
 
     def load(self) -> tuple:
         """The file's observable set, with its declared contexts, and its
-        polynomials as members over it.  The error of a declaration is a
-        ParseError at its line: observables are read first, then contexts,
-        then polynomials."""
+        polynomials as members over it.  The error of a declaration names its
+        line: observables are read first, then contexts, then polynomials."""
         # a file with no observables has nothing to prove, and a constant
         # member would be evaluated as a dim x dim matrix
         if not self.observables:
-            raise ParseError("the file declares no observables")
+            raise KSCertError("the file declares no observables")
         oset = ObservableSet(dim=self.dim)
         polys = []
         try:
@@ -165,7 +163,7 @@ class ProofFile:
                 validate_context(oset, p.variables())
                 polys.append(make_context_polynomial(p, oset, c=d.c))
         except KSCertError as ex:  # the error of declaration d, at its line
-            raise ParseError(str(ex), d.line) from None
+            raise KSCertError(f"line {d.line}: {ex}") from None
         return oset, polys
 
 
@@ -174,23 +172,23 @@ class ProofFile:
 _TOKEN = re.compile(rf"\s*(\(|\)|\*|\^|\+|-|{_WORD.pattern}|\d+(?:/\d+)?(?:r2)?i?)")
 
 
-def _tokenize_expr(s: str, line):
+def _tokenize_expr(s: str):
     pos = 0
     out = []
     while pos < len(s):
         m = _TOKEN.match(s, pos)
         if not m:
-            raise ParseError(f"cannot tokenize polynomial near {s[pos:pos+12]!r}", line)
+            raise KSCertError(f"cannot tokenize polynomial near {s[pos:pos+12]!r}")
         out.append(m.group(1))
         pos = m.end()
     return out
 
 
-def parse_poly_expr(s: str, line: Optional[int] = None) -> list:
+def parse_poly_expr(s: str) -> list:
     """Parse `2*a*b^2 - (1+i)*c + 1` into [(Scalar, [(label, exp), ...]), ...].
     Every word is a factor, i, r2 and r2i too: ProofFile.load reads such a
     word as that scalar unless an observable has it as label."""
-    toks = _tokenize_expr(s, line)
+    toks = _tokenize_expr(s)
     terms = []
     idx = 0
 
@@ -204,7 +202,7 @@ def parse_poly_expr(s: str, line: Optional[int] = None) -> list:
                 sign = -sign
             idx += 1
         if peek() is None:
-            raise ParseError("dangling sign in polynomial", line)
+            raise KSCertError("dangling sign in polynomial")
         coef = Scalar(sign)
         factors = []
         while True:
@@ -212,9 +210,9 @@ def parse_poly_expr(s: str, line: Optional[int] = None) -> list:
             if tok == "(":
                 # parenthesized exact scalar
                 if ")" not in toks[idx:]:
-                    raise ParseError("unclosed parenthesis in polynomial", line)
+                    raise KSCertError("unclosed parenthesis in polynomial")
                 depth_end = toks.index(")", idx)
-                coef = coef * parse_scalar("".join(toks[idx + 1 : depth_end]), line)
+                coef = coef * parse_scalar("".join(toks[idx + 1 : depth_end]))
                 idx = depth_end + 1
             elif tok is not None and _WORD.match(tok):
                 label = tok
@@ -222,46 +220,44 @@ def parse_poly_expr(s: str, line: Optional[int] = None) -> list:
                 exp = 1
                 if peek() == "^":
                     idx += 1
-                    exp = _positive_int(peek() or "", line, "exponent must be a positive integer")
+                    exp = _positive_int(peek() or "", "exponent must be a positive integer")
                     idx += 1
                 factors.append((label, exp))
             elif tok is not None and _SCALAR_TERM.match(tok):
-                coef = coef * parse_scalar(tok, line)
+                coef = coef * parse_scalar(tok)
                 idx += 1
             elif tok is None:
-                raise ParseError("unexpected end of polynomial", line)
+                raise KSCertError("unexpected end of polynomial")
             else:
-                raise ParseError(f"unexpected token {tok!r} in polynomial", line)
+                raise KSCertError(f"unexpected token {tok!r} in polynomial")
             if peek() == "*":
                 idx += 1
                 continue
             break
         terms.append((coef, factors))
         if peek() not in (None, "+", "-"):
-            raise ParseError(f"unexpected token {peek()!r} after term", line)
+            raise KSCertError(f"unexpected token {peek()!r} after term")
     if not terms:
-        raise ParseError("empty polynomial expression", line)
+        raise KSCertError("empty polynomial expression")
     return terms
 
 
 # -- file parsing -------------------------------------------------------------
 
 
-def _check_rows(matrix: ObsDecl, dim: int, line: int) -> None:
-    """ParseError at line, where the matrix declaration ended, unless it has
-    dim rows."""
+def _check_rows(matrix: ObsDecl, dim: int) -> None:
+    """KSCertError unless the matrix has dim rows; parse calls it where the
+    declaration ends."""
     if len(matrix.rows) != dim:
-        raise ParseError(
-            f"matrix {matrix.label} has {len(matrix.rows)} rows, expected {dim}", line
-        )
+        raise KSCertError(f"matrix {matrix.label} has {len(matrix.rows)} rows, expected {dim}")
 
 
-def _label(token: str, lineno: int) -> str:
+def _label(token: str) -> str:
     """token, if it is a word of the polynomial grammar, so that the
     records written with it read back."""
     if not _WORD.fullmatch(token):
-        raise ParseError(f"label {token!r} must be a letter or _ followed by "
-                         "letters, digits or _", lineno)
+        raise KSCertError(f"label {token!r} must be a letter or _ followed by "
+                          "letters, digits or _")
     return token
 
 
@@ -274,98 +270,97 @@ def parse(text: str) -> ProofFile:
     pending_matrix: Optional[ObsDecl] = None
     scalars = {}  # token -> Scalar, for the tokens parsed without error
 
-    def scalar(token: str, lineno: int) -> Scalar:
+    def scalar(token: str) -> Scalar:
         s = scalars.get(token)
         if s is None:
-            s = scalars[token] = parse_scalar(token, lineno)
+            s = scalars[token] = parse_scalar(token)
         return s
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line == DERIVED_MARKER:
-            break
-        parts = line.split()
-        head = parts[0]
-        if pending_matrix is not None and head != "row":
-            _check_rows(pending_matrix, dim, lineno)
-            pending_matrix = None
-        if head in ("ray", "pauli", "matrix"):
-            if dim is None:
-                raise ParseError("dim must come before observables", lineno)
-        if (head == "dim" and dim is not None) or (head == "mode" and mode is not None):
-            raise ParseError(f"{head} is declared twice", lineno)
-        if head == "dim":
-            dim = _positive_int(
-                parts[1] if len(parts) == 2 else "", lineno, "dim takes one positive integer"
-            )
-        elif head == "mode":
-            if len(parts) != 2 or parts[1] not in MODES:
-                raise ParseError("mode must be " + " | ".join(MODES), lineno)
-            mode = parts[1]
-        elif head == "ray":
-            if len(parts) < 3:
-                raise ParseError("ray takes a label and components", lineno)
-            vec = tuple(scalar(t, lineno) for t in parts[2:])
-            observables.append(ObsDecl(kind="ray", label=_label(parts[1], lineno),
-                                       vector=vec, line=lineno))
-        elif head == "pauli":
-            if len(parts) != 3 or not re.match(r"^[+-]?[IXYZ]+$", parts[2]):
-                raise ParseError(
-                    "pauli takes a label and a signed word over I, X, Y, Z", lineno
-                )
-            observables.append(ObsDecl(kind="pauli", label=_label(parts[1], lineno),
-                                       pauli=parts[2], line=lineno))
-        elif head == "matrix":
-            if len(parts) < 2:
-                raise ParseError("matrix takes a label", lineno)
-            spectrum = None
-            if len(parts) == 4 and parts[2] == "spectrum":
-                spectrum = tuple(_rational(x, lineno) for x in parts[3].split(","))
-            elif len(parts) != 2:
-                raise ParseError("matrix syntax: matrix LABEL [spectrum a,b,...]", lineno)
-            pending_matrix = ObsDecl(kind="matrix", label=_label(parts[1], lineno),
-                                     rows=[], spectrum=spectrum, line=lineno)
-            observables.append(pending_matrix)
-        elif head == "row":
-            if pending_matrix is None:
-                raise ParseError("row outside a matrix declaration", lineno)
-            row = [scalar(t, lineno) for t in parts[1:]]
-            if len(row) != dim:
-                raise ParseError(f"row has {len(row)} entries, expected {dim}", lineno)
-            pending_matrix.rows.append(row)
-        elif head == "context":
-            if len(parts) < 2:
-                raise ParseError("context takes observable labels", lineno)
-            members = tuple(sorted(parts[1:]))
-            if members in declared:  # the same set of labels, in any order
-                raise ParseError(f"context {' '.join(parts[1:])} is declared twice", lineno)
-            declared.add(members)
-            contexts.append(ContextDecl(parts[1:], lineno))
-        elif head == "poly":
-            rest = line[len("poly") :].strip()
-            c = None
-            if rest.startswith("c="):  # a first word c=... declares c
-                text, rest = re.match(r"c=(\S*)\s*(.*)", rest).groups()
-                if not re.fullmatch(r"-?\d+(?:/\d+)?", text):
-                    raise ParseError(
-                        f"c must be an integer or a fraction N/M, not {text!r}", lineno)
-                c = _rational(text, lineno)
-                if c <= 0:
-                    raise ParseError("c must be positive", lineno)
-            terms = parse_poly_expr(rest, lineno)
-            polynomials.append(PolyDecl(c=c, terms=terms, source=rest, line=lineno))
-        else:
-            raise ParseError(f"unknown directive {head!r}", lineno)
-    if pending_matrix is not None:  # the file ends at its last row or the derived marker
-        _check_rows(pending_matrix, dim, lineno)
+    lineno = 0  # the last line read that is not blank or a comment
+    try:
+        for n, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            lineno = n
+            if line == DERIVED_MARKER:
+                break
+            parts = line.split()
+            head = parts[0]
+            if pending_matrix is not None and head != "row":
+                _check_rows(pending_matrix, dim)
+                pending_matrix = None
+            if head in ("ray", "pauli", "matrix") and dim is None:
+                raise KSCertError("dim must come before observables")
+            if (head == "dim" and dim is not None) or (head == "mode" and mode is not None):
+                raise KSCertError(f"{head} is declared twice")
+            if head == "dim":
+                dim = _positive_int(line[len("dim") :].strip(), "dim takes one positive integer")
+            elif head == "mode":
+                if len(parts) != 2 or parts[1] not in MODES:
+                    raise KSCertError("mode must be " + " | ".join(MODES))
+                mode = parts[1]
+            elif head == "ray":
+                if len(parts) < 3:
+                    raise KSCertError("ray takes a label and components")
+                vec = tuple(scalar(t) for t in parts[2:])
+                observables.append(ObsDecl(kind="ray", label=_label(parts[1]), vector=vec,
+                                           line=lineno))
+            elif head == "pauli":
+                if len(parts) != 3 or not re.match(r"^[+-]?[IXYZ]+$", parts[2]):
+                    raise KSCertError("pauli takes a label and a signed word over I, X, Y, Z")
+                observables.append(ObsDecl(kind="pauli", label=_label(parts[1]), pauli=parts[2],
+                                           line=lineno))
+            elif head == "matrix":
+                if len(parts) < 2:
+                    raise KSCertError("matrix takes a label")
+                spectrum = None
+                if len(parts) == 4 and parts[2] == "spectrum":
+                    spectrum = tuple(_rational(x) for x in parts[3].split(","))
+                elif len(parts) != 2:
+                    raise KSCertError("matrix syntax: matrix LABEL [spectrum a,b,...]")
+                pending_matrix = ObsDecl(kind="matrix", label=_label(parts[1]), rows=[],
+                                         spectrum=spectrum, line=lineno)
+                observables.append(pending_matrix)
+            elif head == "row":
+                if pending_matrix is None:
+                    raise KSCertError("row outside a matrix declaration")
+                row = [scalar(t) for t in parts[1:]]
+                if len(row) != dim:
+                    raise KSCertError(f"row has {len(row)} entries, expected {dim}")
+                pending_matrix.rows.append(row)
+            elif head == "context":
+                if len(parts) < 2:
+                    raise KSCertError("context takes observable labels")
+                members = tuple(sorted(parts[1:]))
+                if members in declared:  # the same set of labels, in any order
+                    raise KSCertError(f"context {' '.join(parts[1:])} is declared twice")
+                declared.add(members)
+                contexts.append(ContextDecl(parts[1:], lineno))
+            elif head == "poly":
+                rest = line[len("poly") :].strip()
+                c = None
+                if rest.startswith("c="):  # a first word c=... declares c
+                    text, rest = re.match(r"c=(\S*)\s*(.*)", rest).groups()
+                    if not re.fullmatch(r"-?\d+(?:/\d+)?", text):
+                        raise KSCertError(f"c must be an integer or a fraction N/M, not {text!r}")
+                    c = _rational(text)
+                    if c <= 0:
+                        raise KSCertError("c must be positive")
+                terms = parse_poly_expr(rest)
+                polynomials.append(PolyDecl(c=c, terms=terms, source=rest, line=lineno))
+            else:
+                raise KSCertError(f"unknown directive {head!r}")
+        if pending_matrix is not None:  # the file ends at its last row or the derived marker
+            _check_rows(pending_matrix, dim)
+    except KSCertError as ex:  # the error of the line read last
+        raise KSCertError(f"line {lineno}: {ex}") from None
     if dim is None:
-        raise ParseError("file does not declare dim")
+        raise KSCertError("file does not declare dim")
     seen = set()
     for d in observables:
         if d.label in seen:
-            raise ParseError(f"duplicate observable label {d.label}", d.line)
+            raise KSCertError(f"line {d.line}: duplicate observable label {d.label}")
         seen.add(d.label)
     return ProofFile(
         dim=dim,
@@ -377,7 +372,7 @@ def parse(text: str) -> ProofFile:
 
 
 def parse_file(path: str) -> ProofFile:
-    """parse the file's text; a file that is not UTF-8 raises ParseError
+    """parse the file's text; a file that is not UTF-8 raises KSCertError
     naming the offset of its first invalid byte.  parse splits lines at
     \r\n and \r as well as \n, so the bytes are decoded as they are."""
     with open(path, "rb") as fh:
@@ -385,7 +380,7 @@ def parse_file(path: str) -> ProofFile:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as ex:
-        raise ParseError(f"not UTF-8 text: invalid byte at offset {ex.start}") from None
+        raise KSCertError(f"not UTF-8 text: invalid byte at offset {ex.start}") from None
     return parse(text)
 
 

@@ -7,6 +7,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -28,7 +29,7 @@ from kscert.derive import (
     build_complete_set_rays,
     present,
 )
-from kscert.errors import ParseError
+from kscert.errors import KSCertError
 from kscert.exact import Scalar
 from kscert.poly import MAX_POWER_BITS, eval_assignment
 from kscert.prooffile import (
@@ -47,6 +48,11 @@ from conftest import (
     stabilizer_ray_set,
     two_bases_set,
 )
+
+
+def _exactly(message):
+    """A pytest.raises pattern that matches message and nothing else."""
+    return f"^{re.escape(message)}$"
 
 
 class TestParseScalar:
@@ -82,12 +88,12 @@ class TestParseScalar:
             assert parse_scalar(str(x)) == x
 
     def test_bad_token(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(KSCertError, match=_exactly("bad scalar term 'sqrt3' in 'sqrt3'")):
             parse_scalar("sqrt3")
 
     @pytest.mark.parametrize("token", ["-", "+", "(-)", "1+", "1-", "1++2", "i-", "+-1"])
     def test_sign_with_no_term(self, token):
-        with pytest.raises(ParseError, match="bad scalar term ''"):
+        with pytest.raises(KSCertError, match=_exactly(f"bad scalar term '' in {token!r}")):
             parse_scalar(token)
 
 
@@ -101,10 +107,9 @@ class TestParsePolyExpr:
         ]
 
     def test_bad_exponent(self):
-        with pytest.raises(ParseError):
-            parse_poly_expr("a^b")
-        with pytest.raises(ParseError):
-            parse_poly_expr("a^0")
+        for text in ("a^b", "a^0"):
+            with pytest.raises(KSCertError, match=_exactly("exponent must be a positive integer")):
+                parse_poly_expr(text)
 
 
 SINGLE_BASIS = """\
@@ -153,33 +158,33 @@ poly c=4 c*f*k + 1
 
 class TestParseErrors:
     def test_missing_dim(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(KSCertError, match=_exactly("line 1: dim must come before observables")):
             parse("ray e1 1 0 0\n")
 
     def test_line_number_in_error(self):
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(KSCertError, match=_exactly("line 2: bad scalar term 'q' in 'q'")):
             parse("dim 3\nray e1 1 0 q\n")
-        assert exc.value.line == 2
 
     def test_unknown_directive(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(KSCertError, match=_exactly("line 2: unknown directive 'vector'")):
             parse("dim 3\nvector e1 1 0 0\n")
 
     def test_row_length(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(KSCertError, match=_exactly("line 3: row has 3 entries, expected 2")):
             parse("dim 2\nmatrix m\nrow 1 0 0\n")
 
     def test_missing_rows(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(KSCertError, match=_exactly("line 3: matrix m has 1 rows, expected 2")):
             parse("dim 2\nmatrix m\nrow 1 0\n")
 
     def test_duplicate_labels(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(KSCertError, match=_exactly("line 3: duplicate observable label e1")):
             parse("dim 3\nray e1 1 0 0\nray e1 0 1 0\n")
 
     def test_ray_dimension_mismatch(self):
         pf = parse("dim 4\nray e1 1 0 0\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(KSCertError,
+                           match=_exactly("line 2: observable e1 has dimension 3, set has 4")):
             pf.load()
 
     def test_derived_section_ignored(self):
@@ -191,9 +196,9 @@ class TestScalarTokensParsedOnce:
     def _count(self, monkeypatch):
         tokens = Counter()
 
-        def counted(token, line=None, original=prooffile.parse_scalar):
+        def counted(token, original=prooffile.parse_scalar):
             tokens[token] += 1
-            return original(token, line)
+            return original(token)
 
         monkeypatch.setattr(prooffile, "parse_scalar", counted)
         return tokens
@@ -222,9 +227,8 @@ class TestScalarTokensParsedOnce:
 
     def test_bad_token_keeps_its_line_number(self):
         # only tokens that parse are kept; a bad one raises where it occurs
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(KSCertError, match=_exactly("line 4: bad scalar term 'q' in 'q'")):
             parse("dim 2\nray a 1 0\nray b 0 1\nray c 1 q\nray d q 1\n")
-        assert exc.value.line == 4
 
 
 class TestRayLoadMakesNoProduct:
@@ -310,9 +314,8 @@ class TestBlankAndCommentLines:
         assert outputs[1] == outputs[0]
 
     def test_error_keeps_its_physical_line(self, capsys, tmp_path):
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(KSCertError, match=_exactly("line 12: bad scalar term 'q' in 'q'")):
             parse(_padded("dim 3\nray e1 1 0 0\nray e2 1 q 0\n"))
-        assert exc.value.line == 12
         path = tmp_path / "bad.txt"
         path.write_text(_padded("dim 3\nray e1 1 0 0\nray e2 2 0 0\n"))
         assert run(capsys, "verify", "--input", str(path)) == \
@@ -677,6 +680,12 @@ class TestVerifyCommand:
         ("dim 2\nmatrix m\nrow 1 0\n", [], EVERY, "line 3: matrix m has 1 rows, expected 2"),
         ("dim 2\nmatrix m\nrow 1 0\nrow 0 1\nrow 0 0\n", [], EVERY,
          "line 5: matrix m has 3 rows, expected 2"),
+        # a matrix the file ends short of rows: the last line that is not
+        # blank or a comment, which is the derived marker where there is one
+        ("dim 2\nmatrix m\nrow 1 0\n\n# trailing\n\n", [], EVERY,
+         "line 3: matrix m has 1 rows, expected 2"),
+        ("dim 2\nmatrix m\nrow 1 0\n=== derived ===\n", [], EVERY,
+         "line 4: matrix m has 1 rows, expected 2"),
         ("dim 2\nray a\n", [], EVERY, "line 2: ray takes a label and components"),
         ("pauli a +X\ndim 2\n", [], EVERY, "line 1: dim must come before observables"),
         ("matrix m\ndim 2\n", [], EVERY, "line 1: dim must come before observables"),
@@ -768,7 +777,7 @@ class TestVerifyCommand:
          "line 2: spectrum values must be pairwise distinct"),
         ("dim 2\npauli a X\npauli b Z\ncontext a b\n", [], EVERY,
          "line 4: observables a and b do not commute"),
-        ("dim 2\npauli a +Z\ncontext a a\n", [], EVERY, "line 3: context ids must be distinct"),
+        ("dim 2\npauli a +Z\ncontext a a\n", [], EVERY, "line 3: context repeats observable a"),
         # labels: a word of the polynomial grammar, so that a record reads back
         ("dim 2\nray 1 1 0\n", [], EVERY,
          "line 2: label '1' must be a letter or _ followed by letters, digits or _"),
@@ -817,6 +826,7 @@ class TestVerifyCommand:
         (GENERAL_MP + "poly a*a - 1\n", [], EVERY,
          "polynomial 6: polynomial vanishes at every spectral assignment"),
     ], ids=["row-outside-matrix", "too-few-rows", "too-few-rows-at-end", "too-many-rows-at-end",
+            "too-few-rows-before-blank-lines", "too-few-rows-at-derived-marker",
             "ray-no-components", "pauli-before-dim", "matrix-before-dim", "matrix-no-label",
             "matrix-bad-spectrum", "matrix-trailing-token", "context-no-labels", "poly-c-zero",
             "poly-c-negative", "poly-c-decimal", "poly-c-plus-sign", "poly-c-no-expression",
