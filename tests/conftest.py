@@ -6,13 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from kscert import (
-    ObservableSet,
-    build_orthogonality_graph,
-    enumerate_bases,
-)
 from kscert import catalog
+from kscert.compat import build_orthogonality_graph, enumerate_bases
 from kscert.exact import ExactMatrix, commutes, mat_mul, pauli_matrix
+from kscert.model import ObservableSet
 
 
 @pytest.fixture(scope="session")

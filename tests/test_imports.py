@@ -5,7 +5,8 @@ somewhere, no function calls itself, none only hands its parameters on
 to another, only the complete-set kinds test which kind a set is, and
 every exception class is told apart from its base.
 
-__init__.py is exempt: its imports are the package's re-exports."""
+__init__.py has a rule of its own: every name it binds is imported
+through the package somewhere, so each re-export it keeps has a user."""
 
 import ast
 import builtins
@@ -45,7 +46,8 @@ def test_no_unused_imports(path):
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
-CORPUS.append(ROOT / "README.md")
+README = ROOT / "README.md"
+CORPUS.append(README)
 
 
 def definitions(source: str) -> list:
@@ -192,6 +194,47 @@ def test_detects_pass_through():
               "def more(a):\n    a = g(a)\n    return f(a)\n\n\n"
               "class C:\n    def m(self, a):\n        return f(self, a)\n")
     assert pass_throughs(source) == ["decide"]
+
+
+def unimported_bindings(init: str, sources: list) -> list:
+    """The names that the package source init binds at module level which
+    no text of sources imports through the package, as `from kscert import
+    X` or `kscert.X`: a second import path that nothing takes."""
+    bound = []
+    for node in ast.parse(init).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    used = set()
+    for node in (n for s in sources for n in ast.walk(ast.parse(s))):
+        if isinstance(node, ast.ImportFrom) and node.module == "kscert" and not node.level:
+            used |= {a.name for a in node.names}
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "kscert"):
+            used.add(node.attr)
+    return sorted(set(bound) - used)
+
+
+def test_detects_unimported_binding():
+    init = ("from .exact import Scalar, kron\nfrom .model import Ray as R\n"
+            "from . import catalog, errors\n__version__ = '0.1'\n\n\ndef helper():\n    pass\n")
+    uses = ["from kscert import Scalar\nimport kscert\nx = kscert.catalog\n",
+            "from kscert.model import Ray\nfrom kscert import errors as e\n"
+            "from . import helper\ns = 'from kscert import kron'\n"]
+    assert unimported_bindings(init, uses) == ["R", "__version__", "helper", "kron"]
+
+
+def test_package_binds_only_names_imported_through_it():
+    """kscert/__init__.py keeps a re-export only where some file of the
+    repository, or the README's python, imports the name through it."""
+    sources = [p.read_text(encoding="utf-8") for p in CORPUS if p.suffix == ".py"]
+    sources += re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    init = Path(kscert.__file__).read_text(encoding="utf-8")
+    assert unimported_bindings(init, sources) == []
 
 
 KINDS = ("RaySet", "ParitySet", "UserSet")
