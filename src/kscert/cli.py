@@ -26,7 +26,8 @@ from .derive import (
 )
 from .errors import KSCertError, NotKSProofError, SearchBudgetExceeded
 from .poly import render
-from .prooffile import MODES, parse_file, proof_file_from_set, render_input_section, render_record
+from .prooffile import (MODES, _positive_int, parse_file, proof_file_from_set,
+                        render_input_section, render_record)
 
 EXIT_OK = 0
 EXIT_NOT_PROOF = 2
@@ -186,9 +187,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _node_cap(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
-    return int(text)
+    try:
+        return _positive_int(text, "")
+    except KSCertError:  # an ArgumentTypeError's message follows the option's name
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}") from None
 
 
 @functools.lru_cache(maxsize=None)

@@ -43,7 +43,13 @@ DERIVED_MARKER = "=== derived ==="
 
 MODES = ("ray", "bases-only", "parity", "general", "auto")
 
-_SCALAR_TERM = re.compile(r"^(\d+(?:/\d+)?)?(r2)?(i)?$")
+# the number grammar of every site, in a file and on the command line: ASCII
+# digits and an optional denominator, with a leading - where a sign is not a
+# token of its own.  int(), Fraction() and \d would also read other scripts'
+# digits, and Fraction() decimals, exponents and underscores.
+_NUMBER = r"[0-9]+(?:/[0-9]+)?"
+
+_SCALAR_TERM = re.compile(rf"^({_NUMBER})?(r2)?(i)?$")
 
 # a word of the polynomial grammar; an observable's label must be one, so
 # that a record's F reads back: `1` or `a-1` would read as numbers and signs
@@ -52,16 +58,18 @@ _WORD = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 def _rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        if re.fullmatch(f"-?{_NUMBER}", text):
+            return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise KSCertError(f"bad rational {text!r}") from None
+        pass
+    raise KSCertError(f"bad rational {text!r}")
 
 
 def _positive_int(text: str, message: str) -> int:
-    """A positive decimal integer; KSCertError(message) otherwise, also when
-    int() refuses the digits (more than sys.get_int_max_str_digits())."""
+    """A positive integer in ASCII digits; KSCertError(message) otherwise, also
+    when int() refuses the digits (more than sys.get_int_max_str_digits())."""
     try:
-        value = int(text) if text.isdigit() else 0
+        value = int(text) if re.fullmatch("[0-9]+", text) else 0
     except ValueError:
         value = 0
     if value < 1:
@@ -169,7 +177,7 @@ class ProofFile:
 
 # -- polynomial expression parsing -------------------------------------------
 
-_TOKEN = re.compile(rf"\s*(\(|\)|\*|\^|\+|-|{_WORD.pattern}|\d+(?:/\d+)?(?:r2)?i?)")
+_TOKEN = re.compile(rf"\s*(\(|\)|\*|\^|\+|-|{_WORD.pattern}|{_NUMBER}(?:r2)?i?)")
 
 
 def _tokenize_expr(s: str):
@@ -342,7 +350,7 @@ def parse(text: str) -> ProofFile:
                 c = None
                 if rest.startswith("c="):  # a first word c=... declares c
                     text, rest = re.match(r"c=(\S*)\s*(.*)", rest).groups()
-                    if not re.fullmatch(r"-?\d+(?:/\d+)?", text):
+                    if not re.fullmatch(f"-?{_NUMBER}", text):
                         raise KSCertError(f"c must be an integer or a fraction N/M, not {text!r}")
                     c = _rational(text)
                     if c <= 0:

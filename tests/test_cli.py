@@ -536,6 +536,11 @@ class TestVerifyCommand:
              "argument --node-cap: must be a positive integer, not '-5'"),
             (["verify", "--catalog", "cabello-18", "--node-cap", "0"],
              "argument --node-cap: must be a positive integer, not '0'"),
+            (["verify", "--catalog", "cabello-18", "--node-cap", "\u0663"],
+             "argument --node-cap: must be a positive integer, not '\u0663'"),
+            # more digits than int() reads
+            (["verify", "--catalog", "cabello-18", "--node-cap", "9" * 5000],
+             f"argument --node-cap: must be a positive integer, not '{'9' * 5000}'"),
             (["derive", "--catalog", "cabello-18", "--form", "bogus"],
              _choice_error("--form", "bogus", ["projector", "dichotomic"])),
             (["verify", "--catalog", "cabello-18", "--mode", "bogus"],
@@ -543,7 +548,7 @@ class TestVerifyCommand:
             (["verify", "--catalog", "cabello-18", "--bogus"], "unrecognized arguments: --bogus"),
             ([], "the following arguments are required: command"),
         ],
-        ids=["cap-abc", "cap-negative", "cap-zero", "form", "mode", "unknown-option", "no-command"],
+        ids=["cap-abc", "cap-negative", "cap-zero", "cap-arabic-indic-digit", "cap-overlong", "form", "mode", "unknown-option", "no-command"],
     )
     def test_option_error(self, capsys, argv, message):
         # argparse's own exit code, 2, would read as "not a KS proof"
@@ -763,6 +768,26 @@ class TestVerifyCommand:
          f"line 6: x^9999999999 at 2 needs 19999999998 bits, over the limit {MAX_POWER_BITS}"),
         ("dim 3\nray a 1/0 1 0\n", [], EVERY, "line 2: bad rational '1/0'"),
         ("dim 3\nmatrix m spectrum x,1\n", [], EVERY, "line 2: bad rational 'x'"),
+        # numbers: ASCII digits, an optional sign and denominator, at every site
+        (MP_PARITY.replace("dim 4", "dim \u0664"), [], EVERY,
+         "line 1: dim takes one positive integer"),
+        ("dim 2\nray a 1 0\nray b 0 1\npoly a^\u0663 - a\n", [], EVERY,
+         "line 4: cannot tokenize polynomial near '\u0663 - a'"),
+        ("dim 3\nray a \u0663 0 0\n", [], EVERY, "line 2: bad scalar term '\u0663' in '\u0663'"),
+        ("dim 2\nray a 1 0\npoly c=\u0663 a - 1\n", [], EVERY,
+         "line 3: c must be an integer or a fraction N/M, not '\u0663'"),
+        ("dim 2\nmatrix m spectrum 0.0,1e0\nrow 1 0\nrow 0 0\n", [], EVERY,
+         "line 2: bad rational '0.0'"),
+        ("dim 2\nmatrix m spectrum 0,1e0\nrow 1 0\nrow 0 0\n", [], EVERY,
+         "line 2: bad rational '1e0'"),
+        ("dim 2\nmatrix m spectrum 1_0,0\nrow 10 0\nrow 0 0\n", [], EVERY,
+         "line 2: bad rational '1_0'"),
+        ("dim 2\nmatrix m spectrum 0,1.\nrow 1 0\nrow 0 0\n", [], EVERY,
+         "line 2: bad rational '1.'"),
+        ("dim 2\nmatrix m spectrum \u0660,\u0661\nrow 1 0\nrow 0 0\n", [], EVERY,
+         "line 2: bad rational '\u0660'"),
+        ("dim 2\nmatrix m spectrum 0,+1\nrow 1 0\nrow 0 0\n", [], EVERY,
+         "line 2: bad rational '+1'"),
         ("dim 4\npauli a +QQ\n", [], EVERY,
          "line 2: pauli takes a label and a signed word over I, X, Y, Z"),
         ("dim 2\nfoo 1\n", [], EVERY, "line 2: unknown directive 'foo'"),
@@ -840,7 +865,11 @@ class TestVerifyCommand:
             "no-source", "both-sources", "missing-file", "unknown-catalog", "non-utf8",
             "empty-file", "no-observables",
             "overlong-dim", "overlong-exponent", "zero-exponent", "power-limit",
-            "bad-rational", "bad-spectrum-value", "bad-pauli-word", "unknown-directive",
+            "bad-rational", "bad-spectrum-value",
+            "dim-arabic-indic-digit", "exponent-arabic-indic-digit", "ray-arabic-indic-digit",
+            "poly-c-arabic-indic-digit", "spectrum-decimal", "spectrum-exponent",
+            "spectrum-underscore", "spectrum-trailing-point", "spectrum-arabic-indic-digits",
+            "spectrum-plus-sign", "bad-pauli-word", "unknown-directive",
             "unknown-label-in-context", "unknown-label-in-poly",
             "ray-zero", "duplicate-ray", "spectrum-not-annihilating", "spectrum-repeated",
             "context-noncommuting", "context-repeated-label",
