@@ -206,7 +206,7 @@ def unimported_bindings(init: str, sources: list) -> list:
             bound += [a.asname or a.name.split(".")[0] for a in node.names]
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             bound.append(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             bound += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
     used = set()
