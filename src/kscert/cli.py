@@ -188,9 +188,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _node_cap(text: str) -> int:
     try:
-        return _positive_int(text, "")
-    except KSCertError:  # an ArgumentTypeError's message follows the option's name
-        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}") from None
+        return _positive_int(text, f"must be a positive integer, not {text!r}")
+    except KSCertError as ex:  # argparse puts the option's name before this type's message
+        raise argparse.ArgumentTypeError(str(ex)) from None
 
 
 @functools.lru_cache(maxsize=None)
