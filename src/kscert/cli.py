@@ -35,7 +35,7 @@ EXIT_INPUT = 3
 EXIT_BUDGET = 4
 
 
-# proof_file is None for a catalog entry: _proof_file builds it from the
+# proof_file is None for a catalog entry: _write_record builds it from the
 # set, only where a record is rendered
 _Loaded = namedtuple("_Loaded", "oset mode user_polys proof_file source")
 
@@ -54,12 +54,6 @@ def _load(args) -> _Loaded:
     if pf is not None:
         pf.mode = mode
     return _Loaded(oset, mode, user_polys, pf, args.catalog or args.input)
-
-
-def _proof_file(loaded):
-    if loaded.proof_file is not None:
-        return loaded.proof_file
-    return proof_file_from_set(loaded.oset, loaded.mode)
 
 
 def _auto_mode(oset, user_polys) -> str:
@@ -132,7 +126,8 @@ def _print_inequality(loaded, ineq, presented):
 
 def _write_record(loaded, ineq, presented, path):
     """The derivation record, written to path, or to stdout without one."""
-    record = render_record(_proof_file(loaded), ineq, presented)
+    pf = loaded.proof_file or proof_file_from_set(loaded.oset, loaded.mode)
+    record = render_record(pf, ineq, presented)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(record)

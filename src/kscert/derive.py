@@ -31,7 +31,7 @@ from .assign import (
 )
 from .compat import OrthogonalityGraph
 from .errors import KSCertError, NotKSProofError
-from .exact import _FR0, ONE, MINUS_ONE, ZERO, Scalar, inner, integral
+from .exact import _FR0, ONE, MINUS_ONE, ZERO, Scalar, integral
 from .model import ObservableSet
 from .poly import (
     ContextPolynomial,
@@ -462,12 +462,3 @@ def present(ineq: Inequality, form: str) -> PresentedInequality:
         labels=labels,
         witness=witness,
     )
-
-
-def expectation(p: Poly, oset: ObservableSet, state: Sequence) -> Scalar:
-    """Exact <psi| p(A) |psi> / <psi|psi> for an unnormalized state vector."""
-    psi = tuple(Scalar.of(x) for x in state)
-    if all(x.is_zero for x in psi):
-        raise KSCertError("state vector is zero")
-    m = eval_operator(p, oset)
-    return inner(psi, m.apply(psi)) / inner(psi, psi)

@@ -25,8 +25,6 @@ def _frac(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -372,12 +370,6 @@ def commutes(a: ExactMatrix, b: ExactMatrix) -> bool:
     return mat_mul(a, b) == mat_mul(b, a)
 
 
-def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Tensor product; result dimension a.dim * b.dim: entry (i m + k, j m + l)
-    is a[i][j] * b[k][l], for m = b.dim."""
-    return ExactMatrix([[x * y for x in r for y in s] for r in a.entries for s in b.entries])
-
-
 def projector_from_vector(v: Sequence[Scalar]) -> ExactMatrix:
     """Rank-1 projector v v^dagger / (v^dagger v) from an unnormalized vector."""
     v = tuple(Scalar.of(x) for x in v)
@@ -397,15 +389,6 @@ def scalar_multiple_of_identity(m: ExactMatrix):
     return s if m == ExactMatrix.identity(m.dim).scale(s) else None
 
 
-# 2x2 Pauli matrices, the building blocks for tensor-product observables.
-PAULI = {
-    "I": ExactMatrix.identity(2),
-    "X": ExactMatrix([[ZERO, ONE], [ONE, ZERO]]),
-    "Y": ExactMatrix([[ZERO, -I_UNIT], [I_UNIT, ZERO]]),
-    "Z": ExactMatrix([[ONE, ZERO], [ZERO, MINUS_ONE]]),
-}
-
-
 # i^k for k in Z_4: the phases of products of Pauli words.
 PHASES = (ONE, I_UNIT, MINUS_ONE, -I_UNIT)
 
@@ -415,7 +398,7 @@ def pauli_masks(word: str, sign: int = 1) -> tuple:
     i^k X^x Z^z, e.g. "XY" -> X (x) Y.  As Y = iXZ, X and Y set x bits, Y
     and Z set z bits, the first letter is the highest bit, and k counts the
     Y's, a sign -1 adding 2."""
-    if not word or any(ch not in PAULI for ch in word):
+    if not word or any(ch not in "IXYZ" for ch in word):
         raise ValueError(f"bad Pauli word: {word!r}")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -426,14 +409,9 @@ def pauli_masks(word: str, sign: int = 1) -> tuple:
     return len(word), (word.count("Y") + 1 - sign) % 4, x, z
 
 
-def pauli_matrix(word: str, sign: int = 1) -> ExactMatrix:
-    """Tensor product of single-qubit Paulis, e.g. "XY" -> X (x) Y, times sign."""
-    return mask_matrix(*pauli_masks(word, sign))
-
-
 def mask_matrix(n: int, k: int, x: int, z: int) -> ExactMatrix:
     """The matrix of i^k X^x Z^z on n qubits, written directly rather than
-    by folding kron: it has one nonzero entry per row r, in column
+    as a tensor product: it has one nonzero entry per row r, in column
     c = r ^ x, equal to i^k * (-1)^popcount(c & z)."""
     even = PHASES[k]
     odd = -even

@@ -51,6 +51,12 @@ _NUMBER = r"[0-9]+(?:/[0-9]+)?"
 
 _SCALAR_TERM = re.compile(rf"^({_NUMBER})?(r2)?(i)?$")
 
+# the separator rule: only space and tab separate tokens, and only \n, \r\n
+# and \r end a line.  These are the other characters that str.split,
+# str.strip, str.splitlines or \s take as whitespace; a file holds none, in a
+# comment neither, so that parse may split with them.
+_OTHER_SPACE = re.compile(r"[\x0b\x0c\x1c-\x1f\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
+
 # a word of the polynomial grammar; an observable's label must be one, so
 # that a record's F reads back: `1` or `a-1` would read as numbers and signs
 _WORD = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -286,6 +292,9 @@ def parse(text: str) -> ProofFile:
 
     lineno = 0  # the last line read that is not blank or a comment
     try:
+        if other := _OTHER_SPACE.search(text):  # its line: the last of those up to it
+            lineno = len(text[: other.end()].splitlines())
+            raise KSCertError(f"whitespace U+{ord(other[0]):04X} is not a space or a tab")
         for n, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -361,7 +370,7 @@ def parse(text: str) -> ProofFile:
                 raise KSCertError(f"unknown directive {head!r}")
         if pending_matrix is not None:  # the file ends at its last row or the derived marker
             _check_rows(pending_matrix, dim)
-    except KSCertError as ex:  # the error of the line read last
+    except KSCertError as ex:  # the error of the line read last, or of other's line
         raise KSCertError(f"line {lineno}: {ex}") from None
     if dim is None:
         raise KSCertError("file does not declare dim")

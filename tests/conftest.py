@@ -8,8 +8,10 @@ import pytest
 
 from kscert import catalog
 from kscert.compat import build_orthogonality_graph, enumerate_bases
-from kscert.exact import ExactMatrix, commutes, mat_mul, pauli_matrix
+from kscert.exact import ExactMatrix, commutes, mat_mul
 from kscert.model import ObservableSet
+
+from oracles import pauli_matrix
 
 
 @pytest.fixture(scope="session")

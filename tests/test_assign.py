@@ -32,7 +32,7 @@ from kscert.assign import (
 from kscert.compat import OrthogonalityGraph, build_orthogonality_graph, enumerate_bases
 from kscert.derive import build_complete_set_parity, build_complete_set_rays
 from kscert.errors import KSCertError, SearchBudgetExceeded
-from kscert.exact import PAULI, ExactMatrix, Scalar, kron
+from kscert.exact import ExactMatrix, Scalar
 from kscert.model import (
     ObservableSet,
     make_observable,
@@ -51,6 +51,7 @@ from kscert.poly import (
 from kscert.prooffile import parse
 
 from conftest import single_basis_set, two_bases_set
+from oracles import PAULI, kron
 from test_cli import PARITY_INPUTS, _parity_set, _violated
 from test_derive import GENERAL_MP_VARIANTS
 

@@ -191,6 +191,14 @@ class TestParseErrors:
         pf = parse(SINGLE_BASIS + "=== derived ===\nnot even a directive\n")
         assert len(pf.observables) == 3
 
+    def test_separator_rule_names_all_other_whitespace(self):
+        """parse refuses every character that str.split, str.strip (both
+        str.isspace) or str.splitlines takes as whitespace, but space, tab,
+        \\n and \\r, so that only those separate tokens and end lines."""
+        chars = "".join(map(chr, range(0x110000)))
+        other = {c for c in chars if c.isspace() or len(f"a{c}b".splitlines()) > 1}
+        assert set(prooffile._OTHER_SPACE.findall(chars)) == other - set(" \t\n\r")
+
 
 class TestScalarTokensParsedOnce:
     def _count(self, monkeypatch):
@@ -470,17 +478,18 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("cap,code", [(126, 4), (127, 0)])
     def test_ray_search_node_cap(self, capsys, tmp_path, cap, code):
-        """The ray search on KP-40 takes exactly 127 nodes."""
+        """The ray search on KP-40 takes exactly 127 nodes; one fewer stops it
+        with the budget message and nothing on stdout."""
         path = tmp_path / "kp-40.txt"
         path.write_text(_eigenray_file("kp-40"))
-        assert run(capsys, "verify", "--input", str(path), "--node-cap", str(cap))[0] == code
+        result = run(capsys, "verify", "--input", str(path), "--node-cap", str(cap))
+        assert result[0] == code
+        if code == 4:
+            assert result[1:] == ("", f"error: budget-exceeded: node cap {cap} exceeded\n")
 
     def test_budget_exceeded(self, capsys):
-        code, _, err = run(
-            capsys, "verify", "--catalog", "cabello-18", "--node-cap", "2"
-        )
-        assert code == 4
-        assert "budget-exceeded" in err
+        assert run(capsys, "verify", "--catalog", "cabello-18", "--node-cap", "2") == \
+            (4, "", "error: budget-exceeded: node cap 2 exceeded\n")
 
     def test_missing_source(self, capsys):
         code, _, err = run(capsys, "verify")
@@ -793,6 +802,23 @@ class TestVerifyCommand:
         ("dim 2\nfoo 1\n", [], EVERY, "line 2: unknown directive 'foo'"),
         ("dim 2\nray a 1 0\ncontext a z\n", [], EVERY, "line 3: unknown observable label z"),
         ("dim 2\nray a 1 0\npoly a*z - 1\n", [], EVERY, "line 3: unknown observable label z"),
+        # separators: space and tab between tokens, \n, \r\n or \r after a line,
+        # and no other whitespace anywhere, in a comment neither
+        ("dim\u00a02\nray a 1 0\n", [], EVERY, "line 1: whitespace U+00A0 is not a space or a tab"),
+        ("dim 2\nray a 1\u30000\nray b 0 1\npoly a*b\n", [], EVERY,
+         "line 2: whitespace U+3000 is not a space or a tab"),
+        ("dim 2\nray a 1\x0b0\nray b 0 q\n", [], EVERY,
+         "line 2: whitespace U+000B is not a space or a tab"),
+        ("dim 2\nray a 1\x0c0\nray b 0 q\n", [], EVERY,
+         "line 2: whitespace U+000C is not a space or a tab"),
+        ("dim 2\nray a 1\x850\nray b 0 q\n", [], EVERY,
+         "line 2: whitespace U+0085 is not a space or a tab"),
+        ("dim 2\nray a 1\u20280\nray b 0 q\n", [], EVERY,
+         "line 2: whitespace U+2028 is not a space or a tab"),
+        ("dim 2\n# note\x0cray z 1 q\n", [], EVERY,
+         "line 2: whitespace U+000C is not a space or a tab"),
+        ("dim 2\r\nray a 1 0\rray b 0\u00a01\r\n", [], EVERY,
+         "line 3: whitespace U+00A0 is not a space or a tab"),
         # observables and contexts
         ("dim 3\nray a 0 0 0\n", [], EVERY, "line 2: ray a is the zero vector"),
         ("dim 2\nray a 1 0\nray b 2 0\n", [], EVERY, "line 3: observable b duplicates a"),
@@ -871,6 +897,9 @@ class TestVerifyCommand:
             "spectrum-underscore", "spectrum-trailing-point", "spectrum-arabic-indic-digits",
             "spectrum-plus-sign", "bad-pauli-word", "unknown-directive",
             "unknown-label-in-context", "unknown-label-in-poly",
+            "no-break-space", "ideographic-space", "vertical-tab-in-line", "form-feed-in-line",
+            "next-line-in-line", "line-separator-in-line", "form-feed-in-comment",
+            "no-break-space-after-crlf-and-cr",
             "ray-zero", "duplicate-ray", "spectrum-not-annihilating", "spectrum-repeated",
             "context-noncommuting", "context-repeated-label",
             "ray-label-digit", "ray-label-dash", "pauli-label-digit", "matrix-label-dot",
@@ -1329,8 +1358,7 @@ class TestPauliWords:
     verify, derive and bound build no Pauli matrix and multiply none, and
     export builds each observable's matrix once, for its matrix rows."""
 
-    COUNTED = (exact.pauli_matrix, exact.mask_matrix, exact.kron, exact.mat_mul,
-               exact.ExactMatrix.__hash__)
+    COUNTED = (exact.mask_matrix, exact.mat_mul, exact.ExactMatrix.__hash__)
 
     def counted_run(self, capsys, *argv):
         names = {f.__code__: f.__name__ for f in self.COUNTED}
@@ -1361,7 +1389,7 @@ class TestPauliWords:
     def test_export_builds_each_matrix_once(self, capsys, name):
         calls = self.counted_run(capsys, "export", "--catalog", name)
         assert calls["mask_matrix"] == len(catalog.get(name).load())
-        assert calls["pauli_matrix"] == calls["kron"] == calls["mat_mul"] == calls["__hash__"] == 0
+        assert calls["mat_mul"] == calls["__hash__"] == 0
 
 
 class TestIndexBuildsNoMatrix:

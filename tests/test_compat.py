@@ -22,11 +22,11 @@ from kscert.compat import (
 )
 from kscert import catalog
 from kscert.errors import KSCertError
-from kscert.exact import Scalar, commutes, inner, mask_matrix, mat_mul, pauli_masks, pauli_matrix
+from kscert.exact import Scalar, commutes, inner, mask_matrix, mat_mul, pauli_masks
 from kscert.model import ObservableSet, make_observable, pauli_observable
-from kscert.exact import PAULI
 
 from conftest import eigenray_set, single_basis_set, stabilizer_ray_set
+from oracles import PAULI, pauli_matrix
 from test_acceptance import _random_ray_set
 from test_cli import run
 from test_model import ray_vector_lists

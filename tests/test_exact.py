@@ -9,19 +9,19 @@ from hypothesis import strategies as st
 
 from kscert.errors import KSCertError
 from kscert.exact import (
-    PAULI,
     SQRT2,
     ExactMatrix,
     Scalar,
     commutes,
     inner,
-    kron,
     mat_mul,
-    pauli_matrix,
+    pauli_masks,
     projector_from_vector,
     scalar_multiple_of_identity,
     _frac,
 )
+
+from oracles import PAULI, kron, pauli_matrix
 
 small_fracs = st.builds(
     Fraction, st.integers(-9, 9), st.integers(1, 9)
@@ -32,9 +32,15 @@ gaussian_rationals = st.builds(lambda a, c: Scalar(a, 0, c, 0), small_fracs, sma
 
 class TestScalar:
     def test_frac_reads_exact_rationals_only(self):
-        assert _frac("1/2") == Fraction(1, 2)
+        assert _frac(Fraction(1, 2)) == Fraction(1, 2)
+        assert _frac(3) == Fraction(3)
         with pytest.raises(TypeError, match="not an exact rational: 0.5"):
             _frac(0.5)
+        # text is read by the proof-file grammar alone; Fraction() would also
+        # take '0.5', '1e3', '1_0', ' 1 ' and other scripts' digits
+        for text in ("1/2", "\u0663", "0.5", "1e3", "1_0", " 1 "):
+            with pytest.raises(TypeError, match="not an exact rational"):
+                _frac(text)
 
     @given(scalars, scalars, scalars)
     def test_field_axioms(self, x, y, z):
@@ -252,8 +258,10 @@ class TestMatrix:
     def test_pauli_word(self):
         assert pauli_matrix("XY") == kron(PAULI["X"], PAULI["Y"])
         assert pauli_matrix("Z", -1) == -PAULI["Z"]
-        with pytest.raises(ValueError):
-            pauli_matrix("XQ")
+        with pytest.raises(ValueError, match="^bad Pauli word: 'XQ'$"):
+            pauli_masks("XQ")
+        with pytest.raises(ValueError, match="^bad Pauli word: ''$"):
+            pauli_masks("")
 
     def test_inner_product(self):
         v = (Scalar(1), Scalar(0, 0, 1, 0))  # (1, i)
@@ -284,5 +292,5 @@ class TestPauliMatrix:
         assert pauli_matrix(word, sign) == m
 
     def test_bad_sign(self):
-        with pytest.raises(ValueError):
-            pauli_matrix("X", 2)
+        with pytest.raises(ValueError, match=r"^sign must be \+1 or -1$"):
+            pauli_masks("X", 2)

@@ -1,5 +1,6 @@
 """Every name a kscert module imports is used there, every public
-function and class a module defines is named somewhere else, every private
+function and class a module defines has a caller outside its definition
+(the package's code, bench/ or the README; a test is none), every private
 one is named elsewhere in its own module, every dataclass field is read
 somewhere, no function calls itself, none only hands its parameters on
 to another, only the complete-set kinds test which kind a set is, and
@@ -60,22 +61,61 @@ def definitions(source: str) -> list:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
 
 
-def unreferenced(source: str, others: list) -> list:
-    """The module-level public functions and classes of source that neither
-    the rest of source nor any text of others names."""
-    return [name for name, word, rest in definitions(source)
-            if not name.startswith("_") and not any(word.search(t) for t in rest + others)]
+def code_names(tree: ast.AST, outside: ast.AST = None) -> set:
+    """The names that the code of tree uses, as names, attributes and
+    imports, leaving out the node outside: a docstring or a comment names
+    nothing."""
+    skip = {id(n) for n in ast.walk(outside)} if outside is not None else set()
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def unreferenced(source: str, others: dict) -> list:
+    """The module-level public functions and classes of source, a module of
+    src/kscert, that nothing calls.  others maps the path of each other
+    file, from the repository root, to its text.  A caller is the package's
+    code outside the definition itself, a file under bench/, which patches
+    functions by their names as strings, or README.md, which names the
+    library's documented entry points.  A test is no caller, under bench/
+    too."""
+    tree = ast.parse(source)
+    package = set().union(*(code_names(ast.parse(text)) for path, text in others.items()
+                             if path.startswith("src/")))
+    named = [text for path, text in others.items()
+             if path.startswith("bench/") and "/test_" not in path or path == "README.md"]
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and node.name not in package | code_names(tree, node)
+            and not any(re.search(rf"\b{node.name}\b", text) for text in named)]
 
 
 def test_detects_unreferenced():
     source = ("def used():\n    return 1\n\n\ndef helper():\n    return helper\n\n\n"
-              "class Kept:\n    pass\n\n\ndef _private():\n    pass\n\n\nx = Kept\n")
-    assert unreferenced(source, ["used()"]) == ["helper"]
+              "class Kept:\n    pass\n\n\ndef _private():\n    pass\n\n\nx = Kept\n\n\n"
+              "def patched():\n    pass\n\n\ndef documented():\n    pass\n\n\n"
+              "def in_docstring():\n    \"\"\"Not tested().\"\"\"\n\n\ndef tested():\n    pass\n")
+    others = {"src/kscert/other.py": '"""See in_docstring()."""\nfrom .m import used\n# tested()\n',
+              "tests/test_m.py": "from kscert.m import tested\n\n\ndef test_it():\n    tested()\n",
+              "bench/spans.py": 'SPANNED = [("m", "patched")]\n',
+              "bench/test_bench.py": "from kscert.m import tested\n",
+              "README.md": "`kscert.m.documented()` is an entry point.\n"}
+    assert unreferenced(source, others) == ["helper", "in_docstring", "tested"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_public_definitions_referenced(path):
-    others = [p.read_text(encoding="utf-8") for p in CORPUS if p.resolve() != path.resolve()]
+    others = {p.relative_to(ROOT).as_posix(): p.read_text(encoding="utf-8")
+              for p in CORPUS if p.resolve() != path.resolve()}
     assert len(others) == len(CORPUS) - 1  # path is in the corpus
     assert unreferenced(path.read_text(encoding="utf-8"), others) == []
 

@@ -11,16 +11,7 @@ from hypothesis import strategies as st
 
 from kscert.errors import KSCertError
 from kscert import catalog, exact, model
-from kscert.exact import (
-    ExactMatrix,
-    PAULI,
-    Scalar,
-    kron,
-    mat_mul,
-    pauli_matrix,
-    primitive_integral,
-    projector_from_vector,
-)
+from kscert.exact import ExactMatrix, Scalar, mat_mul, primitive_integral, projector_from_vector
 from kscert.model import (
     ObservableSet,
     _annihilates,
@@ -32,6 +23,8 @@ from kscert.model import (
 )
 from kscert.catalog import CABELLO_18_VECTORS
 from kscert.prooffile import parse_scalar
+
+from oracles import PAULI, kron, pauli_matrix
 
 
 class TestMakeObservable:
