@@ -38,8 +38,7 @@ certificates.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from math import floor, lcm
 from operator import itemgetter
@@ -58,20 +57,25 @@ KS_PROOF = "KSProof"
 NOT_KS_PROOF = "NotKSProof"
 
 
-@dataclass
 class SearchStats:
-    nodes: int = 0
-    propagations: int = 0
+    """A search's counts, which its engine raises as it goes."""
+
+    def __init__(self):
+        self.nodes = 0
+        self.propagations = 0
+
+    def __eq__(self, other):
+        return isinstance(other, SearchStats) and vars(self) == vars(other)
 
 
-@dataclass
-class ProofCertificate:
-    method: str  # RayColoring | ParityElimination | GeneralCSP
-    witness: Optional[dict]  # id -> Fraction for every observable; None for a proof
-    stats: Optional[SearchStats] = None
-    # a parity proof's contradiction: the indices of the contexts whose
-    # equations sum to 0 = 1; None for every other certificate
-    contexts: Optional[tuple] = None
+class ProofCertificate(namedtuple("ProofCertificate", "method witness stats contexts",
+                                  defaults=(None,))):
+    """method is RayColoring, ParityElimination or GeneralCSP.  witness maps
+    id -> Fraction for every observable, or is None for a proof.  contexts
+    is a parity proof's contradiction, the indices of the contexts whose
+    equations sum to 0 = 1, and None for every other certificate."""
+
+    __slots__ = ()
 
     @property
     def is_proof(self) -> bool:
@@ -82,12 +86,11 @@ class ProofCertificate:
         return KS_PROOF if self.is_proof else NOT_KS_PROOF
 
 
-@dataclass
-class BoundResult:
-    kind: str  # "exact" | "certified"
-    value: Fraction  # exact maximum, or the certified upper bound
-    witness: Optional[dict] = None
-    stats: Optional[SearchStats] = None
+class BoundResult(namedtuple("BoundResult", "kind value witness stats", defaults=(None, None))):
+    """kind is "exact" or "certified"; value is the exact maximum, or the
+    certified upper bound."""
+
+    __slots__ = ()
 
     @property
     def statement(self) -> str:

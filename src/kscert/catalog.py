@@ -12,8 +12,7 @@ for the ray entries).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
 
 from .compat import validate_context
 from .errors import KSCertError
@@ -21,10 +20,11 @@ from .exact import MINUS_ONE, ONE, SQRT2, ZERO
 from .model import ObservableSet, pauli_observable
 
 
-@dataclass
-class CatalogEntry:
-    description: str
-    build: Callable[[], ObservableSet]
+class CatalogEntry(namedtuple("CatalogEntry", "description build")):
+    """build() makes the entry's ObservableSet; description is its line of
+    the catalog listing."""
+
+    __slots__ = ()
 
     def load(self) -> ObservableSet:
         oset = self.build()

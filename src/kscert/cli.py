@@ -11,7 +11,6 @@ import functools
 import sys
 from collections import namedtuple
 
-from . import catalog as catalog_mod
 from .assign import DEFAULT_NODE_CAP
 from .compat import build_orthogonality_graph, enumerate_bases
 from .derive import (
@@ -44,7 +43,9 @@ def _load(args) -> _Loaded:
     if bool(args.catalog) == bool(args.input):
         raise KSCertError("exactly one of --catalog and --input is required")
     if args.catalog:  # an entry reads as a file that declares mode auto
-        pf, oset, user_polys, declared = None, catalog_mod.get(args.catalog).load(), [], "auto"
+        from . import catalog  # only a catalog command imports the catalog
+
+        pf, oset, user_polys, declared = None, catalog.get(args.catalog).load(), [], "auto"
     else:
         pf = parse_file(args.input)
         (oset, user_polys), declared = pf.load(), pf.mode
@@ -52,7 +53,7 @@ def _load(args) -> _Loaded:
     if mode == "auto":
         mode = _auto_mode(oset, user_polys)
     if pf is not None:
-        pf.mode = mode
+        pf = pf._replace(mode=mode)
     return _Loaded(oset, mode, user_polys, pf, args.catalog or args.input)
 
 
@@ -164,12 +165,14 @@ def cmd_export(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from . import catalog
+
     if args.name:
-        oset = catalog_mod.get(args.name).load()
+        oset = catalog.get(args.name).load()
         sys.stdout.write(render_input_section(proof_file_from_set(oset, _auto_mode(oset, []))))
         return EXIT_OK
-    for name in catalog_mod.names():
-        entry = catalog_mod.get(name)
+    for name in catalog.names():
+        entry = catalog.get(name)
         print(f"{name:18s} {entry.description}")
     return EXIT_OK
 

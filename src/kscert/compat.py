@@ -22,7 +22,6 @@ intersecting masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 from typing import Iterable
@@ -68,15 +67,15 @@ def _commute(a: Observable, b: Observable) -> bool:
     return commutes(a.matrix, b.matrix)
 
 
-@dataclass
 class OrthogonalityGraph:
     """Vertices are ray ids; edges join rays with vanishing inner product.
 
     masks[i] is an int with bit j set exactly when rays i and j are
     orthogonal (never bit i itself)."""
 
-    oset: ObservableSet
-    masks: list
+    def __init__(self, oset: ObservableSet, masks: list):
+        self.oset = oset
+        self.masks = masks
 
     @cached_property
     def edges(self) -> list:

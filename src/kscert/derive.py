@@ -10,13 +10,12 @@ an integer-coefficient score with explicit classical bound and quantum value.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, replace
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .assign import (
     BoundResult,
@@ -43,15 +42,12 @@ from .poly import (
 )
 
 
-@dataclass
 class CompleteSet:
-    """A complete set of polynomials over oset.  Each kind below holds what
-    its builder recorded and answers from it: len, polynomials, decide,
-    with_constants, F, exact_bound, dichotomic_substitutes and the size text
-    of verify's method line.  Each default here, with_constants,
+    """A complete set of polynomials over oset.  Each kind below holds oset
+    and what its builder recorded, and answers from them: len, polynomials,
+    decide, with_constants, F, exact_bound, dichotomic_substitutes and the
+    size text of verify's method line.  Each default here, with_constants,
     exact_bound and size_text, is the answer of two kinds of the three."""
-
-    oset: ObservableSet
 
     def exact_bound(self, node_cap: int = DEFAULT_NODE_CAP) -> BoundResult:
         """The exact maximum of F on a proof, by max_F on the members, which
@@ -68,7 +64,6 @@ class CompleteSet:
         return f"{len(self)} polynomials"
 
 
-@dataclass
 class RaySet(CompleteSet):
     """One P_i*P_j member per member edge and one sum-minus-one member per
     basis, each with c = 1 (edge products take the values 0 and 1, basis
@@ -77,10 +72,13 @@ class RaySet(CompleteSet):
     Every answer reads graph, bases and member edges alone; the members are
     built when first read, which only export and the exact bound do."""
 
-    graph: OrthogonalityGraph
-    bases: list
-    edges: list  # the graph's edges that are members
-    provenance: str
+    def __init__(self, oset: ObservableSet, graph: OrthogonalityGraph, bases: list,
+                 edges: list, provenance: str):
+        self.oset = oset
+        self.graph = graph
+        self.bases = bases
+        self.edges = edges  # the graph's edges that are members
+        self.provenance = provenance
 
     @cached_property
     def polynomials(self) -> list:
@@ -135,14 +133,16 @@ class RaySet(CompleteSet):
         return f"{len(self.bases)} bases, {len(self.graph.edges)} edges"
 
 
-@dataclass
 class ParitySet(CompleteSet):
     """One product-minus-delta member per (context, delta) row, each with
     c = 4 (values are 0 or +-2), built when first read, as a ray set's are.
     Every other answer reads the rows."""
 
-    rows: list  # (context, delta) per member
     provenance = "Parity"
+
+    def __init__(self, oset: ObservableSet, rows: list):
+        self.oset = oset
+        self.rows = rows  # (context, delta) per member
 
     @cached_property
     def polynomials(self) -> list:
@@ -185,13 +185,15 @@ class ParitySet(CompleteSet):
         return False  # parity_certify found every observable dichotomic
 
 
-@dataclass
 class UserSet(CompleteSet):
     """User-supplied members, each checked for Condition 1 by
     build_complete_set_general; F is its definition, sum_of_squares."""
 
-    polynomials: list  # list[ContextPolynomial]
     provenance = "UserSupplied"
+
+    def __init__(self, oset: ObservableSet, polynomials: list):
+        self.oset = oset
+        self.polynomials = polynomials  # list[ContextPolynomial]
 
     def __len__(self):
         return len(self.polynomials)
@@ -214,7 +216,7 @@ class UserSet(CompleteSet):
             if cp.c not in (None, c):
                 raise KSCertError(f"polynomial {idx} declares c={cp.c}, but its "
                                   f"normalization constant is {c}")
-            polys.append(replace(cp, c=c))
+            polys.append(ContextPolynomial(cp.poly, c))
         return UserSet(self.oset, polys)
 
     def F(self) -> Poly:
@@ -274,23 +276,17 @@ def build_complete_set_general(oset: ObservableSet, polynomials: Sequence) -> Us
     return UserSet(oset, list(polynomials))
 
 
-@dataclass
-class Inequality:
-    complete_set: CompleteSet
-    F: Poly  # fully reduced, across all contexts
-    classical: BoundResult  # bound on max F|_v
+# F is fully reduced, across all contexts; classical is the BoundResult on
+# max F|_v
+Inequality = namedtuple("Inequality", "complete_set F classical")
 
-
-@dataclass
-class PresentedInequality:
-    form: str  # "projector" | "dichotomic"
-    score: Poly  # integer-coefficient score G with F = scale*G + offset
-    scale: Fraction
-    offset: Fraction
-    classical_bound: Fraction
-    quantum_value: Fraction
-    labels: list  # the score's variable labels, by id
-    witness: Optional[dict] = None  # the exact bound's maximiser in the score's variables
+# form is "projector" or "dichotomic"; score is the integer-coefficient Poly
+# G with F = scale*G + offset; labels are the score's variable labels, by
+# id; witness is the exact bound's maximiser in the score's variables, or None
+PresentedInequality = namedtuple(
+    "PresentedInequality",
+    "form score scale offset classical_bound quantum_value labels witness",
+    defaults=(None,))
 
 
 def assemble_F(

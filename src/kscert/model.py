@@ -16,7 +16,7 @@ only when a matrix is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
@@ -33,13 +33,10 @@ from .exact import (
 )
 
 
-@dataclass(frozen=True)
-class Ray:
-    """An unnormalized nonzero vector, the primitive integral vector of its
-    line, and its exact rank-1 projector, built when first read."""
-
-    vector: tuple
-    key: tuple  # primitive_integral(vector)
+class Ray(namedtuple("Ray", "vector key")):
+    """An unnormalized nonzero vector, key, the primitive integral vector of
+    its line (primitive_integral(vector)), and its exact rank-1 projector,
+    built when first read and kept in the instance's __dict__."""
 
     @property
     def dim(self) -> int:
@@ -50,18 +47,14 @@ class Ray:
         return projector_from_vector(self.vector)
 
 
-@dataclass(frozen=True)
-class Observable:
-    """Hermitian matrix with a verified annihilating spectrum.  A ray
-    observable holds its ray instead, and its matrix is the ray's projector.
+class Observable(namedtuple("Observable", "spectrum label ray own_matrix pauli",
+                            defaults=("", None, None, None))):
+    """Hermitian matrix own_matrix with a verified annihilating spectrum,
+    distinct Fractions in ascending order.  A ray observable, a rank-1
+    projector, holds its ray instead, and its matrix is the ray's projector.
     A Pauli observable holds its word i^k X^x Z^z on n qubits instead, as
-    (n, k, x, z), and its matrix is built from those masks when first read."""
-
-    spectrum: tuple  # distinct Fractions, ascending
-    label: str = ""
-    ray: Optional[Ray] = None  # set when the observable is a rank-1 projector
-    own_matrix: Optional[ExactMatrix] = field(default=None, repr=False)  # unless ray or word
-    pauli: Optional[tuple] = None  # (n, k, x, z), see exact.pauli_masks
+    pauli = (n, k, x, z) (see exact.pauli_masks), and its matrix is built
+    from those masks when first read and kept in the instance's __dict__."""
 
     @cached_property
     def matrix(self) -> ExactMatrix:
@@ -176,7 +169,6 @@ def dichotomize(ray: Ray, label: str = "") -> Observable:
     return Observable(spectrum=spec, label=label, own_matrix=matrix)
 
 
-@dataclass
 class ObservableSet:
     """The proof-set container: a fixed-dimension list of observables.
 
@@ -191,13 +183,14 @@ class ObservableSet:
     with one memo (exact.primitive_integral), which lives as long as the set.
     """
 
-    dim: int
-    observables: list = field(default_factory=list)
-    declared_contexts: list = field(default_factory=list)  # list[tuple[int,...]]
-    _ids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _by_matrix: bool = field(default=False, init=False, repr=False, compare=False)
-    _by_label: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.observables = []
+        self.declared_contexts = []  # list[tuple[int,...]]
+        self._ids = {}
+        self._by_matrix = False
+        self._by_label = {}
+        self._memo = {}
 
     def add(self, obs: Observable) -> int:
         if obs.dim != self.dim:

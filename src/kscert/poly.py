@@ -12,7 +12,7 @@ well defined regardless of factor order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
@@ -258,18 +258,18 @@ def eval_operator(p: Poly, oset: ObservableSet) -> ExactMatrix:
 # -- context-bound polynomials -------------------------------------------
 
 
-@dataclass(frozen=True)
-class ContextPolynomial:
-    """A complete-set member: a reduced polynomial and its c.  Its variables
-    pairwise commute, which is validated where the member is built (the
-    builders in derive, prooffile's validate_context)."""
+class ContextPolynomial(namedtuple("ContextPolynomial", "poly c")):
+    """A complete-set member: a reduced polynomial and its c, None until
+    assemble_F computes it.  Its variables pairwise commute, which is
+    validated where the member is built (the builders in derive,
+    prooffile's validate_context)."""
 
-    poly: Poly
-    c: Optional[Fraction] = Fraction(1)  # None until assemble_F computes it
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.c is not None and self.c <= 0:
+    def __new__(cls, poly: Poly, c: Optional[Fraction] = Fraction(1)):
+        if c is not None and c <= 0:
             raise ValueError("normalization constant must be positive")
+        return tuple.__new__(cls, (poly, c))
 
 
 def make_context_polynomial(

@@ -27,9 +27,8 @@ export byte-identically.
 
 from __future__ import annotations
 
-import hashlib
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from typing import List, Optional
 
@@ -106,38 +105,23 @@ def parse_scalar(token: str) -> Scalar:
     return Scalar._make(*parts)
 
 
-@dataclass
-class ObsDecl:
-    kind: str  # "ray" | "pauli" | "matrix"
-    label: str
-    vector: Optional[tuple] = None  # ray
-    pauli: Optional[str] = None  # signed word
-    rows: Optional[list] = None  # matrix rows of Scalar
-    spectrum: Optional[tuple] = None
-    line: Optional[int] = None  # in its file; None in proof_file_from_set's
+# kind is "ray", "pauli" or "matrix"; a ray has its vector, a Pauli word
+# its signed word, pauli, and a matrix its rows of Scalar and its spectrum,
+# if declared.  line is the declaration's in its file, and None in
+# proof_file_from_set's; ContextDecl's and PolyDecl's line are as ObsDecl's
+ObsDecl = namedtuple("ObsDecl", "kind label vector pauli rows spectrum line",
+                     defaults=(None,) * 5)
+ContextDecl = namedtuple("ContextDecl", "labels line", defaults=(None,))
+# c is None when the file declares no c=; terms are
+# [(Scalar coef, [(label, exp), ...]), ...] and source their text
+PolyDecl = namedtuple("PolyDecl", "c terms source line")
 
 
-@dataclass
-class ContextDecl:
-    labels: list
-    line: Optional[int] = None  # as ObsDecl's
+class ProofFile(namedtuple("ProofFile", "dim mode observables contexts polynomials")):
+    """A proof file's declarations: lists of ObsDecl, ContextDecl and
+    PolyDecl."""
 
-
-@dataclass
-class PolyDecl:
-    c: Optional[Fraction]  # None when the file declares no c=
-    terms: list  # [(Scalar coef, [(label, exp), ...]), ...]
-    source: str
-    line: Optional[int] = None  # as ObsDecl's
-
-
-@dataclass
-class ProofFile:
-    dim: int
-    mode: str = "auto"
-    observables: List[ObsDecl] = field(default_factory=list)
-    contexts: List[ContextDecl] = field(default_factory=list)
-    polynomials: List[PolyDecl] = field(default_factory=list)
+    __slots__ = ()
 
     def load(self) -> tuple:
         """The file's observable set, with its declared contexts, and its
@@ -447,11 +431,14 @@ def proof_file_from_set(oset: ObservableSet, mode: str) -> ProofFile:
             )
     labels = oset.labels
     contexts = [ContextDecl([labels[i] for i in ids]) for ids in oset.declared_contexts]
-    return ProofFile(dim=oset.dim, mode=mode, observables=decls, contexts=contexts)
+    return ProofFile(dim=oset.dim, mode=mode, observables=decls, contexts=contexts,
+                     polynomials=[])
 
 
 def render_record(pf: ProofFile, ineq, presented) -> str:
     """Full derivation record: input section + derived section + hash."""
+    import hashlib  # only a record is hashed, so no other command imports it
+
     cs = ineq.complete_set
     labels = cs.oset.labels
     lines = [render_input_section(pf).rstrip("\n"), DERIVED_MARKER]

@@ -7,7 +7,6 @@ import math
 import random
 import re
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -571,7 +570,7 @@ _NO_NORMALIZATION = ("squared modulus is irrational; cannot normalize",
 
 
 def check_max_F(oset, polys):
-    polys = [replace(cp, c=normalization_constant(cp, oset)) for cp in polys]
+    polys = [ContextPolynomial(cp.poly, normalization_constant(cp, oset)) for cp in polys]
     res = max_F(oset, polys)
     assert res.kind == "exact"
     assert brute_force_F(oset, polys) == res.value

@@ -1,6 +1,7 @@
 """Proof-file parsing and the command-line workflow."""
 
 import argparse
+import ast
 import contextlib
 import functools
 import hashlib
@@ -1872,3 +1873,37 @@ def test_python_m_kscert_runs_the_command_line(capsys):
                           capture_output=True, text=True, env=env, timeout=120)
     assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
     assert done.returncode == 0
+
+
+# run by a fresh `python -S`: the modules that verify --input leaves
+# imported, then those that export --catalog adds, and export's record
+_IMPORTS_BY_COMMAND = """
+import contextlib, io, sys
+from kscert.cli import main
+WATCHED = ("dataclasses", "inspect", "hashlib", "kscert.catalog")
+for argv in (["verify", "--input", sys.argv[1]], ["export", "--catalog", "mermin-peres"]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    print(repr((code, [m for m in WATCHED if m in sys.modules], out.getvalue())))
+"""
+
+
+def test_a_command_imports_only_what_its_path_runs(capsys, tmp_path):
+    """A ray file's verify imports neither dataclasses, inspect, hashlib nor
+    the catalog; export --catalog then imports the catalog and hashlib, and
+    its record is main's, whose sha256 line hashes the body above it.  A
+    fresh interpreter without site runs both, so that nothing a test or a
+    .pth file imported counts."""
+    path = tmp_path / "cabello-18.txt"
+    path.write_text(_catalog_text("cabello-18"))
+    src = str(Path(kscert.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-S", "-c", _IMPORTS_BY_COMMAND, str(path)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=120)
+    assert done.stderr == ""
+    verify, export = map(ast.literal_eval, done.stdout.splitlines())
+    assert verify[:2] == (0, [])
+    assert export[:2] == (0, ["hashlib", "kscert.catalog"])
+    assert export[2] == run(capsys, "export", "--catalog", "mermin-peres")[1]
+    body, digest = export[2].rstrip("\n").rsplit("\nsha256 ", 1)
+    assert digest == hashlib.sha256(body.encode("utf-8")).hexdigest()

@@ -1,7 +1,7 @@
 """Derivation pipeline: complete sets, F assembly, presentation, operator checks."""
 
-import dataclasses
 import functools
+import inspect
 import itertools
 import math
 import random
@@ -134,13 +134,16 @@ class TestCompleteSets:
 
 
 def test_kinds_hold_only_what_their_builder_records():
-    """Each kind of complete set holds its own facts: no field is Optional
-    or has a default, and no module-level decide or with_constants asks a
-    set which kind it is."""
+    """Each kind of complete set holds its own facts: no parameter of its
+    constructor is Optional or has a default, and no module-level decide or
+    with_constants asks a set which kind it is."""
     for kind in (RaySet, ParitySet, UserSet):
-        for f in dataclasses.fields(kind):
-            assert "Optional" not in str(f.type), (kind, f.name)
-            assert f.default is f.default_factory is dataclasses.MISSING, (kind, f.name)
+        params = list(inspect.signature(kind).parameters.values())
+        assert params[0].name == "oset", kind
+        for p in params:
+            assert p.annotation is not p.empty, (kind, p.name)
+            assert "Optional" not in str(p.annotation), (kind, p.name)
+            assert p.default is p.empty, (kind, p.name)
     assert not hasattr(derive, "decide") and not hasattr(derive, "with_constants")
 
 

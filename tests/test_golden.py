@@ -70,6 +70,13 @@ def _near_miss(name, seed):
     return "".join(line for line in text.splitlines(True) if not line.startswith(dropped))
 
 
+def _without_rays(name, labels):
+    """Generated ray file name less the rays labelled labels."""
+    dropped = tuple(f"ray {label} " for label in labels)
+    return "".join(line for line in _eigenray_file(name).splitlines(True)
+                   if not line.startswith(dropped))
+
+
 def _record(name):
     """The export record of catalog entry name, to be read back as a file."""
     code, out, _ = _run(["export", "--catalog", name])
@@ -89,6 +96,10 @@ INPUTS |= {
 }
 INPUTS |= {name: functools.partial(str, text) for name, text in GENERAL_MP_VARIANTS.items()}
 INPUTS |= {f"{name}-record": functools.partial(_record, name) for name in catalog.names()}
+# still a proof; its verify line, 31 nodes and 193 propagations, pins the
+# count of the free neighbours that ks_colorability zeroes below the first
+# 1 that meets another 1 at a conflict, which no other cell's line does
+INPUTS["peres-24-less-p14-p24"] = functools.partial(_without_rays, "peres-24", ("p14", "p24"))
 
 # W(5,2)'s rank is past the parity coset walk: its exact bound's search
 # exits 4 at this cap at once

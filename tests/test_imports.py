@@ -1,7 +1,7 @@
 """Every name a kscert module imports is used there, every public
 function and class a module defines has a caller outside its definition
 (the package's code, bench/ or the README; a test is none), every private
-one is named elsewhere in its own module, every dataclass field is read
+one is named elsewhere in its own module, every record field is read
 somewhere, no function calls itself, none only hands its parameters on
 to another, only the complete-set kinds test which kind a set is, and
 every exception class is told apart from its base.
@@ -11,6 +11,7 @@ through the package somewhere, so each re-export it keeps has a user."""
 
 import ast
 import builtins
+import functools
 import re
 from pathlib import Path
 
@@ -120,27 +121,64 @@ def test_public_definitions_referenced(path):
     assert unreferenced(path.read_text(encoding="utf-8"), others) == []
 
 
-def unread_fields(source: str, corpus: list) -> list:
-    """Class.field for each field of a dataclass in source that no text of
-    corpus reads as .field: data that nothing uses."""
+def fields(source: str) -> list:
+    """(class, field) for each record field that source declares: a
+    dataclass's annotated fields, a namedtuple's field names and the
+    attributes that a plain class's __init__ sets on self."""
     out = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ClassDef) and any(
+        if isinstance(node, ast.Call) and "namedtuple" in ast.unparse(node.func):
+            names = ast.literal_eval(node.args[1])
+            names = names.replace(",", " ").split() if isinstance(names, str) else names
+            out += [(ast.literal_eval(node.args[0]), name) for name in names]
+        elif isinstance(node, ast.ClassDef) and any(
                 re.search(r"\bdataclass\b", ast.unparse(d)) for d in node.decorator_list):
-            for stmt in node.body:
-                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                    word = re.compile(rf"\.{stmt.target.id}\b")
-                    if not any(word.search(t) for t in corpus):
-                        out.append(f"{node.name}.{stmt.target.id}")
+            out += [(node.name, stmt.target.id) for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+        elif isinstance(node, ast.ClassDef):
+            for init in node.body:
+                if isinstance(init, ast.FunctionDef) and init.name == "__init__":
+                    out += [(node.name, t.attr) for t in ast.walk(init)
+                            if isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store)
+                            and isinstance(t.value, ast.Name) and t.value.id == "self"]
     return out
+
+
+@functools.cache
+def attribute_reads(text: str) -> frozenset:
+    """The attribute names that text reads: each .name loaded in its syntax
+    tree, so that an assignment, += too, reads nothing; or, for a text that
+    is not Python (README.md), each .name in it."""
+    try:
+        tree = ast.parse(text)
+    except SyntaxError:
+        return frozenset(re.findall(r"\.(\w+)", text))
+    return frozenset(node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+
+
+def unread_fields(source: str, corpus: list) -> list:
+    """Class.field for each record field of source that no text of corpus
+    reads as .field: data that nothing uses."""
+    read = frozenset().union(*map(attribute_reads, corpus))
+    return sorted(f"{cls}.{name}" for cls, name in fields(source) if name not in read)
 
 
 def test_detects_unread_field():
     source = ("@dataclass\nclass Entry:\n    name: str\n    expected: dict = None\n\n\n"
               "@dataclass(frozen=True)\nclass Pair:\n    left: int\n\n\n"
-              "class Plain:\n    note: str\n")
-    assert unread_fields(source, ["e.name", "p.left_x", "p.note"]) == [
-        "Entry.expected", "Pair.left"]
+              "class Plain:\n    note: str\n\n\n"
+              "Rec = namedtuple('Rec', 'name spare')\n\n\n"
+              "class Sub(collections.namedtuple('Sub', ['first', 'extra'], defaults=(None,))):\n"
+              "    __slots__ = ()\n\n\n"
+              "class Counter:\n    def __init__(self, n):\n        self.note = n\n"
+              "        self.count = 0\n        self.unused = None\n\n"
+              "    def bump(self):\n        self.count += 1\n")
+    # a comment reads nothing in Python; prose, as in the README, reads each .name
+    corpus = ["e.name", "p.left_x", "p.note\n# r.spare", "See `s.first`."]
+    assert unread_fields(source, corpus) == [
+        "Counter.count", "Counter.unused", "Entry.expected", "Pair.left", "Rec.spare",
+        "Sub.extra"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
