@@ -39,15 +39,15 @@ certificates.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from math import floor, lcm
 from operator import itemgetter
-from typing import Optional, Sequence
 
 from .compat import OrthogonalityGraph, context_delta
 from .errors import KSCertError, SearchBudgetExceeded
 from .exact import Scalar, squared_modulus
-from .model import _SPECTRUM_PM1, ObservableSet
+from .model import _SPECTRUM_01, _SPECTRUM_PM1, ObservableSet
 from .poly import ContextPolynomial, Poly, integral_evaluator, spectral_assignments
 
 DEFAULT_NODE_CAP = 10**8
@@ -58,11 +58,12 @@ NOT_KS_PROOF = "NotKSProof"
 
 
 class SearchStats:
-    """A search's counts, which its engine raises as it goes."""
+    """A search's counts, which its engine raises as it goes or states
+    when it is done."""
 
-    def __init__(self):
-        self.nodes = 0
-        self.propagations = 0
+    def __init__(self, nodes=0, propagations=0):
+        self.nodes = nodes
+        self.propagations = propagations
 
     def __eq__(self, other):
         return isinstance(other, SearchStats) and vars(self) == vars(other)
@@ -125,21 +126,26 @@ def ks_colorability(
     can be 1 in its basis.  A 1 next to a 1, or a basis of 0s, is a
     conflict.  propagations counts the rays so zeroed or set, up to the
     conflict: a 1 meeting a 1 among its neighbours first zeroes the free
-    ones below it.  An explicit stack of (ones, zeros, new ones) visits the
-    nodes depth first, 0 before 1, so no input reaches the recursion limit.
+    ones below it.  An explicit stack of (ones, zeros, new ones, position)
+    visits the nodes depth first, 0 before 1, so no input reaches the
+    recursion limit.  A node branches on its first free ray in a static
+    order, found from the position its parent branched at: both children
+    fix that ray, and free rays only shrink along a path, so no earlier
+    one is free.
     """
     mu = len(oset)
     masks = graph.masks
-    stats = SearchStats()
     bmasks = [sum(1 << i for i in b) for b in bases]
     # static branching order: rays in the most bases first, then degree
     in_bases = Counter(i for b in bases for i in b)
     order = sorted(range(mu), key=lambda i: (-in_bases[i], -masks[i].bit_count(), i))
     every = (1 << mu) - 1
+    nodes = props = 0
 
     def propagate(ones, zeros, new):
         """The node's (ones, zeros, free) after propagation, or None on a
         conflict."""
+        nonlocal props
         free = every ^ ones ^ zeros
         while True:
             while new:
@@ -148,10 +154,10 @@ def ks_colorability(
                 nb = masks[low.bit_length() - 1]
                 hit = nb & ones
                 if hit:
-                    stats.propagations += (nb & free & ((hit & -hit) - 1)).bit_count()
+                    props += (nb & free & ((hit & -hit) - 1)).bit_count()
                     return None
                 nb &= free
-                stats.propagations += nb.bit_count()
+                props += nb.bit_count()
                 zeros |= nb
                 free ^= nb
             alive = every ^ zeros
@@ -163,30 +169,32 @@ def ks_colorability(
                     ones |= live
                     free ^= live
                     new |= live
-                    stats.propagations += 1
+                    props += 1
             if not new:
                 return ones, zeros, free
 
     witness = None
-    stack = [(0, 0, 0)]
+    stack = [(0, 0, 0, 0)]
     while stack:
-        node = stack.pop()
-        stats.nodes += 1
-        if stats.nodes > node_cap:
+        ones, zeros, new, k = stack.pop()
+        nodes += 1
+        if nodes > node_cap:
             raise SearchBudgetExceeded(f"node cap {node_cap} exceeded")
-        node = propagate(*node)
+        node = propagate(ones, zeros, new)
         if node is None:
             continue
         ones, zeros, free = node
         if not free:
             # propagate leaves no adjacent pair of 1s and a 1 in every basis;
             # a basis is a clique, so that 1 is its only one
-            witness = {i: Fraction(ones >> i & 1) for i in range(mu)}
+            witness = {i: _SPECTRUM_01[ones >> i & 1] for i in range(mu)}
             break
-        bit = 1 << next(i for i in order if free >> i & 1)
-        stack.append((ones | bit, zeros, bit))
-        stack.append((ones, zeros | bit, 0))  # pushed last so that 0 is tried first
-    return ProofCertificate("RayColoring", witness, stats)
+        while not free >> order[k] & 1:
+            k += 1
+        bit = 1 << order[k]
+        stack.append((ones | bit, zeros, bit, k + 1))
+        stack.append((ones, zeros | bit, 0, k + 1))  # pushed last so that 0 is tried first
+    return ProofCertificate("RayColoring", witness, SearchStats(nodes, props))
 
 
 # -- parity certification ----------------------------------------------------
@@ -255,10 +263,10 @@ def signs(x: int, n: int) -> dict:
     """The assignment v_i = (-1)^x_i of the ids 0 to n - 1, x_i being bit
     i of x (higher bits are ignored): the witness form of
     parity_elimination and parity_min_violations."""
-    return {i: Fraction(-1) if x >> i & 1 else Fraction(1) for i in range(n)}
+    return {i: _SPECTRUM_PM1[~x >> i & 1] for i in range(n)}  # the shared -1 and 1
 
 
-def parity_min_violations(rows: Sequence[tuple], n: int) -> Optional[BoundResult]:
+def parity_min_violations(rows: Sequence[tuple], n: int) -> BoundResult | None:
     """The exact maximum of F on a parity set over the ids 0 to n - 1, one
     (context, delta) row per member: -m for the least number m of rows that
     a value assignment violates, each violated member costing exactly 1
@@ -308,7 +316,7 @@ def parity_min_violations(rows: Sequence[tuple], n: int) -> Optional[BoundResult
 def branch_and_bound(
     oset: ObservableSet,
     factors: Sequence[tuple],
-    seed: Optional[int] = None,
+    seed: int | None = None,
     node_cap: int = DEFAULT_NODE_CAP,
     ceiling: int = 0,
 ):

@@ -11,11 +11,11 @@ an integer-coefficient score with explicit classical bound and quantum value.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd
-from typing import Sequence
 
 from .assign import (
     BoundResult,
@@ -68,17 +68,25 @@ class RaySet(CompleteSet):
     """One P_i*P_j member per member edge and one sum-minus-one member per
     basis, each with c = 1 (edge products take the values 0 and 1, basis
     sums the integers -1 to n - 1).  The member edges are all of the graph's
-    in ray mode, RayEdgesBases, and none in bases-only mode, RayBasesOnly.
-    Every answer reads graph, bases and member edges alone; the members are
-    built when first read, which only export and the exact bound do."""
+    in ray mode, RayEdgesBases, given as None, and none in bases-only mode,
+    RayBasesOnly.  Every answer reads graph, bases and member edges alone,
+    and all but F and the members read the graph's masks, not its edge
+    list; the members are built when first read, which only export and the
+    exact bound do."""
 
     def __init__(self, oset: ObservableSet, graph: OrthogonalityGraph, bases: list,
-                 edges: list, provenance: str):
+                 edges: list | None, provenance: str):
         self.oset = oset
         self.graph = graph
         self.bases = bases
-        self.edges = edges  # the graph's edges that are members
+        self._edges = edges  # the graph's edges that are members; None for all of them
         self.provenance = provenance
+
+    @property
+    def edges(self) -> list:
+        """The member edges, as a list: the graph's own, listed on first
+        read, when they are all of them."""
+        return self.graph.edges if self._edges is None else self._edges
 
     @cached_property
     def polynomials(self) -> list:
@@ -91,7 +99,8 @@ class RaySet(CompleteSet):
         return [ContextPolynomial(Poly._make(t)) for t in terms]
 
     def __len__(self):
-        return len(self.edges) + len(self.bases)
+        edges = self.graph.edge_count if self._edges is None else len(self._edges)
+        return edges + len(self.bases)
 
     def decide(self, node_cap: int = DEFAULT_NODE_CAP) -> ProofCertificate:
         """ks_colorability on the graph and bases, far faster here than
@@ -111,26 +120,33 @@ class RaySet(CompleteSet):
         number of bases, m_i the number that hold ray i, m_ij the number that
         hold pair ij and e_ij 1 on a member edge, else 0 (Cabello, Severini
         and Winter's weighted graph).  The counts are ints, over denominator 1.
+        With in_bases[i] the mask of the bases that hold ray i, m_i and m_ij
+        are the popcounts of in_bases[i] and in_bases[i] & in_bases[j].  A
+        basis is a clique, so every pair with m_ij > 0 is an edge, and one
+        pass over the graph's edges reads every pair.
 
         P^2 = P needs d >= 2.  In d = 1, P = I and every member is 0, but
         assemble_F never reaches F there: a ray set in d <= 2 is colourable.
         """
-        pairs = dict.fromkeys(self.edges, 1)
-        for b in self.bases:
-            for e in combinations(b, 2):  # bases are sorted, as edges are
-                pairs[e] = pairs.get(e, 0) + 2
+        in_bases = [0] * len(self.graph.masks)
+        for k, b in enumerate(self.bases):
+            for i in b:
+                in_bases[i] |= 1 << k
+        member = None if self._edges is None else set(self._edges)  # None: every edge
         nums = {(): -len(self.bases)}
-        nums.update((((i, 1),), m) for i, m in Counter(i for b in self.bases for i in b).items())
-        nums.update((((i, 1), (j, 1)), -w) for (i, j), w in pairs.items())
+        nums.update((((i, 1),), m.bit_count()) for i, m in enumerate(in_bases))
+        for i, j in self.graph.edges:
+            e = member is None or (i, j) in member
+            nums[(i, 1), (j, 1)] = -e - 2 * (in_bases[i] & in_bases[j]).bit_count()
         return _int_poly(nums, 1)
 
     def dichotomic_substitutes(self) -> bool:
         # members use rays, none dichotomic, exactly when there is an edge;
         # in d = 1 each is constant
-        return bool(self.graph.edges)
+        return any(self.graph.masks)
 
     def size_text(self) -> str:
-        return f"{len(self.bases)} bases, {len(self.graph.edges)} edges"
+        return f"{len(self.bases)} bases, {self.graph.edge_count} edges"
 
 
 class ParitySet(CompleteSet):
@@ -239,7 +255,7 @@ def build_complete_set_rays(
     """The ray set with every edge of graph a member.  Condition 1 holds by
     construction: edges join exactly orthogonal rays (P_i P_j = 0), and
     bases sum to I (see enumerate_bases)."""
-    return RaySet(oset, graph, list(bases), graph.edges, "RayEdgesBases")
+    return RaySet(oset, graph, list(bases), None, "RayEdgesBases")
 
 
 def build_complete_set_bases_only(
@@ -253,8 +269,10 @@ def build_complete_set_bases_only(
         mask = sum(1 << i for i in b)
         for i in b:
             covered[i] |= mask
-    for i, j in graph.edges:
-        if not covered[i] >> j & 1:
+    for i, m in enumerate(graph.masks):
+        gap = m & ~covered[i] >> (i + 1) << (i + 1)  # the uncovered edges ij, i < j
+        if gap:  # its lowest bit is the first uncovered edge in graph.edges order
+            j = (gap & -gap).bit_length() - 1
             raise KSCertError(f"orthogonal pair ({oset.labels[i]}, {oset.labels[j]}) "
                               "lies in no supplied basis")
     return RaySet(oset, graph, list(bases), [], "RayBasesOnly")

@@ -12,10 +12,10 @@ rational inputs simply carry b = d = 0.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
 
 from .errors import KSCertError
 
@@ -214,7 +214,7 @@ def integral(v: Iterable[Scalar]) -> tuple:
     return den, list(zip(*[iter(nums)] * 4))
 
 
-def primitive_integral(v: Sequence[Scalar], memo: Optional[dict] = None) -> Optional[tuple]:
+def primitive_integral(v: Sequence[Scalar], memo: dict | None = None) -> tuple | None:
     """The canonical vector of the line through v over Z[i, sqrt2], or None
     when v is the zero vector: the positive rational multiple of
     v / (first nonzero component) whose (a, b, c, d) int tuples, one per

@@ -17,9 +17,9 @@ only when a matrix is read.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
 
 from .errors import KSCertError
 from .exact import (
@@ -81,7 +81,7 @@ class Observable(namedtuple("Observable", "spectrum label ray own_matrix pauli",
         return self.spectrum == _SPECTRUM_PM1  # spectra are sorted
 
 
-def _annihilates(matrix: ExactMatrix, spectrum, factors: Optional[dict] = None) -> bool:
+def _annihilates(matrix: ExactMatrix, spectrum, factors: dict | None = None) -> bool:
     """True iff the product of (matrix - aI) over spectrum is 0; over no
     value the product is I, which is not.  factors, a dict the caller keeps
     for one matrix, maps each value a to matrix - aI, so that a factor is
@@ -100,7 +100,7 @@ def _annihilates(matrix: ExactMatrix, spectrum, factors: Optional[dict] = None) 
 
 
 def make_observable(
-    matrix: ExactMatrix, spectrum: Optional[Sequence] = None, label: str = ""
+    matrix: ExactMatrix, spectrum: Sequence | None = None, label: str = ""
 ) -> Observable:
     """Build an Observable, verifying Hermiticity and annihilation exactly;
     an omitted spectrum is (0, 1) if m^2 = m and (-1, 1) if m^2 = I, which
@@ -128,7 +128,7 @@ def make_observable(
     return Observable(spectrum=spec, label=label, own_matrix=matrix)
 
 
-def make_ray(vector: Sequence, label: str = "", memo: Optional[dict] = None) -> Ray:
+def make_ray(vector: Sequence, label: str = "", memo: dict | None = None) -> Ray:
     """A ray from an unnormalized nonzero vector; memo as in
     exact.primitive_integral, which also finds the zero vector."""
     v = tuple(map(Scalar.of, vector))

@@ -13,10 +13,10 @@ well defined regardless of factor order.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
-from typing import Mapping, Optional, Sequence
 
 from .errors import KSCertError
 from .exact import ZERO, ExactMatrix, Scalar, integral, mat_mul, squared_modulus
@@ -30,7 +30,7 @@ class Poly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Optional[Mapping[Monomial, Scalar]] = None):
+    def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
         clean = {}
         if terms:
             for mono, coef in terms.items():
@@ -266,14 +266,14 @@ class ContextPolynomial(namedtuple("ContextPolynomial", "poly c")):
 
     __slots__ = ()
 
-    def __new__(cls, poly: Poly, c: Optional[Fraction] = Fraction(1)):
+    def __new__(cls, poly: Poly, c: Fraction | None = Fraction(1)):
         if c is not None and c <= 0:
             raise ValueError("normalization constant must be positive")
         return tuple.__new__(cls, (poly, c))
 
 
 def make_context_polynomial(
-    p: Poly, oset: ObservableSet, c: Optional[Fraction] = Fraction(1)
+    p: Poly, oset: ObservableSet, c: Fraction | None = Fraction(1)
 ) -> ContextPolynomial:
     """The member of p reduced over oset's spectra.  The caller has validated
     that p's variables pairwise commute."""
@@ -328,7 +328,7 @@ def _coef_str(coef: Scalar) -> str:
     return s
 
 
-def render(p: Poly, labels: Optional[Sequence[str]] = None) -> str:
+def render(p: Poly, labels: Sequence[str] | None = None) -> str:
     """Deterministic text form: graded order, lowest degree first.  A
     rational coefficient is printed from its Fraction, which reads as
     Scalar.__str__ would print it; only an irrational or complex one goes

@@ -30,7 +30,6 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from fractions import Fraction
-from typing import List, Optional
 
 from .compat import validate_context
 from .errors import KSCertError
@@ -261,11 +260,11 @@ def _label(token: str) -> str:
 
 def parse(text: str) -> ProofFile:
     dim = mode = None
-    observables: List[ObsDecl] = []
-    contexts: List[ContextDecl] = []
+    observables: list[ObsDecl] = []
+    contexts: list[ContextDecl] = []
     declared = set()  # each context's labels, sorted
-    polynomials: List[PolyDecl] = []
-    pending_matrix: Optional[ObsDecl] = None
+    polynomials: list[PolyDecl] = []
+    pending_matrix: ObsDecl | None = None
     scalars = {}  # token -> Scalar, for the tokens parsed without error
 
     def scalar(token: str) -> Scalar:

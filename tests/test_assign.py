@@ -25,7 +25,9 @@ from kscert.assign import (
     ks_colorability,
     max_F,
     parity_certify,
+    parity_elimination,
     parity_min_violations,
+    signs,
     value_order,
 )
 from kscert.compat import OrthogonalityGraph, build_orthogonality_graph, enumerate_bases
@@ -33,6 +35,8 @@ from kscert.derive import build_complete_set_parity, build_complete_set_rays
 from kscert.errors import KSCertError, SearchBudgetExceeded
 from kscert.exact import ExactMatrix, Scalar
 from kscert.model import (
+    _SPECTRUM_01,
+    _SPECTRUM_PM1,
     ObservableSet,
     make_observable,
     make_ray,
@@ -431,6 +435,22 @@ class TestWitnessContract:
         for w in (bound.witness, score.witness, witness):
             assert w is not None
             self.assert_full(w, oset)
+
+    def test_values_are_the_shared_spectrum_objects(self, two_bases):
+        """A ray coloring's witness holds the objects of _SPECTRUM_01, and
+        the GF(2) engines' witnesses those of _SPECTRUM_PM1: no witness
+        builds a Fraction per observable."""
+        graph = build_orthogonality_graph(two_bases)
+        rays = ks_colorability(two_bases, graph, enumerate_bases(graph)).witness
+        mp = catalog.get("mermin-peres").load()
+        rows = build_complete_set_parity(mp, mp.declared_contexts).rows
+        parity = [parity_elimination(mp, rows[:-1]).witness,  # a column short: colourable
+                  parity_min_violations(rows, len(mp)).witness, signs(0b101, 3)]
+        for witness, shared in ((rays, _SPECTRUM_01), *((w, _SPECTRUM_PM1) for w in parity)):
+            assert witness is not None
+            assert all(any(v is s for s in shared) for v in witness.values())
+        assert set(rays.values()) == {0, 1}
+        assert parity[2] == {0: -1, 1: 1, 2: -1}
 
 
 def mixed_spectra_set():

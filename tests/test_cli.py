@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kscert
-from kscert import assign, catalog, derive, exact, model, prooffile
+from kscert import assign, catalog, compat, derive, exact, model, prooffile
 from kscert.cli import _auto_mode, build_parser, main
 from kscert.compat import build_orthogonality_graph, enumerate_bases
 from kscert.derive import (
@@ -403,6 +403,33 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", option, value, *mode)
         assert code == 0
         assert line in out.splitlines()
+
+    def test_ray_verify_lists_no_edge(self, capsys, monkeypatch, tmp_path):
+        """verify reads a ray set's edges on the graph's masks, in ray and
+        in bases-only mode, also where bases-only mode refuses an edge in
+        no basis: OrthogonalityGraph.edges is read only by derive, whose F
+        has a term per edge."""
+        reads = []
+        listed = compat.OrthogonalityGraph.edges.func
+
+        def counted(graph):
+            reads.append(1)
+            return listed(graph)
+
+        monkeypatch.setattr(compat.OrthogonalityGraph, "edges", property(counted))
+        path = tmp_path / "kp-40.txt"
+        path.write_text(_eigenray_file("kp-40"))
+        for mode in ("ray", "bases-only"):
+            assert run(capsys, "verify", "--input", str(path), "--mode", mode)[:2] == (
+                0, "method: RayColoring (25 bases, 460 edges)\nverdict: KSProof\n"
+                   "search: 127 nodes, 725 propagations\n")
+        code, _, err = run(capsys, "verify", "--catalog", "cabello-18", "--mode", "bases-only")
+        assert (code, "lies in no supplied basis" in err) == (3, True)
+        assert reads == []
+        for mode in ("ray", "bases-only"):
+            assert run(capsys, "derive", "--input", str(path), "--mode", mode)[0] == 0
+            assert reads, mode
+            reads.clear()
 
     def test_ray_verify_builds_no_member(self, capsys, monkeypatch, tmp_path):
         """verify and derive read a ray set's graph and bases alone, in ray
@@ -1880,7 +1907,7 @@ def test_python_m_kscert_runs_the_command_line(capsys):
 _IMPORTS_BY_COMMAND = """
 import contextlib, io, sys
 from kscert.cli import main
-WATCHED = ("dataclasses", "inspect", "hashlib", "kscert.catalog")
+WATCHED = ("dataclasses", "inspect", "hashlib", "typing", "kscert.catalog")
 for argv in (["verify", "--input", sys.argv[1]], ["export", "--catalog", "mermin-peres"]):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = main(argv)
@@ -1889,11 +1916,11 @@ for argv in (["verify", "--input", sys.argv[1]], ["export", "--catalog", "mermin
 
 
 def test_a_command_imports_only_what_its_path_runs(capsys, tmp_path):
-    """A ray file's verify imports neither dataclasses, inspect, hashlib nor
-    the catalog; export --catalog then imports the catalog and hashlib, and
-    its record is main's, whose sha256 line hashes the body above it.  A
-    fresh interpreter without site runs both, so that nothing a test or a
-    .pth file imported counts."""
+    """A ray file's verify imports neither dataclasses, inspect, hashlib,
+    typing nor the catalog; export --catalog then imports the catalog and
+    hashlib, but not typing, and its record is main's, whose sha256 line
+    hashes the body above it.  A fresh interpreter without site runs both,
+    so that nothing a test or a .pth file imported counts."""
     path = tmp_path / "cabello-18.txt"
     path.write_text(_catalog_text("cabello-18"))
     src = str(Path(kscert.__file__).resolve().parent.parent)

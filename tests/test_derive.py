@@ -548,6 +548,22 @@ class TestRayF:
         assert _ray_set(graph, [], []).F() == Poly()
 
 
+@given(graphs())
+@settings(max_examples=150, deadline=None)
+def test_ray_set_counts_edges_on_masks(graph):
+    """len, size_text and dichotomic_substitutes count and test the edges
+    on the graph's masks, and agree with its edge list, in ray mode and
+    with no member edge."""
+    bases = enumerate_bases(graph)
+    rays = build_complete_set_rays(graph.oset, graph, bases)
+    none = RaySet(graph.oset, graph, bases, [], "RayBasesOnly")
+    answers = (len(rays), rays.size_text(), len(none), none.size_text(),
+               rays.dichotomic_substitutes(), none.dichotomic_substitutes())
+    counts = f"{len(bases)} bases, {len(graph.edges)} edges"
+    assert answers == (len(graph.edges) + len(bases), counts, len(bases), counts,
+                       bool(graph.edges), bool(graph.edges))
+
+
 def _axis_rays(n):
     """n axis rays r0, r1, ..., in dimension n but at least 2, so each has
     the spectrum (0, 1)."""
