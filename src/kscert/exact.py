@@ -20,11 +20,16 @@ from math import gcd, lcm
 from .errors import KSCertError
 
 
+_FR0 = Fraction(0)
+# the shared Fractions of the ints 0, 1 and -1, indexed by the int itself
+_FR_UNITS = (_FR0, Fraction(1), Fraction(-1))
+
+
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
+        return _FR_UNITS[x] if -1 <= x <= 1 else Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -46,8 +51,13 @@ class Scalar:
 
     @classmethod
     def of(cls, x) -> "Scalar":
+        """x as a Scalar: a Scalar as it is, the ints 0, 1 and -1 as the
+        shared ZERO, ONE and MINUS_ONE, and any other exact rational as a
+        new one."""
         if isinstance(x, Scalar):
             return x
+        if isinstance(x, int) and -1 <= x <= 1:
+            return _UNITS[x]
         return cls(_frac(x))
 
     @classmethod
@@ -64,7 +74,7 @@ class Scalar:
 
     @property
     def is_zero(self) -> bool:
-        return not (self.a or self.b or self.c or self.d)
+        return self is ZERO or not (self.a or self.b or self.c or self.d)
 
     @property
     def is_rational(self) -> bool:
@@ -76,9 +86,18 @@ class Scalar:
         return self.a
 
     # -- ring operations ----------------------------------------------
+    #
+    # Zero costs nothing: the shared ZERO is told by identity, so a sum with
+    # it is the other operand and a product with it is ZERO, with no Fraction
+    # touched.  A product with any other zero factor is ZERO too, so no
+    # product makes a new zero.
 
     def __add__(self, other):
-        o = Scalar.of(other)
+        o = other if type(other) is Scalar else Scalar.of(other)
+        if o is ZERO:
+            return self
+        if self is ZERO:
+            return o
         if not (self.b or self.c or self.d or o.b or o.c or o.d):  # both purely rational
             return Scalar._make(self.a + o.a, _FR0, _FR0, _FR0)
         return Scalar._make(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
@@ -86,27 +105,38 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
+        if self is ZERO:
+            return self
         return Scalar._make(-self.a, -self.b, -self.c, -self.d)
 
     def __sub__(self, other):
-        return self + (-Scalar.of(other))
+        o = other if type(other) is Scalar else Scalar.of(other)
+        return self if o is ZERO else self + (-o)
 
     def __rsub__(self, other):
         return Scalar.of(other) + (-self)
 
     def __mul__(self, other):
-        o = Scalar.of(other)
+        o = other if type(other) is Scalar else Scalar.of(other)
+        if self is ZERO or o is ZERO:
+            return ZERO
         a, b, c, d = self.a, self.b, self.c, self.d
         e, f, g, h = o.a, o.b, o.c, o.d
         if not (b or d or f or h):  # both in Q(i)
             if not (c or g):  # both purely rational
-                return Scalar._make(a * e, _FR0, _FR0, _FR0)
+                return Scalar._make(a * e, _FR0, _FR0, _FR0) if a and e else ZERO
+            if not (a or c) or not (e or g):
+                return ZERO
             return Scalar._make(a * e - c * g, _FR0, a * g + c * e, _FR0)
+        if not (a or b or c or d) or not (e or f or g or h):
+            return ZERO
         return Scalar._make(*_mul_integral((a, b, c, d), (e, f, g, h)))
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "Scalar":
+        if self is ZERO or not (self.c or self.d):  # real: its own conjugate
+            return self
         return Scalar._make(self.a, self.b, -self.c, -self.d)
 
     def norm_squared(self) -> "Scalar":
@@ -125,6 +155,7 @@ class Scalar:
         return num * Scalar(x, -y) * Scalar(Fraction(1, 1) / denom)
 
     def __truediv__(self, other):
+        """No command divides Scalars: bench/gen.py is the only caller."""
         return self * Scalar.of(other).inverse()
 
     def __rtruediv__(self, other):
@@ -139,6 +170,10 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self):
+        """A rational Scalar hashes as its Fraction, and so as an equal int,
+        since it is equal to both."""
+        if not (self.b or self.c or self.d):
+            return hash(self.a)
         return hash((self.a, self.b, self.c, self.d))
 
     # -- rendering ------------------------------------------------------
@@ -162,11 +197,11 @@ class Scalar:
         return f"Scalar({self})"
 
 
-_FR0 = Fraction(0)
-
 ZERO = Scalar(0)
 ONE = Scalar(1)
 MINUS_ONE = Scalar(-1)
+# the shared Scalars of the ints 0, 1 and -1, indexed by the int itself
+_UNITS = (ZERO, ONE, MINUS_ONE)
 I_UNIT = Scalar(0, 0, 1, 0)
 SQRT2 = Scalar(0, 1, 0, 0)
 
@@ -280,12 +315,24 @@ class ExactMatrix:
         raise AttributeError("ExactMatrix is immutable")
 
     @classmethod
+    def _make(cls, rows: tuple) -> "ExactMatrix":
+        """Internal fast constructor; rows must already be a tuple of n
+        tuples of n Scalars, and only its being empty is checked."""
+        if not rows:
+            return cls(rows)  # raises __init__'s error
+        self = object.__new__(cls)
+        object.__setattr__(self, "dim", len(rows))
+        object.__setattr__(self, "entries", rows)
+        return self
+
+    @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls._make(tuple((ZERO,) * i + (ONE,) + (ZERO,) * (n - 1 - i) for i in range(n)))
 
     @classmethod
     def zero(cls, n: int) -> "ExactMatrix":
-        return cls([[ZERO] * n for _ in range(n)])
+        """Its n rows are one shared tuple, as rows are immutable: O(n) memory."""
+        return cls._make(((ZERO,) * n,) * n)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -297,8 +344,8 @@ class ExactMatrix:
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check_dim(other)
-        return ExactMatrix(
-            [[x + y for x, y in zip(r, s)] for r, s in zip(self.entries, other.entries)]
+        return ExactMatrix._make(
+            tuple(tuple([x + y for x, y in zip(r, s)]) for r, s in zip(self.entries, other.entries))
         )
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -309,17 +356,24 @@ class ExactMatrix:
 
     def scale(self, s) -> "ExactMatrix":
         s = Scalar.of(s)
-        return ExactMatrix([[s * x for x in row] for row in self.entries])
+        return ExactMatrix._make(tuple(tuple([s * x for x in row]) for row in self.entries))
 
     def dagger(self) -> "ExactMatrix":
-        n = self.dim
-        return ExactMatrix(
-            [[self.entries[j][i].conjugate() for j in range(n)] for i in range(n)]
+        return ExactMatrix._make(
+            tuple(tuple([x.conjugate() for x in col]) for col in zip(*self.entries))
         )
 
     @property
     def is_zero(self) -> bool:
-        return all(x.is_zero for row in self.entries for x in row)
+        """Each entry is first tested by identity with ZERO, and a row object
+        that repeats the one before it is not read again."""
+        checked = None
+        for row in self.entries:
+            if row is not checked:
+                if not all(x is ZERO or x.is_zero for x in row):
+                    return False
+                checked = row
+        return True
 
     @property
     def is_hermitian(self) -> bool:
@@ -334,6 +388,8 @@ class ExactMatrix:
         return hash(self.entries)
 
     def apply(self, v: Sequence[Scalar]) -> tuple:
+        """No command applies a matrix to a vector: bench/gen.py is the only
+        caller."""
         if len(v) != self.dim:
             raise KSCertError("vector length does not match matrix dimension")
         out = []
@@ -361,8 +417,8 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
             if not x.is_zero:
                 for j, y in b_row:
                     acc[j] = acc[j] + x * y
-        out.append(acc)
-    return ExactMatrix(out)
+        out.append(tuple(acc))
+    return ExactMatrix._make(tuple(out))
 
 
 def commutes(a: ExactMatrix, b: ExactMatrix) -> bool:
@@ -378,8 +434,8 @@ def projector_from_vector(v: Sequence[Scalar]) -> ExactMatrix:
         raise KSCertError("cannot project along the zero vector")
     inv = nrm.inverse()
     n = len(v)
-    return ExactMatrix(
-        [[v[i] * v[j].conjugate() * inv for j in range(n)] for i in range(n)]
+    return ExactMatrix._make(
+        tuple(tuple([v[i] * v[j].conjugate() * inv for j in range(n)]) for i in range(n))
     )
 
 
@@ -421,6 +477,6 @@ def mask_matrix(n: int, k: int, x: int, z: int) -> ExactMatrix:
         row = [ZERO] * size
         c = r ^ x
         row[c] = odd if (c & z).bit_count() % 2 else even
-        rows.append(row)
-    return ExactMatrix(rows)
+        rows.append(tuple(row))
+    return ExactMatrix._make(tuple(rows))
 

@@ -1,15 +1,20 @@
 """Scalar field and exact matrix arithmetic."""
 
+import collections
 import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kscert.errors import KSCertError
 from kscert.exact import (
+    I_UNIT,
+    MINUS_ONE,
+    ONE,
     SQRT2,
+    ZERO,
     ExactMatrix,
     Scalar,
     commutes,
@@ -21,7 +26,7 @@ from kscert.exact import (
     _frac,
 )
 
-from oracles import PAULI, kron, pauli_matrix
+from oracles import PAULI, kron, pauli_matrix, ring_add, ring_mul, ring_sub
 
 small_fracs = st.builds(
     Fraction, st.integers(-9, 9), st.integers(1, 9)
@@ -98,6 +103,153 @@ class TestScalar:
         assert Scalar(Fraction(3, 4)).rational() == Fraction(3, 4)
         with pytest.raises(ValueError):
             SQRT2.rational()
+
+
+# the operands a zero short-circuit sees: the shared constants, zeros that are
+# not ZERO, and the plain values that Scalar.of maps to ZERO, ONE or MINUS_ONE
+SHARED = (ZERO, ONE, MINUS_ONE, I_UNIT, SQRT2)
+special_operands = st.one_of(
+    st.sampled_from(SHARED),
+    st.sampled_from([0, 1, -1]),
+    st.builds(lambda: Scalar(0)),
+    st.builds(lambda: Scalar(Fraction(0))),
+    st.builds(lambda: Scalar._make(Fraction(0), Fraction(0), Fraction(0), Fraction(0))),
+    st.builds(lambda: Fraction(0)),
+)
+# at least half the operands are special ones
+operands = st.one_of(special_operands, st.one_of(scalars, st.integers(-3, 3), small_fracs))
+
+
+def _components(x) -> tuple:
+    if isinstance(x, Scalar):
+        return (x.a, x.b, x.c, x.d)
+    return (Fraction(x), Fraction(0), Fraction(0), Fraction(0))
+
+
+def _is_zero_value(x) -> bool:
+    return not any(_components(x))
+
+
+class TestRingOracle:
+    """Scalar's +, - and * against tests/oracles.py's ring on plain
+    (a, b, c, d) Fraction tuples, in both operand orders, so that int and
+    Fraction left operands reach the r-variants."""
+
+    def _check(self, x, y):
+        for op, oracle in ((lambda u, v: u + v, ring_add), (lambda u, v: u - v, ring_sub),
+                           (lambda u, v: u * v, ring_mul)):
+            for u, v in ((x, y), (y, x)):
+                got = op(u, v)
+                assert type(got) is Scalar
+                assert all(type(p) is Fraction for p in _components(got))
+                assert _components(got) == oracle(_components(u), _components(v))
+        # the identity contract: a zero factor gives ZERO itself, and a sum
+        # or difference with ZERO is the other operand
+        if _is_zero_value(x) or _is_zero_value(y):
+            assert x * y is ZERO and y * x is ZERO
+        for u in (x, y):
+            if isinstance(u, Scalar):
+                assert u + ZERO is u and ZERO + u is u and u - ZERO is u
+
+    @given(operands, operands)
+    @settings(max_examples=300)
+    def test_against_oracle(self, x, y):
+        assume(isinstance(x, Scalar) or isinstance(y, Scalar))
+        self._check(x, y)
+
+    @pytest.mark.parametrize("x", SHARED + (Scalar(0), 0, 1, -1, Fraction(0)), ids=[
+        "ZERO", "ONE", "MINUS_ONE", "I_UNIT", "SQRT2", "Scalar(0)", "0", "1", "-1", "Fraction(0)"])
+    @pytest.mark.parametrize("y", SHARED, ids=["ZERO", "ONE", "MINUS_ONE", "I_UNIT", "SQRT2"])
+    def test_shared_constants_against_oracle(self, x, y):
+        self._check(x, y)
+
+    def test_of_and_frac_share_the_units(self):
+        for n, s in ((0, ZERO), (1, ONE), (-1, MINUS_ONE)):
+            assert Scalar.of(n) is s
+            assert _frac(n) is s.a
+        assert -ZERO is ZERO
+        assert Scalar.of(2) == Scalar(2) and Scalar.of(2) is not Scalar.of(2)
+
+
+hash_values = st.one_of(operands, st.sampled_from([Fraction(1, 2), Scalar(Fraction(1, 2)),
+                                                   Scalar(2), 2, Fraction(-3)]))
+
+
+class TestHash:
+    """x == y implies hash(x) == hash(y) over Scalars, ints and Fractions,
+    so an equal key finds a dict entry whichever type it is."""
+
+    @given(hash_values, hash_values)
+    @settings(max_examples=300)
+    def test_equal_values_hash_equal(self, x, y):
+        if x == y:
+            assert hash(x) == hash(y)
+            assert {x: "x"}.get(y) == "x" and {y: "y"}.get(x) == "y"
+
+    def test_dict_lookup_both_ways(self):
+        assert {1: "x"}.get(Scalar(1)) == "x"
+        assert {Scalar(1): "x"}.get(1) == "x"
+        assert {Fraction(1, 2): "x"}.get(Scalar(Fraction(1, 2))) == "x"
+        assert {Scalar(Fraction(1, 2)): "x"}.get(Fraction(1, 2)) == "x"
+        assert {0: "x"}.get(Scalar(0)) == "x"
+        assert hash(SQRT2) == hash((Fraction(0), Fraction(1), Fraction(0), Fraction(0)))
+
+
+@pytest.fixture
+def fraction_calls(monkeypatch):
+    """A Counter of the calls made to Fraction's arithmetic and __bool__."""
+    calls = collections.Counter()
+    for name in ("__bool__", "__neg__", "__add__", "__radd__", "__sub__", "__rsub__",
+                 "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        def counted(*args, _name=name, _method=getattr(Fraction, name)):
+            calls[_name] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    return calls
+
+
+class TestZeroCostsNothing:
+    """What a zero no longer costs, counted on Fraction's methods."""
+
+    def test_counter_sees_fraction_work(self, fraction_calls):
+        x = Scalar(Fraction(1, 2), 3, Fraction(-1, 3), 1)
+        fraction_calls.clear()
+        x * x
+        assert fraction_calls["__mul__"] > 0 and fraction_calls["__bool__"] > 0
+
+    def test_zero_operand_reads_no_fraction(self, fraction_calls):
+        x = Scalar(Fraction(1, 2), 3, Fraction(-1, 3), 1)
+        fraction_calls.clear()
+        got = (x * ZERO, ZERO * x, x + ZERO, ZERO + x, x - ZERO, -ZERO)
+        assert dict(fraction_calls) == {}
+        assert got == (ZERO, ZERO, x, x, x, ZERO)
+
+    def test_zero_matrix_is_zero_reads_no_fraction(self, fraction_calls):
+        m = ExactMatrix.zero(256)
+        fraction_calls.clear()
+        assert m.is_zero
+        assert fraction_calls["__bool__"] == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_zero_matrix_shares_one_row(self, n):
+        m = ExactMatrix.zero(n)
+        assert len({id(row) for row in m.entries}) == 1
+        assert m.dim == n and m.entries == ((ZERO,) * n,) * n
+        assert m == ExactMatrix([[0] * n for _ in range(n)])
+
+    def test_is_zero_reads_every_distinct_row(self):
+        shared = (ZERO,) * 3
+        assert ExactMatrix([[Scalar(0)] * 3] * 3).is_zero
+        assert not ExactMatrix._make((shared, shared, (ZERO, ZERO, ONE))).is_zero
+        assert not ExactMatrix._make((shared, (ZERO, Scalar(0, 0, 0, 1), ZERO), shared)).is_zero
+
+    def test_identity(self):
+        assert ExactMatrix.identity(3) == ExactMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        for build in (ExactMatrix.identity, ExactMatrix.zero):
+            for n in (0, -1):
+                with pytest.raises(KSCertError, match="^matrix must be square and nonempty$"):
+                    build(n)
 
 
 def _to_complex(m: ExactMatrix):
