@@ -57,16 +57,8 @@ KS_PROOF = "KSProof"
 NOT_KS_PROOF = "NotKSProof"
 
 
-class SearchStats:
-    """A search's counts, which its engine raises as it goes or states
-    when it is done."""
-
-    def __init__(self, nodes=0, propagations=0):
-        self.nodes = nodes
-        self.propagations = propagations
-
-    def __eq__(self, other):
-        return isinstance(other, SearchStats) and vars(self) == vars(other)
+# a search's counts, which its engine states when it is done
+SearchStats = namedtuple("SearchStats", "nodes propagations", defaults=(0, 0))
 
 
 class ProofCertificate(namedtuple("ProofCertificate", "method witness stats contexts",
@@ -237,7 +229,7 @@ def parity_elimination(oset: ObservableSet, rows: Sequence[tuple]) -> ProofCerti
     variable at x = 0, gives the lexicographically first solution in id
     order, +1 before -1 as in value_order: the witness, which assigns
     every observable."""
-    stats = SearchStats()
+    props = 0
     pivots = {}  # highest bit -> (mask, rhs, combination)
     for k, (ctx, delta) in enumerate(rows):
         mask, rhs, comb = sum(1 << i for i in ctx), int(delta == -1), 1 << k
@@ -248,15 +240,15 @@ def parity_elimination(oset: ObservableSet, rows: Sequence[tuple]) -> ProofCerti
                 pivots[top] = mask, rhs, comb
                 break
             mask, rhs, comb = mask ^ pivot[0], rhs ^ pivot[1], comb ^ pivot[2]
-            stats.propagations += 1
+            props += 1
         if not mask and rhs:
             contexts = tuple(j for j in range(k + 1) if comb >> j & 1)
-            return ProofCertificate("ParityElimination", None, stats, contexts)
+            return ProofCertificate("ParityElimination", None, SearchStats(0, props), contexts)
     x = 0
     for top in sorted(pivots):
         mask, rhs, _ = pivots[top]
         x |= (rhs ^ (mask & x).bit_count() & 1) << top
-    return ProofCertificate("ParityElimination", signs(x, len(oset)), stats)
+    return ProofCertificate("ParityElimination", signs(x, len(oset)), SearchStats(0, props))
 
 
 def signs(x: int, n: int) -> dict:
@@ -365,7 +357,7 @@ def branch_and_bound(
     gain = [{} for _ in ids]  # value index -> sum of the one-free factors
     top = [0] * len(ids)  # max of gain over dom
     trail = []  # (var,) per assignment, (var, dom, gain, top) per update
-    stats = SearchStats()
+    nodes = props = 0
     A = T = 0  # sum of the assigned factors; sum of top over free variables
     best = float("-inf") if seed is None else seed
     witness = None
@@ -382,7 +374,7 @@ def branch_and_bound(
     def settle(touched) -> bool:
         """Recompute the gains of the touched variables and prune their
         values that cannot beat the incumbent; False on a dead end."""
-        nonlocal T
+        nonlocal T, props
         touched = list(dict.fromkeys(touched))
         for u in touched:
             unary = [k for k in watch[u] if nfree[k] == 1]
@@ -395,7 +387,7 @@ def branch_and_bound(
             trail.append((u, dom[u], gain[u], top[u]))
             T += t - top[u]
             gain[u], top[u] = g, t
-            stats.propagations += 1
+            props += 1
         if A + T <= best:
             return False
         # the value at top always survives, so no domain empties here
@@ -453,12 +445,12 @@ def branch_and_bound(
         undo(mark, saved)
         if bound <= best:
             continue
-        stats.nodes += 1
-        if stats.nodes > node_cap:
+        nodes += 1
+        if nodes > node_cap:
             raise SearchBudgetExceeded(f"node cap {node_cap} exceeded")
         if assign(var, x):
             expand()
-    return best, witness, stats
+    return best, witness, SearchStats(nodes, props)
 
 
 def general_unsat(

@@ -22,6 +22,7 @@ intersecting masks.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable
 from functools import cached_property
 from operator import mul
@@ -67,15 +68,12 @@ def _commute(a: Observable, b: Observable) -> bool:
     return commutes(a.matrix, b.matrix)
 
 
-class OrthogonalityGraph:
+class OrthogonalityGraph(namedtuple("OrthogonalityGraph", "oset masks")):
     """Vertices are ray ids; edges join rays with vanishing inner product.
 
     masks[i] is an int with bit j set exactly when rays i and j are
-    orthogonal (never bit i itself)."""
-
-    def __init__(self, oset: ObservableSet, masks: list):
-        self.oset = oset
-        self.masks = masks
+    orthogonal (never bit i itself).  No __slots__, so that edges is kept
+    in the instance's __dict__, as Ray.projector is."""
 
     @property
     def edge_count(self) -> int:

@@ -64,6 +64,7 @@ class CompleteSet:
         return f"{len(self)} polynomials"
 
 
+# the kinds stay classes: their constructors' annotations are tested; typing.NamedTuple imports typing
 class RaySet(CompleteSet):
     """One P_i*P_j member per member edge and one sum-minus-one member per
     basis, each with c = 1 (edge products take the values 0 and 1, basis

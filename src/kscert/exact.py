@@ -20,6 +20,18 @@ from math import gcd, lcm
 from .errors import KSCertError
 
 
+# identity, mask_matrix and projector_from_vector refuse to make a dense
+# matrix of more entries than this, 2048 x 2048: the size of 11 qubits
+MAX_DENSE_ENTRIES = 1 << 22
+
+
+def _check_dense(n: int) -> None:
+    """KSCertError unless an n x n matrix is within MAX_DENSE_ENTRIES."""
+    if n * n > MAX_DENSE_ENTRIES:
+        raise KSCertError(f"a dense {n} x {n} matrix needs {n * n} entries, "
+                          f"over the limit {MAX_DENSE_ENTRIES}")
+
+
 _FR0 = Fraction(0)
 # the shared Fractions of the ints 0, 1 and -1, indexed by the int itself
 _FR_UNITS = (_FR0, Fraction(1), Fraction(-1))
@@ -33,6 +45,7 @@ def _frac(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+# a class, not a namedtuple: a namedtuple's field reads are slower, and sums and products read them
 class Scalar:
     """An element a + b*sqrt2 + (c + d*sqrt2)*i of Q(i, sqrt2)."""
 
@@ -298,6 +311,7 @@ def primitive_integral(v: Sequence[Scalar], memo: dict | None = None) -> tuple |
     return tuple(w)
 
 
+# a class, not a tuple: as a tuple, m * 2 would repeat the tuple rather than raise TypeError
 class ExactMatrix:
     """A dense square matrix over Q(i, sqrt2); immutable value semantics."""
 
@@ -327,11 +341,13 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
+        _check_dense(n)
         return cls._make(tuple((ZERO,) * i + (ONE,) + (ZERO,) * (n - 1 - i) for i in range(n)))
 
     @classmethod
     def zero(cls, n: int) -> "ExactMatrix":
-        """Its n rows are one shared tuple, as rows are immutable: O(n) memory."""
+        """Its n rows are one shared tuple, as rows are immutable: O(n)
+        memory, so MAX_DENSE_ENTRIES does not bound it."""
         return cls._make(((ZERO,) * n,) * n)
 
     def __getitem__(self, ij):
@@ -434,6 +450,7 @@ def projector_from_vector(v: Sequence[Scalar]) -> ExactMatrix:
         raise KSCertError("cannot project along the zero vector")
     inv = nrm.inverse()
     n = len(v)
+    _check_dense(n)
     return ExactMatrix._make(
         tuple(tuple([v[i] * v[j].conjugate() * inv for j in range(n)]) for i in range(n))
     )
@@ -472,6 +489,7 @@ def mask_matrix(n: int, k: int, x: int, z: int) -> ExactMatrix:
     even = PHASES[k]
     odd = -even
     size = 1 << n
+    _check_dense(size)
     rows = []
     for r in range(size):
         row = [ZERO] * size

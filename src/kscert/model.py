@@ -169,6 +169,7 @@ def dichotomize(ray: Ray, label: str = "") -> Observable:
     return Observable(spectrum=spec, label=label, own_matrix=matrix)
 
 
+# a class, not a record: a set is built an observable at a time, by add
 class ObservableSet:
     """The proof-set container: a fixed-dimension list of observables.
 

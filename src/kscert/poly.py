@@ -25,33 +25,29 @@ from .model import ObservableSet
 Monomial = tuple  # tuple[(var_id, exponent), ...], ids strictly increasing
 
 
-class Poly:
+class Poly(namedtuple("Poly", "terms")):
     """Immutable multivariate polynomial with Scalar coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
+    def __new__(cls, terms: Mapping[Monomial, Scalar] | None = None):
         clean = {}
         if terms:
             for mono, coef in terms.items():
                 coef = Scalar.of(coef)
                 if not coef.is_zero:
                     clean[tuple(mono)] = coef
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+        return tuple.__new__(cls, (clean,))
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def _make(cls, terms: dict) -> "Poly":
-        """Internal fast constructor; terms must already be clean: tuple
-        monomials mapped to nonzero Scalars, as __init__ would leave them.
-        The dict is kept, not copied."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "terms", terms)
-        return self
+        """Internal fast constructor, in place of namedtuple's
+        _make(iterable); terms must already be clean: tuple monomials mapped
+        to nonzero Scalars, as __new__ would leave them.  The dict is kept,
+        not copied."""
+        return tuple.__new__(cls, (terms,))
 
     @classmethod
     def const(cls, c) -> "Poly":
@@ -112,12 +108,7 @@ class Poly:
         """Conjugate coefficients; variables are Hermitian, monomials stay."""
         return Poly({m: c.conjugate() for m, c in self.terms.items()})
 
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
+    def __hash__(self):  # equality is the tuple's, on the terms dicts, which are unhashable
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self):

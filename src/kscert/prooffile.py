@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .compat import validate_context
 from .errors import KSCertError
-from .exact import _FR0, ExactMatrix, Scalar
+from .exact import _FR0, ZERO, ExactMatrix, Scalar
 from .model import ObservableSet, make_observable, pauli_observable
 from .poly import Poly, make_context_polynomial, render
 
@@ -145,7 +145,7 @@ class ProofFile(namedtuple("ProofFile", "dim mode observables contexts polynomia
                 oset.declared_contexts.append(validate_context(oset, ids))
             labels = set(oset.labels)
             for d in self.polynomials:
-                p = Poly()
+                terms = {}  # summed in one dict, and made one Poly, which drops the zeros
                 for coef, factors in d.terms:
                     mono = {}
                     for label, exp in factors:
@@ -156,7 +156,9 @@ class ProofFile(namedtuple("ProofFile", "dim mode observables contexts polynomia
                             continue
                         i = oset.by_label(label)
                         mono[i] = mono.get(i, 0) + exp
-                    p = p + Poly({tuple(sorted(mono.items())): coef})
+                    mono = tuple(sorted(mono.items()))
+                    terms[mono] = terms.get(mono, ZERO) + coef
+                p = Poly(terms)
                 validate_context(oset, p.variables())
                 polys.append(make_context_polynomial(p, oset, c=d.c))
         except KSCertError as ex:  # the error of declaration d, at its line

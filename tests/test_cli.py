@@ -32,7 +32,7 @@ from kscert.derive import (
 )
 from kscert.errors import KSCertError
 from kscert.exact import Scalar
-from kscert.poly import MAX_POWER_BITS, eval_assignment
+from kscert.poly import MAX_POWER_BITS, Poly, eval_assignment
 from kscert.prooffile import (
     parse,
     parse_poly_expr,
@@ -258,6 +258,23 @@ class TestRayLoadMakesNoProduct:
         peres = catalog.get("peres-33").load()
         assert (len(kp40), len(peres)) == (40, 33)
         assert products == []
+
+
+class TestMemberSummedOnce:
+    def test_load_adds_no_polynomials(self, monkeypatch):
+        """load sums a member's terms into one dict and makes one Poly, so
+        a member of k terms is not copied k times."""
+        calls = []
+
+        def counted(a, b, original=Poly.__add__):
+            calls.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(Poly, "__add__", counted)
+        pf = parse("dim 4\npauli a ZI\npauli b IZ\npoly a + b + a*b + 1 - a + a - 2\n")
+        _, [member] = pf.load()
+        assert calls == []
+        assert member.poly == Poly({((0, 1),): 1, ((1, 1),): 1, ((0, 1), (1, 1)): 1, (): -1})
 
 
 class TestParseRoundTrip:
@@ -646,6 +663,17 @@ class TestVerifyCommand:
         assert code == 3
         assert out == ""
         assert f"over the limit {MAX_POWER_BITS}" in err
+
+    @pytest.mark.parametrize("qubits", [12, 14])
+    def test_pauli_word_beyond_dense_limit(self, capsys, tmp_path, qubits):
+        # a general-mode member is evaluated as a dense operator: past the
+        # limit an input error, not exhausted memory
+        n = 1 << qubits
+        path = tmp_path / "wide.txt"
+        path.write_text(f"dim {n}\npauli a {'X' * qubits}\npoly a - 1\n")
+        assert run(capsys, "verify", "--input", str(path)) == (
+            3, "", f"error: input: a dense {n} x {n} matrix needs {n * n} entries, "
+                   f"over the limit {exact.MAX_DENSE_ENTRIES}\n")
 
     @pytest.mark.parametrize("order,message", [
         (("ray", "matrix"), "observable m duplicates a"),

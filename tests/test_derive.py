@@ -710,6 +710,34 @@ def test_exact_bound_ceiling_matches_full_search(name):
         assert got.witness == full.witness
 
 
+# every exact-bound input with max_F's full search, (nodes, propagations),
+# and the propagations of its exact bound, whose nodes _CEILING_INPUTS holds
+_SEARCH_COUNTS = {
+    "mermin-peres": ((76, 76), 0),
+    "mermin-pentagram": ((231, 232), 0),
+    "cabello-18": ((160, 449), 63),
+    "peres-33": ((667, 1016), 299),
+    "peres-24": ((1780, 6609), 6609),
+    "kp-40": ((4213, 39165), 39165),
+    "doily": ((1970, 3767), 0),
+    **{name: ((76, 76), 6) for name in GENERAL_MP_VARIANTS},
+}
+
+
+@pytest.mark.parametrize("name", list(_CEILING_INPUTS))
+def test_exact_bound_search_counts(name):
+    """The node and propagation counts of max_F's full search and of the
+    exact bound's own search, pinned, so that a change to how an engine
+    counts moves them; the coset walk of a parity set counts nothing."""
+    build, nodes = _CEILING_INPUTS[name]
+    (full_nodes, full_props), props = _SEARCH_COUNTS[name]
+    cs = build()
+    got = assemble_F(cs, exact_bound=True).classical.stats
+    full = max_F(cs.oset, cs.with_constants().polynomials).stats
+    assert (full.nodes, full.propagations) == (full_nodes, full_props)
+    assert (got.nodes, got.propagations) == (nodes, props)
+
+
 def test_ray_set_without_graph_sums_squares(monkeypatch, cabello):
     """RaySet.F is the ray set's own F, not the members': a ray set's members
     handed over without its graph, as a user set, go through

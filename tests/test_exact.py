@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from kscert.errors import KSCertError
 from kscert.exact import (
     I_UNIT,
+    MAX_DENSE_ENTRIES,
     MINUS_ONE,
     ONE,
     SQRT2,
@@ -19,6 +20,7 @@ from kscert.exact import (
     Scalar,
     commutes,
     inner,
+    mask_matrix,
     mat_mul,
     pauli_masks,
     projector_from_vector,
@@ -446,3 +448,27 @@ class TestPauliMatrix:
     def test_bad_sign(self):
         with pytest.raises(ValueError, match=r"^sign must be \+1 or -1$"):
             pauli_masks("X", 2)
+
+
+class TestDenseLimit:
+    """A dense matrix made from a size, not from a file's rows, has at most
+    MAX_DENSE_ENTRIES entries: 11 qubits fit, 12 raise before a row is made."""
+
+    def test_limit_is_eleven_qubits(self):
+        assert MAX_DENSE_ENTRIES == 2048 * 2048
+
+    @pytest.mark.parametrize("make", [
+        lambda n: ExactMatrix.identity(n),
+        lambda n: mask_matrix(n.bit_length() - 1, 0, 1, 0),
+        lambda n: projector_from_vector((ONE,) + (ZERO,) * (n - 1)),
+    ], ids=["identity", "mask_matrix", "projector_from_vector"])
+    def test_over_the_limit_raises(self, make):
+        message = (f"a dense 4096 x 4096 matrix needs {4096 * 4096} entries, "
+                   f"over the limit {MAX_DENSE_ENTRIES}")
+        with pytest.raises(KSCertError, match=f"^{message}$"):
+            make(4096)
+        assert make(4).dim == 4
+
+    def test_zero_is_exempt(self):
+        # one shared row, however large the matrix
+        assert ExactMatrix.zero(4096).is_zero

@@ -3,8 +3,9 @@ function and class a module defines has a caller outside its definition
 (the package's code, bench/ or the README; a test is none), every private
 one is named elsewhere in its own module, every record field is read
 somewhere, no function calls itself, none only hands its parameters on
-to another, only the complete-set kinds test which kind a set is, and
-every exception class is told apart from its base.
+to another, only the complete-set kinds test which kind a set is, every
+exception class is told apart from its base, and no module assigns to an
+attribute of any object but self.
 
 __init__.py has a rule of its own: every name it binds is imported
 through the package somewhere, so each re-export it keeps has a user."""
@@ -417,3 +418,33 @@ def test_every_exception_class_is_told_apart():
     package = Path(kscert.__file__).parent
     sources = [p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))]
     assert undistinguished_exceptions(sources) == []
+
+
+def foreign_attribute_stores(source: str) -> list:
+    """(line, target) for each assignment of source, plain, augmented or
+    annotated, to an attribute of any object but self: a field set from
+    outside its class, on an object already built."""
+    return sorted((node.lineno, ast.unparse(node)) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                  and not (isinstance(node.value, ast.Name) and node.value.id == "self"))
+
+
+def test_detects_foreign_attribute_store():
+    source = ("class Stats:\n    def __init__(self):\n        self.nodes = 0\n"
+              "        object.__setattr__(self, 'props', 0)\n\n\n"
+              "def search(stats, oset, obj):\n    stats.nodes += 1\n"
+              "    oset.declared_contexts = []\n    obj.size: int = 3\n"
+              "    n, obj.last = 1, 2\n    stats.inner.count = obj.count\n    return obj.nodes\n\n\n"
+              "class Kept:\n    def grow(self, other):\n        self.items.append(other.item)\n"
+              "        self.child.parent = self\n")
+    assert foreign_attribute_stores(source) == [
+        (8, "stats.nodes"), (9, "oset.declared_contexts"), (10, "obj.size"), (11, "obj.last"),
+        (12, "stats.inner.count"), (19, "self.child.parent")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_a_class_sets_its_own_fields(path):
+    """A record is built complete: an engine counts in locals and states
+    its counts at the end, and a builder validates each part as it adds it,
+    so no object's field is set after it is built by code outside it."""
+    assert foreign_attribute_stores(path.read_text(encoding="utf-8")) == []
