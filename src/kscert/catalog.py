@@ -1,70 +1,62 @@
 """Built-in proof catalog.
 
 Four classic observable sets, stored as construction code rather than
-trusted data: every entry is rebuilt on load (Pauli observables as their
-signed words, rays from their vectors), and the commutation of its
-declared contexts is re-verified.  Loading builds no matrix: words are
-deduplicated by their masks (exact.pauli_masks), and their commutation is
-read off the same masks.  An entry states no mode: the CLI infers it from
-the set, as for a file's `mode auto` (parity for the Pauli entries, ray
-for the ray entries).
+trusted data: each entry builds the declarations a proof file would make
+(Pauli observables as their signed words, each labelled by its word, rays
+as their vectors, and contexts by label), and loads them as a file's are,
+through ProofFile.load, which re-verifies the commutation of every declared
+context.  Loading builds no matrix: words are deduplicated by their masks
+(exact.pauli_masks), and their commutation is read off the same masks.  An
+entry states no mode: the CLI infers it from the set, as for a file's
+`mode auto` (parity for the Pauli entries, ray for the ray entries).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .compat import validate_context
 from .errors import KSCertError
 from .exact import MINUS_ONE, ONE, SQRT2, ZERO
-from .model import ObservableSet, pauli_observable
+from .model import ObservableSet
+from .prooffile import ContextDecl, ObsDecl, ProofFile
 
 
 class CatalogEntry(namedtuple("CatalogEntry", "description build")):
-    """build() makes the entry's ObservableSet; description is its line of
-    the catalog listing."""
+    """build() makes the entry's ProofFile; description is its line of the
+    catalog listing."""
 
     __slots__ = ()
 
     def load(self) -> ObservableSet:
-        """build(), under the name that bench/spans.py wraps to time a
-        catalog load."""
-        return self.build()
+        """The entry's observable set, with its declared contexts."""
+        return self.build().load()[0]
 
 
-def _pauli_set(dim: int, words, contexts) -> ObservableSet:
-    """The set of the words, each its own label, with its contexts
-    re-verified as they are added rather than trusted as stored ids, as
-    ProofFile.load adds a file's."""
-    oset = ObservableSet(dim=dim)
-    for word in words:
-        oset.add(pauli_observable(word, label=word))
-    for ids in contexts:
-        oset.declared_contexts.append(validate_context(oset, ids))
-    return oset
+def _pauli_file(dim: int, words: list, contexts: list) -> ProofFile:
+    """The words, each labelled by itself, and the contexts, by label."""
+    return ProofFile(dim, "auto", [ObsDecl("pauli", w, pauli=w) for w in words],
+                     [ContextDecl(list(c)) for c in contexts], [])
 
 
-def _mermin_peres() -> ObservableSet:
-    words = ["XI", "IX", "XX", "IZ", "ZI", "ZZ", "XZ", "ZX", "YY"]
-    rows = [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
-    cols = [(0, 3, 6), (1, 4, 7), (2, 5, 8)]
-    return _pauli_set(4, words, rows + cols)
+def _mermin_peres() -> ProofFile:
+    rows = [("XI", "IX", "XX"), ("IZ", "ZI", "ZZ"), ("XZ", "ZX", "YY")]
+    return _pauli_file(4, [w for row in rows for w in row], rows + list(zip(*rows)))
 
 
-def _mermin_pentagram() -> ObservableSet:
+def _mermin_pentagram() -> ProofFile:
     words = [
-        "XXX", "XYY", "YXY", "YYX",  # 0-3
-        "XII", "IXI", "IIX",  # 4-6
-        "YII", "IYI", "IIY",  # 7-9
+        "XXX", "XYY", "YXY", "YYX",
+        "XII", "IXI", "IIX",
+        "YII", "IYI", "IIY",
     ]
     lines = [
-        (0, 4, 5, 6),  # XXX with the three single X's
-        (1, 4, 8, 9),  # XYY with X1, Y2, Y3
-        (2, 5, 7, 9),  # YXY with X2, Y1, Y3
-        (3, 6, 7, 8),  # YYX with X3, Y1, Y2
-        (0, 1, 2, 3),  # the all-product line, delta = -1
+        ("XXX", "XII", "IXI", "IIX"),
+        ("XYY", "XII", "IYI", "IIY"),
+        ("YXY", "IXI", "YII", "IIY"),
+        ("YYX", "IIX", "YII", "IYI"),
+        ("XXX", "XYY", "YXY", "YYX"),  # the all-product line, delta = -1
     ]
-    return _pauli_set(8, words, lines)
+    return _pauli_file(8, words, lines)
 
 
 CABELLO_18_VECTORS = [
@@ -95,14 +87,17 @@ _UNITS = {0: ZERO, 1: ONE, -1: MINUS_ONE}
 _MINUS_SQRT2 = -SQRT2
 
 
-def _cabello_18() -> ObservableSet:
-    oset = ObservableSet(dim=4)
-    for k, v in enumerate(CABELLO_18_VECTORS):
-        oset.add_ray(tuple(_UNITS[x] for x in v), label=f"r{k + 1}")
-    return oset
+def _ray_file(dim: int, vectors) -> ProofFile:
+    """The vectors as rays r1, r2, ..., with no context."""
+    return ProofFile(dim, "auto", [ObsDecl("ray", f"r{k + 1}", v) for k, v in enumerate(vectors)],
+                     [], [])
 
 
-def _peres_33_vectors():
+def _cabello_18() -> ProofFile:
+    return _ray_file(4, [tuple(_UNITS[x] for x in v) for v in CABELLO_18_VECTORS])
+
+
+def _peres_33() -> ProofFile:
     """Peres' 33 rays: all components in {0, +-1, +-sqrt2}, up to sign."""
     vecs = []
     # axes
@@ -138,14 +133,7 @@ def _peres_33_vectors():
                 v[rest[1]] = s2
                 vecs.append(tuple(v))
     assert len(vecs) == 33
-    return vecs
-
-
-def _peres_33() -> ObservableSet:
-    oset = ObservableSet(dim=3)
-    for k, v in enumerate(_peres_33_vectors()):
-        oset.add_ray(v, label=f"r{k + 1}")
-    return oset
+    return _ray_file(3, vecs)
 
 
 ENTRIES = {

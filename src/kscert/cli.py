@@ -248,7 +248,3 @@ def main(argv=None) -> int:
     except (KSCertError, OSError) as ex:
         print(f"error: input: {ex}", file=sys.stderr)
         return EXIT_INPUT
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -68,40 +68,36 @@ class CompleteSet:
 class RaySet(CompleteSet):
     """One P_i*P_j member per member edge and one sum-minus-one member per
     basis, each with c = 1 (edge products take the values 0 and 1, basis
-    sums the integers -1 to n - 1).  The member edges are all of the graph's
-    in ray mode, RayEdgesBases, given as None, and none in bases-only mode,
-    RayBasesOnly.  Every answer reads graph, bases and member edges alone,
-    and all but F and the members read the graph's masks, not its edge
-    list; the members are built when first read, which only export and the
-    exact bound do."""
+    sums the integers -1 to n - 1).  edge_members says which mode: every
+    edge of the graph is a member in ray mode, RayEdgesBases, and none in
+    bases-only mode, RayBasesOnly.  Every answer reads graph, bases and the
+    flag alone, and all but F and the members read the graph's masks, not
+    its edge list; the members are built when first read, which only export
+    and the exact bound do."""
 
     def __init__(self, oset: ObservableSet, graph: OrthogonalityGraph, bases: list,
-                 edges: list | None, provenance: str):
+                 edge_members: bool):
         self.oset = oset
         self.graph = graph
         self.bases = bases
-        self._edges = edges  # the graph's edges that are members; None for all of them
-        self.provenance = provenance
+        self.edge_members = edge_members
 
     @property
-    def edges(self) -> list:
-        """The member edges, as a list: the graph's own, listed on first
-        read, when they are all of them."""
-        return self.graph.edges if self._edges is None else self._edges
+    def provenance(self) -> str:
+        return "RayEdgesBases" if self.edge_members else "RayBasesOnly"
 
     @cached_property
     def polynomials(self) -> list:
         # terms are clean: ONE or MINUS_ONE on tuple monomials.  A ray's
         # spectrum is (0, 1) for d >= 2, so exponents of 1 are reduced
-        terms = [{((i, 1), (j, 1)): ONE} for i, j in self.edges]
+        terms = [{((i, 1), (j, 1)): ONE} for i, j in self.graph.edges] if self.edge_members else []
         terms += [{((i, 1),): ONE for i in b} | {(): MINUS_ONE} for b in self.bases]
         if self.oset.dim == 1:
             return [make_context_polynomial(Poly._make(t), self.oset) for t in terms]
         return [ContextPolynomial(Poly._make(t)) for t in terms]
 
     def __len__(self):
-        edges = self.graph.edge_count if self._edges is None else len(self._edges)
-        return edges + len(self.bases)
+        return self.graph.edge_count * self.edge_members + len(self.bases)
 
     def decide(self, node_cap: int = DEFAULT_NODE_CAP) -> ProofCertificate:
         """ks_colorability on the graph and bases, far faster here than
@@ -111,7 +107,7 @@ class RaySet(CompleteSet):
         return ks_colorability(self.oset, self.graph, self.bases, node_cap=node_cap)
 
     def F(self) -> Poly:
-        """F from the member edges and bases alone; sum_of_squares is its
+        """F from the graph, bases and flag alone; sum_of_squares is its
         oracle.
 
         Each member has c = 1, and P^2 = P on a ray's spectrum (0, 1).  So the
@@ -133,11 +129,10 @@ class RaySet(CompleteSet):
         for k, b in enumerate(self.bases):
             for i in b:
                 in_bases[i] |= 1 << k
-        member = None if self._edges is None else set(self._edges)  # None: every edge
+        e = int(self.edge_members)  # e_ij below
         nums = {(): -len(self.bases)}
         nums.update((((i, 1),), m.bit_count()) for i, m in enumerate(in_bases))
         for i, j in self.graph.edges:
-            e = member is None or (i, j) in member
             nums[(i, 1), (j, 1)] = -e - 2 * (in_bases[i] & in_bases[j]).bit_count()
         return _int_poly(nums, 1)
 
@@ -256,7 +251,7 @@ def build_complete_set_rays(
     """The ray set with every edge of graph a member.  Condition 1 holds by
     construction: edges join exactly orthogonal rays (P_i P_j = 0), and
     bases sum to I (see enumerate_bases)."""
-    return RaySet(oset, graph, list(bases), None, "RayEdgesBases")
+    return RaySet(oset, graph, list(bases), True)
 
 
 def build_complete_set_bases_only(
@@ -276,7 +271,7 @@ def build_complete_set_bases_only(
             j = (gap & -gap).bit_length() - 1
             raise KSCertError(f"orthogonal pair ({oset.labels[i]}, {oset.labels[j]}) "
                               "lies in no supplied basis")
-    return RaySet(oset, graph, list(bases), [], "RayBasesOnly")
+    return RaySet(oset, graph, list(bases), False)
 
 
 def build_complete_set_parity(oset: ObservableSet, contexts: Sequence[tuple]) -> ParitySet:

@@ -374,16 +374,18 @@ def parse(text: str) -> ProofFile:
 
 
 def parse_file(path: str) -> ProofFile:
-    """parse the file's text; a file that is not UTF-8 raises KSCertError
-    naming the offset of its first invalid byte.  parse splits lines at
-    \r\n and \r as well as \n, so the bytes are decoded as they are."""
+    """parse the file's text, less a byte-order mark at its start; a file
+    that is not UTF-8 raises KSCertError naming the offset of its first
+    invalid byte, counted from the file's start (utf-8-sig would count from
+    after a mark).  parse splits lines at \r\n and \r as well as \n, so
+    the bytes are decoded as they are."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as ex:
         raise KSCertError(f"not UTF-8 text: invalid byte at offset {ex.start}") from None
-    return parse(text)
+    return parse(text.removeprefix("\ufeff"))
 
 
 # -- rendering ----------------------------------------------------------------

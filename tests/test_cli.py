@@ -932,6 +932,12 @@ class TestVerifyCommand:
          "polynomial 0: squared modulus is irrational; cannot normalize"),
         (GENERAL_MP + "poly a*a - 1\n", [], EVERY,
          "polynomial 6: polynomial vanishes at every spectral assignment"),
+        # U+FEFF: a byte-order mark at a file's start is dropped, and is an error elsewhere
+        (b"\xef\xbb\xbfdi\xffm 2\n", [], EVERY, "not UTF-8 text: invalid byte at offset 5"),
+        ("\ufeff\ufeffdim 2\nray a 1 0\n", [], EVERY, "line 1: unknown directive '\\ufeffdim'"),
+        ("dim 2\n\ufeffray a 1 0\n", [], EVERY, "line 2: unknown directive '\\ufeffray'"),
+        ("dim 2\nray a 1 0\ufeff\n", [], EVERY,
+         "line 2: bad scalar term '0\\ufeff' in '0\\ufeff'"),
     ], ids=["row-outside-matrix", "too-few-rows", "too-few-rows-at-end", "too-many-rows-at-end",
             "too-few-rows-before-blank-lines", "too-few-rows-at-derived-marker",
             "ray-no-components", "pauli-before-dim", "matrix-before-dim", "matrix-no-label",
@@ -966,7 +972,8 @@ class TestVerifyCommand:
             "catalog-edge-outside-bases",
             "projector-form-of-paulis", "projector-form-of-general",
             "dichotomic-substitution",
-            "condition-1", "normalization-mismatch", "irrational-member", "zero-member"])
+            "condition-1", "normalization-mismatch", "irrational-member", "zero-member",
+            "mark-then-invalid-byte", "second-mark", "mark-at-line-start", "mark-in-line"])
     def test_input_error_message(self, capsys, tmp_path, monkeypatch, text, argv, commands,
                                  message):
         """Every message a command prints on exit 3, with each command
@@ -1916,6 +1923,34 @@ class TestCatalogCommand:
             code, out, err = run(capsys, command, "--input", str(path))
             out = out.replace(f"input: {path}\n", f"input: {name}\n", 1)
             assert (code, out, err) == run(capsys, command, "--catalog", name), command
+
+    @pytest.mark.parametrize("name", catalog.names())
+    def test_declarations_read_back(self, name):
+        """An entry's declarations are those of a file: rendered and parsed
+        back they are build()'s apart from the lines parse records, so each
+        label is a word and no label or context repeats, and that text
+        loads to the entry's set."""
+        entry = catalog.get(name)
+        pf = parse(render_input_section(entry.build()))
+        assert pf._replace(observables=[d._replace(line=None) for d in pf.observables],
+                           contexts=[d._replace(line=None) for d in pf.contexts]) == entry.build()
+        oset, loaded = entry.load(), pf.load()[0]
+        assert oset.observables == loaded.observables
+        assert oset.declared_contexts == loaded.declared_contexts
+
+
+def test_byte_order_mark_gives_the_plain_file_outputs(capsys, tmp_path):
+    """A UTF-8 byte-order mark at the start of a file is dropped; elsewhere
+    it is an input error (test_input_error_message)."""
+    path = tmp_path / "cabello-18.txt"
+    data = _catalog_text("cabello-18").encode("utf-8")
+    outputs = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(prefix + data)
+        outputs.append([run(capsys, command, "--input", str(path))
+                        for command in ("verify", "derive", "export")])
+    assert outputs[0] == outputs[1]
+    assert [code for code, _, _ in outputs[1]] == [0, 0, 0]
 
 
 def test_python_m_kscert_runs_the_command_line(capsys):

@@ -5,6 +5,7 @@ import inspect
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -135,14 +136,14 @@ class TestCompleteSets:
 
 def test_kinds_hold_only_what_their_builder_records():
     """Each kind of complete set holds its own facts: no parameter of its
-    constructor is Optional or has a default, and no module-level decide or
-    with_constants asks a set which kind it is."""
+    constructor may be None (Optional, or X | None) or has a default, and no
+    module-level decide or with_constants asks a set which kind it is."""
     for kind in (RaySet, ParitySet, UserSet):
         params = list(inspect.signature(kind).parameters.values())
         assert params[0].name == "oset", kind
         for p in params:
             assert p.annotation is not p.empty, (kind, p.name)
-            assert "Optional" not in str(p.annotation), (kind, p.name)
+            assert not re.search(r"\b(Optional|None)\b", str(p.annotation)), (kind, p.name)
             assert p.default is p.empty, (kind, p.name)
     assert not hasattr(derive, "decide") and not hasattr(derive, "with_constants")
 
@@ -501,26 +502,24 @@ def _ray_members(edges, bases):
     return members
 
 
-def _ray_set(graph, edges, bases):
-    """The ray set on graph, its rays axis rays, with member edges `edges`
-    (all of the graph's, some or none) and bases `bases`."""
-    return RaySet(_axis_rays(len(graph.masks)), graph, list(bases), list(edges), "RayEdgesBases")
+def _ray_set(graph, edge_members, bases):
+    """The ray set on graph, its rays axis rays, with every edge a member
+    or none, and bases `bases`."""
+    return RaySet(_axis_rays(len(graph.masks)), graph, list(bases), edge_members)
 
 
 class TestRayF:
     """RaySet.F's closed form against sum_of_squares, its oracle."""
 
-    @given(graphs_with_bases(), st.data())
+    @given(graphs_with_bases())
     @settings(max_examples=150, deadline=None)
-    def test_sum_of_squares_oracle(self, structure, data):
-        """Any subset of the graph's edges as member edges: all of them in
-        ray mode, none in bases-only mode, where a basis pair is no member."""
+    def test_sum_of_squares_oracle(self, structure):
+        """Both modes: every edge of the graph a member in ray mode, none in
+        bases-only mode, where a basis pair is no member."""
         graph, bases = structure
-        keep = data.draw(st.lists(st.booleans(), min_size=len(graph.edges),
-                                  max_size=len(graph.edges)))
         spectra = [(Fraction(0), Fraction(1))] * len(graph.masks)
-        for edges in ([e for e, k in zip(graph.edges, keep) if k], []):
-            F = _ray_set(graph, edges, bases).F()
+        for edge_members, edges in ((True, graph.edges), (False, [])):
+            F = _ray_set(graph, edge_members, bases).F()
             assert F == sum_of_squares(_ray_members(edges, bases), spectra)
             assert F == ray_witness_polynomial(edges, bases)
             _assert_clean(F)
@@ -534,7 +533,8 @@ class TestRayF:
             masks[i] |= 1 << j
             masks[j] |= 1 << i
         graph = OrthogonalityGraph(oset=_axis_rays(6), masks=masks)
-        F = _ray_set(graph, edges, bases).F()
+        assert graph.edges == edges
+        F = _ray_set(graph, True, bases).F()
         assert F == sum_of_squares(_ray_members(edges, bases), [(Fraction(0), Fraction(1))] * 6)
         coefs = {tuple(i for i, _ in m): c.rational() for m, c in F.terms.items()}
         assert coefs == {
@@ -544,8 +544,8 @@ class TestRayF:
             (0, 2): -3, (0, 3): -3, (1, 2): -3, (1, 3): -3,  # in one
             (3, 4): -1,  # in none
         }
-        assert _ray_set(graph, edges, []).F() == Poly({((i, 1), (j, 1)): -1 for i, j in edges})
-        assert _ray_set(graph, [], []).F() == Poly()
+        assert _ray_set(graph, True, []).F() == Poly({((i, 1), (j, 1)): -1 for i, j in edges})
+        assert _ray_set(graph, False, []).F() == Poly()
 
 
 @given(graphs())
@@ -556,7 +556,7 @@ def test_ray_set_counts_edges_on_masks(graph):
     with no member edge."""
     bases = enumerate_bases(graph)
     rays = build_complete_set_rays(graph.oset, graph, bases)
-    none = RaySet(graph.oset, graph, bases, [], "RayBasesOnly")
+    none = RaySet(graph.oset, graph, bases, False)
     answers = (len(rays), rays.size_text(), len(none), none.size_text(),
                rays.dichotomic_substitutes(), none.dichotomic_substitutes())
     counts = f"{len(bases)} bases, {len(graph.edges)} edges"
@@ -589,7 +589,7 @@ def test_bases_only_admission_oracle(structure):
     oset = _axis_rays(len(graph.masks))
     first = _first_edge_outside_bases(graph, bases)
     if first is None:
-        assert build_complete_set_bases_only(oset, graph, bases).edges == []
+        assert build_complete_set_bases_only(oset, graph, bases).edge_members is False
     else:
         with pytest.raises(KSCertError) as exc:
             build_complete_set_bases_only(oset, graph, bases)
